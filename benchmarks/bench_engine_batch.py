@@ -13,12 +13,6 @@ identical:
   operator, so this regime is scored too — it is the common shape of
   real traffic.
 
-A third (tolerance-scored, not bitwise) regime measures the opt-in
-``precision="relaxed"`` float32 tier on the independent workload: its
-speedup, its max-abs position deviation from the scalar path (gated at
-``RELAXED_TOL``), and that it makes identical degradation-ladder
-decisions.
-
 Run it via pytest (prints the JSON report)::
 
     pytest benchmarks/bench_engine_batch.py -s
@@ -53,9 +47,6 @@ except ImportError:  # standalone: python benchmarks/bench_engine_batch.py
 T_TAGS = 64
 REPEATS = 7
 TARGET_SPEEDUP = 5.0
-#: Relaxed-tier bound on max-abs position deviation from the scalar
-#: path (metres). Mirrors tests/test_engine_differential.RELAXED_TOL.
-RELAXED_TOL = 1e-4
 SEED = 42
 
 
@@ -117,45 +108,6 @@ def _time_regime(est: VIREEstimator, readings) -> dict:
     }
 
 
-def _time_relaxed(est: VIREEstimator, readings) -> dict:
-    """The float32 tier on the same workload: speedup + tolerance.
-
-    Scalar float64 results are the reference; the relaxed tier must stay
-    within ``RELAXED_TOL`` of them while making the same ladder
-    decisions (here: every reading succeeds without fallback in both).
-    """
-    from repro.engine.batch import BatchEngine
-
-    engine = BatchEngine(est, precision="relaxed")
-    engine.estimate_batch(readings[:4])  # warm
-    best_scalar = best_relaxed = float("inf")
-    scalar = relaxed = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        scalar = [est.estimate(r) for r in readings]
-        best_scalar = min(best_scalar, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        relaxed = engine.estimate_batch(readings)
-        best_relaxed = min(best_relaxed, time.perf_counter() - t0)
-    max_abs_err = max(
-        max(abs(r.position[0] - s.position[0]), abs(r.position[1] - s.position[1]))
-        for s, r in zip(scalar, relaxed)
-    )
-    ladder_mismatches = sum(
-        1
-        for s, r in zip(scalar, relaxed)
-        if s.diagnostics.get("fallback") != r.diagnostics.get("fallback")
-    )
-    return {
-        "scalar_wall_s": best_scalar,
-        "relaxed_wall_s": best_relaxed,
-        "relaxed_localizations_per_s": len(readings) / best_relaxed,
-        "speedup": best_scalar / best_relaxed,
-        "max_abs_position_error_m": max_abs_err,
-        "ladder_mismatches": ladder_mismatches,
-    }
-
-
 def run_benchmark() -> dict:
     grid, snapshot, independent = _build_readings()
     est = VIREEstimator(grid, VIREConfig(target_total_tags=900))
@@ -172,11 +124,7 @@ def run_benchmark() -> dict:
         # Scored since ISSUE-10: per-reading reference draws through the
         # content-grouped sparse-operator path.
         "independent": _time_regime(est, independent),
-        # Tolerance-scored: the opt-in float32 tier on the independent
-        # workload.
-        "relaxed_independent": _time_relaxed(est, independent),
     }
-    relaxed = report["relaxed_independent"]
     report["acceptance"] = {
         "target_speedup": TARGET_SPEEDUP,
         "snapshot_speedup": round(report["snapshot"]["speedup"], 2),
@@ -187,17 +135,11 @@ def run_benchmark() -> dict:
             report["snapshot"]["position_mismatches"] == 0
             and report["independent"]["position_mismatches"] == 0
         ),
-        "relaxed_tolerance": RELAXED_TOL,
-        "relaxed_ok": (
-            relaxed["max_abs_position_error_m"] <= RELAXED_TOL
-            and relaxed["ladder_mismatches"] == 0
-        ),
     }
     report["acceptance"]["passed"] = (
         report["acceptance"]["snapshot_ok"]
         and report["acceptance"]["independent_ok"]
         and report["acceptance"]["bitwise_identical"]
-        and report["acceptance"]["relaxed_ok"]
     )
     return report
 
@@ -214,10 +156,6 @@ def bench_engine_batch_speedup():
     assert acc["independent_ok"], (
         f"independent-path speedup {acc['independent_speedup']}x below the "
         f"{TARGET_SPEEDUP}x acceptance bar"
-    )
-    assert acc["relaxed_ok"], (
-        "relaxed tier out of tolerance: "
-        f"{report['relaxed_independent']}"
     )
 
 

@@ -131,7 +131,6 @@ from .service import (
     ServiceConfig,
     ServicePipeline,
     ServiceResult,
-    InterpolationCache,
     MetricsRegistry,
 )
 from .engine import (
@@ -200,7 +199,6 @@ __all__ = [
     "MeasurementSpec", "figures", "sweeps", "analysis",
     # service (streaming localization)
     "LocalizationService", "SessionReport", "ServiceConfig",
-    "ServicePipeline", "ServiceResult", "InterpolationCache",
-    "MetricsRegistry",
+    "ServicePipeline", "ServiceResult", "MetricsRegistry",
     "__version__",
 ]

@@ -256,7 +256,7 @@ def _fig_accuracy_vs_density(points) -> dict:
 @register_figure(
     "capacity_model",
     "Least-squares capacity model over the sweep "
-    "(localizations/s vs batch size, cache, ladder, zones)",
+    "(localizations/s vs batch size, ladder, zones)",
 )
 def _fig_capacity_model(points) -> dict:
     model = fit_capacity_model([_capacity(p) for p in points])

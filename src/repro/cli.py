@@ -27,8 +27,8 @@ Commands
     Demo: track a moving asset through the full event-driven testbed.
 ``serve``
     Run the real-time streaming localization service over a seeded
-    scenario: live result table, then the metrics dump (cache hit rate,
-    batches flushed, degraded requests, latency quantiles).
+    scenario: live result table, then the metrics dump (batches
+    flushed, degraded requests, latency quantiles).
 ``chaos``
     Run the streaming service under a seeded fault plan (reader
     outages, burst loss, tag deaths, calibration drift, delays) and
@@ -201,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="micro-batch flush deadline (service seconds)")
     srv.add_argument("--query-interval", type=float, default=2.0,
                      help="per-tag localization query period (service seconds)")
-    srv.add_argument("--no-cache", action="store_true",
-                     help="disable the interpolation cache")
-    srv.add_argument("--quantization-db", type=float, default=0.0,
-                     help="cache key quantization (0 = exact keys)")
     srv.add_argument("--quiet", action="store_true",
                      help="suppress the live per-result rows")
     srv.add_argument("--prometheus", action="store_true",
@@ -634,8 +630,6 @@ def _cmd_serve(args) -> str:
         max_batch_size=args.batch_size,
         max_latency_s=args.max_latency,
         query_interval_s=args.query_interval,
-        cache_enabled=not args.no_cache,
-        cache_quantization_db=args.quantization_db,
     )
     if args.zones is not None:
         return _cmd_serve_zones(args, config)
@@ -711,8 +705,6 @@ def _cmd_serve(args) -> str:
         f"  records streamed     {s['records_streamed']:.0f} "
         f"(dropped {s['records_dropped']:.0f}, "
         f"queue high-water {s['queue_high_watermark']:.0f})",
-        f"  cache hit rate       {100 * s['cache_hit_rate']:.1f}% "
-        f"({s['cache_hits']:.0f} hits / {s['cache_misses']:.0f} misses)",
         f"  latency p50          {1e3 * s['latency_p50_s']:.3f} ms",
         f"  latency p99          {1e3 * s['latency_p99_s']:.3f} ms",
         f"  throughput           {s['localizations_per_s']:.1f} localizations/s "

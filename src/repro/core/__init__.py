@@ -36,7 +36,7 @@ from .quorum import QuorumDecision, QuorumPolicy
 from .elimination import eliminate, vote_map
 from .threshold import AdaptiveThresholdSelector, minimal_feasible_threshold
 from .weighting import combine_weights, compute_w1, compute_w2
-from .estimator import VIREEstimator, LatticeCache
+from .estimator import VIREEstimator
 from .soft import SoftVIREEstimator
 from .boundary import BoundaryAwareEstimator, is_boundary_estimate
 from .irregular import IrregularVirtualGrid, IrregularVIREEstimator
@@ -61,7 +61,6 @@ __all__ = [
     "compute_w2",
     "combine_weights",
     "VIREEstimator",
-    "LatticeCache",
     "SoftVIREEstimator",
     "BoundaryAwareEstimator",
     "is_boundary_estimate",

@@ -9,8 +9,6 @@ are drop-in comparable in every experiment.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from ..baselines.landmarc import LandmarcEstimator
@@ -27,26 +25,7 @@ from .threshold import minimal_feasible_threshold
 from .virtual_grid import VirtualGrid
 from .weighting import combine_weights, compute_w1, compute_w2
 
-__all__ = ["VIREEstimator", "LatticeCache"]
-
-
-@runtime_checkable
-class LatticeCache(Protocol):
-    """Protocol of the interpolation cache an estimator may be given.
-
-    Implemented by :class:`repro.service.cache.InterpolationCache`; kept
-    as a protocol here so ``core`` never imports ``service`` (the service
-    layer sits *above* the algorithm layer).
-    """
-
-    def get_or_compute(
-        self,
-        lattice: np.ndarray,
-        virtual_grid: VirtualGrid,
-        interpolator,
-    ) -> np.ndarray:
-        """Return the interpolated virtual surface for ``lattice``."""
-        ...
+__all__ = ["VIREEstimator"]
 
 
 class VIREEstimator:
@@ -60,12 +39,6 @@ class VIREEstimator:
     config:
         Algorithm parameters; defaults to the paper's operating point
         with n=10 subdivisions.
-    interpolation_cache:
-        Optional :class:`LatticeCache` consulted per reader lattice in
-        :meth:`interpolate_reading`. ``None`` (the default) recomputes
-        every interpolation — bit-identical behaviour to the cacheless
-        estimator. The streaming service injects
-        :class:`repro.service.cache.InterpolationCache` here.
     quorum:
         :class:`~repro.core.quorum.QuorumPolicy` applied to *masked*
         readings (degraded deployments): readers with too little
@@ -91,12 +64,10 @@ class VIREEstimator:
         grid: ReferenceGrid,
         config: VIREConfig | None = None,
         *,
-        interpolation_cache: LatticeCache | None = None,
         quorum: QuorumPolicy | None = None,
     ):
         self.grid = grid
         self.config = config or VIREConfig()
-        self.interpolation_cache = interpolation_cache
         self.quorum = quorum or QuorumPolicy()
         if self.config.target_total_tags is not None:
             self.virtual_grid = VirtualGrid.for_target_count(
@@ -132,24 +103,17 @@ class VIREEstimator:
 
         Masked readings get their NaN lattice holes imputed
         (:func:`~repro.core.interpolation.fill_masked_lattice`) before
-        interpolation, so the interpolators — and the interpolation
-        cache, which keys on lattice bytes — only ever see finite
+        interpolation, so the interpolators only ever see finite
         lattices. Fully finite lattices pass through the fill untouched.
         """
         self._check_layout(reading)
         k = reading.n_readers
-        cache = self.interpolation_cache
         out = np.empty((k, *self.virtual_grid.shape))
         for i in range(k):
             lattice = self.grid.lattice_from_flat(reading.reference_rssi[i])
             if reading.masked:
                 lattice = fill_masked_lattice(lattice)
-            if cache is not None:
-                out[i] = cache.get_or_compute(
-                    lattice, self.virtual_grid, self._interpolator
-                )
-            else:
-                out[i] = self._interpolator.interpolate(lattice, self.virtual_grid)
+            out[i] = self._interpolator.interpolate(lattice, self.virtual_grid)
         return out
 
     def select_threshold(self, deviations: np.ndarray) -> float:

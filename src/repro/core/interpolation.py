@@ -251,24 +251,19 @@ class SparseBilinearOperator:
         """Non-zeros per operator row (the four cell corners)."""
         return 4
 
-    def apply(self, stack: np.ndarray, *, dtype=np.float64) -> np.ndarray:
+    def apply(self, stack: np.ndarray) -> np.ndarray:
         """Interpolate ``M`` lattices at once.
 
         Parameters
         ----------
         stack:
             ``(M, rows, cols)`` or ``(M, rows*cols)`` finite lattices.
-        dtype:
-            ``np.float64`` (default) computes exactly the scalar
-            interpolator's bits; ``np.float32`` is the relaxed tier —
-            inputs and weights are cast down and the combination runs in
-            single precision.
 
         Returns
         -------
         ``(M, v_rows, v_cols)`` virtual surfaces.
         """
-        arr = np.asarray(stack, dtype=dtype)
+        arr = np.asarray(stack, dtype=np.float64)
         m = arr.shape[0]
         flat = arr.reshape(m, -1)
         grid = self.virtual_grid.grid
@@ -278,8 +273,6 @@ class SparseBilinearOperator:
                 f"{grid.rows}x{grid.cols}"
             )
         w = self._weights
-        if dtype is not np.float64:
-            w = w.astype(dtype)
         # One gather for all four corners: (M, 4, v_rows, v_cols), then
         # scale the gathered block in place and accumulate the corner
         # terms left-to-right. Finite IEEE-754 multiplication is

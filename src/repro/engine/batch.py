@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from ..baselines.landmarc import LandmarcEstimator
-from ..core.interpolation import check_lattice, fill_masked_lattice
 from ..exceptions import ConfigurationError, EstimationError, ReproError
 from ..obs import current_tracer
 from ..types import EstimateResult, TrackingReading
@@ -56,29 +55,12 @@ class BatchEngine:
     ----------
     estimator:
         The scalar estimator whose behaviour is to be reproduced. The
-        engine reuses its grid, config, interpolator, quorum policy and
-        (if any) interpolation cache, so one engine serves wherever the
-        scalar estimator would.
-    precision:
-        ``"exact"`` (default) keeps the bitwise-identity contract
-        against the scalar path. ``"relaxed"`` runs interpolation and
-        weighting in float32 — an opt-in throughput tier whose results
-        are tolerance-bounded (not bit-equal) against the scalar path;
-        it bypasses any injected interpolation cache (the cache stores
-        float64 surfaces with scalar-exact accounting, which a float32
-        pipeline cannot honour) and is rejected wherever goldens or
-        checkpoints are produced. The ladder semantics — quorum
-        refusals, fallback routing, error types — are unchanged.
+        engine reuses its grid, config, interpolator and quorum policy,
+        so one engine serves wherever the scalar estimator would.
     """
 
-    def __init__(self, estimator, *, precision: str = "exact") -> None:
-        if precision not in ("exact", "relaxed"):
-            raise ConfigurationError(
-                f"precision must be 'exact' or 'relaxed', got {precision!r}"
-            )
+    def __init__(self, estimator) -> None:
         self.estimator = estimator
-        self.precision = precision
-        self._dtype = np.float64 if precision == "exact" else np.float32
         self._op = None
         self._op_built = False
 
@@ -150,38 +132,11 @@ class BatchEngine:
             # one middleware snapshot) and independent batches (distinct
             # readings per tag) alike — and for the linear scheme all
             # unique lattices of the batch go through one precomputed
-            # sparse-operator pass. With an injected cache, the batched
-            # cache protocol keeps hit/miss/eviction accounting bitwise
-            # identical to the scalar lookup sequence; caches that don't
-            # speak it (or non-linear schemes) keep the sequential path.
-            # The relaxed tier bypasses the cache entirely (float64
-            # surfaces with scalar accounting can't be honoured by a
-            # float32 pipeline).
-            ready: list[
-                tuple[int, TrackingReading, int | None, dict, np.ndarray]
-            ] = []
+            # sparse-operator pass.
             with tracer.span("engine.interpolate") as isp:
-                cache = (
-                    est.interpolation_cache
-                    if self.precision == "exact"
-                    else None
+                ready, n_unique, table = self._interpolate_grouped(
+                    prepared, outcomes
                 )
-                op = self._operator
-                table = None
-                if cache is None:
-                    ready, n_unique, table = self._interpolate_grouped(
-                        prepared, outcomes
-                    )
-                elif op is not None and hasattr(
-                    cache, "get_or_compute_many"
-                ):
-                    ready, n_unique = self._interpolate_cached(
-                        prepared, outcomes, cache, op
-                    )
-                else:
-                    ready, n_unique = self._interpolate_sequential(
-                        prepared, outcomes, cache
-                    )
                 isp.set("unique_surfaces", n_unique)
 
             # Stage 3: group by surviving reader count and vectorize.
@@ -221,8 +176,8 @@ class BatchEngine:
         self,
         prepared: list[tuple[int, TrackingReading, int | None, dict]],
         outcomes: list[Outcome],
-    ) -> tuple[list, int]:
-        """Cacheless (or relaxed) route: batch-wide content dedup.
+    ) -> tuple[list, int, LatticeTable | None]:
+        """Batch-wide content dedup — the engine's one interpolation route.
 
         Every (reading, reader) lattice is registered in one
         :class:`~repro.engine.grouping.LatticeTable` keyed by lattice
@@ -259,7 +214,7 @@ class BatchEngine:
             pending = [
                 (*entry, table.slots_for(entry[1])) for entry in prepared
             ]
-        table.interpolate(op, dtype=self._dtype)
+        table.interpolate(op)
         if op is not None:
             if not table.n_errors:
                 return pending, len(table), table
@@ -279,111 +234,6 @@ class BatchEngine:
             else:
                 ready.append((idx, reading, min_votes, quorum_diag, virtual))
         return ready, len(table), None
-
-    def _interpolate_cached(
-        self,
-        prepared: list[tuple[int, TrackingReading, int | None, dict]],
-        outcomes: list[Outcome],
-        cache,
-        op,
-    ) -> tuple[list, int]:
-        """Cached route: batched lookups, scalar-exact cache accounting.
-
-        Per-reader lattices are prepared up front (stopping a reading at
-        its first preparation error, as the scalar loop would), then all
-        lookups go through the cache's ``get_or_compute_many`` in the
-        exact scalar call sequence — hit/miss counts, LRU touch order
-        and eviction sequence stay bitwise identical — with the unique
-        misses computed in one vectorized operator pass. A validation
-        error inside the lookup sequence takes precedence over a later
-        reader's preparation error, mirroring where the scalar loop
-        raises first.
-        """
-        est = self.estimator
-        grid, vgrid = est.grid, est.virtual_grid
-        entries = []
-        segments = []
-        for idx, reading, min_votes, quorum_diag in prepared:
-            lattices: list[np.ndarray] = []
-            prep_error: ReproError | None = None
-            for i in range(reading.n_readers):
-                try:
-                    lattice = grid.lattice_from_flat(reading.reference_rssi[i])
-                    if reading.masked:
-                        lattice = fill_masked_lattice(lattice)
-                except ReproError as exc:
-                    prep_error = exc
-                    break
-                lattices.append(lattice)
-            entries.append((idx, reading, min_votes, quorum_diag, prep_error))
-            segments.append(lattices)
-
-        def validate(lattice: np.ndarray) -> ReproError | None:
-            try:
-                check_lattice(lattice, vgrid)
-            except ReproError as exc:
-                return exc
-            return None
-
-        def compute_many(lattices: list[np.ndarray]) -> np.ndarray:
-            return op.apply(np.stack(lattices))
-
-        misses_before = cache.misses
-        resolved = cache.get_or_compute_many(
-            segments,
-            vgrid,
-            est._interpolator,
-            validate=validate,
-            compute_many=compute_many,
-        )
-        ready = []
-        for entry, res in zip(entries, resolved):
-            idx, reading, min_votes, quorum_diag, prep_error = entry
-            if isinstance(res, ReproError):
-                outcomes[idx] = res
-            elif prep_error is not None:
-                outcomes[idx] = prep_error
-            else:
-                virtual = np.empty(
-                    (reading.n_readers, *vgrid.shape)
-                )
-                for i, surface in enumerate(res):
-                    virtual[i] = surface
-                ready.append((idx, reading, min_votes, quorum_diag, virtual))
-        return ready, cache.misses - misses_before
-
-    def _interpolate_sequential(
-        self,
-        prepared: list[tuple[int, TrackingReading, int | None, dict]],
-        outcomes: list[Outcome],
-        cache,
-    ) -> tuple[list, int]:
-        """Compatibility route: protocol caches without batched lookups
-        (or non-linear schemes behind a cache). ``get_or_compute`` is
-        called once per (reading, reader) in exactly the scalar call
-        sequence, so history-dependent cache behaviour is untouched.
-        """
-        est = self.estimator
-        ready = []
-        lookups = 0
-        for idx, reading, min_votes, quorum_diag in prepared:
-            try:
-                k = reading.n_readers
-                virtual = np.empty((k, *est.virtual_grid.shape))
-                for i in range(k):
-                    lattice = est.grid.lattice_from_flat(
-                        reading.reference_rssi[i]
-                    )
-                    if reading.masked:
-                        lattice = fill_masked_lattice(lattice)
-                    virtual[i] = cache.get_or_compute(
-                        lattice, est.virtual_grid, est._interpolator
-                    )
-                    lookups += 1
-                ready.append((idx, reading, min_votes, quorum_diag, virtual))
-            except ReproError as exc:
-                outcomes[idx] = exc
-        return ready, lookups
 
     def _estimate_group(
         self,
@@ -421,9 +271,8 @@ class BatchEngine:
             return
         group, n_tags = valid, len(valid)
         needed_arr = np.asarray(needed, dtype=np.int64)
-        dtype = self._dtype
 
-        tracking = np.empty((n_tags, k), dtype=dtype)
+        tracking = np.empty((n_tags, k))
         if table is not None:
             slot_matrix = np.empty((n_tags, k), dtype=np.intp)
             for t, entry in enumerate(group):
@@ -431,18 +280,18 @@ class BatchEngine:
                 tracking[t] = entry[1].tracking_rssi
             virtual = table.gather(slot_matrix)
         else:
-            virtual = np.empty((n_tags, k, *shape), dtype=dtype)
+            virtual = np.empty((n_tags, k, *shape))
             for t, entry in enumerate(group):
                 virtual[t] = entry[4]
                 tracking[t] = entry[1].tracking_rssi
-        dev = kernels.batch_rssi_deviations(virtual, tracking, dtype=dtype)
+        dev = kernels.batch_rssi_deviations(virtual, tracking)
 
         # Thresholds (shared per tag). Infeasible tags (NaN from the
         # closed form) get the scalar path's ConfigurationError.
         live = np.ones(n_tags, dtype=bool)
         if config.threshold_mode == "adaptive":
             base = kernels.batch_minimal_feasible_threshold(
-                dev, min_cells=config.min_cells, dtype=dtype
+                dev, min_cells=config.min_cells
             )
             infeasible = np.isnan(base)
             for t in np.flatnonzero(infeasible):
@@ -456,9 +305,9 @@ class BatchEngine:
             if not live.all():
                 thresholds = np.where(live, thresholds, 0.0)
         else:
-            thresholds = np.full(n_tags, config.fixed_threshold_db, dtype=dtype)
+            thresholds = np.full(n_tags, config.fixed_threshold_db)
 
-        masks = kernels.batch_proximity_masks(dev, thresholds, dtype=dtype)
+        masks = kernels.batch_proximity_masks(dev, thresholds)
         selected = kernels.batch_eliminate(masks, needed_arr)
 
         # Empty intersections: the scalar fallback ladder, per tag.
@@ -493,7 +342,7 @@ class BatchEngine:
             else:  # "relax": minimal feasible threshold for those tags
                 relax = np.flatnonzero(empty)
                 relaxed = kernels.batch_minimal_feasible_threshold(
-                    dev[relax], min_cells=config.min_cells, dtype=dtype
+                    dev[relax], min_cells=config.min_cells
                 )
                 for j, t in enumerate(relax):
                     if np.isnan(relaxed[j]):  # pragma: no cover - guarded above
@@ -509,7 +358,7 @@ class BatchEngine:
                 still = np.flatnonzero(empty & live)
                 if still.size:
                     masks[still] = kernels.batch_proximity_masks(
-                        dev[still], thresholds[still], dtype=dtype
+                        dev[still], thresholds[still]
                     )
                     selected[still] = kernels.batch_eliminate(
                         masks[still], needed_arr[still]
@@ -524,12 +373,9 @@ class BatchEngine:
             selected,
             mode=config.w1_mode,
             virtual_rssi=virtual if config.w1_mode == "paper-literal" else None,
-            dtype=dtype,
         )
         w2 = (
-            kernels.batch_w2(
-                selected, connectivity=config.connectivity, dtype=dtype
-            )
+            kernels.batch_w2(selected, connectivity=config.connectivity)
             if config.use_w2
             else None
         )
@@ -545,7 +391,7 @@ class BatchEngine:
             if w2 is not None:
                 safe_w2 = w2.copy()
                 safe_w2[~live, 0, 0] = 1.0
-        weights = kernels.batch_combine_weights(safe_w1, safe_w2, dtype=dtype)
+        weights = kernels.batch_combine_weights(safe_w1, safe_w2)
         xy = kernels.batch_positions(weights, est._positions)
         areas = kernels.batch_map_areas(masks)
         n_selected = selected.reshape(n_tags, -1).sum(axis=1)

@@ -4,12 +4,9 @@
 algorithm configuration (:class:`~repro.core.config.VIREConfig` owns the
 science; this owns the scheduling): how many worker processes a
 multi-snapshot sweep may use and how many snapshots ride in one shard.
-The engine's numerical behaviour is **not** configurable on the default
-tier — exact batch results are bitwise identical to the scalar path by
-contract, whatever the scheduling knobs. The one numerical escape hatch
-is explicit and opt-in: ``precision="relaxed"`` trades the bitwise
-contract for float32 interpolation/weighting (tolerance-bounded, never
-used where goldens or checkpoints are in play).
+The engine's numerical behaviour is **not** configurable — batch results
+are bitwise identical to the scalar path by contract, whatever the
+scheduling knobs.
 """
 
 from __future__ import annotations
@@ -44,27 +41,13 @@ class EngineConfig:
         retries, pool respawn, serial fallback) — results stay bitwise
         identical; only failure handling changes. ``None`` (default)
         keeps the bare executor.
-    precision:
-        Numerical tier of the batch engine. ``"exact"`` (default) keeps
-        the bitwise-identity contract against the scalar path and is
-        the only tier goldens/checkpoints accept. ``"relaxed"`` runs
-        interpolation and weighting in float32 — faster and smaller,
-        bounded by the differential harness's tolerance instead of
-        bit equality, and rejected wherever byte-stable artifacts
-        (golden fixtures, checkpoint resume) are produced.
     """
 
     n_jobs: int | None = None
     shard_size: int | None = None
     runtime: RuntimePolicy | None = None
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.precision not in ("exact", "relaxed"):
-            raise ConfigurationError(
-                f"precision must be 'exact' or 'relaxed', "
-                f"got {self.precision!r}"
-            )
         if self.shard_size is not None and self.shard_size < 1:
             raise ConfigurationError(
                 f"shard_size must be >= 1 or None, got {self.shard_size}"

@@ -248,12 +248,7 @@ class LatticeTable:
         except ReproError as exc:
             return _Slot(error=exc)
 
-    def interpolate(
-        self,
-        operator: SparseBilinearOperator | None,
-        *,
-        dtype=np.float64,
-    ) -> None:
+    def interpolate(self, operator: SparseBilinearOperator | None) -> None:
         """Compute every unique pending surface.
 
         With an operator every valid lattice is finiteness-checked in
@@ -273,7 +268,7 @@ class LatticeTable:
             finite = np.isfinite(lattices).all(axis=(1, 2))
             rows = np.full(len(self._slots), -1, dtype=np.intp)
             if finite.all():
-                self._surfaces = operator.apply(lattices, dtype=dtype)
+                self._surfaces = operator.apply(lattices)
                 rows[:] = np.arange(len(self._slots))
             else:
                 for i in np.flatnonzero(~finite):
@@ -282,9 +277,7 @@ class LatticeTable:
                     )
                 valid = np.flatnonzero(finite)
                 if valid.size:
-                    self._surfaces = operator.apply(
-                        lattices[finite], dtype=dtype
-                    )
+                    self._surfaces = operator.apply(lattices[finite])
                     rows[valid] = np.arange(valid.size)
             self._rows = rows
             return
@@ -312,7 +305,7 @@ class LatticeTable:
         finite = np.isfinite(stack).all(axis=(1, 2))
         rows = np.full(len(self._slots), -1, dtype=np.intp)
         if finite.all():
-            self._surfaces = operator.apply(stack, dtype=dtype)
+            self._surfaces = operator.apply(stack)
             rows[pending] = np.arange(len(pending))
         else:
             for i, ok in zip(pending, finite):
@@ -320,7 +313,7 @@ class LatticeTable:
                     self._slots[i].error = ConfigurationError(_NON_FINITE_MSG)
             valid = [i for i, ok in zip(pending, finite) if ok]
             if valid:
-                self._surfaces = operator.apply(stack[finite], dtype=dtype)
+                self._surfaces = operator.apply(stack[finite])
                 rows[valid] = np.arange(len(valid))
         self._rows = rows
 

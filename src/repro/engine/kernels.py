@@ -20,13 +20,6 @@ The one operation where BLAS could reorder sums — the final
 the scalar dot-product code path is reused verbatim. The equivalence is
 enforced by golden traces and hypothesis property tests
 (``tests/test_engine_properties.py``).
-
-Every kernel accepts a ``dtype`` keyword (default ``np.float64``). The
-default is the bitwise-exact tier; ``np.float32`` is the engine's opt-in
-``precision="relaxed"`` tier — same operations, half-width arithmetic,
-bounded by the differential harness (``tests/test_engine_differential.py``)
-instead of bit equality. The final centroid contraction stays float64 on
-both tiers.
 """
 
 from __future__ import annotations
@@ -52,10 +45,8 @@ __all__ = [
 _EPS_DB = 1e-6  # mirrors repro.core.weighting._EPS_DB
 
 
-def _check_batch(
-    dev: np.ndarray, name: str = "deviations", dtype=np.float64
-) -> np.ndarray:
-    arr = np.asarray(dev, dtype=dtype)
+def _check_batch(dev: np.ndarray, name: str = "deviations") -> np.ndarray:
+    arr = np.asarray(dev, dtype=np.float64)
     if arr.ndim != 4:
         raise ConfigurationError(
             f"{name} must have shape (T, K, v_rows, v_cols), got {arr.shape}"
@@ -64,7 +55,7 @@ def _check_batch(
 
 
 def batch_rssi_deviations(
-    virtual_rssi: np.ndarray, tracking_rssi: np.ndarray, *, dtype=np.float64
+    virtual_rssi: np.ndarray, tracking_rssi: np.ndarray
 ) -> np.ndarray:
     """``|virtual - tracking|`` for T tags at once.
 
@@ -77,8 +68,8 @@ def batch_rssi_deviations(
     tracking_rssi:
         ``(T, K)`` tracking-tag RSSI.
     """
-    v = _check_batch(virtual_rssi, "virtual_rssi", dtype=dtype)
-    t = np.asarray(tracking_rssi, dtype=dtype)
+    v = _check_batch(virtual_rssi, "virtual_rssi")
+    t = np.asarray(tracking_rssi, dtype=np.float64)
     if t.shape != v.shape[:2]:
         raise ConfigurationError(
             f"tracking_rssi shape {t.shape} mismatches batch {v.shape[:2]}"
@@ -88,7 +79,7 @@ def batch_rssi_deviations(
 
 
 def batch_minimal_feasible_threshold(
-    deviations: np.ndarray, *, min_cells: int = 1, dtype=np.float64
+    deviations: np.ndarray, *, min_cells: int = 1
 ) -> np.ndarray:
     """Per-tag minimal feasible threshold, shape ``(T,)``.
 
@@ -98,7 +89,7 @@ def batch_minimal_feasible_threshold(
     Infeasible tags (fewer than ``min_cells`` fully-known cells) get
     ``NaN`` — the caller decides whether that is an error.
     """
-    dev = _check_batch(deviations, dtype=dtype)
+    dev = _check_batch(deviations)
     if min_cells < 1:
         raise ConfigurationError(f"min_cells must be >= 1, got {min_cells}")
     n_tags = dev.shape[0]
@@ -126,15 +117,15 @@ def batch_minimal_feasible_threshold(
 
 
 def batch_proximity_masks(
-    deviations: np.ndarray, thresholds: np.ndarray, *, dtype=np.float64
+    deviations: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
     """Boolean candidate masks ``(T, K, v_rows, v_cols)``.
 
     ``thresholds`` is one shared threshold per tag, shape ``(T,)``. NaN
     deviations are never candidates (masked/degraded inputs).
     """
-    dev = _check_batch(deviations, dtype=dtype)
-    thr = np.asarray(thresholds, dtype=dtype)
+    dev = _check_batch(deviations)
+    thr = np.asarray(thresholds, dtype=np.float64)
     if thr.shape != (dev.shape[0],):
         raise ConfigurationError(
             f"thresholds shape {thr.shape} mismatches batch of {dev.shape[0]}"
@@ -191,18 +182,17 @@ def batch_w1(
     *,
     mode: str = "inverse",
     virtual_rssi: np.ndarray | None = None,
-    dtype=np.float64,
 ) -> np.ndarray:
     """Batched discrepancy factor — twin of
     :func:`repro.core.weighting.compute_w1`, shape ``(T, v_rows, v_cols)``.
     """
-    dev = _check_batch(deviations, dtype=dtype)
+    dev = _check_batch(deviations)
     sel = np.asarray(selected, dtype=bool)
     if sel.shape != (dev.shape[0], *dev.shape[2:]):
         raise ConfigurationError(
             f"selection shape {sel.shape} mismatches deviations {dev.shape}"
         )
-    out = np.zeros(sel.shape, dtype=dtype)
+    out = np.zeros(sel.shape)
     if mode == "uniform":
         out[sel] = 1.0
         return out
@@ -215,7 +205,7 @@ def batch_w1(
             raise ConfigurationError(
                 "paper-literal w1 requires the interpolated virtual_rssi"
             )
-        v = _check_batch(virtual_rssi, "virtual_rssi", dtype=dtype)
+        v = _check_batch(virtual_rssi, "virtual_rssi")
         if v.shape != dev.shape:
             raise ConfigurationError(
                 f"virtual_rssi shape {v.shape} mismatches deviations {dev.shape}"
@@ -234,9 +224,7 @@ def _label_structure(connectivity: int) -> np.ndarray:
     raise ConfigurationError(f"connectivity must be 4 or 8, got {connectivity}")
 
 
-def batch_w2(
-    selected: np.ndarray, *, connectivity: int = 4, dtype=np.float64
-) -> np.ndarray:
+def batch_w2(selected: np.ndarray, *, connectivity: int = 4) -> np.ndarray:
     """Batched cluster-density factor — twin of
     :func:`repro.core.weighting.compute_w2`.
 
@@ -259,28 +247,26 @@ def batch_w2(
     # rows of its block, the last row stays blank (separator).
     stacked.reshape(n_tags, rows + 1, cols)[:, :rows, :] = sel
     labels, n = ndimage.label(stacked, structure=structure)
-    out = np.zeros(sel.shape, dtype=dtype)
+    out = np.zeros(sel.shape)
     if n == 0:
         return out
-    sizes = np.bincount(labels.ravel(), minlength=n + 1).astype(dtype)
+    sizes = np.bincount(labels.ravel(), minlength=n + 1).astype(np.float64)
     block = labels.reshape(n_tags, rows + 1, cols)[:, :rows, :]
     mask = block > 0
     out[mask] = sizes[block[mask]]
     return out
 
 
-def batch_combine_weights(
-    w1: np.ndarray, w2: np.ndarray | None, *, dtype=np.float64
-) -> np.ndarray:
+def batch_combine_weights(w1: np.ndarray, w2: np.ndarray | None) -> np.ndarray:
     """Normalize ``w = w1 * w2`` per tag — twin of
     :func:`repro.core.weighting.combine_weights`.
     """
-    w1 = np.asarray(w1, dtype=dtype)
+    w1 = np.asarray(w1, dtype=np.float64)
     if w1.ndim != 3:
         raise ConfigurationError(
             f"w1 must have shape (T, v_rows, v_cols), got {w1.shape}"
         )
-    w = w1 if w2 is None else w1 * np.asarray(w2, dtype=dtype)
+    w = w1 if w2 is None else w1 * np.asarray(w2, dtype=np.float64)
     if np.any(w < 0):
         raise ConfigurationError("weights must be non-negative")
     n_tags = w.shape[0]

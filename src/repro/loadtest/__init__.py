@@ -16,6 +16,7 @@ the sweep's JSONL (see :mod:`repro.analysis.registry`). Methodology in
 docs/LOADTEST.md.
 """
 
+from ..obs.profile import quantile_linear
 from .capacity import CAPACITY_FEATURES, CapacityModel, fit_capacity_model
 from .generator import LoadTestReport, run_load_test
 from .profiles import (
@@ -29,7 +30,6 @@ from .profiles import (
 from .slo import (
     LEVEL_NAMES,
     metrics_slo,
-    quantile_linear,
     result_level,
     slo_summary,
     trace_slo,

@@ -1,18 +1,17 @@
 """Capacity model: localizations/s as a function of operating point.
 
 Fitted from load-sweep points by ordinary least squares over a small
-feature set — mean batch size, interpolation-cache hit rate, degraded
-(ladder-descent) fraction and zone count — so ``repro report`` can
-answer "what throughput should this configuration sustain?" and CI can
-flag a capacity regression as a *model* shift rather than a single
-noisy number.
+feature set — mean batch size, degraded (ladder-descent) fraction and
+zone count — so ``repro report`` can answer "what throughput should
+this configuration sustain?" and CI can flag a capacity regression as a
+*model* shift rather than a single noisy number.
 
 The solver is deliberately **pure Python** (normal equations +
 Gauss–Jordan elimination with a tiny ridge term). ``numpy.linalg``
 routes through whatever BLAS the platform ships, and different BLAS
 builds legitimately differ in the last ulp — unacceptable for a model
 whose canonical document is pinned byte-for-byte in a golden fixture.
-A 5×5 solve does not need BLAS.
+A 4×4 solve does not need BLAS.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = ["CAPACITY_FEATURES", "CapacityModel", "fit_capacity_model"]
 #: Feature keys of a sweep point, in model order (intercept implicit).
 CAPACITY_FEATURES = (
     "batch_size_mean",
-    "cache_hit_rate",
     "degraded_fraction",
     "n_zones",
 )

@@ -46,8 +46,6 @@ _ZONE_WITNESS_COUNTERS = (
     "records_shed",
     "queue_high_watermark",
     "batches_flushed",
-    "cache_hits",
-    "cache_misses",
     "frames_received",
     "frames_dropped",
 )
@@ -75,8 +73,6 @@ def _zone_witness(summary: Mapping[str, float], metrics) -> dict[str, Any]:
         for key in _ZONE_WITNESS_COUNTERS
         if key in summary
     }
-    hits, misses = doc.get("cache_hits", 0), doc.get("cache_misses", 0)
-    doc["cache_hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
     for name, key in (
         ("admission_requests_admitted_total", "admission_admitted"),
         ("admission_requests_shed_total", "admission_shed"),
@@ -135,16 +131,11 @@ class LoadTestReport:
         batches = sum(
             z.get("batches_flushed", 0) for z in self.zones.values()
         )
-        hits = sum(z.get("cache_hits", 0) for z in self.zones.values())
-        misses = sum(
-            z.get("cache_misses", 0) for z in self.zones.values()
-        )
         slo = self.slo
         return {
             "offered_rate_per_s": self.offered / self.profile.duration_s,
             "sustained_per_s": slo["sustained_per_s"],
             "batch_size_mean": requests / batches if batches else 0.0,
-            "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "degraded_fraction": slo["degraded_fraction"],
             "n_zones": float(self.profile.n_zones),
             "availability": slo["availability"],

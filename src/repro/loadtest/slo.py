@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..obs.profile import ladder_breakdown, stage_statistics
+from ..obs.profile import ladder_breakdown, quantile_linear, stage_statistics
 from ..service.metrics import Histogram, MetricsRegistry
 from ..service.pipeline import ServiceResult
 
 __all__ = [
     "LEVEL_NAMES",
-    "quantile_linear",
     "result_level",
     "slo_summary",
     "metrics_slo",
@@ -49,28 +48,6 @@ LEVEL_NAMES = {
 
 #: Default SLO percentiles.
 SLO_QUANTILES = (0.50, 0.95, 0.99)
-
-
-def quantile_linear(values: Sequence[float], q: float) -> float:
-    """Quantile with linear interpolation between order statistics.
-
-    The standard "type 7" estimator: ``q`` maps to the fractional
-    position ``q * (n - 1)`` and the two straddling samples are blended
-    — no snapping to whichever sample happens to sit at the nearest
-    rank. NaN on empty input.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        return math.nan
-    pos = q * (len(ordered) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    if lo == hi:
-        return ordered[lo]
-    frac = pos - lo
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
 
 
 def result_level(result: ServiceResult) -> int:

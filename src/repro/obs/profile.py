@@ -9,8 +9,7 @@ the numbers an operator actually wants:
   millisecond exactly once instead of double-counting parents);
 * **ladder breakdown** — how the service's degradation ladder decided:
   requests per ladder level (full VIRE / subset VIRE / LANDMARC /
-  last-known), degradation reasons, and the interpolation-cache
-  hit/miss totals carried on the batch spans.
+  last-known) and degradation reasons.
 
 All of it is computed from the trace file alone — ``repro trace
 summary`` needs no live session.
@@ -25,6 +24,7 @@ from typing import Any, Iterable, Mapping
 from ..utils.ascii import format_table
 
 __all__ = [
+    "quantile_linear",
     "StageStats",
     "stage_statistics",
     "ladder_breakdown",
@@ -34,8 +34,6 @@ __all__ = [
 
 #: Span name of the per-request serving decision (see service.pipeline).
 SERVE_SPAN = "service.serve"
-#: Span name of the per-batch execution (carries the cache outcome).
-BATCH_SPAN = "service.batch"
 
 
 @dataclass(frozen=True)
@@ -56,15 +54,19 @@ class StageStats:
         return self.total_s / self.count if self.count else math.nan
 
 
-def _quantile(ordered: list[float], q: float) -> float:
+def quantile_linear(values: Iterable[float], q: float) -> float:
     """Quantile with linear interpolation between order statistics.
 
-    Nearest-rank snapping is visibly wrong on the sparse tails a stage
-    table reports (a p99 over 20 spans just returns the max); the
-    "type 7" interpolated estimator blends the two straddling samples
-    instead — same convention as
-    :func:`repro.loadtest.slo.quantile_linear`.
+    The standard "type 7" estimator: ``q`` maps to the fractional
+    position ``q * (n - 1)`` and the two straddling samples are blended.
+    Nearest-rank snapping is visibly wrong on sparse tails (a p99 over
+    20 samples just returns the max). NaN on empty input. Shared by the
+    stage table here and the SLO percentiles of
+    :mod:`repro.loadtest.slo`.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    ordered = sorted(float(v) for v in values)
     if not ordered:
         return math.nan
     pos = q * (len(ordered) - 1)
@@ -106,33 +108,29 @@ def stage_statistics(
             )
     out: dict[str, StageStats] = {}
     for name, values in samples.items():
-        ordered = sorted(values)
         out[name] = StageStats(
             name=name,
             count=len(values),
             total_s=sum(values),
             self_s=self_time.get(name, 0.0),
-            p50_s=_quantile(ordered, 0.50),
-            p95_s=_quantile(ordered, 0.95),
-            p99_s=_quantile(ordered, 0.99),
-            max_s=ordered[-1],
+            p50_s=quantile_linear(values, 0.50),
+            p95_s=quantile_linear(values, 0.95),
+            p99_s=quantile_linear(values, 0.99),
+            max_s=max(values),
         )
     return out
 
 
 def ladder_breakdown(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Decision accounting: ladder levels, reasons, cache outcome.
+    """Decision accounting: ladder levels and reasons.
 
     Reads the ``service.serve`` spans' ``level``/``reason``/``estimator``
-    attributes and sums the ``cache_hits``/``cache_misses`` deltas the
-    batch spans carry. Empty when the trace holds no service spans
-    (e.g. a scalar-estimator trace).
+    attributes. Empty when the trace holds no service spans (e.g. a
+    scalar-estimator trace).
     """
     levels: dict[str, int] = {}
     reasons: dict[str, int] = {}
     estimators: dict[str, int] = {}
-    cache_hits = 0
-    cache_misses = 0
     serves = 0
     for root in docs:
         for span in _walk(root):
@@ -148,16 +146,11 @@ def ladder_breakdown(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
                 est = attrs.get("estimator")
                 if est is not None:
                     estimators[str(est)] = estimators.get(str(est), 0) + 1
-            elif name == BATCH_SPAN:
-                cache_hits += int(attrs.get("cache_hits", 0) or 0)
-                cache_misses += int(attrs.get("cache_misses", 0) or 0)
     return {
         "serves": serves,
         "levels": {k: levels[k] for k in sorted(levels)},
         "reasons": {k: reasons[k] for k in sorted(reasons)},
         "estimators": {k: estimators[k] for k in sorted(estimators)},
-        "cache_hits": cache_hits,
-        "cache_misses": cache_misses,
     }
 
 
@@ -226,11 +219,4 @@ def format_summary(
                 f"{k}={v}" for k, v in ladder["reasons"].items()
             )
             lines.append(f"  degradation reasons: {reasons}")
-        total_cache = ladder["cache_hits"] + ladder["cache_misses"]
-        if total_cache:
-            rate = ladder["cache_hits"] / total_cache
-            lines.append(
-                f"  interpolation cache: {ladder['cache_hits']} hits / "
-                f"{ladder['cache_misses']} misses ({100 * rate:.1f}% hit rate)"
-            )
     return "\n".join(lines)

@@ -7,8 +7,7 @@ threaded through the hot paths (``core.estimator``, ``engine``, the
 service pipeline, the runtime supervisor):
 
 * a :class:`Span` is one timed stage with structured attributes (tag id,
-  ladder level, threshold, shard index, cache outcome, ...) and child
-  spans;
+  ladder level, threshold, shard index, ...) and child spans;
 * a :class:`Tracer` maintains the span stack behind a context-manager /
   decorator API and hands completed *root* spans to an optional sink
   (:class:`~repro.obs.trace_file.TraceWriter` serializes them to JSONL);

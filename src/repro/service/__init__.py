@@ -2,19 +2,17 @@
 
 Turns the event-driven testbed into an online system: reader records
 stream through a bounded ingestion queue into the middleware, pending
-localization queries are micro-batched, the VIRE estimator runs behind a
-content-keyed interpolation cache, and every request that cannot take
-the primary path degrades gracefully down a four-level ladder
-(full VIRE → VIRE on the quorum-surviving reader subset → LANDMARC →
-last-known) instead of raising. Per-reader circuit breakers
-(:mod:`~repro.service.health`) exclude readers the middleware reports
-stale — e.g. mid-outage under an injected
+localization queries are micro-batched through the VIRE batch engine,
+and every request that cannot take the primary path degrades gracefully
+down a four-level ladder (full VIRE → VIRE on the quorum-surviving
+reader subset → LANDMARC → last-known) instead of raising. Per-reader
+circuit breakers (:mod:`~repro.service.health`) exclude readers the
+middleware reports stale — e.g. mid-outage under an injected
 :class:`~repro.faults.FaultPlan`. Counters, gauges and latency
 histograms cover every stage, with a Prometheus-style text exposition.
 
 Layering: ``service`` sits above ``core`` and ``hardware`` and is never
-imported by them — the estimator only sees the tiny
-:class:`~repro.core.estimator.LatticeCache` protocol.
+imported by them.
 
 Quickstart
 ----------
@@ -34,7 +32,6 @@ from .metrics import (
     get_service_logger,
     log_event,
 )
-from .cache import InterpolationCache
 from .health import (
     BreakerPolicy,
     BreakerState,
@@ -59,7 +56,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "get_service_logger",
     "log_event",
-    "InterpolationCache",
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",

@@ -2,10 +2,11 @@
 
 One VIRE estimate amortizes poorly at batch size 1: every request pays
 snapshot assembly plus the fixed numpy dispatch overhead of the
-interpolation/elimination pipeline, and — with the interpolation cache —
-requests that share a middleware snapshot share *all* their
-reference-lattice interpolations. The batcher therefore holds requests
-briefly and flushes them together, with the classic two-trigger policy:
+interpolation/elimination pipeline, and requests in one batch that share
+a middleware snapshot share *all* their reference-lattice
+interpolations (the batch engine dedups lattices by content). The
+batcher therefore holds requests briefly and flushes them together,
+with the classic two-trigger policy:
 
 * **size** — the batch reached ``max_batch_size``;
 * **deadline** — the *oldest* pending request has waited

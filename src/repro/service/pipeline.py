@@ -57,7 +57,7 @@ from ..core.config import VIREConfig
 from ..core.estimator import VIREEstimator
 from ..core.quorum import QuorumPolicy
 from ..engine import EngineConfig
-from ..engine.batch import BatchEngine, BatchLandmarc, Outcome
+from ..engine.batch import BatchLandmarc, Outcome
 from ..engine.sharding import compute_shards
 from ..exceptions import (
     ConfigurationError,
@@ -73,7 +73,6 @@ from ..runtime.policy import RuntimePolicy
 from ..runtime.supervisor import run_shard_with_salvage
 from ..types import TrackingReading
 from .batcher import Batch, LocalizationRequest, MicroBatcher
-from .cache import InterpolationCache
 from .health import BreakerPolicy, ReaderHealthTracker
 from .ingest import BoundedRecordQueue, IngestionLoop
 from .metrics import MetricsRegistry, get_service_logger, log_event
@@ -112,8 +111,6 @@ class ServiceConfig:
         tag.
     stream_step_s:
         Simulation-time granularity of the record stream.
-    cache_enabled / cache_max_entries / cache_quantization_db:
-        Interpolation cache wiring (see :class:`InterpolationCache`).
     vire:
         Algorithm configuration of the primary estimator. Its
         ``empty_fallback`` is forced to ``"error"`` internally — the
@@ -171,9 +168,6 @@ class ServiceConfig:
     request_deadline_s: float | None = 5.0
     query_interval_s: float = 2.0
     stream_step_s: float = 0.5
-    cache_enabled: bool = True
-    cache_max_entries: int = 256
-    cache_quantization_db: float = 0.0
     vire: VIREConfig = field(
         default_factory=lambda: VIREConfig(target_total_tags=900)
     )
@@ -277,6 +271,11 @@ class ServicePipeline:
         (injectable for deterministic tests).
     """
 
+    #: Kept for readers of ``pipeline.cache`` from before the
+    #: interpolation cache was removed (the perfbench layer counters
+    #: read it on every pipeline); always ``None``.
+    cache = None
+
     def __init__(
         self,
         grid: ReferenceGrid,
@@ -292,16 +291,9 @@ class ServicePipeline:
         self._perf_clock = perf_clock
         self._logger = get_service_logger()
 
-        self.cache: InterpolationCache | None = None
-        if self.config.cache_enabled:
-            self.cache = InterpolationCache(
-                max_entries=self.config.cache_max_entries,
-                quantization_db=self.config.cache_quantization_db,
-            )
         self.vire = VIREEstimator(
             grid,
             self.config.vire.with_(empty_fallback="error"),
-            interpolation_cache=self.cache,
             quorum=QuorumPolicy(
                 min_readers=self.config.quorum_min_readers,
                 min_reference_coverage=self.config.quorum_min_reference_coverage,
@@ -309,18 +301,6 @@ class ServicePipeline:
         )
         self.fallback = LandmarcEstimator()
         self._batch_fallback = BatchLandmarc(self.fallback)
-        # The engine the micro-batcher routes through. Exact precision
-        # uses the estimator's own lazy engine (the grouped path); the
-        # relaxed tier substitutes the opt-in float32 engine behind the
-        # same seam (the LANDMARC fallback stays exact — ladder
-        # decisions must not move with the tier).
-        self._batch_vire = (
-            None
-            if self.config.engine.precision == "exact"
-            else BatchEngine(
-                self.vire, precision=self.config.engine.precision
-            )
-        )
         self.health = ReaderHealthTracker(
             list(middleware.reader_ids),
             policy=BreakerPolicy(
@@ -387,15 +367,6 @@ class ServicePipeline:
         self._h_latency = m.histogram(
             "service_localization_latency_seconds",
             "Wall-clock estimator processing latency per request",
-        )
-        self._g_cache_hit_ratio = m.gauge(
-            "service_cache_hit_ratio", "Interpolation cache hit fraction"
-        )
-        self._c_cache_hits = m.counter(
-            "service_cache_hits_total", "Interpolation cache hits"
-        )
-        self._c_cache_misses = m.counter(
-            "service_cache_misses_total", "Interpolation cache misses"
         )
         self._last_estimate: dict[str, tuple[float, float]] = {}
         self._results: list[ServiceResult] = []
@@ -479,8 +450,6 @@ class ServicePipeline:
 
     def _execute_batch(self, batch: Batch, now_s: float) -> list[ServiceResult]:
         tracer = current_tracer()
-        cache_hits0 = self.cache.hits if self.cache else 0
-        cache_misses0 = self.cache.misses if self.cache else 0
         with tracer.span(
             "service.batch",
             batch_size=len(batch),
@@ -584,13 +553,8 @@ class ServicePipeline:
                     "service.vire_pass", n_requests=len(primary)
                 ):
                     t0 = self._perf_clock()
-                    vire_engine = (
-                        self.vire
-                        if self._batch_vire is None
-                        else self._batch_vire
-                    )
                     outs = self._sharded_outcomes(
-                        vire_engine.estimate_outcomes,
+                        self.vire.estimate_outcomes,
                         [readings[i] for i in primary],
                     )
                     vire_share = (self._perf_clock() - t0) / len(primary)
@@ -631,7 +595,6 @@ class ServicePipeline:
                 )
                 if result is not None:
                     results.append(result)
-            self._sync_cache_metrics()
             self._sync_frame_metrics()
             if corrected_tags:
                 # Ladder annotation: which answers in this batch were
@@ -639,13 +602,6 @@ class ServicePipeline:
                 # excised) snapshots. The ladder levels themselves are
                 # untouched — correction happens *before* the ladder.
                 bsp.set("calibration_corrected_tags", sorted(corrected_tags))
-            if self.cache is not None:
-                # Per-batch cache deltas: the trace-summary ladder
-                # breakdown sums these (deterministic under seeded runs).
-                bsp.set("cache_hits", int(self.cache.hits - cache_hits0))
-                bsp.set(
-                    "cache_misses", int(self.cache.misses - cache_misses0)
-                )
             return results
 
     def _sharded_outcomes(self, fn, readings: list) -> list[Outcome]:
@@ -870,14 +826,6 @@ class ServicePipeline:
         self._results.append(result)
         return result
 
-    def _sync_cache_metrics(self) -> None:
-        if self.cache is None:
-            return
-        self._g_cache_hit_ratio.set(self.cache.hit_rate)
-        # Counters mirror the cache's monotone totals.
-        self._c_cache_hits.inc(self.cache.hits - self._c_cache_hits.value)
-        self._c_cache_misses.inc(self.cache.misses - self._c_cache_misses.value)
-
     def _sync_frame_metrics(self) -> None:
         """Mirror per-reader frame accounting into the registry.
 
@@ -946,7 +894,7 @@ class ServicePipeline:
         Only state *mutated by serving* is captured: the last-known
         estimates (level-4 ladder memory) and the serving counters.
         Everything else — queue contents, middleware series, breaker
-        states, batcher counters, cache statistics — is a deterministic
+        states, batcher counters — is a deterministic
         function of the seeded stream and is reconstructed by replay;
         the breaker states (and, when enabled, the calibration
         corrector's state) are still recorded so resume can *verify*
@@ -994,9 +942,8 @@ class ServicePipeline:
         ``results`` is the committed result log (decoded from the WAL);
         the counters restored here are exactly the ones ``_serve_one``
         increments. Counters owned by replayed components (requests,
-        frames, batcher, queue, cache, faults) are **not** touched —
-        replay reconstructs them, and force-setting the cache counters
-        would fight :meth:`_sync_cache_metrics`'s delta mirroring.
+        frames, batcher, queue, faults) are **not** touched — replay
+        reconstructs them.
         """
         self._results = list(results)
         self._last_estimate = {
@@ -1128,9 +1075,6 @@ class ServicePipeline:
             "records_dropped": float(self.queue.dropped),
             "records_shed": float(self.queue.shed),
             "queue_high_watermark": float(self.queue.high_watermark),
-            "cache_hit_rate": self.cache.hit_rate if self.cache else 0.0,
-            "cache_hits": float(self.cache.hits) if self.cache else 0.0,
-            "cache_misses": float(self.cache.misses) if self.cache else 0.0,
             "latency_p50_s": self._h_latency.quantile(0.50),
             "latency_p99_s": self._h_latency.quantile(0.99),
         }

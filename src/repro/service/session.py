@@ -123,8 +123,8 @@ class SessionReport:
     results:
         Every served localization, in completion order.
     summary:
-        The pipeline's headline numbers (cache hit rate, batches
-        flushed, degraded count, latency quantiles, ...) plus session
+        The pipeline's headline numbers (batches flushed, degraded
+        count, latency quantiles, ...) plus session
         totals (duration, records streamed, throughput).
     metrics:
         The full registry, for Prometheus rendering or JSON dumps.
@@ -159,9 +159,8 @@ class SessionReport:
         session killed at an arbitrary tick and resumed must produce a
         byte-identical witness (``json.dumps(..., sort_keys=True)``) to
         the uninterrupted run. Only fields that are pure functions of
-        the seed belong here — wall-clock latencies, cache hit rates
-        (cold after a resume) and free-form diagnostics are excluded by
-        design.
+        the seed belong here — wall-clock latencies and free-form
+        diagnostics are excluded by design.
         """
         reasons: dict[str, int] = {}
         for r in self.results:
@@ -293,16 +292,6 @@ class LocalizationService:
             scenario = paper_scenario(scenario, n_trials=1)
         if resume and checkpoint_path is None:
             raise ConfigurationError("resume=True requires a checkpoint_path")
-        if checkpoint_path is not None and (
-            self.config.engine.precision != "exact"
-        ):
-            # Checkpoint resume replays the stream and verifies the
-            # reconstruction byte-exactly; only the bitwise tier can
-            # honour that witness.
-            raise ConfigurationError(
-                "checkpointed sessions require engine precision 'exact', "
-                f"got {self.config.engine.precision!r}"
-            )
         deployment = self.build_deployment(scenario)
         simulator = deployment.simulator
         pipeline = ServicePipeline(

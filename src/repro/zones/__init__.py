@@ -2,12 +2,12 @@
 
 A large deployment is partitioned into *zones*: each zone is the paper's
 testbed (reference lattice, corner readers, tracking tags) in its own
-local coordinate frame, with its own seeded world, estimator,
-interpolation cache, circuit breakers, fault-plan slice and checkpoint
-file. Zones share nothing at runtime; a single :class:`ZoneGateway`
-routes tags to zones by reader-set proximity, aggregates per-zone
-metrics and witnesses, and executes the deterministic tag-handoff
-protocol when a roaming tag crosses a zone boundary.
+local coordinate frame, with its own seeded world, estimator, circuit
+breakers, fault-plan slice and checkpoint file. Zones share nothing at
+runtime; a single :class:`ZoneGateway` routes tags to zones by
+reader-set proximity, aggregates per-zone metrics and witnesses, and
+executes the deterministic tag-handoff protocol when a roaming tag
+crosses a zone boundary.
 
 Safety rail: a single-zone :class:`ZonePlan` run through the gateway is
 bitwise identical (determinism witness) to today's

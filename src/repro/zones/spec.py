@@ -4,8 +4,8 @@ A *zone* is one self-contained deployment — its own reference lattice,
 corner readers, tracking tags and seed — expressed in **local**
 coordinates (the paper's testbed frame, grid origin at (0, 0)) and
 placed in the **site** frame by a translation ``origin``. Everything a
-zone worker owns (estimator, interpolation cache, circuit breakers,
-fault slice, checkpoint file) derives from its :class:`ZoneSpec`, so
+zone worker owns (estimator, circuit breakers, fault slice,
+checkpoint file) derives from its :class:`ZoneSpec`, so
 zones share nothing at runtime; the site frame exists only for the
 gateway's routing and handoff geometry.
 

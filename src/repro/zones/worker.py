@@ -2,9 +2,9 @@
 
 :class:`ZoneWorker` is the per-zone unit of the scale-out design: a
 complete :class:`~repro.service.pipeline.ServicePipeline` over the
-zone's own deployment (its seeded world, lattice, estimator,
-interpolation cache, circuit breakers), stepped one stream chunk at a
-time so the gateway can run many zones in deterministic lockstep. The
+zone's own deployment (its seeded world, lattice, estimator, circuit
+breakers), stepped one stream chunk at a time so the gateway can run
+many zones in deterministic lockstep. The
 step loop reproduces :meth:`LocalizationService.run`'s tick semantics
 *exactly* — warm-up, query scheduling, write-ahead checkpointing,
 replay-based resume, graceful interrupt — which is what makes a
@@ -103,13 +103,6 @@ class ZoneWorker:
             raise ConfigurationError("resume=True requires a checkpoint_path")
         self.spec = spec
         config = config or ServiceConfig()
-        if checkpoint_path is not None and config.engine.precision != "exact":
-            # Zone checkpoints carry a byte-exact recovery witness; the
-            # relaxed tier cannot produce one.
-            raise ConfigurationError(
-                "checkpointed zone workers require engine precision "
-                f"'exact', got {config.engine.precision!r}"
-            )
         if spec.vire is not None:
             config = config.with_(vire=spec.vire)
         self.config = config

@@ -20,8 +20,8 @@ on a single-ULP drift in any of them. Three scenarios are traced:
   batch engine and the degradation ladder;
 * ``trace_serve.json`` — the **logical span forest** of that same chaotic
   session recorded through :class:`repro.obs.Tracer`: every ladder
-  decision (level/reason/estimator), cache hit/miss delta and batch
-  trigger is pinned, so control-flow changes cannot land silently;
+  decision (level/reason/estimator) and batch trigger is pinned, so
+  control-flow changes cannot land silently;
 * ``trace_fig6.json`` — the logical ``vire.estimate`` span trees for one
   frozen trial of the Fig. 6 scenario in all three environments
   (thresholds, selected-cell counts, fallbacks).
@@ -60,22 +60,6 @@ CHAOS_DURATION_S = 8.0
 
 def _hex(value: float) -> str:
     return float(value).hex()
-
-
-def require_exact_precision(config) -> None:
-    """Refuse to build byte-stable fixtures off a non-exact engine tier.
-
-    Golden fixtures pin IEEE-754 bit patterns; only the engine's
-    bitwise-exact tier can produce them. ``precision="relaxed"`` here is
-    always a mistake — fail loudly instead of pinning float32 bits.
-    """
-    from repro.exceptions import ConfigurationError
-
-    if config.engine.precision != "exact":
-        raise ConfigurationError(
-            "golden fixtures require engine precision 'exact', "
-            f"got {config.engine.precision!r}"
-        )
 
 
 def paper_estimator() -> VIREEstimator:
@@ -249,7 +233,6 @@ def run_chaos_session(tracer=None):
         breaker_recovery_timeout_s=8.0,
         vire=VIREConfig(subdivisions=5),
     )
-    require_exact_precision(config)
     plan = chaos_preset("moderate", seed=CHAOS_SEED)
     return _Service(config).run(
         _Scenario(), CHAOS_DURATION_S, fault_plan=plan, tracer=tracer
@@ -286,8 +269,8 @@ def build_trace_serve() -> dict:
     """Logical span forest of the chaotic serve session.
 
     Pins every control-flow decision the service makes: batch flush
-    triggers, ladder level/reason/estimator per serve, interpolation
-    cache hit/miss deltas, degradation spans. Wall-clock annotations are
+    triggers, ladder level/reason/estimator per serve, degradation
+    spans. Wall-clock annotations are
     stripped (:meth:`repro.obs.Tracer.logical_documents`), so the
     fixture is a pure function of the seed.
     """
@@ -297,7 +280,7 @@ def build_trace_serve() -> dict:
     run_chaos_session(tracer=tracer)
     return {
         "scenario": "trace-serve: logical span forest of the chaos-preset "
-        f"session (seed {CHAOS_SEED}) — ladder, cache and batch decisions",
+        f"session (seed {CHAOS_SEED}) — ladder and batch decisions",
         "seed": CHAOS_SEED,
         "duration_s": CHAOS_DURATION_S,
         "spans": tracer.logical_documents(),
@@ -397,7 +380,6 @@ def build_report_capacity() -> dict:
     from repro.service import ServiceConfig
 
     config = ServiceConfig(vire=VIREConfig(subdivisions=5))
-    require_exact_precision(config)
     points = [
         run_load_test(profile, config=config).witness_document()
         for profile in loadtest_sweep_profiles()

@@ -1,18 +1,12 @@
-"""Differential harness: scalar vs exact-batch vs relaxed-batch tiers.
+"""Differential harness: scalar vs batch engine.
 
-Three implementations of the same pipeline run the same seeded
-workloads side by side:
+Two implementations of the same pipeline run the same seeded workloads
+side by side:
 
 * the scalar ``VIREEstimator.estimate`` loop — the reference;
-* ``BatchEngine(est)`` (exact tier) — must be **bitwise identical** to
-  the scalar loop: positions compared as IEEE-754 hex, diagnostics
-  compared structurally, failures compared by exception type *and*
-  message;
-* ``BatchEngine(est, precision="relaxed")`` (float32 tier) — must stay
-  within a tolerance bound of the scalar positions while making the
-  **same ladder decisions**: the same readings succeed, the same
-  readings take the same fallback route, the same readings fail with
-  the same exception type and message.
+* ``BatchEngine(est)`` — must be **bitwise identical** to the scalar
+  loop: positions compared as IEEE-754 hex, diagnostics compared
+  structurally, failures compared by exception type *and* message.
 
 Workloads deliberately cover the regimes the grouped path special-cases:
 clean snapshot batches (shared reference object), independent batches
@@ -21,20 +15,21 @@ clean snapshot batches (shared reference object), independent batches
 tag excised across all readers) and mixed batches with error-provoking
 readings interleaved.
 
-The harness also pins the tier *contract*: ``relaxed`` is rejected
-wherever byte-stable artifacts are produced (golden fixture builders,
-checkpointed sessions, checkpointed zone workers), and unknown
-precision strings are rejected at both configuration seams.
+The comparison itself is checked too: a single flipped position bit or
+a one-ulp threshold diagnostic must make it fail.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
 from repro import TrackingReading, VIREConfig, VIREEstimator, paper_testbed_grid
-from repro.engine import BatchEngine, EngineConfig
-from repro.exceptions import ConfigurationError, ReproError
+from repro.engine import BatchEngine
+from repro.exceptions import ReproError
 
 from .test_engine_properties import (
     assert_outcomes_identical,
@@ -45,12 +40,6 @@ GRID = paper_testbed_grid()
 REF_POSITIONS = GRID.tag_positions()
 N_TAGS = GRID.n_tags
 K = 4
-
-#: Relaxed-tier position tolerance (metres). Observed max-abs error on
-#: these workloads is ~8e-7; the bound leaves two orders of magnitude of
-#: headroom while still catching any double-rounding or wrong-kernel
-#: regression (which shows up at 1e-2+).
-RELAXED_TOL = 1e-4
 
 
 # -- seeded workload builders -------------------------------------------------
@@ -124,7 +113,7 @@ def mixed_batch(seed: int) -> list[TrackingReading]:
     the error cases reachable at estimate time are a reference-layout
     mismatch (the reading's tag positions are not the estimator's grid)
     and a quorum refusal (every reader dark) — both must come out of
-    every tier with the scalar exception type and message, at the same
+    the batch engine with the scalar exception type and message, at the same
     batch positions.
     """
     rng = np.random.default_rng(seed)
@@ -184,7 +173,7 @@ def _estimator(config: VIREConfig) -> VIREEstimator:
     return VIREEstimator(GRID, config)
 
 
-# -- exact tier: bitwise identity --------------------------------------------
+# -- bitwise identity ---------------------------------------------------------
 
 
 class TestExactTierBitwise:
@@ -199,8 +188,8 @@ class TestExactTierBitwise:
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_exact_default_engine_route(self, workload):
-        """``est.estimate_outcomes`` (the service seam) uses the exact
-        grouped path by default and stays bitwise identical too."""
+        """``est.estimate_outcomes`` (the service seam) uses the grouped
+        path and stays bitwise identical too."""
         est = _estimator(CONFIGS["adaptive"])
         readings = WORKLOADS[workload](seed=99)
         scalar = scalar_outcomes(est, readings)
@@ -217,139 +206,42 @@ class TestExactTierBitwise:
         assert str(excinfo.value) == str(first_error)
 
 
-# -- relaxed tier: tolerance bounds + identical ladder decisions --------------
+# -- the bitwise gate itself must be able to fail -----------------------------
 
 
-def _ladder_decision(outcome):
-    """What the degradation ladder decided for one reading."""
-    if isinstance(outcome, ReproError):
-        return ("error", type(outcome).__name__, str(outcome))
-    return ("ok", outcome.diagnostics.get("fallback"))
+def _flip_lowest_bit(x: float) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    (out,) = struct.unpack("<d", struct.pack("<q", bits ^ 1))
+    return out
 
 
-class TestRelaxedTier:
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_relaxed_within_tolerance_same_ladder(self, workload, config_name):
-        est = _estimator(CONFIGS[config_name])
-        readings = WORKLOADS[workload](seed=_seed(workload, config_name))
+class TestBitwiseGateCanFail:
+    """Inject a one-bit/one-ulp difference into an otherwise identical
+    batch: :func:`assert_outcomes_identical` must reject it."""
+
+    def _identical_pair(self):
+        est = _estimator(CONFIGS["adaptive"])
+        readings = independent_batch(seed=17, t=6)
         scalar = scalar_outcomes(est, readings)
-        relaxed = BatchEngine(est, precision="relaxed").estimate_outcomes(
-            readings
+        batch = BatchEngine(est).estimate_outcomes(readings)
+        assert_outcomes_identical(scalar, batch)  # the unperturbed pair
+        return scalar, batch
+
+    def test_one_flipped_position_bit_trips_the_gate(self):
+        scalar, batch = self._identical_pair()
+        x, y = batch[3].position
+        batch[3] = dataclasses.replace(
+            batch[3], position=(x, _flip_lowest_bit(y))
         )
-        assert len(relaxed) == len(scalar)
-        worst = 0.0
-        for s, r in zip(scalar, relaxed):
-            assert _ladder_decision(r) == _ladder_decision(s)
-            if not isinstance(s, ReproError):
-                err = max(
-                    abs(r.position[0] - s.position[0]),
-                    abs(r.position[1] - s.position[1]),
-                )
-                worst = max(worst, err)
-        assert worst <= RELAXED_TOL, (
-            f"relaxed tier drifted {worst:.3e} m from the scalar path "
-            f"(bound {RELAXED_TOL:.0e})"
+        with pytest.raises(AssertionError):
+            assert_outcomes_identical(scalar, batch)
+
+    def test_one_ulp_threshold_diagnostic_trips_the_gate(self):
+        scalar, batch = self._identical_pair()
+        diagnostics = dict(batch[2].diagnostics)
+        diagnostics["threshold_db"] = float(
+            np.nextafter(diagnostics["threshold_db"], np.inf)
         )
-
-    def test_relaxed_actually_runs_float32(self):
-        """The tier is not silently falling back to the exact kernels:
-        on a generic workload at least one position differs in its low
-        bits (while staying inside the tolerance bound)."""
-        est = _estimator(CONFIGS["adaptive"])
-        readings = independent_batch(seed=5, t=16)
-        scalar = [est.estimate(r) for r in readings]
-        relaxed = BatchEngine(est, precision="relaxed").estimate_batch(readings)
-        assert any(
-            s.position[0].hex() != r.position[0].hex()
-            or s.position[1].hex() != r.position[1].hex()
-            for s, r in zip(scalar, relaxed)
-        )
-
-    def test_relaxed_bypasses_interpolation_cache(self):
-        """Relaxed must not read or write the float64 surface cache."""
-        from repro.service.cache import InterpolationCache
-
-        est = _estimator(CONFIGS["adaptive"])
-        cache = InterpolationCache(max_entries=64)
-        est.interpolation_cache = cache
-        BatchEngine(est, precision="relaxed").estimate_batch(
-            independent_batch(seed=11, t=4)
-        )
-        assert cache.hits == 0 and cache.misses == 0
-
-
-# -- tier contract: where relaxed is rejected ---------------------------------
-
-
-class TestPrecisionContract:
-    def test_engine_config_rejects_unknown_precision(self):
-        with pytest.raises(ConfigurationError, match="precision"):
-            EngineConfig(precision="bogus")
-
-    def test_batch_engine_rejects_unknown_precision(self):
-        with pytest.raises(ConfigurationError, match="precision"):
-            BatchEngine(_estimator(CONFIGS["adaptive"]), precision="fast")
-
-    def test_engine_config_accepts_both_tiers(self):
-        assert EngineConfig().precision == "exact"
-        assert EngineConfig(precision="relaxed").precision == "relaxed"
-
-    def test_golden_builders_reject_relaxed(self):
-        from repro.service.pipeline import ServiceConfig
-
-        from .regen_golden import require_exact_precision
-
-        config = ServiceConfig(engine=EngineConfig(precision="relaxed"))
-        with pytest.raises(ConfigurationError, match="golden fixtures"):
-            require_exact_precision(config)
-        require_exact_precision(ServiceConfig())  # exact passes
-
-    def test_checkpointed_session_rejects_relaxed(self, tmp_path):
-        from repro.service.pipeline import ServiceConfig
-        from repro.service.session import LocalizationService
-
-        service = LocalizationService(
-            ServiceConfig(engine=EngineConfig(precision="relaxed"))
-        )
-        with pytest.raises(ConfigurationError, match="checkpointed sessions"):
-            service.run(
-                "Env1", 1.0, checkpoint_path=tmp_path / "ckpt.jsonl"
-            )
-
-    def test_checkpointed_zone_worker_rejects_relaxed(self, tmp_path):
-        from repro.experiments.scenarios import paper_scenario
-        from repro.service.pipeline import ServiceConfig
-        from repro.zones import ZoneWorker, single_zone_plan
-
-        plan = single_zone_plan(paper_scenario("Env1", n_trials=1))
-        with pytest.raises(ConfigurationError, match="checkpointed zone"):
-            ZoneWorker(
-                plan.zones[0],
-                ServiceConfig(engine=EngineConfig(precision="relaxed")),
-                checkpoint_path=tmp_path / "zone.jsonl",
-            )
-
-    def test_relaxed_pipeline_routes_through_relaxed_engine(self):
-        """The service seam: exact routes through the estimator's own
-        engine (monkeypatchable, cache-backed); relaxed substitutes a
-        float32 engine."""
-        from repro import build_paper_deployment
-        from repro.service.pipeline import ServiceConfig, ServicePipeline
-
-        from .conftest import make_clean_environment
-
-        deployment = build_paper_deployment(
-            make_clean_environment(), tracking_tags={"a": (1.0, 1.0)}, seed=3
-        )
-        exact = ServicePipeline(
-            deployment.grid, deployment.simulator.middleware, ServiceConfig()
-        )
-        assert exact._batch_vire is None
-        relaxed = ServicePipeline(
-            deployment.grid,
-            deployment.simulator.middleware,
-            ServiceConfig(engine=EngineConfig(precision="relaxed")),
-        )
-        assert isinstance(relaxed._batch_vire, BatchEngine)
-        assert relaxed._batch_vire.precision == "relaxed"
+        batch[2] = dataclasses.replace(batch[2], diagnostics=diagnostics)
+        with pytest.raises(AssertionError):
+            assert_outcomes_identical(scalar, batch)

@@ -138,29 +138,27 @@ class TestTraceSlo:
 
 class TestCapacityModel:
     def test_recovers_exact_linear_relation(self):
-        # y = 2 + 3*batch - 1*cache + 0.5*degraded + 4*zones, exactly.
-        def y(b, c, d, z):
-            return 2.0 + 3.0 * b - 1.0 * c + 0.5 * d + 4.0 * z
+        # y = 2 + 3*batch + 0.5*degraded + 4*zones, exactly.
+        def y(b, d, z):
+            return 2.0 + 3.0 * b + 0.5 * d + 4.0 * z
 
         points = []
         grid = [
-            (b, c, d, z)
+            (b, d, z)
             for b in (1.0, 4.0, 8.0)
-            for c in (0.0, 0.5)
             for d in (0.0, 0.25)
             for z in (1.0, 2.0)
         ]
-        for b, c, d, z in grid:
+        for b, d, z in grid:
             points.append({
-                "batch_size_mean": b, "cache_hit_rate": c,
+                "batch_size_mean": b,
                 "degraded_fraction": d, "n_zones": z,
-                "sustained_per_s": y(b, c, d, z),
+                "sustained_per_s": y(b, d, z),
             })
         model = fit_capacity_model(points)
         assert model.intercept == pytest.approx(2.0, abs=1e-5)
         coef = dict(zip(model.features, model.coefficients))
         assert coef["batch_size_mean"] == pytest.approx(3.0, abs=1e-6)
-        assert coef["cache_hit_rate"] == pytest.approx(-1.0, abs=1e-5)
         assert coef["degraded_fraction"] == pytest.approx(0.5, abs=1e-5)
         assert coef["n_zones"] == pytest.approx(4.0, abs=1e-6)
         assert model.r2 == pytest.approx(1.0)
@@ -170,7 +168,7 @@ class TestCapacityModel:
 
     def test_constant_feature_is_ridge_stabilized(self):
         points = [
-            {"batch_size_mean": b, "cache_hit_rate": 0.5,
+            {"batch_size_mean": b,
              "degraded_fraction": 0.0, "n_zones": 1.0,
              "sustained_per_s": 2.0 * b}
             for b in (1.0, 2.0, 4.0, 8.0)
@@ -192,7 +190,7 @@ class TestCapacityModel:
 
     def test_canonical_document_is_json_stable(self):
         points = [
-            {"batch_size_mean": float(b), "cache_hit_rate": 0.1 * b,
+            {"batch_size_mean": float(b),
              "degraded_fraction": 0.0, "n_zones": 1.0,
              "sustained_per_s": 3.0 * b}
             for b in (1, 2, 3)
@@ -221,7 +219,6 @@ def _sweep_points() -> list[dict]:
                 "offered_rate_per_s": rate,
                 "sustained_per_s": sustained,
                 "batch_size_mean": 4.0,
-                "cache_hit_rate": 0.8,
                 "degraded_fraction": 0.0,
                 "n_zones": 1.0,
                 "availability": sustained / rate,

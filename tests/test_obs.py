@@ -346,7 +346,6 @@ def _forest():
             "children": [
                 {
                     "name": "service.batch", "wall_s": 0.08,
-                    "attrs": {"cache_hits": 3, "cache_misses": 1},
                     "children": [
                         {"name": "service.serve", "wall_s": 0.01,
                          "attrs": {"level": 1, "estimator": "VIRE"}},
@@ -383,8 +382,6 @@ class TestProfiling:
         assert ladder["levels"] == {"1": 1, "3": 1, "?": 1}
         assert ladder["reasons"] == {"no_reading": 1, "quorum_unmet": 1}
         assert ladder["estimators"] == {"LANDMARC": 1, "VIRE": 1}
-        assert ladder["cache_hits"] == 3
-        assert ladder["cache_misses"] == 1
 
     def test_format_summary_renders_tables_and_ladder(self):
         text = format_summary({"seed": 7, "env": "Env1"}, _forest(), top=5)
@@ -394,7 +391,6 @@ class TestProfiling:
         assert "ladder breakdown over 3 served requests" in text
         assert "full VIRE" in text and "LANDMARC fallback" in text
         assert "degradation reasons: no_reading=1, quorum_unmet=1" in text
-        assert "3 hits / 1 misses (75.0% hit rate)" in text
 
     def test_summary_without_service_spans_skips_ladder(self):
         text = format_summary({}, [{"name": "vire.estimate", "wall_s": 0.01}])

@@ -189,31 +189,6 @@ class TestNoReadingDegradation:
         assert r.position == first.position
 
 
-class TestCacheWiring:
-    def test_cache_populated_and_mirrored(self, deployment):
-        pipeline = make_pipeline(deployment, cache_enabled=True)
-        now = deployment.simulator.now
-        for _ in range(3):
-            pipeline.submit_request("asset", now)
-        pipeline.drain(now)
-        assert pipeline.cache is not None
-        assert pipeline.cache.hits > 0  # same snapshot shared across batch
-        summary = pipeline.metrics_summary()
-        assert summary["cache_hit_rate"] == pipeline.cache.hit_rate
-        assert (
-            pipeline.metrics.get("service_cache_hits_total").value
-            == pipeline.cache.hits
-        )
-
-    def test_cache_disabled(self, deployment):
-        pipeline = make_pipeline(deployment, cache_enabled=False)
-        now = deployment.simulator.now
-        pipeline.submit_request("asset", now)
-        pipeline.drain(now)
-        assert pipeline.cache is None
-        assert pipeline.metrics_summary()["cache_hit_rate"] == 0.0
-
-
 class TestLatencyAccounting:
     def test_latency_histogram_counts_every_result(self, deployment):
         pipeline = make_pipeline(deployment)

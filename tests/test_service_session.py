@@ -72,7 +72,7 @@ class TestStreamedMatchesBatch:
         assert report.results, "session produced no results"
 
         # Twin world: identical seed, records delivered the ordinary way
-        # (straight into the middleware, no queue, no batcher, no cache).
+        # (straight into the middleware, no queue, no batcher).
         twin = make_scenario_deployment(21)
         estimator = VIREEstimator(
             twin.grid, config.vire.with_(empty_fallback="error")
@@ -108,23 +108,6 @@ class TestStreamedMatchesBatch:
         report = service.run(StubScenario(), duration_s=4.0,
                              on_result=seen.append)
         assert seen == list(report.results)
-
-
-class TestCacheEquivalence:
-    def test_cache_on_off_sessions_bitwise_identical(self):
-        on = SessionService(
-            seed=13, config=service_config(cache_enabled=True)
-        ).run(StubScenario(), duration_s=6.0)
-        off = SessionService(
-            seed=13, config=service_config(cache_enabled=False)
-        ).run(StubScenario(), duration_s=6.0)
-        assert len(on.results) == len(off.results)
-        assert on.summary["cache_hits"] > 0
-        assert off.summary["cache_hits"] == 0
-        for a, b in zip(on.results, off.results):
-            assert a.tag_id == b.tag_id
-            assert a.position == b.position  # exact float equality
-            assert a.estimator == b.estimator
 
 
 class TestDegradedSession:
@@ -164,7 +147,6 @@ class TestServeCLI:
         assert rc == 0
         out = capsys.readouterr().out
         for needle in (
-            "cache hit rate",
             "batches flushed",
             "degraded requests",
             "latency p50",
