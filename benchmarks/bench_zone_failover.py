@@ -10,9 +10,6 @@ one of the zone workers at the halfway mark must
    byte.
 2. **Keep availability >= 0.99** — measured as the fraction of
    zone-ticks served by a live worker.
-3. **Cost <= 5% supervision overhead** — the supervised lockstep loop
-   on a fault-free plan vs the bare (``failover=None``) loop, measured
-   over the same seeded session.
 
 Run it via pytest (prints the JSON report)::
 
@@ -48,12 +45,10 @@ SEED = 0
 DURATION_S = 10.0
 KILL_AT_S = DURATION_S / 2
 AVAILABILITY_FLOOR = 0.99
-OVERHEAD_CEILING = 0.05
-OVERHEAD_REPEATS = 3
 
 #: Same demanding query rate as bench_zone_scaleout: the estimator
-#: dominates the tick, so supervision overhead is measured against a
-#: realistic denominator rather than an idle loop.
+#: dominates the tick, so the kill lands mid-batch rather than in an
+#: idle loop.
 CONFIG = ServiceConfig(query_interval_s=0.125, max_batch_size=16)
 
 
@@ -73,38 +68,20 @@ def run_benchmark() -> dict:
         faults=(ZoneCrashFault(zone_id=KILL_ZONE, at_s=KILL_AT_S),)
     )
 
-    # 1) Recovery witness: uninterrupted vs killed-and-respawned, both
-    #    with per-zone checkpoints enabled.
+    # Recovery witness: uninterrupted vs killed-and-respawned, both
+    # with per-zone checkpoints enabled.
     with tempfile.TemporaryDirectory() as clean_dir:
-        clean = ZoneGateway(
-            plan, CONFIG, checkpoint_dir=clean_dir
-        ).run(DURATION_S)
+        clean_s, clean = _timed(
+            lambda: ZoneGateway(
+                plan, CONFIG, checkpoint_dir=clean_dir
+            ).run(DURATION_S)
+        )
     with tempfile.TemporaryDirectory() as crash_dir:
         killed = ZoneGateway(
             plan, CONFIG, fault_plan=crash, checkpoint_dir=crash_dir
         ).run(DURATION_S)
     recovery_identical = _witness(killed) == _witness(clean)
     availability = killed.summary["availability"]
-
-    # 2) Supervision overhead: supervised vs bare loop on a fault-free
-    #    plan. One discarded warm-up, then interleaved best-of-N so
-    #    scheduler drift hits both arms equally.
-    ZoneGateway(plan, CONFIG, failover=None).run(DURATION_S)
-    bare_s = supervised_s = float("inf")
-    for _ in range(OVERHEAD_REPEATS):
-        bare_s = min(
-            bare_s,
-            _timed(
-                lambda: ZoneGateway(
-                    plan, CONFIG, failover=None
-                ).run(DURATION_S)
-            )[0],
-        )
-        supervised_s = min(
-            supervised_s,
-            _timed(lambda: ZoneGateway(plan, CONFIG).run(DURATION_S))[0],
-        )
-    overhead = (supervised_s - bare_s) / bare_s if bare_s > 0 else 0.0
 
     return {
         "env": ENV,
@@ -121,17 +98,13 @@ def run_benchmark() -> dict:
             "clean_results": int(clean.summary["results"]),
         },
         "timing_s": {
-            "bare_wall": round(bare_s, 4),
-            "supervised_wall": round(supervised_s, 4),
+            "supervised_wall": round(clean_s, 4),
         },
         "acceptance": {
             "availability_floor": AVAILABILITY_FLOOR,
             "availability": round(availability, 6),
             "availability_ok": availability >= AVAILABILITY_FLOOR,
             "recovery_identical": recovery_identical,
-            "overhead_ceiling": OVERHEAD_CEILING,
-            "overhead": round(overhead, 4),
-            "overhead_ok": overhead <= OVERHEAD_CEILING,
         },
     }
 
@@ -148,10 +121,6 @@ def test_zone_failover_benchmark():
         f"availability {acc['availability']} is below the "
         f"{AVAILABILITY_FLOOR} floor after killing {KILL_ZONE}"
     )
-    assert acc["overhead_ok"], (
-        f"supervision overhead {acc['overhead']:.1%} exceeds "
-        f"{OVERHEAD_CEILING:.0%}: {report['timing_s']}"
-    )
 
 
 if __name__ == "__main__":
@@ -159,7 +128,7 @@ if __name__ == "__main__":
     emit("zone failover", json.dumps(out, indent=2))
     ok = all(
         out["acceptance"][key]
-        for key in ("availability_ok", "recovery_identical", "overhead_ok")
+        for key in ("availability_ok", "recovery_identical")
     )
     with open("BENCH_zone_failover.json", "w") as fh:
         json.dump(out, fh, indent=2)

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="traffic shape preset")
     lt.add_argument("--env", default="Env1", choices=["Env1", "Env2", "Env3"])
     lt.add_argument("--zones", type=int, default=1, metavar="N",
-                    help="1 = single zone worker; >1 = the zone gateway")
+                    help="number of zones the gateway serves")
     lt.add_argument("--duration", type=float, default=12.0,
                     help="schedule horizon in simulated seconds")
     lt.add_argument("--seed", type=int, default=0)
@@ -231,12 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --zones: crash zone ZID at simulated "
                           "time T; the gateway respawns it from its "
                           "checkpoint and replays the gap (CI "
-                          "zone-failover smoke)")
-    srv.add_argument("--no-failover", action="store_true",
-                     help="with --zones: bare gateway loop without the "
-                          "supervision layer (no retries, no respawn; "
-                          "bit-identical to the supervised loop on a "
-                          "fault-free run)")
+                          "zone smoke)")
 
     cha = sub.add_parser(
         "chaos", help="streaming service under an injected fault plan"
@@ -637,7 +632,6 @@ def _cmd_serve(args) -> str:
         (args.parallel, "--parallel"),
         (args.checkpoint_dir, "--checkpoint-dir"),
         (args.kill_zone, "--kill-zone"),
-        (args.no_failover, "--no-failover"),
     ):
         if flag:
             raise ConfigurationError(f"{name} requires --zones N")
@@ -784,14 +778,10 @@ def _cmd_serve_zones(args, config) -> str:
                 f"(have z0..z{args.zones - 1})"
             )
         fault_plan = FaultPlan(faults=(ZoneCrashFault(zone_id, at_s=at_s),))
-    gateway_kw = {}
-    if args.no_failover:
-        gateway_kw["failover"] = None
     gateway = ZoneGateway(
         plan, config,
         fault_plan=fault_plan,
         checkpoint_dir=args.checkpoint_dir,
-        **gateway_kw,
     )
     quiet = args.quiet or args.json
     if not quiet:
@@ -814,9 +804,8 @@ def _cmd_serve_zones(args, config) -> str:
         doc["duration_s"] = args.duration
         doc["zones_requested"] = args.zones
         # Only a faulted run earns a supervision block: the fault-free
-        # JSON stays byte-identical to --parallel and to the
-        # pre-failover gateway.
-        if fault_plan is not None and "availability" in report.summary:
+        # JSON stays byte-identical to --parallel.
+        if fault_plan is not None:
             fs = report.summary
             doc["failover"] = {
                 "availability": round(fs["availability"], 9),
@@ -843,22 +832,18 @@ def _cmd_serve_zones(args, config) -> str:
         f"  records streamed     {s['records_streamed']:.0f}",
         f"  throughput           {s['localizations_per_s']:.1f} "
         f"localizations/s (wall {s['wall_time_s']:.2f}s)",
+        f"  availability         {100 * s['availability']:.2f}%  "
+        f"(crashes {s['zone_crashes']:.0f}, respawns "
+        f"{s['zone_respawns']:.0f}, zones down at end "
+        f"{s['zones_down']:.0f})",
     ]
-    if "availability" in s:
+    if s["interim_results"] or s["requests_shed"] or s["handoffs_rerouted"]:
         lines.append(
-            f"  availability         {100 * s['availability']:.2f}%  "
-            f"(crashes {s['zone_crashes']:.0f}, respawns "
-            f"{s['zone_respawns']:.0f}, zones down at end "
-            f"{s['zones_down']:.0f})"
+            f"  degraded service     interim answers "
+            f"{s['interim_results']:.0f}, shed queries "
+            f"{s['requests_shed']:.0f}, rerouted handoffs "
+            f"{s['handoffs_rerouted']:.0f}"
         )
-        if s["interim_results"] or s["requests_shed"] or \
-                s["handoffs_rerouted"]:
-            lines.append(
-                f"  degraded service     interim answers "
-                f"{s['interim_results']:.0f}, shed queries "
-                f"{s['requests_shed']:.0f}, rerouted handoffs "
-                f"{s['handoffs_rerouted']:.0f}"
-            )
     if "interrupted" in s:
         lines.append("  shutdown             graceful (interrupted; "
                      "all zones drained)")

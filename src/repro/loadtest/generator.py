@@ -2,14 +2,14 @@
 
 :func:`run_load_test` materializes a profile's
 :class:`~repro.loadtest.profiles.ArrivalSchedule` and replays it against
-real serving machinery — a single :class:`~repro.zones.worker.ZoneWorker`
-(which *is* the unzoned :class:`~repro.service.pipeline.ServicePipeline`
-driven with session semantics) or a full
-:class:`~repro.zones.gateway.ZoneGateway` for multi-zone profiles. The
-schedule, not the service, decides when queries arrive: a saturated
-pipeline accumulates sim-clock queue wait, ages requests past their
-deadline and descends the degradation ladder, all of it deterministic
-and therefore assertable.
+real serving machinery: every profile drives a
+:class:`~repro.zones.gateway.ZoneGateway` over ``n_zones`` zones (a lone
+zone's :class:`~repro.zones.worker.ZoneWorker` *is* the unzoned
+:class:`~repro.service.pipeline.ServicePipeline` driven with session
+semantics). The schedule, not the service, decides when queries arrive:
+a saturated pipeline accumulates sim-clock queue wait, ages requests
+past their deadline and descends the degradation ladder, all of it
+deterministic and therefore assertable.
 
 Every number in :meth:`LoadTestReport.witness_document` is sim-clock or
 a counter — wall-clock throughput lives in the separate
@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..service.pipeline import ServiceConfig, ServiceResult
-from ..zones.failover import AdmissionPolicy, ZoneAdmission, ZoneFailoverPolicy
+from ..zones.failover import AdmissionPolicy, ZoneFailoverPolicy
 from ..zones.gateway import ZoneGateway
 from ..zones.spec import scaled_site_plan
-from ..zones.worker import ZoneWorker
 from .profiles import ArrivalSchedule, LoadProfile, generate_schedule
 from .slo import slo_summary
 
@@ -101,10 +100,10 @@ class LoadTestReport:
     errors_m: tuple[float, ...]
     admission: Mapping[str, int]
     wall_s: float
-    gateway_summary: Mapping[str, float] | None = field(default=None)
-    #: The gateway's ``repro_gateway_*`` registry (multi-zone runs only);
-    #: diagnostics surface, never part of the witness.
-    gateway_metrics: Any = field(default=None, compare=False)
+    gateway_summary: Mapping[str, float]
+    #: The gateway's ``repro_gateway_*`` registry; diagnostics surface,
+    #: never part of the witness.
+    gateway_metrics: Any = field(compare=False)
     #: Zone id → live ``repro_zone_<id>_*`` registry; diagnostics only.
     zone_metrics: Mapping[str, Any] = field(
         default_factory=dict, compare=False
@@ -183,93 +182,40 @@ def _service_config(
     return config
 
 
-def _run_single_zone(
+def run_load_test(
     profile: LoadProfile,
-    schedule: ArrivalSchedule,
-    config: ServiceConfig,
-    perf_clock: Callable[[], float],
-    warmup_max_s: float,
+    *,
+    config: ServiceConfig | None = None,
+    perf_clock: Callable[[], float] = time.perf_counter,
+    warmup_max_s: float = 120.0,
 ) -> LoadTestReport:
-    plan = scaled_site_plan(
-        profile.environment, 1, seed=profile.seed
-    )
-    spec = plan.zones[0]
-    worker = ZoneWorker(
-        spec,
-        config,
-        perf_clock=perf_clock,
-        warmup_max_s=warmup_max_s,
-        query_schedule=schedule.for_zone(spec.zone_id),
-    )
-    gate = None
-    if profile.admission_rate_per_s is not None:
-        gate = ZoneAdmission(
-            AdmissionPolicy(
-                rate_per_s=profile.admission_rate_per_s,
-                burst=profile.admission_burst,
-            ),
-            metrics=worker.metrics,
-        )
-        worker.set_admission(gate)
-    t0 = perf_clock()
-    report = worker.run(profile.duration_s)
-    wall_s = perf_clock() - t0
-    admission = {
-        "admitted": (
-            gate.admitted if gate is not None
-            else int(report.summary["requests"])
-        ),
-        "shed": gate.shed if gate is not None else 0,
-    }
-    results = tuple(report.results)
-    return LoadTestReport(
-        profile=profile,
-        schedule=schedule,
-        results=results,
-        interim=(),
-        slo=slo_summary(
-            results,
-            offered=len(schedule),
-            duration_s=profile.duration_s,
-        ),
-        zones={
-            spec.zone_id: _zone_witness(report.summary, worker.metrics)
-        },
-        errors_m=tuple(float(e) for e in report.errors_m),
-        admission=admission,
-        wall_s=wall_s,
-        zone_metrics={spec.zone_id: worker.metrics},
-    )
+    """Run one open-loop load test and return its report.
 
-
-def _run_multi_zone(
-    profile: LoadProfile,
-    schedule: ArrivalSchedule,
-    config: ServiceConfig,
-    perf_clock: Callable[[], float],
-    warmup_max_s: float,
-) -> LoadTestReport:
+    ``config`` overrides the service knobs (tests pass a cheap
+    ``VIREConfig(subdivisions=5)`` world); the profile's
+    ``max_batches_per_tick`` is stamped onto whatever config is used,
+    so the profile alone defines the executor budget of a sweep point.
+    """
+    schedule = generate_schedule(profile)
     plan = scaled_site_plan(
         profile.environment, profile.n_zones, seed=profile.seed
     )
-    kwargs: dict[str, Any] = {}
+    admission = None
     if profile.admission_rate_per_s is not None:
-        kwargs["failover"] = ZoneFailoverPolicy(
-            admission=AdmissionPolicy(
-                rate_per_s=profile.admission_rate_per_s,
-                burst=profile.admission_burst,
-            )
+        admission = AdmissionPolicy(
+            rate_per_s=profile.admission_rate_per_s,
+            burst=profile.admission_burst,
         )
     gateway = ZoneGateway(
         plan,
-        config,
+        _service_config(profile, config),
         perf_clock=perf_clock,
         warmup_max_s=warmup_max_s,
+        failover=ZoneFailoverPolicy(admission=admission),
         query_schedules={
             spec.zone_id: schedule.for_zone(spec.zone_id)
             for spec in plan.zones
         },
-        **kwargs,
     )
     t0 = perf_clock()
     multi = gateway.run(profile.duration_s)
@@ -308,23 +254,3 @@ def _run_multi_zone(
         gateway_metrics=multi.metrics,
         zone_metrics=zone_metrics,
     )
-
-
-def run_load_test(
-    profile: LoadProfile,
-    *,
-    config: ServiceConfig | None = None,
-    perf_clock: Callable[[], float] = time.perf_counter,
-    warmup_max_s: float = 120.0,
-) -> LoadTestReport:
-    """Run one open-loop load test and return its report.
-
-    ``config`` overrides the service knobs (tests pass a cheap
-    ``VIREConfig(subdivisions=5)`` world); the profile's
-    ``max_batches_per_tick`` is stamped onto whatever config is used,
-    so the profile alone defines the executor budget of a sweep point.
-    """
-    schedule = generate_schedule(profile)
-    config = _service_config(profile, config)
-    runner = _run_single_zone if profile.n_zones == 1 else _run_multi_zone
-    return runner(profile, schedule, config, perf_clock, warmup_max_s)

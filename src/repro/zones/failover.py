@@ -3,8 +3,8 @@
 This module is the reliability layer between the
 :class:`~repro.zones.gateway.ZoneGateway` and its
 :class:`~repro.zones.worker.ZoneWorker` fleet. The gateway never touches
-a worker directly when failover is enabled; every call goes through a
-:class:`ZoneChannel`, which
+a worker directly; every call goes through a :class:`ZoneChannel`,
+which
 
 * **journals** every gateway→worker tag-surface call (activate /
   deactivate / move / transfer) against the stream chunk it applies to,
@@ -30,17 +30,15 @@ Admission control (:class:`AdmissionPolicy` + :class:`TokenBucket`) is
 the SLO guard on the same path: a deterministic token bucket on the
 zone's *simulation* clock sheds localization queries before they enter a
 saturated pipeline (shed-newest: the schedule still advances, the shed
-is counted, admitted work is never abandoned). Disabled by default —
-the bit-identity contract with the unfailover'd gateway holds.
+is counted, admitted work is never abandoned). Disabled by default.
 
 Determinism notes
 -----------------
 The journal defers surface calls to just before the chunk they precede.
 A zone's simulation clock only advances inside ``step()``, so a deferred
 call observes exactly the worker state an immediate call would have —
-which is why the default channel path is bit-identical to the direct
-PR-6 loop, and why a respawn replay (same journal, same seeded world)
-reconverges exactly.
+which is why a fault-free channel is invisible in the answers, and why a
+respawn replay (same journal, same seeded world) reconverges exactly.
 """
 
 from __future__ import annotations
@@ -482,11 +480,7 @@ class ZoneChannel:
             # Transient unreachability: the retry budget burns without a
             # kill — the worker is alive, the link is not. The zone
             # falls behind and catches up deterministically later.
-            attempts = self.policy.retry.max_retries + 1
-            self.link_failures += attempts
-            self.retries += self.policy.retry.max_retries
-            for attempt in range(1, self.policy.retry.max_retries + 1):
-                self._sleep(self.policy.retry.backoff_s(attempt))
+            self.link_failures += self._burn_retry_budget()
             log_event(
                 self._logger, "zone_link_down",
                 zone=self.zone_id, tau=tau_s, behind=k_target - self._k,
@@ -500,18 +494,23 @@ class ZoneChannel:
 
     def _charge_hang(self, tau_s: float) -> None:
         """A wedged instance: every attempt times out, then it is killed."""
-        retry = self.policy.retry
-        attempts = retry.max_retries + 1
+        attempts = self._burn_retry_budget()
         self.timeouts += attempts
-        self.retries += retry.max_retries
-        for attempt in range(1, retry.max_retries + 1):
-            self._sleep(retry.backoff_s(attempt))
         self.crashes += 1
         log_event(
             self._logger, "zone_worker_hung",
             zone=self.zone_id, tau=tau_s, timeouts=attempts,
-            deadline_s=retry.deadline_s,
+            deadline_s=self.policy.retry.deadline_s,
         )
+
+    def _burn_retry_budget(self) -> int:
+        """Fail every attempt of one call: count the retries, sleep each
+        backoff; returns the attempts made (``max_retries + 1``)."""
+        retry = self.policy.retry
+        self.retries += retry.max_retries
+        for attempt in range(1, retry.max_retries + 1):
+            self._sleep(retry.backoff_s(attempt))
+        return retry.max_retries + 1
 
     def _recover(self, tau_s: float) -> bool:
         """Kill the instance; respawn within budget, else mark down."""
@@ -683,8 +682,10 @@ class ZoneChannel:
     def _scoped(self, fn, *args):
         """Call into the worker with the tracer clock on its timeline.
 
-        Mirrors :meth:`ZoneGateway._worker_scope`: spans emitted inside
-        a worker call are stamped with that zone's simulation time.
+        Each zone has its own simulation clock; spans emitted inside a
+        worker call (``zone.tick``, ``service.batch``, ...) are stamped
+        with that zone's time, while gateway spans between calls stay on
+        the gateway's τ-clock.
         """
         tracer = self._tracer
         if tracer is None:

@@ -26,8 +26,10 @@ whole site as one service:
 Execution modes:
 
 * **serial lockstep** (default) — workers sorted by zone id, one chunk
-  each per iteration; required for roaming plans (handoff needs all
-  zones at the same τ) and byte-reproducible run to run.
+  each per iteration, every worker behind a supervised
+  :class:`~repro.zones.failover.ZoneChannel`; required for roaming plans
+  (handoff needs all zones at the same τ), zone-scoped faults, admission
+  control and open-loop schedules, and byte-reproducible run to run.
 * **parallel** — non-roaming plans fan out one process per zone through
   :class:`~repro.runtime.supervisor.SupervisedPool`; shared-nothing by
   construction, bit-identical to the serial mode.
@@ -36,6 +38,7 @@ Execution modes:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -46,15 +49,14 @@ from ..service.metrics import MetricsRegistry, get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport, result_witness_entry
 from .failover import ZoneChannel, ZoneFailoverPolicy
-from .spec import RoamingTag, ZonePlan, ZoneSpec, slice_fault_plan
-from .worker import ZoneTask, ZoneWorker, run_zone
+from .spec import RoamingTag, ZonePlan, ZoneSpec
+from .worker import ZoneTask, run_zone
 
 __all__ = ["HandoffEvent", "MultiZoneReport", "ZoneGateway"]
 
-#: Default supervision policy: failover ON, recovery by respawn, no
-#: admission control. With an empty fault plan this path is
-#: *bit-identical* to ``failover=None`` (the bare PR-6 lockstep loop) —
-#: the journal defers each surface call to the same worker state an
+#: Default supervision policy: recovery by respawn, no admission
+#: control. With an empty fault plan supervision is invisible — the
+#: journal defers each surface call to the same worker state an
 #: immediate call would have seen.
 _DEFAULT_FAILOVER = ZoneFailoverPolicy()
 
@@ -92,6 +94,9 @@ class MultiZoneReport:
     ----------
     zones:
         Zone id -> that zone's :class:`SessionReport`, in zone-id order.
+    metrics:
+        The gateway's own registry (``repro_gateway_*`` supervision and
+        overload counters).
     handoffs:
         Every :class:`HandoffEvent`, in protocol execution order.
     summary:
@@ -100,16 +105,13 @@ class MultiZoneReport:
         Gateway-interim answers served on behalf of down zones
         (``estimator="gateway-interim"``, ``reason="zone_down"``), in
         serving order. Empty unless a zone went permanently down.
-    metrics:
-        The gateway's own registry (``repro_gateway_*`` supervision and
-        overload counters); ``None`` when failover was disabled.
     """
 
     zones: Mapping[str, SessionReport]
+    metrics: MetricsRegistry
     handoffs: tuple[HandoffEvent, ...] = ()
     summary: Mapping[str, float] = field(default_factory=dict)
     interim: tuple[ServiceResult, ...] = ()
-    metrics: MetricsRegistry | None = None
 
     def witness_document(self) -> dict[str, Any]:
         """The multi-zone determinism witness, as JSON types.
@@ -177,8 +179,7 @@ class MultiZoneReport:
         blocks = [
             report.render_prometheus() for report in self.zones.values()
         ]
-        if self.metrics is not None:
-            blocks.append(self.metrics.render_prometheus())
+        blocks.append(self.metrics.render_prometheus())
         return "\n".join(blocks)
 
 
@@ -202,11 +203,8 @@ class ZoneGateway:
         The zone-level supervision policy
         (:class:`~repro.zones.failover.ZoneFailoverPolicy`): gateway→
         worker calls are journaled and supervised, dead zones respawn
-        from their checkpoints, and zone-scoped chaos faults take
-        effect. Enabled by default — with an empty fault plan the
-        supervised path is bit-identical to ``failover=None``, the bare
-        unsupervised lockstep loop (kept as the escape hatch and the
-        overhead-benchmark baseline).
+        from their checkpoints, zone-scoped chaos faults take effect and
+        ``failover.admission`` gates each zone's queries.
     sleep:
         Backoff sleep injection for the supervised call path (tests pass
         a no-op to pay no wall-clock for retry backoff).
@@ -227,11 +225,16 @@ class ZoneGateway:
         checkpoint_dir: str | None = None,
         warmup_max_s: float = 120.0,
         perf_clock: Callable[[], float] = time.perf_counter,
-        failover: ZoneFailoverPolicy | None = _DEFAULT_FAILOVER,
+        failover: ZoneFailoverPolicy = _DEFAULT_FAILOVER,
         sleep: Callable[[float], None] = time.sleep,
         query_schedules: Mapping[str, Sequence[tuple[float, str]]]
         | None = None,
     ):
+        if not isinstance(failover, ZoneFailoverPolicy):
+            raise ConfigurationError(
+                "failover must be a ZoneFailoverPolicy, got "
+                f"{type(failover).__name__}"
+            )
         self.plan = plan
         self.config = config or ServiceConfig()
         self.fault_plan = fault_plan
@@ -252,12 +255,6 @@ class ZoneGateway:
                     f"the plan has {sorted(known)}"
                 )
         self._logger = get_service_logger()
-        if failover is None and self._has_zone_faults():
-            raise ConfigurationError(
-                "the fault plan contains zone-scoped faults but failover "
-                "is disabled; zone faults are consumed by the supervised "
-                "gateway path (pass a ZoneFailoverPolicy)"
-            )
 
     def _has_zone_faults(self) -> bool:
         return self.fault_plan is not None and any(
@@ -272,9 +269,6 @@ class ZoneGateway:
         import os
 
         return os.path.join(self.checkpoint_dir, f"{zone_id}.ckpt")
-
-    def _owner_at(self, tag: RoamingTag, t_rel_s: float) -> ZoneSpec:
-        return self.plan.detect_zone(tag.position_at(t_rel_s))
 
     # -- the run ---------------------------------------------------------------
 
@@ -313,11 +307,7 @@ class ZoneGateway:
                 "(crash detection and respawn live on the gateway's call "
                 "path); run with parallel=False"
             )
-        if (
-            parallel
-            and self.failover is not None
-            and self.failover.admission is not None
-        ):
+        if parallel and self.failover.admission is not None:
             raise ConfigurationError(
                 "admission control is not supported in parallel mode; "
                 "run with parallel=False"
@@ -330,9 +320,7 @@ class ZoneGateway:
             )
         if parallel:
             return self._run_parallel(duration_s, max_workers, resume)
-        if self.failover is not None:
-            return self._run_serial_failover(duration_s, resume, tracer)
-        return self._run_serial(duration_s, resume, tracer)
+        return self._run_serial_failover(duration_s, resume, tracer)
 
     # -- parallel fan-out --------------------------------------------------------
 
@@ -369,184 +357,9 @@ class ZoneGateway:
         by_zone = {
             spec.zone_id: report for spec, report in zip(zones, reports)
         }
-        return self._assemble(by_zone, (), wall_s, interrupted=False)
+        return self._assemble(by_zone, (), wall_s, {}, interrupted=False)
 
-    # -- serial lockstep -----------------------------------------------------------
-
-    def _run_serial(
-        self,
-        duration_s: float,
-        resume: bool,
-        tracer: Tracer | None,
-    ) -> MultiZoneReport:
-        step = self.config.stream_step_s
-        zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
-        wall_start = self._perf_clock()
-
-        # The gateway's relative clock: τ = k·step since query start,
-        # shared by every zone regardless of their (per-seed) warm-up
-        # lengths. Gateway spans are stamped with τ.
-        tau = 0.0
-        if tracer is not None and tracer.clock is None:
-            tracer.clock = lambda: tau
-        scope = use_tracer(tracer) if tracer is not None else _null_scope()
-
-        workers: dict[str, ZoneWorker] = {}
-        owner: dict[str, str] = {}
-        handoffs: list[HandoffEvent] = []
-        interrupted = False
-        with scope:
-            gateway_tracer = current_tracer()
-            for spec in zones:
-                workers[spec.zone_id] = ZoneWorker(
-                    spec,
-                    self.config,
-                    fault_plan=(
-                        slice_fault_plan(self.fault_plan, spec.zone_id)
-                        if self.fault_plan is not None else None
-                    ),
-                    roaming_tags={
-                        tag.label: spec.clamp_local(tag.position_at(0.0))
-                        for tag in self.plan.roaming
-                    },
-                    checkpoint_path=self._checkpoint_path(spec.zone_id),
-                    resume=resume,
-                    perf_clock=self._perf_clock,
-                    warmup_max_s=self.warmup_max_s,
-                    query_schedule=(
-                        self.query_schedules.get(spec.zone_id)
-                        if self.query_schedules is not None else None
-                    ),
-                )
-            log_event(
-                self._logger, "gateway_serial_start",
-                zones=len(zones), duration=duration_s,
-                roaming=len(self.plan.roaming),
-            )
-            try:
-                for worker in workers.values():
-                    self._worker_scope(worker, tracer, worker.start, duration_s)
-
-                # Initial routing: each roaming tag activates in (only)
-                # the zone owning its t=0 position.
-                for tag in sorted(self.plan.roaming, key=lambda t: t.label):
-                    spec = self._owner_at(tag, 0.0)
-                    owner[tag.label] = spec.zone_id
-                    gpos = tag.position_at(0.0)
-                    w = workers[spec.zone_id]
-                    self._worker_scope(
-                        w, tracer, w.move_tag,
-                        tag.label, spec.clamp_local(gpos),
-                    )
-                    self._worker_scope(w, tracer, w.activate_tag, tag.label)
-                    gateway_tracer.event(
-                        "gateway.route",
-                        tag=tag.label, zone=spec.zone_id,
-                        x=float(gpos[0]), y=float(gpos[1]),
-                    )
-
-                exhausted = False
-                while not exhausted:
-                    tau += step
-                    # Handoff protocol at the chunk boundary: ownership
-                    # is re-evaluated *before* the chunk covering
-                    # (τ-step, τ] is processed, in sorted tag order.
-                    for tag in sorted(
-                        self.plan.roaming, key=lambda t: t.label
-                    ):
-                        self._route_tag(
-                            tag, tau, owner, workers, handoffs,
-                            gateway_tracer, tracer,
-                        )
-                    for worker in workers.values():
-                        served = self._worker_scope(
-                            worker, tracer, worker.step
-                        )
-                        if served is None:
-                            exhausted = True
-            except KeyboardInterrupt:
-                interrupted = True
-                for worker in workers.values():
-                    worker.interrupt()
-                log_event(
-                    self._logger, "gateway_interrupted",
-                    tau=tau, zones=len(zones),
-                )
-            reports = {
-                zid: self._worker_scope(workers[zid], tracer, workers[zid].finish)
-                for zid in sorted(workers)
-            }
-        wall_s = self._perf_clock() - wall_start
-        return self._assemble(
-            reports, tuple(handoffs), wall_s, interrupted=interrupted
-        )
-
-    def _route_tag(
-        self,
-        tag: RoamingTag,
-        tau: float,
-        owner: dict[str, str],
-        workers: dict[str, ZoneWorker],
-        handoffs: list[HandoffEvent],
-        gateway_tracer,
-        tracer: Tracer | None,
-    ) -> None:
-        """Evaluate one roaming tag's ownership at τ; hand off if it moved."""
-        gpos = tag.position_at(tau)
-        new_spec = self.plan.detect_zone(gpos)
-        old_id = owner[tag.label]
-        new_id = new_spec.zone_id
-        if new_id == old_id:
-            # Owner unchanged: just track the motion inside the zone.
-            w = workers[old_id]
-            self._worker_scope(
-                w, tracer, w.move_tag,
-                tag.label, w.spec.clamp_local(gpos),
-            )
-            return
-        old = workers[old_id]
-        new = workers[new_id]
-        with gateway_tracer.span(
-            "gateway.handoff",
-            tag=tag.label, t_rel_s=float(tau),
-            from_zone=old_id, to_zone=new_id,
-        ) as span:
-            self._worker_scope(old, tracer, old.deactivate_tag, tag.label)
-            carried_local = self._worker_scope(
-                old, tracer, old.last_estimate, tag.label
-            )
-            carried_global = (
-                None if carried_local is None
-                else old.spec.to_global(carried_local)
-            )
-            local = new.spec.clamp_local(gpos)
-            self._worker_scope(new, tracer, new.move_tag, tag.label, local)
-            if carried_global is not None:
-                self._worker_scope(
-                    new, tracer, new.transfer_estimate,
-                    tag.label, new.spec.to_local(carried_global),
-                )
-            self._worker_scope(new, tracer, new.activate_tag, tag.label)
-            span.set("carried", carried_global is not None)
-        owner[tag.label] = new_id
-        handoffs.append(
-            HandoffEvent(
-                t_rel_s=float(tau),
-                tag=tag.label,
-                from_zone=old_id,
-                to_zone=new_id,
-                position=(float(gpos[0]), float(gpos[1])),
-                carried_estimate=carried_global,
-            )
-        )
-        log_event(
-            self._logger, "gateway_handoff",
-            tag=tag.label, tau=tau,
-            from_zone=old_id, to_zone=new_id,
-            carried=carried_global is not None,
-        )
-
-    # -- serial lockstep, supervised (failover) ----------------------------------
+    # -- serial lockstep, supervised -----------------------------------------------
 
     def _run_serial_failover(
         self,
@@ -556,12 +369,11 @@ class ZoneGateway:
     ) -> MultiZoneReport:
         """The supervised lockstep loop: every worker behind a channel.
 
-        Structure mirrors :meth:`_run_serial` exactly — same worker
-        construction order, same τ accounting, same routing order —
-        with every surface call journaled through a
-        :class:`~repro.zones.failover.ZoneChannel` and every step call
-        supervised. With an empty fault plan the two loops are
-        bit-identical.
+        Workers are built and stepped in zone-id order on the gateway's
+        relative clock (τ = k·step since query start, whatever each
+        zone's per-seed warm-up length); every surface call is journaled
+        through a :class:`~repro.zones.failover.ZoneChannel` and every
+        step call supervised. Gateway spans are stamped with τ.
         """
         step = self.config.stream_step_s
         zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
@@ -570,7 +382,7 @@ class ZoneGateway:
         tau = 0.0
         if tracer is not None and tracer.clock is None:
             tracer.clock = lambda: tau
-        scope = use_tracer(tracer) if tracer is not None else _null_scope()
+        scope = use_tracer(tracer) if tracer is not None else nullcontext()
 
         channels: dict[str, ZoneChannel] = {}
         owner: dict[str, str] = {}
@@ -613,9 +425,9 @@ class ZoneGateway:
 
                 # Initial routing, journaled against the first chunk.
                 for tag in sorted(self.plan.roaming, key=lambda t: t.label):
-                    spec = self._owner_at(tag, 0.0)
-                    owner[tag.label] = spec.zone_id
                     gpos = tag.position_at(0.0)
+                    spec = self.plan.detect_zone(gpos)
+                    owner[tag.label] = spec.zone_id
                     channel = channels[spec.zone_id]
                     channel.enqueue(
                         1, "move", tag.label, spec.clamp_local(gpos)
@@ -672,10 +484,9 @@ class ZoneGateway:
             else 1.0 - (down_ticks / zone_ticks)
         )
         return self._assemble(
-            reports, tuple(handoffs), wall_s,
+            reports, tuple(handoffs), wall_s, channels,
             interrupted=interrupted,
             interim=tuple(interim),
-            channels=channels,
             availability=availability,
         )
 
@@ -771,25 +582,6 @@ class ZoneGateway:
             rerouted=rerouted_from is not None,
         )
 
-    @staticmethod
-    def _worker_scope(worker: ZoneWorker, tracer: Tracer | None, fn, *args):
-        """Call into a worker with the tracer clock on *its* sim timeline.
-
-        Each zone has its own simulation clock; spans emitted inside a
-        worker call (``zone.tick``, ``service.batch``, ...) must be
-        stamped with that zone's time, while gateway spans between calls
-        stay on the τ-clock. Swapping the shared tracer's clock around
-        each call keeps both deterministic.
-        """
-        if tracer is None:
-            return fn(*args)
-        saved = tracer.clock
-        tracer.clock = lambda: worker.simulator.now
-        try:
-            return fn(*args)
-        finally:
-            tracer.clock = saved
-
     # -- aggregation ---------------------------------------------------------------
 
     def _assemble(
@@ -797,11 +589,11 @@ class ZoneGateway:
         reports: Mapping[str, SessionReport],
         handoffs: tuple[HandoffEvent, ...],
         wall_s: float,
+        channels: Mapping[str, ZoneChannel],
         *,
         interrupted: bool,
         interim: tuple[ServiceResult, ...] = (),
-        channels: Mapping[str, "ZoneChannel"] | None = None,
-        availability: float | None = None,
+        availability: float = 1.0,
     ) -> MultiZoneReport:
         totals = {
             "zones": float(len(reports)),
@@ -821,12 +613,9 @@ class ZoneGateway:
         )
         if interrupted:
             totals["interrupted"] = 1.0
-        metrics: MetricsRegistry | None = None
-        if channels is not None:
-            metrics = self._gateway_metrics(
-                channels, handoffs, interim, totals,
-                availability if availability is not None else 1.0,
-            )
+        metrics = self._gateway_metrics(
+            channels, handoffs, interim, totals, availability
+        )
         log_event(
             self._logger, "gateway_end",
             zones=len(reports), results=totals["results"],
@@ -843,7 +632,7 @@ class ZoneGateway:
 
     def _gateway_metrics(
         self,
-        channels: Mapping[str, "ZoneChannel"],
+        channels: Mapping[str, ZoneChannel],
         handoffs: tuple[HandoffEvent, ...],
         interim: tuple[ServiceResult, ...],
         totals: dict[str, float],
@@ -920,8 +709,3 @@ class ZoneGateway:
         ).set(float(availability))
         return metrics
 
-
-def _null_scope():
-    from contextlib import nullcontext
-
-    return nullcontext()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -614,7 +615,7 @@ class ZoneWorker:
 
         if tracer is not None and tracer.clock is None:
             tracer.clock = lambda: self.simulator.now
-        scope = use_tracer(tracer) if tracer is not None else _null_scope()
+        scope = use_tracer(tracer) if tracer is not None else nullcontext()
         with scope:
             try:
                 self.start(duration_s)
@@ -629,12 +630,6 @@ class ZoneWorker:
                 self.abort()
                 raise
             return self.finish()
-
-
-def _null_scope():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 # ---------------------------------------------------------------------------

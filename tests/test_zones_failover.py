@@ -2,8 +2,8 @@
 
 The contract under test (docs/ZONES.md, "Failover"):
 
-* empty fault plan → the supervised loop is byte-identical to the bare
-  gateway loop (and hence to every pre-failover golden witness);
+* empty fault plan → supervision is invisible (no interim block in the
+  witness, every supervision counter at zero);
 * zone crash with respawn → byte-identical to the uninterrupted run
   (cold respawn replays the full journal; checkpointed respawn resumes
   from the zone's WAL and replays the gap);
@@ -155,10 +155,6 @@ class TestZoneFaultModels:
 
 class TestFailoverIdentity:
     """Supervision is invisible unless a fault actually fires."""
-
-    def test_empty_plan_matches_bare_loop(self, baseline_witness):
-        bare = ZoneGateway(_roaming_plan(), _config(), failover=None)
-        assert _witness(bare.run(6.0)) == baseline_witness
 
     def test_crash_cold_respawn_is_byte_identical(self, baseline_witness):
         report = ZoneGateway(
@@ -385,12 +381,9 @@ class TestAdmissionControl:
 
 
 class TestGatewayGuards:
-    def test_zone_faults_require_failover(self):
-        with pytest.raises(ConfigurationError):
-            ZoneGateway(
-                _roaming_plan(), _config(), fault_plan=CRASH_Z0,
-                failover=None,
-            )
+    def test_failover_policy_is_required(self):
+        with pytest.raises(ConfigurationError, match="ZoneFailoverPolicy"):
+            ZoneGateway(_roaming_plan(), _config(), failover=None)
 
     def test_zone_faults_reject_parallel(self):
         plan = scaled_site_plan("Env1", 2, seed=0)
@@ -461,21 +454,6 @@ class TestFailoverCLI:
         assert "failover" not in clean
         killed.pop("failover")
         assert killed == clean
-
-    def test_no_failover_flag_matches_supervised(self, capsys):
-        from repro.cli import main
-
-        def run(extra):
-            main([
-                "serve", "--env", "Env1", "--zones", "2",
-                "--duration", "3", "--query-interval", "1", "--json",
-                *extra,
-            ])
-            out = json.loads(capsys.readouterr().out)
-            out.pop("failover", None)
-            return out
-
-        assert run(["--no-failover"]) == run([])
 
     def test_kill_zone_flag_validation(self, capsys):
         from repro.cli import main
