@@ -9,15 +9,14 @@ ingestion queue so that overflow, backpressure and drops are real.
 
 :class:`SimulatorRecordStream` interposes on the simulator's record sink
 (:meth:`TestbedSimulator.set_record_sink`) and exposes the beacon traffic
-as time-chunked batches — synchronously via :meth:`advance` /
-:meth:`iter_chunks`, or asynchronously via :meth:`aiter_records` for the
-asyncio ingestion loop. Simulation time only advances while the consumer
-pulls, so the whole stack stays deterministic for a given seed.
+as time-chunked batches via :meth:`advance` / :meth:`iter_chunks`.
+Simulation time only advances while the consumer pulls, so the whole
+stack stays deterministic for a given seed.
 """
 
 from __future__ import annotations
 
-from typing import AsyncIterator, Iterator
+from typing import Iterator
 
 from ..exceptions import ConfigurationError, SimulationError
 from .readers import ReadingRecord
@@ -111,22 +110,6 @@ class SimulatorRecordStream:
             dt = min(self.step_s, end - self.simulator.now)
             records = self.advance(dt)
             yield self.simulator.now, records
-
-    # -- asynchronous consumption -------------------------------------------
-
-    async def aiter_records(self, duration_s: float) -> AsyncIterator[ReadingRecord]:
-        """Asynchronously yield individual records covering ``duration_s``.
-
-        Yields control to the event loop between chunks (simulated time,
-        never wall-clock sleeps), so an asyncio ingestion task can
-        interleave with the batcher/estimator tasks deterministically.
-        """
-        import asyncio
-
-        for _, records in self.iter_chunks(duration_s):
-            for record in records:
-                yield record
-            await asyncio.sleep(0)
 
     def __repr__(self) -> str:
         state = "open" if self._open else "closed"

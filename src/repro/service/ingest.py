@@ -14,18 +14,18 @@ Two layers:
 
 * :class:`BoundedRecordQueue` — the synchronous core: ring-buffer
   semantics, overflow accounting, high-watermark tracking.
-* :class:`IngestionLoop` — the asyncio pump: consumes an async record
-  source (e.g. :meth:`SimulatorRecordStream.aiter_records`) into the
-  queue, cooperatively yielding so the batcher/estimator stages
-  interleave; delivery into the middleware happens in explicit
-  :meth:`IngestionLoop.deliver_pending` calls so tests and the session
-  facade control exactly when middleware state advances.
+* :class:`IngestionLoop` — the pump between stream and middleware:
+  :meth:`IngestionLoop.submit` offers a tick's chunk of records to the
+  queue, and delivery into the middleware happens in explicit
+  :meth:`IngestionLoop.deliver_pending` calls, so the session
+  (:class:`~repro.service.session.ServiceSession`) controls exactly when
+  middleware state advances.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import AsyncIterator, Iterable
+from typing import Iterable
 
 from ..exceptions import ConfigurationError
 from ..hardware.middleware import MiddlewareServer
@@ -225,14 +225,6 @@ class IngestionLoop:
                 depth=len(self.queue), capacity=self.queue.capacity,
             )
         return overflows
-
-    async def run(self, source: AsyncIterator[ReadingRecord]) -> int:
-        """Consume an async record source to exhaustion; returns count."""
-        n = 0
-        async for record in source:
-            self.submit((record,))
-            n += 1
-        return n
 
     # -- consumer ------------------------------------------------------------
 

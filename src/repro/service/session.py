@@ -1,33 +1,29 @@
-"""Synchronous session facade over the streaming service.
+"""Synchronous sessions over the streaming service.
 
 :class:`LocalizationService` is what tests, benchmarks and the CLI call:
 give it a :class:`~repro.experiments.scenarios.TestbedScenario` (or an
-environment name) and a duration, and it builds the deployment, taps the
-beacon stream, and drives the full asyncio pipeline to completion —
-deterministically, because every clock involved is seeded: simulation
-time doubles as the service clock, and the wall-clock used for latency
-histograms is injectable.
+environment name) and a duration, and it builds the deployment and runs
+one :class:`ServiceSession` to completion — deterministically, because
+every clock involved is seeded: simulation time doubles as the service
+clock, and the wall-clock used for latency histograms is injectable.
 
-Internally the session runs two cooperating asyncio tasks connected by a
-bounded tick queue (backpressure included):
-
-* the **producer** pulls record chunks off the simulator stream and
-  offers them to the ingestion queue;
-* the **dispatcher** wakes per tick, submits due localization queries to
-  the micro-batcher, and executes due batches.
-
-``asyncio.run`` hides all of that behind the synchronous
-:meth:`LocalizationService.run`.
+:class:`ServiceSession` is the one tick loop of the service, the
+paper's middleware cadence (§3.2): pull the next chunk of the
+simulator's ``(tag, reader, RSSI)`` stream, offer it to the ingestion
+queue, submit the due localization queries to the micro-batcher and
+execute the due batches — with write-ahead checkpointing, replay-based
+resume and graceful interrupt on the same path. The zone gateway steps
+the same class, one session per zone
+(:class:`~repro.zones.worker.ZoneWorker`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from ..exceptions import CheckpointError, ConfigurationError, SimulationError
 from ..experiments.scenarios import TestbedScenario, paper_scenario
@@ -40,7 +36,7 @@ from ..runtime.checkpoint import (
     load_checkpoint,
     validate_header,
 )
-from ..obs import NULL_TRACER, Tracer, current_tracer, use_tracer
+from ..obs import Tracer, current_tracer, use_tracer
 from ..types import estimation_error
 from .metrics import MetricsRegistry, get_service_logger, log_event
 from .pipeline import ServiceConfig, ServicePipeline, ServiceResult
@@ -51,6 +47,7 @@ if TYPE_CHECKING:  # runtime import is lazy (only when a plan is passed)
 
 __all__ = [
     "SessionReport",
+    "ServiceSession",
     "LocalizationService",
     "result_to_doc",
     "result_from_doc",
@@ -181,8 +178,449 @@ class SessionReport:
         return doc
 
 
+class ServiceSession:
+    """One steppable localization session: the only tick loop.
+
+    :meth:`start` warms up and arms; each :meth:`step` is one tick — one
+    ``stream_step_s`` chunk pulled from the simulator, ingested, the due
+    queries submitted (every tag in :attr:`active` on the
+    ``query_interval_s`` cadence, gated by :attr:`admission` when one is
+    attached), due batches executed and the results write-ahead-logged;
+    :meth:`finish` drains, seals the checkpoint and assembles the
+    :class:`SessionReport`. :meth:`run` chains them for
+    :class:`LocalizationService`; the zone gateway steps one session per
+    zone through :class:`~repro.zones.worker.ZoneWorker`. Simulation time
+    only moves when a chunk is pulled, so a tick's spans and records
+    carry the tick's own time.
+
+    ``fault_plan``, ``checkpoint_path`` and ``crash_point`` follow
+    :meth:`LocalizationService.run`. ``zone`` (a zoned session's id) is
+    added to every span and log event. ``submit_queries``, called with
+    the tick time, replaces the interval cadence (the load harness's
+    open-loop schedule).
+    """
+
+    def __init__(
+        self,
+        deployment: Deployment,
+        pipeline: ServicePipeline,
+        tags: Iterable[str],
+        *,
+        fault_plan: "FaultPlan | None" = None,
+        checkpoint_path: str | os.PathLike | None = None,
+        crash_point: "CrashPoint | None" = None,
+        perf_clock: Callable[[], float] = time.perf_counter,
+        warmup_max_s: float = 120.0,
+        zone: str | None = None,
+        submit_queries: Callable[[float], None] | None = None,
+    ):
+        self.deployment = deployment
+        self.simulator = deployment.simulator
+        self.pipeline = pipeline
+        self.config = pipeline.config
+        self.active: set[str] = set(tags)
+        self.admission = None  # duck typed: ``admit(now_s) -> bool``
+        self.start_s = 0.0
+        self._fault_plan = fault_plan
+        self._checkpoint_path = checkpoint_path
+        self._crash_point = crash_point
+        self._perf_clock = perf_clock
+        self._warmup_max_s = float(warmup_max_s)
+        self._zone = {} if zone is None else {"zone": zone}
+        self._name = "session" if zone is None else f"zone {zone!r} session"
+        self._submit_queries = submit_queries or self._submit_interval
+        self._logger = get_service_logger()
+
+        self._stream: SimulatorRecordStream | None = None
+        self._chunks: Iterator[tuple[float, list]] | None = None
+        self._writer: CheckpointWriter | None = None
+        self._restored: CheckpointState | None = None
+        self._injector = None
+        self._next_query: dict[str, float] = {}
+        self._replay_until: float | None = None
+        self._records_dispatched = 0
+        self._wal_index = 0
+        self._next_snapshot: float | None = None
+        self._last_cut: dict | None = None
+        self._interrupted = False
+        self._finished = False
+        self._wall_start = 0.0
+
+    # -- the tag surface -------------------------------------------------------
+
+    def activate(self, tag_id: str) -> None:
+        """Start querying ``tag_id``, first query at the current tick."""
+        if tag_id not in self.active:
+            self.active.add(tag_id)
+            self._next_query[tag_id] = self.simulator.now
+
+    def deactivate(self, tag_id: str) -> None:
+        """Stop querying ``tag_id``."""
+        self.active.discard(tag_id)
+        self._next_query.pop(tag_id, None)
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def start(
+        self,
+        duration_s: float,
+        header: Mapping[str, Any],
+        restored: CheckpointState | None = None,
+    ) -> None:
+        """Open the checkpoint, warm up and arm; :meth:`step` then ticks.
+
+        ``header`` is the session's checkpoint identity: written to a
+        fresh checkpoint, or checked against ``restored`` (the loaded
+        checkpoint of a resumed session), which is then restored and
+        replayed up to its cut with estimation skipped.
+        """
+        if self._stream is not None:
+            raise SimulationError(f"{self._name} already started")
+        if restored is not None:
+            validate_header(restored, header)
+        self._restored = restored
+        self._wall_start = self._perf_clock()
+        if self._checkpoint_path is not None:
+            self._writer = CheckpointWriter(
+                self._checkpoint_path, append=restored is not None
+            )
+            if restored is not None:
+                self._writer.write_marker("resume", t_cut=restored.t_cut)
+            else:
+                self._writer.write_header(**header)
+        simulator = self.simulator
+        pipeline = self.pipeline
+        try:
+            self._stream = SimulatorRecordStream(
+                simulator, step_s=self.config.stream_step_s
+            ).__enter__()
+            with current_tracer().span("session.warmup", **self._zone) as wsp:
+                wsp.set("warmed_until_s", float(self._warm_up()))
+            # Baseline capture must land between warm-up (coverage
+            # complete, series clean) and the injector attaching.
+            pipeline.arm_calibration(simulator.now)
+            if self._fault_plan is not None:
+                from ..faults.injector import FaultInjector  # lazy: cycle
+
+                self._injector = FaultInjector(
+                    self._fault_plan, metrics=pipeline.metrics
+                )
+                simulator.set_fault_injector(self._injector)
+            if restored is not None:
+                pipeline.restore_checkpoint_state(
+                    restored.snapshot["state"],
+                    [result_from_doc(d) for d in restored.results],
+                )
+                pipeline.begin_replay()
+                self._replay_until = restored.t_cut
+            self.start_s = simulator.now
+            self._next_query = {tag: self.start_s for tag in self.active}
+            self._wal_index = len(pipeline.results)
+            log_event(
+                self._logger, "session_start", **self._zone,
+                tags=len(self.active), duration=duration_s, t=self.start_s,
+                faults=len(self._fault_plan or ()),
+                resumed=restored is not None,
+                checkpoint=self._writer is not None,
+            )
+            if self._writer is not None and restored is None:
+                # Initial snapshot: a crash *before* the first periodic
+                # snapshot must still be resumable (cut at session
+                # start, zero results).
+                self._writer.write_snapshot(
+                    t=self.start_s, results_count=0,
+                    state=pipeline.checkpoint_state(), records_dispatched=0,
+                )
+            self._chunks = self._stream.iter_chunks(duration_s)
+        except BaseException:
+            self.abort()
+            raise
+
+    def _warm_up(self) -> float:
+        """Stream until every reader covers the reference grid.
+
+        Routed through the pipeline's own ingestion queue (the
+        simulator's direct middleware path is disconnected while the
+        stream taps the record sink).
+        """
+        simulator = self.simulator
+        pipeline = self.pipeline
+        deadline = simulator.now + self._warmup_max_s
+        while simulator.now < deadline:
+            records = self._stream.advance(min(2.0, deadline - simulator.now))
+            pipeline.ingest.submit(records)
+            pipeline.ingest.deliver_pending()
+            coverage = pipeline.middleware.coverage(simulator.now)
+            if all(c >= 1.0 for c in coverage.values()):
+                return simulator.now
+        raise SimulationError(
+            f"{self._name}: reference coverage incomplete after "
+            f"{self._warmup_max_s}s of warm-up: "
+            f"{pipeline.middleware.coverage(simulator.now)}"
+        )
+
+    def _submit_interval(self, now_s: float) -> None:
+        """Submit every active tag whose query interval has elapsed.
+
+        An attached admission gate is consulted per due query; a shed
+        query's slot still advances (shed-newest — see
+        :class:`~repro.zones.failover.ZoneAdmission`).
+        """
+        admission = self.admission
+        for tag in sorted(self.active):
+            if now_s >= self._next_query[tag]:
+                self._next_query[tag] = now_s + self.config.query_interval_s
+                if admission is None or admission.admit(now_s):
+                    self.pipeline.submit_request(tag, now_s)
+
+    def _flip_to_live(self, now_s: float) -> None:
+        """End the replay of a resumed session and verify its state."""
+        self.pipeline.end_replay()
+        self.pipeline.verify_replay(self._restored.snapshot["state"])
+        expected = self._restored.snapshot.get("records_dispatched")
+        if expected is not None and self._records_dispatched != int(expected):
+            raise CheckpointError(
+                f"{self._name} replay diverged on dispatched records: "
+                f"reconstructed {self._records_dispatched}, checkpoint "
+                f"{expected}"
+            )
+        log_event(
+            self._logger, "resume_live", **self._zone,
+            t=now_s, records_replayed=self._records_dispatched,
+            results_restored=self._wal_index,
+        )
+
+    def step(self) -> list[ServiceResult] | None:
+        """Run the next tick; its served results, or ``None`` at the end.
+
+        A resumed session replays ticks up to the restored cut with
+        estimation skipped (:meth:`ServicePipeline.begin_replay`) and
+        flips to live at the first tick past it. A live tick's results
+        hit the write-ahead log before they are returned, and a
+        consistency snapshot is written every
+        ``runtime.checkpoint_interval_s``; ``crash_point`` fires after
+        that, simulating a hard kill mid-interval.
+        """
+        if self._chunks is None:
+            raise SimulationError(f"{self._name} is not started")
+        if self._interrupted:
+            return None
+        try:
+            now_s, records = next(self._chunks)
+        except StopIteration:
+            return None
+        pipeline = self.pipeline
+        writer = self._writer
+        with current_tracer().span(
+            "service.tick", **self._zone,
+            tick_s=float(now_s), replay=bool(pipeline.replaying),
+        ) as tsp:
+            if self._replay_until is not None and now_s > self._replay_until:
+                self._flip_to_live(now_s)
+                self._replay_until = None
+            pipeline.ingest.submit(records)
+            self._records_dispatched += len(records)
+            self._submit_queries(now_s)
+            served = pipeline.process_due(now_s)
+            tsp.update(n_records=len(records), n_served=len(served))
+        if writer is not None and not pipeline.replaying:
+            for result in served:
+                writer.append_result(self._wal_index, result_to_doc(result))
+                self._wal_index += 1
+            # The consistency cut at this tick, captured eagerly: a
+            # graceful interrupt may land on a *later* tick
+            # mid-processing, and the snapshot it flushes must describe
+            # a tick boundary.
+            self._last_cut = {
+                "t": now_s,
+                "results_count": self._wal_index,
+                "state": pipeline.checkpoint_state(),
+                "records_dispatched": self._records_dispatched,
+            }
+            interval = self.config.runtime.checkpoint_interval_s
+            if self._next_snapshot is None:
+                self._next_snapshot = now_s + interval
+            if now_s >= self._next_snapshot:
+                writer.write_snapshot(**self._last_cut)
+                self._next_snapshot = now_s + interval
+        if (
+            self._crash_point is not None
+            and not pipeline.replaying
+            and self._crash_point.due(now_s)
+        ):
+            self._crash_point.fire(now_s)
+        return served
+
+    def interrupt(self) -> None:
+        """Graceful shutdown: seal the WAL at the last complete tick.
+
+        The session can then be resumed as if it had crashed exactly at
+        that boundary; :meth:`finish` still drains for the report.
+        """
+        if self._interrupted:
+            return
+        self._interrupted = True
+        if self._writer is not None and self._last_cut is not None:
+            self._writer.write_snapshot(**self._last_cut)
+        log_event(
+            self._logger, "session_interrupted", **self._zone,
+            t=self.simulator.now, results=len(self.pipeline.results),
+        )
+
+    def abort(self) -> None:
+        """Hard teardown (simulated crash): close the WAL as-is."""
+        if self._writer is not None:
+            self._writer.close()
+        if self._stream is not None:
+            self._stream.close()
+        self._chunks = None
+        self._finished = True
+
+    def finish(
+        self, on_result: Callable[[ServiceResult], Any] | None = None
+    ) -> SessionReport:
+        """Drain, seal the checkpoint and assemble the session report.
+
+        ``on_result`` fires for each drained result once the checkpoint
+        holds it.
+        """
+        if self._stream is None or self._finished:
+            raise SimulationError(f"{self._name} is not running")
+        pipeline = self.pipeline
+        writer = self._writer
+        restored = self._restored
+        try:
+            if pipeline.replaying:
+                # Cut at (or past) the session end: the whole stream
+                # replayed; flip to live so the drain below estimates.
+                pipeline.end_replay()
+                if not self._interrupted:
+                    pipeline.verify_replay(restored.snapshot["state"])
+            end_s = self.simulator.now
+            with current_tracer().span("service.drain", **self._zone) as dsp:
+                drained = pipeline.drain(end_s)
+                dsp.set("n_drained", len(drained))
+            if writer is not None:
+                if not self._interrupted:
+                    # Normal completion: commit the drained tail and seal
+                    # with a final snapshot. (An interrupt already sealed
+                    # the last complete tick's cut; its drain is
+                    # report-only — served at the interrupt time, not at
+                    # natural flush times, so committing it would poison
+                    # a later resume.)
+                    all_results = pipeline.results
+                    logged = writer.results_logged + (
+                        len(restored.results) if restored is not None else 0
+                    )
+                    for i in range(logged, len(all_results)):
+                        writer.append_result(i, result_to_doc(all_results[i]))
+                    writer.write_snapshot(
+                        t=end_s,
+                        results_count=len(all_results),
+                        state=pipeline.checkpoint_state(),
+                    )
+                writer.write_marker(
+                    "end", t=end_s, interrupted=self._interrupted
+                )
+        finally:
+            self.abort()
+        if on_result is not None:
+            for result in drained:
+                on_result(result)
+        report = self.report()
+        log_event(
+            self._logger, "session_end", **self._zone,
+            results=len(pipeline.results),
+            wall_s=report.summary["wall_time_s"],
+            interrupted=self._interrupted,
+        )
+        return report
+
+    def report(self, **extra: float) -> SessionReport:
+        """The session's report as it stands, ``extra`` summary keys last.
+
+        :meth:`finish` calls this after the drain; a zone that died
+        mid-session reports through it as-is.
+        """
+        pipeline = self.pipeline
+        end_s = self.simulator.now
+        wall_s = self._perf_clock() - self._wall_start
+        summary = dict(pipeline.metrics_summary())
+        summary["session_duration_s"] = end_s - self.start_s
+        summary["session_end_s"] = float(end_s)
+        summary["records_streamed"] = float(self._stream.records_streamed)
+        summary["wall_time_s"] = wall_s
+        summary["localizations_per_s"] = (
+            summary["results"] / wall_s if wall_s > 0 else float("inf")
+        )
+        if self._injector is not None:
+            for key, value in self._injector.counters().items():
+                summary[f"fault_records_{key}"] = float(value)
+        if self._interrupted:
+            summary["interrupted"] = 1.0
+        if self._restored is not None:
+            summary["resumed"] = 1.0
+            summary["resume_results_restored"] = float(len(self._restored.results))
+        if self._writer is not None:
+            summary["checkpoint_results_logged"] = float(self._writer.results_logged)
+            summary["checkpoint_snapshots"] = float(self._writer.snapshots_written)
+        summary.update(extra)
+        truth = self.deployment.tracking_truth
+        return SessionReport(
+            results=pipeline.results,
+            summary=summary,
+            metrics=pipeline.metrics,
+            errors_m=tuple(
+                estimation_error(r.position, truth[r.tag_id])
+                for r in pipeline.results
+                if r.tag_id in truth
+            ),
+            calibration_events=pipeline.calibration_events(),
+        )
+
+    def run(
+        self,
+        duration_s: float,
+        header: Mapping[str, Any],
+        *,
+        restored: CheckpointState | None = None,
+        on_result: Callable[[ServiceResult], Any] | None = None,
+        tracer: Tracer | None = None,
+    ) -> SessionReport:
+        """Start, step to the end of the stream and finish.
+
+        ``on_result`` fires per served result, after the write-ahead
+        log. A :class:`KeyboardInterrupt` mid-stream is a graceful
+        shutdown (:meth:`interrupt`); any other exception — a simulated
+        crash included — propagates with the WAL left as it found it.
+        ``tracer`` is installed as the ambient tracer, its clock wired
+        to simulation time.
+        """
+        if tracer is not None and tracer.clock is None:
+            tracer.clock = lambda: self.simulator.now
+        scope = use_tracer(tracer) if tracer is not None else nullcontext()
+        with scope:
+            try:
+                self.start(duration_s, header, restored)
+                while True:
+                    try:
+                        served = self.step()
+                        if served is None:
+                            break
+                        if on_result is not None:
+                            for result in served:
+                                on_result(result)
+                    except KeyboardInterrupt:
+                        self.interrupt()
+                        break
+            except BaseException:
+                self.abort()
+                raise
+            return self.finish(on_result)
+
+
 class LocalizationService:
-    """Drives the streaming pipeline over a seeded scenario.
+    """Runs one :class:`ServiceSession` over a seeded scenario.
 
     Parameters
     ----------
@@ -205,7 +643,6 @@ class LocalizationService:
         self.config = config or ServiceConfig()
         self._perf_clock = perf_clock
         self.warmup_max_s = float(warmup_max_s)
-        self._logger = get_service_logger()
 
     # -- deployment assembly -------------------------------------------------
 
@@ -286,410 +723,43 @@ class LocalizationService:
             default) leaves the ambient tracer alone: normally the
             no-op, so instrumentation costs nothing.
         """
-        from ..faults.crash import SimulatedCrash  # lazy: avoid cycle
-
         if isinstance(scenario, str):
             scenario = paper_scenario(scenario, n_trials=1)
         if resume and checkpoint_path is None:
             raise ConfigurationError("resume=True requires a checkpoint_path")
         deployment = self.build_deployment(scenario)
-        simulator = deployment.simulator
         pipeline = ServicePipeline(
-            deployment.grid,
-            simulator.middleware,
-            self.config,
+            deployment.grid, deployment.simulator.middleware, self.config,
             perf_clock=self._perf_clock,
         )
-        if tracer is not None and tracer.clock is None:
-            # Deterministic span timestamps: simulation time, not wall.
-            tracer.clock = lambda: simulator.now
-        injector = None
-        if fault_plan is not None:
-            from ..faults.injector import FaultInjector  # lazy: avoid cycle
-
-            injector = FaultInjector(fault_plan, metrics=pipeline.metrics)
         tag_ids = sorted(f"tag-{label}" for label in scenario.tracking_tags)
-
-        header = self._checkpoint_header(scenario, tag_ids, duration_s)
-        restored: CheckpointState | None = None
-        if resume:
-            restored = load_checkpoint(checkpoint_path)
-            self._validate_header(restored, header)
-        writer: CheckpointWriter | None = None
-        if checkpoint_path is not None:
-            writer = CheckpointWriter(checkpoint_path, append=resume)
-            if resume:
-                writer.write_marker("resume", t_cut=restored.t_cut)
-            else:
-                writer.write_header(**header)
-
-        wall_start = self._perf_clock()
-        interrupted = False
-        tracer_scope = (
-            use_tracer(tracer) if tracer is not None else nullcontext()
-        )
-        try:
-            with tracer_scope, SimulatorRecordStream(
-                simulator, step_s=self.config.stream_step_s
-            ) as stream:
-                with current_tracer().span("session.warmup") as wsp:
-                    warmed_s = self._warm_up(stream, pipeline)
-                    wsp.set("warmed_until_s", float(warmed_s))
-                # Baseline capture must land between warm-up (coverage
-                # complete, series clean) and the injector attaching.
-                pipeline.arm_calibration(simulator.now)
-                if injector is not None:
-                    simulator.set_fault_injector(injector)
-                if restored is not None:
-                    pipeline.restore_checkpoint_state(
-                        restored.snapshot["state"],
-                        [result_from_doc(d) for d in restored.results],
-                    )
-                    pipeline.begin_replay()
-                start_s = simulator.now
-                log_event(
-                    self._logger, "session_start",
-                    tags=len(tag_ids), duration=duration_s, t=start_s,
-                    faults=len(fault_plan) if fault_plan is not None else 0,
-                    resumed=restored is not None,
-                    checkpoint=writer is not None,
-                )
-                if writer is not None and restored is None:
-                    # Initial snapshot: a crash *before* the first
-                    # periodic snapshot must still be resumable (cut at
-                    # session start, zero results).
-                    writer.write_snapshot(
-                        t=start_s,
-                        results_count=0,
-                        state=pipeline.checkpoint_state(),
-                        records_dispatched=0,
-                    )
-                try:
-                    interrupted = asyncio.run(
-                        self._session(
-                            stream, pipeline, tag_ids, duration_s, on_result,
-                            writer=writer,
-                            restored=restored,
-                            crash_point=crash_point,
-                        )
-                    )
-                except KeyboardInterrupt:
-                    # Interrupt landed outside the dispatcher (e.g. in
-                    # the event loop itself): still a graceful shutdown,
-                    # resuming from the last periodic snapshot.
-                    interrupted = True
-                if interrupted:
-                    log_event(
-                        self._logger, "session_interrupted",
-                        t=simulator.now, results=len(pipeline.results),
-                    )
-                if pipeline.replaying:
-                    # Cut at (or past) the session end: the whole stream
-                    # replayed; flip to live so the drain below estimates.
-                    pipeline.end_replay()
-                    if not interrupted:
-                        pipeline.verify_replay(restored.snapshot["state"])
-                end_s = simulator.now
-                with current_tracer().span("service.drain") as dsp:
-                    drained = pipeline.drain(end_s)
-                    dsp.set("n_drained", len(drained))
-                for result in drained:
-                    if on_result is not None:
-                        on_result(result)
-                if writer is not None:
-                    if not interrupted:
-                        # Normal completion: commit the drained tail and
-                        # seal the file with a final snapshot. (On an
-                        # interrupt the dispatcher already wrote a
-                        # consistent cut at its last complete tick; the
-                        # early drain above is report-only — its results
-                        # are served at the interrupt time, not their
-                        # natural flush times, so committing them would
-                        # poison a later resume.)
-                        logged = writer.results_logged + (
-                            len(restored.results)
-                            if restored is not None else 0
-                        )
-                        all_results = pipeline.results
-                        for i in range(logged, len(all_results)):
-                            writer.append_result(
-                                i, result_to_doc(all_results[i])
-                            )
-                        writer.write_snapshot(
-                            t=end_s,
-                            results_count=len(all_results),
-                            state=pipeline.checkpoint_state(),
-                        )
-                    writer.write_marker(
-                        "end", t=end_s, interrupted=interrupted
-                    )
-        except SimulatedCrash:
-            # A simulated hard kill: close the file as-is — no drain, no
-            # final snapshot. Whatever the WAL holds is what a real
-            # crash would have left behind.
-            if writer is not None:
-                writer.close()
-            raise
-        finally:
-            if writer is not None:
-                writer.close()
-
-        wall_s = self._perf_clock() - wall_start
-        summary = dict(pipeline.metrics_summary())
-        summary["session_duration_s"] = end_s - start_s
-        summary["session_end_s"] = float(end_s)
-        summary["records_streamed"] = float(stream.records_streamed)
-        summary["wall_time_s"] = wall_s
-        summary["localizations_per_s"] = (
-            summary["results"] / wall_s if wall_s > 0 else float("inf")
-        )
-        if injector is not None:
-            for key, value in injector.counters().items():
-                summary[f"fault_records_{key}"] = float(value)
-        if interrupted:
-            summary["interrupted"] = 1.0
-        if resume:
-            summary["resumed"] = 1.0
-            summary["resume_results_restored"] = float(len(restored.results))
-        if writer is not None:
-            summary["checkpoint_results_logged"] = float(writer.results_logged)
-            summary["checkpoint_snapshots"] = float(writer.snapshots_written)
-        errors = tuple(
-            estimation_error(r.position, deployment.tracking_truth[r.tag_id])
-            for r in pipeline.results
-            if r.tag_id in deployment.tracking_truth
-        )
-        log_event(
-            self._logger, "session_end",
-            results=len(pipeline.results), wall_s=wall_s,
-            interrupted=interrupted,
-        )
-        return SessionReport(
-            results=pipeline.results,
-            summary=summary,
-            metrics=pipeline.metrics,
-            errors_m=errors,
-            calibration_events=pipeline.calibration_events(),
-        )
-
-    # -- checkpoint plumbing -------------------------------------------------
-
-    def _checkpoint_header(
-        self,
-        scenario: TestbedScenario,
-        tag_ids: list[str],
-        duration_s: float,
-    ) -> dict[str, Any]:
-        """Scenario identity written to (and checked against) a checkpoint."""
-        environment = getattr(scenario, "environment", None)
+        # The scenario's identity, written to (and checked against) a
+        # checkpoint. The ``calibration`` key exists only when enabled: a
+        # calibrating session must not resume a non-calibrating
+        # checkpoint (and vice versa), while disabled sessions keep the
+        # pre-calibration header byte-identical.
         header = {
             "scenario": getattr(scenario, "name", None),
-            "environment": getattr(environment, "name", None),
+            "environment": getattr(
+                getattr(scenario, "environment", None), "name", None
+            ),
             "seed": getattr(scenario, "base_seed", None),
             "zone": None,  # unzoned session; ZoneWorker writes its zone id
-            "tags": list(tag_ids),
+            "tags": tag_ids,
             "duration_s": float(duration_s),
             "query_interval_s": float(self.config.query_interval_s),
             "stream_step_s": float(self.config.stream_step_s),
         }
         if self.config.calibration is not None:
-            # Identity key only when enabled: a calibrating session must
-            # not resume a non-calibrating checkpoint (and vice versa),
-            # while disabled sessions keep the pre-calibration header
-            # byte-identical.
             header["calibration"] = True
-        return header
-
-    @staticmethod
-    def _validate_header(
-        restored: CheckpointState, header: Mapping[str, Any]
-    ) -> None:
-        """Refuse to resume a checkpoint against a different world.
-
-        Thin alias of :func:`repro.runtime.checkpoint.validate_header`
-        (kept for callers that monkeypatch or subclass the service).
-        """
-        validate_header(restored, header)
-
-    # -- internals -----------------------------------------------------------
-
-    def _warm_up(
-        self, stream: SimulatorRecordStream, pipeline: ServicePipeline
-    ) -> float:
-        """Stream until every reader covers the reference grid.
-
-        Mirrors :meth:`TestbedSimulator.warm_up`, but routed through the
-        service's own ingestion queue (the simulator's direct middleware
-        path is disconnected while the stream taps the record sink).
-        """
-        simulator = stream.simulator
-        deadline = simulator.now + self.warmup_max_s
-        while simulator.now < deadline:
-            records = stream.advance(min(2.0, deadline - simulator.now))
-            pipeline.ingest.submit(records)
-            pipeline.ingest.deliver_pending()
-            coverage = pipeline.middleware.coverage(simulator.now)
-            if all(c >= 1.0 for c in coverage.values()):
-                return simulator.now
-        raise SimulationError(
-            f"reference coverage incomplete after {self.warmup_max_s}s of "
-            f"warm-up: {pipeline.middleware.coverage(simulator.now)}"
+        session = ServiceSession(
+            deployment, pipeline, tag_ids,
+            fault_plan=fault_plan, checkpoint_path=checkpoint_path,
+            crash_point=crash_point, perf_clock=self._perf_clock,
+            warmup_max_s=self.warmup_max_s,
         )
-
-    async def _session(
-        self,
-        stream: SimulatorRecordStream,
-        pipeline: ServicePipeline,
-        tag_ids: list[str],
-        duration_s: float,
-        on_result: Callable[[ServiceResult], Any] | None,
-        *,
-        writer: CheckpointWriter | None = None,
-        restored: CheckpointState | None = None,
-        crash_point: "CrashPoint | None" = None,
-    ) -> bool:
-        """Producer/dispatcher task pair around a bounded tick queue.
-
-        Returns ``True`` when the session was gracefully interrupted
-        (:class:`KeyboardInterrupt` inside the dispatcher — Ctrl-C or
-        SIGTERM routed by the CLI), after sealing the WAL with the last
-        complete tick's consistency cut.
-
-        Records travel *with* their tick rather than being offered to the
-        ingestion queue by the producer: the producer may run several
-        chunks of simulated time ahead of the dispatcher (up to the tick
-        queue's bound), and offering early would let a batch executing at
-        service time ``t`` observe readings stamped after ``t``. Keeping
-        submission on the dispatcher side guarantees causality: the
-        middleware never contains a record from the future.
-
-        Checkpointing rides on the dispatcher: each live tick's results
-        are appended to the WAL as served, and a consistency snapshot is
-        written once ``runtime.checkpoint_interval_s`` simulated seconds
-        have passed since the last one. On a resumed session the
-        dispatcher replays ticks up to the restored cut (estimation
-        skipped, see :meth:`ServicePipeline.begin_replay`) and flips to
-        live — verifying the reconstructed state — at the first tick
-        past it. ``crash_point`` fires after a live tick's results are
-        WAL-logged but before any further snapshot, simulating a hard
-        kill mid-interval.
-        """
-        ticks: asyncio.Queue[
-            tuple[float, list] | None
-        ] = asyncio.Queue(maxsize=8)
-        next_query = {tag: stream.simulator.now for tag in tag_ids}
-        interval = self.config.query_interval_s
-        cp_interval = self.config.runtime.checkpoint_interval_s
-        replay_until = restored.t_cut if restored is not None else None
-        records_dispatched = 0
-        wal_index = len(pipeline.results)
-        next_snapshot: float | None = None
-
-        async def produce() -> None:
-            for now_s, records in stream.iter_chunks(duration_s):
-                await ticks.put((now_s, records))  # bounded: backpressure
-            await ticks.put(None)
-
-        def flip_to_live(now_s: float) -> None:
-            pipeline.end_replay()
-            pipeline.verify_replay(restored.snapshot["state"])
-            snap_dispatched = restored.snapshot.get("records_dispatched")
-            if (
-                snap_dispatched is not None
-                and records_dispatched != int(snap_dispatched)
-            ):
-                raise CheckpointError(
-                    f"replay diverged on dispatched records: reconstructed "
-                    f"{records_dispatched}, checkpoint {snap_dispatched}"
-                )
-            log_event(
-                self._logger, "resume_live",
-                t=now_s, records_replayed=records_dispatched,
-                results_restored=wal_index,
-            )
-
-        last_cut: dict | None = None
-        interrupted = False
-
-        async def dispatch() -> None:
-            nonlocal replay_until, records_dispatched, wal_index
-            nonlocal next_snapshot, last_cut, interrupted
-            try:
-                tracer = current_tracer()
-                while True:
-                    tick = await ticks.get()
-                    if tick is None:
-                        return
-                    now_s, records = tick
-                    with tracer.span(
-                        "service.tick",
-                        tick_s=float(now_s),
-                        replay=bool(pipeline.replaying),
-                    ) as tsp:
-                        if replay_until is not None and now_s > replay_until:
-                            flip_to_live(now_s)
-                            replay_until = None
-                        pipeline.ingest.submit(records)
-                        records_dispatched += len(records)
-                        for tag in tag_ids:
-                            if now_s >= next_query[tag]:
-                                pipeline.submit_request(tag, now_s)
-                                next_query[tag] = now_s + interval
-                        served = pipeline.process_due(now_s)
-                        tsp.update(
-                            n_records=len(records), n_served=len(served)
-                        )
-                    if writer is not None and not pipeline.replaying:
-                        # Write-ahead: results hit the log *before* any
-                        # observer — a consumer can never have seen a
-                        # result the checkpoint does not know about.
-                        for result in served:
-                            writer.append_result(
-                                wal_index, result_to_doc(result)
-                            )
-                            wal_index += 1
-                    for result in served:
-                        if on_result is not None:
-                            on_result(result)
-                    if writer is not None and not pipeline.replaying:
-                        # The consistency cut at this tick, captured
-                        # eagerly: a graceful interrupt may land on a
-                        # *later* tick mid-processing, and the snapshot
-                        # it flushes must describe a tick boundary.
-                        last_cut = {
-                            "t": now_s,
-                            "results_count": wal_index,
-                            "state": pipeline.checkpoint_state(),
-                            "records_dispatched": records_dispatched,
-                        }
-                        if next_snapshot is None:
-                            next_snapshot = now_s + cp_interval
-                        if now_s >= next_snapshot:
-                            writer.write_snapshot(**last_cut)
-                            next_snapshot = now_s + cp_interval
-                    if (
-                        crash_point is not None
-                        and not pipeline.replaying
-                        and crash_point.due(now_s)
-                    ):
-                        crash_point.fire(now_s)
-            except KeyboardInterrupt:
-                # Graceful shutdown: seal the WAL with the last complete
-                # tick's cut — the session can then be resumed as if it
-                # had crashed exactly at that boundary. Swallowing the
-                # interrupt here (and reporting it via the return value)
-                # keeps the event loop's teardown clean.
-                if writer is not None and last_cut is not None:
-                    writer.write_snapshot(**last_cut)
-                interrupted = True
-
-        producer = asyncio.ensure_future(produce())
-        try:
-            await dispatch()
-        finally:
-            producer.cancel()
-            try:
-                await producer
-            except asyncio.CancelledError:
-                pass
-        return interrupted
+        return session.run(
+            duration_s, header,
+            restored=load_checkpoint(checkpoint_path) if resume else None,
+            on_result=on_result, tracer=tracer,
+        )

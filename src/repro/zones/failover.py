@@ -54,7 +54,6 @@ from ..runtime.policy import RetryPolicy
 from ..service.metrics import get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport
-from ..types import estimation_error
 from .spec import ZoneSpec, slice_fault_plan
 from .worker import ZoneWorker, _tag_id
 
@@ -635,32 +634,18 @@ class ZoneChannel:
             self.worker.interrupt()
 
     def finish(self) -> SessionReport:
-        """The zone's session report; synthesized for a dead zone.
+        """The zone's session report; as the crash left it for a dead zone.
 
         A down zone's worker was aborted (its WAL closed as the crash
-        left it), but the pipeline object still holds everything served
-        before death — that, honestly marked, is the zone's report. The
+        left it), but its session still holds everything served before
+        death — that, honestly marked, is the zone's report. The
         gateway-interim answers served on its behalf live at the gateway
         level, not here.
         """
         if not self._down:
             return self._scoped(self.worker.finish)
-        pipeline = self.worker.pipeline
-        summary = dict(pipeline.metrics_summary())
-        summary["zone_down"] = 1.0
-        summary["interim_results"] = float(len(self.interim_served))
-        errors = tuple(
-            estimation_error(
-                r.position, self.worker.deployment.tracking_truth[r.tag_id]
-            )
-            for r in pipeline.results
-            if r.tag_id in self.worker.deployment.tracking_truth
-        )
-        return SessionReport(
-            results=pipeline.results,
-            summary=summary,
-            metrics=self.worker.metrics,
-            errors_m=errors,
+        return self.worker.session.report(
+            zone_down=1.0, interim_results=float(len(self.interim_served))
         )
 
     def counters(self) -> dict[str, int]:
@@ -683,7 +668,7 @@ class ZoneChannel:
         """Call into the worker with the tracer clock on its timeline.
 
         Each zone has its own simulation clock; spans emitted inside a
-        worker call (``zone.tick``, ``service.batch``, ...) are stamped
+        worker call (``service.tick``, ``service.batch``, ...) are stamped
         with that zone's time, while gateway spans between calls stay on
         the gateway's τ-clock.
         """

@@ -2,14 +2,16 @@
 
 The claims under test:
 
-1. A streamed session (records delivered via the async ingestion loop)
-   produces *exactly* the estimates the batch path would compute from an
+1. A streamed session (records delivered through the session's
+   ingestion queue, one tick at a time) produces *exactly* the estimates the batch path would compute from an
    identically-seeded world — the service machinery (queueing, batching,
    caching) must be invisible to the math.
 2. Caching changes throughput, never answers.
 3. An engineered empty-intersection scenario degrades gracefully for a
    whole session: every answer is a flagged LANDMARC result, nothing
    raises.
+4. A tick is served at its own time: the simulator never runs ahead of
+   the tick being served, so a tick's spans carry the tick's time.
 """
 
 from __future__ import annotations
@@ -128,6 +130,32 @@ class TestDegradedSession:
             assert result.reason == "empty_intersection"
             assert result.estimator == "LANDMARC"
         assert report.summary["degraded_fraction"] == 1.0
+
+
+class TestTickCausality:
+    def test_tick_spans_are_stamped_with_their_own_time(self):
+        """Every ``service.tick`` span — and every span under it — is
+        stamped with the tick's own simulation time, never later."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        SessionService(seed=3, config=service_config()).run(
+            StubScenario(), duration_s=4.0, tracer=tracer
+        )
+
+        def latest(doc) -> float:
+            return max(
+                [doc["t"]] + [latest(c) for c in doc.get("children", [])]
+            )
+
+        ticks = [
+            d for d in tracer.logical_documents() if d["name"] == "service.tick"
+        ]
+        assert len(ticks) == 8
+        assert any(t.get("children") for t in ticks), "no tick served"
+        for tick in ticks:
+            assert tick["t"] == tick["attrs"]["tick_s"]
+            assert latest(tick) <= tick["attrs"]["tick_s"]
 
 
 class TestWarmupFailure:
