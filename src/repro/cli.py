@@ -877,8 +877,7 @@ def _cmd_chaos_zones(args) -> str:
         chaos_preset,
         zone_chaos_preset,
     )
-    from .service import ServiceConfig
-    from .zones import ZoneGateway, scaled_site_plan
+    from .zones import ZoneGateway, scaled_site_plan, slice_fault_plan
 
     if args.zones < 1:
         raise ConfigurationError(f"--zones must be >= 1, got {args.zones}")
@@ -908,10 +907,7 @@ def _cmd_chaos_zones(args) -> str:
     plan = FaultPlan(
         tuple(record_plan) + tuple(zone_faults), seed=args.seed
     )
-    config = ServiceConfig(
-        query_interval_s=args.query_interval,
-        allow_partial=not args.strict,
-    )
+    config = _chaos_config(args)
     with _graceful_sigterm():
         report = ZoneGateway(site, config, fault_plan=plan).run(
             args.duration
@@ -950,6 +946,11 @@ def _cmd_chaos_zones(args) -> str:
                 for zid, z in report.zones.items()
             },
         }
+        if args.calibrate:
+            for zid, z in report.zones.items():
+                doc["by_zone"][zid]["calibration"] = _calibration_witness(
+                    z, slice_fault_plan(plan, zid), z.summary
+                )
         return _json.dumps(doc, sort_keys=True, indent=2)
 
     lines = [
@@ -976,7 +977,31 @@ def _cmd_chaos_zones(args) -> str:
             f"(degraded {zs['degraded']:.0f}), "
             f"mean error {zreport.mean_error_m:.3f} m"
         )
+        if args.calibrate:
+            lines.append(
+                f"    calibration        "
+                f"{int(zs.get('calibration_transitions', 0))} trust "
+                f"transition(s), "
+                f"{int(zs.get('calibration_quarantined', 0))} tag(s) "
+                f"quarantined at end"
+            )
     return "\n".join(lines)
+
+
+def _chaos_config(args):
+    """The service config of ``chaos``, zoned or not."""
+    from .service import ServiceConfig
+
+    calibration = None
+    if args.calibrate:
+        from .calibration import CalibrationPolicy
+
+        calibration = CalibrationPolicy()
+    return ServiceConfig(
+        query_interval_s=args.query_interval,
+        allow_partial=not args.strict,
+        calibration=calibration,
+    )
 
 
 def _calibration_witness(report, plan, summary) -> dict:
@@ -1017,7 +1042,7 @@ def _cmd_chaos(args) -> str:
 
     from .experiments.scenarios import paper_scenario
     from .faults import FaultPlan, ReaderOutageFault, chaos_preset
-    from .service import LocalizationService, ServiceConfig
+    from .service import LocalizationService
 
     if args.zones is not None:
         return _cmd_chaos_zones(args)
@@ -1030,16 +1055,7 @@ def _cmd_chaos(args) -> str:
                 duration_s=args.outage_duration,
             )
         )
-    calibration = None
-    if args.calibrate:
-        from .calibration import CalibrationPolicy
-
-        calibration = CalibrationPolicy()
-    config = ServiceConfig(
-        query_interval_s=args.query_interval,
-        allow_partial=not args.strict,
-        calibration=calibration,
-    )
+    config = _chaos_config(args)
     scenario = paper_scenario(args.env, n_trials=1, base_seed=args.seed)
     with _graceful_sigterm():
         report = LocalizationService(config).run(

@@ -11,7 +11,7 @@ scheduling knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
 from ..runtime.policy import RuntimePolicy
@@ -29,34 +29,31 @@ class EngineConfig:
         Worker processes for multi-snapshot work (sweeps, Monte-Carlo
         trials). ``None`` or 1 = serial (the reproducible default);
         0 or negative = one worker per CPU — the same convention as
-        :func:`repro.utils.parallel.resolve_n_jobs`.
+        :func:`repro.engine.sharding.resolve_n_jobs`.
     shard_size:
         Snapshots (trials) per dispatched shard when ``n_jobs != 1``.
-        ``None`` lets :func:`repro.utils.parallel.compute_chunksize`
+        ``None`` lets :func:`repro.engine.sharding.compute_chunksize`
         pick a size that amortizes IPC while keeping the pool balanced.
     runtime:
-        Optional :class:`~repro.runtime.policy.RuntimePolicy`. With
-        ``supervised=True`` the process fan-out runs under
+        :class:`~repro.runtime.policy.RuntimePolicy` of the process
+        fan-out, which always runs under
         :class:`~repro.runtime.supervisor.SupervisedPool` (deadlines,
         retries, pool respawn, serial fallback) — results stay bitwise
-        identical; only failure handling changes. ``None`` (default)
-        keeps the bare executor.
+        identical; only failure handling changes.
     """
 
     n_jobs: int | None = None
     shard_size: int | None = None
-    runtime: RuntimePolicy | None = None
+    runtime: RuntimePolicy = field(default_factory=RuntimePolicy)
 
     def __post_init__(self) -> None:
         if self.shard_size is not None and self.shard_size < 1:
             raise ConfigurationError(
                 f"shard_size must be >= 1 or None, got {self.shard_size}"
             )
-        if self.runtime is not None and not isinstance(
-            self.runtime, RuntimePolicy
-        ):
+        if not isinstance(self.runtime, RuntimePolicy):
             raise ConfigurationError(
-                f"runtime must be a RuntimePolicy or None, "
+                f"runtime must be a RuntimePolicy, "
                 f"got {type(self.runtime).__name__}"
             )
 

@@ -6,24 +6,57 @@ within* a worker: each shard of snapshots is handed to the worker as one
 unit so the engine's vectorized kernels amortize over the whole shard.
 :func:`map_shards` is the thin dispatcher behind
 :class:`~repro.engine.config.EngineConfig` — serial when ``n_jobs`` is
-``None``/1 (the reproducible default), a process pool otherwise. Results
-come back flattened in input order either way, so parallel runs are
-bit-identical to serial ones.
+``None``/1 (the reproducible default), a supervised process pool
+otherwise. Results come back flattened in input order either way, so
+parallel runs are bit-identical to serial ones.
+
+Measure before parallelizing: a trial here is a few milliseconds of
+vectorized numpy, so the pool only pays off for large sweeps (Fig. 7's
+density sweep); hence opt-in rather than default.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from typing import Callable, Sequence, TypeVar
 
 from ..exceptions import ConfigurationError
 from ..obs import current_tracer
-from ..utils.parallel import compute_chunksize, resolve_n_jobs
+from ..runtime.supervisor import supervised_map
 from .config import EngineConfig
 
 T = TypeVar("T")
 
-__all__ = ["compute_shards", "map_shards"]
+__all__ = ["compute_chunksize", "compute_shards", "map_shards", "resolve_n_jobs"]
+
+
+def resolve_n_jobs(n_jobs: int | None) -> int:
+    """Normalize an ``n_jobs`` request.
+
+    ``None`` or 1 → serial; 0 or negative → one worker per CPU.
+    """
+    if n_jobs is None:
+        return 1
+    if n_jobs == 1:
+        return 1
+    if n_jobs <= 0:
+        return max(os.cpu_count() or 1, 1)
+    return int(n_jobs)
+
+
+def compute_chunksize(n_items: int, n_workers: int, *, per_worker: int = 4) -> int:
+    """Items per dispatched chunk when ``n_items`` fan out to a pool.
+
+    One item per message pays one pickle/unpickle round-trip each; on a
+    1000-trial density sweep the IPC overhead dominates the
+    few-millisecond trials. Aim for about ``per_worker`` chunks per
+    worker — enough slack for dynamic load balancing across unevenly
+    slow trials, while amortizing IPC over
+    ``n_items / (n_workers * per_worker)`` items per message.
+    """
+    if n_items <= 0 or n_workers <= 0:
+        return 1
+    return max(1, n_items // (n_workers * per_worker))
 
 
 def compute_shards(
@@ -32,7 +65,7 @@ def compute_shards(
     """Partition ``range(n_items)`` into contiguous shards.
 
     Shard size follows ``config.shard_size`` when given; otherwise
-    :func:`repro.utils.parallel.compute_chunksize` picks one that keeps
+    :func:`compute_chunksize` picks one that keeps
     roughly four shards in flight per worker (serial runs get a single
     shard — no reason to split work nobody will overlap).
     """
@@ -70,12 +103,12 @@ def map_shards(
     function or :func:`functools.partial` of one) when the config asks
     for more than one worker.
 
-    When ``config.runtime`` is a supervised
-    :class:`~repro.runtime.policy.RuntimePolicy`, the fan-out runs under
-    :class:`~repro.runtime.supervisor.SupervisedPool`: a worker that
-    dies or blows its deadline costs a retry (and ultimately a serial
-    in-process re-execution), never the sweep — and the recovered
-    results are bit-identical to a crash-free run.
+    More than one worker fans the shards out under
+    :class:`~repro.runtime.supervisor.SupervisedPool`, driven by
+    ``config.runtime``: a worker that dies or blows its deadline costs a
+    retry (and ultimately a serial in-process re-execution), never the
+    sweep — and the recovered results are bit-identical to a crash-free
+    run.
     """
     config = config or EngineConfig()
     shards = compute_shards(n_items, config)
@@ -83,7 +116,7 @@ def map_shards(
     tracer = current_tracer()
     if jobs == 1 or len(shards) <= 1:
         # Serial path: per-shard spans nest under the dispatch span (the
-        # worker-pool paths run fn in other processes, where the ambient
+        # worker-pool path runs fn in other processes, where the ambient
         # tracer of *this* process cannot follow).
         with tracer.span(
             "engine.map_shards", n_items=n_items, n_shards=len(shards),
@@ -97,24 +130,11 @@ def map_shards(
                     out.extend(fn(shard))
             return out
     workers = min(jobs, len(shards))
-    policy = config.runtime
-    if policy is not None and policy.supervised:
-        from ..runtime.supervisor import supervised_map  # lazy import
-
-        with tracer.span(
-            "engine.map_shards", n_items=n_items, n_shards=len(shards),
-            mode="supervised", workers=workers,
-        ):
-            nested = supervised_map(
-                fn, shards, max_workers=workers, policy=policy
-            )
-            return [item for chunk in nested for item in chunk]
     with tracer.span(
         "engine.map_shards", n_items=n_items, n_shards=len(shards),
-        mode="pool", workers=workers,
+        mode="supervised", workers=workers,
     ):
-        out = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(fn, shards):
-                out.extend(chunk)
-        return out
+        nested = supervised_map(
+            fn, shards, max_workers=workers, policy=config.runtime
+        )
+        return [item for chunk in nested for item in chunk]

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..engine import EngineConfig, estimate_all, map_shards
 from ..exceptions import ConfigurationError
-
-if TYPE_CHECKING:  # type-only: runner stays importable without runtime
-    from ..runtime.policy import RuntimePolicy
 from ..types import Estimator, estimation_error
 from .measurement import TrialSampler
 from .metrics import ErrorSummary, summarize_errors
@@ -127,7 +124,6 @@ def run_scenario(
     *,
     n_jobs: int | None = None,
     engine: EngineConfig | None = None,
-    runtime: "RuntimePolicy | None" = None,
 ) -> ScenarioResult:
     """Run every estimator over every trial of the scenario.
 
@@ -144,12 +140,8 @@ def run_scenario(
         :class:`~repro.engine.EngineConfig` scheduling the trial shards
         (worker processes, snapshots per shard). Results are bit-identical
         whatever the knobs — sharding only changes how trial indices are
-        shipped to workers.
-    runtime:
-        Optional :class:`~repro.runtime.policy.RuntimePolicy`; overrides
-        ``engine.runtime`` when given. A supervised policy lets a sweep
-        survive worker death/hangs with bit-identical results (a crashed
-        shard is retried and, at worst, re-executed serially).
+        shipped to workers, and a worker that dies or hangs costs a
+        retry under ``engine.runtime``, never the sweep.
     """
     if not estimators:
         raise ConfigurationError("need at least one estimator")
@@ -160,8 +152,6 @@ def run_scenario(
     config = engine or EngineConfig()
     if n_jobs is not None:
         config = config.with_(n_jobs=n_jobs)
-    if runtime is not None:
-        config = config.with_(runtime=runtime)
     shard_fn = partial(
         _run_trial_shard, scenario=scenario, estimators=estimators
     )

@@ -3,19 +3,17 @@
 The execution substrate under the sweeps and the streaming service,
 hardened the way long-lived fingerprint-serving systems are:
 
-* :mod:`~repro.runtime.policy` — :class:`RuntimePolicy`, the one frozen
-  dataclass of supervision knobs (deadlines, retries, backoff, serial
-  fallback, checkpoint cadence) threaded through
-  :class:`~repro.engine.config.EngineConfig` and
-  :class:`~repro.service.pipeline.ServiceConfig`. Disabled by default:
-  existing behaviour stays bit-identical.
-* :mod:`~repro.runtime.supervisor` — :class:`SupervisedPool`, the
-  drop-in wrapper around the process-pool paths
-  (:func:`repro.utils.parallel.map_trials`,
-  :func:`repro.engine.sharding.map_shards`): per-task deadlines, bounded
-  retries with exponential backoff, automatic pool respawn on worker
-  death, and a deterministic serial in-process fallback. Crashes degrade
-  throughput, never correctness.
+* :mod:`~repro.runtime.policy` — :class:`RuntimePolicy` (retry budget
+  and serial fallback of the process pool, threaded through
+  :class:`~repro.engine.config.EngineConfig`) and :class:`RetryPolicy`,
+  the deadline/retry/backoff vocabulary it shares with the zone gateway.
+* :mod:`~repro.runtime.supervisor` — :class:`SupervisedPool`, the one
+  process-pool route (:func:`repro.engine.sharding.map_shards`):
+  per-task deadlines, bounded retries with exponential backoff,
+  automatic pool respawn on worker death, and a deterministic serial
+  in-process fallback. Crashes degrade throughput, never correctness.
+  :func:`run_shard_with_salvage` is its in-process counterpart on the
+  serving path: a failing engine pass is salvaged item by item.
 * :mod:`~repro.runtime.checkpoint` — append-only JSONL write-ahead
   checkpoints for streaming sessions, with the determinism witness: a
   session killed mid-run and resumed from its checkpoint reports

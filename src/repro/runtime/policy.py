@@ -1,18 +1,16 @@
-"""RuntimePolicy: the knobs of the supervised execution layer.
+"""RuntimePolicy: failure handling of the supervised process pool.
 
-One frozen dataclass carries every supervision/recovery knob so it can
-thread unchanged through :class:`~repro.engine.config.EngineConfig` (the
-sweep/process-pool side) and :class:`~repro.service.pipeline.ServiceConfig`
-(the streaming side). The defaults are deliberately conservative:
-``supervised=False`` leaves every existing code path *bit-identical* to
-the unsupervised behaviour — no wrapper objects, no extra branches on the
-hot path — so turning the feature off really is the null operation.
+One frozen dataclass threads through
+:class:`~repro.engine.config.EngineConfig` to every process fan-out
+(:func:`~repro.engine.sharding.map_shards`), which always runs under
+:class:`~repro.runtime.supervisor.SupervisedPool`. On a clean run the
+policy is never consulted.
 
 :class:`RetryPolicy` is the shared deadline/retry/backoff vocabulary:
 one source of truth for the backoff math, consumed both by the process
-pool (:class:`~repro.runtime.supervisor.SupervisedPool`, via
-:attr:`RuntimePolicy.retry`) and by the zone gateway's supervised
-worker-call path (:class:`~repro.zones.failover.ZoneFailoverPolicy`).
+pool (via :attr:`RuntimePolicy.retry`) and by the zone gateway's
+supervised worker-call path
+(:class:`~repro.zones.failover.ZoneFailoverPolicy`).
 
 Determinism contract: supervision changes *scheduling*, never *answers*.
 A retried shard re-executes the same pure function over the same inputs,
@@ -22,7 +20,7 @@ crashed or hung worker degrades throughput, never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
 
@@ -87,90 +85,29 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class RuntimePolicy:
-    """Supervision and checkpointing knobs of :mod:`repro.runtime`.
+    """Failure handling of the process-pool fan-out.
 
     Parameters
     ----------
-    supervised:
-        Master switch. ``False`` (default) routes process-pool work
-        through the bare executor exactly as before and disables the
-        service's per-shard engine supervision.
-    shard_timeout_s:
-        Per-shard (per-task) deadline in wall-clock seconds once the
-        supervisor starts waiting on it. ``None`` disables deadlines
-        (worker death is still supervised).
-    max_retries:
-        How many times one task may be re-dispatched to the pool after a
-        timeout or worker death before the serial fallback (or
-        :class:`~repro.exceptions.SupervisionError`) takes over.
-    backoff_base_s / backoff_multiplier:
-        Exponential backoff between retries of one task: attempt ``k``
-        (1-based) sleeps ``backoff_base_s * backoff_multiplier**(k-1)``
-        before resubmission. The sleep function is injectable on the
-        pool, so tests pay no wall-clock for it.
+    retry:
+        Per-task deadline, retry budget and backoff
+        (:class:`RetryPolicy`). A task whose worker dies or blows the
+        deadline is re-dispatched up to ``retry.max_retries`` times.
     serial_fallback:
         After retries are exhausted, re-execute the task serially
         in-process (the deterministic last resort). ``False`` raises
         :class:`~repro.exceptions.SupervisionError` instead.
-    checkpoint_interval_s:
-        Streaming sessions: simulated seconds between write-ahead
-        checkpoint snapshots (see :mod:`repro.runtime.checkpoint`).
-        Only consulted when a checkpoint path is attached to the run.
     """
 
-    supervised: bool = False
-    shard_timeout_s: float | None = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     serial_fallback: bool = True
-    checkpoint_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
+        if not isinstance(self.retry, RetryPolicy):
             raise ConfigurationError(
-                f"shard_timeout_s must be positive or None, "
-                f"got {self.shard_timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base_s < 0:
-            raise ConfigurationError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, "
-                f"got {self.backoff_multiplier}"
-            )
-        if self.checkpoint_interval_s <= 0:
-            raise ConfigurationError(
-                f"checkpoint_interval_s must be positive, "
-                f"got {self.checkpoint_interval_s}"
+                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
             )
 
     def with_(self, **changes) -> "RuntimePolicy":
         """Modified copy (thin wrapper over dataclasses.replace)."""
         return replace(self, **changes)
-
-    @property
-    def retry(self) -> RetryPolicy:
-        """This policy's deadline/retry/backoff knobs as a :class:`RetryPolicy`.
-
-        The pool-facing fields (``shard_timeout_s``, ``max_retries``,
-        ``backoff_*``) are the *same* values — this view exists so every
-        consumer of the backoff math (:class:`SupervisedPool`, the zone
-        gateway's call path) shares one implementation.
-        """
-        return RetryPolicy(
-            deadline_s=self.shard_timeout_s,
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-            backoff_multiplier=self.backoff_multiplier,
-        )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based); see :class:`RetryPolicy`."""
-        return self.retry.backoff_s(attempt)

@@ -1,8 +1,8 @@
 """SupervisedPool: process-pool execution that survives its workers.
 
-PR 3 moved the heavy sweeps onto ``ProcessPoolExecutor``; this module
-makes that substrate survivable. A bare pool has three failure modes that
-abort an entire run:
+The heavy sweeps fan out over a ``ProcessPoolExecutor``; this module
+makes that substrate survivable, and every fan-out goes through it. A
+bare pool has three failure modes that abort an entire run:
 
 * a worker dies (OOM-killed, ``os._exit``, segfault) — the executor
   raises :class:`BrokenProcessPool` and *every* outstanding future is
@@ -113,7 +113,7 @@ class SupervisedPool:
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.max_workers = int(max_workers)
-        self.policy = policy or RuntimePolicy(supervised=True)
+        self.policy = policy or RuntimePolicy()
         self._sleep = sleep
         self._pool: ProcessPoolExecutor | None = None
         self._logger = get_structured_logger(_LOGGER_NAME)
@@ -211,7 +211,7 @@ class SupervisedPool:
         attempts: list[int],
     ) -> R:
         # One source of truth for deadline/retry/backoff math: the
-        # RetryPolicy view shared with the zone gateway's call path.
+        # RetryPolicy shared with the zone gateway's call path.
         retry = self.policy.retry
         timeout = retry.deadline_s
         while True:
@@ -302,7 +302,7 @@ class SupervisedPool:
     def _serial_fallback(self, i: int, fn: Callable[[T], R], item: T) -> R:
         if not self.policy.serial_fallback:
             raise SupervisionError(
-                f"task {i} failed after {self.policy.max_retries} retries "
+                f"task {i} failed after {self.policy.retry.max_retries} retries "
                 f"and the serial fallback is disabled"
             )
         self.serial_fallbacks += 1
@@ -362,36 +362,33 @@ def run_shard_with_salvage(
     ``error_factory(item, exc)`` — so one poisoned input degrades one
     answer, never the whole batch. Used by the service's engine passes,
     where outcomes are values and exceptions are engine bugs.
+
+    A clean pass leaves no trace: the ``runtime.salvage`` span, the
+    ``runtime_shard_salvages_total`` counter and the ``shard_salvage``
+    log line appear only once a pass has failed.
     """
-    logger = get_structured_logger(_LOGGER_NAME)
-    counter = None
-    if metrics is not None:
-        counter = metrics.counter(
-            "runtime_shard_salvages_total",
-            "Serving-path shard passes recovered item by item",
+    try:
+        return list(fn(items))
+    except Exception as exc:  # noqa: BLE001 - salvage is the whole point
+        if metrics is not None:
+            metrics.counter(
+                "runtime_shard_salvages_total",
+                "Serving-path shard passes recovered item by item",
+            ).inc()
+        log_event(
+            get_structured_logger(_LOGGER_NAME), "shard_salvage",
+            size=len(items), error=type(exc).__name__,
         )
-    tracer = current_tracer()
-    with tracer.span("runtime.shard", size=len(items)) as shard_span:
-        try:
-            return list(fn(items))
-        except Exception as exc:  # noqa: BLE001 - salvage is the whole point
-            if counter is not None:
-                counter.inc()
-            log_event(
-                logger, "shard_salvage",
-                size=len(items), error=type(exc).__name__,
-            )
-            with tracer.span(
-                "runtime.salvage", error=type(exc).__name__
-            ) as salvage_span:
-                out: list[R] = []
-                salvaged = 0
-                for item in items:
-                    try:
-                        out.extend(fn([item]))
-                    except Exception as item_exc:  # noqa: BLE001
-                        out.append(error_factory(item, item_exc))
-                        salvaged += 1
-                salvage_span.set("substituted", salvaged)
-            shard_span.set("salvaged", True)
-            return out
+        with current_tracer().span(
+            "runtime.salvage", size=len(items), error=type(exc).__name__
+        ) as salvage_span:
+            out: list[R] = []
+            salvaged = 0
+            for item in items:
+                try:
+                    out.extend(fn([item]))
+                except Exception as item_exc:  # noqa: BLE001
+                    out.append(error_factory(item, item_exc))
+                    salvaged += 1
+            salvage_span.set("substituted", salvaged)
+        return out

@@ -32,6 +32,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
+from ..obs.profile import quantile_linear
 from ..utils.logging import get_structured_logger, log_event
 
 __all__ = [
@@ -177,17 +178,16 @@ class Histogram:
         self._samples.append(v)
 
     def quantile(self, q: float) -> float:
-        """Exact quantile of the observed samples (nearest-rank).
+        """Exact quantile of the observed samples.
 
-        Returns ``nan`` when nothing has been observed.
+        Linear interpolation between order statistics ("type 7", the
+        repo's one sample quantile:
+        :func:`~repro.obs.profile.quantile_linear`). Returns ``nan``
+        when nothing has been observed.
         """
         if not (0.0 <= q <= 1.0):
             raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return math.nan
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return quantile_linear(self._samples, q)
 
     def bucket_quantile(self, q: float) -> float:
         """Quantile estimated from the bucket counts alone.

@@ -55,10 +55,7 @@ from typing import Any, Callable, Mapping
 from ..baselines.landmarc import LandmarcEstimator
 from ..core.config import VIREConfig
 from ..core.estimator import VIREEstimator
-from ..core.quorum import QuorumPolicy
-from ..engine import EngineConfig
 from ..engine.batch import BatchLandmarc, Outcome
-from ..engine.sharding import compute_shards
 from ..exceptions import (
     ConfigurationError,
     EstimationError,
@@ -69,7 +66,6 @@ from ..calibration import CalibrationPolicy, DriftCorrector
 from ..geometry.grid import ReferenceGrid
 from ..hardware.middleware import MiddlewareServer
 from ..obs import current_tracer
-from ..runtime.policy import RuntimePolicy
 from ..runtime.supervisor import run_shard_with_salvage
 from ..types import TrackingReading
 from .batcher import Batch, LocalizationRequest, MicroBatcher
@@ -122,12 +118,9 @@ class ServiceConfig:
         partial snapshot equals the strict one, so healthy runs are
         unaffected. ``False`` restores the strict-only pre-faults
         behaviour (any gap ⇒ last-known).
-    quorum_min_readers / quorum_min_reference_coverage:
-        The estimator's :class:`~repro.core.quorum.QuorumPolicy` for
-        masked readings (see that class).
-    breaker_failure_threshold / breaker_recovery_timeout_s:
-        Per-reader circuit-breaker tuning (see
-        :class:`~repro.service.health.BreakerPolicy`).
+    breaker_recovery_timeout_s:
+        How long a per-reader circuit breaker stays open before its
+        half-open probe (see :class:`~repro.service.health.BreakerPolicy`).
     calibration:
         Optional :class:`~repro.calibration.CalibrationPolicy` enabling
         the self-healing calibration loop: per-reader drift corrections
@@ -137,27 +130,12 @@ class ServiceConfig:
         interpolation lattice (docs/CALIBRATION.md). ``None`` (the
         default) disables the loop entirely — the pipeline is then
         bit-identical to a build without it.
-    health_freshness_floor:
-        Per-reader middleware freshness below which a batch counts as a
-        breaker failure for that reader.
-    engine:
-        :class:`~repro.engine.EngineConfig` scheduling the batch
-        estimation passes. On the serving path only ``shard_size``
-        applies (it bounds the per-pass tensor size — memory control for
-        huge micro-batches); ``n_jobs`` is for multi-snapshot sweeps and
-        is ignored here because the in-process middleware and estimators
-        are not picklable. Whatever the knobs, answers are bitwise
-        identical to serving requests one by one.
-    runtime:
-        :class:`~repro.runtime.policy.RuntimePolicy` of the serving
-        path. With ``supervised=True`` each engine pass is *salvaged*:
-        an unexpected shard failure is retried item by item and the
-        items that still fail degrade through the ladder (an
-        :class:`~repro.exceptions.EstimationError` is a refusal, never
-        a crash of the whole batch). ``checkpoint_interval_s`` paces the
-        session's write-ahead snapshots when a checkpoint is attached.
-        The default policy is unsupervised — behaviour is bit-identical
-        to the pre-runtime service.
+
+    The quorum (:class:`~repro.core.quorum.QuorumPolicy`), the breaker
+    failure threshold (:class:`~repro.service.health.BreakerPolicy`) and
+    the health freshness floor
+    (:class:`~repro.service.health.ReaderHealthTracker`) run at their
+    components' defaults.
     """
 
     queue_capacity: int = 4096
@@ -172,21 +150,10 @@ class ServiceConfig:
         default_factory=lambda: VIREConfig(target_total_tags=900)
     )
     allow_partial: bool = True
-    quorum_min_readers: int = 2
-    quorum_min_reference_coverage: float = 0.5
-    breaker_failure_threshold: int = 3
     breaker_recovery_timeout_s: float = 10.0
-    health_freshness_floor: float = 0.5
     calibration: CalibrationPolicy | None = None
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    runtime: RuntimePolicy = field(default_factory=RuntimePolicy)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.runtime, RuntimePolicy):
-            raise ConfigurationError(
-                f"runtime must be a RuntimePolicy, "
-                f"got {type(self.runtime).__name__}"
-            )
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:
             raise ConfigurationError(
                 f"request_deadline_s must be positive or None, "
@@ -208,11 +175,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"stream_step_s must be positive, got {self.stream_step_s}"
             )
-        if not (0.0 < self.health_freshness_floor <= 1.0):
-            raise ConfigurationError(
-                f"health_freshness_floor must be in (0, 1], "
-                f"got {self.health_freshness_floor}"
-            )
         if self.calibration is not None and not isinstance(
             self.calibration, CalibrationPolicy
         ):
@@ -221,7 +183,7 @@ class ServiceConfig:
                 f"got {type(self.calibration).__name__}"
             )
         # Remaining fields are validated by the components they configure
-        # (QuorumPolicy, BreakerPolicy, the queue, the batcher, ...).
+        # (BreakerPolicy, the queue, the batcher, ...).
 
     def with_(self, **changes) -> "ServiceConfig":
         """Modified copy (thin wrapper over dataclasses.replace)."""
@@ -292,22 +254,15 @@ class ServicePipeline:
         self._logger = get_service_logger()
 
         self.vire = VIREEstimator(
-            grid,
-            self.config.vire.with_(empty_fallback="error"),
-            quorum=QuorumPolicy(
-                min_readers=self.config.quorum_min_readers,
-                min_reference_coverage=self.config.quorum_min_reference_coverage,
-            ),
+            grid, self.config.vire.with_(empty_fallback="error")
         )
         self.fallback = LandmarcEstimator()
         self._batch_fallback = BatchLandmarc(self.fallback)
         self.health = ReaderHealthTracker(
             list(middleware.reader_ids),
             policy=BreakerPolicy(
-                failure_threshold=self.config.breaker_failure_threshold,
-                recovery_timeout_s=self.config.breaker_recovery_timeout_s,
+                recovery_timeout_s=self.config.breaker_recovery_timeout_s
             ),
-            freshness_floor=self.config.health_freshness_floor,
             metrics=self.metrics,
         )
         self.calibration: DriftCorrector | None = None
@@ -553,7 +508,7 @@ class ServicePipeline:
                     "service.vire_pass", n_requests=len(primary)
                 ):
                     t0 = self._perf_clock()
-                    outs = self._sharded_outcomes(
+                    outs = self._salvaged_outcomes(
                         self.vire.estimate_outcomes,
                         [readings[i] for i in primary],
                     )
@@ -571,7 +526,7 @@ class ServicePipeline:
                     "service.landmarc_pass", n_requests=len(needs_fallback)
                 ):
                     t0 = self._perf_clock()
-                    outs = self._sharded_outcomes(
+                    outs = self._salvaged_outcomes(
                         self._batch_fallback.estimate_outcomes,
                         [readings[i] for i in needs_fallback],
                     )
@@ -604,39 +559,23 @@ class ServicePipeline:
                 bsp.set("calibration_corrected_tags", sorted(corrected_tags))
             return results
 
-    def _sharded_outcomes(self, fn, readings: list) -> list[Outcome]:
-        """Run one engine pass, split into ``engine.shard_size`` shards.
+    def _salvaged_outcomes(self, fn, readings: list) -> list[Outcome]:
+        """Run one engine pass; salvage it if it raises.
 
-        Sharding only bounds the tensor size of each pass (memory
-        control); results are identical however the batch is split.
-
-        Under a supervised :class:`~repro.runtime.policy.RuntimePolicy`
-        each shard is *salvaged*: an unexpected failure of the whole
-        shard is retried item by item in-process, and an item that still
-        fails is substituted with an :class:`EstimationError` — which the
-        degradation ladder treats as a per-request refusal. A bug (or
-        resource fault) in one estimator pass therefore degrades one
-        answer, never the batch.
+        A failure of the whole pass is retried item by item in-process,
+        and an item that still fails is substituted with an
+        :class:`EstimationError` — which the degradation ladder treats
+        as a per-request refusal. A bug (or resource fault) in one
+        estimator pass therefore degrades one answer, never the batch.
         """
-        out: list[Outcome] = []
-        supervised = self.config.runtime.supervised
-        for shard in compute_shards(len(readings), self.config.engine):
-            shard_readings = [readings[i] for i in shard]
-            if supervised:
-                out.extend(
-                    run_shard_with_salvage(
-                        fn,
-                        shard_readings,
-                        error_factory=lambda item, exc: EstimationError(
-                            f"engine pass failed: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                        metrics=self.metrics,
-                    )
-                )
-            else:
-                out.extend(fn(shard_readings))
-        return out
+        return run_shard_with_salvage(
+            fn,
+            readings,
+            error_factory=lambda item, exc: EstimationError(
+                f"engine pass failed: {type(exc).__name__}: {exc}"
+            ),
+            metrics=self.metrics,
+        )
 
     @staticmethod
     def _exclude_readers(
@@ -706,7 +645,6 @@ class ServicePipeline:
         degraded = False
         reason: str | None = None
         diagnostics: Mapping[str, Any] = {}
-        position: tuple[float, float] | None = None
 
         past_deadline = (
             request.deadline_s is not None and now_s > request.deadline_s
@@ -723,9 +661,40 @@ class ServicePipeline:
             return outcome
 
         if reading is None:
+            est = None
+        elif past_deadline:
+            # Too late for the expensive path: serve the cheap estimate.
+            est = consume(lm_outcome)
+            if est is not None:
+                degraded, reason = True, "deadline"
+                estimator_name = self.fallback.name
+        else:
+            # Ladder levels 1 and 2: full VIRE, or — for a masked
+            # snapshot — VIRE on the quorum-surviving reader subset.
+            est = consume(vire_outcome)
+            if est is not None:
+                if reading.masked:
+                    degraded, reason = True, "partial_readers"
+            else:
+                # Level 3: NaN-aware LANDMARC. "empty_intersection" on a
+                # healthy reading; "quorum_unmet" when the masked subset
+                # was too thin for VIRE.
+                est = consume(lm_outcome)
+                if est is not None:
+                    degraded = True
+                    reason = (
+                        "quorum_unmet" if reading.masked
+                        else "empty_intersection"
+                    )
+                    estimator_name = self.fallback.name
+
+        if est is not None:
+            position = est.position
+            diagnostics = dict(est.diagnostics)
+        else:
+            # Level 4: no snapshot, or not even LANDMARC can rank
+            # neighbours — the tag's last known estimate, if any.
             position = self._last_estimate.get(request.tag_id)
-            degraded, reason = True, "no_reading"
-            estimator_name = "last-known"
             if position is None:
                 self._c_failed.inc()
                 span.update(failed=True, reason="no_reading")
@@ -734,61 +703,8 @@ class ServicePipeline:
                     tag=request.tag_id, t=now_s, reason="no_reading",
                 )
                 return None
-        elif past_deadline:
-            # Too late for the expensive path: serve the cheap estimate.
-            base = consume(lm_outcome)
-            if base is None:
-                position = self._last_estimate.get(request.tag_id)
-                degraded, reason = True, "no_reading"
-                estimator_name = "last-known"
-                if position is None:
-                    self._c_failed.inc()
-                    span.update(failed=True, reason="no_reading")
-                    log_event(
-                        self._logger, "request_failed",
-                        tag=request.tag_id, t=now_s, reason="no_reading",
-                    )
-                    return None
-            else:
-                position = base.position
-                degraded, reason = True, "deadline"
-                estimator_name = self.fallback.name
-                diagnostics = dict(base.diagnostics)
-        else:
-            # Ladder levels 1 and 2: full VIRE, or — for a masked
-            # snapshot — VIRE on the quorum-surviving reader subset.
-            est = consume(vire_outcome)
-            if est is not None:
-                position = est.position
-                diagnostics = dict(est.diagnostics)
-                if reading.masked:
-                    degraded, reason = True, "partial_readers"
-            else:
-                # Level 3: NaN-aware LANDMARC. "empty_intersection" on a
-                # healthy reading; "quorum_unmet" when the masked subset
-                # was too thin for VIRE.
-                fallback_reason = (
-                    "quorum_unmet" if reading.masked else "empty_intersection"
-                )
-                base = consume(lm_outcome)
-                if base is None:
-                    # Level 4: not even LANDMARC can rank neighbours.
-                    position = self._last_estimate.get(request.tag_id)
-                    degraded, reason = True, "no_reading"
-                    estimator_name = "last-known"
-                    if position is None:
-                        self._c_failed.inc()
-                        span.update(failed=True, reason="no_reading")
-                        log_event(
-                            self._logger, "request_failed",
-                            tag=request.tag_id, t=now_s, reason="no_reading",
-                        )
-                        return None
-                else:
-                    position = base.position
-                    degraded, reason = True, fallback_reason
-                    estimator_name = self.fallback.name
-                    diagnostics = dict(base.diagnostics)
+            degraded, reason = True, "no_reading"
+            estimator_name = "last-known"
 
         if estimator_name == "last-known":
             level = 4

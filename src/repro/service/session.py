@@ -54,6 +54,10 @@ __all__ = [
     "result_witness_entry",
 ]
 
+#: Simulated seconds between write-ahead consistency snapshots when a
+#: checkpoint is attached (the checkpoint *path* is per run).
+CHECKPOINT_INTERVAL_S = 2.0
+
 
 def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
     """One result's entry in a determinism witness document.
@@ -398,7 +402,7 @@ class ServiceSession:
         flips to live at the first tick past it. A live tick's results
         hit the write-ahead log before they are returned, and a
         consistency snapshot is written every
-        ``runtime.checkpoint_interval_s``; ``crash_point`` fires after
+        :data:`CHECKPOINT_INTERVAL_S`; ``crash_point`` fires after
         that, simulating a hard kill mid-interval.
         """
         if self._chunks is None:
@@ -437,12 +441,11 @@ class ServiceSession:
                 "state": pipeline.checkpoint_state(),
                 "records_dispatched": self._records_dispatched,
             }
-            interval = self.config.runtime.checkpoint_interval_s
             if self._next_snapshot is None:
-                self._next_snapshot = now_s + interval
+                self._next_snapshot = now_s + CHECKPOINT_INTERVAL_S
             if now_s >= self._next_snapshot:
                 writer.write_snapshot(**self._last_cut)
-                self._next_snapshot = now_s + interval
+                self._next_snapshot = now_s + CHECKPOINT_INTERVAL_S
         if (
             self._crash_point is not None
             and not pipeline.replaying
@@ -691,7 +694,7 @@ class LocalizationService:
             Attach an append-only JSONL write-ahead checkpoint: every
             served result is logged as served, and a consistency
             snapshot (pipeline state at simulated time *t*) is written
-            every ``config.runtime.checkpoint_interval_s`` simulated
+            every :data:`CHECKPOINT_INTERVAL_S` simulated
             seconds, after a graceful interrupt, and at session end.
         ``resume``
             Load the checkpoint's last committed cut, restore the served

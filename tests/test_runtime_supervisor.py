@@ -10,6 +10,7 @@ answers.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import time
@@ -19,10 +20,15 @@ import pytest
 from repro.engine import EngineConfig
 from repro.engine.sharding import compute_shards, map_shards
 from repro.exceptions import ConfigurationError, SupervisionError
-from repro.runtime import RuntimePolicy, SupervisedPool, supervised_map
+from repro.obs import Tracer, use_tracer
+from repro.runtime import (
+    RetryPolicy,
+    RuntimePolicy,
+    SupervisedPool,
+    supervised_map,
+)
 from repro.runtime.supervisor import run_shard_with_salvage
 from repro.service.metrics import MetricsRegistry
-from repro.utils.parallel import map_trials
 
 
 # -- picklable worker fixtures (module level by necessity) -------------------
@@ -71,33 +77,44 @@ def _no_sleep(_s: float) -> None:
 
 class TestRuntimePolicy:
     def test_defaults_are_unsupervised(self):
+        # Supervision is not a switch: the default policy only sets the
+        # failure budget, which a clean run never consults.
         policy = RuntimePolicy()
-        assert policy.supervised is False
+        assert not hasattr(policy, "supervised")
         assert policy.serial_fallback is True
-        assert policy.max_retries >= 1
+        assert policy.retry == RetryPolicy()
+        assert policy.retry.max_retries >= 1
+        assert EngineConfig().runtime == policy
 
     def test_backoff_is_exponential(self):
-        policy = RuntimePolicy(backoff_base_s=0.1, backoff_multiplier=2.0)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
+        policy = RuntimePolicy(
+            retry=RetryPolicy(backoff_base_s=0.1, backoff_multiplier=2.0)
+        )
+        assert policy.retry.backoff_s(1) == pytest.approx(0.1)
+        assert policy.retry.backoff_s(2) == pytest.approx(0.2)
+        assert policy.retry.backoff_s(3) == pytest.approx(0.4)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RuntimePolicy(max_retries=-1)
+            RuntimePolicy(retry=2)  # type: ignore[arg-type]
         with pytest.raises(ConfigurationError):
-            RuntimePolicy(shard_timeout_s=0.0)
+            RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
-            RuntimePolicy(backoff_base_s=-0.1)
+            RetryPolicy(deadline_s=0.0)
         with pytest.raises(ConfigurationError):
-            RuntimePolicy(backoff_multiplier=0.5)
+            RetryPolicy(backoff_base_s=-0.1)
         with pytest.raises(ConfigurationError):
-            RuntimePolicy(checkpoint_interval_s=0.0)
+            RetryPolicy(backoff_multiplier=0.5)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(RuntimePolicy)] == [
+            "retry", "serial_fallback",
+        ]
 
     def test_with_returns_modified_copy(self):
         policy = RuntimePolicy()
-        supervised = policy.with_(supervised=True)
-        assert supervised.supervised and not policy.supervised
+        strict = policy.with_(serial_fallback=False)
+        assert not strict.serial_fallback and policy.serial_fallback
 
 
 # -- SupervisedPool ----------------------------------------------------------
@@ -105,8 +122,7 @@ class TestRuntimePolicy:
 class TestSupervisedPool:
     def test_happy_path_matches_serial(self):
         expected = [_square(i) for i in range(8)]
-        policy = RuntimePolicy(supervised=True)
-        with SupervisedPool(2, policy, sleep=_no_sleep) as pool:
+        with SupervisedPool(2, sleep=_no_sleep) as pool:
             assert pool.map(_square, list(range(8))) == expected
             assert pool.counters() == {
                 "retries": 0, "timeouts": 0,
@@ -114,14 +130,14 @@ class TestSupervisedPool:
             }
 
     def test_empty_input(self):
-        with SupervisedPool(2, RuntimePolicy(supervised=True)) as pool:
+        with SupervisedPool(2) as pool:
             assert pool.map(_square, []) == []
 
     def test_worker_crash_recovers_bit_identical(self):
         """A worker that os._exits still yields the serial answers."""
         expected = [i * i for i in range(8)]
         metrics = MetricsRegistry()
-        policy = RuntimePolicy(supervised=True, max_retries=2)
+        policy = RuntimePolicy(retry=RetryPolicy(max_retries=2))
         with SupervisedPool(
             2, policy, metrics=metrics, sleep=_no_sleep
         ) as pool:
@@ -144,7 +160,7 @@ class TestSupervisedPool:
     def test_timeout_recovers_bit_identical(self):
         expected = [i * i for i in range(5)]
         policy = RuntimePolicy(
-            supervised=True, shard_timeout_s=0.3, max_retries=1
+            retry=RetryPolicy(deadline_s=0.3, max_retries=1)
         )
         with SupervisedPool(2, policy, sleep=_no_sleep) as pool:
             out = pool.map(_hang_on_two, list(range(5)))
@@ -153,7 +169,7 @@ class TestSupervisedPool:
             assert pool.serial_fallbacks >= 1
 
     def test_deterministic_error_propagates_without_retry(self):
-        policy = RuntimePolicy(supervised=True, max_retries=3)
+        policy = RuntimePolicy(retry=RetryPolicy(max_retries=3))
         with SupervisedPool(2, policy, sleep=_no_sleep) as pool:
             with pytest.raises(ValueError, match="deterministic failure"):
                 pool.map(_raise_on_four, list(range(6)))
@@ -161,7 +177,7 @@ class TestSupervisedPool:
 
     def test_fallback_disabled_raises_supervision_error(self):
         policy = RuntimePolicy(
-            supervised=True, max_retries=0, serial_fallback=False
+            retry=RetryPolicy(max_retries=0), serial_fallback=False
         )
         with SupervisedPool(2, policy, sleep=_no_sleep) as pool:
             with pytest.raises(SupervisionError):
@@ -170,7 +186,7 @@ class TestSupervisedPool:
     def test_backoff_sleeps_recorded(self):
         sleeps: list[float] = []
         policy = RuntimePolicy(
-            supervised=True, max_retries=2, backoff_base_s=0.01
+            retry=RetryPolicy(max_retries=2, backoff_base_s=0.01)
         )
         with SupervisedPool(2, policy, sleep=sleeps.append) as pool:
             pool.map(_crash_on_three, list(range(5)))
@@ -184,7 +200,7 @@ class TestSupervisedPool:
     def test_supervised_map_one_shot(self):
         out = supervised_map(
             _square, list(range(6)), max_workers=2,
-            policy=RuntimePolicy(supervised=True), sleep=_no_sleep,
+            sleep=_no_sleep,
         )
         assert out == [i * i for i in range(6)]
 
@@ -198,6 +214,38 @@ class TestShardSalvage:
             error_factory=lambda item, exc: -1,
         )
         assert out == [1, 4, 9]
+
+    def test_clean_shard_leaves_no_trace(self):
+        # No span, no counter, no log line unless a pass fails: a clean
+        # session's trace and Prometheus output carry no runtime_* trail.
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_shard_with_salvage(
+                _square_shard, [1, 2, 3],
+                error_factory=lambda item, exc: -1,
+                metrics=metrics,
+            )
+        assert tracer.roots == []
+        assert "runtime_" not in metrics.render_prometheus()
+
+    def test_failed_pass_is_traced(self):
+        def shard_fn(items):
+            if 2 in items:
+                raise RuntimeError("boom")
+            return [i * i for i in items]
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_shard_with_salvage(
+                shard_fn, [1, 2, 3],
+                error_factory=lambda item, exc: -1,
+            )
+        [span] = tracer.roots
+        assert span.name == "runtime.salvage"
+        assert span.attrs == {
+            "size": 3, "error": "RuntimeError", "substituted": 1,
+        }
 
     def test_poisoned_item_degrades_alone(self):
         def shard_fn(items):
@@ -227,24 +275,36 @@ class TestShardSalvage:
         assert out == ["KeyError"]
 
 
-# -- wiring: map_trials / map_shards under supervision -----------------------
+# -- wiring: map_shards always fans out under supervision --------------------
 
 class TestSupervisedWiring:
-    def test_map_trials_supervised_crash_recovery(self):
-        policy = RuntimePolicy(supervised=True, backoff_base_s=0.0)
-        serial = map_trials(_crash_on_three, range(10), n_jobs=1)
-        supervised = map_trials(
-            _crash_on_three, range(10), n_jobs=2, policy=policy
-        )
-        assert supervised == serial == [i * i for i in range(10)]
-
     def test_map_shards_supervised_crash_recovery(self):
         config = EngineConfig(
             n_jobs=2, shard_size=2,
-            runtime=RuntimePolicy(supervised=True, backoff_base_s=0.0),
+            runtime=RuntimePolicy(retry=RetryPolicy(backoff_base_s=0.0)),
         )
         out = map_shards(_crashy_shard, 8, config=config)
         assert out == [i * i for i in range(8)]
+
+    def test_map_shards_default_policy_recovers_worker_exit(self):
+        # No policy given: the pool is supervised anyway, so a worker
+        # that os._exits costs a retry, never a BrokenProcessPool.
+        out = map_shards(
+            _crashy_shard, 8, config=EngineConfig(n_jobs=2, shard_size=2)
+        )
+        assert out == [i * i for i in range(8)]
+
+    def test_map_shards_fan_out_is_traced_as_supervised(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            out = map_shards(
+                _square_shard, 6, config=EngineConfig(n_jobs=2, shard_size=3)
+            )
+        assert out == [i * i for i in range(6)]
+        [span] = tracer.roots
+        assert span.name == "engine.map_shards"
+        assert span.attrs["mode"] == "supervised"
+        assert span.attrs["workers"] == 2
 
     def test_map_shards_unsupervised_unchanged(self):
         config = EngineConfig(n_jobs=2, shard_size=3)
@@ -270,14 +330,3 @@ class TestBoolGuards:
     def test_compute_shards_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             compute_shards(-1)
-
-    def test_map_trials_rejects_bool_indices(self):
-        with pytest.raises(ConfigurationError, match="bool"):
-            map_trials(_square, [True, False])  # type: ignore[list-item]
-
-    def test_map_trials_rejects_mixed_bool(self):
-        with pytest.raises(ConfigurationError, match="bool"):
-            map_trials(_square, [0, 1, True])  # type: ignore[list-item]
-
-    def test_map_trials_still_accepts_plain_ints(self):
-        assert map_trials(_square, [0, 1, 2]) == [0, 1, 4]

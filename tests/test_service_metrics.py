@@ -6,8 +6,11 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.obs.profile import quantile_linear
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -73,13 +76,25 @@ class TestHistogram:
         h = Histogram("lat", buckets=(10.0,))
         for v in range(1, 101):
             h.observe(float(v))
-        assert h.quantile(0.50) == 50.0
-        assert h.quantile(0.99) == 99.0
+        # Type-7 linear interpolation between order statistics.
+        assert h.quantile(0.50) == 50.5
+        assert h.quantile(0.99) == pytest.approx(99.01)
         assert h.quantile(1.0) == 100.0
         assert h.quantile(0.0) == 1.0
 
     def test_empty_quantile_is_nan(self):
         assert math.isnan(Histogram("lat", buckets=(1.0,)).quantile(0.5))
+
+    @given(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_quantile_is_the_shared_type7_estimator(self, values, q):
+        h = Histogram("lat", buckets=(1.0,))
+        for v in values:
+            h.observe(v)
+        assert h.quantile(q) == quantile_linear(values, q)
 
     def test_rejects_unsorted_buckets(self):
         with pytest.raises(ConfigurationError):

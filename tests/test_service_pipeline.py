@@ -7,6 +7,7 @@ flagged with the reason the primary VIRE path was not used.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -216,3 +217,14 @@ class TestConfigValidation:
         assert ServiceConfig(max_batches_per_tick=None).max_batches_per_tick \
             is None
         assert ServiceConfig(max_batches_per_tick=2).max_batches_per_tick == 2
+
+    def test_fields_are_the_knobs_a_caller_sets(self):
+        # Quorum, breaker threshold and freshness floor run at their
+        # components' defaults; salvage and checkpoint cadence are not
+        # knobs. A new field needs a caller that sets it.
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "queue_capacity", "queue_overflow", "max_batch_size",
+            "max_latency_s", "max_batches_per_tick", "request_deadline_s",
+            "query_interval_s", "stream_step_s", "vire", "allow_partial",
+            "breaker_recovery_timeout_s", "calibration",
+        ]

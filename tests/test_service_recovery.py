@@ -25,7 +25,7 @@ from repro.exceptions import (
     EstimationError,
 )
 from repro.faults import CrashPoint, SimulatedCrash
-from repro.runtime import RuntimePolicy
+from repro.obs import Tracer, stage_statistics
 from repro.service import LocalizationService, ServiceConfig, ServicePipeline
 
 from .conftest import make_clean_environment
@@ -50,7 +50,6 @@ def service_config(**changes) -> ServiceConfig:
         query_interval_s=1.0,
         stream_step_s=0.5,
         vire=VIREConfig(subdivisions=5),
-        runtime=RuntimePolicy(checkpoint_interval_s=2.0),
     )
     return base.with_(**changes) if changes else base
 
@@ -249,21 +248,18 @@ class TestCrashPoint:
             point.fire(2.0)
 
 
-# -- supervised serving path: shard salvage -----------------------------------
+# -- serving path: every engine pass is salvaged -------------------------------
 
 class TestSupervisedServing:
-    def _pipeline(self, supervised: bool) -> ServicePipeline:
+    def _pipeline(self, config: ServiceConfig | None = None):
         deployment = make_scenario_deployment(5)
         deployment.simulator.warm_up()
-        config = service_config(
-            runtime=RuntimePolicy(supervised=supervised),
-        )
         return ServicePipeline(
             deployment.grid, deployment.simulator.middleware, config
         ), deployment
 
     def test_poisoned_estimator_degrades_not_raises(self):
-        pipeline, deployment = self._pipeline(supervised=True)
+        pipeline, deployment = self._pipeline(service_config())
         real = pipeline.vire.estimate_outcomes
 
         def poisoned(readings):
@@ -284,8 +280,10 @@ class TestSupervisedServing:
             ).value >= 1.0
         )
 
-    def test_unsupervised_pipeline_propagates(self):
-        pipeline, deployment = self._pipeline(supervised=False)
+    def test_default_pipeline_answers_with_landmarc_when_vire_raises(self):
+        # No config at all: salvage is not a switch, so a VIRE pass that
+        # raises degrades to LANDMARC instead of crashing the session.
+        pipeline, deployment = self._pipeline()
 
         def poisoned(readings):
             raise RuntimeError("estimator pass blew up")
@@ -293,15 +291,21 @@ class TestSupervisedServing:
         pipeline.vire.estimate_outcomes = poisoned  # type: ignore[method-assign]
         now = deployment.simulator.now
         pipeline.submit_request("tag-asset", now)
-        with pytest.raises(RuntimeError, match="blew up"):
-            pipeline.drain(now)
+        results = pipeline.drain(now)
+        assert [r.estimator for r in results] == ["LANDMARC"]
+        assert results[0].reason == "empty_intersection"
 
-    def test_supervised_session_matches_unsupervised(self):
-        plain = SessionService(11).run(StubScenario(), DURATION_S)
-        supervised = SessionService(
-            11, service_config(runtime=RuntimePolicy(supervised=True))
-        ).run(StubScenario(), DURATION_S)
-        assert witness(supervised) == witness(plain)
+    def test_clean_default_session_has_no_runtime_trail(self):
+        tracer = Tracer()
+        report = SessionService(11, ServiceConfig()).run(
+            StubScenario(), DURATION_S, tracer=tracer
+        )
+        assert report.results
+        prometheus = report.render_prometheus()
+        assert "runtime_" not in prometheus
+        names = set(stage_statistics(tracer.documents()))
+        assert "service.vire_pass" in names
+        assert not [n for n in names if n.startswith("runtime.")]
 
 
 # -- CLI: serve --kill-at / --resume / --json ---------------------------------

@@ -88,13 +88,13 @@ class TestRetryPolicyConsolidation:
         assert [policy.backoff_s(a) for a in (1, 2, 3)] == [0.05, 0.1, 0.2]
 
     def test_runtime_policy_exposes_retry_view(self):
-        runtime = RuntimePolicy(shard_timeout_s=3.0, max_retries=4,
-                                backoff_base_s=0.01)
-        retry = runtime.retry
-        assert isinstance(retry, RetryPolicy)
-        assert retry.deadline_s == 3.0
-        assert retry.max_retries == 4
-        assert retry.backoff_s(2) == runtime.backoff_s(2)
+        retry = RetryPolicy(deadline_s=3.0, max_retries=4,
+                            backoff_base_s=0.01)
+        runtime = RuntimePolicy(retry=retry)
+        assert isinstance(runtime.retry, RetryPolicy)
+        assert runtime.retry.deadline_s == 3.0
+        assert runtime.retry.max_retries == 4
+        assert runtime.retry.backoff_s(2) == retry.backoff_s(2)
 
     def test_failover_policy_embeds_retry(self):
         policy = ZoneFailoverPolicy()
@@ -488,3 +488,25 @@ class TestFailoverCLI:
         assert doc["zone_crashes"] == 1
         assert doc["zone_respawns"] == 1
         assert doc["availability"] == 1.0
+
+    def test_chaos_zones_calibrate_adds_per_zone_witness(self, capsys):
+        from repro.cli import main
+
+        def run(*extra):
+            main([
+                "chaos", "--env", "Env1", "--zones", "1",
+                "--duration", "20", "--preset", "drift",
+                "--zone-preset", "none", "--json", *extra,
+            ])
+            return json.loads(capsys.readouterr().out)
+
+        off, on = run(), run("--calibrate")
+        assert "calibration" not in off["by_zone"]["z0"]
+        cal = on["by_zone"]["z0"]["calibration"]
+        assert cal["transitions"] > 0
+        # The drift preset's injected biases, from the zone's sliced plan.
+        assert cal["bias_table"]["reader-0"]["injected_db"] > 0
+        assert cal["bias_table"]["reader-0"]["estimated_db"] > 0
+        # The corrector is live, so answers move too.
+        assert on["by_zone"]["z0"] != {**off["by_zone"]["z0"],
+                                       "calibration": cal}
