@@ -374,12 +374,12 @@ def _cmd_report(args) -> str:
             lines.append(f"  {name:22s} {spec.description}")
         return "\n".join(lines)
     if args.from_dir is None:
-        for flag, name in (
-            (args.figure, "--figure"),
+        for given, name in (
+            (args.figure is not None, "--figure"),
             (args.json, "--json"),
-            (args.out, "--out"),
+            (args.out is not None, "--out"),
         ):
-            if flag:
+            if given:
                 raise ConfigurationError(f"{name} requires --from DIR")
         return reproduction_report(
             n_trials=args.trials,
@@ -628,12 +628,12 @@ def _cmd_serve(args) -> str:
     )
     if args.zones is not None:
         return _cmd_serve_zones(args, config)
-    for flag, name in (
+    for given, name in (
         (args.parallel, "--parallel"),
-        (args.checkpoint_dir, "--checkpoint-dir"),
-        (args.kill_zone, "--kill-zone"),
+        (args.checkpoint_dir is not None, "--checkpoint-dir"),
+        (args.kill_zone is not None, "--kill-zone"),
     ):
-        if flag:
+        if given:
             raise ConfigurationError(f"{name} requires --zones N")
     scenario = paper_scenario(args.env, n_trials=1, base_seed=args.seed)
     service = LocalizationService(config)
@@ -672,7 +672,8 @@ def _cmd_serve(args) -> str:
     except SimulatedCrash as crash:
         print(
             f"simulated crash: {crash}"
-            + (f" (checkpoint: {args.checkpoint})" if args.checkpoint else ""),
+            + (f" (checkpoint: {args.checkpoint})"
+               if args.checkpoint is not None else ""),
             file=sys.stderr,
         )
         raise SystemExit(17) from crash
@@ -751,11 +752,11 @@ def _cmd_serve_zones(args, config) -> str:
 
     if args.zones < 1:
         raise ConfigurationError(f"--zones must be >= 1, got {args.zones}")
-    for flag, name in (
-        (args.checkpoint, "--checkpoint"),
-        (args.kill_at, "--kill-at"),
+    for given, name in (
+        (args.checkpoint is not None, "--checkpoint"),
+        (args.kill_at is not None, "--kill-at"),
     ):
-        if flag:
+        if given:
             raise ConfigurationError(
                 f"{name} is not supported with --zones: the gateway owns "
                 f"one checkpoint file per zone (use --checkpoint-dir)"
@@ -867,7 +868,7 @@ def _cmd_chaos_zones(args) -> str:
     zone-scoped fault from ``--zone-preset`` exercises the gateway's
     failover path: crash → respawn + gap replay, hang → deadline
     timeouts then kill, partition → fall behind and catch up,
-    brownout → admission saturation.
+    brownout → slow ticks and handoffs shed to other zones.
     """
     import json as _json
 

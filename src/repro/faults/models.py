@@ -19,6 +19,11 @@ generator handed to it at compile time, which the
 :class:`~repro.faults.plan.FaultPlan` derives per-fault from the plan
 seed — so adding a fault to a plan never perturbs the draws of another,
 and the same seed always reproduces the same fault schedule.
+
+The zone-scoped faults at the end of this module are different: they
+never touch a record, draw no randomness and have no ``compile()``.
+They are plain schedules (a one-shot time or a window) that the zone
+gateway's :class:`~repro.zones.failover.ZoneChannel` reads directly.
 """
 
 from __future__ import annotations
@@ -555,10 +560,9 @@ class ZoneCrashFault:
 
     The first gateway→worker call at relative time τ ≥ ``at_s`` finds
     the worker dead: its process is gone, mid-write WAL state and all.
-    With failover enabled the gateway respawns the zone from its
-    checkpoint and replays the gap deterministically; with failover
-    disabled the zone stays down and the gateway serves interim
-    (``zone_down``) answers.
+    The gateway respawns the zone from its checkpoint and replays the
+    gap deterministically; once the zone's respawn budget is spent it
+    stays down and the gateway serves interim (``zone_down``) answers.
 
     ``at_s`` is on the gateway's relative clock (τ = 0 at the first
     post-warm-up chunk), matching :class:`~repro.zones.spec.RoamingTag`
@@ -574,22 +578,6 @@ class ZoneCrashFault:
         _ensure_zone(self.zone_id)
         _ensure_time(self.at_s, "at_s")
 
-    def compile(self, rng: np.random.Generator) -> "_CompiledZoneCrash":
-        return _CompiledZoneCrash(self)
-
-
-class _CompiledZoneCrash:
-    def __init__(self, model: ZoneCrashFault):
-        self.model = model
-        self.fired = False
-
-    def fires_at(self, tau_s: float) -> bool:
-        """True exactly once: on the first call with τ ≥ ``at_s``."""
-        if self.fired or tau_s < self.model.at_s:
-            return False
-        self.fired = True
-        return True
-
 
 @dataclass(frozen=True)
 class WorkerHangFault:
@@ -597,10 +585,10 @@ class WorkerHangFault:
 
     From τ ≥ ``at_s`` each gateway→worker call to that *worker
     instance* exceeds its deadline. The gateway charges the retry
-    budget (with backoff) and then treats the instance as dead — a hung
-    process cannot be un-hung, only killed and respawned. The respawned
-    instance is healthy (the hang is instance-level, like a wedged
-    event loop), which is what distinguishes this model from
+    budget and then treats the instance as dead — a hung process cannot
+    be un-hung, only killed and respawned. The respawned instance is
+    healthy (the hang is instance-level, like a wedged event loop),
+    which is what distinguishes this model from
     :class:`ZoneLinkLossFault`.
     """
 
@@ -613,78 +601,14 @@ class WorkerHangFault:
         _ensure_zone(self.zone_id)
         _ensure_time(self.at_s, "at_s")
 
-    def compile(self, rng: np.random.Generator) -> "_CompiledWorkerHang":
-        return _CompiledWorkerHang(self)
-
-
-class _CompiledWorkerHang:
-    def __init__(self, model: WorkerHangFault):
-        self.model = model
-        self.fired = False
-
-    def fires_at(self, tau_s: float) -> bool:
-        """True exactly once: on the first call with τ ≥ ``at_s``."""
-        if self.fired or tau_s < self.model.at_s:
-            return False
-        self.fired = True
-        return True
-
 
 @dataclass(frozen=True)
-class ZoneLinkLossFault:
-    """The gateway↔worker link drops for a scheduled window.
-
-    Calls during ``[start_s, start_s + duration_s)`` (relative clock)
-    fail transiently — the worker is alive but unreachable, so retries
-    inside the window keep failing. The gateway lets the zone fall
-    behind (skew) and catches it up deterministically once the link
-    returns: chunks are pulled in order from the zone's own stream, so
-    late processing changes *when* answers appear, never what they are.
-    """
+class _ZoneWindowFault:
+    """A zone fault active during ``[start_s, start_s + duration_s)``."""
 
     zone_id: str
     start_s: float
     duration_s: float
-
-    scope = ZONE_SCOPE
-
-    def __post_init__(self) -> None:
-        _ensure_zone(self.zone_id)
-        _ensure_time(self.start_s, "start_s")
-        v = float(self.duration_s)
-        if not v > 0:
-            raise ConfigurationError(
-                f"duration_s must be > 0, got {self.duration_s}"
-            )
-
-    def compile(self, rng: np.random.Generator) -> "_CompiledZoneLinkLoss":
-        return _CompiledZoneLinkLoss(self)
-
-
-class _CompiledZoneLinkLoss:
-    def __init__(self, model: ZoneLinkLossFault):
-        self.model = model
-
-    def down_at(self, tau_s: float) -> bool:
-        m = self.model
-        return m.start_s <= tau_s < m.start_s + m.duration_s
-
-
-@dataclass(frozen=True)
-class SlowZoneFault:
-    """One zone runs slow for a window: calls succeed but lag.
-
-    During ``[start_s, start_s + duration_s)`` every step call to the
-    zone is ``factor``× its normal service time. The gateway marks the
-    zone *saturated* for the window — cross-zone load shedding then
-    reroutes roaming-tag handoffs away from it — but never fails the
-    calls: slow is degraded capacity, not an outage.
-    """
-
-    zone_id: str
-    start_s: float
-    duration_s: float
-    factor: float = 4.0
 
     scope = ZONE_SCOPE
 
@@ -695,19 +619,31 @@ class SlowZoneFault:
             raise ConfigurationError(
                 f"duration_s must be > 0, got {self.duration_s}"
             )
-        if not float(self.factor) > 1.0:
-            raise ConfigurationError(
-                f"factor must be > 1, got {self.factor}"
-            )
 
-    def compile(self, rng: np.random.Generator) -> "_CompiledSlowZone":
-        return _CompiledSlowZone(self)
+    def active_at(self, tau_s: float) -> bool:
+        """Is the window open at gateway-relative time ``tau_s``?"""
+        return self.start_s <= tau_s < self.start_s + self.duration_s
 
 
-class _CompiledSlowZone:
-    def __init__(self, model: SlowZoneFault):
-        self.model = model
+@dataclass(frozen=True)
+class ZoneLinkLossFault(_ZoneWindowFault):
+    """The gateway↔worker link drops for a scheduled window.
 
-    def slow_at(self, tau_s: float) -> bool:
-        m = self.model
-        return m.start_s <= tau_s < m.start_s + m.duration_s
+    Calls during ``[start_s, start_s + duration_s)`` (relative clock)
+    fail transiently — the worker is alive but unreachable, so retries
+    inside the window keep failing. The gateway lets the zone fall
+    behind (skew) and catches it up deterministically once the link
+    returns: chunks are pulled in order from the zone's own stream, so
+    late processing changes *when* answers appear, never what they are.
+    """
+
+
+@dataclass(frozen=True)
+class SlowZoneFault(_ZoneWindowFault):
+    """One zone runs slow for a window: calls succeed but lag.
+
+    During ``[start_s, start_s + duration_s)`` the gateway counts the
+    zone's ticks as slow and routes no roaming-tag handoff to it
+    (cross-zone load shedding), but never fails its calls: slow is
+    degraded capacity, not an outage.
+    """

@@ -30,6 +30,7 @@ from .models import (
     WorkerHangFault,
     ZoneCrashFault,
     ZoneLinkLossFault,
+    is_zone_fault,
 )
 
 __all__ = [
@@ -49,7 +50,9 @@ class FaultPlan:
     ----------
     faults:
         The fault models, applied to each record in order (a record
-        dropped by fault *i* never reaches fault *i+1*).
+        dropped by fault *i* never reaches fault *i+1*), plus any
+        zone-scoped faults (:func:`~repro.faults.models.is_zone_fault`),
+        which the zone gateway reads and the record path rejects.
     seed:
         Master seed of every per-fault RNG stream.
     """
@@ -61,9 +64,10 @@ class FaultPlan:
         object.__setattr__(self, "faults", tuple(faults))
         object.__setattr__(self, "seed", int(seed))
         for fault in self.faults:
-            if not hasattr(fault, "compile"):
+            if not (hasattr(fault, "compile") or is_zone_fault(fault)):
                 raise ConfigurationError(
-                    f"{fault!r} is not a fault model (no compile())"
+                    f"{fault!r} is not a fault model (no compile()) "
+                    "nor a zone-scoped fault"
                 )
 
     def __len__(self) -> int:

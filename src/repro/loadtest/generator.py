@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..service.pipeline import ServiceConfig, ServiceResult
-from ..zones.failover import AdmissionPolicy, ZoneFailoverPolicy
+from ..zones.failover import AdmissionPolicy
 from ..zones.gateway import ZoneGateway
 from ..zones.spec import scaled_site_plan
 from .profiles import ArrivalSchedule, LoadProfile, generate_schedule
@@ -186,8 +186,6 @@ def run_load_test(
     profile: LoadProfile,
     *,
     config: ServiceConfig | None = None,
-    perf_clock: Callable[[], float] = time.perf_counter,
-    warmup_max_s: float = 120.0,
 ) -> LoadTestReport:
     """Run one open-loop load test and return its report.
 
@@ -209,17 +207,15 @@ def run_load_test(
     gateway = ZoneGateway(
         plan,
         _service_config(profile, config),
-        perf_clock=perf_clock,
-        warmup_max_s=warmup_max_s,
-        failover=ZoneFailoverPolicy(admission=admission),
+        admission=admission,
         query_schedules={
             spec.zone_id: schedule.for_zone(spec.zone_id)
             for spec in plan.zones
         },
     )
-    t0 = perf_clock()
+    t0 = time.perf_counter()
     multi = gateway.run(profile.duration_s)
-    wall_s = perf_clock() - t0
+    wall_s = time.perf_counter() - t0
     results: list[ServiceResult] = []
     zones: dict[str, dict[str, Any]] = {}
     zone_metrics: dict[str, Any] = {}

@@ -6,11 +6,11 @@ One frozen dataclass threads through
 :class:`~repro.runtime.supervisor.SupervisedPool`. On a clean run the
 policy is never consulted.
 
-:class:`RetryPolicy` is the shared deadline/retry/backoff vocabulary:
-one source of truth for the backoff math, consumed both by the process
-pool (via :attr:`RuntimePolicy.retry`) and by the zone gateway's
-supervised worker-call path
-(:class:`~repro.zones.failover.ZoneFailoverPolicy`).
+:class:`RetryPolicy` is the deadline/retry/backoff vocabulary of the
+process pool (via :attr:`RuntimePolicy.retry`). The zone gateway does
+not use it: a simulated zone has no wall clock to back off against, so
+its channel only counts a fixed number of retries
+(:data:`~repro.zones.failover.ZONE_CALL_RETRIES`).
 
 Determinism contract: supervision changes *scheduling*, never *answers*.
 A retried shard re-executes the same pure function over the same inputs,
@@ -39,9 +39,8 @@ class RetryPolicy:
         callee is still supervised).
     max_retries:
         How many times one call may be re-attempted after a timeout or
-        callee death before the caller's last resort (serial fallback,
-        zone respawn, or :class:`~repro.exceptions.SupervisionError`)
-        takes over.
+        callee death before the caller's last resort (serial fallback
+        or :class:`~repro.exceptions.SupervisionError`) takes over.
     backoff_base_s / backoff_multiplier:
         Exponential backoff between attempts: attempt ``k`` (1-based)
         waits ``backoff_base_s * backoff_multiplier**(k-1)`` before the

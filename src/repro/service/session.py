@@ -4,8 +4,9 @@
 give it a :class:`~repro.experiments.scenarios.TestbedScenario` (or an
 environment name) and a duration, and it builds the deployment and runs
 one :class:`ServiceSession` to completion — deterministically, because
-every clock involved is seeded: simulation time doubles as the service
-clock, and the wall-clock used for latency histograms is injectable.
+simulation time doubles as the service clock; wall-clock time only
+feeds the latency histograms and throughput figures, which no witness
+includes.
 
 :class:`ServiceSession` is the one tick loop of the service, the
 paper's middleware cadence (§3.2): pull the next chunk of the
@@ -57,6 +58,11 @@ __all__ = [
 #: Simulated seconds between write-ahead consistency snapshots when a
 #: checkpoint is attached (the checkpoint *path* is per run).
 CHECKPOINT_INTERVAL_S = 2.0
+
+#: Cap, in simulated seconds, on the warm-up that streams until every
+#: reader covers the reference lattice; a session that cannot reach
+#: coverage in this time raises :class:`~repro.exceptions.SimulationError`.
+WARMUP_MAX_S = 120.0
 
 
 def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
@@ -213,8 +219,6 @@ class ServiceSession:
         fault_plan: "FaultPlan | None" = None,
         checkpoint_path: str | os.PathLike | None = None,
         crash_point: "CrashPoint | None" = None,
-        perf_clock: Callable[[], float] = time.perf_counter,
-        warmup_max_s: float = 120.0,
         zone: str | None = None,
         submit_queries: Callable[[float], None] | None = None,
     ):
@@ -228,8 +232,6 @@ class ServiceSession:
         self._fault_plan = fault_plan
         self._checkpoint_path = checkpoint_path
         self._crash_point = crash_point
-        self._perf_clock = perf_clock
-        self._warmup_max_s = float(warmup_max_s)
         self._zone = {} if zone is None else {"zone": zone}
         self._name = "session" if zone is None else f"zone {zone!r} session"
         self._submit_queries = submit_queries or self._submit_interval
@@ -283,7 +285,7 @@ class ServiceSession:
         if restored is not None:
             validate_header(restored, header)
         self._restored = restored
-        self._wall_start = self._perf_clock()
+        self._wall_start = time.perf_counter()
         if self._checkpoint_path is not None:
             self._writer = CheckpointWriter(
                 self._checkpoint_path, append=restored is not None
@@ -349,7 +351,7 @@ class ServiceSession:
         """
         simulator = self.simulator
         pipeline = self.pipeline
-        deadline = simulator.now + self._warmup_max_s
+        deadline = simulator.now + WARMUP_MAX_S
         while simulator.now < deadline:
             records = self._stream.advance(min(2.0, deadline - simulator.now))
             pipeline.ingest.submit(records)
@@ -359,7 +361,7 @@ class ServiceSession:
                 return simulator.now
         raise SimulationError(
             f"{self._name}: reference coverage incomplete after "
-            f"{self._warmup_max_s}s of warm-up: "
+            f"{WARMUP_MAX_S}s of warm-up: "
             f"{pipeline.middleware.coverage(simulator.now)}"
         )
 
@@ -547,7 +549,7 @@ class ServiceSession:
         """
         pipeline = self.pipeline
         end_s = self.simulator.now
-        wall_s = self._perf_clock() - self._wall_start
+        wall_s = time.perf_counter() - self._wall_start
         summary = dict(pipeline.metrics_summary())
         summary["session_duration_s"] = end_s - self.start_s
         summary["session_end_s"] = float(end_s)
@@ -629,23 +631,10 @@ class LocalizationService:
     ----------
     config:
         Service knobs; defaults are sized for the paper's testbed.
-    perf_clock:
-        Monotonic clock used for latency measurement (injectable so a
-        test can make latency deterministic).
-    warmup_max_s:
-        Cap on the reference-coverage warm-up phase before queries start.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        *,
-        perf_clock: Callable[[], float] = time.perf_counter,
-        warmup_max_s: float = 120.0,
-    ):
+    def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self._perf_clock = perf_clock
-        self.warmup_max_s = float(warmup_max_s)
 
     # -- deployment assembly -------------------------------------------------
 
@@ -733,7 +722,6 @@ class LocalizationService:
         deployment = self.build_deployment(scenario)
         pipeline = ServicePipeline(
             deployment.grid, deployment.simulator.middleware, self.config,
-            perf_clock=self._perf_clock,
         )
         tag_ids = sorted(f"tag-{label}" for label in scenario.tracking_tags)
         # The scenario's identity, written to (and checked against) a
@@ -758,8 +746,7 @@ class LocalizationService:
         session = ServiceSession(
             deployment, pipeline, tag_ids,
             fault_plan=fault_plan, checkpoint_path=checkpoint_path,
-            crash_point=crash_point, perf_clock=self._perf_clock,
-            warmup_max_s=self.warmup_max_s,
+            crash_point=crash_point,
         )
         return session.run(
             duration_s, header,

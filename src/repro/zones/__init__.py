@@ -23,7 +23,6 @@ from .failover import (
     AdmissionPolicy,
     TokenBucket,
     ZoneChannel,
-    ZoneFailoverPolicy,
 )
 from .gateway import HandoffEvent, MultiZoneReport, ZoneGateway
 from .spec import (
@@ -50,5 +49,5 @@ __all__ = [
     "HandoffEvent", "MultiZoneReport", "ZoneGateway",
     # failover
     "ZONE_DOWN_REASON", "INTERIM_ESTIMATOR", "AdmissionPolicy",
-    "TokenBucket", "ZoneChannel", "ZoneFailoverPolicy",
+    "TokenBucket", "ZoneChannel",
 ]

@@ -11,16 +11,17 @@ which
   and replays the journal *in order* both for live operation and for
   recovery — the seeded world regenerates the same RSSI stream only if
   it sees the same surface-call sequence;
-* **supervises** the per-chunk step call with the shared
-  :class:`~repro.runtime.policy.RetryPolicy` vocabulary (deadlines,
-  bounded exponential backoff) against the zone-scoped control-plane
-  faults of :mod:`repro.faults.models`;
+* **supervises** the per-chunk step call against the zone-scoped
+  control-plane faults of :mod:`repro.faults.models`: a failed call is
+  retried :data:`ZONE_CALL_RETRIES` times (counted, never slept — the
+  simulated zone has no wall clock to wait on) before the instance is
+  killed or the zone is left behind;
 * **respawns** a dead zone from its zone-identity checkpoint (reusing
   :mod:`repro.runtime.checkpoint` resume-by-replay) and replays the full
   surface-call journal through the gap, so the recovered zone's answers
   are *byte-identical* to an uninterrupted run's;
-* **degrades explicitly** when recovery is off or exhausted: the zone is
-  marked down and the gateway serves interim last-known answers
+* **degrades explicitly** once the :data:`MAX_RESPAWNS` budget is spent:
+  the zone is marked down and the gateway serves interim last-known answers
   (``estimator="gateway-interim"``, ``reason="zone_down"`` — a new level
   of the degradation ladder above the per-zone levels, see
   ``docs/SERVICE.md``) while roaming tags are rerouted to the
@@ -30,7 +31,8 @@ Admission control (:class:`AdmissionPolicy` + :class:`TokenBucket`) is
 the SLO guard on the same path: a deterministic token bucket on the
 zone's *simulation* clock sheds localization queries before they enter a
 saturated pipeline (shed-newest: the schedule still advances, the shed
-is counted, admitted work is never abandoned). Disabled by default.
+is counted, admitted work is never abandoned). Off unless the gateway
+is given an :class:`AdmissionPolicy`.
 
 Determinism notes
 -----------------
@@ -43,14 +45,18 @@ respawn replay (same journal, same seeded world) reconverges exactly.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 from ..exceptions import ConfigurationError
-from ..faults.models import is_zone_fault
+from ..faults.models import (
+    SlowZoneFault,
+    WorkerHangFault,
+    ZoneCrashFault,
+    ZoneLinkLossFault,
+    is_zone_fault,
+)
 from ..obs import Tracer
-from ..runtime.policy import RetryPolicy
 from ..service.metrics import get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport
@@ -61,7 +67,6 @@ __all__ = [
     "AdmissionPolicy",
     "TokenBucket",
     "ZoneAdmission",
-    "ZoneFailoverPolicy",
     "ZoneChannel",
 ]
 
@@ -72,6 +77,14 @@ ZONE_DOWN_REASON = "zone_down"
 
 #: Estimator tag of gateway-served interim answers.
 INTERIM_ESTIMATOR = "gateway-interim"
+
+#: Respawns per zone before it is marked down for good: a crash-looping
+#: zone must not flap forever.
+MAX_RESPAWNS = 2
+
+#: Retries of one failed gateway→zone call (hang, link loss) before the
+#: channel gives up on it: ``ZONE_CALL_RETRIES + 1`` attempts in all.
+ZONE_CALL_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +142,10 @@ class AdmissionPolicy:
     burst:
         Bucket depth: how many queries may arrive back-to-back before
         shedding starts.
-    saturation_shed:
-        Also shed every query while the zone is marked saturated by a
-        :class:`~repro.faults.models.SlowZoneFault` window — protecting
-        a browning-out zone regardless of the token budget.
     """
 
     rate_per_s: float = 100.0
     burst: int = 16
-    saturation_shed: bool = False
 
     def __post_init__(self) -> None:
         if self.rate_per_s <= 0:
@@ -163,7 +171,6 @@ class ZoneAdmission:
     def __init__(self, policy: AdmissionPolicy, *, metrics=None):
         self.policy = policy
         self.bucket = TokenBucket(policy.rate_per_s, policy.burst)
-        self.saturated = False
         self.admitted = 0
         self.shed = 0
         self._c_admitted = self._c_shed = None
@@ -179,9 +186,7 @@ class ZoneAdmission:
 
     def admit(self, now_s: float) -> bool:
         """Admit or shed one query at zone-simulation time ``now_s``."""
-        ok = not (self.policy.saturation_shed and self.saturated)
-        if ok:
-            ok = self.bucket.try_acquire(now_s)
+        ok = self.bucket.try_acquire(now_s)
         if ok:
             self.admitted += 1
             if self._c_admitted is not None:
@@ -194,61 +199,22 @@ class ZoneAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Failover policy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZoneFailoverPolicy:
-    """Gateway-side supervision knobs for the zone fleet.
-
-    Parameters
-    ----------
-    retry:
-        Shared deadline/retry/backoff vocabulary
-        (:class:`~repro.runtime.policy.RetryPolicy`) of the
-        gateway→worker call path: a hung worker's call times out after
-        ``retry.deadline_s``, is retried ``retry.max_retries`` times
-        with exponential backoff, and only then is the instance killed.
-    respawn:
-        Recover a dead zone by respawning it from its checkpoint (or,
-        without a checkpoint, by cold re-execution) and replaying the
-        surface-call journal — answers come back byte-identical. When
-        ``False`` the zone stays down and the gateway serves interim
-        last-known answers.
-    max_respawns:
-        Respawn budget per zone; once exhausted the zone is treated as
-        permanently down (crash-looping zones must not flap forever).
-    admission:
-        Optional per-zone :class:`AdmissionPolicy`; ``None`` (default)
-        disables admission control entirely.
-    """
-
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(deadline_s=5.0, max_retries=2)
-    )
-    respawn: bool = True
-    max_respawns: int = 2
-    admission: AdmissionPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.retry, RetryPolicy):
-            raise ConfigurationError(
-                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
-            )
-        if self.max_respawns < 0:
-            raise ConfigurationError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-
-    def with_(self, **changes) -> "ZoneFailoverPolicy":
-        """Modified copy (thin wrapper over dataclasses.replace)."""
-        return replace(self, **changes)
-
-
-# ---------------------------------------------------------------------------
 # The supervised channel
 # ---------------------------------------------------------------------------
+
+
+def _fire(pending: list, tau_s: float) -> bool:
+    """Fire the first pending one-shot fault due at ``tau_s``, if any.
+
+    A fired fault leaves ``pending``: it fires exactly once per channel,
+    whatever instance of the worker is alive. At most one fires per
+    call, so two faults due together fire on consecutive calls.
+    """
+    for i, fault in enumerate(pending):
+        if tau_s >= fault.at_s:
+            del pending[i]
+            return True
+    return False
 
 
 class ZoneChannel:
@@ -268,18 +234,15 @@ class ZoneChannel:
         spec: ZoneSpec,
         config: ServiceConfig,
         *,
-        policy: ZoneFailoverPolicy,
+        admission: AdmissionPolicy | None = None,
         site_fault_plan=None,
         roaming_tags: Mapping[str, tuple[float, float]] | None = None,
         checkpoint_path: str | None = None,
         resume: bool = False,
-        perf_clock: Callable[[], float] = time.perf_counter,
-        warmup_max_s: float = 120.0,
         tracer: Tracer | None = None,
-        sleep: Callable[[float], None] = time.sleep,
         query_schedule: Sequence[tuple[float, str]] | None = None,
     ):
-        if policy.admission is not None and checkpoint_path is not None:
+        if admission is not None and checkpoint_path is not None:
             raise ConfigurationError(
                 "admission control does not compose with zone checkpoints: "
                 "shed decisions are not checkpointed, so a resume could not "
@@ -287,42 +250,30 @@ class ZoneChannel:
             )
         self.spec = spec
         self.config = config
-        self.policy = policy
+        self._admission_policy = admission
         self._roaming_tags = dict(roaming_tags or {})
         self._checkpoint_path = checkpoint_path
         self._resume = bool(resume)
-        self._perf_clock = perf_clock
-        self._warmup_max_s = warmup_max_s
         self._tracer = tracer
-        self._sleep = sleep
         self._query_schedule = query_schedule
         self._logger = get_service_logger()
 
-        # Record-path slice for the worker; zone-scoped control faults
-        # are compiled here and consumed by this channel only.
+        # Record-path slice for the worker; this zone's control-plane
+        # faults are read by this channel only. One-shot faults (crash,
+        # hang) leave their pending list when they fire.
         self._record_plan = (
             slice_fault_plan(site_fault_plan, spec.zone_id)
             if site_fault_plan is not None
             else None
         )
-        self._crashes: list = []
-        self._hangs: list = []
-        self._links: list = []
-        self._slows: list = []
-        if site_fault_plan is not None:
-            for f in site_fault_plan:
-                if not is_zone_fault(f) or f.zone_id != spec.zone_id:
-                    continue
-                compiled = f.compile(None)
-                kind = type(f).__name__
-                if kind == "ZoneCrashFault":
-                    self._crashes.append(compiled)
-                elif kind == "WorkerHangFault":
-                    self._hangs.append(compiled)
-                elif kind == "ZoneLinkLossFault":
-                    self._links.append(compiled)
-                elif kind == "SlowZoneFault":
-                    self._slows.append(compiled)
+        mine = [
+            f for f in site_fault_plan or ()
+            if is_zone_fault(f) and f.zone_id == spec.zone_id
+        ]
+        self._crashes = [f for f in mine if isinstance(f, ZoneCrashFault)]
+        self._hangs = [f for f in mine if isinstance(f, WorkerHangFault)]
+        self._links = [f for f in mine if isinstance(f, ZoneLinkLossFault)]
+        self._slows = [f for f in mine if isinstance(f, SlowZoneFault)]
 
         self.worker: ZoneWorker | None = None
         self.admission: ZoneAdmission | None = None
@@ -357,13 +308,13 @@ class ZoneChannel:
     def chunks_processed(self) -> int:
         return self._k
 
-    def saturated_at(self, tau_s: float) -> bool:
+    def slow_at(self, tau_s: float) -> bool:
         """Is a slow-zone window active at gateway-relative ``tau_s``?"""
-        return any(s.slow_at(tau_s) for s in self._slows)
+        return any(f.active_at(tau_s) for f in self._slows)
 
     def accepts_handoffs(self, tau_s: float) -> bool:
         """May the gateway route a roaming-tag handoff here at ``tau_s``?"""
-        return not self._down and not self.saturated_at(tau_s)
+        return not self._down and not self.slow_at(tau_s)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -381,19 +332,17 @@ class ZoneChannel:
             roaming_tags=self._roaming_tags,
             checkpoint_path=self._checkpoint_path,
             resume=resume,
-            perf_clock=self._perf_clock,
-            warmup_max_s=self._warmup_max_s,
             query_schedule=self._query_schedule,
         )
 
     def _attach_admission(self) -> None:
-        if self.policy.admission is None:
+        if self._admission_policy is None:
             return
         # A fresh gate per worker instance: a cold respawn re-executes
         # the same tick sequence against a fresh bucket, so its shed
         # decisions replay identically.
         self.admission = ZoneAdmission(
-            self.policy.admission, metrics=self.worker.metrics
+            self._admission_policy, metrics=self.worker.metrics
         )
         self.worker.set_admission(self.admission)
 
@@ -453,17 +402,17 @@ class ZoneChannel:
     ) -> list[ServiceResult] | None:
         """Process chunks up to the gateway's chunk counter ``k_target``.
 
-        The supervised step call: zone-scoped fault dispositions are
-        evaluated here (death → respawn or mark-down; hang → deadline
-        timeouts, retry budget, kill; link loss → fall behind; slow →
-        saturation), then the zone catches up chunk by chunk, applying
+        The supervised step call: this zone's faults are evaluated here
+        (death → respawn or mark-down; hang → timeouts, retry budget,
+        kill; link loss → fall behind; slow → counted, no handoffs in),
+        then the zone catches up chunk by chunk, applying
         journaled surface calls before each step. Returns the results
         served (``[]`` while unreachable/down), or ``None`` when the
         zone's stream is exhausted.
         """
         if self._down:
             return []
-        if any(c.fires_at(tau_s) for c in self._crashes):
+        if _fire(self._crashes, tau_s):
             self.crashes += 1
             log_event(
                 self._logger, "zone_crash_detected",
@@ -471,11 +420,11 @@ class ZoneChannel:
             )
             if not self._recover(tau_s):
                 return []
-        elif any(h.fires_at(tau_s) for h in self._hangs):
+        elif _fire(self._hangs, tau_s):
             self._charge_hang(tau_s)
             if not self._recover(tau_s):
                 return []
-        if any(link.down_at(tau_s) for link in self._links):
+        if any(f.active_at(tau_s) for f in self._links):
             # Transient unreachability: the retry budget burns without a
             # kill — the worker is alive, the link is not. The zone
             # falls behind and catches up deterministically later.
@@ -485,10 +434,8 @@ class ZoneChannel:
                 zone=self.zone_id, tau=tau_s, behind=k_target - self._k,
             )
             return []
-        if self.saturated_at(tau_s):
+        if self.slow_at(tau_s):
             self.slow_ticks += 1
-        if self.admission is not None:
-            self.admission.saturated = self.saturated_at(tau_s)
         return self._catch_up(k_target)
 
     def _charge_hang(self, tau_s: float) -> None:
@@ -499,22 +446,18 @@ class ZoneChannel:
         log_event(
             self._logger, "zone_worker_hung",
             zone=self.zone_id, tau=tau_s, timeouts=attempts,
-            deadline_s=self.policy.retry.deadline_s,
         )
 
     def _burn_retry_budget(self) -> int:
-        """Fail every attempt of one call: count the retries, sleep each
-        backoff; returns the attempts made (``max_retries + 1``)."""
-        retry = self.policy.retry
-        self.retries += retry.max_retries
-        for attempt in range(1, retry.max_retries + 1):
-            self._sleep(retry.backoff_s(attempt))
-        return retry.max_retries + 1
+        """Fail every attempt of one call: count the retries and return
+        the attempts made (``ZONE_CALL_RETRIES + 1``)."""
+        self.retries += ZONE_CALL_RETRIES
+        return ZONE_CALL_RETRIES + 1
 
     def _recover(self, tau_s: float) -> bool:
         """Kill the instance; respawn within budget, else mark down."""
         self._scoped(self.worker.abort)
-        if not self.policy.respawn or self.respawns >= self.policy.max_respawns:
+        if self.respawns >= MAX_RESPAWNS:
             self._mark_down(tau_s)
             return False
         self._respawn(tau_s)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..faults.models import is_zone_fault
@@ -48,17 +48,11 @@ from ..obs import Tracer, current_tracer, use_tracer
 from ..service.metrics import MetricsRegistry, get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport, result_witness_entry
-from .failover import ZoneChannel, ZoneFailoverPolicy
+from .failover import AdmissionPolicy, ZoneChannel
 from .spec import RoamingTag, ZonePlan, ZoneSpec
 from .worker import ZoneTask, run_zone
 
 __all__ = ["HandoffEvent", "MultiZoneReport", "ZoneGateway"]
-
-#: Default supervision policy: recovery by respawn, no admission
-#: control. With an empty fault plan supervision is invisible — the
-#: journal defers each surface call to the same worker state an
-#: immediate call would have seen.
-_DEFAULT_FAILOVER = ZoneFailoverPolicy()
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class HandoffEvent:
 
     ``rerouted_from`` is set when cross-zone load shedding redirected
     the handoff away from the proximity-preferred zone (because it was
-    down or saturated); ``carried_source`` is ``"cache"`` when the
+    down or running slow); ``carried_source`` is ``"cache"`` when the
     sending zone was unreachable and the estimate came from the
     gateway's own last-seen cache instead of the live worker.
     """
@@ -199,15 +193,12 @@ class ZoneGateway:
         targets zone ``z1`` only, unprefixed targets hit every zone).
     checkpoint_dir:
         Directory receiving one WAL file per zone (``<zone_id>.ckpt``).
-    failover:
-        The zone-level supervision policy
-        (:class:`~repro.zones.failover.ZoneFailoverPolicy`): gateway→
-        worker calls are journaled and supervised, dead zones respawn
-        from their checkpoints, zone-scoped chaos faults take effect and
-        ``failover.admission`` gates each zone's queries.
-    sleep:
-        Backoff sleep injection for the supervised call path (tests pass
-        a no-op to pay no wall-clock for retry backoff).
+    admission:
+        Optional per-zone :class:`~repro.zones.failover.AdmissionPolicy`
+        gating each zone's queries; ``None`` (default) admits every
+        query. Supervision itself is not optional: gateway→worker calls
+        are journaled and supervised, dead zones respawn from their
+        checkpoints and zone-scoped chaos faults take effect.
     query_schedules:
         Open-loop arrival schedules per zone id (the load harness):
         each zone's ``(t_rel_s, tag_label)`` events replace its
@@ -223,26 +214,20 @@ class ZoneGateway:
         *,
         fault_plan=None,
         checkpoint_dir: str | None = None,
-        warmup_max_s: float = 120.0,
-        perf_clock: Callable[[], float] = time.perf_counter,
-        failover: ZoneFailoverPolicy = _DEFAULT_FAILOVER,
-        sleep: Callable[[float], None] = time.sleep,
+        admission: AdmissionPolicy | None = None,
         query_schedules: Mapping[str, Sequence[tuple[float, str]]]
         | None = None,
     ):
-        if not isinstance(failover, ZoneFailoverPolicy):
+        if admission is not None and not isinstance(admission, AdmissionPolicy):
             raise ConfigurationError(
-                "failover must be a ZoneFailoverPolicy, got "
-                f"{type(failover).__name__}"
+                "admission must be an AdmissionPolicy or None, got "
+                f"{type(admission).__name__}"
             )
         self.plan = plan
         self.config = config or ServiceConfig()
         self.fault_plan = fault_plan
         self.checkpoint_dir = checkpoint_dir
-        self.warmup_max_s = float(warmup_max_s)
-        self._perf_clock = perf_clock
-        self.failover = failover
-        self._sleep = sleep
+        self.admission = admission
         self.query_schedules = (
             dict(query_schedules) if query_schedules is not None else None
         )
@@ -277,16 +262,15 @@ class ZoneGateway:
         duration_s: float,
         *,
         parallel: bool = False,
-        max_workers: int | None = None,
         resume: bool = False,
         tracer: Tracer | None = None,
     ) -> MultiZoneReport:
         """Run every zone for ``duration_s`` simulated seconds.
 
         Serial lockstep by default; ``parallel=True`` fans non-roaming
-        plans out across processes (bit-identical results — the zones
-        are shared-nothing). ``resume=True`` resumes every zone from its
-        checkpoint file in ``checkpoint_dir``.
+        plans out one process per zone (bit-identical results — the
+        zones are shared-nothing). ``resume=True`` resumes every zone
+        from its checkpoint file in ``checkpoint_dir``.
         """
         if parallel and self.plan.roaming:
             raise ConfigurationError(
@@ -307,7 +291,7 @@ class ZoneGateway:
                 "(crash detection and respawn live on the gateway's call "
                 "path); run with parallel=False"
             )
-        if parallel and self.failover.admission is not None:
+        if parallel and self.admission is not None:
             raise ConfigurationError(
                 "admission control is not supported in parallel mode; "
                 "run with parallel=False"
@@ -319,17 +303,12 @@ class ZoneGateway:
                 "clock); run with parallel=False"
             )
         if parallel:
-            return self._run_parallel(duration_s, max_workers, resume)
+            return self._run_parallel(duration_s, resume)
         return self._run_serial_failover(duration_s, resume, tracer)
 
     # -- parallel fan-out --------------------------------------------------------
 
-    def _run_parallel(
-        self,
-        duration_s: float,
-        max_workers: int | None,
-        resume: bool,
-    ) -> MultiZoneReport:
+    def _run_parallel(self, duration_s: float, resume: bool) -> MultiZoneReport:
         from ..runtime.supervisor import SupervisedPool
 
         zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
@@ -341,19 +320,17 @@ class ZoneGateway:
                 fault_plan=self.fault_plan,
                 checkpoint_path=self._checkpoint_path(spec.zone_id),
                 resume=resume,
-                warmup_max_s=self.warmup_max_s,
             )
             for spec in zones
         ]
-        wall_start = self._perf_clock()
-        workers = max_workers or len(zones)
+        wall_start = time.perf_counter()
         log_event(
             self._logger, "gateway_parallel_start",
-            zones=len(zones), workers=workers, duration=duration_s,
+            zones=len(zones), duration=duration_s,
         )
-        with SupervisedPool(workers) as pool:
+        with SupervisedPool(len(zones)) as pool:
             reports = pool.map(run_zone, tasks)
-        wall_s = self._perf_clock() - wall_start
+        wall_s = time.perf_counter() - wall_start
         by_zone = {
             spec.zone_id: report for spec, report in zip(zones, reports)
         }
@@ -377,7 +354,7 @@ class ZoneGateway:
         """
         step = self.config.stream_step_s
         zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
-        wall_start = self._perf_clock()
+        wall_start = time.perf_counter()
 
         tau = 0.0
         if tracer is not None and tracer.clock is None:
@@ -397,7 +374,7 @@ class ZoneGateway:
                 channels[spec.zone_id] = ZoneChannel(
                     spec,
                     self.config,
-                    policy=self.failover,
+                    admission=self.admission,
                     site_fault_plan=self.fault_plan,
                     roaming_tags={
                         tag.label: spec.clamp_local(tag.position_at(0.0))
@@ -405,10 +382,7 @@ class ZoneGateway:
                     },
                     checkpoint_path=self._checkpoint_path(spec.zone_id),
                     resume=resume,
-                    perf_clock=self._perf_clock,
-                    warmup_max_s=self.warmup_max_s,
                     tracer=tracer,
-                    sleep=self._sleep,
                     query_schedule=(
                         self.query_schedules.get(spec.zone_id)
                         if self.query_schedules is not None else None
@@ -478,7 +452,7 @@ class ZoneGateway:
             reports = {
                 zid: channels[zid].finish() for zid in sorted(channels)
             }
-        wall_s = self._perf_clock() - wall_start
+        wall_s = time.perf_counter() - wall_start
         availability = (
             1.0 if zone_ticks == 0
             else 1.0 - (down_ticks / zone_ticks)
@@ -505,7 +479,7 @@ class ZoneGateway:
         Proximity still nominates the owner (:meth:`ZonePlan.rank_zones`
         — its first entry is exactly :meth:`ZonePlan.detect_zone`), but
         a handoff only lands on a zone that accepts it: down and
-        saturated zones are skipped in rank order (cross-zone load
+        slow zones are skipped in rank order (cross-zone load
         shedding), the current owner is always an acceptable fallback,
         and a tag stranded in a permanently-down zone is explicitly
         rerouted to the nearest live neighbour with its last-known
@@ -518,7 +492,7 @@ class ZoneGateway:
         preferred = ranked[0]
         rerouted_from: str | None = None
         if preferred.zone_id == old_id and not old_ch.down:
-            # Staying put. Saturation sheds *handoffs*, never evicts.
+            # Staying put. A slow zone sheds *handoffs*, never evicts.
             target = preferred
         else:
             target: ZoneSpec | None = None
@@ -681,7 +655,7 @@ class ZoneGateway:
              "Gateway-to-zone calls that exceeded the request deadline",
              agg["timeouts"]),
             ("zone_retries_total",
-             "Gateway-to-zone call retries (bounded exponential backoff)",
+             "Gateway-to-zone call retries",
              agg["retries"]),
             ("zone_link_failures_total",
              "Gateway-to-zone calls lost to link faults",

@@ -395,7 +395,7 @@ class ZonePlan:
 
         The first entry is exactly ``detect_zone(global_pos)``; the rest
         are the fallback order the gateway's cross-zone load shedding
-        uses when the preferred zone is down or saturated — nearest
+        uses when the preferred zone is down or slow — nearest
         surviving constellation first, ties on zone id. Pure function of
         the plan geometry, so rerouting is deterministic.
         """

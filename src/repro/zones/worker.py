@@ -30,9 +30,8 @@ for shared-nothing parallel execution (non-roaming plans only).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..hardware.deployment import Deployment, build_paper_deployment
@@ -89,8 +88,6 @@ class ZoneWorker:
         checkpoint_path: str | os.PathLike | None = None,
         resume: bool = False,
         crash_point=None,
-        perf_clock: Callable[[], float] = time.perf_counter,
-        warmup_max_s: float = 120.0,
         query_schedule: Sequence[tuple[float, str]] | None = None,
     ):
         if resume and checkpoint_path is None:
@@ -128,7 +125,7 @@ class ZoneWorker:
         self.metrics = MetricsRegistry(zone=spec.zone_id)
         self.pipeline = ServicePipeline(
             self.deployment.grid, self.deployment.simulator.middleware,
-            self.config, metrics=self.metrics, perf_clock=perf_clock,
+            self.config, metrics=self.metrics,
         )
         self._roaming_ids: set[str] = {_tag_id(label) for label in roaming}
         # Open-loop arrival schedule (load harness): (t_rel_s, label)
@@ -144,8 +141,7 @@ class ZoneWorker:
             self.deployment, self.pipeline,
             (_tag_id(label) for label in spec.tracking_tags),
             fault_plan=fault_plan, checkpoint_path=checkpoint_path,
-            crash_point=crash_point, perf_clock=perf_clock,
-            warmup_max_s=warmup_max_s, zone=spec.zone_id,
+            crash_point=crash_point, zone=spec.zone_id,
             submit_queries=(
                 None if query_schedule is None else self._submit_scheduled
             ),
@@ -316,7 +312,6 @@ class ZoneTask:
     fault_plan: Any | None = None
     checkpoint_path: str | None = None
     resume: bool = False
-    warmup_max_s: float = 120.0
 
 
 def run_zone(task: ZoneTask) -> SessionReport:
@@ -332,6 +327,5 @@ def run_zone(task: ZoneTask) -> SessionReport:
         fault_plan=plan,
         checkpoint_path=task.checkpoint_path,
         resume=task.resume,
-        warmup_max_s=task.warmup_max_s,
     )
     return worker.run(task.duration_s)

@@ -24,7 +24,11 @@ on a single-ULP drift in any of them. Three scenarios are traced:
   control-flow changes cannot land silently;
 * ``trace_fig6.json`` — the logical ``vire.estimate`` span trees for one
   frozen trial of the Fig. 6 scenario in all three environments
-  (thresholds, selected-cell counts, fallbacks).
+  (thresholds, selected-cell counts, fallbacks);
+* ``zone_chaos_presets.json`` — the ``repro chaos --zones 2 --json``
+  witness under every zone-scoped preset (crash, hang, partition,
+  brownout): respawn, timeouts, fall-behind catch-up and handoff
+  shedding are all pinned.
 
 Regenerate **only** when a numerical change is intentional, and say why
 in the commit message.
@@ -394,6 +398,50 @@ def build_report_capacity() -> dict:
     }
 
 
+ZONE_CHAOS_PRESETS = ("crash", "hang", "partition", "brownout")
+
+
+def zone_chaos_argv(preset: str) -> list[str]:
+    """The ``repro chaos`` command line pinned for one zone preset."""
+    return [
+        "chaos", "--env", "Env1", "--zones", "2", "--duration", "10",
+        "--preset", "none", "--zone-preset", preset, "--zone-id", "z0",
+        "--zone-fault-start", "5", "--json",
+    ]
+
+
+def run_zone_chaos_cli(preset: str) -> str:
+    """Stdout of ``repro chaos`` for one zone preset, as printed."""
+    import contextlib
+    import io
+
+    from repro.cli import main as cli_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(zone_chaos_argv(preset))
+    if code != 0:
+        raise RuntimeError(f"chaos --zone-preset {preset} exited {code}")
+    return out.getvalue()
+
+
+def build_zone_chaos_presets() -> dict:
+    """The 2-zone chaos witness under every zone-scoped fault preset.
+
+    Each entry is the parsed ``--json`` document of one CLI run; the
+    test compares the CLI's stdout to this document re-serialized the
+    way the CLI prints it, so the check is byte-exact.
+    """
+    return {
+        "scenario": "zone-chaos-presets: chaos --zones 2 --json, record "
+        "preset none, one zone-scoped fault on z0 from t=5s",
+        "argv": {p: zone_chaos_argv(p) for p in ZONE_CHAOS_PRESETS},
+        "presets": {
+            p: json.loads(run_zone_chaos_cli(p)) for p in ZONE_CHAOS_PRESETS
+        },
+    }
+
+
 BUILDERS = {
     "paper_config.json": build_paper_trace,
     "masked_reading.json": build_masked_trace,
@@ -402,6 +450,7 @@ BUILDERS = {
     "trace_fig6.json": build_trace_fig6,
     "report_schedule.json": build_report_schedule,
     "report_capacity.json": build_report_capacity,
+    "zone_chaos_presets.json": build_zone_chaos_presets,
 }
 
 

@@ -23,6 +23,7 @@ from repro.exceptions import ReproError
 from .regen_golden import (
     BUILDERS,
     GOLDEN_DIR,
+    ZONE_CHAOS_PRESETS,
     build_chaos_trace,
     build_masked_trace,
     build_paper_trace,
@@ -35,6 +36,8 @@ from .regen_golden import (
     paper_estimator,
     paper_readings,
     run_chaos_session,
+    run_zone_chaos_cli,
+    zone_chaos_argv,
 )
 
 
@@ -213,3 +216,21 @@ class TestLoadReportsMatchGolden:
     def test_fixtures_carry_no_wall_clock_fields(self):
         for name in ("report_schedule.json", "report_capacity.json"):
             assert "wall" not in json.dumps(_load(name))
+
+
+class TestZoneChaosPresets:
+    """``repro chaos --zones 2 --json`` under every zone-scoped preset.
+
+    Crash → respawn and gap replay, hang → deadline timeouts then kill,
+    partition → fall behind and catch up, brownout → handoff shedding:
+    the CLI's stdout must match the fixture byte for byte.
+    """
+
+    @pytest.mark.parametrize("preset", ZONE_CHAOS_PRESETS)
+    def test_cli_output_is_byte_identical(self, preset):
+        fixture = _load("zone_chaos_presets.json")
+        assert fixture["argv"][preset] == zone_chaos_argv(preset)
+        expected = json.dumps(
+            fixture["presets"][preset], sort_keys=True, indent=2
+        ) + "\n"
+        assert run_zone_chaos_cli(preset) == expected

@@ -159,10 +159,12 @@ class TestTickCausality:
 
 
 class TestWarmupFailure:
-    def test_no_warmup_budget_raises_simulation_error(self):
+    def test_no_warmup_budget_raises_simulation_error(self, monkeypatch):
+        from repro.service import session
+
+        monkeypatch.setattr(session, "WARMUP_MAX_S", 0.0)  # no time for coverage
         service = SessionService(seed=1, config=service_config())
-        service.warmup_max_s = 0.0  # no time to achieve coverage
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="after 0.0s of warm-up"):
             service.run(StubScenario(), duration_s=1.0)
 
 

@@ -6,12 +6,13 @@ The contract under test (docs/ZONES.md, "Failover"):
   witness, every supervision counter at zero);
 * zone crash with respawn → byte-identical to the uninterrupted run
   (cold respawn replays the full journal; checkpointed respawn resumes
-  from the zone's WAL and replays the gap);
-* zone permanently down → explicit degradation: gateway-interim answers
-  (``reason="zone_down"``), rerouted handoffs, availability < 1 — never
-  a silent drop;
-* admission control and saturation shedding are deterministic and
-  counted.
+  from the zone's WAL and replays the gap) — and a respawn that does
+  *not* reconverge is caught by the same witness;
+* zone permanently down (respawn budget spent) → explicit degradation:
+  gateway-interim answers (``reason="zone_down"``), rerouted handoffs,
+  availability < 1 — never a silent drop;
+* admission control and slow-zone handoff shedding are deterministic
+  and counted.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from repro.zones import (
     AdmissionPolicy,
     RoamingTag,
     TokenBucket,
-    ZoneFailoverPolicy,
     ZoneGateway,
     scaled_site_plan,
     slice_fault_plan,
 )
+from repro.zones import failover
 
 
 def _config(**kw) -> ServiceConfig:
@@ -66,11 +67,13 @@ def _roaming_plan(n_zones: int = 2, *, x_end: float = 6.0):
     )
 
 
-def _no_sleep(_s: float) -> None:
-    return None
-
-
 CRASH_Z0 = FaultPlan(faults=(ZoneCrashFault(zone_id="z0", at_s=3.0),))
+
+#: One crash more than the respawn budget: z0 respawns twice (at 1 s
+#: and 2 s), then dies for good at 3 s.
+CRASH_LOOP_Z0 = FaultPlan(faults=tuple(
+    ZoneCrashFault(zone_id="z0", at_s=t) for t in (1.0, 2.0, 3.0)
+))
 
 
 @pytest.fixture(scope="module")
@@ -96,18 +99,17 @@ class TestRetryPolicyConsolidation:
         assert runtime.retry.max_retries == 4
         assert runtime.retry.backoff_s(2) == retry.backoff_s(2)
 
-    def test_failover_policy_embeds_retry(self):
-        policy = ZoneFailoverPolicy()
-        assert isinstance(policy.retry, RetryPolicy)
-        assert policy.retry.deadline_s == 5.0
+    def test_zone_budgets_are_constants(self):
+        # The zone path keeps no RetryPolicy: two retries per failed
+        # call and two respawns per zone, fixed.
+        assert failover.ZONE_CALL_RETRIES == 2
+        assert failover.MAX_RESPAWNS == 2
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ZoneFailoverPolicy(max_respawns=-1)
 
 
 class TestZoneFaultModels:
@@ -150,7 +152,23 @@ class TestZoneFaultModels:
         with pytest.raises(ConfigurationError):
             ZoneLinkLossFault("z0", start_s=0.0, duration_s=0.0)
         with pytest.raises(ConfigurationError):
-            SlowZoneFault("z0", start_s=0.0, duration_s=1.0, factor=1.0)
+            SlowZoneFault("z0", start_s=-1.0, duration_s=1.0)
+
+    def test_window_faults_answer_active_at(self):
+        for cls in (ZoneLinkLossFault, SlowZoneFault):
+            fault = cls("z0", start_s=1.0, duration_s=2.0)
+            assert not fault.active_at(0.999)
+            assert fault.active_at(1.0)  # closed at the left
+            assert fault.active_at(2.999)
+            assert not fault.active_at(3.0)  # open at the right
+
+    def test_plan_accepts_zone_faults_without_compile(self):
+        plan = FaultPlan(faults=(
+            ZoneCrashFault("z0", at_s=1.0),
+            SlowZoneFault("z1", start_s=0.0, duration_s=1.0),
+        ))
+        assert len(plan) == 2
+        assert not any(hasattr(f, "compile") for f in plan)
 
 
 class TestFailoverIdentity:
@@ -180,19 +198,40 @@ class TestFailoverIdentity:
         assert _witness(crashed) == _witness(clean)
         assert crashed.summary["zone_respawns"] == 1.0
 
+    def test_desynchronised_respawn_breaks_the_witness(
+        self, baseline_witness, monkeypatch
+    ):
+        """The recovery gate can fail: a respawn whose world is seeded
+        differently (one zone's RNG out of step) must not reproduce the
+        uninterrupted witness."""
+        builds: dict[str, int] = {}
+        real_worker = failover.ZoneWorker
+
+        def worker(spec, *args, **kwargs):
+            builds[spec.zone_id] = builds.get(spec.zone_id, 0) + 1
+            if spec.zone_id == "z0" and builds["z0"] > 1:
+                spec = spec.with_(seed=spec.seed + 1)
+            return real_worker(spec, *args, **kwargs)
+
+        monkeypatch.setattr(failover, "ZoneWorker", worker)
+        report = ZoneGateway(
+            _roaming_plan(), _config(), fault_plan=CRASH_Z0
+        ).run(6.0)
+        assert builds["z0"] == 2, "the crash must force a cold respawn"
+        assert report.summary["zone_respawns"] == 1.0
+        assert _witness(report) != baseline_witness
+
     def test_hang_times_out_retries_then_respawns(self, baseline_witness):
-        backoffs: list[float] = []
         plan = FaultPlan(faults=(WorkerHangFault(zone_id="z0", at_s=3.0),))
         report = ZoneGateway(
-            _roaming_plan(), _config(), fault_plan=plan,
-            sleep=backoffs.append,
+            _roaming_plan(), _config(), fault_plan=plan
         ).run(6.0)
         assert _witness(report) == baseline_witness
-        # deadline_s=5.0, max_retries=2: initial call + 2 retries all
-        # time out, with geometric backoff between attempts.
+        # The initial call and both retries time out, then the wedged
+        # instance is killed and respawned.
         assert report.summary["zone_timeouts"] == 3.0
         assert report.summary["zone_retries"] == 2.0
-        assert backoffs == [0.05, 0.1]
+        assert report.summary["zone_respawns"] == 1.0
 
     def test_link_loss_catches_up_byte_identical(self, baseline_witness):
         # Window chosen to not overlap the handoff: the zone falls
@@ -202,7 +241,7 @@ class TestFailoverIdentity:
             ZoneLinkLossFault(zone_id="z0", start_s=0.5, duration_s=1.0),
         ))
         report = ZoneGateway(
-            _roaming_plan(), _config(), fault_plan=plan, sleep=_no_sleep
+            _roaming_plan(), _config(), fault_plan=plan
         ).run(6.0)
         assert _witness(report) == baseline_witness
         assert report.summary["zone_link_failures"] > 0
@@ -214,8 +253,7 @@ class TestFailoverIdentity:
         runs = [
             _witness(
                 ZoneGateway(
-                    _roaming_plan(), _config(), fault_plan=plan,
-                    sleep=_no_sleep,
+                    _roaming_plan(), _config(), fault_plan=plan
                 ).run(6.0)
             )
             for _ in range(2)
@@ -224,20 +262,19 @@ class TestFailoverIdentity:
 
 
 class TestZoneDownDegradation:
-    """No respawn budget: explicit interim serving, never silence."""
+    """Respawn budget spent: explicit interim serving, never silence."""
 
     @pytest.fixture(scope="class")
     def down_report(self):
-        policy = ZoneFailoverPolicy(respawn=False)
         return ZoneGateway(
-            _roaming_plan(), _config(), fault_plan=CRASH_Z0,
-            failover=policy,
+            _roaming_plan(), _config(), fault_plan=CRASH_LOOP_Z0
         ).run(6.0)
 
     def test_zone_marked_down_and_availability_drops(self, down_report):
         s = down_report.summary
         assert s["zones_down"] == 1.0
-        assert s["zone_respawns"] == 0.0
+        assert s["zone_crashes"] == 3.0
+        assert s["zone_respawns"] == float(failover.MAX_RESPAWNS)
         assert 0.0 < s["availability"] < 1.0
 
     def test_interim_results_are_explicitly_degraded(self, down_report):
@@ -284,8 +321,9 @@ class TestZoneDownDegradation:
 
 class TestSaturationShedding:
     def test_preferred_zone_saturated_reroutes_handoff(self):
-        # z0 dies (no respawn) while z1 — the tag's nearest zone — is
-        # browned out: the handoff must land on z2 and say why.
+        # z0 crash-loops past its respawn budget while z1 — the tag's
+        # nearest zone — is browned out: the handoff must land on z2
+        # and say why.
         plan3 = dataclasses.replace(
             scaled_site_plan("Env1", 3, seed=0),
             roaming=(RoamingTag(
@@ -294,16 +332,12 @@ class TestSaturationShedding:
             ),),
         )
         faults = FaultPlan(faults=(
-            ZoneCrashFault(zone_id="z0", at_s=2.0),
+            *(ZoneCrashFault(zone_id="z0", at_s=t) for t in (1.0, 1.5, 2.0)),
             SlowZoneFault(zone_id="z1", start_s=0.0, duration_s=10.0),
         ))
-        policy = ZoneFailoverPolicy(
-            respawn=False,
-            admission=AdmissionPolicy(saturation_shed=True),
-        )
-        report = ZoneGateway(
-            plan3, _config(), fault_plan=faults, failover=policy
-        ).run(6.0)
+        report = ZoneGateway(plan3, _config(), fault_plan=faults).run(6.0)
+        assert report.summary["zones_down"] == 1.0
+        assert report.summary["zone_slow_ticks"] > 0
         rerouted = [h for h in report.handoffs if h.rerouted_from]
         assert rerouted
         assert rerouted[0].to_zone == "z2"
@@ -311,28 +345,6 @@ class TestSaturationShedding:
         entry = report.witness_document()["handoffs"][0]
         assert entry["rerouted_from"]
         assert entry["carried_source"] == "cache"
-
-    def test_saturated_zone_sheds_queries_deterministically(self):
-        plan = FaultPlan(faults=(
-            SlowZoneFault(zone_id="z1", start_s=1.0, duration_s=10.0),
-        ))
-        policy = ZoneFailoverPolicy(
-            admission=AdmissionPolicy(saturation_shed=True)
-        )
-
-        def run():
-            return ZoneGateway(
-                _roaming_plan(), _config(), fault_plan=plan,
-                failover=policy,
-            ).run(6.0)
-
-        a, b = run(), run()
-        assert a.summary["requests_shed"] > 0
-        assert a.summary["zone_slow_ticks"] > 0
-        assert _witness(a) == _witness(b)
-        # Shed queries really were not served.
-        clean = ZoneGateway(_roaming_plan(), _config()).run(6.0)
-        assert a.summary["results"] < clean.summary["results"]
 
 
 class TestAdmissionControl:
@@ -355,25 +367,22 @@ class TestAdmissionControl:
             AdmissionPolicy(burst=0)
 
     def test_rate_limit_sheds_and_advances_schedule(self):
-        policy = ZoneFailoverPolicy(
-            admission=AdmissionPolicy(rate_per_s=0.5, burst=1)
-        )
+        policy = AdmissionPolicy(rate_per_s=0.5, burst=1)
         limited = ZoneGateway(
-            _roaming_plan(), _config(), failover=policy
+            _roaming_plan(), _config(), admission=policy
         ).run(6.0)
         clean = ZoneGateway(_roaming_plan(), _config()).run(6.0)
         assert limited.summary["requests_shed"] > 0
         assert limited.summary["results"] < clean.summary["results"]
         # Deterministic: same policy, same sheds.
         again = ZoneGateway(
-            _roaming_plan(), _config(), failover=policy
+            _roaming_plan(), _config(), admission=policy
         ).run(6.0)
         assert _witness(again) == _witness(limited)
 
     def test_admission_with_checkpoints_is_rejected(self, tmp_path):
-        policy = ZoneFailoverPolicy(admission=AdmissionPolicy())
         gateway = ZoneGateway(
-            _roaming_plan(), _config(), failover=policy,
+            _roaming_plan(), _config(), admission=AdmissionPolicy(),
             checkpoint_dir=str(tmp_path),
         )
         with pytest.raises(ConfigurationError):
@@ -381,9 +390,10 @@ class TestAdmissionControl:
 
 
 class TestGatewayGuards:
-    def test_failover_policy_is_required(self):
-        with pytest.raises(ConfigurationError, match="ZoneFailoverPolicy"):
-            ZoneGateway(_roaming_plan(), _config(), failover=None)
+    def test_admission_must_be_an_admission_policy(self):
+        for bad in (True, {"rate_per_s": 1.0}, RetryPolicy()):
+            with pytest.raises(ConfigurationError, match="AdmissionPolicy"):
+                ZoneGateway(_roaming_plan(), _config(), admission=bad)
 
     def test_zone_faults_reject_parallel(self):
         plan = scaled_site_plan("Env1", 2, seed=0)
@@ -393,8 +403,7 @@ class TestGatewayGuards:
 
     def test_admission_rejects_parallel(self):
         plan = scaled_site_plan("Env1", 2, seed=0)
-        policy = ZoneFailoverPolicy(admission=AdmissionPolicy())
-        gateway = ZoneGateway(plan, _config(), failover=policy)
+        gateway = ZoneGateway(plan, _config(), admission=AdmissionPolicy())
         with pytest.raises(ConfigurationError):
             gateway.run(4.0, parallel=True)
 
@@ -464,6 +473,12 @@ class TestFailoverCLI:
             ["serve", "--zones", "2", "--kill-zone", "z0@soon"],
             ["serve", "--zones", "2", "--kill-zone", "z9@1.0"],
             ["serve", "--zones", "2", "--resume"],
+            # Zero and empty values are still values: the guards test
+            # presence, not truthiness.
+            ["serve", "--zones", "2", "--kill-at", "0"],
+            ["serve", "--zones", "2", "--checkpoint", ""],
+            ["serve", "--kill-zone", ""],
+            ["serve", "--checkpoint-dir", ""],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
