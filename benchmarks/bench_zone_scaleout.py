@@ -3,20 +3,16 @@
 The question behind ``repro.zones`` (docs/ZONES.md): on a site N times
 the paper's testbed, is running N zone workers actually faster than one
 monolithic pipeline over the merged deployment — *without changing any
-answer*? Three checks, tied to the PR's acceptance bar:
+answer*? Two checks:
 
 1. **Throughput** — the 4-zone deployment must localize at >= 2.5x the
    monolithic baseline's localizations/s on the identical site (same
    rooms, same 16 readers, same 36 tags, same virtual-tag density).
    The win is algorithmic, not parallelism: VIRE's elimination cost
    scales with readers x virtual cells, so four small per-zone grids
-   beat one merged site grid even on a single core (the serial lockstep
-   is what's timed here; ``parallel=True`` stacks on top).
+   beat one merged site grid even on a single core.
 2. **Determinism** — the zoned run repeated under the same seed must
    produce a byte-identical multi-zone witness.
-3. **Parallel identity** — process-per-zone fan-out must produce the
-   same witness as the serial lockstep (shared-nothing means the
-   execution mode cannot matter).
 
 Run it via pytest (prints the JSON report)::
 
@@ -47,7 +43,6 @@ ENV = "Env1"
 N_ZONES = 4
 SEED = 0
 DURATION_S = 10.0
-PARALLEL_DURATION_S = 4.0
 SPEEDUP_FLOOR = 2.5
 
 #: Service knobs for both arms: a demanding query rate so the estimator
@@ -87,13 +82,6 @@ def run_benchmark() -> dict:
     )
     repeat_identical = _witness(zoned) == _witness(zoned_again)
 
-    # 3) Serial lockstep vs process-per-zone: identical witnesses.
-    serial_short = ZoneGateway(zoned_plan, CONFIG).run(PARALLEL_DURATION_S)
-    parallel_short = ZoneGateway(zoned_plan, CONFIG).run(
-        PARALLEL_DURATION_S, parallel=True
-    )
-    parallel_identical = _witness(serial_short) == _witness(parallel_short)
-
     return {
         "env": ENV,
         "n_zones": N_ZONES,
@@ -120,7 +108,6 @@ def run_benchmark() -> dict:
             "speedup": round(speedup, 2),
             "speedup_ok": speedup >= SPEEDUP_FLOOR,
             "repeat_identical": repeat_identical,
-            "parallel_identical": parallel_identical,
         },
     }
 
@@ -131,9 +118,6 @@ def test_zone_scaleout_benchmark():
     acc = report["acceptance"]
     assert acc["repeat_identical"], (
         "the zoned run is not reproducible under its seed"
-    )
-    assert acc["parallel_identical"], (
-        "process-per-zone produced different answers than serial lockstep"
     )
     assert acc["speedup_ok"], (
         f"zoned throughput is only {acc['speedup']}x the monolith "
@@ -146,7 +130,7 @@ if __name__ == "__main__":
     emit("zone scale-out", json.dumps(out, indent=2))
     ok = all(
         out["acceptance"][key]
-        for key in ("speedup_ok", "repeat_identical", "parallel_identical")
+        for key in ("speedup_ok", "repeat_identical")
     )
     with open("BENCH_zone_scaleout.json", "w") as fh:
         json.dump(out, fh, indent=2)

@@ -221,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--zones", type=int, default=None, metavar="N",
                      help="run N shared-nothing zones behind the gateway "
                           "(repro.zones; see docs/ZONES.md)")
-    srv.add_argument("--parallel", action="store_true",
-                     help="with --zones: one process per zone "
-                          "(bit-identical to the serial lockstep)")
     srv.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="with --zones: one write-ahead checkpoint file "
                           "per zone in DIR (zone respawn and --resume)")
@@ -629,7 +626,6 @@ def _cmd_serve(args) -> str:
     if args.zones is not None:
         return _cmd_serve_zones(args, config)
     for given, name in (
-        (args.parallel, "--parallel"),
         (args.checkpoint_dir is not None, "--checkpoint-dir"),
         (args.kill_zone is not None, "--kill-zone"),
     ):
@@ -788,13 +784,10 @@ def _cmd_serve_zones(args, config) -> str:
     if not quiet:
         print(
             f"serving {args.env} x {args.zones} zones for "
-            f"{args.duration:g}s (seed {args.seed}"
-            f"{', parallel' if args.parallel else ''}):"
+            f"{args.duration:g}s (seed {args.seed}):"
         )
     with _graceful_sigterm():
-        report = gateway.run(
-            args.duration, parallel=args.parallel, resume=args.resume
-        )
+        report = gateway.run(args.duration, resume=args.resume)
 
     if args.json:
         # Deterministic witness only: two seeded runs must print
@@ -804,8 +797,8 @@ def _cmd_serve_zones(args, config) -> str:
         doc["seed"] = args.seed
         doc["duration_s"] = args.duration
         doc["zones_requested"] = args.zones
-        # Only a faulted run earns a supervision block: the fault-free
-        # JSON stays byte-identical to --parallel.
+        # Only a faulted run earns a supervision block, so the
+        # fault-free JSON keeps the pre-failover witness byte for byte.
         if fault_plan is not None:
             fs = report.summary
             doc["failover"] = {

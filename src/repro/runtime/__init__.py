@@ -6,7 +6,7 @@ hardened the way long-lived fingerprint-serving systems are:
 * :mod:`~repro.runtime.policy` — :class:`RuntimePolicy` (retry budget
   and serial fallback of the process pool, threaded through
   :class:`~repro.engine.config.EngineConfig`) and :class:`RetryPolicy`,
-  the deadline/retry/backoff vocabulary it shares with the zone gateway.
+  the pool's per-task deadline/retry/backoff budget.
 * :mod:`~repro.runtime.supervisor` — :class:`SupervisedPool`, the one
   process-pool route (:func:`repro.engine.sharding.map_shards`):
   per-task deadlines, bounded retries with exponential backoff,

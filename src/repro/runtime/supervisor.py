@@ -211,7 +211,7 @@ class SupervisedPool:
         attempts: list[int],
     ) -> R:
         # One source of truth for deadline/retry/backoff math: the
-        # RetryPolicy shared with the zone gateway's call path.
+        # pool's RetryPolicy.
         retry = self.policy.retry
         timeout = retry.deadline_s
         while True:

@@ -161,7 +161,9 @@ class MicroBatcher:
         whatever remains if the oldest leftover request has aged out.
 
         ``max_batches`` caps how many batches one poll may cut — the
-        executor-capacity knob of the load harness. An uncapped poll
+        mechanism behind
+        :attr:`~repro.service.pipeline.ServiceConfig.max_batches_per_tick`,
+        the load harness's executor-capacity setting. An uncapped poll
         always clears its backlog, which silently models an infinitely
         fast estimator; with a cap, excess requests stay pending and
         their queue wait (sim-clock) grows until the deadline ladder

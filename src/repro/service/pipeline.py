@@ -377,22 +377,16 @@ class ServicePipeline:
 
     # -- batch execution -----------------------------------------------------
 
-    def process_due(
-        self, now_s: float, max_batches: int | None = None
-    ) -> list[ServiceResult]:
+    def process_due(self, now_s: float) -> list[ServiceResult]:
         """Execute every batch due at ``now_s``; returns their results.
 
-        ``max_batches`` caps the executor's work for this tick; when
-        omitted the config's ``max_batches_per_tick`` applies (default
-        unbounded). See :meth:`MicroBatcher.poll`.
+        The config's ``max_batches_per_tick`` caps the executor's work
+        for this tick (default unbounded). See :meth:`MicroBatcher.poll`.
         """
-        limit = (
-            max_batches
-            if max_batches is not None
-            else self.config.max_batches_per_tick
-        )
         results: list[ServiceResult] = []
-        for batch in self.batcher.poll(now_s, max_batches=limit):
+        for batch in self.batcher.poll(
+            now_s, max_batches=self.config.max_batches_per_tick
+        ):
             results.extend(self._execute_batch(batch, now_s))
         return results
 

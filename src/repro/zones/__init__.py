@@ -36,7 +36,7 @@ from .spec import (
     slice_fault_plan,
     zone_seed,
 )
-from .worker import ZoneTask, ZoneWorker, run_zone
+from .worker import ZoneWorker
 
 __all__ = [
     # spec
@@ -44,7 +44,7 @@ __all__ = [
     "slice_fault_plan", "single_zone_plan", "scaled_site_plan",
     "monolithic_site_plan",
     # worker
-    "ZoneWorker", "ZoneTask", "run_zone",
+    "ZoneWorker",
     # gateway
     "HandoffEvent", "MultiZoneReport", "ZoneGateway",
     # failover

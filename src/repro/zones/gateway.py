@@ -23,16 +23,12 @@ whole site as one service:
   wall-clock or estimator internals, so it behaves identically while a
   zone is mid-degradation or has readers open-circuit.
 
-Execution modes:
-
-* **serial lockstep** (default) — workers sorted by zone id, one chunk
-  each per iteration, every worker behind a supervised
-  :class:`~repro.zones.failover.ZoneChannel`; required for roaming plans
-  (handoff needs all zones at the same τ), zone-scoped faults, admission
-  control and open-loop schedules, and byte-reproducible run to run.
-* **parallel** — non-roaming plans fan out one process per zone through
-  :class:`~repro.runtime.supervisor.SupervisedPool`; shared-nothing by
-  construction, bit-identical to the serial mode.
+Every run is one **supervised lockstep** loop: workers sorted by zone
+id, one chunk each per iteration, every worker behind a
+:class:`~repro.zones.failover.ZoneChannel`. Handoff needs all zones at
+the same τ, and zone-scoped faults, admission control and open-loop
+schedules all act on the gateway's call path, so one loop serves every
+plan and is byte-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -43,14 +39,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
-from ..faults.models import is_zone_fault
 from ..obs import Tracer, current_tracer, use_tracer
 from ..service.metrics import MetricsRegistry, get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport, result_witness_entry
 from .failover import AdmissionPolicy, ZoneChannel
 from .spec import RoamingTag, ZonePlan, ZoneSpec
-from .worker import ZoneTask, run_zone
 
 __all__ = ["HandoffEvent", "MultiZoneReport", "ZoneGateway"]
 
@@ -111,9 +105,9 @@ class MultiZoneReport:
         """The multi-zone determinism witness, as JSON types.
 
         Per-zone witnesses under their zone ids plus the handoff trail —
-        a seeded plan run twice (or serial vs parallel, or crash-resumed)
-        must produce a byte-identical ``json.dumps(..., sort_keys=True)``
-        of this document.
+        a seeded plan run twice (or crash-resumed) must produce a
+        byte-identical ``json.dumps(..., sort_keys=True)`` of this
+        document.
 
         Failover-only facts (reroutes, cache-sourced carries, interim
         answers) appear *conditionally* — a fault-free run's witness is
@@ -204,7 +198,7 @@ class ZoneGateway:
         each zone's ``(t_rel_s, tag_label)`` events replace its
         interval-driven query loop (see
         :meth:`ZoneWorker._submit_scheduled`). Zones absent from the
-        mapping keep the interval behaviour. Serial lockstep only.
+        mapping keep the interval behaviour.
     """
 
     def __init__(
@@ -241,11 +235,6 @@ class ZoneGateway:
                 )
         self._logger = get_service_logger()
 
-    def _has_zone_faults(self) -> bool:
-        return self.fault_plan is not None and any(
-            is_zone_fault(f) for f in self.fault_plan
-        )
-
     # -- helpers ---------------------------------------------------------------
 
     def _checkpoint_path(self, zone_id: str) -> str | None:
@@ -261,97 +250,21 @@ class ZoneGateway:
         self,
         duration_s: float,
         *,
-        parallel: bool = False,
         resume: bool = False,
         tracer: Tracer | None = None,
     ) -> MultiZoneReport:
         """Run every zone for ``duration_s`` simulated seconds.
-
-        Serial lockstep by default; ``parallel=True`` fans non-roaming
-        plans out one process per zone (bit-identical results — the
-        zones are shared-nothing). ``resume=True`` resumes every zone
-        from its checkpoint file in ``checkpoint_dir``.
-        """
-        if parallel and self.plan.roaming:
-            raise ConfigurationError(
-                "roaming tags require serial lockstep execution: handoff "
-                "is evaluated with all zones at the same relative time; "
-                "run with parallel=False"
-            )
-        if parallel and tracer is not None:
-            raise ConfigurationError(
-                "tracing is not supported in parallel mode (spans cannot "
-                "cross process boundaries deterministically)"
-            )
-        if resume and self.checkpoint_dir is None:
-            raise ConfigurationError("resume=True requires a checkpoint_dir")
-        if parallel and self._has_zone_faults():
-            raise ConfigurationError(
-                "zone-scoped faults require the serial supervised gateway "
-                "(crash detection and respawn live on the gateway's call "
-                "path); run with parallel=False"
-            )
-        if parallel and self.admission is not None:
-            raise ConfigurationError(
-                "admission control is not supported in parallel mode; "
-                "run with parallel=False"
-            )
-        if parallel and self.query_schedules is not None:
-            raise ConfigurationError(
-                "open-loop query schedules require serial lockstep "
-                "execution (arrivals are keyed to the shared gateway "
-                "clock); run with parallel=False"
-            )
-        if parallel:
-            return self._run_parallel(duration_s, resume)
-        return self._run_serial_failover(duration_s, resume, tracer)
-
-    # -- parallel fan-out --------------------------------------------------------
-
-    def _run_parallel(self, duration_s: float, resume: bool) -> MultiZoneReport:
-        from ..runtime.supervisor import SupervisedPool
-
-        zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
-        tasks = [
-            ZoneTask(
-                spec=spec,
-                config=self.config,
-                duration_s=float(duration_s),
-                fault_plan=self.fault_plan,
-                checkpoint_path=self._checkpoint_path(spec.zone_id),
-                resume=resume,
-            )
-            for spec in zones
-        ]
-        wall_start = time.perf_counter()
-        log_event(
-            self._logger, "gateway_parallel_start",
-            zones=len(zones), duration=duration_s,
-        )
-        with SupervisedPool(len(zones)) as pool:
-            reports = pool.map(run_zone, tasks)
-        wall_s = time.perf_counter() - wall_start
-        by_zone = {
-            spec.zone_id: report for spec, report in zip(zones, reports)
-        }
-        return self._assemble(by_zone, (), wall_s, {}, interrupted=False)
-
-    # -- serial lockstep, supervised -----------------------------------------------
-
-    def _run_serial_failover(
-        self,
-        duration_s: float,
-        resume: bool,
-        tracer: Tracer | None,
-    ) -> MultiZoneReport:
-        """The supervised lockstep loop: every worker behind a channel.
 
         Workers are built and stepped in zone-id order on the gateway's
         relative clock (τ = k·step since query start, whatever each
         zone's per-seed warm-up length); every surface call is journaled
         through a :class:`~repro.zones.failover.ZoneChannel` and every
         step call supervised. Gateway spans are stamped with τ.
+        ``resume=True`` resumes every zone from its checkpoint file in
+        ``checkpoint_dir``.
         """
+        if resume and self.checkpoint_dir is None:
+            raise ConfigurationError("resume=True requires a checkpoint_dir")
         step = self.config.stream_step_s
         zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
         wall_start = time.perf_counter()
@@ -389,9 +302,9 @@ class ZoneGateway:
                     ),
                 )
             log_event(
-                self._logger, "gateway_serial_start",
+                self._logger, "gateway_start",
                 zones=len(zones), duration=duration_s,
-                roaming=len(self.plan.roaming), failover=1,
+                roaming=len(self.plan.roaming),
             )
             try:
                 for channel in channels.values():
@@ -566,8 +479,8 @@ class ZoneGateway:
         channels: Mapping[str, ZoneChannel],
         *,
         interrupted: bool,
-        interim: tuple[ServiceResult, ...] = (),
-        availability: float = 1.0,
+        interim: tuple[ServiceResult, ...],
+        availability: float,
     ) -> MultiZoneReport:
         totals = {
             "zones": float(len(reports)),

@@ -20,17 +20,14 @@ change ownership at chunk boundaries, :meth:`transfer_estimate` to seed
 the level-4 ladder with the estimate carried over from the sending zone,
 admission control and the load harness's open-loop query schedule. All
 positions on this surface are **local** zone coordinates; the gateway
-owns the site frame.
-
-:func:`run_zone` + :class:`ZoneTask` are the module-level picklable pair
-the gateway hands to :class:`~repro.runtime.supervisor.SupervisedPool`
-for shared-nothing parallel execution (non-roaming plans only).
+owns the site frame. The gateway steps every worker in lockstep
+behind a :class:`~repro.zones.failover.ZoneChannel`; :meth:`ZoneWorker.run`
+is the standalone path.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
@@ -40,9 +37,9 @@ from ..runtime.checkpoint import CheckpointState, load_checkpoint
 from ..service.metrics import MetricsRegistry
 from ..service.pipeline import ServiceConfig, ServicePipeline, ServiceResult
 from ..service.session import ServiceSession, SessionReport
-from .spec import ZoneSpec, slice_fault_plan
+from .spec import ZoneSpec
 
-__all__ = ["ZoneWorker", "ZoneTask", "run_zone"]
+__all__ = ["ZoneWorker"]
 
 
 def _tag_id(label: Any) -> str:
@@ -292,40 +289,3 @@ class ZoneWorker:
             duration_s, header, restored=restored, tracer=tracer
         )
 
-
-# ---------------------------------------------------------------------------
-# Picklable parallel execution unit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZoneTask:
-    """Everything a worker process needs to run one zone, picklable.
-
-    ``fault_plan`` is the **site** plan; the task slices it for its own
-    zone so the gateway ships one object to every process.
-    """
-
-    spec: ZoneSpec
-    config: ServiceConfig | None = None
-    duration_s: float = 10.0
-    fault_plan: Any | None = None
-    checkpoint_path: str | None = None
-    resume: bool = False
-
-
-def run_zone(task: ZoneTask) -> SessionReport:
-    """Run one zone to completion (module-level: picklable for the pool)."""
-    plan = (
-        slice_fault_plan(task.fault_plan, task.spec.zone_id)
-        if task.fault_plan is not None
-        else None
-    )
-    worker = ZoneWorker(
-        task.spec,
-        task.config,
-        fault_plan=plan,
-        checkpoint_path=task.checkpoint_path,
-        resume=task.resume,
-    )
-    return worker.run(task.duration_s)

@@ -494,6 +494,19 @@ class TestSessionIntegration:
         )
         assert witness(on) == witness(off)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_deadband_breaks_answer_neutrality(self, seed):
+        """The neutrality gate above can fail: with no deadband the
+        corrector chases zero-drift noise and the answers move."""
+        off = SessionService(seed).run(RecoveryScenario(), 6.0)
+        on = SessionService(
+            seed,
+            service_config(
+                calibration=CalibrationPolicy(bias_deadband_db=0.0)
+            ),
+        ).run(RecoveryScenario(), 6.0)
+        assert witness(on) != witness(off)
+
     def test_crash_resume_with_calibration_is_byte_identical(self, tmp_path):
         path = tmp_path / "calib.ckpt"
         config = calibrated_config()

@@ -227,17 +227,6 @@ class TestMultiZone:
 
 
 class TestScheduledWorkerGuards:
-    def test_parallel_gateway_rejects_schedules(self):
-        from repro.zones import ZoneGateway, scaled_site_plan
-
-        plan = scaled_site_plan("Env1", 2, seed=0)
-        gateway = ZoneGateway(
-            plan, cheap_config(),
-            query_schedules={"z0": ((1.0, "1"),)},
-        )
-        with pytest.raises(ConfigurationError, match="serial lockstep"):
-            gateway.run(2.0, parallel=True)
-
     def test_unknown_zone_in_schedules_rejected(self):
         from repro.zones import ZoneGateway, scaled_site_plan
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from repro import (
     paper_testbed_grid,
 )
 from repro.core.elimination import eliminate
-from repro.core.proximity import build_proximity_maps
+from repro.core.proximity import build_proximity_maps, rssi_deviations
 
 GRID = paper_testbed_grid()
 REF_POSITIONS = GRID.tag_positions()
@@ -99,18 +99,51 @@ class TestShiftInvariance:
         res2 = LandmarcEstimator().estimate(shifted)
         assert res.position == pytest.approx(res2.position, abs=1e-9)
 
+    @example(
+        # Near tie: the virtual cells between ref[0, 0] and its
+        # neighbours sit exactly on the adaptive threshold (2.5 dB), and
+        # rounding of the shifted lattice drops two of them: the
+        # estimate moves 1.75 cm.
+        reading=TrackingReading(
+            reference_rssi=np.vstack(
+                [np.r_[-40.0, np.full(15, -42.0)], np.full((3, 16), -42.0)]
+            ),
+            tracking_rssi=np.full(4, -43.0),
+            reference_positions=REF_POSITIONS,
+        ),
+        shift=-9.991,
+    )
     @given(reading_strategy(), st.floats(-10.0, 10.0))
     @settings(max_examples=20, deadline=None)
     def test_common_shift_leaves_vire_unchanged(self, reading, shift):
+        """A common shift leaves VIRE unchanged up to the elimination
+        boundary.
+
+        Deviations are shift-invariant in exact arithmetic, but
+        ``interp(ref + s)`` is not ``interp(ref) + s`` bit for bit, so a
+        virtual cell whose worst deviation ties the threshold may flip
+        in or out of the selection. Same selection: same estimate.
+        Different selection: every flipped cell sits on the threshold
+        to within float rounding, in both runs.
+        """
         vire = VIREEstimator(GRID, VIREConfig(subdivisions=4))
-        res = vire.estimate(reading)
         shifted = TrackingReading(
             reference_rssi=reading.reference_rssi + shift,
             tracking_rssi=reading.tracking_rssi + shift,
             reference_positions=REF_POSITIONS,
         )
-        res2 = vire.estimate(shifted)
-        assert res.position == pytest.approx(res2.position, abs=1e-9)
+        flipped = vire.selection_mask(reading) != vire.selection_mask(shifted)
+        if not flipped.any():
+            res, res2 = vire.estimate(reading), vire.estimate(shifted)
+            assert res.position == pytest.approx(res2.position, abs=1e-9)
+            return
+        for r in (reading, shifted):
+            deviations = rssi_deviations(
+                vire.interpolate_reading(r), r.tracking_rssi
+            )
+            worst = deviations.max(axis=0)[flipped]
+            threshold = vire.select_threshold(deviations)
+            assert worst == pytest.approx(threshold, abs=1e-9)
 
 
 class TestEliminationMonotonicity:

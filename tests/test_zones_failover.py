@@ -395,18 +395,6 @@ class TestGatewayGuards:
             with pytest.raises(ConfigurationError, match="AdmissionPolicy"):
                 ZoneGateway(_roaming_plan(), _config(), admission=bad)
 
-    def test_zone_faults_reject_parallel(self):
-        plan = scaled_site_plan("Env1", 2, seed=0)
-        gateway = ZoneGateway(plan, _config(), fault_plan=CRASH_Z0)
-        with pytest.raises(ConfigurationError):
-            gateway.run(4.0, parallel=True)
-
-    def test_admission_rejects_parallel(self):
-        plan = scaled_site_plan("Env1", 2, seed=0)
-        gateway = ZoneGateway(plan, _config(), admission=AdmissionPolicy())
-        with pytest.raises(ConfigurationError):
-            gateway.run(4.0, parallel=True)
-
 
 class TestGatewayMetricsNaming:
     """Satellite regression: queue counters are zone-namespaced and the

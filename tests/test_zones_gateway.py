@@ -67,14 +67,6 @@ class TestGatewayDeterminism:
         # Same geometry, different derived seeds: different RSSI worlds.
         assert w0["results"] != w1["results"]
 
-    @pytest.mark.slow
-    def test_parallel_equals_serial(self):
-        config = _config()
-        plan = scaled_site_plan("Env1", 2, seed=0)
-        serial = ZoneGateway(plan, config).run(4.0)
-        parallel = ZoneGateway(plan, config).run(4.0, parallel=True)
-        assert _witness(parallel) == _witness(serial)
-
     def test_gateway_summary_totals_the_zones(self):
         report = ZoneGateway(
             scaled_site_plan("Env1", 2, seed=0), _config()
@@ -197,16 +189,6 @@ class TestHandoff:
 
 
 class TestGatewayGuards:
-    def test_parallel_rejects_roaming_plans(self):
-        gateway = ZoneGateway(_roaming_plan(), _config())
-        with pytest.raises(ConfigurationError, match="serial lockstep"):
-            gateway.run(4.0, parallel=True)
-
-    def test_parallel_rejects_tracing(self):
-        gateway = ZoneGateway(scaled_site_plan("Env1", 2), _config())
-        with pytest.raises(ConfigurationError, match="parallel"):
-            gateway.run(4.0, parallel=True, tracer=Tracer())
-
     def test_resume_requires_a_checkpoint_dir(self):
         gateway = ZoneGateway(scaled_site_plan("Env1", 2), _config())
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
@@ -244,9 +226,3 @@ class TestServeZonesCLI:
             "--duration", "2", "--checkpoint", "x.ckpt",
         ]) == 2
         assert "not supported with --zones" in capsys.readouterr().err
-
-    def test_parallel_requires_zones(self, capsys):
-        assert main([
-            "serve", "--env", "Env1", "--duration", "2", "--parallel",
-        ]) == 2
-        assert "--zones" in capsys.readouterr().err
