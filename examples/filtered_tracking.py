@@ -49,8 +49,8 @@ def main() -> None:
         # accuracy. The moving tag gets "latest" so readings stay
         # current; temporal smoothing is delegated to the position
         # filters below.
-        smoothing=SmoothingSpec(mode="window", window=10),
-        tracking_smoothing=SmoothingSpec(mode="window", window=2),
+        smoothing=SmoothingSpec(window=10),
+        tracking_smoothing=SmoothingSpec(window=2),
     )
     simulator = deployment.simulator
     vire = VIREEstimator(deployment.grid, VIREConfig(target_total_tags=900))

@@ -47,7 +47,7 @@ def main() -> None:
         env3(),
         tracking_tags={"asset": ASSET_ROUTE[0]},
         seed=7,
-        smoothing=SmoothingSpec(mode="window", window=8),
+        smoothing=SmoothingSpec(window=8),
         disturbances=[walker],
     )
     simulator = deployment.simulator

@@ -30,7 +30,6 @@ from .exceptions import (
     ReadingError,
     EstimationError,
     SimulationError,
-    SupervisionError,
     CheckpointError,
 )
 from .geometry import (
@@ -108,9 +107,6 @@ from .calibration import (
     TrustState,
 )
 from .runtime import (
-    RuntimePolicy,
-    SupervisedPool,
-    supervised_map,
     CheckpointWriter,
     CheckpointState,
     load_checkpoint,
@@ -136,7 +132,6 @@ from .service import (
 from .engine import (
     BatchEngine,
     BatchLandmarc,
-    EngineConfig,
     estimate_all,
 )
 from .experiments import (
@@ -156,8 +151,7 @@ __all__ = [
     "TrackingReading", "EstimateResult", "Estimator", "estimation_error",
     # exceptions
     "ReproError", "ConfigurationError", "GeometryError", "ChannelError",
-    "ReadingError", "EstimationError", "SimulationError",
-    "SupervisionError", "CheckpointError",
+    "ReadingError", "EstimationError", "SimulationError", "CheckpointError",
     # geometry
     "ReferenceGrid", "Room", "Wall", "rectangular_room",
     "paper_testbed_grid", "corner_reader_positions", "figure2a_tracking_tags",
@@ -186,14 +180,13 @@ __all__ = [
     "CrashPoint", "SimulatedCrash",
     # calibration (self-healing drift correction + tag quarantine)
     "CalibrationPolicy", "DriftCorrector", "TrustState",
-    # runtime (supervised execution + checkpoints)
-    "RuntimePolicy", "SupervisedPool", "supervised_map",
+    # runtime (serving-path salvage + checkpoints)
     "CheckpointWriter", "CheckpointState", "load_checkpoint",
     # tracking (mobility)
     "Trajectory", "TagTracker", "KalmanFilter2D", "AlphaBetaFilter",
     "MovingAverageFilter", "NoFilter", "evaluate_track",
     # engine (vectorized batch estimation)
-    "BatchEngine", "BatchLandmarc", "EngineConfig", "estimate_all",
+    "BatchEngine", "BatchLandmarc", "estimate_all",
     # experiments
     "TestbedScenario", "paper_scenario", "run_scenario", "TrialSampler",
     "MeasurementSpec", "figures", "sweeps", "analysis",

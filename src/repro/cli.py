@@ -266,16 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the plan through the N-zone gateway and "
                           "add a zone-scoped control-plane fault "
                           "(see docs/FAULTS.md)")
-    cha.add_argument("--zone-preset", default="crash",
+    cha.add_argument("--zone-preset", default=None,
                      choices=["none", "crash", "hang", "partition",
                               "brownout"],
-                     help="zone-scoped fault preset (with --zones)")
-    cha.add_argument("--zone-id", default="z0",
-                     help="target zone for --zone-preset (with --zones)")
-    cha.add_argument("--zone-fault-start", type=float, default=8.0,
-                     help="zone fault start (simulated seconds)")
-    cha.add_argument("--zone-fault-duration", type=float, default=10.0,
-                     help="zone fault window length (partition/brownout)")
+                     help="zone-scoped fault preset (with --zones; "
+                          "default crash)")
+    cha.add_argument("--zone-id", default=None,
+                     help="target zone for --zone-preset (with --zones; "
+                          "default z0)")
+    cha.add_argument("--zone-fault-start", type=float, default=None,
+                     help="zone fault start (simulated seconds, with "
+                          "--zones; default 8)")
+    cha.add_argument("--zone-fault-duration", type=float, default=None,
+                     help="zone fault window length (partition/brownout, "
+                          "with --zones; default 10)")
 
     trc = sub.add_parser(
         "trace", help="record, summarize and diff deterministic span traces"
@@ -549,8 +553,8 @@ def _cmd_track(args) -> str:
         environment_by_name(args.env),
         tracking_tags={"asset": route.position_at(0.0)},
         seed=args.seed,
-        smoothing=SmoothingSpec(mode="window", window=10),
-        tracking_smoothing=SmoothingSpec(mode="window", window=2),
+        smoothing=SmoothingSpec(window=10),
+        tracking_smoothing=SmoothingSpec(window=2),
     )
     simulator = deployment.simulator
     vire = VIREEstimator(deployment.grid, VIREConfig(target_total_tags=900))
@@ -875,11 +879,21 @@ def _cmd_chaos_zones(args) -> str:
 
     if args.zones < 1:
         raise ConfigurationError(f"--zones must be >= 1, got {args.zones}")
+    # The zone-only flags default to None so plain ``chaos`` can refuse
+    # them; their defaults are resolved here.
+    zone_preset = "crash" if args.zone_preset is None else args.zone_preset
+    zone_id = "z0" if args.zone_id is None else args.zone_id
+    fault_start = (
+        8.0 if args.zone_fault_start is None else args.zone_fault_start
+    )
+    fault_duration = (
+        10.0 if args.zone_fault_duration is None else args.zone_fault_duration
+    )
     site = scaled_site_plan(args.env, args.zones, seed=args.seed)
     zone_ids = {spec.zone_id for spec in site.zones}
-    if args.zone_preset != "none" and args.zone_id not in zone_ids:
+    if zone_preset != "none" and zone_id not in zone_ids:
         raise ConfigurationError(
-            f"--zone-id {args.zone_id!r} is not in the site "
+            f"--zone-id {zone_id!r} is not in the site "
             f"(have z0..z{args.zones - 1})"
         )
     record_plan = chaos_preset(args.preset, seed=args.seed)
@@ -892,11 +906,11 @@ def _cmd_chaos_zones(args) -> str:
             )
         )
     zone_faults = zone_chaos_preset(
-        args.zone_preset,
-        zone_id=args.zone_id,
+        zone_preset,
+        zone_id=zone_id,
         seed=args.seed,
-        start_s=args.zone_fault_start,
-        duration_s=args.zone_fault_duration,
+        start_s=fault_start,
+        duration_s=fault_duration,
     )
     plan = FaultPlan(
         tuple(record_plan) + tuple(zone_faults), seed=args.seed
@@ -914,8 +928,8 @@ def _cmd_chaos_zones(args) -> str:
             "seed": args.seed,
             "zones": args.zones,
             "preset": args.preset,
-            "zone_preset": args.zone_preset,
-            "zone_id": args.zone_id,
+            "zone_preset": zone_preset,
+            "zone_id": zone_id,
             "duration_s": args.duration,
             "faults": len(plan),
             "requests": int(s["requests"]),
@@ -949,8 +963,8 @@ def _cmd_chaos_zones(args) -> str:
 
     lines = [
         f"zone chaos session ({args.env} x {args.zones} zones, "
-        f"record preset {args.preset}, zone preset {args.zone_preset} "
-        f"on {args.zone_id}, seed {args.seed}, {args.duration:g}s):",
+        f"record preset {args.preset}, zone preset {zone_preset} "
+        f"on {zone_id}, seed {args.seed}, {args.duration:g}s):",
         f"  fault plan           {len(plan)} fault(s): {plan.describe()}",
         f"  requests             {s['requests']:.0f}"
         f"  (answered {s['results']:.0f}, failed {s['failed']:.0f})",
@@ -1040,6 +1054,14 @@ def _cmd_chaos(args) -> str:
 
     if args.zones is not None:
         return _cmd_chaos_zones(args)
+    for value, name in (
+        (args.zone_preset, "--zone-preset"),
+        (args.zone_id, "--zone-id"),
+        (args.zone_fault_start, "--zone-fault-start"),
+        (args.zone_fault_duration, "--zone-fault-duration"),
+    ):
+        if value is not None:
+            raise ConfigurationError(f"{name} requires --zones N")
     plan = chaos_preset(args.preset, seed=args.seed)
     if args.outage_reader is not None:
         plan = plan.with_fault(

@@ -9,28 +9,20 @@ is the engine's contract, enforced by golden traces
 
 Layout:
 
-* :mod:`~repro.engine.config` — :class:`EngineConfig`, the scheduling
-  knobs (worker count, shard size) threaded through the experiment
-  runner, the sweeps and the streaming service;
 * :mod:`~repro.engine.kernels` — the batched ``(T, K, v_rows, v_cols)``
   twins of the scalar core kernels;
 * :mod:`~repro.engine.batch` — :class:`BatchEngine` (full VIRE
   pipeline), :class:`BatchLandmarc` (the ladder's bulk fallback) and
   :func:`estimate_all`;
-* :mod:`~repro.engine.sharding` — process sharding for multi-snapshot
-  sweeps.
+* :mod:`~repro.engine.grouping` — groups a micro-batch's readings by
+  reader layout so each group runs as one tensor pass.
 """
 
 from .batch import BatchEngine, BatchLandmarc, Outcome, estimate_all
-from .config import EngineConfig
-from .sharding import compute_shards, map_shards
 
 __all__ = [
     "BatchEngine",
     "BatchLandmarc",
-    "EngineConfig",
     "Outcome",
-    "compute_shards",
     "estimate_all",
-    "map_shards",
 ]

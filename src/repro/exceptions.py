@@ -40,12 +40,6 @@ class SimulationError(ReproError):
     """The discrete-event testbed simulation reached an invalid state."""
 
 
-class SupervisionError(ReproError):
-    """The supervised execution layer exhausted every recovery option for
-    a unit of work (retries, pool respawns and — when enabled — the
-    serial in-process fallback)."""
-
-
 class CheckpointError(ReproError):
     """A session checkpoint could not be written, read, or reconciled
     with the world it claims to describe (corrupt file, no usable

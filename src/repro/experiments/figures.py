@@ -65,13 +65,13 @@ class Fig2bResult:
     per_env: Mapping[str, Mapping[int, float]]
 
 
-def fig2b(*, n_trials: int = 20, base_seed: int = 0, n_jobs: int | None = None) -> Fig2bResult:
+def fig2b(*, n_trials: int = 20, base_seed: int = 0) -> Fig2bResult:
     """LANDMARC alone across Env1/Env2/Env3 (the paper's motivation)."""
     per_env = {}
     for factory in _ENV_FACTORIES:
         env = factory()
         scenario = paper_scenario(env, n_trials=n_trials, base_seed=base_seed)
-        result = run_scenario(scenario, [LandmarcEstimator()], n_jobs=n_jobs)
+        result = run_scenario(scenario, [LandmarcEstimator()])
         per_env[env.name] = result.estimators[0].tag_means()
     return Fig2bResult(per_env=per_env)
 
@@ -269,7 +269,6 @@ def fig6(
     n_trials: int = 20,
     base_seed: int = 0,
     vire_config: VIREConfig | None = None,
-    n_jobs: int | None = None,
 ) -> Fig6Result:
     """The headline comparison across all three environments."""
     grid = paper_testbed_grid()
@@ -283,7 +282,6 @@ def fig6(
                 LandmarcEstimator(),
                 VIREEstimator(grid, vire_config or default_vire_config()),
             ],
-            n_jobs=n_jobs,
         )
         landmarc_out[env.name] = result.by_name("LANDMARC").tag_means()
         vire_out[env.name] = result.by_name("VIRE").tag_means()
@@ -340,7 +338,6 @@ def fig7(
     environment=None,
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
 ) -> Fig7Result:
     """Density sweep (paper Fig. 7, Env3): more virtual tags -> better,
     saturating around N² = 900."""
@@ -351,7 +348,7 @@ def fig7(
         config = VIREConfig(target_total_tags=max(int(target), grid.n_tags))
         estimator = VIREEstimator(grid, config)
         scenario = paper_scenario(env, n_trials=n_trials, base_seed=base_seed)
-        result = run_scenario(scenario, [estimator], n_jobs=n_jobs)
+        result = run_scenario(scenario, [estimator])
         summary = result.estimators[0].summary(tags=NON_BOUNDARY_TAGS)
         totals.append(estimator.virtual_grid.total_tags)
         errors.append(summary.mean)
@@ -400,7 +397,6 @@ def fig8(
     environment=None,
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
 ) -> Fig8Result:
     """Threshold sweep (paper Fig. 8, Env3 at N²=900): a U-shaped curve.
 
@@ -423,9 +419,7 @@ def fig8(
             empty_fallback="landmarc",
         )
         scenario = paper_scenario(env, n_trials=n_trials, base_seed=base_seed)
-        result = run_scenario(
-            scenario, [VIREEstimator(grid, config)], n_jobs=n_jobs
-        )
+        result = run_scenario(scenario, [VIREEstimator(grid, config)])
         errors.append(result.estimators[0].summary(tags=NON_BOUNDARY_TAGS).mean)
     return Fig8Result(
         thresholds_db=np.asarray(list(thresholds_db), dtype=np.float64),

@@ -8,12 +8,11 @@ here together with the estimators to compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..engine import EngineConfig, estimate_all, map_shards
+from ..engine import estimate_all
 from ..exceptions import ConfigurationError
 from ..types import Estimator, estimation_error
 from .measurement import TrialSampler
@@ -105,43 +104,16 @@ def _run_one_trial(
     return out
 
 
-def _run_trial_shard(
-    shard: Sequence[int],
-    *,
-    scenario: TestbedScenario,
-    estimators: Sequence[Estimator],
-) -> list[dict[str, dict[int, float]]]:
-    """One worker's unit: a contiguous shard of trial indices."""
-    return [
-        _run_one_trial(i, scenario=scenario, estimators=estimators)
-        for i in shard
-    ]
-
-
 def run_scenario(
     scenario: TestbedScenario,
     estimators: Sequence[Estimator],
-    *,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> ScenarioResult:
     """Run every estimator over every trial of the scenario.
 
     All estimators see the *same* readings within a trial, so comparisons
     are paired (the variance of the LANDMARC-vs-VIRE difference is much
-    smaller than of either error alone).
-
-    Parameters
-    ----------
-    n_jobs:
-        Back-compat worker count; overrides ``engine.n_jobs`` when both
-        are given.
-    engine:
-        :class:`~repro.engine.EngineConfig` scheduling the trial shards
-        (worker processes, snapshots per shard). Results are bit-identical
-        whatever the knobs — sharding only changes how trial indices are
-        shipped to workers, and a worker that dies or hangs costs a
-        retry under ``engine.runtime``, never the sweep.
+    smaller than of either error alone). Trials run in order, in
+    process: each is a few milliseconds of vectorized numpy.
     """
     if not estimators:
         raise ConfigurationError("need at least one estimator")
@@ -149,13 +121,10 @@ def run_scenario(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"estimator names must be unique, got {names}")
 
-    config = engine or EngineConfig()
-    if n_jobs is not None:
-        config = config.with_(n_jobs=n_jobs)
-    shard_fn = partial(
-        _run_trial_shard, scenario=scenario, estimators=estimators
-    )
-    trial_outputs = map_shards(shard_fn, scenario.n_trials, config=config)
+    trial_outputs = [
+        _run_one_trial(i, scenario=scenario, estimators=estimators)
+        for i in range(scenario.n_trials)
+    ]
 
     collected: list[EstimatorErrors] = []
     for est in estimators:

@@ -23,7 +23,7 @@ from ..baselines.landmarc import LandmarcEstimator
 from ..core.boundary import BoundaryAwareEstimator
 from ..core.config import VIREConfig
 from ..core.estimator import VIREEstimator
-from ..engine import EngineConfig, estimate_all
+from ..engine import estimate_all
 from ..exceptions import ConfigurationError
 from ..geometry.grid import ReferenceGrid
 from ..geometry.placement import (
@@ -74,10 +74,8 @@ def _mean_error(
     scenario: TestbedScenario,
     estimator: Estimator,
     tags: Sequence[int] = NON_BOUNDARY_TAGS,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> float:
-    result = run_scenario(scenario, [estimator], n_jobs=n_jobs, engine=engine)
+    result = run_scenario(scenario, [estimator])
     return result.estimators[0].summary(tags=tags).mean
 
 
@@ -86,8 +84,6 @@ def sweep_interpolation(
     environment: EnvironmentSpec | None = None,
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> SweepResult:
     """Linear (the paper) vs polynomial vs spline interpolation (§6)."""
     env = environment or env3()
@@ -96,9 +92,7 @@ def sweep_interpolation(
     values = {}
     for kind in ("linear", "polynomial", "spline"):
         config = VIREConfig(target_total_tags=900, interpolation=kind)
-        values[kind] = _mean_error(
-            scenario, VIREEstimator(grid, config), n_jobs=n_jobs, engine=engine
-        )
+        values[kind] = _mean_error(scenario, VIREEstimator(grid, config))
     return SweepResult(
         parameter="interpolation", values=values, environment_name=env.name
     )
@@ -157,8 +151,6 @@ def sweep_grid_spacing(
     spacing_factors: Sequence[float] = (0.75, 1.0, 1.25),
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> SweepResult:
     """Effect of reference-grid spacing (paper §6 future work).
 
@@ -177,9 +169,7 @@ def sweep_grid_spacing(
             base_seed=base_seed,
         )
         vire = VIREEstimator(grid, VIREConfig(target_total_tags=900))
-        values[f"{grid.spacing_x:.2f} m"] = _mean_error(
-            scenario, vire, n_jobs=n_jobs, engine=engine
-        )
+        values[f"{grid.spacing_x:.2f} m"] = _mean_error(scenario, vire)
     return SweepResult(
         parameter="grid spacing", values=values, environment_name=env.name
     )
@@ -190,8 +180,6 @@ def sweep_weighting(
     environment: EnvironmentSpec | None = None,
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> SweepResult:
     """Ablate the w1/w2 weighting factors of §4.3."""
     env = environment or env3()
@@ -209,9 +197,7 @@ def sweep_weighting(
         ),
     }
     values = {
-        label: _mean_error(
-            scenario, VIREEstimator(grid, config), n_jobs=n_jobs, engine=engine
-        )
+        label: _mean_error(scenario, VIREEstimator(grid, config))
         for label, config in variants.items()
     }
     return SweepResult(
@@ -224,8 +210,6 @@ def sweep_equipment(
     environment: EnvironmentSpec | None = None,
     n_trials: int = 15,
     base_seed: int = 0,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> SweepResult:
     """Direct RSSI vs the original 8-level power quantization (§3.1).
 
@@ -241,9 +225,7 @@ def sweep_equipment(
         scenario = paper_scenario(
             env, n_trials=n_trials, base_seed=base_seed
         ).with_(measurement=MeasurementSpec(n_reads=10, quantizer=quantizer))
-        values[label] = _mean_error(
-            scenario, LandmarcEstimator(), n_jobs=n_jobs, engine=engine
-        )
+        values[label] = _mean_error(scenario, LandmarcEstimator())
     return SweepResult(
         parameter="equipment (LANDMARC)", values=values, environment_name=env.name
     )
@@ -266,8 +248,6 @@ def boundary_compensation_study(
     n_trials: int = 15,
     base_seed: int = 0,
     extension_cells: int = 1,
-    n_jobs: int | None = None,
-    engine: EngineConfig | None = None,
 ) -> BoundaryStudyResult:
     """Plain VIRE vs the §6 boundary-aware variant."""
     env = environment or env3()
@@ -279,7 +259,7 @@ def boundary_compensation_study(
         VIREConfig(target_total_tags=900),
         extension_cells=extension_cells,
     )
-    result = run_scenario(scenario, [plain, aware], n_jobs=n_jobs, engine=engine)
+    result = run_scenario(scenario, [plain, aware])
     plain_err = result.by_name("VIRE")
     aware_err = result.by_name("VIRE+boundary")
     return BoundaryStudyResult(

@@ -8,11 +8,11 @@ tag ID, the reader ID, and RSSI values."
 :class:`MiddlewareServer` collects :class:`~repro.hardware.readers.ReadingRecord`
 streams and maintains, per (reader, tag), a temporally smoothed RSSI
 estimate. Smoothing is the designed defence against per-reading fading
-and transient disturbances (§4.1); both a sliding-window mean and an EWMA
-are provided. :meth:`snapshot` assembles the consistent
-:class:`~repro.types.TrackingReading` an estimator consumes, enforcing
-freshness so a tag that stopped beaconing (dead battery, left the area)
-is reported missing rather than silently stale.
+and transient disturbances (§4.1): a sliding-window mean (``window=1``
+serves the latest reading unsmoothed). :meth:`snapshot` assembles the
+consistent :class:`~repro.types.TrackingReading` an estimator consumes,
+enforcing freshness so a tag that stopped beaconing (dead battery, left
+the area) is reported missing rather than silently stale.
 
 Partial input: the default (strict) snapshot raises on any missing
 series — bit-identical to the original behaviour. With
@@ -43,32 +43,20 @@ class SmoothingSpec:
 
     Parameters
     ----------
-    mode:
-        ``"window"`` — mean of the last ``window`` readings;
-        ``"ewma"`` — exponentially weighted moving average with weight
-        ``alpha`` on the newest reading;
-        ``"latest"`` — no smoothing.
     window:
-        Window length for ``"window"`` mode.
-    alpha:
-        EWMA weight in (0, 1] for ``"ewma"`` mode.
+        Each (reader, tag) value is the mean of its last ``window``
+        readings; 1 means no smoothing.
     max_age_s:
         A (reader, tag) series with no reading newer than this is treated
         as missing at snapshot time (None disables the freshness check).
     """
 
-    mode: str = "window"
     window: int = 5
-    alpha: float = 0.4
     max_age_s: float | None = 30.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("window", "ewma", "latest"):
-            raise ConfigurationError(f"unknown smoothing mode {self.mode!r}")
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.max_age_s is not None and self.max_age_s <= 0:
             raise ConfigurationError(f"max_age_s must be positive, got {self.max_age_s}")
 
@@ -76,37 +64,27 @@ class SmoothingSpec:
 class _Series:
     """Smoothed RSSI state for one (reader, tag) pair."""
 
-    __slots__ = ("history", "ewma", "last_time", "_window_cache")
+    __slots__ = ("history", "last_time", "_window_cache")
 
     def __init__(self, window: int):
         self.history: deque[float] = deque(maxlen=window)
-        self.ewma: float | None = None
         self.last_time: float = -np.inf
         self._window_cache: float | None = None
 
-    def update(self, rssi: float, time_s: float, spec: SmoothingSpec) -> None:
+    def update(self, rssi: float, time_s: float) -> None:
         self.history.append(rssi)
         self._window_cache = None
-        if self.ewma is None:
-            self.ewma = rssi
-        else:
-            self.ewma = spec.alpha * rssi + (1.0 - spec.alpha) * self.ewma
         self.last_time = time_s
 
-    def value(self, spec: SmoothingSpec) -> float:
+    def value(self) -> float:
         if not self.history:
             raise ReadingError("series has no readings")
-        if spec.mode == "window":
-            # Memoized between ingests: every snapshot (and the
-            # calibration loop's reference sweep) re-reads each series
-            # several times per tick.
-            if self._window_cache is None:
-                self._window_cache = float(np.mean(self.history))
-            return self._window_cache
-        if spec.mode == "ewma":
-            assert self.ewma is not None
-            return float(self.ewma)
-        return float(self.history[-1])
+        # Memoized between ingests: every snapshot (and the calibration
+        # loop's reference sweep) re-reads each series several times per
+        # tick.
+        if self._window_cache is None:
+            self._window_cache = float(np.mean(self.history))
+        return self._window_cache
 
 
 class MiddlewareServer:
@@ -206,7 +184,7 @@ class MiddlewareServer:
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _Series(spec.window)
-        series.update(record.rssi_dbm, record.time_s, spec)
+        series.update(record.rssi_dbm, record.time_s)
         self._records_ingested += 1
 
     def _smoothed(self, reader_id: str, tag_id: str, now_s: float) -> float | None:
@@ -217,7 +195,7 @@ class MiddlewareServer:
         max_age = spec.max_age_s
         if max_age is not None and now_s - series.last_time > max_age:
             return None
-        return series.value(spec)
+        return series.value()
 
     def snapshot(
         self,
@@ -352,30 +330,10 @@ class MiddlewareServer:
             out[reader_id] = fresh / n_refs
         return out
 
-    def reader_freshness(
-        self,
-        now_s: float,
-        tracking_tag_ids: Iterable[str] = (),
-    ) -> dict[str, float]:
-        """Fresh fraction per reader over reference *and* tracking tags.
+    def reader_freshness(self, now_s: float) -> dict[str, float]:
+        """Fresh fraction of reference-tag series per reader.
 
-        The tracking-tag variant of :meth:`coverage` used by the service
-        health tracker: a reader that still sees the static reference
-        grid but has lost every moving tag is degraded, and vice versa.
-        With no tags at all (no references, no tracking ids) the answer
-        is vacuous full freshness.
+        The service health tracker's input; the same fractions as
+        :meth:`coverage`.
         """
-        tag_ids = list(self.reference_ids) + [
-            t for t in tracking_tag_ids if t not in self._reference_id_set
-        ]
-        if not tag_ids:
-            return {reader_id: 1.0 for reader_id in self.reader_ids}
-        out = {}
-        for reader_id in self.reader_ids:
-            fresh = sum(
-                1
-                for tag_id in tag_ids
-                if self._smoothed(reader_id, tag_id, now_s) is not None
-            )
-            out[reader_id] = fresh / len(tag_ids)
-        return out
+        return self.coverage(now_s)

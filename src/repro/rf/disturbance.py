@@ -6,7 +6,7 @@ filtered out". We model a person as a moving attenuating disc following a
 waypoint path; while the disc sits near the straight line between a tag
 and a reader, that link suffers additional attenuation with soft edges.
 
-The middleware's temporal smoothing (EWMA / sliding window) is the
+The middleware's temporal smoothing (a sliding-window mean) is the
 designed countermeasure; failure-injection tests drive a person through
 the testbed and check the estimator's degradation stays bounded.
 """

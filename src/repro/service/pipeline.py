@@ -68,6 +68,7 @@ from ..hardware.middleware import MiddlewareServer
 from ..obs import current_tracer
 from ..runtime.supervisor import run_shard_with_salvage
 from ..types import TrackingReading
+from ..utils.validation import ensure_positive, ensure_positive_int
 from .batcher import Batch, LocalizationRequest, MicroBatcher
 from .health import BreakerPolicy, ReaderHealthTracker
 from .ingest import BoundedRecordQueue, IngestionLoop
@@ -154,26 +155,16 @@ class ServiceConfig:
     calibration: CalibrationPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.request_deadline_s is not None and self.request_deadline_s <= 0:
-            raise ConfigurationError(
-                f"request_deadline_s must be positive or None, "
-                f"got {self.request_deadline_s}"
-            )
-        if self.query_interval_s <= 0:
-            raise ConfigurationError(
-                f"query_interval_s must be positive, got {self.query_interval_s}"
-            )
-        if (
-            self.max_batches_per_tick is not None
-            and self.max_batches_per_tick < 1
-        ):
-            raise ConfigurationError(
-                f"max_batches_per_tick must be >= 1 or None, "
-                f"got {self.max_batches_per_tick}"
-            )
-        if self.stream_step_s <= 0:
-            raise ConfigurationError(
-                f"stream_step_s must be positive, got {self.stream_step_s}"
+        # Validate only; the fields keep the values the caller passed.
+        for name in ("query_interval_s", "max_latency_s", "stream_step_s"):
+            ensure_positive(getattr(self, name), name)
+        if self.request_deadline_s is not None:
+            ensure_positive(self.request_deadline_s, "request_deadline_s")
+        for name in ("queue_capacity", "max_batch_size"):
+            ensure_positive_int(getattr(self, name), name)
+        if self.max_batches_per_tick is not None:
+            ensure_positive_int(
+                self.max_batches_per_tick, "max_batches_per_tick"
             )
         if self.calibration is not None and not isinstance(
             self.calibration, CalibrationPolicy
@@ -183,7 +174,7 @@ class ServiceConfig:
                 f"got {type(self.calibration).__name__}"
             )
         # Remaining fields are validated by the components they configure
-        # (BreakerPolicy, the queue, the batcher, ...).
+        # (BreakerPolicy, the queue's overflow policy, VIREConfig).
 
     def with_(self, **changes) -> "ServiceConfig":
         """Modified copy (thin wrapper over dataclasses.replace)."""

@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro import LandmarcEstimator, TrackingReading, VIREConfig, VIREEstimator
 from repro import paper_testbed_grid
-from repro.engine import BatchEngine, EngineConfig, compute_shards
 from repro.engine import kernels
 from repro.exceptions import ConfigurationError, ReproError
 from repro.geometry.grid import ReferenceGrid
@@ -182,15 +181,16 @@ class TestBatchEqualsScalar:
     @given(batch_strategy(max_size=5), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
     def test_sharding_is_transparent(self, readings, shard_size):
-        """Splitting a batch into shards changes nothing but scheduling."""
+        """Splitting a batch into contiguous slices changes nothing.
+
+        The service's micro-batches are cut by arrival, so a reading's
+        answer must not depend on which other readings share its batch.
+        """
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
         whole = est.estimate_outcomes(readings)
-        config = EngineConfig(shard_size=shard_size)
         sharded = []
-        for shard in compute_shards(len(readings), config):
-            sharded.extend(
-                est.estimate_outcomes([readings[i] for i in shard])
-            )
+        for lo in range(0, len(readings), shard_size):
+            sharded.extend(est.estimate_outcomes(readings[lo:lo + shard_size]))
         assert_outcomes_identical(whole, sharded)
 
 

@@ -208,14 +208,6 @@ class TestRunner:
         errs = result.estimators[0].per_tag[1]
         np.testing.assert_allclose(errs, errs[0], atol=1e-6)
 
-    def test_parallel_matches_serial(self, scenario, grid):
-        serial = run_scenario(scenario, [LandmarcEstimator()], n_jobs=1)
-        parallel = run_scenario(scenario, [LandmarcEstimator()], n_jobs=2)
-        np.testing.assert_array_equal(
-            serial.estimators[0].per_tag[1],
-            parallel.estimators[0].per_tag[1],
-        )
-
     def test_summary_selected_tags(self, scenario, grid):
         result = run_scenario(scenario, [LandmarcEstimator()])
         full = result.estimators[0].summary()

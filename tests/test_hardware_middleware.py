@@ -10,13 +10,11 @@ from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
 from repro.hardware.readers import ReadingRecord
 
 
-def make_server(mode="window", window=3, alpha=0.5, max_age=None):
+def make_server(window=3, max_age=None):
     return MiddlewareServer(
         reader_ids=["r0", "r1"],
         reference_tags={"ref-0": (0.0, 0.0), "ref-1": (1.0, 0.0)},
-        smoothing=SmoothingSpec(
-            mode=mode, window=window, alpha=alpha, max_age_s=max_age
-        ),
+        smoothing=SmoothingSpec(window=window, max_age_s=max_age),
     )
 
 
@@ -32,13 +30,15 @@ def fill_all(server, value=-70.0, t=0.0):
 
 
 class TestSmoothingSpec:
+    # The window mean is the one smoothing: there is no mode or EWMA
+    # weight to set, and passing one is refused rather than ignored.
     def test_invalid_mode(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingSpec(mode="median")
+        with pytest.raises(TypeError):
+            SmoothingSpec(mode="median")  # type: ignore[call-arg]
 
     def test_invalid_alpha(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingSpec(alpha=0.0)
+        with pytest.raises(TypeError):
+            SmoothingSpec(alpha=0.5)  # type: ignore[call-arg]
 
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
@@ -47,7 +47,7 @@ class TestSmoothingSpec:
 
 class TestMiddleware:
     def test_window_mean(self):
-        server = make_server(mode="window", window=3)
+        server = make_server(window=3)
         fill_all(server)
         feed(server, "r0", "track", [-60.0, -62.0, -64.0, -66.0])
         snap = server.snapshot("track", now_s=10.0)
@@ -55,19 +55,21 @@ class TestMiddleware:
         assert snap.tracking_rssi[0] == pytest.approx(np.mean([-62, -64, -66]))
 
     def test_latest_mode(self):
-        server = make_server(mode="latest")
+        # A window of one serves the latest reading unsmoothed.
+        server = make_server(window=1)
         fill_all(server)
         feed(server, "r0", "track", [-60.0, -65.0])
         snap = server.snapshot("track", now_s=10.0)
         assert snap.tracking_rssi[0] == -65.0
 
-    def test_ewma_mode(self):
-        server = make_server(mode="ewma", alpha=0.5)
+    def test_window_memo_refreshes_on_ingest(self):
+        server = make_server(window=3)
         fill_all(server)  # primes every series with -70
+        first = server.snapshot("track", now_s=10.0).tracking_rssi[0]
         feed(server, "r0", "track", [-60.0, -70.0])
         snap = server.snapshot("track", now_s=10.0)
-        # chain: -70 (prime) -> 0.5*-60 + 0.5*-70 = -65 -> 0.5*-70 + 0.5*-65
-        assert snap.tracking_rssi[0] == pytest.approx(-67.5)
+        assert first == -70.0
+        assert snap.tracking_rssi[0] == float(np.mean([-70.0, -60.0, -70.0]))
 
     def test_snapshot_shapes_and_positions(self):
         server = make_server()
@@ -239,20 +241,21 @@ class TestFrameStatsAndFreshness:
     def test_coverage_guards_zero_references(self):
         # Degenerate server built by bypassing the reference-tag check is
         # impossible via the constructor; the guard is exercised through
-        # reader_freshness's vacuous case instead (no tags tracked).
+        # reader_freshness on a server that has seen nothing yet.
         server = make_server()
         fresh = server.reader_freshness(now_s=0.0)
-        # No tracking tags given and references never seen -> 0.0 each.
+        # References never seen -> 0.0 each.
         assert fresh == {"r0": 0.0, "r1": 0.0}
 
-    def test_reader_freshness_counts_tracking_tags(self):
+    def test_reader_freshness_is_coverage(self):
         server = make_server(max_age=5.0)
         fill_all(server, t=0.0)
-        fresh = server.reader_freshness(now_s=1.0, tracking_tag_ids=("track",))
-        assert fresh == {"r0": 1.0, "r1": 1.0}
-        # After expiry everything is stale.
-        fresh = server.reader_freshness(now_s=100.0, tracking_tag_ids=("track",))
+        assert server.reader_freshness(now_s=1.0) == {"r0": 1.0, "r1": 1.0}
+        # A fresh tracking tag does not keep a reader fresh.
+        feed(server, "r0", "track", [-70.0], t0=98.0)
+        fresh = server.reader_freshness(now_s=100.0)
         assert fresh == {"r0": 0.0, "r1": 0.0}
+        assert fresh == server.coverage(now_s=100.0)
 
     def test_reader_freshness_partial(self):
         server = make_server(max_age=5.0)

@@ -205,7 +205,7 @@ class TestDisturbanceIntegration:
         common = dict(
             tracking_tags={"track-1": (1.3, 1.7)},
             seed=0,
-            smoothing=SmoothingSpec(mode="latest"),
+            smoothing=SmoothingSpec(window=1),
         )
         dep = build_paper_deployment(env, disturbances=[walk], **common)
         dep.simulator.run_for(8.0)

@@ -72,7 +72,7 @@ class TestFullTestbedPipeline:
             make_clean_environment(),
             tracking_tags={"asset": (0.7, 0.7)},
             seed=1,
-            smoothing=SmoothingSpec(mode="window", window=3),
+            smoothing=SmoothingSpec(window=3),
         )
         vire = VIREEstimator(dep.grid, VIREConfig(target_total_tags=900))
         dep.simulator.warm_up()
@@ -181,7 +181,7 @@ class TestFailureInjection:
         dep = build_paper_deployment(
             env, tracking_tags={"asset": (1.5, 1.5)}, seed=0,
             disturbances=[walk],
-            smoothing=SmoothingSpec(mode="window", window=8),
+            smoothing=SmoothingSpec(window=8),
         )
         dep.simulator.warm_up()
         dep.simulator.run_for(12.0)  # person mid-walk

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import VIREConfig, build_paper_deployment
 from repro.exceptions import ConfigurationError
@@ -217,6 +220,54 @@ class TestConfigValidation:
         assert ServiceConfig(max_batches_per_tick=None).max_batches_per_tick \
             is None
         assert ServiceConfig(max_batches_per_tick=2).max_batches_per_tick == 2
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("query_interval_s", math.nan),
+        ("stream_step_s", math.nan),
+        ("max_latency_s", math.nan),
+        ("request_deadline_s", math.nan),
+        ("queue_capacity", math.nan),
+        ("query_interval_s", math.inf),
+        ("max_latency_s", -math.inf),
+        ("request_deadline_s", math.inf),
+        ("max_batch_size", 2.0),
+        ("queue_capacity", True),
+        ("max_batches_per_tick", math.nan),
+    ])
+    def test_non_finite_and_non_integer_values_rejected(
+        self, field_name, value
+    ):
+        # Each of these used to construct: NaN intervals served too few
+        # answers (or none), and a NaN queue capacity raised a raw
+        # ValueError mid-run.
+        with pytest.raises(ConfigurationError, match=field_name):
+            ServiceConfig(**{field_name: value})
+
+    @given(
+        field_name=st.sampled_from([
+            "query_interval_s", "max_latency_s", "stream_step_s",
+            "request_deadline_s", "queue_capacity", "max_batch_size",
+        ]),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-3, 10_000),
+            st.booleans(),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_config_either_validates_or_raises(self, field_name, value):
+        try:
+            config = ServiceConfig(**{field_name: value})
+        except ConfigurationError:
+            return
+        # Accepted values are stored untouched and are usable.
+        stored = getattr(config, field_name)
+        assert stored is value
+        assert not isinstance(stored, bool)
+        if field_name in ("queue_capacity", "max_batch_size"):
+            assert isinstance(stored, int) and stored >= 1
+        else:
+            assert math.isfinite(stored) and stored > 0
 
     def test_fields_are_the_knobs_a_caller_sets(self):
         # Quorum, breaker threshold and freshness floor run at their

@@ -1,4 +1,4 @@
-"""Tests for repro.utils: rng streams, validation, arrays, ascii, parallel."""
+"""Tests for repro.utils: rng streams, validation, arrays, ascii."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.sharding import compute_chunksize, resolve_n_jobs
 from repro.exceptions import ConfigurationError, GeometryError
 from repro.utils.arrays import as_point, as_points, distances_to, pairwise_distances
 from repro.utils.ascii import (
@@ -201,22 +200,3 @@ class TestAscii:
     def test_format_mapping_alignment(self):
         out = format_mapping({"a": 1, "long": 2})
         assert "a    :" in out
-
-
-class TestParallel:
-    def test_resolve_defaults(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(1) == 1
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(0) >= 1
-
-
-class TestChunksize:
-    def test_targets_per_worker_chunks(self):
-        assert compute_chunksize(1000, 4) == 62  # 1000 // (4*4)
-        assert compute_chunksize(1000, 4, per_worker=2) == 125
-
-    def test_floors_at_one(self):
-        assert compute_chunksize(3, 8) == 1
-        assert compute_chunksize(0, 4) == 1
-        assert compute_chunksize(10, 0) == 1

@@ -33,7 +33,6 @@ from repro.faults import (
     is_zone_fault,
     zone_chaos_preset,
 )
-from repro.runtime.policy import RetryPolicy, RuntimePolicy
 from repro.service.pipeline import ServiceConfig
 from repro.zones import (
     INTERIM_ESTIMATOR,
@@ -85,31 +84,11 @@ def baseline_witness() -> str:
 
 
 class TestRetryPolicyConsolidation:
-    def test_backoff_is_geometric(self):
-        policy = RetryPolicy(deadline_s=1.0, backoff_base_s=0.05,
-                             backoff_multiplier=2.0)
-        assert [policy.backoff_s(a) for a in (1, 2, 3)] == [0.05, 0.1, 0.2]
-
-    def test_runtime_policy_exposes_retry_view(self):
-        retry = RetryPolicy(deadline_s=3.0, max_retries=4,
-                            backoff_base_s=0.01)
-        runtime = RuntimePolicy(retry=retry)
-        assert isinstance(runtime.retry, RetryPolicy)
-        assert runtime.retry.deadline_s == 3.0
-        assert runtime.retry.max_retries == 4
-        assert runtime.retry.backoff_s(2) == retry.backoff_s(2)
-
     def test_zone_budgets_are_constants(self):
-        # The zone path keeps no RetryPolicy: two retries per failed
-        # call and two respawns per zone, fixed.
+        # The zone path's budgets are fixed: two retries per failed
+        # call and two respawns per zone.
         assert failover.ZONE_CALL_RETRIES == 2
         assert failover.MAX_RESPAWNS == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(deadline_s=0.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_retries=-1)
 
 
 class TestZoneFaultModels:
@@ -391,7 +370,7 @@ class TestAdmissionControl:
 
 class TestGatewayGuards:
     def test_admission_must_be_an_admission_policy(self):
-        for bad in (True, {"rate_per_s": 1.0}, RetryPolicy()):
+        for bad in (True, {"rate_per_s": 1.0}, object()):
             with pytest.raises(ConfigurationError, match="AdmissionPolicy"):
                 ZoneGateway(_roaming_plan(), _config(), admission=bad)
 
@@ -471,6 +450,34 @@ class TestFailoverCLI:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:"), argv
+
+    def test_chaos_zone_flags_require_zones(self, capsys):
+        from repro.cli import main
+
+        for extra in (
+            ["--zone-preset", "hang", "--zone-id", "z9"],
+            ["--zone-preset", "crash"],
+            ["--zone-id", "z0"],
+            ["--zone-fault-start", "0"],
+            ["--zone-fault-duration", "4"],
+        ):
+            argv = ["chaos", "--env", "Env1", "--duration", "2", "--json",
+                    *extra]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "requires --zones" in err
+
+    def test_chaos_zone_flags_default_under_zones(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "chaos", "--env", "Env1", "--zones", "2", "--duration", "10",
+            "--preset", "none", "--json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # crash on z0 at 8 s, as before the flags defaulted to None
+        assert (doc["zone_preset"], doc["zone_id"]) == ("crash", "z0")
+        assert doc["zone_crashes"] == 1
 
     def test_chaos_zones_json_is_deterministic(self, capsys):
         from repro.cli import main
