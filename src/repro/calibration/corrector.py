@@ -378,8 +378,9 @@ class DriftCorrector:
         reader_bias, tag_scores, scale = decompose_residuals(
             stacked, trusted_columns=trusted_cols
         )
+        reader_bias, tag_scores = reader_bias.tolist(), tag_scores.tolist()
         for k, rid in enumerate(self.reader_ids):
-            raw = float(reader_bias[k]) if math.isfinite(reader_bias[k]) else 0.0
+            raw = reader_bias[k] if math.isfinite(reader_bias[k]) else 0.0
             self._bias_raw[rid] = raw
             if abs(raw) < self.policy.bias_deadband_db:
                 self._corrections[rid] = 0.0
@@ -391,7 +392,7 @@ class DriftCorrector:
             threshold = max(threshold, self.policy.anomaly_scale_gate * scale)
         self._scale = scale
         for j, tid in enumerate(self.reference_ids):
-            score = float(tag_scores[j]) if n_refs else 0.0
+            score = tag_scores[j] if n_refs else 0.0
             self._tag_scores[tid] = score
             # No finite evidence for a reference tag that should always
             # beacon is itself anomalous (battery death looks exactly

@@ -22,8 +22,6 @@ checkpoint.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
@@ -67,6 +65,36 @@ def nan_mad(values: np.ndarray | list | tuple) -> float:
         return float("nan")
     med = np.median(finite)
     return float(np.median(np.abs(finite - med)))
+
+
+def _nanmedian(a: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
+    """``np.nanmedian(a, axis=axis)`` of a 3-d array, bit for bit.
+
+    numpy's own route for small arrays goes through masked arrays and
+    costs ~0.6 ms on a ``(7, 4, 16)`` window. This is the same
+    arithmetic without it: lay the reduced axes out as numpy does (kept
+    axis first, reduced axes flattened in order), sort with NaN last,
+    and average the two middle entries of the non-NaN prefix (the same
+    entry twice for an odd count). All-NaN slices give NaN, silently.
+    """
+    (kept,) = {0, 1, 2} - set(axis)
+    width = a.shape[axis[0]] * a.shape[axis[1]]
+    if width == 0:
+        return np.full(a.shape[kept], np.nan)
+    flat = a.swapaxes(0, kept).reshape(a.shape[kept], width)
+    count = width - np.isnan(flat).sum(axis=1)
+    high = count // 2
+    low = high - 1 + count % 2
+    rows = np.arange(flat.shape[0])[:, np.newaxis]
+    # Gather the two middle entries of each NaN-last argsort (numpy's
+    # masked median sorts exactly this way, so equal values of opposite
+    # zero sign land where numpy puts them). An all-NaN slice gathers
+    # two NaNs (``low`` is -1), so its median is NaN without a special
+    # case.
+    order = flat.argsort(axis=1)
+    pair = flat[rows, order[rows, np.stack((low, high), axis=1)]]
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in numpy
+        return pair.sum(axis=1) / 2.0
 
 
 class ResidualWindow:
@@ -147,20 +175,14 @@ def decompose_residuals(
     rows = stacked
     if trusted_columns is not None:
         rows = stacked[:, :, trusted_columns]
-    # Vectorized nan-medians (one C call per axis pair instead of a
-    # Python loop of nan_median calls — this runs every batch tick).
-    # All-NaN slices legitimately mean "no evidence"; suppress numpy's
-    # warning for exactly that case and let the NaN flow through.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if rows.shape[2]:
-            reader_bias = np.nanmedian(rows, axis=(0, 2))
-        else:
-            reader_bias = np.full(n_readers, np.nan)
-        centered_bias = np.where(np.isfinite(reader_bias), reader_bias, 0.0)
-        tag_scores = np.nanmedian(
-            stacked - centered_bias[None, :, None], axis=(0, 1)
-        )
+    # Vectorized nan-medians (this runs every batch tick). All-NaN
+    # slices legitimately mean "no evidence": the NaN flows through.
+    if rows.shape[2]:
+        reader_bias = _nanmedian(rows, axis=(0, 2))
+    else:
+        reader_bias = np.full(n_readers, np.nan)
+    centered_bias = np.where(np.isfinite(reader_bias), reader_bias, 0.0)
+    tag_scores = _nanmedian(stacked - centered_bias[None, :, None], axis=(0, 1))
     finite_scores = tag_scores[np.isfinite(tag_scores)]
     scale = float("nan")
     if finite_scores.size >= 2:

@@ -5,6 +5,11 @@ draws one RSSI sample from the channel (each with its own randomness),
 optionally degraded by active disturbances (a person walking through) and
 by tag-density interference offsets, and forwards detections to the
 middleware. The simulation is deterministic for a given seed.
+
+The frozen world (the channel's mean field) is computed once per tag
+when the simulator is built and again only when a tag moves; each
+beacon then costs one block draw of per-reading randomness for all
+readers (docs/CHANNEL.md, "Field and draw order").
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ class TestbedSimulator:
         self.channel = channel
         self.tags = list(tags)
         self.readers = list(readers)
+        self._reader_positions = [r.position for r in self.readers]
         self.disturbances = tuple(disturbances)
         self.interference = interference
         self.seed = int(seed)
@@ -117,19 +123,27 @@ class TestbedSimulator:
                 t.tag_id: float(o) for t, o in zip(self.tags, offsets)
             }
 
+        # The frozen (K, n_tags) mean field, and the position each tag's
+        # column was computed at; a moved tag's column is recomputed on
+        # its next beacon.
+        self._field_at = [t.position for t in self.tags]
+        self._field = channel.mean_rssi_matrix(self._field_at)
+
         # Stagger initial beacons uniformly over one interval so the
         # middleware fills evenly instead of in bursts.
-        for tag in self.tags:
+        for i, tag in enumerate(self.tags):
             first = self._beacon_rng.uniform(0.0, tag.spec.beacon_interval_s)
-            self.queue.schedule(first, self._make_beacon_event(tag))
+            self.queue.schedule(first, self._make_beacon_event(i))
 
     # -- simulation machinery ---------------------------------------------
 
-    def _make_beacon_event(self, tag: ActiveTag):
+    def _make_beacon_event(self, index: int):
+        tag = self.tags[index]
+
         def fire() -> None:
             if not tag.alive:
                 return  # battery dead: no beacon, no rescheduling
-            self._emit_beacon(tag)
+            self._emit_beacon(index)
             tag.record_beacon()
             if tag.alive:
                 self.queue.schedule_in(
@@ -138,29 +152,39 @@ class TestbedSimulator:
 
         return fire
 
-    def _emit_beacon(self, tag: ActiveTag) -> None:
+    def _field_column(self, index: int) -> np.ndarray:
+        """The ``(K, 1)`` mean field of tag ``index`` at its position now."""
+        position = self.tags[index].position
+        if position != self._field_at[index]:
+            self._field[:, index] = self.channel.mean_rssi_matrix([position])[:, 0]
+            self._field_at[index] = position
+        return self._field[:, index : index + 1]
+
+    def _emit_beacon(self, index: int) -> None:
+        tag = self.tags[index]
         now = self.queue.clock.now
-        pos = np.asarray(tag.position)[np.newaxis, :]
         # extra_* terms are attenuations; a positive tag offset boosts RSSI.
-        extra_base = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
+        extra = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
         if self.interference is not None:
             # Per-reading interference jitter (collisions are per frame).
             positions = np.array([tag.position])
-            extra_base += float(
+            extra += float(
                 self.interference.reading_jitter_db(
                     positions, self._sample_rng, n_reads=1
                 )[0, 0]
             )
-        for k, reader in enumerate(self.readers):
-            extra = extra_base
-            for disturbance in self.disturbances:
-                extra += disturbance.attenuation_at(now, tag.position, reader.position)
-            rssi = float(
-                self.channel.sample_rssi(
-                    k, pos, self._sample_rng, n_reads=1, extra_attenuation_db=extra
-                )[0, 0]
+        for disturbance in self.disturbances:
+            extra = extra + disturbance.attenuation_at_readers(
+                now, tag.position, self._reader_positions
             )
-            record = reader.receive(tag.tag_id, now, rssi)
+        rssi = self.channel.sample_rssi_matrix(
+            None,
+            self._sample_rng,
+            mean=self._field_column(index),
+            extra_attenuation_db=np.reshape(extra, (-1, 1)),
+        )[:, 0]
+        for reader, value in zip(self.readers, rssi.tolist()):
+            record = reader.receive(tag.tag_id, now, value)
             if record is not None:
                 self._deliver(record, now)
 

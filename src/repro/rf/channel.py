@@ -196,6 +196,42 @@ class RFChannel:
 
     # -- per-reading sampling ---------------------------------------------
 
+    def _draw_reads(
+        self,
+        mean: np.ndarray,
+        rng: np.random.Generator,
+        n_reads: int,
+        extra_attenuation_db: np.ndarray | float,
+    ) -> np.ndarray:
+        """``(K, n, n_reads)`` noisy readings around a ``(K, n)`` mean field.
+
+        One ``standard_normal`` block per call. Row ``k`` holds reader
+        ``k``'s fading normals in ``(n, n_reads, normals_per_read)``
+        order, then its receiver-noise normals in ``(n, n_reads)`` order:
+        exactly the stream K per-reader draws would consume, one reader
+        after another.
+        """
+        if n_reads < 1:
+            raise ChannelError(f"n_reads must be >= 1, got {n_reads}")
+        n_rows, n = mean.shape
+        centred = mean - np.asarray(extra_attenuation_db, dtype=np.float64)
+        if centred.shape != mean.shape:
+            raise ChannelError(
+                f"extra_attenuation_db does not broadcast to {mean.shape}"
+            )
+        per_reader = n * n_reads
+        f = self.fading.normals_per_read
+        n_fading = per_reader * f
+        noisy = self.noise_sigma_db > 0
+        z = rng.standard_normal((n_rows, n_fading + per_reader * noisy))
+        out = self.fading.db_from_normals(
+            z[:, :n_fading].reshape(n_rows, n, n_reads, f)
+        )
+        out += centred[:, :, np.newaxis]
+        if noisy:
+            out += z[:, n_fading:].reshape(n_rows, n, n_reads) * self.noise_sigma_db
+        return np.maximum(out, self.sensitivity_dbm, out=out)
+
     def sample_rssi(
         self,
         reader_index: int,
@@ -205,44 +241,50 @@ class RFChannel:
         n_reads: int = 1,
         extra_attenuation_db: np.ndarray | float = 0.0,
     ) -> np.ndarray:
-        """Draw ``n_reads`` noisy readings per tag position.
+        """Draw ``n_reads`` noisy readings per tag position at one reader.
 
-        Returns shape ``(n, n_reads)``. ``extra_attenuation_db`` lets the
-        simulator inject transient effects (human movement, interference
-        offsets) computed elsewhere.
+        Returns shape ``(n, n_reads)``. ``extra_attenuation_db``
+        (broadcastable to ``(n,)``) lets the caller inject transient
+        effects (human movement, interference offsets) computed elsewhere.
         """
-        if n_reads < 1:
-            raise ChannelError(f"n_reads must be >= 1, got {n_reads}")
-        mean = self.mean_rssi(reader_index, positions)
-        n = mean.shape[0]
-        out = np.broadcast_to(mean[:, np.newaxis], (n, n_reads)).copy()
-        out -= np.broadcast_to(
-            np.asarray(extra_attenuation_db, dtype=np.float64), (n,)
-        )[:, np.newaxis]
-        out += self.fading.sample_db(rng, (n, n_reads))
-        if self.noise_sigma_db > 0:
-            out += rng.standard_normal((n, n_reads)) * self.noise_sigma_db
-        return np.maximum(out, self.sensitivity_dbm)
+        mean = self.mean_rssi(reader_index, positions)[np.newaxis, :]
+        return self._draw_reads(mean, rng, n_reads, extra_attenuation_db)[0]
 
     def sample_rssi_matrix(
         self,
-        positions: Sequence[Sequence[float]],
+        positions: Sequence[Sequence[float]] | None,
         rng: np.random.Generator,
         *,
         n_reads: int = 1,
+        mean: np.ndarray | None = None,
+        extra_attenuation_db: np.ndarray | float = 0.0,
     ) -> np.ndarray:
         """Readings of every tag at every reader, averaged over ``n_reads``.
 
         Returns shape ``(K, n_tags)`` — the RSSI matrix the middleware
         hands to estimators. Averaging across reads emulates the
         middleware's temporal smoothing.
+
+        ``mean`` is the caller's ``(K, n_tags)`` frozen field (from
+        :meth:`mean_rssi_matrix` at the tags' positions); passing it
+        skips the field computation, and ``positions`` must then be
+        ``None`` — a field and positions together could disagree.
+        ``extra_attenuation_db`` must broadcast to ``(K, n_tags)``.
         """
-        pts = as_points(positions, "positions")
-        out = np.empty((self.n_readers, pts.shape[0]))
-        for k in range(self.n_readers):
-            reads = self.sample_rssi(k, pts, rng, n_reads=n_reads)
-            out[k, :] = reads.mean(axis=1)
-        return out
+        if mean is None:
+            mean = self.mean_rssi_matrix(positions)
+        elif positions is not None:
+            raise ChannelError(
+                "pass positions or a mean field to sample_rssi_matrix, not both"
+            )
+        elif mean.ndim != 2 or mean.shape[0] != self.n_readers:
+            raise ChannelError(
+                f"mean field must have shape ({self.n_readers}, n), got {mean.shape}"
+            )
+        reads = self._draw_reads(mean, rng, n_reads, extra_attenuation_db)
+        if n_reads == 1:
+            return reads[:, :, 0]  # the mean of one read is that read
+        return reads.mean(axis=2)
 
     def mean_rssi_matrix(self, positions: Sequence[Sequence[float]]) -> np.ndarray:
         """Frozen-field RSSI of every tag at every reader, ``(K, n_tags)``."""

@@ -98,6 +98,31 @@ class HumanMovementDisturbance:
         person = self.position_at(time_s)
         if person is None:
             return 0.0
+        return self._link_attenuation(person, tag_pos, reader_pos)
+
+    def attenuation_at_readers(
+        self,
+        time_s: float,
+        tag_pos: Sequence[float],
+        reader_positions: Sequence[Sequence[float]],
+    ) -> np.ndarray | float:
+        """:meth:`attenuation_at` for every reader, shape ``(K,)``.
+
+        Returns the scalar ``0.0`` while the person is not walking.
+        """
+        person = self.position_at(time_s)
+        if person is None:
+            return 0.0
+        return np.array(
+            [self._link_attenuation(person, tag_pos, r) for r in reader_positions]
+        )
+
+    def _link_attenuation(
+        self,
+        person: tuple[float, float],
+        tag_pos: Sequence[float],
+        reader_pos: Sequence[float],
+    ) -> float:
         tag = as_point(tag_pos, "tag_pos")
         reader = as_point(reader_pos, "reader_pos")
         link = Segment((tag[0], tag[1]), (reader[0], reader[1]))

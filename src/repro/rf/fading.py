@@ -25,7 +25,19 @@ __all__ = ["FadingModel", "RicianFading", "NoFading"]
 
 @runtime_checkable
 class FadingModel(Protocol):
-    """Draws per-reading fading offsets in dB."""
+    """Per-reading fading offsets in dB, computed from standard normals.
+
+    A model declares how many standard normals one reading consumes
+    (``normals_per_read``) and maps a ``(..., normals_per_read)`` block
+    of them to dB offsets. The channel draws those normals itself, in
+    one block per call (docs/CHANNEL.md, "Field and draw order").
+    """
+
+    normals_per_read: int
+
+    def db_from_normals(self, z: np.ndarray) -> np.ndarray:
+        """Fading offsets (dB), shape ``z.shape[:-1]``."""
+        ...
 
     def sample_db(
         self, rng: np.random.Generator, shape: tuple[int, ...]
@@ -34,14 +46,27 @@ class FadingModel(Protocol):
         ...
 
 
+def _sample_db(
+    model: FadingModel, rng: np.random.Generator, shape: tuple[int, ...]
+) -> np.ndarray:
+    return model.db_from_normals(
+        rng.standard_normal((*shape, model.normals_per_read))
+    )
+
+
 @dataclass(frozen=True)
 class NoFading:
     """Degenerate fading model: every reading equals the mean RSSI."""
 
+    normals_per_read = 0
+
+    def db_from_normals(self, z: np.ndarray) -> np.ndarray:
+        return np.zeros(z.shape[:-1])
+
     def sample_db(
         self, rng: np.random.Generator, shape: tuple[int, ...]
     ) -> np.ndarray:
-        return np.zeros(shape)
+        return _sample_db(self, rng, shape)
 
 
 @dataclass(frozen=True)
@@ -60,23 +85,29 @@ class RicianFading:
     k_factor: float = 6.0
     floor_db: float = -20.0
 
+    #: ``g1, g2``: the in-phase and quadrature scatter of one reading.
+    normals_per_read = 2
+
     def __post_init__(self) -> None:
         ensure_non_negative(self.k_factor, "k_factor")
         if self.floor_db >= 0:
             raise ValueError(f"floor_db must be negative, got {self.floor_db}")
 
-    def sample_db(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
+    def db_from_normals(self, z: np.ndarray) -> np.ndarray:
         k = self.k_factor
         los = np.sqrt(k / (k + 1.0))
         scatter_scale = np.sqrt(1.0 / (2.0 * (k + 1.0)))
-        g = rng.standard_normal((*shape, 2)) * scatter_scale
+        g = z * scatter_scale
         h_re = los + g[..., 0]
         h_im = g[..., 1]
         power = h_re**2 + h_im**2
         db = 10.0 * np.log10(np.maximum(power, 1e-12))
         return np.maximum(db, self.floor_db)
+
+    def sample_db(
+        self, rng: np.random.Generator, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        return _sample_db(self, rng, shape)
 
     def mean_offset_db(self, n_samples: int = 200_000, seed: int = 0) -> float:
         """Monte-Carlo mean of the dB offset (diagnostic; ~0 for large K)."""

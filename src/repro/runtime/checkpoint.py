@@ -7,7 +7,7 @@ strict append order — the classic write-ahead discipline:
   enough scenario identity (environment, seed, duration, tag ids) to
   refuse a resume against the wrong world.
 * ``{"type": "result", "i": N, ...}`` — one line per served result, in
-  completion order, flushed as served. These are the *expensive* bytes:
+  completion order, flushed once per serving tick. These are the *expensive* bytes:
   every result logged here is an estimate the resumed session never has
   to recompute.
 * ``{"type": "snapshot", "t": ..., "results_count": K, ...}`` — a
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, IO, Mapping
+from typing import Any, IO
 
 import numpy as np
 
@@ -63,26 +64,40 @@ def jsonable(value: Any) -> Any:
     and sequences recurse; anything else falls back to ``str`` — the
     checkpoint must always be writable, even for exotic diagnostics.
     """
+    # Most common types first: a WAL line is mostly plain scalars,
+    # dicts and lists.
     if isinstance(value, (str, bool, int, float)) or value is None:
         return value
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [jsonable(v) for v in sorted(value)]
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
         return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [jsonable(v) for v in items]
     return str(value)
 
 
+#: One encoder for every WAL line (``json.dumps`` with options builds a
+#: new ``JSONEncoder`` per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(doc: Mapping[str, Any]) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(jsonable(doc))
 
 
 class CheckpointWriter:
-    """Appends WAL lines to a checkpoint file, flushing every write.
+    """Appends WAL lines to a checkpoint file.
+
+    Every record is flushed as it is written, except results: a caller
+    appends a batch of them and then calls :meth:`flush` once (the next
+    snapshot, marker or :meth:`close` also flushes them). Only a
+    snapshot commits results, so batching their flush loses nothing a
+    resume could use.
 
     Parameters
     ----------
@@ -122,13 +137,21 @@ class CheckpointWriter:
     def closed(self) -> bool:
         return self._fh is None
 
-    def _write(self, doc: Mapping[str, Any], *, sync: bool = False) -> None:
+    def _write(
+        self, doc: Mapping[str, Any], *, flush: bool = True, sync: bool = False
+    ) -> None:
         if self._fh is None:
             raise CheckpointError(f"checkpoint writer for {self.path} is closed")
         self._fh.write(_dump_line(doc) + "\n")
-        self._fh.flush()
+        if flush:
+            self._fh.flush()
         if sync and self._fsync:
             os.fsync(self._fh.fileno())
+
+    def flush(self) -> None:
+        """Push appended result lines to the file."""
+        if self._fh is not None:
+            self._fh.flush()
 
     # -- record kinds --------------------------------------------------------
 
@@ -136,7 +159,8 @@ class CheckpointWriter:
         self._write({"type": "header", "version": FORMAT_VERSION, **fields})
 
     def append_result(self, index: int, doc: Mapping[str, Any]) -> None:
-        self._write({"type": "result", "i": int(index), **doc})
+        """Append one result line; :meth:`flush` pushes the batch out."""
+        self._write({"type": "result", "i": int(index), **doc}, flush=False)
         self.results_logged += 1
 
     def write_snapshot(

@@ -33,7 +33,6 @@ from ..hardware.streams import SimulatorRecordStream
 from ..runtime.checkpoint import (
     CheckpointState,
     CheckpointWriter,
-    jsonable,
     load_checkpoint,
     validate_header,
 )
@@ -86,7 +85,11 @@ def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
 
 
 def result_to_doc(result: ServiceResult) -> dict[str, Any]:
-    """Serialize one :class:`ServiceResult` into a WAL result document."""
+    """One :class:`ServiceResult` as a WAL result document.
+
+    Diagnostics are copied as they are; the checkpoint writer converts
+    every line to plain JSON types (:func:`~repro.runtime.checkpoint.jsonable`).
+    """
     return {
         "tag_id": result.tag_id,
         "position": [float(result.position[0]), float(result.position[1])],
@@ -96,7 +99,7 @@ def result_to_doc(result: ServiceResult) -> dict[str, Any]:
         "requested_at_s": float(result.requested_at_s),
         "completed_at_s": float(result.completed_at_s),
         "processing_latency_s": float(result.processing_latency_s),
-        "diagnostics": jsonable(dict(result.diagnostics)),
+        "diagnostics": dict(result.diagnostics),
     }
 
 
@@ -433,6 +436,7 @@ class ServiceSession:
             for result in served:
                 writer.append_result(self._wal_index, result_to_doc(result))
                 self._wal_index += 1
+            writer.flush()
             # The consistency cut at this tick, captured eagerly: a
             # graceful interrupt may land on a *later* tick
             # mid-processing, and the snapshot it flushes must describe

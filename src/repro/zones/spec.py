@@ -49,6 +49,11 @@ from ..geometry.placement import (
 from ..geometry.rooms import rectangular_room
 from ..rf.environments import EnvironmentSpec, environment_by_name
 from ..utils.rng import derive_seed
+from ..utils.validation import (
+    ensure_finite,
+    ensure_non_negative,
+    ensure_positive_int,
+)
 
 __all__ = [
     "ZONE_PITCH_M",
@@ -85,6 +90,14 @@ def zone_seed(seed: int, zone_id: str) -> int:
     perturbs another zone's world.
     """
     return int(derive_seed(seed, "zone", zone_id).generate_state(1)[0])
+
+
+def _site_point(value: Sequence[float], name: str) -> tuple[float, float]:
+    """A finite ``(x, y)`` pair, or :class:`ConfigurationError`."""
+    point = ensure_finite(value, name)
+    if point.shape != (2,):
+        raise ConfigurationError(f"{name} must be an (x, y) pair, got {value!r}")
+    return (float(point[0]), float(point[1]))
 
 
 @dataclass(frozen=True)
@@ -136,16 +149,27 @@ class ZoneSpec:
             raise ConfigurationError(
                 f"zone_id must be non-empty [A-Za-z0-9_-], got {self.zone_id!r}"
             )
+        object.__setattr__(self, "origin", _site_point(self.origin, "origin"))
         object.__setattr__(
-            self, "origin", (float(self.origin[0]), float(self.origin[1]))
+            self,
+            "tracking_tags",
+            {
+                label: _site_point(pos, f"tracking tag {label!r} position")
+                for label, pos in dict(self.tracking_tags).items()
+            },
         )
-        object.__setattr__(self, "tracking_tags", dict(self.tracking_tags))
+        object.__setattr__(self, "seed", ensure_positive_int(self.seed, "seed", 0))
+        object.__setattr__(
+            self,
+            "reader_margin_m",
+            ensure_non_negative(self.reader_margin_m, "reader_margin_m"),
+        )
         if self.reader_positions is not None:
             object.__setattr__(
                 self,
                 "reader_positions",
                 tuple(
-                    (float(p[0]), float(p[1])) for p in self.reader_positions
+                    _site_point(p, "reader position") for p in self.reader_positions
                 ),
             )
 
@@ -306,7 +330,7 @@ class ZonePlan:
         roaming: Sequence[RoamingTag] = (),
     ):
         object.__setattr__(self, "zones", tuple(zones))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", ensure_positive_int(seed, "seed", 0))
         object.__setattr__(self, "roaming", tuple(roaming))
         if not self.zones:
             raise ConfigurationError("a zone plan needs at least one zone")

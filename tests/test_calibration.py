@@ -35,6 +35,7 @@ from repro.calibration import (
     nan_median,
 )
 from repro.calibration.corrector import TagTrust
+from repro.calibration.residuals import _nanmedian
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.faults import CalibrationDriftFault, FaultPlan
 from repro.types import TrackingReading
@@ -149,6 +150,108 @@ class TestDecompose:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             decompose_residuals(np.zeros((3, 2)))
+
+
+def _reference_decompose(stacked, trusted_columns=None):
+    """The decomposition as written with ``np.nanmedian`` (the oracle)."""
+    rows = stacked if trusted_columns is None else stacked[:, :, trusted_columns]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if rows.shape[2]:
+            bias = np.nanmedian(rows, axis=(0, 2))
+        else:
+            bias = np.full(stacked.shape[1], np.nan)
+        centered = np.where(np.isfinite(bias), bias, 0.0)
+        scores = np.nanmedian(stacked - centered[None, :, None], axis=(0, 1))
+    return bias, scores
+
+
+def _same_bits(a, b):
+    """Equal arrays, NaN where NaN, and the same sign on every zero."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)
+    )
+
+
+#: Few distinct values so ties, signed zeros, infinities and all-NaN
+#: slices are common; plus ordinary floats.
+_cells = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5, 3.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _windows(draw):
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 16)))
+    flat = draw(st.lists(_cells, min_size=1, max_size=64))
+    values = np.resize(np.array(flat, dtype=np.float64), shape)
+    # Whole NaN rows/columns: stale readers and dead tags.
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, shape[1] - 1)), :] = np.nan
+    if draw(st.booleans()):
+        values[:, :, draw(st.integers(0, shape[2] - 1))] = np.nan
+    return values
+
+
+class TestNanMedianEquality:
+    """The corrector's median is ``np.nanmedian``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=_windows(), axis=st.sampled_from([(0, 2), (0, 1)]))
+    def test_equals_numpy_nanmedian(self, window, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmedian(window, axis=axis)
+        assert _same_bits(_nanmedian(window, axis), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(window=_windows(), data=st.data())
+    def test_decompose_equals_nanmedian_decomposition(self, window, data):
+        trusted = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(), min_size=window.shape[2], max_size=window.shape[2]
+                )
+            ),
+            dtype=bool,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias, scores, _ = decompose_residuals(window, trusted_columns=trusted)
+        ref_bias, ref_scores = _reference_decompose(window, trusted)
+        assert _same_bits(bias, ref_bias)
+        assert _same_bits(scores, ref_scores)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([np.nan, np.nan, np.nan], np.nan),  # all-NaN slice
+            ([np.inf, -np.inf, np.nan], np.nan),  # inf + -inf middle pair
+            ([np.inf, 1.0, np.inf], np.inf),
+            ([-0.0, -0.0, np.nan], 0.0),  # numpy's sum starts at +0.0
+            ([2.0, 2.0, 5.0, np.nan], 2.0),  # tie at the middle
+            ([1.0, 4.0, np.nan, np.nan], 2.5),
+        ],
+    )
+    def test_pinned_slices(self, values, expected):
+        window = np.array(values, dtype=np.float64).reshape(1, 1, -1)
+        got = _nanmedian(window, (0, 2))
+        assert _same_bits(got, np.array([expected]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _same_bits(got, np.nanmedian(window, axis=(0, 2)))
+
+    def test_large_window_uses_the_same_arithmetic(self):
+        # 20 x 4 x 16 cells take numpy's other (>= 600 element) route.
+        rng = np.random.default_rng(3)
+        window = np.round(rng.normal(size=(20, 4, 16)), 1)
+        window[rng.random(window.shape) < 0.3] = np.nan
+        for axis in ((0, 2), (0, 1)):
+            assert _same_bits(_nanmedian(window, axis), np.nanmedian(window, axis=axis))
+
+    def test_empty_reader_axis(self):
+        assert _same_bits(_nanmedian(np.zeros((3, 0, 2)), (0, 1)), np.full(2, np.nan))
 
 
 # ---------------------------------------------------------------------------

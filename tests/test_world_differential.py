@@ -1,0 +1,431 @@
+"""Differential tests: the frozen-field world equals the per-reader world.
+
+The simulator builds each tag's mean field once and draws one normal
+block per beacon for all readers. The oracle below is the per-reader
+route it replaced, kept here and only here: per beacon and reader, a
+fresh ``mean_rssi`` at the tag's position, a fading draw, a noise draw.
+Both routes must emit the same ``ReadingRecord`` stream, bit for bit,
+and leave the per-reading RNG in the same state.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import build_paper_deployment, environment_by_name, paper_testbed_grid
+from repro.calibration import CalibrationPolicy
+from repro.exceptions import ChannelError
+from repro.faults import (
+    FaultPlan,
+    ReaderOutageFault,
+    chaos_preset,
+    zone_chaos_preset,
+)
+from repro.geometry.placement import corner_reader_positions
+from repro.hardware.readers import Reader
+from repro.hardware.simulator import TestbedSimulator
+from repro.hardware.tags import ActiveTag
+from repro.rf.disturbance import HumanMovementDisturbance
+from repro.rf.fading import NoFading, RicianFading
+from repro.rf.interference import TagInterferenceModel
+from repro.service.pipeline import ServiceConfig
+from repro.zones import RoamingTag, ZoneGateway, scaled_site_plan
+
+ENVS = ("Env1", "Env2", "Env3")
+TRACKING = {"track-1": (1.3, 1.7), "track-2": (0.4, 2.6), "track-3": (2.5, 0.5)}
+
+
+# -- the oracle: today's per-reader route, before the frozen field -------------
+
+
+def legacy_fading_db(fading, rng, shape):
+    if isinstance(fading, NoFading):
+        return np.zeros(shape)
+    assert isinstance(fading, RicianFading)
+    k = fading.k_factor
+    los = np.sqrt(k / (k + 1.0))
+    scatter_scale = np.sqrt(1.0 / (2.0 * (k + 1.0)))
+    g = rng.standard_normal((*shape, 2)) * scatter_scale
+    power = (los + g[..., 0]) ** 2 + g[..., 1] ** 2
+    db = 10.0 * np.log10(np.maximum(power, 1e-12))
+    return np.maximum(db, fading.floor_db)
+
+
+def legacy_sample_rssi(channel, k, positions, rng, *, n_reads=1, extra=0.0):
+    mean = channel.mean_rssi(k, positions)
+    n = mean.shape[0]
+    out = np.broadcast_to(mean[:, np.newaxis], (n, n_reads)).copy()
+    out -= np.broadcast_to(np.asarray(extra, dtype=np.float64), (n,))[:, np.newaxis]
+    out += legacy_fading_db(channel.fading, rng, (n, n_reads))
+    if channel.noise_sigma_db > 0:
+        out += rng.standard_normal((n, n_reads)) * channel.noise_sigma_db
+    return np.maximum(out, channel.sensitivity_dbm)
+
+
+def legacy_emit_beacon(self, index):
+    tag = self.tags[index]
+    now = self.queue.clock.now
+    pos = np.asarray(tag.position)[np.newaxis, :]
+    extra_base = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
+    if self.interference is not None:
+        extra_base += float(
+            self.interference.reading_jitter_db(
+                np.array([tag.position]), self._sample_rng, n_reads=1
+            )[0, 0]
+        )
+    for k, reader in enumerate(self.readers):
+        extra = extra_base
+        for disturbance in self.disturbances:
+            extra += disturbance.attenuation_at(now, tag.position, reader.position)
+        rssi = float(
+            legacy_sample_rssi(self.channel, k, pos, self._sample_rng, extra=extra)[0, 0]
+        )
+        record = reader.receive(tag.tag_id, now, rssi)
+        if record is not None:
+            self._deliver(record, now)
+
+
+# -- recording harness ----------------------------------------------------------
+
+
+def _bits(record) -> tuple:
+    return (record.reader_id, record.tag_id, record.time_s.hex(), record.rssi_dbm.hex())
+
+
+@contextmanager
+def recorded_world(monkeypatch, *, legacy: bool):
+    """Record every reader output and every delivered record, per simulator.
+
+    Yields ``(stream, simulators)``: the stream interleaves
+    ``("read", ...)`` entries (a reader's record before faults) and
+    ``("out", ...)`` entries (what the fault layer let through), in the
+    order they happened across every simulator built in the block.
+    """
+    stream: list[tuple] = []
+    sims: list[TestbedSimulator] = []
+    init = TestbedSimulator.__init__
+    deliver = TestbedSimulator._deliver
+    dispatch = TestbedSimulator._dispatch
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    def tracked_deliver(self, record, now):
+        stream.append(("read", _bits(record)))
+        deliver(self, record, now)
+
+    def tracked_dispatch(self, record):
+        stream.append(("out", _bits(record)))
+        dispatch(self, record)
+
+    with monkeypatch.context() as m:
+        m.setattr(TestbedSimulator, "__init__", tracked_init)
+        m.setattr(TestbedSimulator, "_deliver", tracked_deliver)
+        m.setattr(TestbedSimulator, "_dispatch", tracked_dispatch)
+        if legacy:
+            m.setattr(TestbedSimulator, "_emit_beacon", legacy_emit_beacon)
+        yield stream, sims
+
+
+def run_both(monkeypatch, scenario):
+    """Run ``scenario()`` on both worlds; return (new, legacy) observations."""
+    out = []
+    for legacy in (False, True):
+        with recorded_world(monkeypatch, legacy=legacy) as (stream, sims):
+            scenario()
+        states = [s._sample_rng.bit_generator.state for s in sims]
+        out.append((stream, states))
+    return out
+
+
+def assert_same_world(monkeypatch, scenario, *, min_reads=1):
+    (new_stream, new_states), (old_stream, old_states) = run_both(
+        monkeypatch, scenario
+    )
+    assert sum(kind == "read" for kind, _ in old_stream) >= min_reads
+    assert len(new_stream) == len(old_stream)
+    assert new_stream == old_stream
+    assert new_states == old_states
+
+
+# -- simulator-level scenarios --------------------------------------------------
+
+
+class TestSimulatorDifferential:
+    @pytest.mark.parametrize("env", ENVS)
+    def test_every_env_preset(self, monkeypatch, env):
+        def scenario():
+            dep = build_paper_deployment(
+                environment_by_name(env), tracking_tags=TRACKING, seed=3
+            )
+            dep.simulator.run_for(12.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=300)
+
+    @pytest.mark.parametrize("env", ENVS)
+    def test_moved_tracking_tags(self, monkeypatch, env):
+        def scenario():
+            dep = build_paper_deployment(
+                environment_by_name(env), tracking_tags=TRACKING, seed=1
+            )
+            dep.simulator.run_for(5.0)
+            dep.move_tracking_tag("track-1", (2.2, 2.9))
+            dep.simulator.run_for(3.1)
+            dep.move_tracking_tag("track-1", (0.7, 0.2))
+            dep.move_tracking_tag("track-2", (1.5, 1.5))
+            dep.simulator.run_for(4.0)
+            # Back to the start: the column must follow the move back.
+            dep.move_tracking_tag("track-1", TRACKING["track-1"])
+            dep.simulator.run_for(4.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=300)
+
+    @pytest.mark.parametrize("interference", [False, True])
+    def test_interference_on_and_off(self, monkeypatch, interference):
+        # Eleven tags packed inside 0.5 m so the density model bites.
+        packed = {
+            f"pack-{i}": (1.5 + 0.04 * math.cos(i), 1.5 + 0.04 * math.sin(i))
+            for i in range(11)
+        }
+
+        def scenario():
+            dep = build_paper_deployment(
+                environment_by_name("Env2"),
+                tracking_tags=packed,
+                seed=2,
+                interference=TagInterferenceModel() if interference else None,
+            )
+            dep.simulator.run_for(10.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=300)
+
+    @pytest.mark.parametrize("env", ENVS)
+    def test_human_movement_disturbance(self, monkeypatch, env):
+        walkers = (
+            HumanMovementDisturbance(
+                ((-0.5, 1.4), (3.5, 1.6)), speed_mps=1.0, start_time_s=1.0
+            ),
+            HumanMovementDisturbance(
+                ((1.5, -0.5), (1.4, 3.5), (0.0, 0.0)),
+                speed_mps=1.5,
+                attenuation_db=12.0,
+                start_time_s=2.0,
+            ),
+        )
+
+        def scenario():
+            dep = build_paper_deployment(
+                environment_by_name(env),
+                tracking_tags=TRACKING,
+                seed=4,
+                disturbances=walkers,
+            )
+            dep.simulator.run_for(10.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=300)
+
+    @pytest.mark.parametrize("noise_sigma_db", [0.0, 0.7])
+    def test_no_fading_channel(self, monkeypatch, noise_sigma_db):
+        env = dataclasses.replace(
+            environment_by_name("Env3"), noise_sigma_db=noise_sigma_db
+        )
+        readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+
+        def scenario():
+            channel = env.build_channel(readers_xy, seed=5).with_fading(None)
+            tags = [
+                ActiveTag(f"ref-{i}", tuple(p), is_reference=True)
+                for i, p in enumerate(paper_testbed_grid().tag_positions())
+            ]
+            tags.append(ActiveTag("track-1", (1.2, 2.3)))
+            readers = [
+                Reader(f"reader-{k}", tuple(p)) for k, p in enumerate(readers_xy)
+            ]
+            sim = TestbedSimulator(channel, tags, readers, seed=5)
+            sim.run_for(6.0)
+            sim.tag("track-1").move_to((2.8, 0.1))
+            sim.run_for(6.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=300)
+
+
+# -- the served worlds: zones with a roaming tag and the chaos script -----------
+
+
+def _chaos_gateway_run(tmp_path, tag: str, duration: float = 12.0):
+    roam = RoamingTag(
+        "roam",
+        (
+            (0.0, (1.5, 1.5)),
+            (duration / 3, (6.0, 1.5)),
+            (2 * duration / 3, (6.0, 6.0)),
+        ),
+    )
+    plan = scaled_site_plan("Env1", 4, seed=0, roaming=(roam,))
+    faults = FaultPlan(
+        tuple(chaos_preset("severe", seed=0))
+        + tuple(
+            ReaderOutageFault(reader, start_s=duration / 3, duration_s=math.inf)
+            for reader in ("reader-1", "reader-2")
+        )
+        + tuple(zone_chaos_preset("crash", zone_id="z1", seed=0, start_s=duration / 2)),
+        seed=0,
+    )
+    ckpt = tmp_path / tag
+    ckpt.mkdir()
+    gateway = ZoneGateway(
+        plan,
+        ServiceConfig(calibration=CalibrationPolicy()),
+        fault_plan=faults,
+        checkpoint_dir=str(ckpt),
+    )
+    return gateway.run(duration)
+
+
+class TestServedWorldDifferential:
+    def test_roaming_tag_zone_run(self, monkeypatch):
+        roam = RoamingTag("roam", ((0.0, (1.5, 1.5)), (6.0, (6.0, 1.5))))
+
+        def scenario():
+            plan = scaled_site_plan("Env2", 2, seed=7, roaming=(roam,))
+            ZoneGateway(plan, ServiceConfig()).run(8.0)
+
+        assert_same_world(monkeypatch, scenario, min_reads=500)
+
+    def test_zones_chaos_fault_script(self, monkeypatch, tmp_path):
+        runs = iter(("new", "legacy"))
+        reports = []
+
+        def scenario():
+            reports.append(_chaos_gateway_run(tmp_path, next(runs)))
+
+        assert_same_world(monkeypatch, scenario, min_reads=500)
+        new, legacy = reports
+        assert int(new.summary["zone_respawns"]) >= 1
+        assert [
+            (zid, r.tag_id, r.position) for zid, z in new.zones.items() for r in z.results
+        ] == [
+            (zid, r.tag_id, r.position)
+            for zid, z in legacy.zones.items()
+            for r in z.results
+        ]
+
+
+# -- the block draw against K sequential per-reader draws ----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    env=st.sampled_from(ENVS),
+    n=st.integers(1, 16),
+    n_reads=st.integers(1, 8),
+    noisy=st.booleans(),
+    fading=st.sampled_from(["rician", "none"]),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.one_of(
+        st.none(), st.floats(-20.0, 20.0, allow_nan=False, allow_subnormal=False)
+    ),
+)
+def test_block_draw_equals_sequential_reader_draws(
+    env, n, n_reads, noisy, fading, seed, extra
+):
+    spec = environment_by_name(env)
+    if not noisy:
+        spec = dataclasses.replace(spec, noise_sigma_db=0.0)
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    channel = spec.build_channel(readers_xy, seed=seed % 97)
+    if fading == "none":
+        channel = channel.with_fading(None)
+    pts = np.random.default_rng(seed).uniform(-0.5, 3.5, size=(n, 2))
+    # Per-(reader, tag) attenuation, or none at all.
+    att = (
+        0.0
+        if extra is None
+        else extra + np.arange(channel.n_readers * n).reshape(-1, n) / 7.0
+    )
+
+    rng_old = np.random.default_rng(seed)
+    expected = np.stack(
+        [
+            legacy_sample_rssi(
+                channel,
+                k,
+                pts,
+                rng_old,
+                n_reads=n_reads,
+                extra=att if extra is None else att[k],
+            ).mean(axis=1)
+            for k in range(channel.n_readers)
+        ]
+    )
+    rng_new = np.random.default_rng(seed)
+    got = channel.sample_rssi_matrix(
+        None,
+        rng_new,
+        n_reads=n_reads,
+        mean=channel.mean_rssi_matrix(pts),
+        extra_attenuation_db=att,
+    )
+    assert got.tobytes() == expected.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    # Without ``mean=`` the channel computes the same field itself.
+    rng_again = np.random.default_rng(seed)
+    again = channel.sample_rssi_matrix(
+        pts, rng_again, n_reads=n_reads, extra_attenuation_db=att
+    )
+    assert again.tobytes() == expected.tobytes()
+
+
+def test_mean_field_and_positions_are_exclusive():
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    channel = environment_by_name("Env1").build_channel(readers_xy, seed=0)
+    pts = np.array([[1.0, 1.0], [2.0, 2.5]])
+    field = channel.mean_rssi_matrix(pts)
+    with pytest.raises(ChannelError, match="not both"):
+        channel.sample_rssi_matrix(pts, np.random.default_rng(0), mean=field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, 3),
+    n=st.integers(1, 7),
+    n_reads=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_reader_sample_equals_oracle(k, n, n_reads, seed):
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    channel = environment_by_name("Env3").build_channel(readers_xy, seed=seed % 89)
+    pts = np.random.default_rng(seed).uniform(0.0, 3.0, size=(n, 2))
+    rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = legacy_sample_rssi(channel, k, pts, rng_old, n_reads=n_reads, extra=1.5)
+    got = channel.sample_rssi(k, pts, rng_new, n_reads=n_reads, extra_attenuation_db=1.5)
+    assert got.tobytes() == expected.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_field_is_built_once_and_follows_moves(monkeypatch):
+    dep = build_paper_deployment(
+        environment_by_name("Env1"), tracking_tags=TRACKING, seed=0
+    )
+    sim = dep.simulator
+    calls = []
+    field = type(sim.channel).mean_rssi_matrix
+
+    def counting(self, positions):
+        calls.append(len(positions))
+        return field(self, positions)
+
+    monkeypatch.setattr(type(sim.channel), "mean_rssi_matrix", counting)
+    sim.run_for(10.0)
+    assert calls == []  # the construction-time field serves every beacon
+    dep.move_tracking_tag("track-2", (2.0, 2.0))
+    sim.run_for(10.0)
+    assert calls == [1]  # one recompute per move, not per beacon

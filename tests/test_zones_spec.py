@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.scenarios import paper_scenario
@@ -24,6 +28,10 @@ from repro.zones import (
     slice_fault_plan,
     zone_seed,
 )
+
+
+#: Any float at all, including NaN, infinities and huge magnitudes.
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
 def _spec(zone_id="z0", origin=(0.0, 0.0), **kw):
@@ -68,6 +76,76 @@ class TestZoneSpec:
         spec = _spec(origin=(4.5, 0.0))
         assert spec.footprint == (4.5, 0.0, 7.5, 3.0)
         assert spec.extent == (3.5, -1.0, 8.5, 4.0)
+
+
+class TestZoneSpecValidation:
+    @pytest.mark.parametrize(
+        "origin",
+        [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)],
+    )
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(ConfigurationError, match="origin"):
+            _spec(origin=origin)
+
+    def test_nan_origin_no_longer_passes_the_overlap_check(self):
+        # A NaN footprint compared false against everything, so two
+        # zones on top of each other used to form a valid plan.
+        with pytest.raises(ConfigurationError, match="origin"):
+            ZonePlan([_spec("a"), _spec("b", origin=(math.nan, 0.0))])
+
+    @pytest.mark.parametrize("margin", [math.nan, -0.5, math.inf, True])
+    def test_rejects_bad_reader_margin(self, margin):
+        with pytest.raises(ConfigurationError, match="reader_margin_m"):
+            _spec(reader_margin_m=margin)
+
+    @pytest.mark.parametrize(
+        "pos", [(math.nan, 1.0), (1.0, math.inf), (1.0, 2.0, 3.0)]
+    )
+    def test_rejects_bad_tracking_tag_positions(self, pos):
+        with pytest.raises(ConfigurationError, match="tracking tag"):
+            _spec(tracking_tags={1: pos})
+
+    def test_rejects_non_finite_reader_positions(self):
+        with pytest.raises(ConfigurationError, match="reader position"):
+            _spec(reader_positions=((0.0, 0.0), (math.nan, 1.0)))
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "0"])
+    def test_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            _spec(seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            ZonePlan([_spec()], seed=seed)
+
+    def test_accepts_integer_like_values(self):
+        spec = _spec(
+            origin=(4, 0), reader_margin_m=0, seed=np.int64(7),
+            tracking_tags={"a": (1, 2)},
+        )
+        assert spec.origin == (4.0, 0.0)
+        assert spec.seed == 7 and type(spec.seed) is int
+        assert spec.tracking_tags == {"a": (1.0, 2.0)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(_any_float, _any_float),
+        margin=st.one_of(_any_float, st.booleans()),
+        tag=st.tuples(_any_float, _any_float),
+        seed=st.one_of(st.integers(-5, 2**40), st.booleans()),
+    )
+    def test_construction_validates_or_raises(self, origin, margin, tag, seed):
+        try:
+            spec = _spec(
+                origin=origin, reader_margin_m=margin,
+                tracking_tags={"t": tag}, seed=seed,
+            )
+        except ConfigurationError:
+            return
+        assert all(math.isfinite(v) for v in spec.origin)
+        assert math.isfinite(spec.reader_margin_m) and spec.reader_margin_m >= 0
+        assert all(math.isfinite(v) for v in spec.tracking_tags["t"])
+        assert isinstance(spec.seed, int) and not isinstance(spec.seed, bool)
+        assert spec.seed >= 0
+        assert all(math.isfinite(v) for v in spec.footprint)
 
 
 class TestRoamingTag:
