@@ -6,25 +6,31 @@ program, we can directly obtain the useful information … including the
 tag ID, the reader ID, and RSSI values."
 
 :class:`MiddlewareServer` collects :class:`~repro.hardware.readers.ReadingRecord`
-streams and maintains, per (reader, tag), a temporally smoothed RSSI
-estimate. Smoothing is the designed defence against per-reading fading
-and transient disturbances (§4.1): a sliding-window mean (``window=1``
-serves the latest reading unsmoothed). :meth:`snapshot` assembles the
-consistent :class:`~repro.types.TrackingReading` an estimator consumes,
-enforcing freshness so a tag that stopped beaconing (dead battery, left
-the area) is reported missing rather than silently stale.
+streams and keeps, per (reader, tag), the mean of the last ``window``
+RSSI readings — the defence against per-reading fading (§4.1);
+``window=1`` serves the latest reading. :meth:`snapshot` assembles the
+:class:`~repro.types.TrackingReading` an estimator consumes, enforcing
+freshness so a tag that stopped beaconing is reported missing rather
+than silently stale. The strict snapshot raises on any missing series;
+``allow_partial=True`` returns a *masked* reading instead.
 
-Partial input: the default (strict) snapshot raises on any missing
-series — bit-identical to the original behaviour. With
-``allow_partial=True`` the middleware instead returns a *masked*
-reading: readers with no fresh tracking-tag value are absent, missing
-reference values become NaN, and ``TrackingReading.masked`` flags the
-degradation so quorum-aware estimators can decide what survives.
+The series live in one column store. Series ``column * K + reader``
+(reference tags first, in :attr:`reference_ids` order; tracking tags
+appended on first sight) owns a row of the ``(C * K, W)`` window array
+and an entry of the count, last-time and mean arrays. :meth:`ingest`
+queues a record; the first read after it applies the queue. A reading
+shifts its window left by one and lands last (a ring buffer would
+change the bits: ``np.mean`` sums in index order), and the touched
+means are recomputed, one ``np.mean(..., axis=1)`` per fill count. The
+first read at a given (ingest generation, ``now_s``) computes every
+series' freshness and the ``(K, n_refs)`` reference block; every
+snapshot, :meth:`reference_matrix` and :meth:`coverage` call at that
+instant slices them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,6 +38,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ReadingError
 from ..types import TrackingReading
+from ..utils.validation import ensure_positive, ensure_positive_int
 from .readers import ReadingRecord
 
 __all__ = ["SmoothingSpec", "MiddlewareServer"]
@@ -45,46 +52,20 @@ class SmoothingSpec:
     ----------
     window:
         Each (reader, tag) value is the mean of its last ``window``
-        readings; 1 means no smoothing.
+        readings; 1 means no smoothing. Must be an integer.
     max_age_s:
         A (reader, tag) series with no reading newer than this is treated
         as missing at snapshot time (None disables the freshness check).
+        Must be positive and finite.
     """
 
     window: int = 5
     max_age_s: float | None = 30.0
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if self.max_age_s is not None and self.max_age_s <= 0:
-            raise ConfigurationError(f"max_age_s must be positive, got {self.max_age_s}")
-
-
-class _Series:
-    """Smoothed RSSI state for one (reader, tag) pair."""
-
-    __slots__ = ("history", "last_time", "_window_cache")
-
-    def __init__(self, window: int):
-        self.history: deque[float] = deque(maxlen=window)
-        self.last_time: float = -np.inf
-        self._window_cache: float | None = None
-
-    def update(self, rssi: float, time_s: float) -> None:
-        self.history.append(rssi)
-        self._window_cache = None
-        self.last_time = time_s
-
-    def value(self) -> float:
-        if not self.history:
-            raise ReadingError("series has no readings")
-        # Memoized between ingests: every snapshot (and the calibration
-        # loop's reference sweep) re-reads each series several times per
-        # tick.
-        if self._window_cache is None:
-            self._window_cache = float(np.mean(self.history))
-        return self._window_cache
+        ensure_positive_int(self.window, "window")
+        if self.max_age_s is not None:
+            ensure_positive(self.max_age_s, "max_age_s")
 
 
 class MiddlewareServer:
@@ -100,6 +81,10 @@ class MiddlewareServer:
         iteration order defines the reference-column order of snapshots.
     smoothing:
         Temporal smoothing configuration.
+    tracking_smoothing:
+        Smoothing of tracking-tag series (default: ``smoothing``).
+        Reference tags are static, so deep smoothing is free accuracy;
+        tracking tags move, so their series may want a shorter memory.
     """
 
     def __init__(
@@ -120,19 +105,35 @@ class MiddlewareServer:
         self.reference_positions = np.array(
             [reference_tags[t] for t in self.reference_ids], dtype=np.float64
         )
-        self._reference_id_set = frozenset(self.reference_ids)
         self.smoothing = smoothing or SmoothingSpec()
-        # Reference tags are static, so deep smoothing is free accuracy;
-        # tracking tags move, so their series may want a shorter memory.
-        # Default: same smoothing for both.
         self.tracking_smoothing = tracking_smoothing or self.smoothing
-        self._series: dict[tuple[str, str], _Series] = {}
+        self._rows = {r: i for i, r in enumerate(self.reader_ids)}
+        self._columns = {t: j for j, t in enumerate(self.reference_ids)}
+        spec, size = self.smoothing, len(self.reader_ids) * len(self.reference_ids)
+        self._reference_series = size
+        self._width = max(spec.window, self.tracking_smoothing.window)
+        self._window = np.zeros((size, self._width))
+        self._count = np.zeros(size, dtype=np.int64)
+        self._last = np.zeros(size)
+        self._mean = np.zeros(size)
+        # Per series: the smoothing window and the freshness limit.
+        self._limit = np.full(size, spec.window)
+        self._max_age = np.full(size, spec.max_age_s or np.inf)
+        self._unseen = np.zeros(len(self.reader_ids), dtype=bool)
+        self._pending: list[float] = []  # (series, rssi, time) triples
+        self._block_key: tuple[int, float] | None = None
         self._records_ingested = 0
+        self._records_rejected = 0
         self._frame_sources: dict[str, object] = {}
 
     @property
     def records_ingested(self) -> int:
         return self._records_ingested
+
+    @property
+    def records_rejected(self) -> int:
+        """Records dropped at ingest for a non-finite RSSI or time."""
+        return self._records_rejected
 
     # -- frame accounting ----------------------------------------------------
 
@@ -141,10 +142,8 @@ class MiddlewareServer:
 
         ``reader`` is anything with ``reader_id``, ``frames_received``
         and ``frames_dropped`` attributes (a
-        :class:`~repro.hardware.readers.Reader`). The simulator registers
-        its readers automatically so detection-floor drops — tracked by
-        the readers but previously invisible from the middleware — are
-        observable here and exportable by the service metrics registry.
+        :class:`~repro.hardware.readers.Reader`); the simulator registers
+        its readers so detection-floor drops are observable here.
         """
         reader_id = getattr(reader, "reader_id", None)
         if reader_id not in self.reader_ids:
@@ -168,34 +167,76 @@ class MiddlewareServer:
             }
         return out
 
-    def _spec_for(self, tag_id: str) -> SmoothingSpec:
-        return (
-            self.smoothing
-            if tag_id in self._reference_id_set
-            else self.tracking_smoothing
-        )
+    # -- the column store ----------------------------------------------------
 
     def ingest(self, record: ReadingRecord) -> None:
-        """Accept one reading record from a reader."""
-        if record.reader_id not in self.reader_ids:
+        """Accept one reading record from a reader.
+
+        Records with a non-finite RSSI or time are dropped and counted
+        in :attr:`records_rejected`; an unknown reader raises.
+        """
+        row = self._rows.get(record.reader_id)
+        if row is None:
             raise ReadingError(f"unknown reader id {record.reader_id!r}")
-        key = (record.reader_id, record.tag_id)
-        spec = self._spec_for(record.tag_id)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _Series(spec.window)
-        series.update(record.rssi_dbm, record.time_s)
+        rssi, time_s = record.rssi_dbm, record.time_s
+        if not (math.isfinite(rssi) and math.isfinite(time_s)):
+            self._records_rejected += 1
+            return
+        column = self._columns.setdefault(record.tag_id, len(self._columns))
+        self._pending += (column * len(self.reader_ids) + row, rssi, time_s)
         self._records_ingested += 1
 
-    def _smoothed(self, reader_id: str, tag_id: str, now_s: float) -> float | None:
-        series = self._series.get((reader_id, tag_id))
-        if series is None or not series.history:
-            return None
-        spec = self._spec_for(tag_id)
-        max_age = spec.max_age_s
-        if max_age is not None and now_s - series.last_time > max_age:
-            return None
-        return series.value()
+    def _apply_pending(self) -> None:
+        ids = self._pending[::3]
+        queued = np.array(self._pending).reshape(-1, 3)
+        self._pending.clear()
+        extra = len(self._columns) * len(self.reader_ids) - self._count.size
+        if extra:  # tracking tags seen for the first time
+            spec = self.tracking_smoothing
+            self._window = np.pad(self._window, ((0, extra), (0, 0)))
+            self._count, self._last, self._mean = (
+                np.pad(a, (0, extra)) for a in (self._count, self._last, self._mean)
+            )
+            self._limit = np.append(self._limit, [spec.window] * extra)
+            self._max_age = np.append(self._max_age, [spec.max_age_s or np.inf] * extra)
+        # Round r applies every series' r-th queued reading, so no round
+        # touches a series twice; usually each series queued one reading.
+        rounds: list = [slice(None)]
+        if len(set(ids)) < len(ids):
+            rounds, seen = [], {}
+            for index, key in enumerate(ids):
+                r = seen[key] = seen.get(key, -1) + 1
+                if r == len(rounds):
+                    rounds.append([])
+                rounds[r].append(index)
+        series = np.array(ids, dtype=np.intp)
+        for sel in rounds:
+            s = series[sel]
+            self._window[s, :-1] = self._window[s, 1:]
+            self._window[s, -1] = queued[sel, 1]
+            self._count[s] += 1
+            self._last[s] = queued[sel, 2]
+        touched = series[rounds[0]]
+        fill = np.minimum(self._count[touched], self._limit[touched])
+        for n in set(fill.tolist()):
+            s = touched[fill == n]
+            self._mean[s] = np.mean(self._window[s, self._width - n:], axis=1)
+
+    def _block(self, now_s: float) -> np.ndarray:
+        """Every series' freshness at ``now_s``; one gather an instant."""
+        key = (self._records_ingested, now_s)
+        if key != self._block_key:
+            if self._pending:
+                self._apply_pending()
+            k, size = len(self.reader_ids), self._reference_series
+            self._fresh = (self._count > 0) & ~(now_s - self._last > self._max_age)
+            self._refs_fresh = self._fresh[:size].reshape(-1, k).T
+            refs = self._mean[:size].reshape(-1, k).T
+            self._refs = np.where(self._refs_fresh, refs, np.nan)
+            self._refs_ok = self._refs_fresh.all(axis=1)
+            self._complete = bool(self._refs_ok.all())
+            self._block_key = key
+        return self._fresh
 
     def snapshot(
         self,
@@ -209,9 +250,11 @@ class MiddlewareServer:
         Strict mode (the default) raises
         :class:`~repro.exceptions.ReadingError` if any reader lacks a
         fresh reading of the tracking tag or of any reference tag —
-        estimators require a complete matrix. (Readers that miss weak
-        frames produce exactly this error; callers decide whether to
-        retry after more simulation time or drop the reader via
+        estimators require a complete matrix. The error names the first
+        missing series in reader order, the tracking tag before the
+        reference tags. (Readers that miss weak frames produce exactly
+        this error; callers decide whether to retry after more
+        simulation time or drop the reader via
         :meth:`TrackingReading.subset_readers`.)
 
         With ``allow_partial=True`` the middleware degrades instead of
@@ -222,69 +265,44 @@ class MiddlewareServer:
         to the strict snapshot. Raises :class:`ReadingError` only when
         *no* reader has a fresh tracking-tag value.
         """
-        if not allow_partial:
-            k = len(self.reader_ids)
-            n = len(self.reference_ids)
-            ref = np.empty((k, n))
-            trk = np.empty(k)
-            for i, reader_id in enumerate(self.reader_ids):
-                t_val = self._smoothed(reader_id, tracking_tag_id, now_s)
-                if t_val is None:
-                    raise ReadingError(
-                        f"reader {reader_id!r} has no fresh reading of tracking "
-                        f"tag {tracking_tag_id!r} at t={now_s:.1f}s"
-                    )
-                trk[i] = t_val
-                for j, ref_id in enumerate(self.reference_ids):
-                    r_val = self._smoothed(reader_id, ref_id, now_s)
-                    if r_val is None:
-                        raise ReadingError(
-                            f"reader {reader_id!r} has no fresh reading of "
-                            f"reference tag {ref_id!r} at t={now_s:.1f}s"
-                        )
-                    ref[i, j] = r_val
+        fresh = self._block(now_s)
+        k, column = len(self.reader_ids), self._columns.get(tracking_tag_id)
+        series = None if column is None else slice(column * k, column * k + k)
+        tracked = self._unseen if series is None else fresh[series]
+        if self._complete and tracked.all():
             return TrackingReading(
-                reference_rssi=ref,
-                tracking_rssi=trk,
+                reference_rssi=self._refs.copy(),
+                tracking_rssi=self._mean[series].copy(),
                 reference_positions=self.reference_positions,
                 reader_ids=self.reader_ids,
                 tag_id=tracking_tag_id,
                 timestamp=now_s,
             )
-
-        surviving: list[int] = []
-        trk_vals: list[float] = []
-        rows: list[np.ndarray] = []
-        missing_refs = 0
-        for i, reader_id in enumerate(self.reader_ids):
-            t_val = self._smoothed(reader_id, tracking_tag_id, now_s)
-            if t_val is None:
-                continue  # the whole reader is absent from this snapshot
-            row = np.empty(len(self.reference_ids))
-            for j, ref_id in enumerate(self.reference_ids):
-                r_val = self._smoothed(reader_id, ref_id, now_s)
-                if r_val is None:
-                    row[j] = np.nan
-                    missing_refs += 1
-                else:
-                    row[j] = r_val
-            surviving.append(i)
-            trk_vals.append(t_val)
-            rows.append(row)
-        if not surviving:
+        if not allow_partial:
+            i = int(np.argmin(tracked & self._refs_ok))
+            missing = (
+                f"tracking tag {tracking_tag_id!r}" if not tracked[i] else
+                f"reference tag "
+                f"{self.reference_ids[int(np.argmin(self._refs_fresh[i]))]!r}"
+            )
+            raise ReadingError(
+                f"reader {self.reader_ids[i]!r} has no fresh reading of "
+                f"{missing} at t={now_s:.1f}s"
+            )
+        surviving = np.flatnonzero(tracked)
+        if not surviving.size:
             raise ReadingError(
                 f"no reader has a fresh reading of tracking tag "
                 f"{tracking_tag_id!r} at t={now_s:.1f}s"
             )
-        masked = missing_refs > 0 or len(surviving) < len(self.reader_ids)
         return TrackingReading(
-            reference_rssi=np.vstack(rows),
-            tracking_rssi=np.asarray(trk_vals),
+            reference_rssi=self._refs[surviving],
+            tracking_rssi=self._mean[series][surviving],
             reference_positions=self.reference_positions,
             reader_ids=tuple(self.reader_ids[i] for i in surviving),
             tag_id=tracking_tag_id,
             timestamp=now_s,
-            masked=masked,
+            masked=True,
         )
 
     def reference_matrix(self, now_s: float) -> np.ndarray:
@@ -298,37 +316,19 @@ class MiddlewareServer:
         clean baseline is pure calibration error plus noise
         (:mod:`repro.calibration`).
         """
-        out = np.full(
-            (len(self.reader_ids), len(self.reference_ids)), np.nan
-        )
-        for i, reader_id in enumerate(self.reader_ids):
-            for j, ref_id in enumerate(self.reference_ids):
-                value = self._smoothed(reader_id, ref_id, now_s)
-                if value is not None:
-                    out[i, j] = value
-        return out
+        self._block(now_s)
+        return self._refs.copy()
 
     def coverage(self, now_s: float) -> dict[str, float]:
         """Fraction of fresh (reader, reference-tag) series per reader.
 
         Diagnostic used by examples to decide the warm-up time before the
-        first snapshot. A deployment with zero reference tags (possible
-        for subclasses or hand-built servers, though the constructor
-        requires at least one) reports vacuous full coverage — there is
-        nothing left to wait for — rather than dividing by zero.
+        first snapshot.
         """
+        self._block(now_s)
         n_refs = len(self.reference_ids)
-        if n_refs == 0:
-            return {reader_id: 1.0 for reader_id in self.reader_ids}
-        out = {}
-        for reader_id in self.reader_ids:
-            fresh = sum(
-                1
-                for ref_id in self.reference_ids
-                if self._smoothed(reader_id, ref_id, now_s) is not None
-            )
-            out[reader_id] = fresh / n_refs
-        return out
+        counts = self._refs_fresh.sum(axis=1).tolist()
+        return {r: count / n_refs for r, count in zip(self.reader_ids, counts)}
 
     def reader_freshness(self, now_s: float) -> dict[str, float]:
         """Fresh fraction of reference-tag series per reader.

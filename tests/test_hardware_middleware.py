@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ReadingError
 from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
@@ -43,6 +47,51 @@ class TestSmoothingSpec:
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
             SmoothingSpec(window=0)
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("max_age_s", math.nan),
+        ("max_age_s", math.inf),
+        ("max_age_s", -1.0),
+        ("window", True),
+        ("window", 2.5),
+        ("window", 3.0),
+    ])
+    def test_non_finite_and_non_integer_values_rejected(self, field_name, value):
+        # A NaN max age used to turn freshness off silently, window=True
+        # was taken as 1, and window=2.5 failed with a raw TypeError at
+        # the first ingest.
+        with pytest.raises(ConfigurationError, match=field_name):
+            SmoothingSpec(**{field_name: value})
+
+    @given(
+        field_name=st.sampled_from(["window", "max_age_s"]),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-3, 64),
+            st.booleans(),
+            st.none(),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spec_either_validates_or_raises(self, field_name, value):
+        try:
+            spec = SmoothingSpec(**{field_name: value})
+        except ConfigurationError:
+            return
+        # Accepted values are stored untouched and are usable.
+        stored = getattr(spec, field_name)
+        assert stored is value
+        assert not isinstance(stored, bool)
+        if field_name == "window":
+            assert isinstance(stored, int) and stored >= 1
+        elif stored is not None:
+            assert math.isfinite(stored) and stored > 0
+        server = MiddlewareServer(
+            reader_ids=["r0"], reference_tags={"ref-0": (0.0, 0.0)},
+            smoothing=spec,
+        )
+        fill_all(server, t=0.0)
+        assert server.snapshot("track", now_s=0.0).tracking_rssi[0] == -70.0
 
 
 class TestMiddleware:
@@ -130,6 +179,7 @@ class TestMiddleware:
         server = make_server()
         fill_all(server)
         assert server.records_ingested == 6
+        assert server.records_rejected == 0
 
     def test_duplicate_reader_ids_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -239,9 +289,8 @@ class TestFrameStatsAndFreshness:
         }
 
     def test_coverage_guards_zero_references(self):
-        # Degenerate server built by bypassing the reference-tag check is
-        # impossible via the constructor; the guard is exercised through
-        # reader_freshness on a server that has seen nothing yet.
+        # The constructor requires a reference tag, so the degenerate
+        # case is a server that has seen nothing yet.
         server = make_server()
         fresh = server.reader_freshness(now_s=0.0)
         # References never seen -> 0.0 each.
@@ -266,3 +315,125 @@ class TestFrameStatsAndFreshness:
         fresh = server.reader_freshness(now_s=100.0)
         assert fresh["r0"] == 1.0
         assert fresh["r1"] == 0.0
+
+
+class TestNonFiniteRecords:
+    @pytest.mark.parametrize("time_s, rssi", [
+        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
+        (math.nan, -60.0), (math.inf, -60.0), (-math.inf, -60.0),
+    ])
+    def test_dropped_and_counted(self, time_s, rssi):
+        server = make_server(window=3, max_age=5.0)
+        fill_all(server)
+        before = server.snapshot("track", now_s=1.0)
+        server.ingest(ReadingRecord("r0", "ref-0", time_s, rssi))
+        server.ingest(ReadingRecord("r0", "track", time_s, rssi))
+        assert server.records_rejected == 2
+        assert server.records_ingested == 6
+        after = server.snapshot("track", now_s=1.0)
+        assert after.reference_rssi.tobytes() == before.reference_rssi.tobytes()
+        assert after.tracking_rssi.tobytes() == before.tracking_rssi.tobytes()
+
+    def test_one_nan_no_longer_refuses_a_partial_snapshot(self):
+        # A NaN record used to sit in its window for the next `window`
+        # readings, and every snapshot of the tag, partial ones too,
+        # was refused with "reference_rssi contains non-finite values".
+        server = make_server(window=3)
+        fill_all(server)
+        server.ingest(ReadingRecord("r1", "ref-1", 0.5, math.nan))
+        snap = server.snapshot("track", now_s=1.0, allow_partial=True)
+        assert not snap.masked
+        assert np.isfinite(snap.reference_rssi).all()
+
+    def test_unknown_reader_still_raises(self):
+        server = make_server()
+        with pytest.raises(ReadingError, match="unknown reader"):
+            server.ingest(ReadingRecord("r9", "ref-0", 0.0, math.nan))
+        assert server.records_rejected == 0
+
+
+READER_IDS = ("r0", "r1", "r-unknown")
+TAG_IDS = ("ref-0", "ref-1", "track", "other")
+
+fuzz_records = st.builds(
+    ReadingRecord,
+    reader_id=st.one_of(st.sampled_from(READER_IDS), st.text(max_size=3)),
+    tag_id=st.one_of(st.sampled_from(TAG_IDS), st.text(max_size=3)),
+    time_s=st.floats(allow_nan=True, allow_infinity=True),
+    rssi_dbm=st.floats(allow_nan=True, allow_infinity=True),
+)
+# A stream mixes malformed records, well-formed beacons whose times come
+# in any order (late, reordered delivery) and reads at arbitrary instants.
+fuzz_streams = st.lists(
+    st.one_of(
+        fuzz_records,
+        st.tuples(st.floats(0.0, 100.0), st.floats(-100.0, -20.0)),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=80,
+)
+
+
+class TestRecordStreamFuzz:
+    """Malformed and reordered streams: typed errors or valid readings."""
+
+    def _read(self, server, now_s):
+        for tag in ("track", "other", "never-seen"):
+            for partial in (False, True):
+                try:
+                    snap = server.snapshot(tag, now_s, allow_partial=partial)
+                except ReadingError:
+                    continue
+                k = len(server.reader_ids)
+                assert snap.reference_rssi.shape == (snap.n_readers, 2)
+                assert 1 <= snap.n_readers <= k
+                assert np.isfinite(snap.tracking_rssi).all()
+                assert set(snap.reader_ids) <= set(server.reader_ids)
+                if not partial:
+                    assert not snap.masked and snap.n_readers == k
+        matrix = server.reference_matrix(now_s)
+        assert matrix.shape == (2, 2) and matrix.dtype == np.float64
+        coverage = server.coverage(now_s)
+        assert list(coverage) == list(server.reader_ids)
+        assert all(0.0 <= v <= 1.0 for v in coverage.values())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(
+        stream=fuzz_streams,
+        window=st.integers(1, 9),
+        tracking_window=st.integers(1, 9),
+        max_age=st.one_of(st.none(), st.floats(0.1, 50.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_typed_errors_or_valid_readings(
+        self, stream, window, tracking_window, max_age
+    ):
+        server = MiddlewareServer(
+            reader_ids=["r0", "r1"],
+            reference_tags={"ref-0": (0.0, 0.0), "ref-1": (1.0, 0.0)},
+            smoothing=SmoothingSpec(window=window, max_age_s=max_age),
+            tracking_smoothing=SmoothingSpec(
+                window=tracking_window, max_age_s=max_age
+            ),
+        )
+        accepted = rejected = 0
+        for item in stream:
+            if isinstance(item, float):
+                self._read(server, item)
+                continue
+            if isinstance(item, tuple):  # a well-formed, jittered beacon
+                t, rssi = item
+                item = ReadingRecord("r0", "track", t, rssi)
+            try:
+                server.ingest(item)
+            except ReadingError:
+                assert item.reader_id not in server.reader_ids
+                continue
+            finite = math.isfinite(item.time_s) and math.isfinite(item.rssi_dbm)
+            accepted += finite
+            rejected += not finite
+        assert (server.records_ingested, server.records_rejected) == (
+            accepted, rejected,
+        )
+        self._read(server, 50.0)
