@@ -35,7 +35,8 @@ class VIREEstimator:
     ----------
     grid:
         The real reference grid; ``reading.reference_positions`` must
-        match ``grid.tag_positions()`` row-for-row (checked per estimate).
+        match ``grid.tag_positions()`` row-for-row (checked per estimate
+        against the layout built once here).
     config:
         Algorithm parameters; defaults to the paper's operating point
         with n=10 subdivisions.
@@ -83,12 +84,15 @@ class VIREEstimator:
             )
         self._interpolator = make_interpolator(self.config.interpolation)
         self._positions = self.virtual_grid.positions()  # (V, 2)
+        # The expected reference layout; the grid is frozen, so build it once.
+        self._layout = grid.tag_positions()
+        self._layout.flags.writeable = False
         self._fallback_landmarc = LandmarcEstimator()
 
     # -- pipeline pieces (exposed for tests/diagnostics) --------------------
 
     def _check_layout(self, reading: TrackingReading) -> None:
-        expected = self.grid.tag_positions()
+        expected = self._layout
         got = reading.reference_positions
         if got.shape != expected.shape or not np.allclose(
             got, expected, atol=1e-9

@@ -23,6 +23,7 @@ degradation ladder of the streaming service batches through it.
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,22 @@ __all__ = ["BatchEngine", "BatchLandmarc", "estimate_all"]
 #: Outcome of one reading in a batch: a result, or the exact exception
 #: the scalar path would have raised for that reading.
 Outcome = EstimateResult | ReproError
+
+
+def _copy_outcome(outcome: Outcome) -> Outcome:
+    """A repeated reading's own copy of its first outcome: a fresh error
+    of the same type and message, or a result whose diagnostics dict and
+    list values (``map_areas``, the quorum lists) are fresh objects."""
+    if isinstance(outcome, ReproError):
+        return copy.copy(outcome)
+    return EstimateResult(
+        position=outcome.position,
+        estimator=outcome.estimator,
+        diagnostics={
+            key: list(value) if isinstance(value, list) else value
+            for key, value in outcome.diagnostics.items()
+        },
+    )
 
 
 def _raise_first(outcomes: list[Outcome]) -> list[EstimateResult]:
@@ -61,6 +78,8 @@ class BatchEngine:
 
     def __init__(self, estimator) -> None:
         self.estimator = estimator
+        layout = estimator._layout
+        self._layout_memo = {(layout.shape, layout.tobytes()): None}
         self._op = None
         self._op_built = False
 
@@ -94,22 +113,31 @@ class BatchEngine:
         The streaming service uses this form: one bad reading (quorum
         unmet, empty intersection with ``empty_fallback="error"``) must
         degrade only its own request, never poison the batch.
+
+        A reading *object* offered more than once (one tag requested
+        twice in a serving batch) is localized once. Each later copy
+        gets its own result with fresh diagnostics, or a fresh error of
+        the same type and message. Span attributes still count the
+        offered readings.
         """
         readings = list(readings)
         outcomes: list[Outcome] = [None] * len(readings)  # type: ignore[list-item]
         est = self.estimator
         tracer = current_tracer()
+        first: dict[int, int] = {}
+        source = [first.setdefault(id(r), i) for i, r in enumerate(readings)]
+        offers = [0] * len(readings)  # offers of each first position
+        for i in source:
+            offers[i] += 1
 
         with tracer.span("engine.batch", n_readings=len(readings)) as root:
-            # Stage 1 (per reading, cheap): quorum + layout checks, exactly
-            # in the scalar estimate() order. The layout check is a pure
-            # function of the reading's reference-position array, so one
-            # verdict per distinct array serves the whole batch — T tags on
-            # one snapshot pay for a single ``allclose`` instead of T.
-            layout_memo: dict[tuple, ReproError | None] = {}
+            # Stage 1 (per distinct reading, cheap): quorum + layout
+            # checks, exactly in the scalar estimate() order.
+            layout_memo = dict(self._layout_memo)
             prepared: list[tuple[int, TrackingReading, int | None, dict]] = []
             with tracer.span("engine.prepare") as psp:
-                for idx, reading in enumerate(readings):
+                for idx in first.values():
+                    reading = readings[idx]
                     try:
                         min_votes = est.config.min_votes
                         quorum_diag: dict = {}
@@ -123,8 +151,9 @@ class BatchEngine:
                         prepared.append((idx, reading, min_votes, quorum_diag))
                     except ReproError as exc:
                         outcomes[idx] = exc
-                psp.set("prepared", len(prepared))
-                psp.set("rejected", len(readings) - len(prepared))
+                n_prepared = sum(offers[entry[0]] for entry in prepared)
+                psp.set("prepared", n_prepared)
+                psp.set("rejected", len(readings) - n_prepared)
 
             # Stage 2: shared interpolation, grouped by lattice *content*.
             # Readings whose (reading, reader) lattices carry identical
@@ -146,11 +175,17 @@ class BatchEngine:
             root.set("n_groups", len(groups))
             for readers_k, members in groups.items():
                 with tracer.span(
-                    "engine.group", readers=readers_k, tags=len(members)
+                    "engine.group",
+                    readers=readers_k,
+                    tags=sum(offers[ready[pos][0]] for pos in members),
                 ):
                     self._estimate_group(
                         [ready[pos] for pos in members], outcomes, table
                     )
+        if len(first) < len(readings):
+            for i, j in enumerate(source):
+                if i != j:
+                    outcomes[i] = _copy_outcome(outcomes[j])
         return outcomes
 
     # -- pipeline stages -----------------------------------------------------
@@ -159,7 +194,11 @@ class BatchEngine:
         self, reading: TrackingReading, memo: dict[tuple, ReproError | None]
     ) -> None:
         """Scalar :meth:`VIREEstimator._check_layout`, one verdict per
-        distinct reference-position array (same error, same message)."""
+        distinct reference-position content (same error, same message).
+
+        ``memo`` starts with the estimator's own layout: bytes equal to
+        it pass without the ``allclose`` (bit-equal implies close).
+        """
         got = reading.reference_positions
         key = (got.shape, got.tobytes())
         if key not in memo:
@@ -272,18 +311,19 @@ class BatchEngine:
         group, n_tags = valid, len(valid)
         needed_arr = np.asarray(needed, dtype=np.int64)
 
-        tracking = np.empty((n_tags, k))
-        if table is not None:
-            slot_matrix = np.empty((n_tags, k), dtype=np.intp)
-            for t, entry in enumerate(group):
-                slot_matrix[t] = entry[4]
-                tracking[t] = entry[1].tracking_rssi
-            virtual = table.gather(slot_matrix)
+        tracking = np.array([entry[1].tracking_rssi for entry in group])
+        if table is None:
+            virtual = np.array([entry[4] for entry in group])
+        elif all(entry[4] is group[0][4] for entry in group):
+            # One snapshot (LatticeTable._from_shared): gather its K
+            # surfaces once and broadcast them over the tags. Deviations
+            # are elementwise, so a stride-0 view gives the same bits as
+            # T copies.
+            virtual = np.broadcast_to(
+                table.gather(group[0][4][np.newaxis]), (n_tags, k, *shape)
+            )
         else:
-            virtual = np.empty((n_tags, k, *shape))
-            for t, entry in enumerate(group):
-                virtual[t] = entry[4]
-                tracking[t] = entry[1].tracking_rssi
+            virtual = table.gather(np.array([entry[4] for entry in group]))
         dev = kernels.batch_rssi_deviations(virtual, tracking)
 
         # Thresholds (shared per tag). Infeasible tags (NaN from the
@@ -293,16 +333,16 @@ class BatchEngine:
             base = kernels.batch_minimal_feasible_threshold(
                 dev, min_cells=config.min_cells
             )
-            infeasible = np.isnan(base)
-            for t in np.flatnonzero(infeasible):
-                outcomes[group[t][0]] = ConfigurationError(
-                    f"fewer than min_cells={config.min_cells} cells have "
-                    "fully known deviations; no feasible shared threshold "
-                    "exists"
-                )
-                live[t] = False
             thresholds = base + config.threshold_margin_db
-            if not live.all():
+            infeasible = np.isnan(base)
+            if infeasible.any():
+                for t in np.flatnonzero(infeasible):
+                    outcomes[group[t][0]] = ConfigurationError(
+                        f"fewer than min_cells={config.min_cells} cells have "
+                        "fully known deviations; no feasible shared "
+                        "threshold exists"
+                    )
+                live &= ~infeasible
                 thresholds = np.where(live, thresholds, 0.0)
         else:
             thresholds = np.full(n_tags, config.fixed_threshold_db)
@@ -395,7 +435,7 @@ class BatchEngine:
         xy = kernels.batch_positions(weights, est._positions)
         areas = kernels.batch_map_areas(masks)
         n_selected = selected.reshape(n_tags, -1).sum(axis=1)
-        lattice_cells = selected.shape[1] * selected.shape[2]
+        lattice_cells = est.virtual_grid.total_tags  # == rows * cols of selected
 
         for t in np.flatnonzero(live):
             idx, _, _, quorum_diag, _ = group[t]
@@ -409,7 +449,7 @@ class BatchEngine:
                     "selected_fraction": int(n_selected[t]) / lattice_cells,
                     "map_areas": areas[t].tolist(),
                     "fallback": fallback[t],
-                    "total_virtual_tags": est.virtual_grid.total_tags,
+                    "total_virtual_tags": lattice_cells,
                     **quorum_diag,
                 },
             )

@@ -140,9 +140,12 @@ class LatticeTable:
         concatenated, viewed as opaque byte records and deduped with one
         ``np.unique`` — the same bit-identical grouping the per-reading
         dict loop produces, minus the Python-level iteration (slot
-        *numbering* differs, which nothing observes). Returns
-        ``(table, slot_arrays)`` or ``None`` when any reading needs the
-        scalar preparation path (masked, wrong width, non-float64).
+        *numbering* differs, which nothing observes). When every block
+        carries the first one's bytes (T tags of one middleware
+        snapshot), :meth:`_from_shared` skips the concatenation and the
+        sort. Returns ``(table, slot_arrays)`` or ``None`` when any
+        reading needs the scalar preparation path (masked, wrong width,
+        non-float64).
         """
         grid = estimator.grid
         width = grid.n_tags
@@ -161,6 +164,10 @@ class LatticeTable:
             refs.append(ref)
         if not refs:
             return None
+        first = refs[0]
+        shared = first.tobytes()
+        if all(ref is first or ref.tobytes() == shared for ref in refs[1:]):
+            return cls._from_shared(estimator, first, shared, len(refs))
         block = np.ascontiguousarray(
             np.concatenate(refs, axis=0) if len(refs) > 1 else refs[0]
         )
@@ -180,6 +187,34 @@ class LatticeTable:
             slots.append(inverse[start : start + k])
             start += k
         return table, slots
+
+    @classmethod
+    def _from_shared(cls, estimator, ref: np.ndarray, blob: bytes, n: int):
+        """:meth:`from_block` for ``n`` readings of one snapshot.
+
+        Every reading's block has the bytes ``blob`` of ``ref``, so one
+        reading's rows are registered — deduped by row bytes exactly as
+        :meth:`slots_for` would — and all ``n`` readings get the *same*
+        slot vector object, which :meth:`BatchEngine._estimate_group`
+        reads as "one set of K surfaces, broadcast over the group".
+        """
+        grid = estimator.grid
+        row_nbytes = len(blob) // ref.shape[0]
+        index: dict[bytes, int] = {}
+        firsts: list[int] = []  # the first row of each byte class
+        slots = np.empty(ref.shape[0], dtype=np.intp)
+        for i in range(ref.shape[0]):
+            key = blob[i * row_nbytes : (i + 1) * row_nbytes]
+            slot = index.get(key)
+            if slot is None:
+                slot = index[key] = len(firsts)
+                firsts.append(i)
+            slots[i] = slot
+        unique = ref if len(firsts) == len(slots) else ref[firsts]
+        table = cls(estimator)
+        table._block = unique.reshape(-1, grid.rows, grid.cols)
+        table._slots = [None] * len(firsts)
+        return table, [slots] * n
 
     def slots_for(self, reading: TrackingReading) -> np.ndarray:
         """Register every reader lattice of ``reading``; return slots."""

@@ -64,7 +64,8 @@ def batch_rssi_deviations(
     virtual_rssi:
         ``(T, K, v_rows, v_cols)`` stacked per-tag interpolation output
         (tags sharing a snapshot share the same K surfaces — the caller
-        stacks views, so no recomputation happens).
+        may pass one set broadcast over T; the subtraction is
+        elementwise, so the result is the same either way).
     tracking_rssi:
         ``(T, K)`` tracking-tag RSSI.
     """
@@ -98,14 +99,13 @@ def batch_minimal_feasible_threshold(
         raise ConfigurationError(
             f"min_cells={min_cells} exceeds the {cells} lattice cells"
         )
-    if np.any(np.isinf(dev)):
+    # fmin/fmax skip NaN, so one min and one max pass find any infinity
+    # or finite negative without two boolean temporaries.
+    if dev.size and (
+        np.fmin.reduce(dev, axis=None) < 0
+        or np.fmax.reduce(dev, axis=None) == np.inf
+    ):
         raise ConfigurationError("deviations must be non-negative (NaN = unknown)")
-    with np.errstate(invalid="ignore"):
-        # NaN < 0 is False, so this is exactly "any finite negative".
-        if np.any(dev < 0):
-            raise ConfigurationError(
-                "deviations must be non-negative (NaN = unknown)"
-            )
     # max over the K axis: slice-sequential maximum, identical per tag.
     worst = dev.max(axis=1).reshape(n_tags, cells)
     nan_cells = np.isnan(worst)
@@ -130,7 +130,7 @@ def batch_proximity_masks(
         raise ConfigurationError(
             f"thresholds shape {thr.shape} mismatches batch of {dev.shape[0]}"
         )
-    if np.any(thr < 0):
+    if (thr < 0).any():
         raise ConfigurationError("thresholds must be non-negative")
     with np.errstate(invalid="ignore"):
         mask = dev <= thr[:, np.newaxis, np.newaxis, np.newaxis]
@@ -169,9 +169,15 @@ def batch_eliminate(
             raise ConfigurationError(
                 f"min_votes shape {needed.shape} mismatches batch of {n_tags}"
             )
-    if np.any(needed < 1) or np.any(needed > k):
-        bad = needed[(needed < 1) | (needed > k)][0]
-        raise ConfigurationError(f"min_votes must be within 1..{k}, got {int(bad)}")
+    bad = (needed < 1) | (needed > k)
+    if bad.any():
+        raise ConfigurationError(
+            f"min_votes must be within 1..{k}, got {int(needed[bad][0])}"
+        )
+    if masks.dtype == bool and (needed == k).all():
+        # Every reader must vote (the paper's strict intersection): the
+        # boolean AND over readers is ``votes >= k`` without the vote count.
+        return masks.all(axis=1)
     votes = masks.sum(axis=1, dtype=np.int64)
     return votes >= needed[:, np.newaxis, np.newaxis]
 
@@ -247,14 +253,13 @@ def batch_w2(selected: np.ndarray, *, connectivity: int = 4) -> np.ndarray:
     # rows of its block, the last row stays blank (separator).
     stacked.reshape(n_tags, rows + 1, cols)[:, :rows, :] = sel
     labels, n = ndimage.label(stacked, structure=structure)
-    out = np.zeros(sel.shape)
     if n == 0:
-        return out
+        return np.zeros(sel.shape)
+    # Label 0 (background) maps to 0.0, so one gather of the size table
+    # replaces the masked scatter into a zero array.
     sizes = np.bincount(labels.ravel(), minlength=n + 1).astype(np.float64)
-    block = labels.reshape(n_tags, rows + 1, cols)[:, :rows, :]
-    mask = block > 0
-    out[mask] = sizes[block[mask]]
-    return out
+    sizes[0] = 0.0
+    return sizes.take(labels.reshape(n_tags, rows + 1, cols)[:, :rows, :])
 
 
 def batch_combine_weights(w1: np.ndarray, w2: np.ndarray | None) -> np.ndarray:
@@ -267,11 +272,11 @@ def batch_combine_weights(w1: np.ndarray, w2: np.ndarray | None) -> np.ndarray:
             f"w1 must have shape (T, v_rows, v_cols), got {w1.shape}"
         )
     w = w1 if w2 is None else w1 * np.asarray(w2, dtype=np.float64)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ConfigurationError("weights must be non-negative")
     n_tags = w.shape[0]
     totals = w.reshape(n_tags, -1).sum(axis=1)
-    if np.any(totals <= 0):
+    if (totals <= 0).any():
         raise EstimationError("no surviving cells to weight")
     return w / totals[:, np.newaxis, np.newaxis]
 

@@ -31,17 +31,32 @@ instant slices them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReadingError
-from ..types import TrackingReading
+from ..types import FrozenPositions, TrackingReading
 from ..utils.validation import ensure_positive, ensure_positive_int
 from .readers import ReadingRecord
 
 __all__ = ["SmoothingSpec", "MiddlewareServer"]
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a float, or :class:`ReadingError` naming ``field``
+    when it is not a real number. Reals too large for a float are
+    infinite, so ingest drops them like any non-finite value."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ReadingError(
+            f"record {field} must be a real number, got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -102,8 +117,9 @@ class MiddlewareServer:
         self.reference_ids = tuple(reference_tags.keys())
         if not self.reference_ids:
             raise ConfigurationError("need at least one reference tag")
-        self.reference_positions = np.array(
-            [reference_tags[t] for t in self.reference_ids], dtype=np.float64
+        # Validated once here; snapshots share it without a per-reading check.
+        self.reference_positions = FrozenPositions.freeze(
+            [reference_tags[t] for t in self.reference_ids]
         )
         self.smoothing = smoothing or SmoothingSpec()
         self.tracking_smoothing = tracking_smoothing or self.smoothing
@@ -173,12 +189,17 @@ class MiddlewareServer:
         """Accept one reading record from a reader.
 
         Records with a non-finite RSSI or time are dropped and counted
-        in :attr:`records_rejected`; an unknown reader raises.
+        in :attr:`records_rejected`; an unknown reader, or an RSSI or
+        time that is not a real number (``str``, ``None``, ``bool``, ...),
+        raises :class:`ReadingError`.
         """
         row = self._rows.get(record.reader_id)
         if row is None:
             raise ReadingError(f"unknown reader id {record.reader_id!r}")
         rssi, time_s = record.rssi_dbm, record.time_s
+        if type(rssi) is not float or type(time_s) is not float:
+            rssi = _real(rssi, "rssi_dbm")
+            time_s = _real(time_s, "time_s")
         if not (math.isfinite(rssi) and math.isfinite(time_s)):
             self._records_rejected += 1
             return

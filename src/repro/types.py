@@ -19,14 +19,41 @@ from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .exceptions import ReadingError
+from .exceptions import ConfigurationError, ReadingError
 
 __all__ = [
+    "FrozenPositions",
     "TrackingReading",
     "EstimateResult",
     "Estimator",
     "estimation_error",
 ]
+
+
+class FrozenPositions(np.ndarray):
+    """A reference-tag layout validated once and then made read-only.
+
+    Built by :meth:`freeze`; the middleware freezes its layout at
+    construction and hands the same array to every snapshot.
+    :class:`TrackingReading` skips its per-reading finiteness check for
+    a float64 instance that is not writeable: it was finite when frozen,
+    and read-only data cannot have changed since. Results of arithmetic
+    on it are writeable, so they are checked like any other array.
+    """
+
+    @classmethod
+    def freeze(cls, positions) -> "FrozenPositions":
+        """Validate ``positions`` as a finite float64 ``(n_refs, 2)``
+        C-contiguous layout and return a read-only copy."""
+        arr = np.array(positions, dtype=np.float64, order="C")
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ConfigurationError(
+                f"reference positions must have shape (n_refs, 2), got {arr.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise ConfigurationError("reference positions must be finite")
+        arr.flags.writeable = False
+        return arr.view(cls)
 
 
 @dataclass(frozen=True)
@@ -72,7 +99,14 @@ class TrackingReading:
     def __post_init__(self) -> None:
         ref = np.asarray(self.reference_rssi, dtype=np.float64)
         trk = np.asarray(self.tracking_rssi, dtype=np.float64)
-        pos = np.asarray(self.reference_positions, dtype=np.float64)
+        pos = self.reference_positions
+        frozen = (
+            type(pos) is FrozenPositions
+            and pos.dtype == np.float64
+            and not pos.flags.writeable
+        )
+        if not frozen:
+            pos = np.asarray(pos, dtype=np.float64)
         object.__setattr__(self, "reference_rssi", ref)
         object.__setattr__(self, "tracking_rssi", trk)
         object.__setattr__(self, "reference_positions", pos)
@@ -100,13 +134,13 @@ class TrackingReading:
             )
         if self.masked:
             # NaN marks a missing series; infinities are still corrupt data.
-            if np.any(np.isinf(ref)):
+            if np.isinf(ref).any():
                 raise ReadingError("reference_rssi contains infinite values")
-        elif not np.all(np.isfinite(ref)):
+        elif not np.isfinite(ref).all():
             raise ReadingError("reference_rssi contains non-finite values")
-        if not np.all(np.isfinite(trk)):
+        if not np.isfinite(trk).all():
             raise ReadingError("tracking_rssi contains non-finite values")
-        if not np.all(np.isfinite(pos)):
+        if not frozen and not np.isfinite(pos).all():
             raise ReadingError("reference_positions contains non-finite values")
         if self.reader_ids is not None:
             ids = tuple(self.reader_ids)

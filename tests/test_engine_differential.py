@@ -29,6 +29,7 @@ import pytest
 
 from repro import TrackingReading, VIREConfig, VIREEstimator, paper_testbed_grid
 from repro.engine import BatchEngine
+from repro.engine.grouping import LatticeTable
 from repro.exceptions import ReproError
 
 from .test_engine_properties import (
@@ -245,3 +246,151 @@ class TestBitwiseGateCanFail:
         batch[2] = dataclasses.replace(batch[2], diagnostics=diagnostics)
         with pytest.raises(AssertionError):
             assert_outcomes_identical(scalar, batch)
+
+
+# -- the fixed-cost routes ----------------------------------------------------
+#
+# A batch takes the shared-snapshot route when every reading's reference
+# block has the first one's bytes (one slot vector, surfaces broadcast),
+# the general np.unique route otherwise, and solves a reading object
+# offered twice only once. Each route is checked bitwise against the
+# scalar loop.
+
+
+def shared_block_batch(seed: int, t: int = 8) -> list[TrackingReading]:
+    """Distinct reading objects whose blocks are byte-equal copies, as
+    the middleware hands out one snapshot; one row repeats another so
+    the within-reading dedup is exercised."""
+    rng = np.random.default_rng(seed)
+    reference = _rssi(rng, (K, N_TAGS))
+    reference[3] = reference[1]
+    return [_reading(reference.copy(), _rssi(rng, K)) for _ in range(t)]
+
+
+def repeated_batch(seed: int) -> list[TrackingReading]:
+    """Reading objects offered more than once: clean, masked, refused by
+    the quorum and with a mismatched layout, interleaved."""
+    rng = np.random.default_rng(seed)
+    clean = shared_block_batch(seed, 3)
+    masked = nan_masked_batch(seed + 1, 1)[0]
+    refused = _reading(np.full((K, N_TAGS), np.nan), _rssi(rng, K), masked=True)
+    bad_layout = TrackingReading(
+        reference_rssi=_rssi(rng, (K, N_TAGS)),
+        tracking_rssi=_rssi(rng, K),
+        reference_positions=REF_POSITIONS + 0.37,
+    )
+    a, b, c = clean
+    return [a, masked, refused, a, bad_layout, b, masked, refused, a, bad_layout, c]
+
+
+def _slot_arrays(est, readings):
+    table_and_slots = LatticeTable.from_block(est, readings)
+    assert table_and_slots is not None
+    return table_and_slots[1]
+
+
+class TestFixedCostRoutes:
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_shared_block_route_is_bitwise(self, config_name):
+        est = _estimator(CONFIGS[config_name])
+        readings = shared_block_batch(seed=_seed("shared", config_name))
+        slots = _slot_arrays(est, readings)
+        assert all(s is slots[0] for s in slots), "shared route not taken"
+        assert_outcomes_identical(
+            scalar_outcomes(est, readings),
+            BatchEngine(est).estimate_outcomes(readings),
+        )
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_one_ulp_apart_takes_the_general_route(self, config_name):
+        est = _estimator(CONFIGS[config_name])
+        readings = shared_block_batch(seed=_seed("ulp", config_name))
+        reference = readings[5].reference_rssi.copy()
+        reference[2, 7] = np.nextafter(reference[2, 7], np.inf)
+        readings[5] = _reading(reference, readings[5].tracking_rssi)
+        slots = _slot_arrays(est, readings)
+        assert not all(s is slots[0] for s in slots)
+        assert_outcomes_identical(
+            scalar_outcomes(est, readings),
+            BatchEngine(est).estimate_outcomes(readings),
+        )
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_repeated_readings_are_bitwise(self, config_name):
+        est = _estimator(CONFIGS[config_name])
+        readings = repeated_batch(seed=_seed("repeated", config_name))
+        scalar = scalar_outcomes(est, readings)
+        batch = BatchEngine(est).estimate_outcomes(readings)
+        assert_outcomes_identical(scalar, batch)
+        assert any(isinstance(o, ReproError) for o in batch)
+        assert len({id(o) for o in batch}) == len(batch)
+
+    def test_each_repeat_owns_its_diagnostics(self):
+        est = _estimator(CONFIGS["adaptive"])
+        readings = repeated_batch(seed=3)
+        batch = BatchEngine(est).estimate_outcomes(readings)
+        first, again = batch[0], batch[3]  # the same reading object
+        masked, masked_again = batch[1], batch[6]
+        for one, other in ((first, again), (masked, masked_again)):
+            assert one.diagnostics == other.diagnostics
+            expected = dict(other.diagnostics)
+            areas = list(other.diagnostics["map_areas"])
+            one.diagnostics["threshold_db"] = -1.0
+            one.diagnostics["map_areas"].append(99)
+            assert other.diagnostics == expected
+            assert other.diagnostics["map_areas"] == areas
+        survivors = list(masked_again.diagnostics["quorum_surviving_readers"])
+        masked.diagnostics["quorum_surviving_readers"].clear()
+        assert masked_again.diagnostics["quorum_surviving_readers"] == survivors
+
+    def test_spans_count_offered_readings(self):
+        from repro.obs import Tracer, use_tracer
+
+        est = _estimator(CONFIGS["adaptive"])
+        a, b = shared_block_batch(seed=5, t=2)
+        refused = repeated_batch(seed=5)[2]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            BatchEngine(est).estimate_outcomes([a, b, a, refused, a, refused])
+        (root,) = tracer.roots
+        assert root.attrs["n_readings"] == 6
+        prepare = next(s for s in root.children if s.name == "engine.prepare")
+        assert prepare.attrs == {"prepared": 4, "rejected": 2}
+        (group,) = [s for s in root.children if s.name == "engine.group"]
+        assert group.attrs["tags"] == 4
+
+    def test_positions_close_but_not_bit_equal_pass(self):
+        est = _estimator(CONFIGS["adaptive"])
+        rng = np.random.default_rng(11)
+        nudged = REF_POSITIONS + 1e-12
+        assert nudged.tobytes() != REF_POSITIONS.tobytes()
+        readings = [
+            TrackingReading(
+                reference_rssi=_rssi(rng, (K, N_TAGS)),
+                tracking_rssi=_rssi(rng, K),
+                reference_positions=positions,
+            )
+            for positions in (nudged, REF_POSITIONS, nudged)
+        ]
+        scalar = scalar_outcomes(est, readings)
+        assert not any(isinstance(o, ReproError) for o in scalar)
+        assert_outcomes_identical(
+            scalar, BatchEngine(est).estimate_outcomes(readings)
+        )
+
+    def test_positions_off_by_a_micron_raise_the_scalar_message(self):
+        est = _estimator(CONFIGS["adaptive"])
+        rng = np.random.default_rng(12)
+        off = REF_POSITIONS.copy()
+        off[0, 0] += 1e-6  # at the origin: beyond atol=1e-9, no rtol slack
+        reading = TrackingReading(
+            reference_rssi=_rssi(rng, (K, N_TAGS)),
+            tracking_rssi=_rssi(rng, K),
+            reference_positions=off,
+        )
+        (scalar,) = scalar_outcomes(est, [reading])
+        assert isinstance(scalar, ReproError)
+        assert "grid layout" in str(scalar)
+        assert_outcomes_identical(
+            [scalar], BatchEngine(est).estimate_outcomes([reading])
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, ReadingError
 from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
 from repro.hardware.readers import ReadingRecord
+from repro.types import FrozenPositions, TrackingReading
 
 
 def make_server(window=3, max_age=None):
@@ -352,16 +354,112 @@ class TestNonFiniteRecords:
         assert server.records_rejected == 0
 
 
+class TestNonRealRecords:
+    """A record field that is not a real number is a typed error, not a
+    raw ``TypeError`` from ``math.isfinite``."""
+
+    @pytest.mark.parametrize("value", ["-60", None, True, False, 1j, b"x"])
+    @pytest.mark.parametrize("field", ["rssi_dbm", "time_s"])
+    def test_raises_reading_error_naming_the_field(self, field, value):
+        server = make_server()
+        fill_all(server)
+        before = server.snapshot("track", now_s=1.0)
+        fields = {"time_s": 0.5, "rssi_dbm": -60.0, field: value}
+        with pytest.raises(ReadingError, match=f"record {field} must be a real"):
+            server.ingest(ReadingRecord("r0", "ref-0", **fields))
+        assert (server.records_ingested, server.records_rejected) == (6, 0)
+        after = server.snapshot("track", now_s=1.0)
+        assert after.reference_rssi.tobytes() == before.reference_rssi.tobytes()
+
+    @pytest.mark.parametrize("value", [-60, np.float32(-60.0), np.int64(-60)])
+    def test_other_reals_are_accepted_as_floats(self, value):
+        server = make_server(window=1)
+        fill_all(server)
+        server.ingest(ReadingRecord("r0", "ref-0", 0.5, value))
+        snap = server.snapshot("track", now_s=1.0)
+        assert snap.reference_rssi[0, 0] == -60.0
+
+    def test_huge_int_is_dropped_as_non_finite(self):
+        server = make_server()
+        server.ingest(ReadingRecord("r0", "ref-0", 0.0, -(10**400)))
+        assert (server.records_ingested, server.records_rejected) == (0, 1)
+
+
+class TestFrozenPositions:
+    """The middleware checks its reference layout once; readings skip the
+    finiteness check only for that frozen array."""
+
+    def test_layout_is_frozen_and_shared(self):
+        server = make_server()
+        fill_all(server)
+        pos = server.reference_positions
+        assert isinstance(pos, FrozenPositions)
+        assert pos.dtype == np.float64 and pos.flags.c_contiguous
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0, 0] = math.nan
+        snap = server.snapshot("track", now_s=1.0)
+        assert snap.reference_positions is pos
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_layout_refused_at_construction(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MiddlewareServer(
+                reader_ids=["r0"],
+                reference_tags={"ref-0": (0.0, 0.0), "ref-1": (bad, 0.0)},
+            )
+
+    def _reading(self, positions):
+        return TrackingReading(
+            reference_rssi=np.full((1, 2), -60.0),
+            tracking_rssi=np.array([-60.0]),
+            reference_positions=positions,
+        )
+
+    def test_writeable_or_foreign_nan_positions_still_raise(self):
+        frozen = FrozenPositions.freeze([(0.0, 0.0), (1.0, 0.0)])
+        foreign = np.array([(0.0, 0.0), (math.nan, 0.0)])
+        derived = frozen + np.array([(0.0, 0.0), (math.nan, 0.0)])
+        assert derived.flags.writeable
+        read_only = foreign.copy()
+        read_only.flags.writeable = False
+        for positions in (foreign, derived, read_only):
+            with pytest.raises(ReadingError, match="reference_positions"):
+                self._reading(positions)
+        assert self._reading(frozen).reference_positions is frozen
+
+
 READER_IDS = ("r0", "r1", "r-unknown")
 TAG_IDS = ("ref-0", "ref-1", "track", "other")
 
+# Record fields may also be non-real (str, None, bool, complex) or an
+# int too large for a float.
+fuzz_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.complex_numbers(max_magnitude=10.0),
+    st.integers(-(10**400), 10**400),
+)
 fuzz_records = st.builds(
     ReadingRecord,
     reader_id=st.one_of(st.sampled_from(READER_IDS), st.text(max_size=3)),
     tag_id=st.one_of(st.sampled_from(TAG_IDS), st.text(max_size=3)),
-    time_s=st.floats(allow_nan=True, allow_infinity=True),
-    rssi_dbm=st.floats(allow_nan=True, allow_infinity=True),
+    time_s=fuzz_values,
+    rssi_dbm=fuzz_values,
 )
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 # A stream mixes malformed records, well-formed beacons whose times come
 # in any order (late, reordered delivery) and reads at arbitrary instants.
 fuzz_streams = st.lists(
@@ -427,10 +525,17 @@ class TestRecordStreamFuzz:
                 item = ReadingRecord("r0", "track", t, rssi)
             try:
                 server.ingest(item)
-            except ReadingError:
-                assert item.reader_id not in server.reader_ids
+            except ReadingError as exc:
+                if item.reader_id in server.reader_ids:
+                    bad = [
+                        name for name in ("rssi_dbm", "time_s")
+                        if not _is_real(getattr(item, name))
+                    ]
+                    assert bad, exc
+                    assert f"record {bad[0]} must be a real" in str(exc)
                 continue
-            finite = math.isfinite(item.time_s) and math.isfinite(item.rssi_dbm)
+            assert _is_real(item.time_s) and _is_real(item.rssi_dbm)
+            finite = _finite(item.time_s) and _finite(item.rssi_dbm)
             accepted += finite
             rejected += not finite
         assert (server.records_ingested, server.records_rejected) == (
