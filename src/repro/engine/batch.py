@@ -80,17 +80,9 @@ class BatchEngine:
         self.estimator = estimator
         layout = estimator._layout
         self._layout_memo = {(layout.shape, layout.tobytes()): None}
-        self._op = None
-        self._op_built = False
-
-    @property
-    def _operator(self):
-        """Precomputed sparse interpolation operator (lazy; None when the
-        estimator's scheme is not the linear one)."""
-        if not self._op_built:
-            self._op = operator_for(self.estimator)
-            self._op_built = True
-        return self._op
+        # Precomputed sparse interpolation operator (None when the
+        # estimator's scheme is not the linear one).
+        self._operator = operator_for(estimator)
 
     # -- public API ----------------------------------------------------------
 
@@ -163,10 +155,8 @@ class BatchEngine:
             # unique lattices of the batch go through one precomputed
             # sparse-operator pass.
             with tracer.span("engine.interpolate") as isp:
-                ready, n_unique, table = self._interpolate_grouped(
-                    prepared, outcomes
-                )
-                isp.set("unique_surfaces", n_unique)
+                ready, table = self._interpolate_grouped(prepared, outcomes)
+                isp.set("unique_surfaces", len(table))
 
             # Stage 3: group by surviving reader count and vectorize.
             groups: dict[int, list[int]] = {}
@@ -215,78 +205,47 @@ class BatchEngine:
         self,
         prepared: list[tuple[int, TrackingReading, int | None, dict]],
         outcomes: list[Outcome],
-    ) -> tuple[list, int, LatticeTable | None]:
+    ) -> tuple[list, LatticeTable]:
         """Batch-wide content dedup — the engine's one interpolation route.
 
         Every (reading, reader) lattice is registered in one
         :class:`~repro.engine.grouping.LatticeTable` keyed by lattice
         content, so readings sharing bytes — same-snapshot tags *and*
-        independent readings that happen to agree — share one surface.
-        For the linear scheme all unique surfaces come from a single
-        vectorized operator pass; per-reading errors keep their scalar
-        type, message and reader order.
+        independent readings that happen to agree — share one surface,
+        and every unique surface comes from one interpolation pass;
+        per-reading errors keep their scalar type, message and reader
+        order.
 
-        On the operator route the returned entries carry each reading's
-        *slot indices* (plus the table itself, as the third return
-        value) rather than materialized ``(K, v_rows, v_cols)`` tensors:
+        The returned entries carry each reading's *slot indices* (plus
+        the table itself, as the second return value):
         :meth:`_estimate_group` assembles a whole group's virtual tensor
-        with one :meth:`LatticeTable.gather` instead of T per-reading
-        copies. Non-operator schemes materialize per reading and return
-        ``None`` for the table.
+        with one :meth:`LatticeTable.gather`.
         """
-        op = self._operator
-        table = pending = None
-        if op is not None:
-            # Plain float64 unmasked blocks dedup in one vectorized
-            # byte-record pass instead of the per-reading dict loop.
-            blk = LatticeTable.from_block(
-                self.estimator, [entry[1] for entry in prepared]
-            )
-            if blk is not None:
-                table, slot_arrays = blk
-                pending = [
-                    (*entry, slot_arrays[j])
-                    for j, entry in enumerate(prepared)
-                ]
-        if table is None:
-            table = LatticeTable(self.estimator)
-            pending = [
-                (*entry, table.slots_for(entry[1])) for entry in prepared
-            ]
-        table.interpolate(op)
-        if op is not None:
-            if not table.n_errors:
-                return pending, len(table), table
-            rows = table._rows
-            ready = []
-            for entry in pending:
-                if (rows[entry[4]] >= 0).all():
-                    ready.append(entry)
-                else:
-                    outcomes[entry[0]] = table.error_for(entry[4])
-            return ready, len(table), table
+        table = LatticeTable(self.estimator)
+        pending = [(*entry, table.slots_for(entry[1])) for entry in prepared]
+        table.interpolate(self._operator)
+        if not table.n_errors:
+            return pending, table
         ready = []
-        for idx, reading, min_votes, quorum_diag, slots in pending:
-            virtual = table.virtual_for(slots)
-            if isinstance(virtual, ReproError):
-                outcomes[idx] = virtual
+        for entry in pending:
+            err = table.error_for(entry[4])
+            if err is None:
+                ready.append(entry)
             else:
-                ready.append((idx, reading, min_votes, quorum_diag, virtual))
-        return ready, len(table), None
+                outcomes[entry[0]] = err
+        return ready, table
 
     def _estimate_group(
         self,
         group: list[tuple[int, TrackingReading, int | None, dict, np.ndarray]],
         outcomes: list[Outcome],
-        table: LatticeTable | None = None,
+        table: LatticeTable,
     ) -> None:
         """Vectorize one uniform-K group of readings.
 
-        When ``table`` is given (grouped operator route), each entry's
-        fifth element is the reading's slot-index vector and the whole
-        group's ``(T, K, v_rows, v_cols)`` virtual tensor comes from one
-        :meth:`LatticeTable.gather`; otherwise entries carry materialized
-        per-reading tensors that are copied into the batch tensor.
+        Each entry's fifth element is the reading's slot-index vector;
+        the whole group's ``(T, K, v_rows, v_cols)`` virtual tensor
+        comes from one :meth:`LatticeTable.gather`.
         """
         est = self.estimator
         config = est.config
@@ -312,10 +271,8 @@ class BatchEngine:
         needed_arr = np.asarray(needed, dtype=np.int64)
 
         tracking = np.array([entry[1].tracking_rssi for entry in group])
-        if table is None:
-            virtual = np.array([entry[4] for entry in group])
-        elif all(entry[4] is group[0][4] for entry in group):
-            # One snapshot (LatticeTable._from_shared): gather its K
+        if all(entry[4] is group[0][4] for entry in group):
+            # One snapshot (one block, one slot vector): gather its K
             # surfaces once and broadcast them over the tags. Deviations
             # are elementwise, so a stride-0 view gives the same bits as
             # T copies.

@@ -1,27 +1,24 @@
-"""Content-keyed sub-batch grouping for the batch engine.
+"""Content-keyed lattice dedup for the batch engine.
 
-The original batch engine shared interpolation only between readings
-that carried the *same reference array object* — T tags against one
-middleware snapshot. Independent-path batches (distinct readings per
-tag, i.e. most real traffic) got none of that win: every reading paid
-K scalar interpolation calls.
+Every (reading, reader) lattice of a batch is registered in one
+:class:`LatticeTable` keyed by its *content*, and every unique lattice
+is interpolated once:
 
-This module closes that gap in two moves:
-
-* **content keys** — each (reading, reader) lattice is keyed by the
-  bytes of its lattice-relevant slice (the reader's reference-RSSI row
-  plus the masked flag). Readings that share lattice *content* — not
-  object identity — share interpolation work, and readings with
-  different lattice structure can never be merged (the key is the full
-  byte content, so a collision would require bit-identical inputs,
-  which by definition *are* the same lattice).
-* **precomputed sparse operators** — for the linear (bilinear) scheme
-  the interpolation of a fixed ``(grid, virtual_grid)`` pair is one
-  sparse matrix (four non-zeros per row; see
-  :class:`~repro.core.interpolation.SparseBilinearOperator`). All
-  unique lattices of a batch are stacked and pushed through the
-  operator in a single vectorized pass, replacing T*K Python-level
-  interpolation calls with one gather + multiply-add.
+* **content keys** — a whole reference block is keyed by its masked
+  flag, shape, dtype and bytes, and each of its rows by the row bytes
+  (plus the masked flag and dtype for rows that are not plain float64
+  lattice vectors). Readings that share lattice content — not object
+  identity — share interpolation work, and readings with different
+  lattice structure can never be merged: the key is the full byte
+  content, so a collision requires bit-identical inputs, which by
+  definition *are* the same lattice.
+* **one interpolation pass** — all unique lattices are stacked once.
+  For the linear (bilinear) scheme the interpolation of a fixed
+  ``(grid, virtual_grid)`` pair is one sparse matrix (four non-zeros
+  per row; see :class:`~repro.core.interpolation.SparseBilinearOperator`)
+  applied to the whole stack in one vectorized gather + multiply-add;
+  polynomial and spline surfaces come from one scheme call per unique
+  lattice.
 
 Both moves preserve the engine's bitwise-identity contract: the content
 key dedups only bit-identical inputs of a pure function, and the
@@ -46,48 +43,20 @@ from ..core.interpolation import (
 from ..exceptions import ConfigurationError, ReproError
 from ..types import TrackingReading
 
-__all__ = [
-    "LatticeTable",
-    "lattice_content_key",
-    "reading_content_key",
-    "operator_for",
-]
+__all__ = ["LatticeTable", "operator_for"]
 
 #: The exact message :func:`repro.core.interpolation.check_lattice`
-#: raises for a non-finite lattice — the grouped path's vectorized
+#: raises for a non-finite lattice — the operator pass's vectorized
 #: finiteness check must reproduce it verbatim.
 _NON_FINITE_MSG = "RSSI lattice contains non-finite values"
-
-
-def lattice_content_key(row: np.ndarray, masked: bool) -> tuple:
-    """Content key of one (reading, reader) lattice-relevant slice.
-
-    Two slices share interpolation work iff their keys are equal:
-    bit-identical reference-RSSI bytes (NaN payloads included — distinct
-    NaN patterns stay distinct) and the same masked flag (masked rows
-    run the hole-filling pass first, so a byte-identical finite row is
-    still keyed apart — conservative, never wrong).
-    """
-    arr = np.ascontiguousarray(row)
-    return (bool(masked), arr.dtype.str, arr.tobytes())
-
-
-def reading_content_key(reading: TrackingReading) -> tuple:
-    """Content key of a whole reading's lattice-relevant slice.
-
-    Readings with equal keys see identical per-reader lattices, hence
-    identical interpolation structure — the sub-batch grouping unit.
-    """
-    arr = np.ascontiguousarray(reading.reference_rssi)
-    return (bool(reading.masked), arr.shape, arr.dtype.str, arr.tobytes())
 
 
 def operator_for(estimator) -> SparseBilinearOperator | None:
     """The estimator's precomputed interpolation operator, if one exists.
 
     Only the paper's linear scheme is a precomputable sparse operator;
-    polynomial/spline estimators return ``None`` and the engine falls
-    back to (content-deduped) per-lattice interpolation calls.
+    polynomial/spline estimators return ``None`` and the table calls
+    the scheme once per unique lattice.
     """
     if getattr(estimator._interpolator, "name", None) != "linear":
         return None
@@ -95,180 +64,98 @@ def operator_for(estimator) -> SparseBilinearOperator | None:
 
 
 @dataclass
-class _Slot:
-    """One unique lattice of a batch: its filled form or its error."""
-
-    lattice: np.ndarray | None = None
-    error: ReproError | None = None
-    surface: np.ndarray | None = None
-
-
-@dataclass
 class LatticeTable:
     """Batch-wide dedup table of unique (reading, reader) lattices.
 
-    Built once per ``estimate_outcomes`` call on the grouped path:
-    :meth:`slots_for` registers a reading's K lattices and returns their
-    slot indices; :meth:`interpolate` then computes every unique surface
-    in one vectorized operator pass (or one per-lattice call for
-    non-linear schemes); :meth:`virtual_for` assembles a reading's
-    ``(K, v_rows, v_cols)`` tensor — or the first per-reader error, in
-    reader order, exactly as the scalar loop would raise it.
+    Built once per ``estimate_outcomes`` call: :meth:`slots_for`
+    registers a reading's K lattices and returns their slot indices;
+    :meth:`interpolate` then computes every unique surface in one pass;
+    :meth:`gather` assembles a group's virtual tensor and
+    :meth:`error_for` the first per-reader error, in reader order,
+    exactly as the scalar loop would raise it.
     """
 
     estimator: object
+    # Whole-block key -> that block's slot vector (returned as the same
+    # object on every hit).
+    _blocks: dict = field(default_factory=dict)
+    # Row key -> slot.
     _index: dict = field(default_factory=dict)
-    _slots: list = field(default_factory=list)
-    # Operator path: one (n_valid, v_rows, v_cols) block of surfaces
+    # Pending lattices as (m, n_tags) pieces, and the slot of each row.
+    _pieces: list = field(default_factory=list)
+    _pending: list = field(default_factory=list)
+    _errors: dict = field(default_factory=dict)
+    # After interpolate: one (n_valid, v_rows, v_cols) block of surfaces
     # plus a slot -> block-row map (-1 = errored slot).
     _surfaces: np.ndarray | None = None
     _rows: np.ndarray | None = None
-    # Block path (from_block): the (n_unique, rows, cols) unique-lattice
-    # stack; _slots holds per-slot placeholders (None = no error).
-    _block: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    @classmethod
-    def from_block(cls, estimator, readings):
-        """Bulk-register a block of plain readings in one vectorized pass.
-
-        When every reading is unmasked with a C-layout float64
-        ``(n_readers, grid.n_tags)`` reference array, the per-row dedup
-        reduces to byte equality of fixed-width rows: all rows are
-        concatenated, viewed as opaque byte records and deduped with one
-        ``np.unique`` — the same bit-identical grouping the per-reading
-        dict loop produces, minus the Python-level iteration (slot
-        *numbering* differs, which nothing observes). When every block
-        carries the first one's bytes (T tags of one middleware
-        snapshot), :meth:`_from_shared` skips the concatenation and the
-        sort. Returns ``(table, slot_arrays)`` or ``None`` when any
-        reading needs the scalar preparation path (masked, wrong width,
-        non-float64).
-        """
-        grid = estimator.grid
-        width = grid.n_tags
-        refs = []
-        for reading in readings:
-            ref = reading.reference_rssi
-            if (
-                reading.masked
-                or not isinstance(ref, np.ndarray)
-                or ref.ndim != 2
-                or ref.dtype != np.float64
-                or ref.shape[1] != width
-                or ref.shape[0] != reading.n_readers
-            ):
-                return None
-            refs.append(ref)
-        if not refs:
-            return None
-        first = refs[0]
-        shared = first.tobytes()
-        if all(ref is first or ref.tobytes() == shared for ref in refs[1:]):
-            return cls._from_shared(estimator, first, shared, len(refs))
-        block = np.ascontiguousarray(
-            np.concatenate(refs, axis=0) if len(refs) > 1 else refs[0]
-        )
-        records = block.view([("", f"V{8 * width}")]).ravel()
-        uniq, inverse = np.unique(records, return_inverse=True)
-        table = cls(estimator)
-        table._block = (
-            np.ascontiguousarray(uniq)
-            .view(np.float64)
-            .reshape(-1, grid.rows, grid.cols)
-        )
-        table._slots = [None] * len(uniq)
-        slots = []
-        start = 0
-        for ref in refs:
-            k = ref.shape[0]
-            slots.append(inverse[start : start + k])
-            start += k
-        return table, slots
-
-    @classmethod
-    def _from_shared(cls, estimator, ref: np.ndarray, blob: bytes, n: int):
-        """:meth:`from_block` for ``n`` readings of one snapshot.
-
-        Every reading's block has the bytes ``blob`` of ``ref``, so one
-        reading's rows are registered — deduped by row bytes exactly as
-        :meth:`slots_for` would — and all ``n`` readings get the *same*
-        slot vector object, which :meth:`BatchEngine._estimate_group`
-        reads as "one set of K surfaces, broadcast over the group".
-        """
-        grid = estimator.grid
-        row_nbytes = len(blob) // ref.shape[0]
-        index: dict[bytes, int] = {}
-        firsts: list[int] = []  # the first row of each byte class
-        slots = np.empty(ref.shape[0], dtype=np.intp)
-        for i in range(ref.shape[0]):
-            key = blob[i * row_nbytes : (i + 1) * row_nbytes]
-            slot = index.get(key)
-            if slot is None:
-                slot = index[key] = len(firsts)
-                firsts.append(i)
-            slots[i] = slot
-        unique = ref if len(firsts) == len(slots) else ref[firsts]
-        table = cls(estimator)
-        table._block = unique.reshape(-1, grid.rows, grid.cols)
-        table._slots = [None] * len(firsts)
-        return table, [slots] * n
+        return len(self._index)
 
     def slots_for(self, reading: TrackingReading) -> np.ndarray:
-        """Register every reader lattice of ``reading``; return slots."""
-        est = self.estimator
+        """Register every reader lattice of ``reading``; return slots.
+
+        A block seen before returns that block's slot vector *object*,
+        which :meth:`BatchEngine._estimate_group` reads as "one set of
+        K surfaces, broadcast over the group" (T tags of one middleware
+        snapshot). A new block's rows are deduped by row bytes (row ``i``
+        of the block's C-order ``tobytes`` is that row's ``tobytes``).
+        A plain row — unmasked, already a float64 lattice vector — is
+        pending as a view of the block (bit-identical to
+        ``lattice_from_flat``'s asarray + reshape) and keyed by its
+        bytes alone; any other row is keyed with its masked flag and
+        dtype and goes through :meth:`_prepare`.
+        """
         masked = bool(reading.masked)
-        ref = np.ascontiguousarray(reading.reference_rssi)
-        index = self._index
-        n_readers = reading.n_readers
-        slots = np.empty(n_readers, dtype=np.intp)
-        if ref.ndim == 2 and ref.shape[0] == n_readers:
-            # Hot path: one buffer serialization per reading, sliced per
-            # row (rows of a C-contiguous 2-D array are contiguous byte
-            # runs, so the slices equal the per-row ``tobytes``), and —
-            # when the row already is a valid float64 lattice vector —
-            # a plain reshape instead of ``lattice_from_flat``'s
-            # asarray + shape-check + reshape (bit-identical: asarray
-            # of a float64 row is the row itself).
-            grid = est.grid
-            plain = (
-                not masked
-                and ref.dtype == np.float64
-                and ref.shape[1] == grid.n_tags
-            )
-            rows, cols = grid.rows, grid.cols
-            blob = ref.tobytes()
-            row_nbytes = ref.shape[1] * ref.itemsize
-            dt = ref.dtype.str
-            for i in range(n_readers):
-                key = (masked, dt, blob[i * row_nbytes : (i + 1) * row_nbytes])
-                slot = index.get(key)
-                if slot is None:
-                    slot = len(self._slots)
-                    index[key] = slot
-                    if plain:
-                        self._slots.append(
-                            _Slot(lattice=ref[i].reshape(rows, cols))
-                        )
-                    else:
-                        self._slots.append(self._prepare(est, ref[i], masked))
-                slots[i] = slot
+        ref = reading.reference_rssi
+        blob = ref.tobytes()  # C order, whatever the array's strides
+        block_key = (masked, ref.shape, ref.dtype, blob)
+        slots = self._blocks.get(block_key)
+        if slots is not None:
             return slots
-        for i in range(n_readers):
-            row = reading.reference_rssi[i]
-            key = lattice_content_key(row, masked)
-            slot = index.get(key)
-            if slot is None:
-                slot = len(self._slots)
-                index[key] = slot
-                self._slots.append(self._prepare(est, row, masked))
-            slots[i] = slot
+        n_readers, width = ref.shape
+        step = width * ref.itemsize
+        plain = (
+            not masked
+            and ref.dtype == np.float64
+            and width == self.estimator.grid.n_tags
+        )
+        index = self._index
+        n_old = len(index)
+        # A new key takes the next slot number, so new slots are
+        # numbered in order of their first row.
+        if plain:
+            slots = [
+                index.setdefault(blob[i * step : (i + 1) * step], len(index))
+                for i in range(n_readers)
+            ]
+        else:
+            slots = [
+                index.setdefault(
+                    (masked, ref.dtype, blob[i * step : (i + 1) * step]),
+                    len(index),
+                )
+                for i in range(n_readers)
+            ]
+        new_slots = range(n_old, len(index))
+        if len(new_slots) == n_readers:
+            first_rows = range(n_readers)
+        else:
+            first_rows = [slots.index(slot) for slot in new_slots]
+        if not plain:
+            for slot, i in zip(new_slots, first_rows):
+                self._prepare(slot, ref[i], masked)
+        elif new_slots:
+            self._pieces.append(
+                ref if len(new_slots) == n_readers else ref[first_rows]
+            )
+            self._pending.extend(new_slots)
+        slots = np.fromiter(slots, np.intp, n_readers)
+        self._blocks[block_key] = slots
         return slots
 
-    @staticmethod
-    def _prepare(est, row: np.ndarray, masked: bool) -> _Slot:
+    def _prepare(self, slot: int, row: np.ndarray, masked: bool) -> None:
         """Reshape + (masked) hole-fill one lattice, scalar-exact.
 
         Mirrors the prefix of the scalar
@@ -276,123 +163,82 @@ class LatticeTable:
         loop body; a failure records the exact scalar exception.
         """
         try:
-            lattice = est.grid.lattice_from_flat(row)
+            lattice = self.estimator.grid.lattice_from_flat(row)
             if masked:
                 lattice = fill_masked_lattice(lattice)
-            return _Slot(lattice=lattice)
         except ReproError as exc:
-            return _Slot(error=exc)
+            self._errors[slot] = exc
+            return
+        self._pieces.append(lattice.reshape(1, -1))
+        self._pending.append(slot)
 
     def interpolate(self, operator: SparseBilinearOperator | None) -> None:
-        """Compute every unique pending surface.
+        """Compute every unique pending surface in one pass.
 
-        With an operator every valid lattice is finiteness-checked in
-        one vectorized pass (``lattice_from_flat`` already guarantees
-        the grid shape, so finiteness is the only rejection
-        :func:`~repro.core.interpolation.check_lattice` can still
-        raise — non-finite slots record that exact error) and the
-        survivors go through one vectorized ``apply``. Without one,
-        each unique lattice takes a single scalar interpolation call —
-        content dedup is still the win over the per-reading loop.
+        With an operator the stack is finiteness-checked in one
+        vectorized pass (``lattice_from_flat`` already guarantees the
+        grid shape, so finiteness is the only rejection
+        :func:`~repro.core.interpolation.check_lattice` can still raise
+        — non-finite slots record that exact error) and the survivors go
+        through one vectorized ``apply``. Without one, each unique
+        lattice takes a single scheme call, recording its exact error.
         """
-        if self._block is not None:
-            # Block route (from_block): the unique lattices are already
-            # stacked; finiteness-check and interpolate in two
-            # vectorized passes.
-            lattices = self._block
-            finite = np.isfinite(lattices).all(axis=(1, 2))
-            rows = np.full(len(self._slots), -1, dtype=np.intp)
-            if finite.all():
-                self._surfaces = operator.apply(lattices)
-                rows[:] = np.arange(len(self._slots))
-            else:
-                for i in np.flatnonzero(~finite):
-                    self._slots[i] = _Slot(
-                        error=ConfigurationError(_NON_FINITE_MSG)
-                    )
-                valid = np.flatnonzero(finite)
-                if valid.size:
-                    self._surfaces = operator.apply(lattices[finite])
-                    rows[valid] = np.arange(valid.size)
-            self._rows = rows
-            return
-        est = self.estimator
-        pending = [
-            i
-            for i, slot in enumerate(self._slots)
-            if slot.error is None and slot.surface is None
-        ]
-        if not pending:
-            if operator is not None:
-                self._rows = np.full(len(self._slots), -1, dtype=np.intp)
-            return
-        if operator is None:
-            for i in pending:
-                slot = self._slots[i]
-                try:
-                    slot.surface = est._interpolator.interpolate(
-                        slot.lattice, est.virtual_grid
-                    )
-                except ReproError as exc:
-                    slot.error = exc
-            return
-        stack = np.stack([self._slots[i].lattice for i in pending])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        rows = np.full(len(self._slots), -1, dtype=np.intp)
-        if finite.all():
-            self._surfaces = operator.apply(stack)
-            rows[pending] = np.arange(len(pending))
-        else:
-            for i, ok in zip(pending, finite):
-                if not ok:
-                    self._slots[i].error = ConfigurationError(_NON_FINITE_MSG)
-            valid = [i for i, ok in zip(pending, finite) if ok]
-            if valid:
-                self._surfaces = operator.apply(stack[finite])
-                rows[valid] = np.arange(len(valid))
+        rows = np.full(len(self), -1, dtype=np.intp)
         self._rows = rows
+        if not self._pieces:
+            return
+        stack = (
+            np.concatenate(self._pieces)
+            if len(self._pieces) > 1
+            else self._pieces[0]
+        )
+        pending = np.asarray(self._pending, dtype=np.intp)
+        if operator is not None:
+            finite = np.isfinite(stack).all(axis=1)
+            if not finite.all():
+                for slot in pending[~finite]:
+                    self._errors[slot] = ConfigurationError(_NON_FINITE_MSG)
+                stack, pending = stack[finite], pending[finite]
+            if pending.size:
+                self._surfaces = operator.apply(stack)
+        else:
+            est = self.estimator
+            shape = (est.grid.rows, est.grid.cols)
+            surfaces, kept = [], []
+            for lattice, slot in zip(stack, pending):
+                try:
+                    surfaces.append(
+                        est._interpolator.interpolate(
+                            lattice.reshape(shape), est.virtual_grid
+                        )
+                    )
+                    kept.append(slot)
+                except ReproError as exc:
+                    self._errors[slot] = exc
+            pending = np.asarray(kept, dtype=np.intp)
+            if surfaces:
+                self._surfaces = np.stack(surfaces)
+        rows[pending] = np.arange(pending.size)
 
     def gather(self, slot_matrix: np.ndarray) -> np.ndarray:
         """Stack a whole group's virtual tensors in one fancy gather.
 
         ``slot_matrix`` is ``(T, K)`` slot indices for T readings that
-        all resolved without error (callers must check
-        :attr:`n_errors` / :meth:`virtual_for` first). Returns the
-        ``(T, K, v_rows, v_cols)`` tensor the per-reading
-        :meth:`virtual_for` stack would produce, in one copy.
+        all resolved without error. Returns their
+        ``(T, K, v_rows, v_cols)`` virtual tensor in one copy.
         """
         return self._surfaces[self._rows[slot_matrix]]
 
-    def error_for(self, slots: np.ndarray) -> ReproError:
+    def error_for(self, slots: np.ndarray) -> ReproError | None:
         """The first per-reader error in reader order — exactly the one
-        the scalar interpolation loop would raise for this reading."""
-        for slot in slots:
-            entry = self._slots[slot]
-            if entry is not None and entry.error is not None:
-                return entry.error
-        raise AssertionError(  # pragma: no cover - table misuse
-            "error_for on a reading without errors"
+        the scalar interpolation loop would raise for this reading — or
+        ``None`` when every reader's surface exists."""
+        if (self._rows[slots] >= 0).all():
+            return None
+        return next(
+            self._errors[slot] for slot in slots if slot in self._errors
         )
-
-    def virtual_for(self, slots: np.ndarray) -> np.ndarray | ReproError:
-        """One reading's ``(K, v_rows, v_cols)`` tensor or first error."""
-        rows = self._rows
-        if rows is not None:
-            # Operator path: one fancy gather from the surface block.
-            block_rows = rows[slots]
-            if (block_rows >= 0).all():
-                return self._surfaces[block_rows]
-            return self.error_for(slots)
-        for slot in slots:
-            err = self._slots[slot].error
-            if err is not None:
-                return err
-        return np.stack([self._slots[slot].surface for slot in slots])
 
     @property
     def n_errors(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if slot is not None and slot.error is not None
-        )
+        return len(self._errors)

@@ -20,10 +20,12 @@ strict append order — the classic write-ahead discipline:
   observability; loaders skip them.
 
 Robustness: the loader tolerates a truncated or corrupt tail (the crash
-may have landed mid-write) by stopping at the first unparsable line, and
-resolves duplicate result indices (a pre-crash tail recomputed after a
-resume) by keeping the *latest* line — which, by the determinism
-contract, is byte-identical to the one it replaces.
+may have landed mid-write) by stopping at the first line that is not a
+well-formed record (not UTF-8, not a JSON object, or a result/snapshot
+missing the fields the loader reads), and resolves duplicate result
+indices (a pre-crash tail recomputed after a resume) by keeping the
+*latest* line — which, by the determinism contract, is byte-identical
+to the one it replaces.
 
 This module is deliberately below the service layer: it speaks plain
 dicts. :mod:`repro.service.session` owns the conversion between
@@ -239,11 +241,38 @@ def validate_header(
             )
 
 
+def _parse_line(raw: bytes) -> dict | None:
+    """One WAL line as a document, or ``None`` when the line is torn or
+    corrupt: not UTF-8, not JSON, not an object, a ``result`` without an
+    int ``i``, or a ``snapshot`` without a non-negative int
+    ``results_count`` and a numeric ``t``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return None
+    if not isinstance(doc, dict):
+        return None
+    kind = doc.get("type")
+    if kind == "result" and type(doc.get("i")) is not int:
+        return None
+    if kind == "snapshot" and not (
+        type(doc.get("results_count")) is int
+        and doc["results_count"] >= 0
+        and type(doc.get("t")) in (int, float)
+    ):
+        return None
+    return doc
+
+
 def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     """Parse a checkpoint file down to its last committed cut.
 
-    Raises :class:`~repro.exceptions.CheckpointError` when the file has
-    no header, no complete snapshot, an unsupported version, or a
+    Reading stops at the first torn or corrupt line (see
+    :func:`_parse_line`), exactly as at a crash landed mid-write: the
+    state is that of the lines before it.
+
+    Raises :class:`~repro.exceptions.CheckpointError` when that prefix
+    has no header, no complete snapshot, an unsupported version, or a
     snapshot that commits results the file never logged.
     """
     path = os.fspath(path)
@@ -252,17 +281,15 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     results_by_index: dict[int, Mapping[str, Any]] = {}
     truncated = False
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for raw in fh:
+            if not raw.strip():
                 continue
-            try:
-                doc = json.loads(line)
-            except ValueError:
+            doc = _parse_line(raw)
+            if doc is None:
                 truncated = True  # crash landed mid-write; stop here
                 break
             kind = doc.get("type")
@@ -270,7 +297,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                 if header is None:
                     header = doc
             elif kind == "result":
-                results_by_index[int(doc["i"])] = doc
+                results_by_index[doc["i"]] = doc
             elif kind == "snapshot":
                 snapshot = doc
             # markers ("resume", "end", unknown future kinds): skipped
@@ -286,7 +313,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
         raise CheckpointError(
             f"checkpoint {path} has no complete snapshot to resume from"
         )
-    count = int(snapshot["results_count"])
+    count = snapshot["results_count"]
     missing = [i for i in range(count) if i not in results_by_index]
     if missing:
         raise CheckpointError(

@@ -250,11 +250,11 @@ class TestBitwiseGateCanFail:
 
 # -- the fixed-cost routes ----------------------------------------------------
 #
-# A batch takes the shared-snapshot route when every reading's reference
-# block has the first one's bytes (one slot vector, surfaces broadcast),
-# the general np.unique route otherwise, and solves a reading object
-# offered twice only once. Each route is checked bitwise against the
-# scalar loop.
+# A reading whose reference block has the bytes of one seen before gets
+# that block's slot vector object (one snapshot: surfaces broadcast); a
+# new block takes the general route, its rows registered by row bytes;
+# a reading object offered twice is solved only once. Each route is
+# checked bitwise against the scalar loop.
 
 
 def shared_block_batch(seed: int, t: int = 8) -> list[TrackingReading]:
@@ -284,9 +284,8 @@ def repeated_batch(seed: int) -> list[TrackingReading]:
 
 
 def _slot_arrays(est, readings):
-    table_and_slots = LatticeTable.from_block(est, readings)
-    assert table_and_slots is not None
-    return table_and_slots[1]
+    table = LatticeTable(est)
+    return [table.slots_for(r) for r in readings]
 
 
 class TestFixedCostRoutes:
@@ -309,7 +308,9 @@ class TestFixedCostRoutes:
         reference[2, 7] = np.nextafter(reference[2, 7], np.inf)
         readings[5] = _reading(reference, readings[5].tracking_rssi)
         slots = _slot_arrays(est, readings)
-        assert not all(s is slots[0] for s in slots)
+        assert all(s is slots[0] for s in slots[:5] + slots[6:])
+        # Only the nudged row gets a slot of its own.
+        assert (slots[5] != slots[0]).tolist() == [False, False, True, False]
         assert_outcomes_identical(
             scalar_outcomes(est, readings),
             BatchEngine(est).estimate_outcomes(readings),

@@ -14,9 +14,10 @@ The grouped path's claims, each pinned by a hypothesis property:
   under permutation of the batch, and a singleton batch equals the
   scalar call, so no observable behaviour depends on which readings
   happened to share a sub-batch;
-* **the block dedup equals the dict dedup** — ``LatticeTable.from_block``
-  partitions rows into exactly the byte-equality classes the
-  per-reading dict loop produces.
+* **slots are byte-equality classes** — ``LatticeTable.slots_for``
+  partitions rows into exactly the byte-equality classes, and a block
+  already seen (equal bytes, any array object) gets its first slot
+  vector *object* back.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from repro.core.interpolation import (
 )
 from repro.core.virtual_grid import VirtualGrid
 from repro.engine import BatchEngine
-from repro.engine.grouping import (
-    LatticeTable,
-    lattice_content_key,
-    operator_for,
-    reading_content_key,
-)
+from repro.engine.grouping import LatticeTable, operator_for
 
 from .test_engine_properties import (
     assert_outcomes_identical,
@@ -109,6 +105,22 @@ class TestSparseOperatorBitwise:
 # -- content keys -------------------------------------------------------------
 
 
+def _row_slots(rows, masked=False) -> np.ndarray:
+    """Slots of ``rows`` registered as one reading's reader lattices."""
+    from .test_engine_differential import _reading
+
+    est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
+    reading = _reading(
+        np.stack(rows), np.full(len(rows), -55.0), masked=masked
+    )
+    return LatticeTable(est).slots_for(reading)
+
+
+def _block_key(reading) -> tuple:
+    ref = reading.reference_rssi
+    return (reading.masked, ref.shape, ref.dtype.str, ref.tobytes())
+
+
 class TestContentKeys:
     @given(
         arrays(np.float64, 16, elements=lattice_values),
@@ -117,27 +129,35 @@ class TestContentKeys:
     @settings(max_examples=60, deadline=None)
     def test_keys_differ_unless_bytes_equal(self, a, b):
         same_bytes = a.tobytes() == b.tobytes()
-        assert (
-            lattice_content_key(a, False) == lattice_content_key(b, False)
-        ) == same_bytes
+        slots = _row_slots([a, b])
+        assert (slots[0] == slots[1]) == same_bytes
 
     def test_masked_flag_always_keys_apart(self):
+        from .test_engine_differential import _reading
+
         row = np.linspace(-90.0, -50.0, 16)
-        assert lattice_content_key(row, True) != lattice_content_key(row, False)
+        est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
+        table = LatticeTable(est)
+        tracking = np.full(1, -55.0)
+        plain = table.slots_for(_reading(row[np.newaxis], tracking))
+        masked = table.slots_for(
+            _reading(row[np.newaxis], tracking, masked=True)
+        )
+        assert plain is not masked
+        assert plain[0] != masked[0]
+        assert len(table) == 2
 
     def test_nan_payloads_and_zero_signs_stay_distinct(self):
         base = np.zeros(16)
         neg = base.copy()
         neg[3] = -0.0
-        assert lattice_content_key(base, False) != lattice_content_key(
-            neg, False
-        )
+        slots = _row_slots([base, neg])
+        assert slots[0] != slots[1]
         nan1, nan2 = base.copy(), base.copy()
         nan1[0] = np.nan
         nan2[0] = np.uint64(0x7FF8000000000001).view(np.float64)
-        assert lattice_content_key(nan1, False) != lattice_content_key(
-            nan2, False
-        )
+        slots = _row_slots([nan1, nan2], masked=True)
+        assert slots[0] != slots[1]
 
     @given(batch_strategy(min_size=2, max_size=5))
     @settings(max_examples=30, deadline=None)
@@ -146,7 +166,7 @@ class TestContentKeys:
         outcomes = BatchEngine(est).estimate_outcomes(readings)
         for i, a in enumerate(readings):
             for j, b in enumerate(readings):
-                if reading_content_key(a) == reading_content_key(b) and (
+                if _block_key(a) == _block_key(b) and (
                     a.tracking_rssi.tobytes() == b.tracking_rssi.tobytes()
                 ):
                     assert_outcomes_identical([outcomes[i]], [outcomes[j]])
@@ -184,7 +204,7 @@ class TestGroupingInvisible:
         assert_outcomes_identical(scalar, batch)
 
 
-# -- block dedup vs dict dedup ------------------------------------------------
+# -- block and row dedup -----------------------------------------------------
 
 
 class TestBlockDedup:
@@ -197,57 +217,80 @@ class TestBlockDedup:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_from_block_partitions_like_the_dict_loop(self, refs, seed):
+    def test_slots_partition_rows_into_byte_classes(self, refs, seed):
         from .test_engine_differential import _reading
 
         rng = np.random.default_rng(seed)
-        # Force some cross-reading sharing: duplicate a few rows.
+        # Force some sharing: duplicate a few rows and whole blocks.
         pool = np.concatenate(refs, axis=0)
         for ref in refs:
             if rng.random() < 0.5:
                 ref[rng.integers(ref.shape[0])] = pool[
                     rng.integers(pool.shape[0])
                 ]
+        for i in range(1, len(refs)):
+            if rng.random() < 0.3:
+                refs[i] = refs[rng.integers(i)].copy()
         readings = [
             _reading(ref, rng.uniform(-90.0, -50.0, ref.shape[0]))
             for ref in refs
         ]
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
+        table = LatticeTable(est)
+        slot_arrays = [table.slots_for(r) for r in readings]
 
-        blk = LatticeTable.from_block(est, readings)
-        assert blk is not None, "plain float64 readings must take the block path"
-        table, slot_arrays = blk
+        # Two rows share a slot iff they share bytes, and the slots
+        # number exactly the byte classes.
+        rows = [row.tobytes() for ref in refs for row in ref]
+        flat = np.concatenate(slot_arrays)
+        assert len(table) == len(set(rows))
+        for i in range(len(rows)):
+            same_bytes = np.array([row == rows[i] for row in rows])
+            assert ((flat == flat[i]) == same_bytes).all()
+        # A repeated block gets the first slot vector object back.
+        for i, ref in enumerate(refs):
+            for j in range(i):
+                if ref.tobytes() == refs[j].tobytes():
+                    assert slot_arrays[i] is slot_arrays[j]
 
-        dict_table = LatticeTable(est)
-        dict_slots = [dict_table.slots_for(r) for r in readings]
-
-        # Same number of byte-equality classes, and the same partition:
-        # two rows share a block slot iff they share a dict slot.
-        assert len(table) == len(dict_table)
-        flat_block = np.concatenate(slot_arrays)
-        flat_dict = np.concatenate(dict_slots)
-        for i in range(len(flat_block)):
-            same_block = flat_block == flat_block[i]
-            same_dict = flat_dict == flat_dict[i]
-            assert (same_block == same_dict).all()
-
-    def test_masked_readings_refuse_the_block_path(self):
-        from .test_engine_differential import nan_masked_batch
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equal_blocks_share_one_slot_vector(self, masked):
+        from .test_engine_differential import _reading, nan_masked_batch
 
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
-        assert LatticeTable.from_block(est, nan_masked_batch(3, 2)) is None
+        base = nan_masked_batch(3, 1)[0].reference_rssi
+        if not masked:
+            base = np.nan_to_num(base, nan=-70.0)
+        readings = [
+            _reading(base.copy(), np.full(4, level), masked=masked)
+            for level in (-50.0, -60.0, -70.0)
+        ]
+        table = LatticeTable(est)
+        slots = [table.slots_for(r) for r in readings]
+        assert slots[1] is slots[0] and slots[2] is slots[0]
+        assert len(table) == 4
+        assert_outcomes_identical(
+            scalar_outcomes(est, readings),
+            BatchEngine(est).estimate_outcomes(readings),
+        )
 
-    def test_non_float64_refuses_the_block_path(self):
+    def test_non_float64_block_is_prepared_like_scalar(self):
         from .test_engine_differential import _reading
 
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
-        reading = _reading(
-            np.full((4, 16), -60.0), np.full(4, -55.0)
+        rng = np.random.default_rng(5)
+        reading = _reading(rng.uniform(-90.0, -50.0, (4, 16)), np.full(4, -55.0))
+        single = reading.reference_rssi.astype(np.float32)
+        odd = _reading(single.astype(np.float64), np.full(4, -55.0))
+        object.__setattr__(odd, "reference_rssi", single)
+        readings = [reading, odd]
+        table = LatticeTable(est)
+        slots = [table.slots_for(r) for r in readings]
+        assert set(slots[0]).isdisjoint(slots[1])
+        assert_outcomes_identical(
+            scalar_outcomes(est, readings),
+            BatchEngine(est).estimate_outcomes(readings),
         )
-        object.__setattr__(
-            reading, "reference_rssi", reading.reference_rssi.astype(np.float32)
-        )
-        assert LatticeTable.from_block(est, [reading]) is None
 
 
 # -- non-finite lattices through the grouped routes ---------------------------
@@ -257,9 +300,10 @@ class TestNonFiniteLattices:
     """`TrackingReading` validates unmasked refs at construction, so a
     non-finite lattice can only reach the grouped interpolate through a
     bypass-constructed reading — exactly what a future reading type with
-    laxer validation would look like. Both dedup routes must then record
-    the scalar path's exact `ConfigurationError`, per reading, without
-    poisoning the rest of the batch."""
+    laxer validation would look like. The table must then record the
+    scalar path's exact `ConfigurationError`, per reading, without
+    poisoning the rest of the batch, in plain and mixed masked/plain
+    batches alike."""
 
     @staticmethod
     def _bad_reading():
@@ -277,31 +321,27 @@ class TestNonFiniteLattices:
 
         return _reading(np.full((4, 16), level), np.full(4, level + 4.0))
 
-    def test_block_route_matches_scalar(self):
+    def test_plain_batch_matches_scalar(self):
         from repro.exceptions import ConfigurationError
 
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
         readings = [self._good_reading(-58.0), self._bad_reading()]
-        assert LatticeTable.from_block(est, readings) is not None
         scalar = scalar_outcomes(est, readings)
         batch = BatchEngine(est).estimate_outcomes(readings)
         assert_outcomes_identical(scalar, batch)
         assert isinstance(batch[1], ConfigurationError)
 
-    def test_dict_route_matches_scalar(self):
+    def test_mixed_masked_batch_matches_scalar(self):
         from repro.exceptions import ConfigurationError
 
         from .test_engine_differential import nan_masked_batch
 
         est = VIREEstimator(GRID, VIREConfig(subdivisions=4))
-        # The masked reading forces from_block to refuse, so the bad
-        # lattice takes the per-reading dict loop's plain fast path.
         readings = [
             nan_masked_batch(0, 1)[0],
             self._bad_reading(),
             self._good_reading(-62.0),
         ]
-        assert LatticeTable.from_block(est, readings) is None
         scalar = scalar_outcomes(est, readings)
         batch = BatchEngine(est).estimate_outcomes(readings)
         assert_outcomes_identical(scalar, batch)

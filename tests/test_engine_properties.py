@@ -194,6 +194,60 @@ class TestBatchEqualsScalar:
         assert_outcomes_identical(whole, sharded)
 
 
+def _shared_reference(readings, share: bool):
+    """With ``share``, every reading gets a copy of the first reading's
+    reference block: one snapshot as distinct array objects."""
+    if not share:
+        return readings
+    ref = readings[0].reference_rssi
+    return [replace(r, reference_rssi=ref.copy()) for r in readings]
+
+
+class TestNonLinearSchemes:
+    """Polynomial and spline surfaces have no sparse operator: the
+    engine interpolates each unique lattice with the scheme itself.
+    That route must be scalar-exact too, under every empty-intersection
+    policy; the tight fixed threshold makes the policy fire."""
+
+    schemes = pytest.mark.parametrize("scheme", ["polynomial", "spline"])
+    fallbacks = pytest.mark.parametrize(
+        "fallback", ["relax", "landmarc", "error"]
+    )
+    thresholds = st.sampled_from(
+        [{}, {"threshold_mode": "fixed", "fixed_threshold_db": 0.25}]
+    )
+
+    @staticmethod
+    def _check(readings, scheme, fallback, threshold):
+        config = VIREConfig(
+            subdivisions=4,
+            interpolation=scheme,
+            empty_fallback=fallback,
+            **threshold,
+        )
+        est = VIREEstimator(GRID, config)
+        assert_outcomes_identical(
+            scalar_outcomes(est, readings),
+            est.estimate_outcomes(readings),
+        )
+
+    @schemes
+    @fallbacks
+    @given(batch_strategy(), st.booleans(), thresholds)
+    @settings(max_examples=30, deadline=None)
+    def test_clean_batches(self, scheme, fallback, readings, share, threshold):
+        readings = _shared_reference(readings, share)
+        self._check(readings, scheme, fallback, threshold)
+
+    @schemes
+    @fallbacks
+    @given(batch_strategy(masked=True), st.booleans(), thresholds)
+    @settings(max_examples=30, deadline=None)
+    def test_masked_batches(self, scheme, fallback, readings, share, threshold):
+        readings = _shared_reference(readings, share)
+        self._check(readings, scheme, fallback, threshold)
+
+
 def _translated_world(readings, dx: int, dy: int):
     """The same readings in a rigidly translated room.
 

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CheckpointError
 from repro.runtime import CheckpointWriter, load_checkpoint
@@ -162,6 +164,178 @@ class TestLoaderErrors:
             w.write_snapshot(t=1.0, results_count=5)
         with pytest.raises(CheckpointError, match="never logged"):
             load_checkpoint(path)
+
+
+# -- torn and corrupt files ---------------------------------------------------
+
+
+class TestCorruptLines:
+    """A line that is not a well-formed record ends the readable prefix
+    exactly as a torn line does; the usual checks then apply to it."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b"[1,2]",
+            b"5",
+            b'"text"',
+            b"null",
+            b'{"type": "result", "tag_id": "tag-9"}',
+            b'{"type": "result", "i": "3"}',
+            b'{"type": "result", "i": 3.0}',
+            b'{"type": "result", "i": true}',
+            b'{"type": "snapshot", "t": 20.0}',
+            b'{"type": "snapshot", "t": 20.0, "results_count": "1"}',
+            b'{"type": "snapshot", "t": 20.0, "results_count": -1}',
+            b'{"type": "snapshot", "results_count": 0}',
+            b'{"type": "snapshot", "t": "soon", "results_count": 0}',
+            b'{"type": "end", "note": "\xff\xfe"}',
+            b"\xff\xfe\x00garbage",
+        ],
+    )
+    def test_corrupt_line_ends_the_prefix(self, tmp_path, bad):
+        path = _write_minimal(tmp_path / "c.ckpt")
+        good = load_checkpoint(path)
+        with open(path, "ab") as fh:
+            fh.write(bad + b"\n")
+            fh.write(b'{"type": "snapshot", "t": 99.0, "results_count": 0}\n')
+        state = load_checkpoint(path)
+        assert state == good
+
+    def test_corrupt_line_before_any_snapshot_raises(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(
+            b'{"type": "header", "version": 1}\n[1,2]\n'
+            b'{"type": "snapshot", "t": 1.0, "results_count": 0}\n'
+        )
+        with pytest.raises(CheckpointError, match="no complete snapshot"):
+            load_checkpoint(path)
+
+    def test_random_bytes_file_raises(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(bytes(range(256)) * 4)
+        with pytest.raises(CheckpointError, match="no header"):
+            load_checkpoint(path)
+
+
+def _expected_state(docs):
+    """Independent restatement of what a prefix of good records commits:
+    ``(header, snapshot, results)``, or ``None`` where the loader must
+    raise :class:`CheckpointError`."""
+    headers = [d for d in docs if d.get("type") == "header"]
+    snapshots = [d for d in docs if d.get("type") == "snapshot"]
+    if not headers or headers[0].get("version") != FORMAT_VERSION:
+        return None
+    if not snapshots:
+        return None
+    results = {d["i"]: d for d in docs if d.get("type") == "result"}
+    count = snapshots[-1]["results_count"]
+    if any(i not in results for i in range(count)):
+        return None
+    return headers[0], snapshots[-1], tuple(results[i] for i in range(count))
+
+
+def _parses_to_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw.decode("utf-8")), dict)
+    except Exception:
+        return False
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats(
+    allow_nan=False
+) | st.text()
+#: Any JSON value except an object: never a record.
+_non_object_json = _json_scalars | st.lists(
+    st.recursive(
+        _json_scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+_not_an_int = st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+
+
+class TestCorruptionFuzz:
+    @given(
+        st.lists(
+            st.sampled_from(["result", "redo", "snapshot", "marker"]),
+            max_size=12,
+        ),
+        st.sampled_from(
+            ["none", "truncate", "json", "bytes", "drop", "retype"]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_loader_returns_the_good_prefix_or_raises(
+        self, tmp_path_factory, actions, corruption, data
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+        with CheckpointWriter(path) as w:
+            w.write_header(scenario="Env1", seed=0)
+            n = 0
+            for step, action in enumerate(actions):
+                if action == "result":
+                    w.append_result(n, {"tag_id": f"tag-{n}", "v": step / 3})
+                    n += 1
+                elif action == "redo" and n:
+                    w.append_result(n - 1, {"tag_id": f"tag-{n - 1}", "v": 0.5})
+                elif action == "snapshot":
+                    w.write_snapshot(t=float(step), results_count=n, state={})
+                else:
+                    w.write_marker("resume", t_cut=float(step))
+        lines = path.read_bytes().splitlines(keepends=True)
+        docs = [json.loads(line) for line in lines]
+        bad = len(lines)  # index of the first bad line
+        if corruption == "truncate":
+            cut = data.draw(st.integers(0, sum(map(len, lines))))
+            blob = b"".join(lines)[:cut]
+            kept = blob.splitlines(keepends=True)
+            bad = len(kept)
+            if kept and kept[-1].rstrip(b"\n") != lines[bad - 1].rstrip(b"\n"):
+                bad -= 1  # the last line is torn
+            path.write_bytes(blob)
+        elif corruption != "none":
+            if corruption in ("drop", "retype"):
+                targets = [
+                    j for j, d in enumerate(docs)
+                    if d["type"] in ("result", "snapshot")
+                ]
+                assume(targets)
+                bad = data.draw(st.sampled_from(targets))
+                doc = dict(docs[bad])
+                fields = ["i"] if doc["type"] == "result" else [
+                    "results_count", "t"
+                ]
+                name = data.draw(st.sampled_from(fields))
+                if corruption == "drop":
+                    del doc[name]
+                elif name == "t":
+                    doc[name] = data.draw(st.none() | st.booleans() | st.text())
+                elif name == "i":
+                    doc[name] = data.draw(_not_an_int)
+                else:
+                    doc[name] = data.draw(_not_an_int | st.integers(max_value=-1))
+                line = json.dumps(doc).encode()
+            else:
+                bad = data.draw(st.integers(0, len(lines) - 1))
+                if corruption == "json":
+                    line = json.dumps(data.draw(_non_object_json)).encode()
+                else:
+                    line = data.draw(st.binary(max_size=40)).replace(b"\n", b"")
+                    assume(line.strip() and not _parses_to_object(line))
+            lines[bad] = line + b"\n"
+            path.write_bytes(b"".join(lines))
+        expected = _expected_state(docs[:bad])
+        if expected is None:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        else:
+            state = load_checkpoint(path)
+            assert (state.header, state.snapshot, state.results) == expected
 
 
 class TestFsync:
