@@ -7,7 +7,7 @@ trustworthy; :mod:`repro.faults` injects per-reader calibration drift
 and reference-tag battery decay that silently violate that assumption.
 This module closes the loop:
 
-* every batch tick, the pipeline feeds the corrector the middleware's
+* every serving instant, the pipeline feeds the corrector the middleware's
   smoothed reference matrix; residuals against a clean post-warm-up
   baseline go into a sim-clock sliding window
   (:class:`~repro.calibration.residuals.ResidualWindow`);
@@ -265,7 +265,7 @@ class DriftCorrector:
     Lifecycle: :meth:`arm` captures the clean baseline at the end of
     warm-up (the fault injector attaches *after* warm-up, so the
     baseline is trustworthy by construction); :meth:`observe` runs once
-    per batch tick — in live **and** checkpoint-replay batches, which is
+    per serving instant — live **and** checkpoint-replay, which is
     what makes the corrector's state replay-reconstructible; and
     :meth:`correct_reading` is applied to every snapshot before it
     reaches the estimator.
@@ -358,7 +358,7 @@ class DriftCorrector:
 
         Recomputes the per-reader bias estimates and per-tag anomaly
         scores, then drives every tag's trust state machine. Runs in
-        live and replay batches alike — the corrector's state must be a
+        live and replay instants alike — the corrector's state must be a
         pure function of the seeded stream for checkpoint resume.
         """
         if self._baseline is None:
@@ -561,7 +561,7 @@ class DriftCorrector:
         """JSON-native state snapshot for replay verification.
 
         Replay reconstructs the corrector (``observe`` runs in replay
-        batches), so nothing here is *restored* — resume verifies the
+        instants), so nothing here is *restored* — resume verifies the
         reconstruction against this snapshot exactly like the breakers.
         """
         return {

@@ -175,7 +175,7 @@ def decompose_residuals(
     rows = stacked
     if trusted_columns is not None:
         rows = stacked[:, :, trusted_columns]
-    # Vectorized nan-medians (this runs every batch tick). All-NaN
+    # Vectorized nan-medians (this runs every serving instant). All-NaN
     # slices legitimately mean "no evidence": the NaN flows through.
     if rows.shape[2]:
         reader_bias = _nanmedian(rows, axis=(0, 2))

@@ -17,7 +17,9 @@ strict append order — the classic write-ahead discipline:
   the last snapshot are discarded on load (the resumed session recomputes
   them bit-identically — determinism makes the recompute free of risk).
 * ``{"type": "resume", ...}`` / ``{"type": "end", ...}`` — markers for
-  observability; loaders skip them.
+  observability. The loader reads one fact from them: an ``end`` marker
+  with ``interrupted: false`` right after the last snapshot means a
+  normal finish *sealed* the log (its drained tail is committed).
 
 Robustness: the loader tolerates a truncated or corrupt tail (the crash
 may have landed mid-write) by stopping at the first line that is not a
@@ -207,11 +209,16 @@ class CheckpointState:
     results:
         The committed result documents, in completion order — exactly
         ``snapshot["results_count"]`` of them.
+    sealed:
+        Whether a normal finish closed the log after this snapshot (an
+        ``end`` marker with ``interrupted: false``): the cut is the
+        session's end, drain included.
     """
 
     header: Mapping[str, Any]
     snapshot: Mapping[str, Any]
     results: tuple[Mapping[str, Any], ...]
+    sealed: bool = False
 
     @property
     def t_cut(self) -> float:
@@ -280,6 +287,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     snapshot: Mapping[str, Any] | None = None
     results_by_index: dict[int, Mapping[str, Any]] = {}
     truncated = False
+    sealed = False
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -299,8 +307,10 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
             elif kind == "result":
                 results_by_index[doc["i"]] = doc
             elif kind == "snapshot":
-                snapshot = doc
-            # markers ("resume", "end", unknown future kinds): skipped
+                snapshot, sealed = doc, False
+            elif kind == "end":
+                sealed = doc.get("interrupted") is False
+            # other markers ("resume", unknown future kinds): skipped
     if header is None:
         raise CheckpointError(f"checkpoint {path} has no header line")
     version = header.get("version")
@@ -324,10 +334,11 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     log_event(
         get_structured_logger(_LOGGER_NAME), "checkpoint_loaded",
         path=path, t=snapshot.get("t"), results=count,
-        truncated_tail=truncated,
+        truncated_tail=truncated, sealed=sealed,
     )
     return CheckpointState(
         header=header,
         snapshot=snapshot,
         results=tuple(results_by_index[i] for i in range(count)),
+        sealed=sealed,
     )

@@ -2,8 +2,8 @@
 
 One VIRE estimate amortizes poorly at batch size 1: every request pays
 snapshot assembly plus the fixed numpy dispatch overhead of the
-interpolation/elimination pipeline, and requests in one batch that share
-a middleware snapshot share *all* their reference-lattice
+interpolation/elimination pipeline, and requests served together that
+share a middleware snapshot share *all* their reference-lattice
 interpolations (the batch engine dedups lattices by content). The
 batcher therefore holds requests briefly and flushes them together,
 with the classic two-trigger policy:
@@ -13,6 +13,13 @@ with the classic two-trigger policy:
   ``max_latency_s`` (per-request latency is bounded regardless of
   traffic level);
 * **drain** — the session is shutting down and flushes what remains.
+
+The batcher is the flush and admission policy, not the unit of
+execution: :class:`~repro.service.pipeline.ServicePipeline` runs every
+batch cut at one ``now`` together — one record delivery, one health
+observation, one calibration tick, one snapshot per tag and one engine
+pass per estimator for the whole serving instant. The cut still sets
+which requests an instant serves, and the flush counters count it.
 
 The batcher is clock-agnostic: callers pass ``now`` explicitly (the
 session facade feeds it the seeded service clock), which keeps every

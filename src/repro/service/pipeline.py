@@ -32,13 +32,19 @@ serving path); each level is attempted only when the one above fails:
    only a tag that has *never* been localized yields no result, counted
    in ``service_requests_failed_total``.
 
+Serving instants: every batch the :class:`MicroBatcher` cuts at one
+service-clock time ``now_s`` is executed together — one record
+delivery, one health observation, one calibration tick, one snapshot
+per tag, one VIRE pass and one LANDMARC pass — because every request
+served at ``now_s`` sees the same middleware state.
+
 Reader health: a :class:`~repro.service.health.ReaderHealthTracker`
-observes per-reader middleware freshness every batch and drives one
-circuit breaker per reader (open after consecutive staleness, half-open
-probe after the recovery timeout). Open readers are dropped from partial
-snapshots before estimation, so a flapping reader cannot poison the
-subset path. All breaker state changes are structured-logged and
-counted.
+observes per-reader middleware freshness every serving instant and
+drives one circuit breaker per reader (open after consecutive staleness,
+half-open probe after the recovery timeout). Open readers are dropped
+from partial snapshots before estimation, so a flapping reader cannot
+poison the subset path. All breaker state changes are structured-logged
+and counted.
 
 Every stage updates the shared :class:`MetricsRegistry`; nothing in this
 module sleeps or reads wall-clock time except through the injectable
@@ -354,7 +360,7 @@ class ServicePipeline:
             sp.set("references", len(self.calibration.reference_ids))
 
     def _observe_calibration(self, now_s: float) -> None:
-        """One residual-window tick; runs in live *and* replay batches."""
+        """One residual-window tick; runs in live *and* replay instants."""
         if self.calibration is None or not self.calibration.armed:
             return
         with current_tracer().span("calibration.observe") as sp:
@@ -366,7 +372,7 @@ class ServicePipeline:
             if excised:
                 sp.set("excised_tags", list(excised))
 
-    # -- batch execution -----------------------------------------------------
+    # -- serving instants ----------------------------------------------------
 
     def process_due(self, now_s: float) -> list[ServiceResult]:
         """Execute every batch due at ``now_s``; returns their results.
@@ -374,66 +380,74 @@ class ServicePipeline:
         The config's ``max_batches_per_tick`` caps the executor's work
         for this tick (default unbounded). See :meth:`MicroBatcher.poll`.
         """
-        results: list[ServiceResult] = []
-        for batch in self.batcher.poll(
-            now_s, max_batches=self.config.max_batches_per_tick
-        ):
-            results.extend(self._execute_batch(batch, now_s))
-        return results
+        return self._execute_instant(
+            self.batcher.poll(
+                now_s, max_batches=self.config.max_batches_per_tick
+            ),
+            now_s,
+        )
 
     def drain(self, now_s: float) -> list[ServiceResult]:
         """Flush and execute everything still pending (shutdown)."""
-        results: list[ServiceResult] = []
-        for batch in self.batcher.drain(now_s):
-            results.extend(self._execute_batch(batch, now_s))
-        return results
+        return self._execute_instant(self.batcher.drain(now_s), now_s)
 
-    def _execute_batch(self, batch: Batch, now_s: float) -> list[ServiceResult]:
+    def _execute_instant(
+        self, batches: list[Batch], now_s: float
+    ) -> list[ServiceResult]:
+        """Run every batch cut at one serving instant as one pass.
+
+        The batcher decides *which* requests are served now (size and
+        deadline triggers, the per-tick cap); the instant is the unit of
+        execution. VIRE localizes from the middleware's smoothed
+        readings at one instant (paper §3.2), so every request served at
+        ``now_s`` sees the same middleware state: one delivery, one
+        health observation, one calibration tick and one snapshot per
+        tag serve all of them, and the engine solves a tag's shared
+        reading once. Answers come back in batch order, then request
+        order.
+        """
+        if not batches:
+            return []
+        requests = [request for batch in batches for request in batch]
         tracer = current_tracer()
         with tracer.span(
             "service.batch",
-            batch_size=len(batch),
+            batch_size=len(requests),
             replay=bool(self._replaying),
         ) as bsp:
             # Records buffered in the ingest queue become visible to every
-            # request in the batch at once — one delivery per batch is what
-            # batching buys on the middleware side. With the middleware state
-            # frozen for the whole batch, snapshot(tag, now_s) is a pure
+            # request of the instant at once. With the middleware state
+            # frozen for the instant, snapshot(tag, now_s) is a pure
             # function of the tag, so duplicate-tag requests (bursty load,
             # several clients asking about one popular tag) share a single
-            # snapshot assembly.
+            # snapshot assembly — and a single reading object.
             with tracer.span("service.ingest") as isp:
                 delivered = self.ingest.deliver_pending()
                 isp.set("delivered", int(delivered or 0))
 
-            if self._replaying:
-                # Checkpoint replay: drive exactly the *stateful inputs* a
-                # live batch would have driven — record delivery (queue
-                # drops, middleware series) and the health tracker (breaker
-                # transitions) — but skip estimation and serving; the served
-                # results up to the cut were restored from the checkpoint.
-                # Every input here is a pure function of the seeded stream,
-                # so the reconstructed state is bit-identical to the state
-                # of the crashed run at the snapshot cut.
-                self.health.observe(
-                    self.middleware.reader_freshness(now_s), now_s
-                )
-                self.health.allowed_readers(now_s)
-                # The corrector is replay-reconstructed state too: its
-                # residual window, bias estimates and quarantine
-                # machines are pure functions of the stream.
-                self._observe_calibration(now_s)
-                return []
-
-            # Health first: with the middleware state frozen for the batch,
-            # one freshness observation per batch drives the breakers, and
-            # open readers are excluded from every snapshot in the batch.
+            # Health first: one freshness observation per instant drives
+            # the breakers (a stale reader counts one failure per instant,
+            # however many batches the load cut), and open readers are
+            # excluded from every snapshot of the instant.
             self.health.observe(self.middleware.reader_freshness(now_s), now_s)
             allowed = set(self.health.allowed_readers(now_s))
+            # The corrector's residual window likewise takes one entry per
+            # instant. Replay drives it too: its window, bias estimates
+            # and quarantine machines are pure functions of the stream.
+            self._observe_calibration(now_s)
+            if self._replaying:
+                # Checkpoint replay: drive exactly the *stateful inputs* a
+                # live instant would have driven — record delivery (queue
+                # drops, middleware series), the health tracker (breaker
+                # transitions) and the corrector — but skip estimation and
+                # serving; the served results up to the cut were restored
+                # from the checkpoint. Every input here is a pure function
+                # of the seeded stream, so the reconstructed state is
+                # bit-identical to the state of the crashed run at the cut.
+                return []
             blocked = frozenset(self.middleware.reader_ids) - allowed
             if blocked:
                 bsp.set("blocked_readers", sorted(str(r) for r in blocked))
-            self._observe_calibration(now_s)
 
             snapshots: dict[str, Any] = {}
             allow_partial = self.config.allow_partial
@@ -459,15 +473,15 @@ class ServicePipeline:
                         snapshots[tag_id] = None
                 return snapshots[tag_id]
 
-            # The whole batch is localized in two vectorized passes through
-            # the batch engine — one primary VIRE pass, then one LANDMARC
-            # pass over exactly the requests the scalar ladder would have
-            # sent there (past-deadline requests and VIRE refusals). Answers
-            # are bitwise identical to serving requests one at a time; only
-            # the wall-clock cost is amortized. Pass latency is attributed
-            # evenly across the participating requests so the per-request
-            # histogram keeps measuring real work.
-            requests = list(batch)
+            # The whole instant is localized in two vectorized passes
+            # through the batch engine — one primary VIRE pass, then one
+            # LANDMARC pass over exactly the requests the scalar ladder
+            # would have sent there (past-deadline requests and VIRE
+            # refusals). Answers are bitwise identical to serving requests
+            # one at a time; only the wall-clock cost is amortized. Pass
+            # latency is attributed evenly across the participating
+            # requests so the per-request histogram keeps measuring real
+            # work.
             with tracer.span("service.snapshot") as ssp:
                 readings = [fetch(r.tag_id) for r in requests]
                 ssp.set("unique_tags", len(snapshots))
@@ -537,7 +551,7 @@ class ServicePipeline:
                     results.append(result)
             self._sync_frame_metrics()
             if corrected_tags:
-                # Ladder annotation: which answers in this batch were
+                # Ladder annotation: which answers of this instant were
                 # served from calibration-corrected (or quarantine-
                 # excised) snapshots. The ladder levels themselves are
                 # untouched — correction happens *before* the ladder.
@@ -785,7 +799,7 @@ class ServicePipeline:
         log_event(self._logger, "replay_begin")
 
     def end_replay(self) -> None:
-        """Leave replay mode; subsequent batches estimate and serve."""
+        """Leave replay mode; subsequent instants estimate and serve."""
         self._replaying = False
         log_event(self._logger, "replay_end")
 

@@ -502,6 +502,12 @@ class ServiceSession:
             if pipeline.replaying:
                 # Cut at (or past) the session end: the whole stream
                 # replayed; flip to live so the drain below estimates.
+                if restored.sealed:
+                    # A normal finish sealed this log: its drained tail
+                    # is committed, and its cut is the state after that
+                    # drain. Replay the drain too; the live drain below
+                    # then finds nothing left to serve.
+                    pipeline.drain(self.simulator.now)
                 pipeline.end_replay()
                 if not self._interrupted:
                     pipeline.verify_replay(restored.snapshot["state"])

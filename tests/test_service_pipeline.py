@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 
 import pytest
@@ -16,8 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import VIREConfig, build_paper_deployment
+from repro.calibration import CalibrationPolicy, DriftCorrector
+from repro.engine.batch import BatchEngine
 from repro.exceptions import ConfigurationError
-from repro.service import ServiceConfig, ServicePipeline
+from repro.faults import CrashPoint, ReaderOutageFault, SimulatedCrash
+from repro.faults.plan import FaultPlan
+from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
+from repro.obs import Tracer, use_tracer
+from repro.service import LocalizationService, ServiceConfig, ServicePipeline
+from repro.service.ingest import IngestionLoop
 
 from .conftest import make_clean_environment
 
@@ -90,6 +98,217 @@ class TestPrimaryPath:
         results = pipeline.process_due(now + 0.5)
         assert len(results) == 1
         assert pipeline.batcher.flushes_by_reason["deadline"] == 1
+
+
+TWO_TAGS = {"asset": (1.3, 1.7), "cart": (2.4, 0.9)}
+
+
+@pytest.fixture
+def two_tag_deployment():
+    d = build_paper_deployment(
+        make_clean_environment(), tracking_tags=TWO_TAGS, seed=5
+    )
+    d.simulator.warm_up()
+    return d
+
+
+def count_calls(monkeypatch, cls, name, calls: list):
+    """Wrap ``cls.name`` so every call appends its positional args."""
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+def answer(result) -> tuple:
+    """Every field of a result except the wall-clock latency."""
+    return (
+        result.tag_id, result.position, result.estimator, result.degraded,
+        result.reason, result.requested_at_s, result.completed_at_s,
+        dict(result.diagnostics),
+    )
+
+
+#: One instant's load, in submission order: a past-deadline request
+#: (LANDMARC), repeated tags and a tag no reader has ever heard.
+INSTANT_LOAD = (
+    ("asset", -10.0), ("cart", 0.0), ("asset", 0.0),
+    ("ghost", 0.0), ("cart", 0.0), ("asset", 0.0),
+)
+
+
+class TestServingInstant:
+    """Every batch cut at one ``now_s`` runs as one pass."""
+
+    def _instant_pipeline(self, deployment, **changes) -> ServicePipeline:
+        return make_pipeline(
+            deployment, max_batch_size=2, request_deadline_s=5.0, **changes
+        )
+
+    def test_one_pass_per_instant_equals_serving_each_alone(
+        self, two_tag_deployment, monkeypatch
+    ):
+        now = two_tag_deployment.simulator.now
+        # Reference: each request served by a pipeline of its own.
+        alone = []
+        for tag, offset in INSTANT_LOAD:
+            single = self._instant_pipeline(two_tag_deployment)
+            single.submit_request(tag, now + offset)
+            alone += [answer(r) for r in single.drain(now)]
+
+        calls: dict[str, list] = {
+            "deliver": [], "freshness": [], "snapshot": [], "engine": [],
+        }
+        count_calls(monkeypatch, IngestionLoop, "deliver_pending",
+                    calls["deliver"])
+        count_calls(monkeypatch, MiddlewareServer, "reader_freshness",
+                    calls["freshness"])
+        count_calls(monkeypatch, MiddlewareServer, "snapshot",
+                    calls["snapshot"])
+        count_calls(monkeypatch, BatchEngine, "estimate_outcomes",
+                    calls["engine"])
+        pipeline = self._instant_pipeline(two_tag_deployment)
+        for tag, offset in INSTANT_LOAD:
+            pipeline.submit_request(tag, now + offset)
+        served = pipeline.process_due(now)
+
+        assert pipeline.batcher.flushes_by_reason["size"] == 3
+        assert len(calls["deliver"]) == 1
+        assert len(calls["freshness"]) == 1
+        assert sorted(args[0] for args in calls["snapshot"]) == [
+            "asset", "cart", "ghost",
+        ]
+        assert len(calls["engine"]) == 1
+        # Repeated requests for a tag share one reading object.
+        (readings,) = calls["engine"][0]
+        assert len(readings) == 4
+        assert len({id(r) for r in readings}) == 2
+        assert [answer(r) for r in served] == alone
+        assert [r.reason for r in served] == [
+            "deadline", None, None, None, None,
+        ]
+
+    def test_stale_reader_counts_one_failure_per_instant(
+        self, two_tag_deployment, monkeypatch
+    ):
+        # Three batches at one instant are one observation: the breaker
+        # (threshold 3) stays closed. Ticking once per batch made the
+        # failure count depend on load and opened it on one stale tick.
+        original = MiddlewareServer.reader_freshness
+
+        def freshness(middleware, now_s):
+            return {**original(middleware, now_s), "reader-0": 0.0}
+
+        monkeypatch.setattr(MiddlewareServer, "reader_freshness", freshness)
+        pipeline = self._instant_pipeline(two_tag_deployment)
+        now = two_tag_deployment.simulator.now
+        for tag, _ in INSTANT_LOAD:
+            pipeline.submit_request(tag, now)
+        pipeline.process_due(now)
+        assert pipeline.batcher.batches_flushed == 3
+        breaker = pipeline.health.breakers["reader-0"]
+        assert breaker.consecutive_failures == 1
+        assert breaker.state == "closed"
+        assert pipeline.health.open_readers() == []
+
+    def test_corrector_ticks_once_per_instant(
+        self, two_tag_deployment, monkeypatch
+    ):
+        observed: list = []
+        count_calls(monkeypatch, DriftCorrector, "observe", observed)
+        pipeline = self._instant_pipeline(
+            two_tag_deployment, calibration=CalibrationPolicy()
+        )
+        now = two_tag_deployment.simulator.now
+        pipeline.arm_calibration(now)
+        for tag, _ in INSTANT_LOAD:
+            pipeline.submit_request(tag, now)
+        pipeline.process_due(now)
+        assert pipeline.batcher.batches_flushed == 3
+        assert len(observed) == 1
+        assert len(pipeline.calibration._window) == 1
+
+    def test_multi_batch_instant_is_one_batch_span(self, two_tag_deployment):
+        pipeline = self._instant_pipeline(two_tag_deployment)
+        now = two_tag_deployment.simulator.now
+        for tag, offset in INSTANT_LOAD:
+            pipeline.submit_request(tag, now + offset)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pipeline.process_due(now)
+        (root,) = tracer.logical_documents()
+        assert root["name"] == "service.batch"
+        assert root["attrs"]["batch_size"] == len(INSTANT_LOAD)
+        names = [c["name"] for c in root["children"]]
+        assert names.count("service.ingest") == 1
+        assert names.count("service.snapshot") == 1
+        assert names.count("service.vire_pass") == 1
+        assert names.count("service.landmarc_pass") == 1
+        assert names.count("service.serve") == len(INSTANT_LOAD)
+        (vire_pass,) = [
+            c for c in root["children"] if c["name"] == "service.vire_pass"
+        ]
+        assert vire_pass["attrs"]["n_requests"] == 4
+
+
+class _OutageService(LocalizationService):
+    """Two tags in a world whose series go stale after 3 s."""
+
+    def build_deployment(self, scenario):  # noqa: ARG002 - fixed world
+        return build_paper_deployment(
+            make_clean_environment(),
+            tracking_tags={f"tag-{k}": v for k, v in TWO_TAGS.items()},
+            seed=11,
+            smoothing=SmoothingSpec(max_age_s=3.0),
+        )
+
+
+class _TwoTagScenario:
+    name = "two-tag"
+    tracking_tags = TWO_TAGS
+
+
+class TestInstantResume:
+    def test_crash_resume_with_multi_batch_instants_and_outage(
+        self, tmp_path
+    ):
+        # One batch per request: both tags' queries at an instant are
+        # two batches. reader-0 is dark from 4 s to 12 s.
+        config = ServiceConfig(
+            max_batch_size=1, max_latency_s=0.5, request_deadline_s=None,
+            query_interval_s=1.0, stream_step_s=0.5,
+            breaker_recovery_timeout_s=4.0,
+            vire=VIREConfig(subdivisions=5),
+        )
+        plan = FaultPlan(
+            [ReaderOutageFault("reader-0", start_s=4.0, duration_s=8.0)],
+            seed=0,
+        )
+
+        def run(**kwargs):
+            return _OutageService(config).run(
+                _TwoTagScenario(), 16.0, fault_plan=plan, **kwargs
+            )
+
+        baseline = run()
+        summary = baseline.summary
+        instants = {r.completed_at_s for r in baseline.results}
+        assert summary["batches_flushed"] > len(instants)  # multi-batch
+        assert summary["breaker_transitions"] > 0  # the outage bit
+        path = tmp_path / "s.ckpt"
+        # The last cut before the crash holds reader-0's breaker open.
+        with pytest.raises(SimulatedCrash):
+            run(checkpoint_path=path, crash_point=CrashPoint(at_s=11.0))
+        # verify_replay runs at the flip to live and would raise a
+        # CheckpointError on any divergence.
+        resumed = run(checkpoint_path=path, resume=True)
+        assert resumed.summary["resume_results_restored"] > 0
+        assert json.dumps(resumed.witness_document(), sort_keys=True) == (
+            json.dumps(baseline.witness_document(), sort_keys=True)
+        )
 
 
 class TestEmptyIntersectionDegradation:

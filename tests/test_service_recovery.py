@@ -26,6 +26,7 @@ from repro.exceptions import (
 )
 from repro.faults import CrashPoint, SimulatedCrash
 from repro.obs import Tracer, stage_statistics
+from repro.runtime.checkpoint import load_checkpoint
 from repro.service import LocalizationService, ServiceConfig, ServicePipeline
 
 from .conftest import make_clean_environment
@@ -158,6 +159,100 @@ class TestWitnessIdentity:
             StubScenario(), DURATION_S, checkpoint_path=path, resume=True
         )
         assert witness(resumed) == witness(baseline)
+
+
+# -- a sealed log ------------------------------------------------------------
+
+def result_lines(path) -> int:
+    return sum(
+        json.loads(line)["type"] == "result"
+        for line in path.read_text().splitlines()
+    )
+
+
+class TestSealedLogResume:
+    """A log a normal finish sealed already holds the drained tail.
+
+    Resuming it must replay the drain, not serve it again: the witness
+    stays the uninterrupted run's and no result line is appended.
+    """
+
+    @staticmethod
+    def _service() -> SessionService:
+        # Requests of the last query ticks are still pending at the
+        # session end, so the drain serves a tail.
+        return SessionService(
+            11, service_config(max_batch_size=8, max_latency_s=2.0)
+        )
+
+    def _baseline(self):
+        tracer = Tracer()
+        report = self._service().run(StubScenario(), DURATION_S, tracer=tracer)
+        (drain,) = [
+            doc for doc in tracer.logical_documents()
+            if doc["name"] == "service.drain"
+        ]
+        assert drain["attrs"]["n_drained"] > 0
+        return report
+
+    def test_finished_log_resumes_to_the_same_witness(self, tmp_path):
+        baseline = self._baseline()
+        path = tmp_path / "s.ckpt"
+        self._service().run(StubScenario(), DURATION_S, checkpoint_path=path)
+        assert load_checkpoint(path).sealed
+        logged = result_lines(path)
+        for _ in range(2):
+            resumed = self._service().run(
+                StubScenario(), DURATION_S, checkpoint_path=path, resume=True
+            )
+            assert witness(resumed) == witness(baseline)
+            assert result_lines(path) == logged
+            assert load_checkpoint(path).sealed
+
+    def test_crash_resume_then_resume_again(self, tmp_path):
+        baseline = self._baseline()
+        path = tmp_path / "s.ckpt"
+        with pytest.raises(SimulatedCrash):
+            self._service().run(
+                StubScenario(), DURATION_S, checkpoint_path=path,
+                crash_point=CrashPoint(at_s=mid_session_time(baseline)),
+            )
+        for _ in range(2):
+            resumed = self._service().run(
+                StubScenario(), DURATION_S, checkpoint_path=path, resume=True
+            )
+            assert witness(resumed) == witness(baseline)
+
+    def test_interrupted_log_is_not_sealed(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+
+        def interrupt(result) -> None:
+            raise KeyboardInterrupt
+
+        SessionService(11).run(
+            StubScenario(), DURATION_S, on_result=interrupt,
+            checkpoint_path=path,
+        )
+        assert not load_checkpoint(path).sealed
+
+    def test_zoned_finished_logs_resume_to_the_same_output(
+        self, tmp_path, capsys
+    ):
+        argv = ["serve", "--env", "Env1", "--zones", "2", "--duration", "6",
+                "--seed", "0", "--query-interval", "1.0", "--json"]
+        assert main(argv) == 0
+        baseline = capsys.readouterr().out
+        ckpt = ["--checkpoint-dir", str(tmp_path)]
+        assert main(argv + ckpt) == 0
+        assert capsys.readouterr().out == baseline
+        logged = {p.name: result_lines(p) for p in tmp_path.iterdir()}
+        assert sorted(logged) == ["z0.ckpt", "z1.ckpt"]
+        for _ in range(2):
+            assert main(argv + ckpt + ["--resume"]) == 0
+            assert capsys.readouterr().out == baseline
+            assert {
+                p.name: result_lines(p) for p in tmp_path.iterdir()
+            } == logged
 
 
 # -- resume guard rails -------------------------------------------------------
