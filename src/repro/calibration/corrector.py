@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
@@ -47,7 +48,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..types import TrackingReading
 from ..utils.logging import get_structured_logger, log_event
-from .residuals import ResidualWindow, decompose_residuals, nan_median
+from .residuals import ResidualWindow, decompose_residuals
 
 if TYPE_CHECKING:  # sibling-layer import kept out of runtime (no cycle)
     from ..service.metrics import MetricsRegistry
@@ -164,8 +165,6 @@ class CalibrationPolicy:
 
     def with_(self, **changes) -> "CalibrationPolicy":
         """Modified copy (thin wrapper over dataclasses.replace)."""
-        from dataclasses import replace
-
         return replace(self, **changes)
 
 
@@ -244,6 +243,12 @@ class TagTrust:
         return "probation"
 
 
+#: What DriftCorrector.checkpoint_cut reads off a tag's trust machine.
+_TRUST_FIELDS = attrgetter(
+    "state", "consecutive_anomalies", "quarantined_at_s", "transitions"
+)
+
+
 def _sanitize(name: str) -> str:
     return re.sub(r"[^a-zA-Z0-9_:]", "_", str(name))
 
@@ -286,7 +291,6 @@ class DriftCorrector:
             raise ConfigurationError("duplicate reader ids")
         if len(set(self.reference_ids)) != len(self.reference_ids):
             raise ConfigurationError("duplicate reference tag ids")
-        self._column = {t: j for j, t in enumerate(self.reference_ids)}
         self._baseline: np.ndarray | None = None
         self._armed_at_s: float | None = None
         self._window = ResidualWindow(self.policy.window_s)
@@ -295,6 +299,9 @@ class DriftCorrector:
         self._tag_scores = {tid: 0.0 for tid in self.reference_ids}
         self._scale = float("nan")
         self.trust = {tid: TagTrust(self.policy) for tid in self.reference_ids}
+        # The excised columns, ascending; refreshed by observe, the only
+        # place trust states change.
+        self._excised_columns: tuple[int, ...] = ()
         self._events: list[dict[str, Any]] = []
         self._corrected_readings = 0
         self._logger = get_structured_logger(_LOGGER_NAME)
@@ -369,36 +376,43 @@ class DriftCorrector:
         if len(self._window) < self.policy.min_samples:
             self._publish_metrics()
             return
-        stacked = self._window.stacked()
-        trusted_cols = np.array(
-            [not self.trust[t].excised for t in self.reference_ids], dtype=bool
-        )
-        if n_refs and not trusted_cols.any():
-            trusted_cols = None  # all excised: fall back to every column
+        excised = self._excised_columns
+        trusted_cols = None  # every column (also when all are excised)
+        if excised and len(excised) < n_refs:
+            trusted_cols = np.ones(n_refs, dtype=bool)
+            trusted_cols[list(excised)] = False
         reader_bias, tag_scores, scale = decompose_residuals(
-            stacked, trusted_columns=trusted_cols
+            self._window.stacked(), trusted_columns=trusted_cols
         )
         reader_bias, tag_scores = reader_bias.tolist(), tag_scores.tolist()
-        for k, rid in enumerate(self.reader_ids):
-            raw = reader_bias[k] if math.isfinite(reader_bias[k]) else 0.0
+        deadband = self.policy.bias_deadband_db
+        bound = self.policy.max_correction_db
+        for rid, raw in zip(self.reader_ids, reader_bias):
+            if not math.isfinite(raw):
+                raw = 0.0
             self._bias_raw[rid] = raw
-            if abs(raw) < self.policy.bias_deadband_db:
-                self._corrections[rid] = 0.0
-            else:
-                bound = self.policy.max_correction_db
-                self._corrections[rid] = max(-bound, min(bound, raw))
+            self._corrections[rid] = (
+                0.0 if abs(raw) < deadband else max(-bound, min(bound, raw))
+            )
         threshold = self.policy.anomaly_threshold_db
         if math.isfinite(scale):
             threshold = max(threshold, self.policy.anomaly_scale_gate * scale)
         self._scale = scale
-        for j, tid in enumerate(self.reference_ids):
-            score = tag_scores[j] if n_refs else 0.0
-            self._tag_scores[tid] = score
+        self._tag_scores = dict(zip(self.reference_ids, tag_scores))
+        trusted = TrustState.TRUSTED
+        for (tid, trust), score in zip(self.trust.items(), tag_scores):
             # No finite evidence for a reference tag that should always
             # beacon is itself anomalous (battery death looks exactly
-            # like this once the middleware series goes stale).
-            anomalous = (not math.isfinite(score)) or abs(score) >= threshold
-            self._step_trust(tid, anomalous, now_s, score)
+            # like this once the middleware series goes stale): a NaN
+            # score is never below the threshold.
+            anomalous = not abs(score) < threshold
+            # A normal tick of a trusted tag with no votes changes
+            # nothing; every other tick steps the tag's machine.
+            if anomalous or trust.state != trusted or trust.consecutive_anomalies:
+                self._step_trust(tid, anomalous, now_s, score)
+        self._excised_columns = tuple(
+            j for j, trust in enumerate(self.trust.values()) if trust.excised
+        )
         self._publish_metrics()
 
     def _step_trust(
@@ -408,8 +422,13 @@ class DriftCorrector:
         if trust.due_for_probation(now_s):
             self._record_event(trust.begin_probation(), tag_id, now_s, score)
         if anomalous:
+            # Only a trusted tag's vote reads the excision cap.
             transition = trust.record_anomaly(
-                now_s, allow_quarantine=self._quarantine_slot_free()
+                now_s,
+                allow_quarantine=(
+                    trust.state == TrustState.TRUSTED
+                    and self._quarantine_slot_free()
+                ),
             )
         else:
             transition = trust.record_normal()
@@ -441,7 +460,7 @@ class DriftCorrector:
         if self._metrics is None:
             return
         n_refs = len(self.reference_ids)
-        excised = sum(1 for t in self.trust.values() if t.excised)
+        excised = len(self._excised_columns)
         self._g_quarantine_ratio.set(excised / n_refs if n_refs else 0.0)
         max_bias = max(
             (abs(b) for b in self._bias_raw.values()), default=0.0
@@ -474,9 +493,7 @@ class DriftCorrector:
 
     def excised_tags(self) -> tuple[str, ...]:
         """Reference tags currently excluded from the lattice, sorted."""
-        return tuple(
-            sorted(t for t, trust in self.trust.items() if trust.excised)
-        )
+        return tuple(sorted(self.reference_ids[j] for j in self._excised_columns))
 
     def correct_reading(self, reading: TrackingReading) -> TrackingReading:
         """Apply corrections + quarantine excision to one snapshot.
@@ -497,25 +514,18 @@ class DriftCorrector:
             return reading
         reader_ids = reading.reader_ids or self.reader_ids
         corrections = [self._corrections.get(str(r), 0.0) for r in reader_ids]
-        excised = [
-            self._column[t]
-            for t, trust in self.trust.items()
-            if trust.excised and t in self._column
-        ]
-        if not excised and not any(c != 0.0 for c in corrections):
+        excised = self._excised_columns
+        if not excised and not any(corrections):
             return reading
-        from dataclasses import replace
-
-        ref = np.array(reading.reference_rssi, dtype=np.float64, copy=True)
-        trk = np.array(reading.tracking_rssi, dtype=np.float64, copy=True)
-        for i, c in enumerate(corrections):
-            if c != 0.0:
-                ref[i, :] -= c
-                trk[i] -= c
+        # Subtracting 0.0 leaves every value as it is (-0.0 and NaN too).
+        shift = np.array(corrections)
+        ref = np.subtract(
+            reading.reference_rssi, shift[:, np.newaxis], dtype=np.float64
+        )
+        trk = np.subtract(reading.tracking_rssi, shift, dtype=np.float64)
         masked = bool(reading.masked)
         if excised:
-            for j in sorted(excised):
-                ref[:, j] = np.nan
+            ref[:, excised] = np.nan
             masked = True
         self._corrected_readings += 1
         if self._metrics is not None:
@@ -557,27 +567,43 @@ class DriftCorrector:
             out[f"calibration_bias_{rid}_db"] = self._corrections[rid]
         return out
 
-    def checkpoint_state(self) -> dict[str, Any]:
+    def checkpoint_cut(self) -> tuple:
+        """The state :meth:`checkpoint_state` documents, as immutable
+        primitives (cheap enough for every tick boundary): corrections in
+        ``reader_ids`` order, trust fields in ``reference_ids`` order."""
+        return (
+            self.armed,
+            tuple(self._corrections.values()),
+            tuple(map(_TRUST_FIELDS, self.trust.values())),
+            len(self._events),
+        )
+
+    def checkpoint_state(self, cut: tuple | None = None) -> dict[str, Any]:
         """JSON-native state snapshot for replay verification.
 
         Replay reconstructs the corrector (``observe`` runs in replay
         instants), so nothing here is *restored* — resume verifies the
         reconstruction against this snapshot exactly like the breakers.
+        ``cut`` is an earlier :meth:`checkpoint_cut` (default: now).
         """
+        armed, corrections, trust, events = (
+            self.checkpoint_cut() if cut is None else cut
+        )
         return {
-            "armed": self.armed,
+            "armed": armed,
             "corrections": {
-                rid: float(self._corrections[rid])
-                for rid in sorted(self.reader_ids)
+                rid: float(c)
+                for rid, c in sorted(zip(self.reader_ids, corrections))
             },
             "trust": {
                 tid: {
-                    "state": trust.state,
-                    "consecutive_anomalies": trust.consecutive_anomalies,
-                    "quarantined_at_s": trust.quarantined_at_s,
-                    "transitions": trust.transitions,
+                    "state": state,
+                    "consecutive_anomalies": anomalies,
+                    "quarantined_at_s": quarantined_at_s,
+                    "transitions": transitions,
                 }
-                for tid, trust in sorted(self.trust.items())
+                for tid, (state, anomalies, quarantined_at_s, transitions)
+                in sorted(zip(self.reference_ids, trust))
             },
-            "events": len(self._events),
+            "events": events,
         }

@@ -22,6 +22,9 @@ checkpoint.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 __all__ = [
@@ -63,8 +66,38 @@ def nan_mad(values: np.ndarray | list | tuple) -> float:
     finite = arr[np.isfinite(arr)]
     if finite.size == 0:
         return float("nan")
-    med = np.median(finite)
-    return float(np.median(np.abs(finite - med)))
+    return _mad_of_sorted(sorted(finite.tolist()))
+
+
+def _mad_of_sorted(values: list[float]) -> float:
+    """The MAD of a non-empty ascending list of finite floats, bit for
+    bit what two ``np.median`` calls give.
+
+    The deviations of a sorted list form one falling and one rising run,
+    so the second ``sorted`` is a merge. A median of two middle entries
+    is their sum over two, as ``np.median`` computes it; where that sum
+    is ``-0.0`` numpy gives ``+0.0``, and either sign yields the same
+    absolute deviations.
+    """
+    n = len(values)
+    half = n // 2
+    center = values[half] if n % 2 else (values[half - 1] + values[half]) / 2.0
+    deviations = sorted([abs(v - center) for v in values])
+    if n % 2:
+        return deviations[half]
+    return (deviations[half - 1] + deviations[half]) / 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def _middle_pairs(width: int) -> np.ndarray:
+    """Per NaN count ``0..width`` of a sorted row: the offsets of the
+    middle pair of its non-NaN prefix (``(0, 0)`` for an all-NaN row,
+    whose entry 0 is NaN). Read-only; a table lookup is ~7 µs a median
+    cheaper than the same offsets computed per call."""
+    count = width - np.arange(width + 1)
+    pairs = np.stack((np.maximum(count - 1, 0) >> 1, count >> 1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _nanmedian(a: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
@@ -73,28 +106,25 @@ def _nanmedian(a: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
     numpy's own route for small arrays goes through masked arrays and
     costs ~0.6 ms on a ``(7, 4, 16)`` window. This is the same
     arithmetic without it: lay the reduced axes out as numpy does (kept
-    axis first, reduced axes flattened in order), sort with NaN last,
-    and average the two middle entries of the non-NaN prefix (the same
-    entry twice for an odd count). All-NaN slices give NaN, silently.
+    axis first, reduced axes flattened in order), one NaN-last sort of
+    each row, one gather of the middle pair of each row's non-NaN prefix
+    (the same entry twice for an odd count; entry 0, a NaN, for an
+    all-NaN row, so all-NaN slices give NaN, silently) and the pair
+    summed over two with the reduction numpy's median uses. Equal values
+    may leave a sort in any order, and only ``0.0`` and ``-0.0`` are
+    equal with different bits; that reduction sums any two zeros to
+    ``+0.0``, so the order never reaches the result.
     """
-    (kept,) = {0, 1, 2} - set(axis)
-    width = a.shape[axis[0]] * a.shape[axis[1]]
+    kept = 3 - axis[0] - axis[1]  # the axis not reduced
+    rows, width = a.shape[kept], a.shape[axis[0]] * a.shape[axis[1]]
     if width == 0:
-        return np.full(a.shape[kept], np.nan)
-    flat = a.swapaxes(0, kept).reshape(a.shape[kept], width)
-    count = width - np.isnan(flat).sum(axis=1)
-    high = count // 2
-    low = high - 1 + count % 2
-    rows = np.arange(flat.shape[0])[:, np.newaxis]
-    # Gather the two middle entries of each NaN-last argsort (numpy's
-    # masked median sorts exactly this way, so equal values of opposite
-    # zero sign land where numpy puts them). An all-NaN slice gathers
-    # two NaNs (``low`` is -1), so its median is NaN without a special
-    # case.
-    order = flat.argsort(axis=1)
-    pair = flat[rows, order[rows, np.stack((low, high), axis=1)]]
+        return np.full(rows, np.nan)
+    flat = np.array(a.swapaxes(0, kept), order="C").reshape(rows, width)
+    flat.sort(axis=1)
+    middle = _middle_pairs(width)[np.add.reduce(np.isnan(flat), axis=1)]
+    pair = flat.take(middle + np.arange(0, rows * width, width)[:, np.newaxis])
     with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in numpy
-        return pair.sum(axis=1) / 2.0
+        return np.add.reduce(pair, axis=1) / 2.0  # what pair.sum(axis=1) runs
 
 
 class ResidualWindow:
@@ -105,30 +135,71 @@ class ResidualWindow:
     with ``now_s - t > window_s``). Time is the simulation clock, so the
     window contents — and everything estimated from them — are a pure
     function of the seeded record stream.
+
+    The entries live in one ``(capacity, K, n_refs)`` array: the window
+    is the rows ``[start, end)``. A push writes row ``end``; expiry moves
+    ``start``. When ``end`` reaches the capacity the live rows move to
+    the front, into an array twice as large if they fill half of it.
     """
 
     def __init__(self, window_s: float):
         self.window_s = float(window_s)
-        self._entries: list[tuple[float, np.ndarray]] = []
+        self._rows: np.ndarray | None = None
+        self._times: list[float] = []  # one per row of ``_rows``
+        self._start = 0
+        self._end = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._end - self._start
 
     def push(self, now_s: float, residuals: np.ndarray) -> None:
-        """Append one observation and expire everything out of window."""
-        self._entries.append((float(now_s), np.asarray(residuals, dtype=np.float64)))
-        horizon = float(now_s) - self.window_s
-        while self._entries and self._entries[0][0] < horizon:
-            self._entries.pop(0)
+        """Append one observation and expire everything out of window.
+
+        Raises :class:`ValueError` when ``residuals`` has another shape
+        than the entries still in the window.
+        """
+        residuals = np.asarray(residuals, dtype=np.float64)
+        rows = self._rows
+        if rows is None or rows.shape[1:] != residuals.shape:
+            if len(self):
+                raise ValueError(
+                    f"residuals of shape {residuals.shape} pushed onto a "
+                    f"window of shape {rows.shape[1:]}"
+                )
+            rows = self._rows = np.empty((8, *residuals.shape))
+            self._times = [0.0] * 8
+            self._start = self._end = 0
+        elif self._end == len(rows):
+            live = len(self)
+            if 2 * live > len(rows):
+                grown = np.empty((2 * len(rows), *rows.shape[1:]))
+                grown[:live] = rows[self._start:self._end]
+                self._times.extend([0.0] * len(rows))
+                rows = self._rows = grown
+            else:
+                rows[:live] = rows[self._start:self._end]
+            self._times[:live] = self._times[self._start:self._end]
+            self._start, self._end = 0, live
+        now_s = float(now_s)
+        rows[self._end] = residuals
+        self._times[self._end] = now_s
+        self._end += 1
+        horizon = now_s - self.window_s
+        times = self._times
+        while self._start < self._end and times[self._start] < horizon:
+            self._start += 1
 
     def stacked(self) -> np.ndarray:
-        """The window as one ``(T, K, n_refs)`` array (``T`` may be 0)."""
-        if not self._entries:
+        """The window as one read-only ``(T, K, n_refs)`` array (``T`` may
+        be 0), valid until the next :meth:`push` or :meth:`clear`."""
+        if not len(self):
             return np.empty((0, 0, 0))
-        return np.stack([m for _, m in self._entries])
+        view = self._rows[self._start:self._end]
+        view.flags.writeable = False
+        return view
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._start = self._end = 0
 
 
 def decompose_residuals(
@@ -161,6 +232,11 @@ def decompose_residuals(
     drifting reader moves a whole row (captured first, robust to a few
     bad tags), a decaying tag moves what is left of its column across
     every reader.
+
+    Each median is ``np.nanmedian`` over numpy's layout of the reduced
+    axes, bit for bit: reader ``k``'s row lists ``stacked[t, k, j]``
+    with ``t`` outer, tag ``j``'s row lists ``stacked[t, k, j]`` with
+    ``k`` outer.
     """
     if stacked.ndim != 3:
         raise ValueError(f"expected (T, K, n_refs) residuals, got shape {stacked.shape}")
@@ -172,19 +248,14 @@ def decompose_residuals(
             np.full(n_refs, np.nan),
             float("nan"),
         )
-    rows = stacked
-    if trusted_columns is not None:
-        rows = stacked[:, :, trusted_columns]
-    # Vectorized nan-medians (this runs every serving instant). All-NaN
-    # slices legitimately mean "no evidence": the NaN flows through.
-    if rows.shape[2]:
-        reader_bias = _nanmedian(rows, axis=(0, 2))
-    else:
-        reader_bias = np.full(n_readers, np.nan)
+    trusted = stacked if trusted_columns is None else stacked[:, :, trusted_columns]
+    # All-NaN slices legitimately mean "no evidence": the NaN flows
+    # through.
+    reader_bias = _nanmedian(trusted, (0, 2))
     centered_bias = np.where(np.isfinite(reader_bias), reader_bias, 0.0)
-    tag_scores = _nanmedian(stacked - centered_bias[None, :, None], axis=(0, 1))
-    finite_scores = tag_scores[np.isfinite(tag_scores)]
+    tag_scores = _nanmedian(stacked - centered_bias[:, np.newaxis], (0, 1))
+    finite = sorted([x for x in tag_scores.tolist() if math.isfinite(x)])
     scale = float("nan")
-    if finite_scores.size >= 2:
-        scale = MAD_SIGMA * nan_mad(finite_scores)
+    if len(finite) >= 2:
+        scale = MAD_SIGMA * _mad_of_sorted(finite)
     return reader_bias, tag_scores, scale

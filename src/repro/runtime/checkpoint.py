@@ -29,6 +29,16 @@ indices (a pre-crash tail recomputed after a resume) by keeping the
 *latest* line — which, by the determinism contract, is byte-identical
 to the one it replaces.
 
+Line format (``FORMAT_VERSION`` 2): each document is encoded in one
+``json`` encoder call, keys in the order the caller built them, floats
+as their ``repr`` (exact round trip). Callers hand in plain-typed
+documents; a value the encoder cannot take natively (a numpy scalar or
+array, a set, any other object) goes through :func:`jsonable` instead of
+failing. Version 1 sorted every line's keys and walked every value
+through :func:`jsonable` first; its lines carry the same keys and
+values, so the loader reads both versions the same way, and a resumed
+session appends version-2 lines to a version-1 file.
+
 This module is deliberately below the service layer: it speaks plain
 dicts. :mod:`repro.service.session` owns the conversion between
 :class:`~repro.service.pipeline.ServiceResult` and result documents.
@@ -49,6 +59,7 @@ from ..utils.logging import get_structured_logger, log_event
 
 __all__ = [
     "FORMAT_VERSION",
+    "READABLE_VERSIONS",
     "CheckpointWriter",
     "CheckpointState",
     "load_checkpoint",
@@ -56,7 +67,10 @@ __all__ = [
     "jsonable",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Header versions :func:`load_checkpoint` accepts.
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 _LOGGER_NAME = "repro.runtime"
 
@@ -86,22 +100,30 @@ def jsonable(value: Any) -> Any:
 
 
 #: One encoder for every WAL line (``json.dumps`` with options builds a
-#: new ``JSONEncoder`` per call).
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: new ``JSONEncoder`` per call). ``default`` only sees values JSON has
+#: no native form for. A document is a tree: a cycle recurses until
+#: ``RecursionError``, as the walk in :func:`jsonable` would.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), default=jsonable, check_circular=False
+)
 
 
 def _dump_line(doc: Mapping[str, Any]) -> str:
-    return _ENCODER.encode(jsonable(doc))
+    try:
+        return _ENCODER.encode(doc)
+    except TypeError:
+        # A mapping key JSON cannot take (a tuple, say): walk it all.
+        return _ENCODER.encode(jsonable(doc))
 
 
 class CheckpointWriter:
     """Appends WAL lines to a checkpoint file.
 
     Every record is flushed as it is written, except results: a caller
-    appends a batch of them and then calls :meth:`flush` once (the next
-    snapshot, marker or :meth:`close` also flushes them). Only a
-    snapshot commits results, so batching their flush loses nothing a
-    resume could use.
+    appends a tick's worth of them and then calls :meth:`flush` once,
+    which writes them in one ``write`` (the next snapshot, marker or
+    :meth:`close` also writes them). Only a snapshot commits results, so
+    batching their write loses nothing a resume could use.
 
     Parameters
     ----------
@@ -119,6 +141,7 @@ class CheckpointWriter:
         self._fsync = bool(fsync)
         mode = "a" if append else "w"
         self._fh: IO[str] | None = open(self.path, mode, encoding="utf-8")
+        self._pending: list[str] = []  # encoded result lines, unwritten
         self._logger = get_structured_logger(_LOGGER_NAME)
         self.results_logged = 0
         self.snapshots_written = 0
@@ -132,30 +155,32 @@ class CheckpointWriter:
         self.close()
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.flush()
+        if self._fh is not None:
+            self.flush()
+            fh, self._fh = self._fh, None
             fh.close()
 
     @property
     def closed(self) -> bool:
         return self._fh is None
 
-    def _write(
-        self, doc: Mapping[str, Any], *, flush: bool = True, sync: bool = False
-    ) -> None:
+    def _write(self, doc: Mapping[str, Any], *, sync: bool = False) -> None:
         if self._fh is None:
             raise CheckpointError(f"checkpoint writer for {self.path} is closed")
-        self._fh.write(_dump_line(doc) + "\n")
-        if flush:
-            self._fh.flush()
+        self._pending.append(_dump_line(doc) + "\n")
+        self._write_pending()
         if sync and self._fsync:
             os.fsync(self._fh.fileno())
 
+    def _write_pending(self) -> None:
+        self._fh.write("".join(self._pending))
+        self._pending.clear()
+        self._fh.flush()
+
     def flush(self) -> None:
-        """Push appended result lines to the file."""
-        if self._fh is not None:
-            self._fh.flush()
+        """Write the appended result lines in one ``write`` and flush."""
+        if self._fh is not None and self._pending:
+            self._write_pending()
 
     # -- record kinds --------------------------------------------------------
 
@@ -163,8 +188,12 @@ class CheckpointWriter:
         self._write({"type": "header", "version": FORMAT_VERSION, **fields})
 
     def append_result(self, index: int, doc: Mapping[str, Any]) -> None:
-        """Append one result line; :meth:`flush` pushes the batch out."""
-        self._write({"type": "result", "i": int(index), **doc}, flush=False)
+        """Append one result line; :meth:`flush` writes the batch out."""
+        if self._fh is None:
+            raise CheckpointError(f"checkpoint writer for {self.path} is closed")
+        self._pending.append(
+            _dump_line({"type": "result", "i": int(index), **doc}) + "\n"
+        )
         self.results_logged += 1
 
     def write_snapshot(
@@ -314,10 +343,11 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     if header is None:
         raise CheckpointError(f"checkpoint {path} has no header line")
     version = header.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint {path} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions "
+            f"{', '.join(map(str, READABLE_VERSIONS))}"
         )
     if snapshot is None:
         raise CheckpointError(

@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 from ..baselines.landmarc import LandmarcEstimator
@@ -81,6 +82,13 @@ from .ingest import BoundedRecordQueue, IngestionLoop
 from .metrics import MetricsRegistry, get_service_logger, log_event
 
 __all__ = ["ServiceConfig", "ServiceResult", "ServicePipeline"]
+
+
+#: What ServicePipeline.checkpoint_cut reads off a counter and a breaker.
+_VALUE = attrgetter("value")
+_BREAKER_FIELDS = attrgetter(
+    "state", "consecutive_failures", "opened_at_s", "transitions"
+)
 
 
 @dataclass(frozen=True)
@@ -323,6 +331,20 @@ class ServicePipeline:
         self._last_estimate: dict[str, tuple[float, float]] = {}
         self._results: list[ServiceResult] = []
         self._replaying = False
+        # What checkpoint_cut reads, in document order.
+        reasons = self._c_degraded_reason
+        self._checkpoint_counter_keys = (
+            "requests", "results", "degraded", "failed",
+            *(f"degraded_{reason}" for reason in reasons),
+        )
+        self._checkpoint_counters = (
+            self._c_requests, self._c_results, self._c_degraded,
+            self._c_failed, *reasons.values(),
+        )
+        self._checkpoint_breaker_ids = tuple(sorted(self.health.breakers))
+        self._checkpoint_breakers = tuple(
+            self.health.breakers[rid] for rid in self._checkpoint_breaker_ids
+        )
 
     # -- request intake ------------------------------------------------------
 
@@ -803,7 +825,22 @@ class ServicePipeline:
         self._replaying = False
         log_event(self._logger, "replay_end")
 
-    def checkpoint_state(self) -> dict[str, Any]:
+    def checkpoint_cut(self) -> tuple:
+        """The serving state :meth:`checkpoint_state` documents, captured
+        as immutable primitives.
+
+        Cheap enough to take at every tick boundary; the document is
+        built from it only when a snapshot is written.
+        """
+        return (
+            tuple(self._last_estimate.items()),
+            tuple(map(_VALUE, self._checkpoint_counters)),
+            tuple(map(_BREAKER_FIELDS, self._checkpoint_breakers)),
+            None if self.calibration is None
+            else self.calibration.checkpoint_cut(),
+        )
+
+    def checkpoint_state(self, cut: tuple | None = None) -> dict[str, Any]:
         """The pipeline state that must survive a crash.
 
         Only state *mutated by serving* is captured: the last-known
@@ -814,37 +851,36 @@ class ServicePipeline:
         the breaker states (and, when enabled, the calibration
         corrector's state) are still recorded so resume can *verify*
         the reconstruction (:meth:`verify_replay`).
+
+        ``cut`` is an earlier :meth:`checkpoint_cut` (default: the state
+        now). The document holds only plain JSON types.
         """
+        last, counters, breakers, calibration = (
+            self.checkpoint_cut() if cut is None else cut
+        )
         state: dict[str, Any] = {
             "last_estimate": {
-                tag: [float(p[0]), float(p[1])]
-                for tag, p in sorted(self._last_estimate.items())
+                tag: [float(p[0]), float(p[1])] for tag, p in sorted(last)
             },
-            "counters": {
-                "requests": self._c_requests.value,
-                "results": self._c_results.value,
-                "degraded": self._c_degraded.value,
-                "failed": self._c_failed.value,
-                **{
-                    f"degraded_{reason}": counter.value
-                    for reason, counter in self._c_degraded_reason.items()
-                },
-            },
+            "counters": dict(zip(self._checkpoint_counter_keys, counters)),
             "breakers": {
                 rid: {
-                    "state": b.state,
-                    "consecutive_failures": b.consecutive_failures,
-                    "opened_at_s": b.opened_at_s,
-                    "transitions": b.transitions,
+                    "state": b_state,
+                    "consecutive_failures": failures,
+                    "opened_at_s": opened_at_s,
+                    "transitions": transitions,
                 }
-                for rid, b in sorted(self.health.breakers.items())
+                for rid, (b_state, failures, opened_at_s, transitions)
+                in zip(self._checkpoint_breaker_ids, breakers)
             },
         }
-        if self.calibration is not None:
+        if calibration is not None:
             # Replay-verified like the breakers; absent when the loop is
             # disabled so those checkpoints stay byte-identical to
             # pre-calibration builds.
-            state["calibration"] = self.calibration.checkpoint_state()
+            state["calibration"] = self.calibration.checkpoint_state(
+                calibration
+            )
         return state
 
     def restore_checkpoint_state(
@@ -914,15 +950,15 @@ class ServicePipeline:
                     f"{got_requests}, checkpoint {counters['requests']}"
                 )
         if "calibration" in state:
-            from ..runtime.checkpoint import jsonable
-
             if self.calibration is None:
                 raise CheckpointError(
                     "checkpoint was written with the calibration loop "
                     "enabled; this session has it disabled"
                 )
-            got_cal = jsonable(self.calibration.checkpoint_state())
-            want_cal = jsonable(state["calibration"])
+            # Both sides are plain JSON types (checkpoint_state builds
+            # them so), so dict equality is the comparison.
+            got_cal = self.calibration.checkpoint_state()
+            want_cal = state["calibration"]
             if got_cal != want_cal:
                 raise CheckpointError(
                     f"replay diverged on calibration state: reconstructed "

@@ -87,8 +87,10 @@ def result_witness_entry(result: ServiceResult) -> dict[str, Any]:
 def result_to_doc(result: ServiceResult) -> dict[str, Any]:
     """One :class:`ServiceResult` as a WAL result document.
 
-    Diagnostics are copied as they are; the checkpoint writer converts
-    every line to plain JSON types (:func:`~repro.runtime.checkpoint.jsonable`).
+    Plain-typed, keys in a fixed order. Diagnostics are copied as they
+    are: the estimators fill them with plain values, and the checkpoint
+    writer converts anything else it meets
+    (:func:`~repro.runtime.checkpoint.jsonable`).
     """
     return {
         "tag_id": result.tag_id,
@@ -250,7 +252,8 @@ class ServiceSession:
         self._records_dispatched = 0
         self._wal_index = 0
         self._next_snapshot: float | None = None
-        self._last_cut: dict | None = None
+        # (t, results_count, pipeline checkpoint_cut, records_dispatched)
+        self._last_cut: tuple | None = None
         self._interrupted = False
         self._finished = False
         self._wall_start = 0.0
@@ -436,22 +439,23 @@ class ServiceSession:
             for result in served:
                 writer.append_result(self._wal_index, result_to_doc(result))
                 self._wal_index += 1
-            writer.flush()
-            # The consistency cut at this tick, captured eagerly: a
-            # graceful interrupt may land on a *later* tick
-            # mid-processing, and the snapshot it flushes must describe
-            # a tick boundary.
-            self._last_cut = {
-                "t": now_s,
-                "results_count": self._wal_index,
-                "state": pipeline.checkpoint_state(),
-                "records_dispatched": self._records_dispatched,
-            }
+            # The consistency cut at this tick, captured eagerly (as
+            # immutable primitives; the document is built only if a
+            # snapshot is written): a graceful interrupt may land on a
+            # *later* tick mid-processing, and the snapshot it writes
+            # must describe a tick boundary.
+            self._last_cut = (
+                now_s, self._wal_index, pipeline.checkpoint_cut(),
+                self._records_dispatched,
+            )
             if self._next_snapshot is None:
                 self._next_snapshot = now_s + CHECKPOINT_INTERVAL_S
             if now_s >= self._next_snapshot:
-                writer.write_snapshot(**self._last_cut)
+                self._write_cut(self._last_cut)
                 self._next_snapshot = now_s + CHECKPOINT_INTERVAL_S
+            # The tick's result lines in one write (a snapshot above
+            # already wrote them with its own line).
+            writer.flush()
         if (
             self._crash_point is not None
             and not pipeline.replaying
@@ -459,6 +463,15 @@ class ServiceSession:
         ):
             self._crash_point.fire(now_s)
         return served
+
+    def _write_cut(self, cut: tuple) -> None:
+        """Write the snapshot of one tick boundary's :attr:`_last_cut`."""
+        t, results_count, state, records_dispatched = cut
+        self._writer.write_snapshot(
+            t=t, results_count=results_count,
+            state=self.pipeline.checkpoint_state(state),
+            records_dispatched=records_dispatched,
+        )
 
     def interrupt(self) -> None:
         """Graceful shutdown: seal the WAL at the last complete tick.
@@ -470,7 +483,7 @@ class ServiceSession:
             return
         self._interrupted = True
         if self._writer is not None and self._last_cut is not None:
-            self._writer.write_snapshot(**self._last_cut)
+            self._write_cut(self._last_cut)
         log_event(
             self._logger, "session_interrupted", **self._zone,
             t=self.simulator.now, results=len(self.pipeline.results),

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,3 +100,22 @@ def make_reading(
 @pytest.fixture
 def rician() -> RicianFading:
     return RicianFading(k_factor=6.0)
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load_benchmark(name: str):
+    """A ``benchmarks/`` module, imported as its standalone run imports
+    it (``_interleave`` as a top-level module)."""
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Registered before it runs, as an import would: a dataclass looks
+    # its own module up there.
+    sys.modules[name] = module
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+    return module

@@ -1,0 +1,150 @@
+"""The benchmarks' 5% overhead gates still fail on real cost.
+
+``bench_recovery`` and ``bench_calibration`` time their arms with
+``benchmarks/_interleave.py`` (interleaved rounds, median of paired
+per-round ratios). Each test below adds a known cost to the measured
+arm only, runs the benchmark's own measurement (fewer rounds than the
+benchmark's, to keep the suite fast) and requires the gate to trip:
+
+* 10 ms of busy work per checkpointed session (at writer creation);
+* 100 µs of busy work per write-ahead log line;
+* 10 ms of busy work per corrected session (at corrector arming).
+
+Sessions last a few tens of milliseconds, so each injected cost is
+several times the 5% ceiling (a 10 ms cost on a 40 ms session reads
+~0.25).
+
+The interval tests pin what "resolved" means on made-up walls: a median
+just inside the ceiling whose rounds spread across it is unresolved.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+import pytest
+
+from repro.calibration.corrector import DriftCorrector
+from repro.runtime import checkpoint
+from repro.runtime.checkpoint import CheckpointWriter
+
+from .conftest import load_benchmark
+
+ROUNDS = 8
+
+
+def _busy(seconds: float) -> None:
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+def _slowed(original, seconds: float):
+    def slowed(*args, **kwargs):
+        _busy(seconds)
+        return original(*args, **kwargs)
+
+    return slowed
+
+
+@pytest.fixture(scope="module")
+def interleave():
+    return load_benchmark("_interleave")
+
+
+@pytest.fixture(scope="module")
+def bench_recovery():
+    return load_benchmark("bench_recovery")
+
+
+@pytest.fixture(scope="module")
+def bench_calibration():
+    return load_benchmark("bench_calibration")
+
+
+class TestRecoveryGate:
+    def test_10ms_per_checkpointed_session_trips(
+        self, bench_recovery, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            CheckpointWriter, "__init__",
+            _slowed(CheckpointWriter.__init__, 0.010),
+        )
+        acc = bench_recovery.run_benchmark(str(tmp_path), rounds=ROUNDS)[
+            "acceptance"
+        ]
+        assert not acc["overhead_ok"]
+        assert acc["witness_identical"]
+
+    def test_100us_per_wal_line_trips(
+        self, bench_recovery, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            checkpoint, "_dump_line", _slowed(checkpoint._dump_line, 100e-6)
+        )
+        acc = bench_recovery.run_benchmark(str(tmp_path), rounds=ROUNDS)[
+            "acceptance"
+        ]
+        assert not acc["overhead_ok"]
+
+
+class TestCalibrationGate:
+    def test_10ms_per_corrected_session_trips(
+        self, bench_calibration, monkeypatch
+    ):
+        monkeypatch.setattr(
+            DriftCorrector, "arm", _slowed(DriftCorrector.arm, 0.010)
+        )
+        _, gate = bench_calibration.measure_overhead(rounds=ROUNDS)
+        assert not gate.ok
+
+
+def _timings(interleave, ratios):
+    base = [0.040] * len(ratios)
+    return interleave.Timings(
+        walls={"base": base, "arm": [b * (1 + r) for b, r in zip(base, ratios)]}
+    )
+
+
+class TestInterval:
+    @pytest.mark.parametrize(
+        "n, ranks",
+        # 1-based ranks 6/15 and 22/39: the sign-test table's 95% bounds.
+        [(5, None), (6, (0, 5)), (8, (0, 7)), (20, (5, 14)), (60, (21, 38))],
+    )
+    def test_rank_bounds(self, interleave, n, ranks):
+        assert interleave.median_rank_bounds(n) == ranks
+
+    @pytest.mark.parametrize("n", [6, 8, 20, 60])
+    def test_bounds_cover_at_least_the_confidence(self, interleave, n):
+        lo, _ = interleave.median_rank_bounds(n)
+        outside = 2 * sum(math.comb(n, k) for k in range(lo + 1)) / 2**n
+        assert outside <= 1 - interleave.CONFIDENCE
+
+    def test_straddling_median_is_unresolved(self, interleave):
+        # Median 0.047, rounds spread from 0.03 to 0.065.
+        ratios = [0.03 + 0.035 * i / 59 for i in range(60)]
+        gate = interleave.Gate.measure(
+            _timings(interleave, ratios), "arm", "base", 0.05
+        )
+        assert gate.ok
+        assert gate.low < 0.05 < gate.high
+        assert not gate.resolved
+
+    def test_tight_rounds_resolve_either_way(self, interleave):
+        for centre, ok in ((0.02, True), (0.12, False)):
+            ratios = [centre + 0.002 * (i % 5 - 2) for i in range(60)]
+            gate = interleave.Gate.measure(
+                _timings(interleave, ratios), "arm", "base", 0.05
+            )
+            assert gate.resolved
+            assert gate.ok is ok
+            assert gate.noise_floor == pytest.approx(0.002, abs=1e-9)
+
+    def test_too_few_rounds_never_resolve(self, interleave):
+        gate = interleave.Gate.measure(
+            _timings(interleave, [0.0] * 5), "arm", "base", 0.05
+        )
+        assert (gate.low, gate.high) == (-math.inf, math.inf)
+        assert not gate.resolved
