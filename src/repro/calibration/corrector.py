@@ -38,10 +38,9 @@ returns the original reading object — answers stay bitwise identical.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -49,9 +48,6 @@ from ..exceptions import ConfigurationError
 from ..types import TrackingReading
 from ..utils.logging import get_structured_logger, log_event
 from .residuals import ResidualWindow, decompose_residuals
-
-if TYPE_CHECKING:  # sibling-layer import kept out of runtime (no cycle)
-    from ..service.metrics import MetricsRegistry
 
 __all__ = [
     "CalibrationPolicy",
@@ -249,10 +245,6 @@ _TRUST_FIELDS = attrgetter(
 )
 
 
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^a-zA-Z0-9_:]", "_", str(name))
-
-
 class DriftCorrector:
     """Online per-reader bias estimation + reference-tag quarantine.
 
@@ -263,9 +255,6 @@ class DriftCorrector:
         tags (residual columns / snapshot columns).
     policy:
         The loop's tuning knobs.
-    metrics:
-        Optional :class:`~repro.service.metrics.MetricsRegistry`;
-        ``repro_calibration_*`` instruments are registered when given.
 
     Lifecycle: :meth:`arm` captures the clean baseline at the end of
     warm-up (the fault injector attaches *after* warm-up, so the
@@ -281,8 +270,6 @@ class DriftCorrector:
         reader_ids: Iterable[str],
         reference_ids: Iterable[str],
         policy: CalibrationPolicy | None = None,
-        *,
-        metrics: "MetricsRegistry | None" = None,
     ):
         self.policy = policy or CalibrationPolicy()
         self.reader_ids = tuple(str(r) for r in reader_ids)
@@ -303,33 +290,9 @@ class DriftCorrector:
         # place trust states change.
         self._excised_columns: tuple[int, ...] = ()
         self._events: list[dict[str, Any]] = []
-        self._corrected_readings = 0
+        #: Readings :meth:`correct_reading` modified.
+        self.corrected_readings = 0
         self._logger = get_structured_logger(_LOGGER_NAME)
-
-        self._metrics = metrics
-        self._g_bias: dict[str, Any] = {}
-        if metrics is not None:
-            self._c_corrected = metrics.counter(
-                "calibration_corrected_readings_total",
-                "Readings modified by the drift corrector before estimation",
-            )
-            self._c_transitions = metrics.counter(
-                "calibration_quarantine_transitions_total",
-                "Reference-tag trust state transitions",
-            )
-            self._g_quarantine_ratio = metrics.gauge(
-                "calibration_quarantine_ratio",
-                "Fraction of reference tags currently excised",
-            )
-            self._g_max_bias = metrics.gauge(
-                "calibration_max_abs_bias_db",
-                "Largest per-reader bias estimate magnitude",
-            )
-            for rid in self.reader_ids:
-                self._g_bias[rid] = metrics.gauge(
-                    f"calibration_bias_{_sanitize(rid)}_db",
-                    f"Estimated calibration bias of reader {rid}",
-                )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -374,7 +337,6 @@ class DriftCorrector:
         self._window.push(now_s, observed - self._baseline)
         n_refs = len(self.reference_ids)
         if len(self._window) < self.policy.min_samples:
-            self._publish_metrics()
             return
         excised = self._excised_columns
         trusted_cols = None  # every column (also when all are excised)
@@ -413,7 +375,6 @@ class DriftCorrector:
         self._excised_columns = tuple(
             j for j, trust in enumerate(self.trust.values()) if trust.excised
         )
-        self._publish_metrics()
 
     def _step_trust(
         self, tag_id: str, anomalous: bool, now_s: float, score: float
@@ -453,21 +414,6 @@ class DriftCorrector:
         }
         self._events.append(event)
         log_event(self._logger, f"calibration_{kind}", tag=tag_id, t=float(now_s))
-        if self._metrics is not None:
-            self._c_transitions.inc()
-
-    def _publish_metrics(self) -> None:
-        if self._metrics is None:
-            return
-        n_refs = len(self.reference_ids)
-        excised = len(self._excised_columns)
-        self._g_quarantine_ratio.set(excised / n_refs if n_refs else 0.0)
-        max_bias = max(
-            (abs(b) for b in self._bias_raw.values()), default=0.0
-        )
-        self._g_max_bias.set(max_bias)
-        for rid, gauge in self._g_bias.items():
-            gauge.set(self._bias_raw[rid])
 
     # -- the feedback path ---------------------------------------------------
 
@@ -527,9 +473,7 @@ class DriftCorrector:
         if excised:
             ref[:, excised] = np.nan
             masked = True
-        self._corrected_readings += 1
-        if self._metrics is not None:
-            self._c_corrected.inc()
+        self.corrected_readings += 1
         return replace(
             reading, reference_rssi=ref, tracking_rssi=trk, masked=masked
         )
@@ -558,7 +502,7 @@ class DriftCorrector:
                 excised / n_refs if n_refs else 0.0
             ),
             "calibration_transitions": float(self.transitions_total()),
-            "calibration_corrected_readings": float(self._corrected_readings),
+            "calibration_corrected_readings": float(self.corrected_readings),
             "calibration_max_abs_bias_db": max(
                 (abs(b) for b in self._bias_raw.values()), default=0.0
             ),

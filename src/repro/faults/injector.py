@@ -9,7 +9,7 @@ immediately, delayed records are buffered in a deterministic
 time passes.
 
 Accounting: the injector counts records seen / dropped / modified /
-delayed (optionally mirrored into a metrics registry) and keeps a full
+delayed (a session registers registry reads over these) and keeps a full
 :class:`FaultEvent` trail of every state transition, which doubles as
 the determinism witness in tests (same seed ⇒ identical event list).
 
@@ -22,16 +22,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from ..exceptions import ConfigurationError
 from ..hardware.readers import ReadingRecord
 from ..utils.logging import get_structured_logger, log_event
 from .models import is_zone_fault
 from .plan import FaultPlan
-
-if TYPE_CHECKING:  # service-layer type only; no runtime dependency
-    from ..service.metrics import MetricsRegistry
 
 __all__ = ["FaultEvent", "FaultInjector"]
 
@@ -58,13 +55,9 @@ class FaultInjector:
     ----------
     plan:
         The fault plan; compiled once at construction.
-    metrics:
-        Optional :class:`~repro.service.metrics.MetricsRegistry` (duck
-        typed — anything with ``counter(name, help)``) mirroring the
-        injector's counters as ``faults_records_*_total``.
     """
 
-    def __init__(self, plan: FaultPlan, *, metrics: "MetricsRegistry | None" = None):
+    def __init__(self, plan: FaultPlan):
         for fault in plan:
             if is_zone_fault(fault):
                 raise ConfigurationError(
@@ -83,32 +76,11 @@ class FaultInjector:
         self.records_modified = 0
         self.records_delayed = 0
         self.events: list[FaultEvent] = []
-        self._metrics = metrics
-        if metrics is not None:
-            self._c_seen = metrics.counter(
-                "faults_records_seen_total", "Records entering the fault injector"
-            )
-            self._c_dropped = metrics.counter(
-                "faults_records_dropped_total", "Records dropped by injected faults"
-            )
-            self._c_modified = metrics.counter(
-                "faults_records_modified_total",
-                "Records with fault-modified RSSI",
-            )
-            self._c_delayed = metrics.counter(
-                "faults_records_delayed_total",
-                "Records buffered for delayed delivery",
-            )
-            self._c_events = metrics.counter(
-                "faults_transitions_total", "Fault state transitions"
-            )
 
     # -- event trail ---------------------------------------------------------
 
     def _emit(self, kind: str, **fields) -> None:
         self.events.append(FaultEvent(time_s=self._now, kind=kind, fields=fields))
-        if self._metrics is not None:
-            self._c_events.inc()
         log_event(self._logger, kind, t=self._now, **fields)
 
     # -- the record path -----------------------------------------------------
@@ -123,8 +95,6 @@ class FaultInjector:
         """
         self._now = float(now_s)
         self.records_seen += 1
-        if self._metrics is not None:
-            self._c_seen.inc()
         out = self.release_due(now_s)
         if not self._faults:  # empty plan: pristine fast path
             out.append(record)
@@ -137,13 +107,9 @@ class FaultInjector:
                 results = fault.apply(rec, release_s, self._emit)
                 if not results:
                     self.records_dropped += 1
-                    if self._metrics is not None:
-                        self._c_dropped.inc()
                 for out_release, out_rec in results:
                     if out_rec.rssi_dbm != rec.rssi_dbm:
                         self.records_modified += 1
-                        if self._metrics is not None:
-                            self._c_modified.inc()
                     next_pending.append((max(out_release, release_s), out_rec))
             pending = next_pending
             if not pending:
@@ -154,8 +120,6 @@ class FaultInjector:
                 out.append(rec)
             else:
                 self.records_delayed += 1
-                if self._metrics is not None:
-                    self._c_delayed.inc()
                 heapq.heappush(self._delayed, (release_s, self._seq, rec))
                 self._seq += 1
         return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..exceptions import ConfigurationError
-from .metrics import MetricsRegistry, get_service_logger, log_event
+from .metrics import get_service_logger, log_event
 
 __all__ = ["LocalizationRequest", "Batch", "MicroBatcher"]
 
@@ -88,8 +88,6 @@ class MicroBatcher:
         self,
         max_batch_size: int = 8,
         max_latency_s: float = 0.25,
-        *,
-        metrics: MetricsRegistry | None = None,
     ):
         if max_batch_size < 1:
             raise ConfigurationError(
@@ -105,26 +103,6 @@ class MicroBatcher:
         self._submitted = 0
         self._flushed_by_reason = {"size": 0, "deadline": 0, "drain": 0}
         self._logger = get_service_logger()
-        self._metrics = metrics
-        if metrics is not None:
-            self._c_submitted = metrics.counter(
-                "batcher_requests_total", "Localization requests submitted"
-            )
-            self._c_flushes = {
-                reason: metrics.counter(
-                    f"batcher_flushes_{reason}_total",
-                    f"Batches flushed by the {reason} trigger",
-                )
-                for reason in ("size", "deadline", "drain")
-            }
-            self._g_pending = metrics.gauge(
-                "batcher_pending_requests", "Requests currently pending"
-            )
-            self._h_batch = metrics.histogram(
-                "batcher_batch_size_requests",
-                "Flushed batch sizes",
-                buckets=tuple(float(b) for b in (1, 2, 4, 8, 16, 32, 64, 128)),
-            )
 
     # -- submission ----------------------------------------------------------
 
@@ -132,9 +110,6 @@ class MicroBatcher:
         """Add one request to the pending set."""
         self._pending.append(request)
         self._submitted += 1
-        if self._metrics is not None:
-            self._c_submitted.inc()
-            self._g_pending.set(len(self._pending))
 
     # -- flush triggers ------------------------------------------------------
 
@@ -148,10 +123,6 @@ class MicroBatcher:
         requests, self._pending[:count] = tuple(self._pending[:count]), []
         batch = Batch(requests=requests, reason=reason, formed_at_s=now_s)
         self._flushed_by_reason[reason] += 1
-        if self._metrics is not None:
-            self._c_flushes[reason].inc()
-            self._g_pending.set(len(self._pending))
-            self._h_batch.observe(len(batch))
         log_event(
             self._logger, "batch_flush",
             reason=reason, size=len(batch), pending=len(self._pending),

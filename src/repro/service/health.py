@@ -17,19 +17,16 @@ Time is the simulation clock passed in by the caller, never wall-clock,
 so breaker transitions are exactly as deterministic as the fault plan
 that causes them. Transitions are logged as structured events
 (``breaker_open`` / ``breaker_half_open`` / ``breaker_close``) and
-mirrored into the metrics registry when one is attached.
+counted on each breaker (:meth:`ReaderHealthTracker.transitions_total`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..exceptions import ConfigurationError
 from ..utils.logging import get_structured_logger, log_event
-
-if TYPE_CHECKING:  # avoid an import cycle at runtime (metrics is sibling)
-    from .metrics import MetricsRegistry
 
 __all__ = [
     "BreakerPolicy",
@@ -102,7 +99,12 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> bool:
-        """Register a fresh observation; returns True on a close transition."""
+        """Register a fresh observation; returns True on a close transition.
+
+        An open breaker ignores it until its half-open probe (:meth:`allows`).
+        """
+        if self.state == BreakerState.OPEN:
+            return False
         closed = self.state == BreakerState.HALF_OPEN
         if closed:
             self.transitions += 1
@@ -144,9 +146,6 @@ class ReaderHealthTracker:
         Minimum fresh fraction (see
         :meth:`~repro.hardware.middleware.MiddlewareServer.reader_freshness`)
         counted as a healthy observation.
-    metrics:
-        Optional metrics registry; gauges ``service_reader_healthy`` (per
-        reader, 1/0) and counter ``service_breaker_transitions_total``.
     """
 
     def __init__(
@@ -155,7 +154,6 @@ class ReaderHealthTracker:
         *,
         policy: BreakerPolicy | None = None,
         freshness_floor: float = 0.5,
-        metrics: "MetricsRegistry | None" = None,
     ):
         if not reader_ids:
             raise ConfigurationError("reader_ids must be non-empty")
@@ -169,14 +167,6 @@ class ReaderHealthTracker:
             rid: CircuitBreaker(self.policy) for rid in reader_ids
         }
         self._logger = get_structured_logger(_LOGGER_NAME)
-        self._metrics = metrics
-        self._g_healthy = None
-        self._c_transitions = None
-        if metrics is not None:
-            self._c_transitions = metrics.counter(
-                "service_breaker_transitions_total",
-                "Reader circuit-breaker state transitions",
-            )
 
     # -- observation ---------------------------------------------------------
 
@@ -197,8 +187,6 @@ class ReaderHealthTracker:
                 transitioned = breaker.record_failure(now_s)
                 event = "breaker_open"
             if transitioned:
-                if self._c_transitions is not None:
-                    self._c_transitions.inc()
                 log_event(
                     self._logger,
                     event,
@@ -221,8 +209,6 @@ class ReaderHealthTracker:
             before = breaker.state
             if breaker.allows(now_s):
                 if before == BreakerState.OPEN:  # became half-open probe
-                    if self._c_transitions is not None:
-                        self._c_transitions.inc()
                     log_event(
                         self._logger,
                         "breaker_half_open",

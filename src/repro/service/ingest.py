@@ -30,7 +30,7 @@ from typing import Iterable
 from ..exceptions import ConfigurationError
 from ..hardware.middleware import MiddlewareServer
 from ..hardware.readers import ReadingRecord
-from .metrics import MetricsRegistry, get_service_logger, log_event
+from .metrics import get_service_logger, log_event
 
 __all__ = ["OVERFLOW_POLICIES", "BoundedRecordQueue", "IngestionLoop"]
 
@@ -164,59 +164,25 @@ class IngestionLoop:
         The bounded buffer between producer and middleware.
     middleware:
         Destination of delivered records.
-    metrics:
-        Optional registry; the loop maintains
-        ``ingest_records_offered/dropped/delivered_total`` counters and
-        the ``ingest_queue_depth`` gauge.
+
+    The loop's accounting is the queue's own (offered, dropped, shed,
+    delivered, depth).
     """
 
     def __init__(
-        self,
-        queue: BoundedRecordQueue,
-        middleware: MiddlewareServer,
-        *,
-        metrics: MetricsRegistry | None = None,
+        self, queue: BoundedRecordQueue, middleware: MiddlewareServer
     ):
         self.queue = queue
         self.middleware = middleware
         self._logger = get_service_logger()
-        self._metrics = metrics
-        if metrics is not None:
-            self._c_offered = metrics.counter(
-                "ingest_records_offered_total", "Records offered to the ingest queue"
-            )
-            self._c_dropped = metrics.counter(
-                "ingest_records_dropped_total",
-                "Buffered records discarded by the drop-oldest overflow policy",
-            )
-            self._c_shed = metrics.counter(
-                "ingest_records_shed_total",
-                "Incoming records refused by the shed-newest overflow policy",
-            )
-            self._c_delivered = metrics.counter(
-                "ingest_records_delivered_total", "Records delivered to middleware"
-            )
-            self._g_depth = metrics.gauge(
-                "ingest_queue_depth", "Current ingest queue depth"
-            )
 
     # -- producer ------------------------------------------------------------
 
     def submit(self, records: Iterable[ReadingRecord]) -> int:
         """Offer a chunk of records; returns overflow drops/sheds caused."""
-        records = list(records)
         dropped_before = self.queue.dropped
         shed_before = self.queue.shed
         overflows = self.queue.offer_many(records)
-        if self._metrics is not None:
-            self._c_offered.inc(len(records))
-            dropped = self.queue.dropped - dropped_before
-            shed = self.queue.shed - shed_before
-            if dropped:
-                self._c_dropped.inc(dropped)
-            if shed:
-                self._c_shed.inc(shed)
-            self._g_depth.set(len(self.queue))
         if overflows:
             log_event(
                 self._logger, "ingest_overflow",
@@ -233,7 +199,4 @@ class IngestionLoop:
         records = self.queue.drain(max_items)
         for record in records:
             self.middleware.ingest(record)
-        if self._metrics is not None:
-            self._c_delivered.inc(len(records))
-            self._g_depth.set(len(self.queue))
         return len(records)

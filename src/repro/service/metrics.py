@@ -18,8 +18,10 @@ Design notes
   quantiles off the buckets — exactly what
   :meth:`Histogram.bucket_quantile` does (with within-bucket linear
   interpolation, so sparse tails do not snap to bucket upper bounds).
-* Everything is synchronous and allocation-light; metrics are updated on
-  the hot path of the pipeline.
+* Each fact is counted once: a component keeps its own counter
+  (``queue.dropped``, ...) and the registry's owner registers a
+  :class:`ReadMetric` over it. Only events no component counts (served
+  results, latencies) are pushed.
 * No global state: each pipeline owns its registry, so tests and
   benchmarks never interfere with each other.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs.profile import quantile_linear
@@ -40,6 +42,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "ReadMetric",
+    "metric_safe",
     "DEFAULT_LATENCY_BUCKETS_S",
     "get_service_logger",
     "log_event",
@@ -64,6 +68,12 @@ def _check_name(name: str) -> str:
     return name
 
 
+def metric_safe(label: object) -> str:
+    """``label`` with every character outside ``[a-zA-Z0-9_:]`` as ``_``,
+    so a reader or zone id can be a metric-name segment."""
+    return "".join(c if c in _METRIC_NAME_OK else "_" for c in str(label))
+
+
 def _format_value(v: float) -> str:
     """Prometheus sample formatting: integers without trailing ``.0``."""
     if math.isinf(v):
@@ -72,10 +82,8 @@ def _format_value(v: float) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-class Counter:
-    """Monotonically increasing count (requests served, cache hits, ...)."""
-
-    kind = "counter"
+class _Scalar:
+    """A one-sample metric; subclasses say how its value changes."""
 
     def __init__(self, name: str, help: str = ""):
         self.name = _check_name(name)
@@ -85,6 +93,18 @@ class Counter:
     @property
     def value(self) -> float:
         return self._value
+
+    def samples(self) -> list[tuple[str, float]]:
+        return [(self.name, self.value)]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name}={self.value:g})"
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count (requests served, cache hits, ...)."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -93,26 +113,11 @@ class Counter:
             )
         self._value += amount
 
-    def samples(self) -> list[tuple[str, float]]:
-        return [(self.name, self._value)]
 
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self._value:g})"
-
-
-class Gauge:
+class Gauge(_Scalar):
     """Point-in-time value (queue depth, cache size, ...)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = _check_name(name)
-        self.help = help
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
 
     def set(self, value: float) -> None:
         self._value = float(value)
@@ -123,11 +128,32 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         self._value -= amount
 
-    def samples(self) -> list[tuple[str, float]]:
-        return [(self.name, self._value)]
 
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self._value:g})"
+class ReadMetric(_Scalar):
+    """A counter or gauge whose value a zero-argument callable returns.
+
+    Read on :attr:`value` and at render time. A name ending in
+    ``_total`` makes a counter, any other a gauge (the naming audit's
+    convention). Nothing can be pushed into it: the count belongs to the
+    component it reads, so :meth:`inc`, :meth:`dec` and :meth:`set` raise.
+    """
+
+    def __init__(self, name: str, help: str, read: Callable[[], float]):
+        super().__init__(name, help)
+        self.kind = "counter" if name.endswith("_total") else "gauge"
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return float(self._read())
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise ConfigurationError(
+            f"{self.kind} {self.name} is read from its component; "
+            f"it cannot be pushed"
+        )
+
+    dec = set = inc
 
 
 class Histogram:
@@ -236,24 +262,16 @@ class Histogram:
         return f"Histogram({self.name}, count={self.count}, sum={self._sum:g})"
 
 
-def _sanitize_zone(zone: str) -> str:
-    """Zone identifiers become metric-name-safe label segments.
-
-    Anything outside ``[a-zA-Z0-9_:]`` maps to ``_`` so a zone id like
-    ``"floor-2/east"`` still yields a valid Prometheus name.
-    """
-    safe = "".join(c if c in _METRIC_NAME_OK else "_" for c in str(zone))
-    if not safe:
-        raise ConfigurationError(f"zone id {zone!r} sanitizes to nothing")
-    return safe
+Metric = Counter | Gauge | Histogram | ReadMetric
 
 
 class MetricsRegistry:
     """Owns a namespace of metrics and renders the text exposition.
 
-    Metrics are created idempotently: asking twice for the same name
-    returns the same object (with a type check), so pipeline components
-    can each grab handles without coordinating construction order.
+    Pushed metrics are created idempotently: asking twice for the same
+    name returns the same object (with a type check). A read metric
+    (:meth:`read`) is registered once; a second registration under a
+    taken name raises.
 
     ``zone`` widens the namespace to ``<namespace>_zone_<zone>`` so
     several zone workers co-resident in one process (or one merged
@@ -267,10 +285,15 @@ class MetricsRegistry:
         base = _check_name(namespace) if namespace else ""
         self.zone = str(zone) if zone is not None else None
         if zone is not None:
-            prefix = f"zone_{_sanitize_zone(zone)}"
+            safe = metric_safe(zone)
+            if not safe:
+                raise ConfigurationError(
+                    f"zone id {zone!r} sanitizes to nothing"
+                )
+            prefix = f"zone_{safe}"
             base = f"{base}_{prefix}" if base else prefix
         self.namespace = _check_name(base) if base else ""
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Metric] = {}
 
     def _full(self, name: str) -> str:
         """Apply the namespace prefix exactly once.
@@ -313,17 +336,28 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_make(Histogram, name, help, buckets=buckets)
 
-    def __iter__(self) -> Iterable[Counter | Gauge | Histogram]:
+    def read(
+        self, name: str, help: str, read: Callable[[], float]
+    ) -> ReadMetric:
+        """Register a :class:`ReadMetric`; a taken name raises."""
+        full = self._full(name)
+        if full in self._metrics:
+            raise ConfigurationError(f"metric {full!r} is already registered")
+        metric = ReadMetric(full, help, read)
+        self._metrics[full] = metric
+        return metric
+
+    def __iter__(self) -> Iterable[Metric]:
         return iter(self._metrics.values())
 
     def __contains__(self, name: str) -> bool:
         return self._full(name) in self._metrics or name in self._metrics
 
-    def metrics(self) -> dict[str, "Counter | Gauge | Histogram"]:
+    def metrics(self) -> dict[str, Metric]:
         """Snapshot of every registered metric, keyed by full name."""
         return dict(self._metrics)
 
-    def get(self, name: str) -> Counter | Gauge | Histogram:
+    def get(self, name: str) -> Metric:
         full = self._full(name)
         if full in self._metrics:
             return self._metrics[full]

@@ -46,14 +46,14 @@ from partial snapshots before estimation, so a flapping reader cannot
 poison the subset path. All breaker state changes are structured-logged
 and counted.
 
-Every stage updates the shared :class:`MetricsRegistry`; nothing in this
+The pipeline owns its :class:`MetricsRegistry`: it pushes what only it
+counts and reads the counters its components keep. Nothing in this
 module sleeps or reads wall-clock time except through the injectable
 ``perf_clock`` (so tests can fake latency deterministically).
 """
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -79,7 +79,12 @@ from ..utils.validation import ensure_positive, ensure_positive_int
 from .batcher import Batch, LocalizationRequest, MicroBatcher
 from .health import BreakerPolicy, ReaderHealthTracker
 from .ingest import BoundedRecordQueue, IngestionLoop
-from .metrics import MetricsRegistry, get_service_logger, log_event
+from .metrics import (
+    MetricsRegistry,
+    get_service_logger,
+    log_event,
+    metric_safe,
+)
 
 __all__ = ["ServiceConfig", "ServiceResult", "ServicePipeline"]
 
@@ -220,6 +225,33 @@ class ServiceResult:
         return self.completed_at_s - self.requested_at_s
 
 
+def _register_calibration_reads(
+    registry: MetricsRegistry, cal: DriftCorrector
+) -> None:
+    """The drift corrector's counters and gauges, as registry reads."""
+    n_refs = len(cal.reference_ids) or 1
+    bias = cal.raw_bias_estimates
+    reads = [
+        ("calibration_corrected_readings_total",
+         "Readings modified by the drift corrector before estimation",
+         lambda: cal.corrected_readings),
+        ("calibration_quarantine_transitions_total",
+         "Reference-tag trust state transitions", lambda: len(cal.events)),
+        ("calibration_quarantine_ratio",
+         "Fraction of reference tags currently excised",
+         lambda: len(cal.excised_tags()) / n_refs),
+        ("calibration_max_abs_bias_db",
+         "Largest per-reader bias estimate magnitude",
+         lambda: max(map(abs, bias().values()), default=0.0)),
+        *((f"calibration_bias_{metric_safe(rid)}_db",
+           f"Estimated calibration bias of reader {rid}",
+           lambda rid=rid: bias()[rid])
+          for rid in cal.reader_ids),
+    ]
+    for name, help_text, read in reads:
+        registry.read(name, help_text, read)
+
+
 class ServicePipeline:
     """Orchestrates ingest → batch → estimate with graceful degradation.
 
@@ -268,7 +300,6 @@ class ServicePipeline:
             policy=BreakerPolicy(
                 recovery_timeout_s=self.config.breaker_recovery_timeout_s
             ),
-            metrics=self.metrics,
         )
         self.calibration: DriftCorrector | None = None
         if self.config.calibration is not None:
@@ -276,19 +307,22 @@ class ServicePipeline:
                 middleware.reader_ids,
                 middleware.reference_ids,
                 self.config.calibration,
-                metrics=self.metrics,
             )
         self.queue = BoundedRecordQueue(
             self.config.queue_capacity, overflow=self.config.queue_overflow
         )
-        self.ingest = IngestionLoop(self.queue, middleware, metrics=self.metrics)
+        self.ingest = IngestionLoop(self.queue, middleware)
         self.batcher = MicroBatcher(
-            self.config.max_batch_size,
-            self.config.max_latency_s,
-            metrics=self.metrics,
+            self.config.max_batch_size, self.config.max_latency_s
         )
 
         m = self.metrics
+        self._register_reads()
+        self._h_batch = m.histogram(
+            "batcher_batch_size_requests",
+            "Flushed batch sizes",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+        )
         self._c_requests = m.counter(
             "service_requests_total", "Localization requests accepted"
         )
@@ -311,15 +345,6 @@ class ServicePipeline:
                 "quorum_unmet",
             )
         }
-        self._c_frames_received = m.counter(
-            "service_frames_received_total",
-            "Reader frames received across all readers",
-        )
-        self._c_frames_dropped = m.counter(
-            "service_frames_dropped_total",
-            "Reader frames dropped at the detection floor",
-        )
-        self._c_frames_per_reader: dict[str, Any] = {}
         self._c_failed = m.counter(
             "service_requests_failed_total",
             "Requests with no answer at all (no reading, no last estimate)",
@@ -345,6 +370,54 @@ class ServicePipeline:
         self._checkpoint_breakers = tuple(
             self.health.breakers[rid] for rid in self._checkpoint_breaker_ids
         )
+
+    def _register_reads(self) -> None:
+        """Registry reads over the counters the components already keep.
+
+        Frames are counted on the reader objects (paper §3.2 readers),
+        so a frame read is current whenever it is taken.
+        """
+        queue, batcher = self.queue, self.batcher
+        frames = self.middleware.frame_stats
+        reads = [
+            ("service_breaker_transitions_total",
+             "Reader circuit-breaker state transitions",
+             self.health.transitions_total),
+            ("ingest_records_offered_total",
+             "Records offered to the ingest queue", lambda: queue.offered),
+            ("ingest_records_dropped_total",
+             "Buffered records discarded by the drop-oldest overflow policy",
+             lambda: queue.dropped),
+            ("ingest_records_shed_total",
+             "Incoming records refused by the shed-newest overflow policy",
+             lambda: queue.shed),
+            ("ingest_records_delivered_total",
+             "Records delivered to middleware", lambda: queue.delivered),
+            ("ingest_queue_depth", "Current ingest queue depth", queue.__len__),
+            ("batcher_requests_total", "Localization requests submitted",
+             lambda: batcher.submitted),
+            *((f"batcher_flushes_{reason}_total",
+               f"Batches flushed by the {reason} trigger",
+               lambda reason=reason: batcher.flushes_by_reason[reason])
+              for reason in ("size", "deadline", "drain")),
+            ("batcher_pending_requests", "Requests currently pending",
+             lambda: batcher.pending),
+            ("service_frames_received_total",
+             "Reader frames received across all readers",
+             lambda: sum(st["received"] for st in frames().values())),
+            ("service_frames_dropped_total",
+             "Reader frames dropped at the detection floor",
+             lambda: sum(st["dropped"] for st in frames().values())),
+            *((f"service_frames_{kind}_{metric_safe(rid)}_total",
+               f"Frames {kind} by reader {rid}",
+               lambda rid=rid, kind=kind: frames()[rid][kind])
+              for rid in self.middleware.reader_ids
+              for kind in ("received", "dropped")),
+        ]
+        for name, help_text, read in reads:
+            self.metrics.read(name, help_text, read)
+        if self.calibration is not None:
+            _register_calibration_reads(self.metrics, self.calibration)
 
     # -- request intake ------------------------------------------------------
 
@@ -430,6 +503,8 @@ class ServicePipeline:
         """
         if not batches:
             return []
+        for batch in batches:
+            self._h_batch.observe(len(batch))
         requests = [request for batch in batches for request in batch]
         tracer = current_tracer()
         with tracer.span(
@@ -571,7 +646,6 @@ class ServicePipeline:
                 )
                 if result is not None:
                     results.append(result)
-            self._sync_frame_metrics()
             if corrected_tags:
                 # Ladder annotation: which answers of this instant were
                 # served from calibration-corrected (or quarantine-
@@ -762,44 +836,6 @@ class ServicePipeline:
         )
         self._results.append(result)
         return result
-
-    def _sync_frame_metrics(self) -> None:
-        """Mirror per-reader frame accounting into the registry.
-
-        Satellite of the faults work: readers already count frames
-        received vs dropped at the detection floor; the middleware
-        exposes them (:meth:`MiddlewareServer.frame_stats`) and the
-        service republishes them as monotone counters — per reader and in
-        total — so a chaos run's frame loss is visible next to the
-        degradation counters. (These were once gauges holding cumulative
-        counts; they are counters now, named ``*_total`` per convention.)
-        """
-        stats = self.middleware.frame_stats()
-        if not stats:
-            return
-        total_received = 0
-        total_dropped = 0
-        for reader_id, st in stats.items():
-            total_received += st["received"]
-            total_dropped += st["dropped"]
-            safe = re.sub(r"[^a-zA-Z0-9_:]", "_", str(reader_id))
-            key_r = f"service_frames_received_{safe}_total"
-            key_d = f"service_frames_dropped_{safe}_total"
-            if key_r not in self._c_frames_per_reader:
-                self._c_frames_per_reader[key_r] = self.metrics.counter(
-                    key_r, f"Frames received by reader {reader_id}"
-                )
-                self._c_frames_per_reader[key_d] = self.metrics.counter(
-                    key_d, f"Frames dropped by reader {reader_id}"
-                )
-            c_r = self._c_frames_per_reader[key_r]
-            c_d = self._c_frames_per_reader[key_d]
-            c_r.inc(float(st["received"]) - c_r.value)
-            c_d.inc(float(st["dropped"]) - c_d.value)
-        self._c_frames_received.inc(
-            total_received - self._c_frames_received.value
-        )
-        self._c_frames_dropped.inc(total_dropped - self._c_frames_dropped.value)
 
     # -- checkpoint / replay -------------------------------------------------
 
@@ -1002,6 +1038,7 @@ class ServicePipeline:
 
     def metrics_summary(self) -> dict[str, float]:
         """The headline numbers the ``serve`` command prints."""
+        m = self.metrics
         degraded = self._c_degraded.value
         served = self._c_results.value
         requests = self._c_requests.value
@@ -1020,8 +1057,8 @@ class ServicePipeline:
             ].value,
             "breaker_transitions": float(self.health.transitions_total()),
             "open_readers": float(len(self.health.open_readers())),
-            "frames_received": self._c_frames_received.value,
-            "frames_dropped": self._c_frames_dropped.value,
+            "frames_received": m.get("service_frames_received_total").value,
+            "frames_dropped": m.get("service_frames_dropped_total").value,
             "batches_flushed": float(self.batcher.batches_flushed),
             "records_dropped": float(self.queue.dropped),
             "records_shed": float(self.queue.shed),

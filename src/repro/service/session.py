@@ -314,10 +314,21 @@ class ServiceSession:
             if self._fault_plan is not None:
                 from ..faults.injector import FaultInjector  # lazy: cycle
 
-                self._injector = FaultInjector(
-                    self._fault_plan, metrics=pipeline.metrics
-                )
-                simulator.set_fault_injector(self._injector)
+                injector = self._injector = FaultInjector(self._fault_plan)
+                simulator.set_fault_injector(injector)
+                for name, help_text in (
+                    ("records_seen", "Records entering the fault injector"),
+                    ("records_dropped", "Records dropped by injected faults"),
+                    ("records_modified", "Records with fault-modified RSSI"),
+                    ("records_delayed",
+                     "Records buffered for delayed delivery"),
+                    ("transitions", "Fault state transitions"),
+                ):
+                    key = name.removeprefix("records_")
+                    pipeline.metrics.read(
+                        f"faults_{name}_total", help_text,
+                        lambda key=key: injector.counters()[key],
+                    )
             if restored is not None:
                 pipeline.restore_checkpoint_state(
                     restored.snapshot["state"],

@@ -168,33 +168,19 @@ class ZoneAdmission:
     slot advances — admitted work is never abandoned to make room).
     """
 
-    def __init__(self, policy: AdmissionPolicy, *, metrics=None):
+    def __init__(self, policy: AdmissionPolicy):
         self.policy = policy
         self.bucket = TokenBucket(policy.rate_per_s, policy.burst)
         self.admitted = 0
         self.shed = 0
-        self._c_admitted = self._c_shed = None
-        if metrics is not None:
-            self._c_admitted = metrics.counter(
-                "admission_requests_admitted_total",
-                "Localization queries admitted by the zone's token bucket",
-            )
-            self._c_shed = metrics.counter(
-                "admission_requests_shed_total",
-                "Localization queries shed by zone admission control",
-            )
 
     def admit(self, now_s: float) -> bool:
         """Admit or shed one query at zone-simulation time ``now_s``."""
         ok = self.bucket.try_acquire(now_s)
         if ok:
             self.admitted += 1
-            if self._c_admitted is not None:
-                self._c_admitted.inc()
         else:
             self.shed += 1
-            if self._c_shed is not None:
-                self._c_shed.inc()
         return ok
 
 
@@ -278,7 +264,8 @@ class ZoneChannel:
         self.worker: ZoneWorker | None = None
         self.admission: ZoneAdmission | None = None
         self._duration_s = 0.0
-        self._journal: list[tuple[int, str, tuple]] = []
+        # Surface calls keyed by the chunk they precede, in call order.
+        self._journal: dict[int, list[tuple[str, tuple]]] = {}
         self._k = 0  # chunks this zone has processed
         self._down = False
         self._active_at_crash: tuple[str, ...] = ()
@@ -341,10 +328,17 @@ class ZoneChannel:
         # A fresh gate per worker instance: a cold respawn re-executes
         # the same tick sequence against a fresh bucket, so its shed
         # decisions replay identically.
-        self.admission = ZoneAdmission(
-            self._admission_policy, metrics=self.worker.metrics
-        )
-        self.worker.set_admission(self.admission)
+        admission = self.admission = ZoneAdmission(self._admission_policy)
+        self.worker.set_admission(admission)
+        for name, help_text in (
+            ("admitted", "Localization queries admitted by the zone's "
+                         "token bucket"),
+            ("shed", "Localization queries shed by zone admission control"),
+        ):
+            self.worker.metrics.read(
+                f"admission_requests_{name}_total", help_text,
+                lambda name=name: getattr(admission, name),
+            )
 
     # -- the journaled tag surface ---------------------------------------------
 
@@ -362,7 +356,7 @@ class ZoneChannel:
         """
         if self._down:
             return
-        self._journal.append((int(chunk_k), method, args))
+        self._journal.setdefault(int(chunk_k), []).append((method, args))
 
     _SURFACE = {
         "move": "move_tag",
@@ -372,9 +366,7 @@ class ZoneChannel:
     }
 
     def _apply_journal(self, chunk_k: int) -> None:
-        for k, method, args in self._journal:
-            if k != chunk_k:
-                continue
+        for method, args in self._journal.get(chunk_k, ()):
             self._scoped(getattr(self.worker, self._SURFACE[method]), *args)
 
     def last_estimate_site(self, label: str) -> tuple[float, float] | None:

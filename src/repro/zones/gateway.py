@@ -582,17 +582,13 @@ class ZoneGateway:
             ("interim_results_total",
              "Degraded interim answers served while a zone was down",
              len(interim)),
+            ("zones_down",
+             "Zones still marked down when the session ended",
+             agg["down"]),
+            ("availability",
+             "Fraction of zone-ticks served by a live zone worker",
+             availability),
         ):
-            counter = metrics.counter(name, help_text)
-            if value:
-                counter.inc(float(value))
-        metrics.gauge(
-            "zones_down",
-            "Zones still marked down when the session ended",
-        ).set(float(agg["down"]))
-        metrics.gauge(
-            "availability",
-            "Fraction of zone-ticks served by a live zone worker",
-        ).set(float(availability))
+            metrics.read(name, help_text, lambda value=value: value)
         return metrics
 

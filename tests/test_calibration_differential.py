@@ -27,6 +27,7 @@ from repro import CalibrationPolicy, chaos_preset
 from repro.calibration import DriftCorrector, ResidualWindow, decompose_residuals
 from repro.calibration.residuals import MAD_SIGMA
 from repro.service.metrics import MetricsRegistry
+from repro.service.pipeline import _register_calibration_reads
 from repro.types import TrackingReading
 
 from .conftest import load_benchmark
@@ -118,7 +119,6 @@ class OracleCorrector(DriftCorrector):
         self._window.push(now_s, observed - self._baseline)
         n_refs = len(self.reference_ids)
         if len(self._window) < self.policy.min_samples:
-            self._publish_metrics()
             return
         stacked = self._window.stacked()
         trusted_cols = np.array(
@@ -147,7 +147,6 @@ class OracleCorrector(DriftCorrector):
             self._tag_scores[tid] = score
             anomalous = (not math.isfinite(score)) or abs(score) >= threshold
             self._step_trust(tid, anomalous, now_s, score)
-        self._publish_metrics()
 
     def _step_trust(self, tag_id, anomalous, now_s, score):
         trust = self.trust[tag_id]
@@ -161,18 +160,6 @@ class OracleCorrector(DriftCorrector):
             transition = trust.record_normal()
         if transition is not None:
             self._record_event(transition, tag_id, now_s, score)
-
-    def _publish_metrics(self):
-        if self._metrics is None:
-            return
-        n_refs = len(self.reference_ids)
-        excised = sum(1 for t in self.trust.values() if t.excised)
-        self._g_quarantine_ratio.set(excised / n_refs if n_refs else 0.0)
-        self._g_max_bias.set(
-            max((abs(b) for b in self._bias_raw.values()), default=0.0)
-        )
-        for rid, gauge in self._g_bias.items():
-            gauge.set(self._bias_raw[rid])
 
     def excised_tags(self):
         return tuple(sorted(t for t, trust in self.trust.items() if trust.excised))
@@ -201,9 +188,7 @@ class OracleCorrector(DriftCorrector):
             for j in sorted(excised):
                 ref[:, j] = np.nan
             masked = True
-        self._corrected_readings += 1
-        if self._metrics is not None:
-            self._c_corrected.inc()
+        self.corrected_readings += 1
         return replace(reading, reference_rssi=ref, tracking_rssi=trk, masked=masked)
 
     def checkpoint_state(self, cut=None):
@@ -243,6 +228,10 @@ def canon(value):
 
 
 def observables(corrector: DriftCorrector) -> dict:
+    # The corrector keeps no registry: render the reads its owner (the
+    # pipeline) registers over it.
+    registry = MetricsRegistry()
+    _register_calibration_reads(registry, corrector)
     return {
         "raw_bias": corrector.raw_bias_estimates(),
         "corrections": corrector.bias_estimates(),
@@ -253,7 +242,7 @@ def observables(corrector: DriftCorrector) -> dict:
         "excised": corrector.excised_tags(),
         "summary": corrector.summary(),
         "transitions": corrector.transitions_total(),
-        "metrics": corrector._metrics.render_prometheus(),
+        "metrics": registry.render_prometheus(),
     }
 
 
@@ -328,8 +317,8 @@ class TestCorrectorDifferential:
         k, n, policy, base, ticks = scenario
         readers = tuple(f"reader-{i}" for i in range(k))
         refs = tuple(f"ref-{j}" for j in range(n))
-        new = DriftCorrector(readers, refs, policy, metrics=MetricsRegistry())
-        old = OracleCorrector(readers, refs, policy, metrics=MetricsRegistry())
+        new = DriftCorrector(readers, refs, policy)
+        old = OracleCorrector(readers, refs, policy)
         rng = np.random.default_rng(seed)
         for corrector in (new, old):
             corrector.arm(base, ticks[0][0])

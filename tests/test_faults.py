@@ -35,7 +35,6 @@ from repro.faults import (
     chaos_preset,
 )
 from repro.hardware.readers import ReadingRecord
-from repro.service.metrics import MetricsRegistry
 
 
 def rec(
@@ -525,17 +524,21 @@ class TestFaultInjector:
         assert injector.counters()["dropped"] == 1
 
     def test_metrics_mirroring(self):
-        metrics = MetricsRegistry()
-        plan = FaultPlan(
-            [ReaderOutageFault("reader-0", start_s=0.0, duration_s=math.inf)]
-        )
-        injector = FaultInjector(plan, metrics=metrics)
-        injector.process(rec(t=1.0), 1.0)
-        injector.process(rec(reader="reader-1", t=1.0), 1.0)
-        rendered = metrics.render_prometheus()
-        assert "faults_records_seen_total 2" in rendered
-        assert "faults_records_dropped_total 1" in rendered
-        assert "faults_transitions_total 1" in rendered
+        # The injector keeps no registry; the session that owns one
+        # registers reads over the injector's own counters.
+        from tests.regen_golden import run_chaos_session
+
+        report = run_chaos_session()
+        summary = report.summary
+        for key in ("seen", "dropped", "modified", "delayed"):
+            metric = report.metrics.get(f"faults_records_{key}_total")
+            assert metric.value == summary[f"fault_records_{key}"], key
+        transitions = report.metrics.get("faults_transitions_total")
+        assert transitions.value == summary["fault_records_transitions"]
+        assert summary["fault_records_dropped"] > 0
+        assert transitions.value > 0
+        rendered = report.render_prometheus()
+        assert "faults_records_seen_total " in rendered
 
 
 def _synthetic_stream() -> list[tuple[float, ReadingRecord]]:

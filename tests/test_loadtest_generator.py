@@ -95,8 +95,7 @@ class TestSingleZoneThroughGateway:
         gate = None
         if admission_rate is not None:
             gate = ZoneAdmission(
-                AdmissionPolicy(rate_per_s=admission_rate, burst=4),
-                metrics=worker.metrics,
+                AdmissionPolicy(rate_per_s=admission_rate, burst=4)
             )
             worker.set_admission(gate)
         ref = worker.run(p.duration_s)

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_paper_deployment
 from repro.exceptions import ConfigurationError
-from repro.service import LocalizationRequest, MetricsRegistry, MicroBatcher
+from repro.service import (
+    LocalizationRequest,
+    MicroBatcher,
+    ServiceConfig,
+    ServicePipeline,
+)
+
+from .conftest import make_clean_environment
 
 
 def req(tag: str, t: float) -> LocalizationRequest:
@@ -131,10 +139,18 @@ class TestAccounting:
         assert b.submitted == 6
 
     def test_metrics_wiring(self):
-        metrics = MetricsRegistry()
-        b = MicroBatcher(max_batch_size=1, max_latency_s=1.0, metrics=metrics)
-        b.submit(req("a", 0.0))
-        b.poll(0.0)
+        # The batcher keeps no registry: the pipeline that owns one reads
+        # the batcher's counters and observes the batches it executes.
+        deployment = build_paper_deployment(
+            make_clean_environment(), tracking_tags={"a": (1.5, 1.5)}, seed=3
+        )
+        pipeline = ServicePipeline(
+            deployment.grid, deployment.simulator.middleware,
+            ServiceConfig(max_batch_size=1, max_latency_s=1.0),
+        )
+        pipeline.submit_request("a", 0.0)
+        pipeline.process_due(0.0)
+        metrics = pipeline.metrics
         assert metrics.get("batcher_requests_total").value == 1
         assert metrics.get("batcher_flushes_size_total").value == 1
         assert metrics.get("batcher_batch_size_requests").count == 1

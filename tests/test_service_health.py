@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_paper_deployment
 from repro.exceptions import ConfigurationError
 from repro.service import (
     BreakerPolicy,
@@ -16,7 +17,18 @@ from repro.service import (
     CircuitBreaker,
     ReaderHealthTracker,
 )
-from repro.service.metrics import MetricsRegistry
+from repro.service.pipeline import ServiceConfig, ServicePipeline
+
+from .conftest import make_clean_environment
+
+
+def make_pipeline(config: ServiceConfig) -> ServicePipeline:
+    deployment = build_paper_deployment(
+        make_clean_environment(), tracking_tags={"asset": (1.5, 1.5)}, seed=3
+    )
+    return ServicePipeline(
+        deployment.grid, deployment.simulator.middleware, config
+    )
 
 
 def make_breaker(threshold: int = 3, timeout: float = 10.0) -> CircuitBreaker:
@@ -138,14 +150,31 @@ class TestReaderHealthTracker:
         assert tracker.state()["r0"] == "open"
 
     def test_metrics_counter_tracks_transitions(self):
-        metrics = MetricsRegistry()
+        # The tracker keeps no registry; the pipeline that owns one reads
+        # the breakers' transition counts.
+        pipeline = make_pipeline(ServiceConfig(breaker_recovery_timeout_s=2.0))
+        tracker = pipeline.health
+        stale = {rid: 1.0 for rid in tracker.breakers}
+        stale["reader-0"] = 0.0
+        for t in (0.0, 0.5, 1.0):  # default threshold: 3 failures -> open
+            tracker.observe(stale, t)
+        tracker.allowed_readers(3.0)  # half-open
+        tracker.observe(dict.fromkeys(tracker.breakers, 1.0), 3.0)  # close
+        rendered = pipeline.metrics.render_prometheus()
+        assert "service_breaker_transitions_total 3" in rendered
+
+    def test_open_breaker_ignores_fresh_observations_until_the_probe(self):
         tracker = ReaderHealthTracker(
             ["r0"],
-            policy=BreakerPolicy(failure_threshold=1, recovery_timeout_s=2.0),
-            metrics=metrics,
+            policy=BreakerPolicy(failure_threshold=1, recovery_timeout_s=10.0),
         )
-        tracker.observe({"r0": 0.0}, 0.0)  # open
-        tracker.allowed_readers(2.0)  # half-open
-        tracker.observe({"r0": 1.0}, 2.0)  # close
-        rendered = metrics.render_prometheus()
-        assert "service_breaker_transitions_total 3" in rendered
+        tracker.observe({"r0": 0.0}, 0.0)
+        assert tracker.state()["r0"] == "open"
+        tracker.observe({"r0": 1.0}, 1.0)  # fresh, but not yet probed
+        assert tracker.state()["r0"] == "open"
+        assert tracker.allowed_readers(1.0) == []
+        assert tracker.transitions_total() == 1
+        assert tracker.allowed_readers(10.0) == ["r0"]  # half-open probe
+        tracker.observe({"r0": 1.0}, 10.0)
+        assert tracker.state()["r0"] == "closed"
+        assert tracker.transitions_total() == 3

@@ -8,7 +8,12 @@ from repro import MiddlewareServer, build_paper_deployment
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.hardware.readers import ReadingRecord
 from repro.hardware.streams import SimulatorRecordStream
-from repro.service import BoundedRecordQueue, IngestionLoop, MetricsRegistry
+from repro.service import (
+    BoundedRecordQueue,
+    IngestionLoop,
+    ServiceConfig,
+    ServicePipeline,
+)
 
 from .conftest import make_clean_environment
 
@@ -16,6 +21,23 @@ from .conftest import make_clean_environment
 def record(i: int, reader: str = "r0", tag: str = "ref-0") -> ReadingRecord:
     return ReadingRecord(reader_id=reader, tag_id=tag, time_s=float(i),
                          rssi_dbm=-50.0 - i)
+
+
+def make_pipeline(config: ServiceConfig) -> ServicePipeline:
+    deployment = build_paper_deployment(
+        make_clean_environment(), tracking_tags={"asset": (1.5, 1.5)}, seed=3
+    )
+    return ServicePipeline(
+        deployment.grid, deployment.simulator.middleware, config
+    )
+
+
+def pipeline_record(pipeline: ServicePipeline, i: int) -> ReadingRecord:
+    """A record from the pipeline's first reader about its first reference."""
+    middleware = pipeline.middleware
+    return record(
+        i, reader=middleware.reader_ids[0], tag=middleware.reference_ids[0]
+    )
 
 
 class TestBoundedRecordQueue:
@@ -75,12 +97,12 @@ class TestIngestionLoop:
         assert loop.deliver_pending() == 3
         assert middleware.records_ingested == 3
 
-    def test_metrics_wiring(self, middleware):
-        metrics = MetricsRegistry()
-        loop = IngestionLoop(
-            BoundedRecordQueue(capacity=2), middleware, metrics=metrics
-        )
-        loop.submit(record(i) for i in range(3))
+    def test_metrics_wiring(self):
+        # The loop keeps no registry: the pipeline that owns one reads
+        # the queue's counters.
+        pipeline = make_pipeline(ServiceConfig(queue_capacity=2))
+        loop, metrics = pipeline.ingest, pipeline.metrics
+        loop.submit(pipeline_record(pipeline, i) for i in range(3))
         loop.deliver_pending()
         assert metrics.get("ingest_records_offered_total").value == 3
         assert metrics.get("ingest_records_dropped_total").value == 1
@@ -216,20 +238,17 @@ class TestShedNewestOverflow:
         with pytest.raises(ConfigurationError):
             BoundedRecordQueue(capacity=2, overflow="newest-first")
 
-    def test_metrics_count_shed_separately(self, middleware):
-        metrics = MetricsRegistry()
-        loop = IngestionLoop(
-            BoundedRecordQueue(capacity=2, overflow="shed_newest"),
-            middleware, metrics=metrics,
+    def test_metrics_count_shed_separately(self):
+        pipeline = make_pipeline(
+            ServiceConfig(queue_capacity=2, queue_overflow="shed_newest")
         )
-        loop.submit(record(i) for i in range(4))
+        metrics = pipeline.metrics
+        pipeline.ingest.submit(pipeline_record(pipeline, i) for i in range(4))
         assert metrics.get("ingest_records_shed_total").value == 2
         assert metrics.get("ingest_records_dropped_total").value == 0
         assert metrics.get("ingest_records_offered_total").value == 4
 
     def test_service_config_plumbs_overflow_policy(self):
-        from repro.service.pipeline import ServiceConfig, ServicePipeline
-
         deployment = build_paper_deployment(
             make_clean_environment(),
             tracking_tags={"asset": (1.5, 1.5)},

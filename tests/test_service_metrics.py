@@ -52,6 +52,43 @@ class TestGauge:
         assert g.value == 5
 
 
+class TestReadMetric:
+    def test_value_is_read_when_asked(self):
+        reg = MetricsRegistry()
+        box = {"n": 2}
+        metric = reg.read("things_total", "Things", lambda: box["n"])
+        assert metric.kind == "counter" and metric.value == 2.0
+        box["n"] = 5
+        assert metric.value == 5.0
+        assert "repro_things_total 5\n" in reg.render_prometheus()
+        assert reg.to_dict()["repro_things_total"] == 5.0
+
+    def test_a_name_without_total_is_a_gauge(self):
+        reg = MetricsRegistry()
+        reg.read("queue_depth", "Depth", lambda: 1.5)
+        text = reg.render_prometheus()
+        assert "# TYPE repro_queue_depth gauge" in text
+        assert "repro_queue_depth 1.5" in text
+
+    def test_cannot_be_pushed(self):
+        reg = MetricsRegistry()
+        metric = reg.read("things_total", "Things", lambda: 0)
+        for push in (metric.inc, metric.dec, metric.set):
+            with pytest.raises(ConfigurationError, match="cannot be pushed"):
+                push(1.0)
+
+    def test_a_taken_name_is_refused(self):
+        reg = MetricsRegistry()
+        reg.counter("things_total")
+        with pytest.raises(ConfigurationError, match="already registered"):
+            reg.read("things_total", "Things", lambda: 0)
+        reg.read("other_total", "Other", lambda: 0)
+        with pytest.raises(ConfigurationError, match="already registered"):
+            reg.read("repro_other_total", "Other", lambda: 0)
+        with pytest.raises(ConfigurationError):
+            reg.counter("other_total")  # a read is not a pushed counter
+
+
 class TestHistogram:
     def test_bucket_counts_are_cumulative(self):
         h = Histogram("lat", buckets=(1.0, 2.0, 4.0))
@@ -293,15 +330,25 @@ class TestNamingConventions:
         assert [m.name for m in registry] == ["repro_service_requests_total"]
 
     def test_two_components_share_one_registry_cleanly(self):
-        from repro.service.batcher import MicroBatcher
+        from repro import build_paper_deployment
+        from repro.service import ServicePipeline
 
+        from .conftest import make_clean_environment
+
+        deployment = build_paper_deployment(
+            make_clean_environment(), tracking_tags={"a": (1.5, 1.5)}, seed=3
+        )
         registry = MetricsRegistry()
-        first = MicroBatcher(metrics=registry)
-        second = MicroBatcher(metrics=registry)  # e.g. pipeline rebuilt on resume
-        assert second is not first
+        args = (deployment.grid, deployment.simulator.middleware)
+        ServicePipeline(*args, metrics=registry)
         names = [m.name for m in registry]
         assert len(names) == len(set(names))
         assert "repro_batcher_batch_size_requests" in names
+        assert "repro_ingest_queue_depth" in names
+        # A second owner's reads over the same registry are refused, never
+        # merged into a duplicate or silently shadowed.
+        with pytest.raises(ConfigurationError, match="already registered"):
+            ServicePipeline(*args, metrics=registry)
 
     def test_obs_stage_histograms_join_the_same_namespace(self):
         from repro.obs import Tracer
@@ -322,9 +369,13 @@ class TestCalibrationMetricNaming:
     REFS = ("ref-0", "ref-1", "ref-2", "ref-3")
 
     def _corrector(self, registry):
+        """A corrector plus the reads its owner (the pipeline) registers."""
         from repro.calibration import DriftCorrector
+        from repro.service.pipeline import _register_calibration_reads
 
-        return DriftCorrector(self.READERS, self.REFS, metrics=registry)
+        corrector = DriftCorrector(self.READERS, self.REFS)
+        _register_calibration_reads(registry, corrector)
+        return corrector
 
     def test_registers_the_expected_names(self):
         registry = MetricsRegistry()
@@ -364,9 +415,9 @@ class TestCalibrationMetricNaming:
 
     def test_rebuilt_corrector_mints_no_duplicates(self):
         registry = MetricsRegistry()
-        first = self._corrector(registry)
-        second = self._corrector(registry)  # session resumed over same registry
-        assert second is not first
+        self._corrector(registry)
+        with pytest.raises(ConfigurationError, match="already registered"):
+            self._corrector(registry)  # a second corrector, same registry
         names = [m.name for m in registry]
         assert len(names) == len(set(names))
 

@@ -26,6 +26,7 @@ from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
 from repro.obs import Tracer, use_tracer
 from repro.service import LocalizationService, ServiceConfig, ServicePipeline
 from repro.service.ingest import IngestionLoop
+from repro.service.metrics import metric_safe
 
 from .conftest import make_clean_environment
 
@@ -424,6 +425,31 @@ class TestLatencyAccounting:
         summary = pipeline.metrics_summary()
         assert summary["latency_p50_s"] > 0
         assert summary["latency_p99_s"] >= summary["latency_p50_s"]
+
+
+class TestFrameAccounting:
+    def test_frames_count_up_to_the_moment_they_are_read(self, deployment):
+        # Frames are counted on the readers; the registry and the summary
+        # read those counts, so frames received after the last serving
+        # instant count too (here there was no instant at all).
+        pipeline = make_pipeline(deployment)
+        middleware = deployment.simulator.middleware
+
+        def received() -> int:
+            return sum(st["received"] for st in middleware.frame_stats().values())
+
+        before = received()
+        assert before > 0
+        assert pipeline.metrics_summary()["frames_received"] == before
+        deployment.simulator.run_for(2.0)
+        after = received()
+        assert after > before
+        assert pipeline.metrics_summary()["frames_received"] == after
+        metrics = pipeline.metrics
+        assert metrics.get("service_frames_received_total").value == after
+        for rid, st in middleware.frame_stats().items():
+            name = f"service_frames_received_{metric_safe(rid)}_total"
+            assert metrics.get(name).value == st["received"]
 
 
 class TestConfigValidation:
