@@ -246,11 +246,6 @@ class SparseBilinearOperator:
             ]
         )  # (4, v_rows, v_cols) flat lattice indices
 
-    @property
-    def nnz_per_row(self) -> int:
-        """Non-zeros per operator row (the four cell corners)."""
-        return 4
-
     def apply(self, stack: np.ndarray) -> np.ndarray:
         """Interpolate ``M`` lattices at once.
 

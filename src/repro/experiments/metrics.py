@@ -22,9 +22,6 @@ class ErrorSummary:
     maximum: float
     n: int
 
-    def as_row(self) -> tuple[float, float, float, float, int]:
-        return (self.mean, self.median, self.p90, self.maximum, self.n)
-
 
 def summarize_errors(errors: Sequence[float]) -> ErrorSummary:
     """Summarize a sample of estimation errors."""

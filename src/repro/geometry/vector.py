@@ -68,13 +68,6 @@ class Segment:
         d = self.direction
         return np.array([-d[1], d[0]])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b], dtype=np.float64)
-
-
-def _cross(o: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    return float((p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0]))
-
 
 def segments_intersect(s1: Segment, s2: Segment) -> bool:
     """Return True if the two closed segments share at least one point."""

@@ -239,11 +239,6 @@ class TestbedSimulator:
         self._fault_injector = injector
 
     @property
-    def fault_injector(self) -> "FaultInjector | None":
-        """The installed fault injector, if any."""
-        return self._fault_injector
-
-    @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
         return self.queue.clock.now

@@ -29,7 +29,7 @@ Spans separate **logical** content from **wall-clock** annotation:
   trace-smoke job and ``tests/golden/trace_*.json`` pin exactly that.
 * wall-clock fields (``wall_s``) are measured with an injectable
   monotonic clock and *stripped* from the logical view; they feed the
-  per-stage latency histograms and the ``repro trace summary`` output.
+  ``repro trace summary`` output.
 
 Instrumented code must therefore only put deterministic values into
 attributes — simulation state, configuration, counts — never wall times
@@ -235,12 +235,6 @@ class Tracer:
     wall_clock:
         Monotonic clock for the wall-duration annotation (injectable so
         tests can fake latency).
-    metrics:
-        Optional duck-typed registry (anything with
-        ``histogram(name, help)``): every finished span observes its
-        wall duration into ``obs_stage_<stage>_latency_seconds``, which
-        renders alongside the service metrics in the same Prometheus
-        exposition.
     sink:
         Called with each completed **root** span (e.g.
         :meth:`repro.obs.trace_file.TraceWriter.sink` for JSONL
@@ -254,7 +248,6 @@ class Tracer:
         *,
         clock: Callable[[], float] | None = None,
         wall_clock: Callable[[], float] = time.perf_counter,
-        metrics: Any | None = None,
         sink: Callable[[Span], None] | None = None,
     ):
         self.clock = clock
@@ -262,8 +255,6 @@ class Tracer:
         self.sink = sink
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        self._metrics = metrics
-        self._histograms: dict[str, Any] = {}
         self.spans_recorded = 0
 
     # -- recording -----------------------------------------------------------
@@ -294,25 +285,10 @@ class Tracer:
             )
         self._stack.pop()
         self.spans_recorded += 1
-        if self._metrics is not None:
-            self._observe(span)
         if not self._stack:
             self.roots.append(span)
             if self.sink is not None:
                 self.sink(span)
-
-    def _observe(self, span: Span) -> None:
-        hist = self._histograms.get(span.name)
-        if hist is None:
-            safe = "".join(
-                c if (c.isalnum() or c == "_") else "_" for c in span.name
-            )
-            hist = self._metrics.histogram(
-                f"obs_stage_{safe}_latency_seconds",
-                f"Wall-clock latency of traced stage {span.name}",
-            )
-            self._histograms[span.name] = hist
-        hist.observe(span.wall_s)
 
     # -- views ---------------------------------------------------------------
 

@@ -146,11 +146,6 @@ class ShadowingField:
         vals = self._interp(pts[:, ::-1])  # interpolator wants (y, x)
         return vals[0] if single else vals
 
-    @property
-    def lattice_shape(self) -> tuple[int, int]:
-        """Shape of the underlying synthesis lattice (rows=y, cols=x)."""
-        return self._field.shape
-
     def empirical_sigma(self) -> float:
         """Standard deviation actually realized on the lattice (≈ sigma_db)."""
         return float(self._field.std())

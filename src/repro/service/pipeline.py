@@ -36,7 +36,11 @@ Serving instants: every batch the :class:`MicroBatcher` cuts at one
 service-clock time ``now_s`` is executed together — one record
 delivery, one health observation, one calibration tick, one snapshot
 per tag, one VIRE pass and one LANDMARC pass — because every request
-served at ``now_s`` sees the same middleware state.
+served at ``now_s`` sees the same middleware state. The ladder is
+decided in one place, :meth:`ServicePipeline._execute_instant`, as the
+two passes return; :meth:`ServicePipeline._answer` then builds each
+answer and its one ``service.serve`` span. A real fault (any error but
+a refusal) raises before any answer of the instant is recorded.
 
 Reader health: a :class:`~repro.service.health.ReaderHealthTracker`
 observes per-reader middleware freshness every serving instant and
@@ -64,6 +68,7 @@ from ..core.config import VIREConfig
 from ..core.estimator import VIREEstimator
 from ..engine.batch import BatchLandmarc, Outcome
 from ..exceptions import (
+    CheckpointError,
     ConfigurationError,
     EstimationError,
     ReadingError,
@@ -323,8 +328,9 @@ class ServicePipeline:
             "Flushed batch sizes",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         )
-        self._c_requests = m.counter(
-            "service_requests_total", "Localization requests accepted"
+        requests = m.read(
+            "service_requests_total", "Localization requests accepted",
+            lambda: self.batcher.submitted,
         )
         self._c_results = m.counter(
             "service_results_total", "Localization results served"
@@ -338,11 +344,8 @@ class ServicePipeline:
                 f"Results degraded because of {reason}",
             )
             for reason in (
-                "empty_intersection",
-                "deadline",
-                "no_reading",
-                "partial_readers",
-                "quorum_unmet",
+                "empty_intersection", "deadline", "no_reading",
+                "partial_readers", "quorum_unmet",
             )
         }
         self._c_failed = m.counter(
@@ -363,7 +366,7 @@ class ServicePipeline:
             *(f"degraded_{reason}" for reason in reasons),
         )
         self._checkpoint_counters = (
-            self._c_requests, self._c_results, self._c_degraded,
+            requests, self._c_results, self._c_degraded,
             self._c_failed, *reasons.values(),
         )
         self._checkpoint_breaker_ids = tuple(sorted(self.health.breakers))
@@ -430,7 +433,6 @@ class ServicePipeline:
             tag_id=str(tag_id), enqueued_at_s=float(now_s), deadline_s=deadline
         )
         self.batcher.submit(request)
-        self._c_requests.inc()
         return request
 
     # -- calibration loop ----------------------------------------------------
@@ -570,15 +572,6 @@ class ServicePipeline:
                         snapshots[tag_id] = None
                 return snapshots[tag_id]
 
-            # The whole instant is localized in two vectorized passes
-            # through the batch engine — one primary VIRE pass, then one
-            # LANDMARC pass over exactly the requests the scalar ladder
-            # would have sent there (past-deadline requests and VIRE
-            # refusals). Answers are bitwise identical to serving requests
-            # one at a time; only the wall-clock cost is amortized. Pass
-            # latency is attributed evenly across the participating
-            # requests so the per-request histogram keeps measuring real
-            # work.
             with tracer.span("service.snapshot") as ssp:
                 readings = [fetch(r.tag_id) for r in requests]
                 ssp.set("unique_tags", len(snapshots))
@@ -586,91 +579,102 @@ class ServicePipeline:
                     "missing", sum(1 for r in readings if r is None)
                 )
 
+            # The whole instant is localized in two vectorized passes
+            # through the batch engine: one VIRE pass, then one LANDMARC
+            # pass over past-deadline requests and VIRE refusals, in that
+            # order. Answers are bitwise identical to serving requests one
+            # at a time. The ladder is decided here, once per request, as
+            # the passes return: (level, reason, estimate). A request no
+            # pass answers stays at level 4 (last known).
+            ladder: list[tuple] = [(4, "no_reading", None)] * len(requests)
+            shares = [0.0] * len(requests)
             primary: list[int] = []
-            deadline_first: list[int] = []
+            fallback: dict[int, str] = {}  # LANDMARC's requests -> reason
             for i, (request, reading) in enumerate(zip(requests, readings)):
                 if reading is None:
                     continue
-                past = (
-                    request.deadline_s is not None
-                    and now_s > request.deadline_s
-                )
-                (deadline_first if past else primary).append(i)
-
-            vire_outcomes: dict[int, Outcome] = {}
-            vire_share = 0.0
-            if primary:
-                with tracer.span(
-                    "service.vire_pass", n_requests=len(primary)
-                ):
-                    t0 = self._perf_clock()
-                    outs = self._salvaged_outcomes(
-                        self.vire.estimate_outcomes,
-                        [readings[i] for i in primary],
+                deadline = request.deadline_s
+                if deadline is not None and now_s > deadline:
+                    fallback[i] = "deadline"  # too late for the costly path
+                else:
+                    primary.append(i)
+            for i, est in self._pass(
+                "service.vire_pass", self.vire.estimate_outcomes,
+                readings, primary, shares,
+            ):
+                # Levels 1 and 2: full VIRE, or VIRE on the quorum-surviving
+                # reader subset of a masked snapshot. A refusal falls to
+                # LANDMARC: "quorum_unmet" when the masked subset was too
+                # thin, "empty_intersection" on a healthy reading.
+                masked = readings[i].masked
+                if est is None:
+                    fallback[i] = (
+                        "quorum_unmet" if masked else "empty_intersection"
                     )
-                    vire_share = (self._perf_clock() - t0) / len(primary)
-                    vire_outcomes = dict(zip(primary, outs))
+                elif masked:
+                    ladder[i] = (2, "partial_readers", est)
+                else:
+                    ladder[i] = (1, None, est)
+            for i, est in self._pass(
+                "service.landmarc_pass",
+                self._batch_fallback.estimate_outcomes,
+                readings, list(fallback), shares,
+            ):
+                if est is not None:
+                    ladder[i] = (3, fallback[i], est)
 
-            needs_fallback = deadline_first + [
-                i for i in primary
-                if isinstance(vire_outcomes[i], EstimationError)
+            answers = [
+                self._answer(request, now_s, *decided, share)
+                for request, decided, share in zip(requests, ladder, shares)
             ]
-            lm_outcomes: dict[int, Outcome] = {}
-            lm_share = 0.0
-            if needs_fallback:
-                with tracer.span(
-                    "service.landmarc_pass", n_requests=len(needs_fallback)
-                ):
-                    t0 = self._perf_clock()
-                    outs = self._salvaged_outcomes(
-                        self._batch_fallback.estimate_outcomes,
-                        [readings[i] for i in needs_fallback],
-                    )
-                    lm_share = (
-                        self._perf_clock() - t0
-                    ) / len(needs_fallback)
-                    lm_outcomes = dict(zip(needs_fallback, outs))
-
-            results = []
-            for i, request in enumerate(requests):
-                share = (vire_share if i in vire_outcomes else 0.0) + (
-                    lm_share if i in lm_outcomes else 0.0
-                )
-                result = self._serve_one(
-                    request,
-                    now_s,
-                    readings[i],
-                    vire_outcomes.get(i),
-                    lm_outcomes.get(i),
-                    share,
-                )
-                if result is not None:
-                    results.append(result)
             if corrected_tags:
                 # Ladder annotation: which answers of this instant were
                 # served from calibration-corrected (or quarantine-
                 # excised) snapshots. The ladder levels themselves are
                 # untouched — correction happens *before* the ladder.
                 bsp.set("calibration_corrected_tags", sorted(corrected_tags))
-            return results
+            return [answer for answer in answers if answer is not None]
 
-    def _salvaged_outcomes(self, fn, readings: list) -> list[Outcome]:
-        """Run one engine pass; salvage it if it raises.
+    def _pass(
+        self,
+        span_name: str,
+        fn: Callable[[list], list[Outcome]],
+        readings: list,
+        indices: list[int],
+        shares: list[float],
+    ) -> list[tuple[int, Any]]:
+        """One engine pass over ``readings[i]`` for each ``i`` in ``indices``.
 
-        A failure of the whole pass is retried item by item in-process,
-        and an item that still fails is substituted with an
-        :class:`EstimationError` — which the degradation ladder treats
-        as a per-request refusal. A bug (or resource fault) in one
-        estimator pass therefore degrades one answer, never the batch.
+        Returns ``(i, estimate or None)`` in ``indices`` order. ``None`` is
+        a refusal (an :class:`EstimationError`); any other
+        :class:`ReproError` is a real fault and raises here, before any
+        answer of the instant is recorded. Each request's even share of
+        the pass's wall-clock is added to ``shares[i]``. A pass that
+        raises as a whole is salvaged item by item; an item that still
+        fails becomes a refusal, so one bad input degrades one answer.
         """
-        return run_shard_with_salvage(
-            fn,
-            readings,
-            error_factory=lambda item, exc: EstimationError(
-                f"engine pass failed: {type(exc).__name__}: {exc}"
-            ),
-            metrics=self.metrics,
-        )
+        if not indices:
+            return []
+        with current_tracer().span(span_name, n_requests=len(indices)):
+            t0 = self._perf_clock()
+            outcomes = run_shard_with_salvage(
+                fn,
+                [readings[i] for i in indices],
+                error_factory=lambda item, exc: EstimationError(
+                    f"engine pass failed: {type(exc).__name__}: {exc}"
+                ),
+                metrics=self.metrics,
+            )
+            share = (self._perf_clock() - t0) / len(indices)
+        answered = []
+        for i, outcome in zip(indices, outcomes):
+            if isinstance(outcome, EstimationError):
+                outcome = None
+            elif isinstance(outcome, ReproError):
+                raise outcome
+            shares[i] += share
+            answered.append((i, outcome))
+        return answered
 
     @staticmethod
     def _exclude_readers(
@@ -694,148 +698,72 @@ class ServicePipeline:
             return None
         return replace(reading.subset_readers(keep), masked=True)
 
-    def _serve_one(
+    def _answer(
         self,
         request: LocalizationRequest,
         now_s: float,
-        reading: Any,
-        vire_outcome: Outcome | None,
-        lm_outcome: Outcome | None,
-        batch_share_s: float = 0.0,
+        level: int,
+        reason: str | None,
+        est: Any,
+        share_s: float,
     ) -> ServiceResult | None:
-        """Assemble one answer from the precomputed batch outcomes.
+        """Record one request's answer at its decided ladder level.
 
-        The degradation ladder is decided here exactly as it was when the
-        estimators ran inline; the heavy passes simply happened earlier,
-        vectorized over the whole batch. ``vire_outcome``/``lm_outcome``
-        are the per-reading results (or the errors the scalar calls would
-        have raised); ``batch_share_s`` is this request's even share of
-        the batched passes' wall-clock, folded into its latency.
+        ``est`` is the pass's estimate (levels 1–3) or ``None`` (level 4:
+        the tag's last known position — or, for a tag never localized, a
+        counted failure). ``share_s`` is the request's share of the
+        passes' wall-clock, folded into its latency.
 
-        Every serve decision is traced as one ``service.serve`` span with
-        the ladder outcome as attributes (``level``/``reason``/
-        ``estimator``/``degraded`` — or ``failed`` when even level 4 has
-        nothing). ``repro trace summary`` aggregates exactly these.
+        Every answer is traced as one ``service.serve`` span with the
+        ladder outcome as attributes (``level``/``reason``/``estimator``/
+        ``degraded`` — or ``failed`` when even level 4 has nothing).
+        ``repro trace summary`` aggregates exactly these.
         """
-        with current_tracer().span(
-            "service.serve", tag=request.tag_id
-        ) as span:
-            return self._serve_one_traced(
-                span, request, now_s, reading,
-                vire_outcome, lm_outcome, batch_share_s,
-            )
-
-    def _serve_one_traced(
-        self,
-        span,
-        request: LocalizationRequest,
-        now_s: float,
-        reading: Any,
-        vire_outcome: Outcome | None,
-        lm_outcome: Outcome | None,
-        batch_share_s: float,
-    ) -> ServiceResult | None:
-        t0 = self._perf_clock()
-        estimator_name = self.vire.name
-        degraded = False
-        reason: str | None = None
-        diagnostics: Mapping[str, Any] = {}
-
-        past_deadline = (
-            request.deadline_s is not None and now_s > request.deadline_s
-        )
-
-        def consume(outcome: Outcome | None):
-            # An EstimationError means "this ladder level refused" (the
-            # scalar path caught exactly that); any other ReproError is a
-            # real fault the scalar path would have propagated.
-            if isinstance(outcome, EstimationError):
-                return None
-            if isinstance(outcome, ReproError):
-                raise outcome
-            return outcome
-
-        if reading is None:
-            est = None
-        elif past_deadline:
-            # Too late for the expensive path: serve the cheap estimate.
-            est = consume(lm_outcome)
+        tracer = current_tracer()
+        with tracer.span("service.serve", tag=request.tag_id) as span:
+            t0 = self._perf_clock()
             if est is not None:
-                degraded, reason = True, "deadline"
-                estimator_name = self.fallback.name
-        else:
-            # Ladder levels 1 and 2: full VIRE, or — for a masked
-            # snapshot — VIRE on the quorum-surviving reader subset.
-            est = consume(vire_outcome)
-            if est is not None:
-                if reading.masked:
-                    degraded, reason = True, "partial_readers"
+                position, diagnostics = est.position, est.diagnostics
+                estimator = (self.vire if level < 3 else self.fallback).name
             else:
-                # Level 3: NaN-aware LANDMARC. "empty_intersection" on a
-                # healthy reading; "quorum_unmet" when the masked subset
-                # was too thin for VIRE.
-                est = consume(lm_outcome)
-                if est is not None:
-                    degraded = True
-                    reason = (
-                        "quorum_unmet" if reading.masked
-                        else "empty_intersection"
+                position = self._last_estimate.get(request.tag_id)
+                if position is None:
+                    self._c_failed.inc()
+                    span.update(failed=True, reason=reason)
+                    log_event(
+                        self._logger, "request_failed",
+                        tag=request.tag_id, t=now_s, reason=reason,
                     )
-                    estimator_name = self.fallback.name
-
-        if est is not None:
-            position = est.position
-            diagnostics = dict(est.diagnostics)
-        else:
-            # Level 4: no snapshot, or not even LANDMARC can rank
-            # neighbours — the tag's last known estimate, if any.
-            position = self._last_estimate.get(request.tag_id)
-            if position is None:
-                self._c_failed.inc()
-                span.update(failed=True, reason="no_reading")
+                    return None
+                estimator, diagnostics = "last-known", {}
+            degraded = level > 1
+            span.update(level=level, estimator=estimator, degraded=degraded)
+            if reason is not None:
+                span.set("reason", reason)
+            latency = self._perf_clock() - t0 + share_s
+            self._h_latency.observe(latency)
+            self._c_results.inc()
+            if degraded:
+                self._c_degraded.inc()
+                self._c_degraded_reason[reason].inc()
                 log_event(
-                    self._logger, "request_failed",
-                    tag=request.tag_id, t=now_s, reason="no_reading",
+                    self._logger, "request_degraded",
+                    tag=request.tag_id, t=now_s, reason=reason,
                 )
-                return None
-            degraded, reason = True, "no_reading"
-            estimator_name = "last-known"
-
-        if estimator_name == "last-known":
-            level = 4
-        elif estimator_name == self.fallback.name:
-            level = 3
-        elif degraded:
-            level = 2
-        else:
-            level = 1
-        span.update(level=level, estimator=estimator_name, degraded=degraded)
-        if reason is not None:
-            span.set("reason", reason)
-        latency = self._perf_clock() - t0 + batch_share_s
-        self._h_latency.observe(latency)
-        self._c_results.inc()
-        if degraded:
-            self._c_degraded.inc()
-            self._c_degraded_reason[reason].inc()
-            log_event(
-                self._logger, "request_degraded",
-                tag=request.tag_id, t=now_s, reason=reason,
+            self._last_estimate[request.tag_id] = position
+            result = ServiceResult(
+                tag_id=request.tag_id,
+                position=position,
+                estimator=estimator,
+                degraded=degraded,
+                reason=reason,
+                requested_at_s=request.enqueued_at_s,
+                completed_at_s=now_s,
+                processing_latency_s=latency,
+                diagnostics=diagnostics,
             )
-        self._last_estimate[request.tag_id] = position
-        result = ServiceResult(
-            tag_id=request.tag_id,
-            position=position,
-            estimator=estimator_name,
-            degraded=degraded,
-            reason=reason,
-            requested_at_s=request.enqueued_at_s,
-            completed_at_s=now_s,
-            processing_latency_s=latency,
-            diagnostics=diagnostics,
-        )
-        self._results.append(result)
-        return result
+            self._results.append(result)
+            return result
 
     # -- checkpoint / replay -------------------------------------------------
 
@@ -927,7 +855,7 @@ class ServicePipeline:
         """Restore the serving-side state from a checkpoint.
 
         ``results`` is the committed result log (decoded from the WAL);
-        the counters restored here are exactly the ones ``_serve_one``
+        the counters restored here are exactly the ones ``_answer``
         increments. Counters owned by replayed components (requests,
         frames, batcher, queue, faults) are **not** touched — replay
         reconstructs them.
@@ -953,52 +881,38 @@ class ServicePipeline:
         """Check the replay-reconstructed state against the snapshot.
 
         Raises :class:`~repro.exceptions.CheckpointError` when the
-        breaker states or the request counter reconstructed by replay
-        disagree with what the crashed run checkpointed — the
-        determinism contract of resume would be void.
+        breakers, the request count or the calibration state of one
+        :meth:`checkpoint_state` disagree with what the crashed run
+        checkpointed — the determinism contract of resume would be void.
         """
-        from ..exceptions import CheckpointError
-
-        expected = state.get("breakers", {})
-        for rid, snap in expected.items():
-            breaker = self.health.breakers.get(rid)
-            if breaker is None:
+        got = self.checkpoint_state()
+        for rid, snap in state.get("breakers", {}).items():
+            if rid not in got["breakers"]:
                 raise CheckpointError(
                     f"checkpointed breaker for unknown reader {rid!r}"
                 )
-            got = {
-                "state": breaker.state,
-                "consecutive_failures": breaker.consecutive_failures,
-                "opened_at_s": breaker.opened_at_s,
-                "transitions": breaker.transitions,
-            }
-            if got != dict(snap):
+            if got["breakers"][rid] != dict(snap):
                 raise CheckpointError(
-                    f"replay diverged for reader {rid!r}: "
-                    f"reconstructed {got}, checkpoint {dict(snap)}"
+                    f"replay diverged for reader {rid!r}: reconstructed "
+                    f"{got['breakers'][rid]}, checkpoint {dict(snap)}"
                 )
-        counters = state.get("counters", {})
-        if "requests" in counters:
-            got_requests = self._c_requests.value
-            if got_requests != float(counters["requests"]):
-                raise CheckpointError(
-                    f"replay diverged on requests counter: reconstructed "
-                    f"{got_requests}, checkpoint {counters['requests']}"
-                )
+        want = state.get("counters", {}).get("requests")
+        got_requests = got["counters"]["requests"]
+        if want is not None and got_requests != float(want):
+            raise CheckpointError(
+                f"replay diverged on requests counter: reconstructed "
+                f"{got_requests}, checkpoint {want}"
+            )
         if "calibration" in state:
             if self.calibration is None:
                 raise CheckpointError(
                     "checkpoint was written with the calibration loop "
                     "enabled; this session has it disabled"
                 )
-            # Both sides are plain JSON types (checkpoint_state builds
-            # them so), so dict equality is the comparison.
-            got_cal = self.calibration.checkpoint_state()
-            want_cal = state["calibration"]
-            if got_cal != want_cal:
+            if got["calibration"] != state["calibration"]:
                 raise CheckpointError(
                     f"replay diverged on calibration state: reconstructed "
-                    f"{got_cal}, checkpoint {want_cal}"
+                    f"{got['calibration']}, checkpoint {state['calibration']}"
                 )
         log_event(self._logger, "replay_verified")
 
@@ -1041,7 +955,7 @@ class ServicePipeline:
         m = self.metrics
         degraded = self._c_degraded.value
         served = self._c_results.value
-        requests = self._c_requests.value
+        requests = float(self.batcher.submitted)
         summary = {
             "requests": requests,
             "results": served,

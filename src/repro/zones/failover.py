@@ -112,10 +112,6 @@ class TokenBucket:
         self._tokens = float(burst)
         self._last_s: float | None = None
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
     def try_acquire(self, now_s: float) -> bool:
         """Take one token at clock time ``now_s``; False when empty."""
         now_s = float(now_s)
@@ -290,10 +286,6 @@ class ZoneChannel:
     def down(self) -> bool:
         """True once the zone is permanently down (no respawn left)."""
         return self._down
-
-    @property
-    def chunks_processed(self) -> int:
-        return self._k
 
     def slow_at(self, tau_s: float) -> bool:
         """Is a slow-zone window active at gateway-relative ``tau_s``?"""

@@ -126,18 +126,6 @@ class TestTracer:
                 pass
         assert [s.name for s in seen] == ["root"]
 
-    def test_metrics_histogram_per_stage(self):
-        from repro.service.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry, wall_clock=FakeWall())
-        with tracer.span("vire.estimate"):
-            pass
-        with tracer.span("vire.estimate"):
-            pass
-        hist = registry.get("obs_stage_vire_estimate_latency_seconds")
-        assert hist.count == 2
-
     def test_depth_tracks_open_spans(self):
         tracer = Tracer()
         assert tracer.depth == 0

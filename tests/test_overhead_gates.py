@@ -8,7 +8,9 @@ benchmark's, to keep the suite fast) and requires the gate to trip:
 
 * 10 ms of busy work per checkpointed session (at writer creation);
 * 100 µs of busy work per write-ahead log line;
-* 10 ms of busy work per corrected session (at corrector arming).
+* 10 ms of busy work per corrected session (at corrector arming);
+* 100 µs of busy work per recorded span, for ``bench_obs_overhead``'s
+  enabled-tracer gate (a workload records ~240 spans in ~50 ms).
 
 Sessions last a few tens of milliseconds, so each injected cost is
 several times the 5% ceiling (a 10 ms cost on a 40 ms session reads
@@ -26,6 +28,7 @@ import time
 import pytest
 
 from repro.calibration.corrector import DriftCorrector
+from repro.obs import Tracer
 from repro.runtime import checkpoint
 from repro.runtime.checkpoint import CheckpointWriter
 
@@ -63,6 +66,11 @@ def bench_calibration():
     return load_benchmark("bench_calibration")
 
 
+@pytest.fixture(scope="module")
+def bench_obs_overhead():
+    return load_benchmark("bench_obs_overhead")
+
+
 class TestRecoveryGate:
     def test_10ms_per_checkpointed_session_trips(
         self, bench_recovery, monkeypatch, tmp_path
@@ -98,6 +106,19 @@ class TestCalibrationGate:
         )
         _, gate = bench_calibration.measure_overhead(rounds=ROUNDS)
         assert not gate.ok
+
+
+class TestObsOverheadGate:
+    def test_100us_per_recorded_span_trips(
+        self, bench_obs_overhead, monkeypatch
+    ):
+        monkeypatch.setattr(Tracer, "span", _slowed(Tracer.span, 100e-6))
+        est, readings = bench_obs_overhead._build_workload()
+        _, gate = bench_obs_overhead.measure_enabled(
+            est, readings, rounds=ROUNDS
+        )
+        assert not gate.ok
+        assert gate.high > gate.ceiling
 
 
 def _timings(interleave, ratios):

@@ -350,17 +350,6 @@ class TestNamingConventions:
         with pytest.raises(ConfigurationError, match="already registered"):
             ServicePipeline(*args, metrics=registry)
 
-    def test_obs_stage_histograms_join_the_same_namespace(self):
-        from repro.obs import Tracer
-
-        registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry)
-        with tracer.span("vire.estimate"):
-            pass
-        hist = registry.get("obs_stage_vire_estimate_latency_seconds")
-        assert hist.name == "repro_obs_stage_vire_estimate_latency_seconds"
-        assert hist.name.endswith("_seconds")
-
 
 class TestCalibrationMetricNaming:
     """The drift corrector's metrics obey the same naming audit."""

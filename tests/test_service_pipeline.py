@@ -11,15 +11,22 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import VIREConfig, build_paper_deployment
 from repro.calibration import CalibrationPolicy, DriftCorrector
-from repro.engine.batch import BatchEngine
-from repro.exceptions import ConfigurationError
+from repro.engine.batch import BatchEngine, BatchLandmarc
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    EstimationError,
+    ReadingError,
+)
 from repro.faults import CrashPoint, ReaderOutageFault, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
@@ -232,6 +239,34 @@ class TestServingInstant:
         assert len(observed) == 1
         assert len(pipeline.calibration._window) == 1
 
+    def test_a_real_fault_records_no_answer_of_the_instant(
+        self, two_tag_deployment, monkeypatch
+    ):
+        # A non-refusal error (a layout fault) aborts the session; the
+        # write-ahead log never sees the instant, so no answer of it may
+        # be recorded either — not even the ones before the fault.
+        pipeline = self._instant_pipeline(two_tag_deployment)
+        estimate_outcomes = pipeline.vire.estimate_outcomes
+
+        def faulty(readings):
+            outcomes = estimate_outcomes(readings)
+            outcomes[1] = ReadingError("reference layout mismatch")
+            return outcomes
+
+        monkeypatch.setattr(pipeline.vire, "estimate_outcomes", faulty)
+        now = two_tag_deployment.simulator.now
+        pipeline.submit_request("asset", now)
+        pipeline.submit_request("cart", now)
+        with pytest.raises(ReadingError, match="layout mismatch"):
+            pipeline.process_due(now)
+        assert pipeline.results == ()
+        assert pipeline.last_estimate("asset") is None
+        summary = pipeline.metrics_summary()
+        assert (summary["results"], summary["degraded"]) == (0, 0)
+        assert pipeline.metrics.get(
+            "service_localization_latency_seconds"
+        ).count == 0
+
     def test_multi_batch_instant_is_one_batch_span(self, two_tag_deployment):
         pipeline = self._instant_pipeline(two_tag_deployment)
         now = two_tag_deployment.simulator.now
@@ -310,6 +345,44 @@ class TestInstantResume:
         assert json.dumps(resumed.witness_document(), sort_keys=True) == (
             json.dumps(baseline.witness_document(), sort_keys=True)
         )
+
+
+class TestVerifyReplay:
+    """Resume compares the rebuilt state with the checkpointed one."""
+
+    def _state(self, pipeline) -> dict:
+        pipeline.submit_request("asset", 0.0)
+        return json.loads(json.dumps(pipeline.checkpoint_state()))
+
+    def test_matching_state_verifies(self, deployment):
+        pipeline = make_pipeline(deployment, calibration=CalibrationPolicy())
+        pipeline.verify_replay(self._state(pipeline))
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda s: s["breakers"].update(ghost=s["breakers"]["reader-0"]),
+         "checkpointed breaker for unknown reader 'ghost'"),
+        (lambda s: s["breakers"]["reader-1"].update(transitions=7),
+         "replay diverged for reader 'reader-1': reconstructed"),
+        (lambda s: s["counters"].update(requests=2),
+         "replay diverged on requests counter: reconstructed 1.0, "
+         "checkpoint 2"),
+        (lambda s: s["calibration"].update(armed=True),
+         "replay diverged on calibration state"),
+    ])
+    def test_divergence_is_named(self, deployment, tamper, message):
+        pipeline = make_pipeline(deployment, calibration=CalibrationPolicy())
+        state = self._state(pipeline)
+        tamper(state)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            pipeline.verify_replay(state)
+
+    def test_calibration_state_needs_the_loop(self, deployment):
+        with_loop = make_pipeline(deployment, calibration=CalibrationPolicy())
+        state = self._state(with_loop)
+        without = make_pipeline(deployment)
+        without.submit_request("asset", 0.0)
+        with pytest.raises(CheckpointError, match="this session has it"):
+            without.verify_replay(state)
 
 
 class TestEmptyIntersectionDegradation:
@@ -411,6 +484,128 @@ class TestNoReadingDegradation:
         assert r.reason == "no_reading"
         assert r.estimator == "last-known"
         assert r.position == first.position
+
+
+DEGRADED_REASONS = (
+    "empty_intersection", "deadline", "no_reading", "partial_readers",
+    "quorum_unmet",
+)
+
+#: Every cell of the degradation ladder: how to reach it, then the
+#: answer (or ``None``: a counted failure) and the ``service.serve``
+#: span it must produce. ``allow`` keeps that many readers admitted
+#: (the rest look breaker-blocked, so the snapshot is masked); ``thin``
+#: masks every reference column but one reader's, below the quorum;
+#: ``empty`` makes VIRE refuse on an empty intersection; ``late`` puts
+#: the request past its deadline; ``refuse_landmarc`` makes the LANDMARC
+#: pass refuse too; ``history`` seeds a last-known answer.
+LADDER = {
+    "full_vire": (
+        dict(), ("VIRE", False, None), dict(level=1)),
+    "masked_vire": (
+        dict(allow=3),
+        ("VIRE", True, "partial_readers"), dict(level=2)),
+    "empty_intersection": (
+        dict(empty=True),
+        ("LANDMARC", True, "empty_intersection"), dict(level=3)),
+    "quorum_unmet": (
+        dict(thin=True),
+        ("LANDMARC", True, "quorum_unmet"), dict(level=3)),
+    "deadline": (
+        dict(late=True), ("LANDMARC", True, "deadline"), dict(level=3)),
+    "deadline_landmarc_refused": (
+        dict(late=True, refuse_landmarc=True, history=True),
+        ("last-known", True, "no_reading"), dict(level=4)),
+    "no_reading_last_known": (
+        dict(tag="ghost", history=True),
+        ("last-known", True, "no_reading"), dict(level=4)),
+    "no_reading_no_history": (
+        dict(tag="ghost"), None, dict(failed=True)),
+}
+
+
+class TestLadderTable:
+    """One request per cell: its answer, its span and its counters."""
+
+    @pytest.mark.parametrize("cell", list(LADDER))
+    def test_cell(self, deployment, monkeypatch, cell):
+        setup, want, want_span = LADDER[cell]
+        changes = {"request_deadline_s": 1.0}
+        if setup.get("empty"):
+            changes["vire"] = VIREConfig(
+                subdivisions=5, threshold_mode="fixed",
+                fixed_threshold_db=1e-9,
+            )
+        pipeline = make_pipeline(deployment, **changes)
+        if "allow" in setup:
+            kept = list(pipeline.middleware.reader_ids)[: setup["allow"]]
+            monkeypatch.setattr(
+                pipeline.health, "allowed_readers", lambda now_s: kept
+            )
+        if setup.get("thin"):
+            snapshot = MiddlewareServer.snapshot
+
+            def thin(middleware, tag_id, now_s, **kwargs):
+                reading = snapshot(middleware, tag_id, now_s, **kwargs)
+                ref = reading.reference_rssi.copy()
+                ref[1:] = np.nan
+                return dataclasses.replace(
+                    reading, reference_rssi=ref, masked=True
+                )
+
+            monkeypatch.setattr(MiddlewareServer, "snapshot", thin)
+        if setup.get("refuse_landmarc"):
+            monkeypatch.setattr(
+                BatchLandmarc, "estimate_outcomes",
+                lambda self, readings: [
+                    EstimationError("nothing to rank") for _ in readings
+                ],
+            )
+        tag = setup.get("tag", "asset")
+        if setup.get("history"):
+            pipeline.transfer_last_estimate(tag, (1.0, 2.0))
+        now = deployment.simulator.now
+        pipeline.submit_request(tag, now - 5.0 if setup.get("late") else now)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            results = pipeline.drain(now)
+
+        if want is None:
+            assert results == []
+        else:
+            (result,) = results
+            assert (result.estimator, result.degraded, result.reason) == want
+            if setup.get("history"):
+                assert result.position == (1.0, 2.0)
+        (root,) = tracer.logical_documents()
+        (serve,) = [
+            c for c in root["children"] if c["name"] == "service.serve"
+        ]
+        attrs = dict(serve["attrs"])
+        assert attrs.pop("tag") == tag
+        if want is None:
+            assert attrs == {"failed": True, "reason": "no_reading"}
+        else:
+            estimator, degraded, reason = want
+            expected = dict(
+                want_span, estimator=estimator, degraded=degraded
+            )
+            if reason is not None:
+                expected["reason"] = reason
+            assert attrs == expected
+
+        metrics = pipeline.metrics
+        reason = None if want is None else want[2]
+        for name in DEGRADED_REASONS:
+            counter = metrics.get(f"service_degraded_{name}_total")
+            assert counter.value == (1 if name == reason else 0), name
+        assert metrics.get("service_degraded_total").value == (
+            0 if reason is None else 1
+        )
+        assert metrics.get("service_requests_failed_total").value == (
+            1 if want is None else 0
+        )
+        assert metrics.get("service_results_total").value == len(results)
 
 
 class TestLatencyAccounting:
