@@ -3,8 +3,11 @@
 :class:`FaultInjector` sits between ``Reader.receive`` and record
 delivery (middleware or record sink) via
 :meth:`~repro.hardware.simulator.TestbedSimulator.set_fault_injector`.
-Records flow through the plan's faults in order; survivors come out
-immediately, delayed records are buffered in a deterministic
+The simulator hands it one beacon's records per :meth:`process` call.
+Each record flows through the plan's faults in order, record after
+record, but only through the faults that can touch its
+``(reader_id, tag_id)`` pair (a table built on first sight). Survivors
+come out immediately; delayed records are buffered in a deterministic
 ``(release_time, sequence)``-ordered heap and released as simulation
 time passes.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..hardware.readers import ReadingRecord
@@ -67,6 +70,8 @@ class FaultInjector:
                 )
         self.plan = plan
         self._faults = plan.compile()
+        #: ``(reader_id, tag_id)`` -> ``apply`` of each fault that can touch it.
+        self._routes: dict[tuple[str, str], tuple[Callable, ...]] = {}
         self._logger = get_structured_logger(_LOGGER_NAME)
         self._delayed: list[tuple[float, int, ReadingRecord]] = []
         self._seq = 0
@@ -85,44 +90,75 @@ class FaultInjector:
 
     # -- the record path -----------------------------------------------------
 
-    def process(self, record: ReadingRecord, now_s: float) -> list[ReadingRecord]:
-        """Run one record through the plan; returns records due *now*.
+    def process(
+        self, records: Sequence[ReadingRecord], now_s: float
+    ) -> list[ReadingRecord]:
+        """Run one beacon's records through the plan; returns records due *now*.
 
-        The returned list contains any previously delayed records whose
-        release time has arrived (oldest first), followed by this record
-        if it survived without delay. Dropped records return nothing;
-        delayed records surface from a later call or :meth:`release_due`.
+        The returned list holds any previously delayed records whose
+        release time has arrived (oldest first), followed by this
+        beacon's records that survived without delay, in input order.
+        Dropped records return nothing; delayed records surface from a
+        later call or :meth:`release_due`.
+
+        Records are processed one after another (record-major), each
+        through the plan's faults in order, so the :class:`FaultEvent`
+        trail and every RNG draw come in the same order as feeding the
+        records in one at a time. Each record meets only the faults its
+        ``(reader_id, tag_id)`` pair can touch (:meth:`_route`).
         """
         self._now = float(now_s)
-        self.records_seen += 1
+        self.records_seen += len(records)
         out = self.release_due(now_s)
         if not self._faults:  # empty plan: pristine fast path
-            out.append(record)
+            out.extend(records)
             return out
 
-        pending: list[tuple[float, ReadingRecord]] = [(now_s, record)]
-        for fault in self._faults:
-            next_pending: list[tuple[float, ReadingRecord]] = []
-            for release_s, rec in pending:
-                results = fault.apply(rec, release_s, self._emit)
-                if not results:
-                    self.records_dropped += 1
-                for out_release, out_rec in results:
-                    if out_rec.rssi_dbm != rec.rssi_dbm:
-                        self.records_modified += 1
-                    next_pending.append((max(out_release, release_s), out_rec))
-            pending = next_pending
-            if not pending:
-                break
-
-        for release_s, rec in pending:
-            if release_s <= now_s:
-                out.append(rec)
+        routes = self._routes
+        emit = self._emit
+        dropped = modified = 0
+        for record in records:
+            key = (record.reader_id, record.tag_id)
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = self._route(*key)
+            release_s = now_s
+            for apply in route:
+                result = apply(record, release_s, emit)
+                if result is None:
+                    dropped += 1
+                    break
+                out_release, out_rec = result
+                if out_rec.rssi_dbm != record.rssi_dbm:
+                    modified += 1
+                if out_release > release_s:
+                    release_s = out_release
+                record = out_rec
             else:
-                self.records_delayed += 1
-                heapq.heappush(self._delayed, (release_s, self._seq, rec))
-                self._seq += 1
+                if release_s <= now_s:
+                    out.append(record)
+                else:
+                    self.records_delayed += 1
+                    heapq.heappush(self._delayed, (release_s, self._seq, record))
+                    self._seq += 1
+        self.records_dropped += dropped
+        self.records_modified += modified
         return out
+
+    def _route(self, reader_id: str, tag_id: str) -> tuple[Callable, ...]:
+        """``apply`` of the faults, in plan order, that can touch the pair.
+
+        A model with ``touches`` promises that a record it does not
+        touch passes its ``apply`` unchanged, with no draw and no event,
+        so skipping it changes nothing. A model without ``touches``
+        cannot be classified and meets every record.
+        """
+        return tuple(
+            fault.apply
+            for fault in self._faults
+            if getattr(fault.model, "touches", None) is None
+            or fault.model.touches(reader_id, tag_id)
+        )
 
     def release_due(self, now_s: float) -> list[ReadingRecord]:
         """Delayed records whose release time has arrived, oldest first."""

@@ -5,20 +5,28 @@ Every model is a frozen dataclass (a pure *description*) with a
 and returns a stateful :class:`CompiledFault`. Compiled faults transform
 one :class:`~repro.hardware.readers.ReadingRecord` at a time:
 
-``apply(record, now, emit) -> list[(release_time_s, record)]``
+``apply(record, now, emit) -> (release_time_s, record) | None``
 
-* ``[]`` — the record was dropped by the fault;
-* ``[(now, record)]`` — passed through (possibly with modified RSSI);
-* ``[(now + d, record)]`` — delayed delivery (the injector buffers it).
+* ``None`` — the record was dropped by the fault;
+* ``(now, record)`` — passed through (possibly with modified RSSI);
+* ``(now + d, record)`` — delayed delivery (the injector buffers it).
 
 ``emit(kind, **fields)`` reports state transitions (outage start/end,
 burst-state changes, tag deaths) so the injector can log and count them.
+
+Scope: every record model here has ``touches(reader_id, tag_id)``. A
+record it does not touch (its ``reader_id``/``tag_id`` names another
+reader or tag) passes ``apply`` unchanged, draws nothing and emits
+nothing, so the injector routes each record only through the faults
+that touch it.
 
 Determinism contract: a compiled fault consumes randomness only from the
 generator handed to it at compile time, which the
 :class:`~repro.faults.plan.FaultPlan` derives per-fault from the plan
 seed — so adding a fault to a plan never perturbs the draws of another,
-and the same seed always reproduces the same fault schedule.
+and the same seed always reproduces the same fault schedule. Burst loss
+and delay jitter take their uniform draws a block at a time: the same
+values, in the same order, as one ``rng.random()`` call a draw.
 
 The zone-scoped faults at the end of this module are different: they
 never touch a record, draw no randomness and have no ``compile()``.
@@ -67,7 +75,7 @@ class CompiledFault(Protocol):
 
     def apply(
         self, record: ReadingRecord, now_s: float, emit: Emit
-    ) -> list[tuple[float, ReadingRecord]]:
+    ) -> tuple[float, ReadingRecord] | None:
         """Transform one record; see module docstring for the contract."""
         ...
 
@@ -79,6 +87,27 @@ class FaultModel(Protocol):
     def compile(self, rng: np.random.Generator) -> CompiledFault:
         """Bind the model to an RNG stream, returning mutable state."""
         ...
+
+
+class _Uniforms:
+    """A generator's ``random()`` draws, taken from it a block at a time.
+
+    Each call returns the same double, in the same order, as one
+    ``rng.random()`` call would: ``rng.random(n)`` fills with that very
+    sequence. Only the generator's own position runs up to a block ahead
+    of the draws handed out, and nothing else draws from it.
+    """
+
+    BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.ahead: list[float] = []  # the next draws, last one first
+
+    def __call__(self) -> float:
+        if not self.ahead:
+            self.ahead = self.rng.random(self.BLOCK).tolist()[::-1]
+        return self.ahead.pop()
 
 
 def _ensure_time(value: float, name: str) -> float:
@@ -148,6 +177,10 @@ class ReaderOutageFault:
         phase = (now_s - self.start_s) % self.flapping_period_s
         return phase < self.flap_duty * self.flapping_period_s
 
+    def touches(self, reader_id: str, tag_id: str) -> bool:
+        """Whether records of ``(reader_id, tag_id)`` can be affected."""
+        return reader_id == self.reader_id
+
     def compile(self, rng: np.random.Generator) -> "_CompiledOutage":
         del rng  # fully scheduled: no randomness
         return _CompiledOutage(self)
@@ -160,7 +193,7 @@ class _CompiledOutage:
 
     def apply(self, record, now_s, emit):
         if record.reader_id != self.model.reader_id:
-            return [(now_s, record)]
+            return (now_s, record)
         down = self.model.down_at(now_s)
         if down != self._was_down:
             self._was_down = down
@@ -168,7 +201,7 @@ class _CompiledOutage:
                 "reader_outage_start" if down else "reader_outage_end",
                 reader=self.model.reader_id,
             )
-        return [] if down else [(now_s, record)]
+        return None if down else (now_s, record)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +250,10 @@ class BurstLossFault:
                 f"duration_s must be positive, got {self.duration_s}"
             )
 
+    def touches(self, reader_id: str, tag_id: str) -> bool:
+        """Whether records of ``(reader_id, tag_id)`` can be affected."""
+        return self.reader_id is None or reader_id == self.reader_id
+
     def compile(self, rng: np.random.Generator) -> "_CompiledBurstLoss":
         return _CompiledBurstLoss(self, rng)
 
@@ -224,17 +261,17 @@ class BurstLossFault:
 class _CompiledBurstLoss:
     def __init__(self, model: BurstLossFault, rng: np.random.Generator):
         self.model = model
-        self._rng = rng
+        self._uniform = _Uniforms(rng)
         self._bad = False
 
     def apply(self, record, now_s, emit):
         m = self.model
         if m.reader_id is not None and record.reader_id != m.reader_id:
-            return [(now_s, record)]
+            return (now_s, record)
         if not (m.start_s <= now_s < m.start_s + m.duration_s):
-            return [(now_s, record)]
+            return (now_s, record)
         # Transition first (per observed record), then sample the loss.
-        u_transition = self._rng.random()
+        u_transition = self._uniform()
         if self._bad:
             if u_transition < m.p_exit_bad:
                 self._bad = False
@@ -244,9 +281,9 @@ class _CompiledBurstLoss:
                 self._bad = True
                 emit("burst_state_bad", reader=record.reader_id)
         loss_p = m.loss_bad if self._bad else m.loss_good
-        if loss_p > 0.0 and self._rng.random() < loss_p:
-            return []
-        return [(now_s, record)]
+        if loss_p > 0.0 and self._uniform() < loss_p:
+            return None
+        return (now_s, record)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +358,10 @@ class TagDeathFault:
                     f"({death_bound}), got {self.recovery_time_s}"
                 )
 
+    def touches(self, reader_id: str, tag_id: str) -> bool:
+        """Whether records of ``(reader_id, tag_id)`` can be affected."""
+        return tag_id == self.tag_id
+
     def compile(self, rng: np.random.Generator) -> "_CompiledTagDeath":
         if self.death_time_s is not None:
             death = float(self.death_time_s)
@@ -340,7 +381,7 @@ class _CompiledTagDeath:
     def apply(self, record, now_s, emit):
         m = self.model
         if record.tag_id != m.tag_id:
-            return [(now_s, record)]
+            return (now_s, record)
         if m.recovery_time_s is not None and now_s >= m.recovery_time_s:
             # Battery swapped: full power again, no sag.
             if not self._recovered:
@@ -350,12 +391,12 @@ class _CompiledTagDeath:
                     tag=m.tag_id,
                     recovery_t=float(m.recovery_time_s),
                 )
-            return [(now_s, record)]
+            return (now_s, record)
         if now_s >= self.death_time_s:
             if not self._announced:
                 self._announced = True
                 emit("tag_death", tag=m.tag_id, death_t=self.death_time_s)
-            return []
+            return None
         decay_start = self.death_time_s - m.decay_duration_s
         if m.decay_db_per_s > 0.0 and now_s > decay_start:
             sag = m.decay_db_per_s * (now_s - decay_start)
@@ -365,7 +406,7 @@ class _CompiledTagDeath:
                 time_s=record.time_s,
                 rssi_dbm=record.rssi_dbm - sag,
             )
-        return [(now_s, record)]
+        return (now_s, record)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +478,10 @@ class CalibrationDriftFault:
             bias = max(-self.max_drift_db, min(self.max_drift_db, bias))
         return bias
 
+    def touches(self, reader_id: str, tag_id: str) -> bool:
+        """Whether records of ``(reader_id, tag_id)`` can be affected."""
+        return reader_id == self.reader_id
+
     def compile(self, rng: np.random.Generator) -> "_CompiledDrift":
         return _CompiledDrift(self, rng)
 
@@ -450,7 +495,7 @@ class _CompiledDrift:
     def apply(self, record, now_s, emit):
         m = self.model
         if record.reader_id != m.reader_id:
-            return [(now_s, record)]
+            return (now_s, record)
         if (
             m.reset_at_s is not None
             and now_s >= m.reset_at_s
@@ -466,18 +511,16 @@ class _CompiledDrift:
         if m.jitter_db > 0.0:
             delta += float(self._rng.normal(0.0, m.jitter_db))
         if delta == 0.0:
-            return [(now_s, record)]
-        return [
-            (
-                now_s,
-                ReadingRecord(
-                    reader_id=record.reader_id,
-                    tag_id=record.tag_id,
-                    time_s=record.time_s,
-                    rssi_dbm=record.rssi_dbm + delta,
-                ),
-            )
-        ]
+            return (now_s, record)
+        return (
+            now_s,
+            ReadingRecord(
+                reader_id=record.reader_id,
+                tag_id=record.tag_id,
+                time_s=record.time_s,
+                rssi_dbm=record.rssi_dbm + delta,
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +557,10 @@ class DelayFault:
         if self.delay_s == 0.0 and self.jitter_s == 0.0:
             raise ConfigurationError("DelayFault with zero delay is a no-op")
 
+    def touches(self, reader_id: str, tag_id: str) -> bool:
+        """Whether records of ``(reader_id, tag_id)`` can be affected."""
+        return self.reader_id is None or reader_id == self.reader_id
+
     def compile(self, rng: np.random.Generator) -> "_CompiledDelay":
         return _CompiledDelay(self, rng)
 
@@ -521,16 +568,17 @@ class DelayFault:
 class _CompiledDelay:
     def __init__(self, model: DelayFault, rng: np.random.Generator):
         self.model = model
-        self._rng = rng
+        self._uniform = _Uniforms(rng)
 
     def apply(self, record, now_s, emit):
         m = self.model
         if m.reader_id is not None and record.reader_id != m.reader_id:
-            return [(now_s, record)]
+            return (now_s, record)
         delay = m.delay_s
         if m.jitter_s > 0.0:
-            delay += float(self._rng.uniform(0.0, m.jitter_s))
-        return [(now_s + delay, record)]
+            # rng.uniform(0, j) is 0 + j * rng.random(), bit for bit.
+            delay += m.jitter_s * self._uniform()
+        return (now_s + delay, record)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ creates missing readings for the failure-handling paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..exceptions import ConfigurationError
 
@@ -27,6 +26,19 @@ class ReadingRecord:
     tag_id: str
     time_s: float
     rssi_dbm: float
+
+    def __init__(
+        self, reader_id: str, tag_id: str, time_s: float, rssi_dbm: float
+    ) -> None:
+        # One record per reader per beacon: store into the instance dict
+        # directly instead of the generated init's four frozen-bypassing
+        # ``object.__setattr__`` calls (about twice as fast). Assignment
+        # after construction still raises ``FrozenInstanceError``.
+        fields = self.__dict__
+        fields["reader_id"] = reader_id
+        fields["tag_id"] = tag_id
+        fields["time_s"] = time_s
+        fields["rssi_dbm"] = rssi_dbm
 
 
 class Reader:
@@ -50,7 +62,7 @@ class Reader:
         if not reader_id:
             raise ConfigurationError("reader_id must be non-empty")
         x, y = float(position[0]), float(position[1])
-        if not (np.isfinite(x) and np.isfinite(y)):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigurationError(f"non-finite reader position {position}")
         self.reader_id = str(reader_id)
         self.position = (x, y)
@@ -62,7 +74,8 @@ class Reader:
         self, tag_id: str, time_s: float, rssi_dbm: float
     ) -> ReadingRecord | None:
         """Process one beacon; return a record, or None if undetectable."""
-        if not np.isfinite(rssi_dbm) or rssi_dbm < self.detection_threshold_dbm:
+        rssi_dbm = float(rssi_dbm)
+        if not math.isfinite(rssi_dbm) or rssi_dbm < self.detection_threshold_dbm:
             self.frames_dropped += 1
             return None
         self.frames_received += 1
@@ -70,7 +83,7 @@ class Reader:
             reader_id=self.reader_id,
             tag_id=tag_id,
             time_s=float(time_s),
-            rssi_dbm=float(rssi_dbm),
+            rssi_dbm=rssi_dbm,
         )
 
     def __repr__(self) -> str:

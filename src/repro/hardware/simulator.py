@@ -9,7 +9,9 @@ middleware. The simulation is deterministic for a given seed.
 The frozen world (the channel's mean field) is computed once per tag
 when the simulator is built and again only when a tag moves; each
 beacon then costs one block draw of per-reading randomness for all
-readers (docs/CHANNEL.md, "Field and draw order").
+readers (docs/CHANNEL.md, "Field and draw order"). The beacon's detected
+records then travel as one block too: one fault-injector call, then
+delivery in reader order.
 """
 
 from __future__ import annotations
@@ -177,23 +179,25 @@ class TestbedSimulator:
             extra = extra + disturbance.attenuation_at_readers(
                 now, tag.position, self._reader_positions
             )
+        if isinstance(extra, np.ndarray):
+            extra = extra[:, np.newaxis]  # one attenuation per reader
         rssi = self.channel.sample_rssi_matrix(
             None,
             self._sample_rng,
             mean=self._field_column(index),
-            extra_attenuation_db=np.reshape(extra, (-1, 1)),
+            extra_attenuation_db=extra,
         )[:, 0]
+        tag_id = tag.tag_id
+        records = []
         for reader, value in zip(self.readers, rssi.tolist()):
-            record = reader.receive(tag.tag_id, now, value)
+            record = reader.receive(tag_id, now, value)
             if record is not None:
-                self._deliver(record, now)
-
-    def _deliver(self, record: ReadingRecord, now: float) -> None:
-        """Route one detected record through faults (if any) to delivery."""
-        if self._fault_injector is not None:
-            for rec in self._fault_injector.process(record, now):
-                self._dispatch(rec)
-        else:
+                records.append(record)
+        # The beacon is one block: one injector call for all its records
+        # (none when no reader heard it), then delivery in order.
+        if records and self._fault_injector is not None:
+            records = self._fault_injector.process(records, now)
+        for record in records:
             self._dispatch(record)
 
     def _dispatch(self, record: ReadingRecord) -> None:

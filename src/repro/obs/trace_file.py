@@ -107,17 +107,27 @@ class TraceWriter:
             fh.close()
 
 
+def _is_span_document(doc: Any) -> bool:
+    """A JSON object whose ``children``, if any, are span documents too."""
+    if not isinstance(doc, dict):
+        return False
+    children = doc.get("children", [])
+    return isinstance(children, list) and all(map(_is_span_document, children))
+
+
 def read_trace(path: str | os.PathLike) -> tuple[dict, list[dict]]:
     """Load a trace file; returns ``(header, span_documents)``.
 
-    Tolerates a truncated final line (a recording killed mid-write)
-    exactly like the checkpoint loader: parsing stops at the first
-    unparsable line. A missing or header-less file raises
+    Reading stops at the first torn or corrupt span line, exactly like
+    the checkpoint loader: a line that is not UTF-8, not JSON, or not a
+    span document (a JSON object whose ``children`` are span documents)
+    ends the readable prefix, and every complete root before it is
+    kept. A missing, empty or header-less file raises
     :class:`~repro.exceptions.ConfigurationError`.
     """
     path = os.fspath(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigurationError(
@@ -126,8 +136,8 @@ def read_trace(path: str | os.PathLike) -> tuple[dict, list[dict]]:
     if not lines:
         raise ConfigurationError(f"trace file {path!r} is empty")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(lines[0].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise ConfigurationError(
             f"trace file {path!r} has no parsable header line"
         ) from exc
@@ -141,9 +151,12 @@ def read_trace(path: str | os.PathLike) -> tuple[dict, list[dict]]:
         if not line.strip():
             continue
         try:
-            docs.append(json.loads(line))
-        except json.JSONDecodeError:
-            break  # torn tail: keep every complete root before it
+            doc = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            break  # torn or corrupt: keep every complete root before it
+        if not _is_span_document(doc):
+            break
+        docs.append(doc)
     return header, docs
 
 

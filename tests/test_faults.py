@@ -9,7 +9,8 @@ Four layers of claims:
    derive per-fault RNG streams that do not interfere, and the named
    chaos presets exist.
 3. **Injector** — accounting (seen/dropped/modified/delayed), the
-   delayed-record heap, the empty-plan fast path, and metrics mirroring.
+   delayed-record heap, the empty-plan fast path, metrics mirroring, and
+   a beacon's block route equal to the per-record oracle kept here.
 4. **Determinism** — same plan + seed replayed over the same records
    yields identical outputs and an identical fault-event trail; an empty
    plan run through a full service session is bit-identical to no plan
@@ -18,10 +19,14 @@ Four layers of claims:
 
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.faults import (
@@ -34,6 +39,7 @@ from repro.faults import (
     TagDeathFault,
     chaos_preset,
 )
+from repro.faults.models import _Uniforms
 from repro.hardware.readers import ReadingRecord
 
 
@@ -96,11 +102,11 @@ class TestReaderOutageFault:
         emit = EmitLog()
         fault = ReaderOutageFault("reader-0", start_s=5.0, duration_s=10.0)
         compiled = fault.compile(rng())
-        assert compiled.apply(rec(t=1.0), 1.0, emit) == [(1.0, rec(t=1.0))]
-        assert compiled.apply(rec(t=6.0), 6.0, emit) == []
-        assert compiled.apply(rec(t=7.0), 7.0, emit) == []  # no duplicate event
+        assert compiled.apply(rec(t=1.0), 1.0, emit) == (1.0, rec(t=1.0))
+        assert compiled.apply(rec(t=6.0), 6.0, emit) is None
+        assert compiled.apply(rec(t=7.0), 7.0, emit) is None  # no duplicate event
         out = compiled.apply(rec(t=20.0), 20.0, emit)
-        assert len(out) == 1 and out[0][0] == 20.0
+        assert out is not None and out[0] == 20.0
         assert emit.kinds() == ["reader_outage_start", "reader_outage_end"]
 
     def test_other_readers_unaffected(self):
@@ -109,7 +115,7 @@ class TestReaderOutageFault:
             "reader-0", start_s=0.0, duration_s=math.inf
         ).compile(rng())
         record = rec(reader="reader-1", t=1.0)
-        assert compiled.apply(record, 1.0, emit) == [(1.0, record)]
+        assert compiled.apply(record, 1.0, emit) == (1.0, record)
         assert emit.events == []
 
     @pytest.mark.parametrize(
@@ -135,7 +141,7 @@ class TestBurstLossFault:
             p_enter_bad=1.0, p_exit_bad=0.0, loss_bad=1.0
         ).compile(rng())
         for t in (0.0, 1.0, 2.0):
-            assert compiled.apply(rec(t=t), t, emit) == []
+            assert compiled.apply(rec(t=t), t, emit) is None
         assert emit.kinds() == ["burst_state_bad"]  # one transition only
 
     def test_good_state_without_loss_passes(self):
@@ -144,7 +150,7 @@ class TestBurstLossFault:
             p_enter_bad=0.0, p_exit_bad=1.0, loss_good=0.0
         ).compile(rng())
         record = rec()
-        assert compiled.apply(record, 0.0, emit) == [(0.0, record)]
+        assert compiled.apply(record, 0.0, emit) == (0.0, record)
         assert emit.events == []
 
     def test_recovers_via_exit_probability(self):
@@ -154,7 +160,7 @@ class TestBurstLossFault:
         ).compile(rng())
         compiled.apply(rec(t=0.0), 0.0, emit)  # good -> bad, dropped
         out = compiled.apply(rec(t=1.0), 1.0, emit)  # bad -> good, passes
-        assert len(out) == 1
+        assert out is not None
         assert emit.kinds() == ["burst_state_bad", "burst_state_good"]
 
     def test_window_and_reader_filters_bypass_chain(self):
@@ -165,10 +171,10 @@ class TestBurstLossFault:
         )
         compiled = fault.compile(rng())
         other = rec(reader="reader-9", t=12.0)
-        assert compiled.apply(other, 12.0, emit) == [(12.0, other)]
+        assert compiled.apply(other, 12.0, emit) == (12.0, other)
         early = rec(t=1.0)
-        assert compiled.apply(early, 1.0, emit) == [(1.0, early)]
-        assert compiled.apply(rec(t=12.0), 12.0, emit) == []  # in window
+        assert compiled.apply(early, 1.0, emit) == (1.0, early)
+        assert compiled.apply(rec(t=12.0), 12.0, emit) is None  # in window
         assert emit.kinds() == ["burst_state_bad"]
 
     def test_validation(self):
@@ -183,9 +189,9 @@ class TestTagDeathFault:
         emit = EmitLog()
         compiled = TagDeathFault("ref-3", death_time_s=10.0).compile(rng())
         alive = rec(tag="ref-3", t=9.0)
-        assert compiled.apply(alive, 9.0, emit) == [(9.0, alive)]
-        assert compiled.apply(rec(tag="ref-3", t=10.0), 10.0, emit) == []
-        assert compiled.apply(rec(tag="ref-3", t=11.0), 11.0, emit) == []
+        assert compiled.apply(alive, 9.0, emit) == (9.0, alive)
+        assert compiled.apply(rec(tag="ref-3", t=10.0), 10.0, emit) is None
+        assert compiled.apply(rec(tag="ref-3", t=11.0), 11.0, emit) is None
         assert emit.events == [
             ("tag_death", {"tag": "ref-3", "death_t": 10.0})
         ]
@@ -198,9 +204,9 @@ class TestTagDeathFault:
         emit = EmitLog()
         # Before the ramp: untouched (same object).
         early = rec(t=5.0)
-        assert compiled.apply(early, 5.0, emit)[0][1] is early
+        assert compiled.apply(early, 5.0, emit)[1] is early
         # Inside the ramp: sag = 2 dB/s * (8 - 6) s = 4 dB.
-        [(release, sagged)] = compiled.apply(rec(t=8.0, rssi=-50.0), 8.0, emit)
+        release, sagged = compiled.apply(rec(t=8.0, rssi=-50.0), 8.0, emit)
         assert release == 8.0
         assert sagged.rssi_dbm == pytest.approx(-54.0)
         assert sagged.time_s == 8.0  # measurement timestamp preserved
@@ -216,7 +222,7 @@ class TestTagDeathFault:
     def test_other_tags_unaffected(self):
         compiled = TagDeathFault("ref-3", death_time_s=0.0).compile(rng())
         record = rec(tag="tag-b", t=5.0)
-        assert compiled.apply(record, 5.0, EmitLog()) == [(5.0, record)]
+        assert compiled.apply(record, 5.0, EmitLog()) == (5.0, record)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -232,13 +238,13 @@ class TestTagDeathFault:
             decay_duration_s=4.0, recovery_time_s=20.0,
         ).compile(rng())
         emit = EmitLog()
-        assert compiled.apply(rec(tag="ref-3", t=12.0), 12.0, emit) == []
+        assert compiled.apply(rec(tag="ref-3", t=12.0), 12.0, emit) is None
         # Battery swap: records pass again at full power (no sag).
         revived = rec(tag="ref-3", t=20.0, rssi=-50.0)
-        [(release, out)] = compiled.apply(revived, 20.0, emit)
+        release, out = compiled.apply(revived, 20.0, emit)
         assert release == 20.0 and out is revived
         later = rec(tag="ref-3", t=25.0, rssi=-48.0)
-        assert compiled.apply(later, 25.0, emit) == [(25.0, later)]
+        assert compiled.apply(later, 25.0, emit) == (25.0, later)
         kinds = [k for k, _ in emit.events]
         assert kinds == ["tag_death", "tag_recovery"]
         assert emit.events[1][1] == {"tag": "ref-3", "recovery_t": 20.0}
@@ -275,7 +281,7 @@ class TestCalibrationDriftFault:
         compiled = CalibrationDriftFault(
             "reader-1", drift_db_per_s=0.25, start_s=0.0
         ).compile(rng())
-        [(_, out)] = compiled.apply(
+        _, out = compiled.apply(
             rec(reader="reader-1", t=8.0, rssi=-60.0), 8.0, EmitLog()
         )
         assert out.rssi_dbm == pytest.approx(-58.0)
@@ -317,7 +323,7 @@ class TestCalibrationDriftFault:
             "reader-1", drift_db_per_s=0.5, start_s=100.0
         ).compile(rng())
         record = rec(reader="reader-1", t=1.0)
-        assert compiled.apply(record, 1.0, EmitLog())[0][1] is record
+        assert compiled.apply(record, 1.0, EmitLog())[1] is record
 
     def test_jitter_is_seed_deterministic(self):
         fault = CalibrationDriftFault(
@@ -325,8 +331,8 @@ class TestCalibrationDriftFault:
         )
         a = fault.compile(rng(7)).apply(rec(reader="reader-1"), 5.0, EmitLog())
         b = fault.compile(rng(7)).apply(rec(reader="reader-1"), 5.0, EmitLog())
-        assert a[0][1].rssi_dbm == b[0][1].rssi_dbm
-        assert a[0][1].rssi_dbm != -50.0  # jitter actually applied
+        assert a[1].rssi_dbm == b[1].rssi_dbm
+        assert a[1].rssi_dbm != -50.0  # jitter actually applied
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -347,14 +353,14 @@ class TestDelayFault:
     def test_base_delay_shifts_release_not_record(self):
         compiled = DelayFault(delay_s=1.5).compile(rng())
         record = rec(t=4.0)
-        [(release, out)] = compiled.apply(record, 4.0, EmitLog())
+        release, out = compiled.apply(record, 4.0, EmitLog())
         assert release == pytest.approx(5.5)
         assert out is record  # measurement timestamp untouched
 
     def test_jitter_bounded_and_deterministic(self):
         fault = DelayFault(delay_s=1.0, jitter_s=2.0)
         releases = [
-            fault.compile(rng(3)).apply(rec(t=0.0), 0.0, EmitLog())[0][0]
+            fault.compile(rng(3)).apply(rec(t=0.0), 0.0, EmitLog())[0]
             for _ in range(2)
         ]
         assert releases[0] == releases[1]
@@ -363,7 +369,7 @@ class TestDelayFault:
     def test_reader_filter(self):
         compiled = DelayFault(reader_id="reader-0", delay_s=9.0).compile(rng())
         record = rec(reader="reader-1", t=2.0)
-        assert compiled.apply(record, 2.0, EmitLog()) == [(2.0, record)]
+        assert compiled.apply(record, 2.0, EmitLog()) == (2.0, record)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +466,7 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan())
         records = [rec(t=float(i)) for i in range(5)]
         for i, record in enumerate(records):
-            out = injector.process(record, float(i))
+            out = injector.process([record], float(i))
             assert out == [record] and out[0] is record  # same object
         assert injector.counters() == {
             "seen": 5, "dropped": 0, "modified": 0, "delayed": 0,
@@ -473,9 +479,9 @@ class TestFaultInjector:
             [ReaderOutageFault("reader-0", start_s=2.0, duration_s=math.inf)]
         )
         injector = FaultInjector(plan)
-        assert injector.process(rec(t=0.0), 0.0) == [rec(t=0.0)]
-        assert injector.process(rec(t=3.0), 3.0) == []
-        assert injector.process(rec(reader="reader-1", t=4.0), 4.0) != []
+        assert injector.process([rec(t=0.0)], 0.0) == [rec(t=0.0)]
+        assert injector.process([rec(t=3.0)], 3.0) == []
+        assert injector.process([rec(reader="reader-1", t=4.0)], 4.0) != []
         c = injector.counters()
         assert (c["seen"], c["dropped"]) == (3, 1)
         assert [e.kind for e in injector.events] == ["reader_outage_start"]
@@ -485,15 +491,15 @@ class TestFaultInjector:
             [CalibrationDriftFault("reader-0", drift_db_per_s=1.0)]
         )
         injector = FaultInjector(plan)
-        [out] = injector.process(rec(t=5.0, rssi=-50.0), 5.0)
+        [out] = injector.process([rec(t=5.0, rssi=-50.0)], 5.0)
         assert out.rssi_dbm == pytest.approx(-45.0)
         assert injector.counters()["modified"] == 1
 
     def test_delay_buffering_release_and_flush(self):
         injector = FaultInjector(FaultPlan([DelayFault(delay_s=2.0)]))
         first, second = rec(tag="a", t=0.0), rec(tag="b", t=1.0)
-        assert injector.process(first, 0.0) == []
-        assert injector.process(second, 1.0) == []
+        assert injector.process([first], 0.0) == []
+        assert injector.process([second], 1.0) == []
         assert injector.pending_delayed == 2
         assert injector.release_due(1.9) == []
         assert injector.release_due(2.0) == [first]  # oldest first
@@ -507,10 +513,10 @@ class TestFaultInjector:
             FaultPlan([DelayFault(reader_id="reader-0", delay_s=1.0)])
         )
         delayed = rec(reader="reader-0", t=0.0)
-        assert injector.process(delayed, 0.0) == []
+        assert injector.process([delayed], 0.0) == []
         passthrough = rec(reader="reader-1", t=2.0)
         # The due delayed record surfaces before the new passthrough.
-        assert injector.process(passthrough, 2.0) == [delayed, passthrough]
+        assert injector.process([passthrough], 2.0) == [delayed, passthrough]
 
     def test_dropped_records_skip_later_faults(self):
         # Outage drops first; the delay fault must never see the record.
@@ -519,7 +525,7 @@ class TestFaultInjector:
             DelayFault(delay_s=5.0),
         ])
         injector = FaultInjector(plan)
-        assert injector.process(rec(t=1.0), 1.0) == []
+        assert injector.process([rec(t=1.0)], 1.0) == []
         assert injector.pending_delayed == 0
         assert injector.counters()["dropped"] == 1
 
@@ -563,7 +569,7 @@ class TestInjectorDeterminism:
         injector = FaultInjector(plan)
         served = []
         for now_s, record in _synthetic_stream():
-            for out in injector.process(record, now_s):
+            for out in injector.process([record], now_s):
                 served.append(
                     (out.reader_id, out.tag_id, out.time_s, out.rssi_dbm)
                 )
@@ -586,6 +592,233 @@ class TestInjectorDeterminism:
         _, events_7, _ = self._run(chaos_preset("severe", seed=7))
         _, events_8, _ = self._run(chaos_preset("severe", seed=8))
         assert events_7 != events_8
+
+
+# ---------------------------------------------------------------------------
+# The beacon block against the per-record oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_process(injector: FaultInjector, record, now_s: float) -> list:
+    """The injector's per-record route, before a beacon became one block.
+
+    Kept here and only here: one record per call, a ``release_due`` per
+    call, and every record through *every* fault of the plan (no
+    routing table), with the multi-item pending list of the old
+    list-returning ``apply`` contract.
+    """
+    injector._now = float(now_s)
+    injector.records_seen += 1
+    out = injector.release_due(now_s)
+    if not injector._faults:
+        out.append(record)
+        return out
+    pending = [(now_s, record)]
+    for fault in injector._faults:
+        next_pending = []
+        for release_s, current in pending:
+            result = fault.apply(current, release_s, injector._emit)
+            results = [] if result is None else [result]
+            if not results:
+                injector.records_dropped += 1
+            for out_release, out_rec in results:
+                if out_rec.rssi_dbm != current.rssi_dbm:
+                    injector.records_modified += 1
+                next_pending.append((max(out_release, release_s), out_rec))
+        pending = next_pending
+        if not pending:
+            break
+    for release_s, current in pending:
+        if release_s <= now_s:
+            out.append(current)
+        else:
+            injector.records_delayed += 1
+            heapq.heappush(injector._delayed, (release_s, injector._seq, current))
+            injector._seq += 1
+    return out
+
+
+@dataclass(frozen=True)
+class EveryNthDrop:
+    """A fault model without ``touches``: the injector cannot classify it."""
+
+    n: int
+
+    def compile(self, rng):
+        del rng
+        return _CompiledEveryNth(self)
+
+
+class _CompiledEveryNth:
+    def __init__(self, model: EveryNthDrop):
+        self.model = model
+        self.seen = 0
+
+    def apply(self, record, now_s, emit):
+        self.seen += 1
+        if self.seen % self.model.n:
+            return (now_s, record)
+        emit("nth_drop", reader=record.reader_id, tag=record.tag_id)
+        return None
+
+
+READERS = tuple(f"reader-{k}" for k in range(4))
+TAGS = ("ref-0", "ref-1", "tag-a", "tag-b")
+
+_times = st.floats(0.0, 30.0, allow_nan=False)
+_spans = st.one_of(st.just(math.inf), st.floats(0.5, 20.0))
+_probs = st.floats(0.0, 1.0)
+_some_reader = st.one_of(st.none(), st.sampled_from(READERS))
+
+_record_faults = st.one_of(
+    st.builds(
+        ReaderOutageFault,
+        reader_id=st.sampled_from(READERS),
+        start_s=_times,
+        duration_s=_spans,
+        flapping_period_s=st.one_of(st.none(), st.floats(0.3, 5.0)),
+        flap_duty=_probs,
+    ),
+    st.builds(
+        BurstLossFault,
+        reader_id=_some_reader,
+        p_enter_bad=_probs,
+        p_exit_bad=_probs,
+        loss_bad=_probs,
+        loss_good=st.floats(0.0, 0.3),
+        start_s=_times,
+        duration_s=_spans,
+    ),
+    st.one_of(
+        st.builds(
+            TagDeathFault,
+            tag_id=st.sampled_from(TAGS),
+            death_time_s=st.floats(1.0, 20.0),
+            decay_db_per_s=st.floats(0.0, 3.0),
+            decay_duration_s=st.floats(0.0, 8.0),
+            recovery_time_s=st.one_of(st.none(), st.floats(20.5, 30.0)),
+        ),
+        st.builds(
+            TagDeathFault,
+            tag_id=st.sampled_from(TAGS),
+            death_window_s=st.just((2.0, 15.0)),
+            decay_db_per_s=st.floats(0.0, 3.0),
+            decay_duration_s=st.floats(0.0, 8.0),
+        ),
+    ),
+    st.builds(
+        CalibrationDriftFault,
+        reader_id=st.sampled_from(READERS),
+        drift_db_per_s=st.floats(-1.0, 1.0),
+        start_s=st.floats(0.0, 10.0),
+        max_drift_db=st.one_of(st.none(), st.floats(0.0, 6.0)),
+        jitter_db=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        reset_at_s=st.one_of(st.none(), st.floats(10.5, 25.0)),
+    ),
+    st.builds(
+        DelayFault,
+        reader_id=_some_reader,
+        delay_s=st.floats(0.1, 3.0),
+        jitter_s=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    ),
+    st.builds(EveryNthDrop, n=st.integers(2, 5)),
+)
+
+_beacon = st.tuples(
+    st.sampled_from((0.0, 0.0, 0.05, 0.3, 1.0, 2.5)),  # time step
+    st.sampled_from(TAGS),
+    st.lists(st.sampled_from(READERS), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(-97.0, -40.0), min_size=4, max_size=4),
+    st.booleans(),  # a release_due window end before this beacon
+)
+
+
+def _bits(record) -> tuple:
+    return (record.reader_id, record.tag_id, record.time_s.hex(), record.rssi_dbm.hex())
+
+
+def _fault_state(fault) -> dict:
+    """A compiled fault's mutable state, RNG positions included."""
+    state = {}
+    for name, value in vars(fault).items():
+        if isinstance(value, np.random.Generator):
+            value = value.bit_generator.state
+        elif isinstance(value, _Uniforms):
+            value = (value.rng.bit_generator.state, list(value.ahead))
+        state[name] = value
+    return state
+
+
+class TestBeaconBlockEqualsPerRecordOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        faults=st.lists(_record_faults, min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+        beacons=st.lists(_beacon, min_size=1, max_size=80),
+    )
+    def test_same_records_events_counters_and_rng_states(
+        self, faults, seed, beacons
+    ):
+        plan = FaultPlan(faults, seed=seed)
+        block, oracle = FaultInjector(plan), FaultInjector(plan)
+        now = 0.0
+        for step, tag, readers, rssi, window_end in beacons:
+            if window_end:
+                assert [_bits(r) for r in block.release_due(now)] == [
+                    _bits(r) for r in oracle.release_due(now)
+                ]
+            now += step
+            records = [
+                rec(reader=reader, tag=tag, t=now, rssi=rssi[READERS.index(reader)])
+                for reader in sorted(readers)
+            ]
+            got = block.process(records, now)
+            expected = [
+                out for record in records for out in oracle_process(oracle, record, now)
+            ]
+            assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+        assert [(e.time_s, e.kind, dict(e.fields)) for e in block.events] == [
+            (e.time_s, e.kind, dict(e.fields)) for e in oracle.events
+        ]
+        assert block.counters() == oracle.counters()
+        assert [_fault_state(f) for f in block._faults] == [
+            _fault_state(f) for f in oracle._faults
+        ]
+        assert [_bits(r) for r in block.flush()] == [_bits(r) for r in oracle.flush()]
+
+    def test_a_fault_meets_only_the_records_it_touches(self):
+        outage = ReaderOutageFault("reader-0", start_s=0.0, duration_s=math.inf)
+        death = TagDeathFault("ref-1", death_time_s=0.0)
+        injector = FaultInjector(FaultPlan([outage, death, EveryNthDrop(n=99)]))
+        seen = []
+        for fault in injector._faults:
+            apply = fault.apply
+
+            def spy(record, now_s, emit, apply=apply, model=fault.model):
+                seen.append((type(model).__name__, record.reader_id, record.tag_id))
+                return apply(record, now_s, emit)
+
+            fault.apply = spy
+        injector.process(
+            [rec(reader="reader-1", tag="tag-a", t=1.0),
+             rec(reader="reader-0", tag="ref-1", t=1.0)],
+            1.0,
+        )
+        assert seen == [
+            ("EveryNthDrop", "reader-1", "tag-a"),  # unclassified: every record
+            ("ReaderOutageFault", "reader-0", "ref-1"),  # dropped here
+        ]
+        assert injector.counters()["dropped"] == 1
+
+    def test_uniform_blocks_match_scalar_draws(self):
+        scalar, blocked = rng(5), _Uniforms(rng(5))
+        n = 3 * _Uniforms.BLOCK + 7
+        assert [blocked() for _ in range(n)] == [scalar.random() for _ in range(n)]
+        # uniform(0, j) is j * random(), bit for bit (the delay jitter).
+        a, b = rng(9), _Uniforms(rng(9))
+        assert [float(a.uniform(0.0, 2.7)) for _ in range(500)] == [
+            2.7 * b() for _ in range(500)
+        ]
 
 
 # ---------------------------------------------------------------------------

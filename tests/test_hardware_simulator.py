@@ -138,6 +138,36 @@ class TestSimulator:
         for tag in dep.simulator.tags:
             assert tag.beacons_sent == 3
 
+    def test_one_injector_call_per_heard_beacon(self, clean_env):
+        from repro.faults import FaultInjector, FaultPlan
+
+        dep = build(clean_env)
+        sim = dep.simulator
+        sim.readers[2].detection_threshold_dbm = 0.0  # hears nothing
+        injector = FaultInjector(FaultPlan())
+        blocks = []
+        process = injector.process
+
+        def spy(records, now_s):
+            blocks.append(list(records))
+            return process(records, now_s)
+
+        injector.process = spy
+        sim.set_fault_injector(injector)
+        sent = sum(t.beacons_sent for t in sim.tags)
+        sim.run_for(10.0)
+        beacons = sum(t.beacons_sent for t in sim.tags) - sent
+        # Every beacon is heard by the three live readers: one call each,
+        # its records in reader order, one tag and one time per block.
+        assert len(blocks) == beacons > 0
+        order = [r.reader_id for r in sim.readers if r is not sim.readers[2]]
+        for block in blocks:
+            assert [r.reader_id for r in block] == order
+            assert len({(r.tag_id, r.time_s) for r in block}) == 1
+        assert injector.records_seen == sum(len(b) for b in blocks)
+        assert sim.readers[2].frames_received == 0
+        assert sim.readers[2].frames_dropped > 0
+
     def test_negative_duration_rejected(self, clean_env):
         dep = build(clean_env)
         with pytest.raises(SimulationError):

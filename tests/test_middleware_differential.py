@@ -304,7 +304,7 @@ class TestColumnStoreEqualsOracle:
             tag = (*REFERENCES, *TRACKING[:2])[step % 5]
             for reader in READERS:
                 record = ReadingRecord(reader, tag, now, rng.normal(-65, 8))
-                for out in injector.process(record, now):
+                for out in injector.process([record], now):
                     server.ingest(out)
                     oracle.ingest(out)
             assert_same_reads(server, oracle, now)

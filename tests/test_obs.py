@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, EstimationError
 from repro.obs import (
@@ -261,6 +263,25 @@ class TestTraceFile:
             "service.tick", "runtime.snapshot",
         ]
 
+    def test_corrupt_line_ends_the_readable_prefix(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _record_sample(path)
+        good = path.read_bytes().splitlines()[1]
+        for bad in (b"\xff\xfe{}", b"[1,2]", b'{"children": [1]}', b"7"):
+            path_bad = tmp_path / "bad.jsonl"
+            path_bad.write_bytes(path.read_bytes() + bad + b"\n" + good + b"\n")
+            _, docs = read_trace(path_bad)
+            assert [d["name"] for d in docs] == [
+                "service.tick", "runtime.snapshot",
+            ], bad
+            logical_documents(docs)
+
+    def test_non_utf8_header_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(ConfigurationError, match="no parsable header"):
+            read_trace(path)
+
     def test_logical_view_strips_wall_recursively(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _record_sample(path)
@@ -389,3 +410,58 @@ class TestProfiling:
         stats = stage_statistics(logical_documents(_forest()))
         assert stats["service.serve"].count == 3
         assert stats["service.serve"].total_s == 0.0
+
+
+# -- fuzz: torn and corrupt trace files -----------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "children", "t", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+_lines = st.one_of(
+    st.binary(max_size=24).filter(lambda b: b"\n" not in b and b"\r" not in b),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    where=st.integers(0, 3),
+    lines=st.lists(_lines, min_size=1, max_size=4),
+    cut=st.integers(0, 400),
+)
+def test_fuzzed_trace_reads_a_prefix_or_raises_a_typed_error(
+    tmp_path, where, lines, cut
+):
+    """Any mangled file either loads a prefix of the recorded roots, all
+    usable by the logical view, or raises ``ConfigurationError``."""
+    path = tmp_path / "fuzz.jsonl"
+    _record_sample(path)
+    original = path.read_bytes().splitlines()
+    _, recorded = read_trace(path)
+    mangled = list(original)
+    mangled[where:where] = lines
+    data = b"\n".join(mangled) + b"\n"
+    if cut:
+        data = data[: max(len(data) - cut, 0)]  # torn tail
+    path.write_bytes(data)
+    try:
+        header, docs = read_trace(path)
+    except ConfigurationError:
+        return
+    assert isinstance(header, dict)
+    canonical_logical_json(docs)  # the logical view never trips
+    # Roots recorded before the inserted lines, and not torn by the cut,
+    # are all read back.
+    intact = sum(
+        1
+        for i in range(1, max(where, 1))
+        if len(b"\n".join(original[: i + 1])) <= len(data)
+    )
+    assert docs[:intact] == recorded[:intact]

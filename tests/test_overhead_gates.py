@@ -17,7 +17,10 @@ several times the 5% ceiling (a 10 ms cost on a 40 ms session reads
 ~0.25).
 
 The interval tests pin what "resolved" means on made-up walls: a median
-just inside the ceiling whose rounds spread across it is unresolved.
+just inside the ceiling whose rounds spread across it is unresolved. The
+coverage tests run the method's null check (one arm timed twice) on
+simulated walls with slow spells: its 95% interval must cover the true 0
+at about that rate, and exclude 0 once the arms really differ.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 
 from repro.calibration.corrector import DriftCorrector
@@ -169,3 +173,50 @@ class TestInterval:
         )
         assert (gate.low, gate.high) == (-math.inf, math.inf)
         assert not gate.resolved
+
+
+def _simulated_rounds(interleave, rng, *, extra=0.0, rounds=60, spell_p=0.05):
+    """Walls of one simulated 3-arm benchmark run, in the rotated order
+    of :func:`interleaved_rounds`: 50 ms sessions with 3% noise, on a
+    machine that flips between normal and 1.7x slower at random session
+    boundaries. ``disabled_again`` is the null arm; ``extra`` gives it a
+    real relative cost."""
+    names = ["disabled", "enabled", "disabled_again"]
+    cost = {"disabled": 1.0, "enabled": 1.06, "disabled_again": 1.0 + extra}
+    walls = {name: [0.0] * rounds for name in names}
+    slow = False
+    for r in range(rounds):
+        for i in range(len(names)):
+            if rng.random() < spell_p:
+                slow = not slow
+            name = names[(r + i) % len(names)]
+            walls[name][r] = (
+                0.050 * cost[name] * (1.7 if slow else 1.0)
+                * math.exp(rng.normal(0.0, 0.03))
+            )
+    return interleave.Timings(walls=walls)
+
+
+class TestNullCheckCoverage:
+    """The null check (one arm timed twice) on simulated runs: its 95%
+    interval covers the true 0 at about the nominal rate, slow spells
+    included, and excludes 0 once the arms really differ by 3%."""
+
+    RUNS = 200
+
+    def _covers_zero(self, interleave, extra):
+        rng = np.random.default_rng(0)
+        covered = 0
+        for _ in range(self.RUNS):
+            gate = interleave.Gate.measure(
+                _simulated_rounds(interleave, rng, extra=extra),
+                "disabled_again", "disabled", 0.15,
+            )
+            covered += gate.low <= 0.0 <= gate.high
+        return covered / self.RUNS
+
+    def test_null_interval_covers_zero(self, interleave):
+        assert self._covers_zero(interleave, 0.0) >= 0.93
+
+    def test_a_real_difference_is_excluded(self, interleave):
+        assert self._covers_zero(interleave, 0.03) <= 0.10

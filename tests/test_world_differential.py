@@ -5,7 +5,8 @@ block per beacon for all readers. The oracle below is the per-reader
 route it replaced, kept here and only here: per beacon and reader, a
 fresh ``mean_rssi`` at the tag's position, a fading draw, a noise draw.
 Both routes must emit the same ``ReadingRecord`` stream, bit for bit,
-and leave the per-reading RNG in the same state.
+count the same frames at every reader, and leave the per-reading RNG in
+the same state.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def legacy_emit_beacon(self, index):
                 np.array([tag.position]), self._sample_rng, n_reads=1
             )[0, 0]
         )
+    records = []
     for k, reader in enumerate(self.readers):
         extra = extra_base
         for disturbance in self.disturbances:
@@ -89,7 +91,13 @@ def legacy_emit_beacon(self, index):
         )
         record = reader.receive(tag.tag_id, now, rssi)
         if record is not None:
-            self._deliver(record, now)
+            records.append(record)
+    # Delivery is not what this oracle replaces: one injector call for
+    # the beacon's records, then delivery in order, as the simulator does.
+    if records and self._fault_injector is not None:
+        records = self._fault_injector.process(records, now)
+    for record in records:
+        self._dispatch(record)
 
 
 # -- recording harness ----------------------------------------------------------
@@ -104,23 +112,26 @@ def recorded_world(monkeypatch, *, legacy: bool):
     """Record every reader output and every delivered record, per simulator.
 
     Yields ``(stream, simulators)``: the stream interleaves
-    ``("read", ...)`` entries (a reader's record before faults) and
-    ``("out", ...)`` entries (what the fault layer let through), in the
-    order they happened across every simulator built in the block.
+    ``("read", ...)`` entries (a record a reader detected, which is what
+    enters the fault injector when one is installed) and ``("out", ...)``
+    entries (what the fault layer let through to delivery), in the order
+    they happened across every simulator built in the block.
     """
     stream: list[tuple] = []
     sims: list[TestbedSimulator] = []
     init = TestbedSimulator.__init__
-    deliver = TestbedSimulator._deliver
+    receive = Reader.receive
     dispatch = TestbedSimulator._dispatch
 
     def tracked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         sims.append(self)
 
-    def tracked_deliver(self, record, now):
-        stream.append(("read", _bits(record)))
-        deliver(self, record, now)
+    def tracked_receive(self, tag_id, time_s, rssi_dbm):
+        record = receive(self, tag_id, time_s, rssi_dbm)
+        if record is not None:
+            stream.append(("read", _bits(record)))
+        return record
 
     def tracked_dispatch(self, record):
         stream.append(("out", _bits(record)))
@@ -128,7 +139,7 @@ def recorded_world(monkeypatch, *, legacy: bool):
 
     with monkeypatch.context() as m:
         m.setattr(TestbedSimulator, "__init__", tracked_init)
-        m.setattr(TestbedSimulator, "_deliver", tracked_deliver)
+        m.setattr(Reader, "receive", tracked_receive)
         m.setattr(TestbedSimulator, "_dispatch", tracked_dispatch)
         if legacy:
             m.setattr(TestbedSimulator, "_emit_beacon", legacy_emit_beacon)
@@ -142,18 +153,24 @@ def run_both(monkeypatch, scenario):
         with recorded_world(monkeypatch, legacy=legacy) as (stream, sims):
             scenario()
         states = [s._sample_rng.bit_generator.state for s in sims]
-        out.append((stream, states))
+        frames = [
+            (r.reader_id, r.frames_received, r.frames_dropped)
+            for s in sims
+            for r in s.readers
+        ]
+        out.append((stream, states, frames))
     return out
 
 
 def assert_same_world(monkeypatch, scenario, *, min_reads=1):
-    (new_stream, new_states), (old_stream, old_states) = run_both(
-        monkeypatch, scenario
+    (new_stream, new_states, new_frames), (old_stream, old_states, old_frames) = (
+        run_both(monkeypatch, scenario)
     )
     assert sum(kind == "read" for kind, _ in old_stream) >= min_reads
     assert len(new_stream) == len(old_stream)
     assert new_stream == old_stream
     assert new_states == old_states
+    assert new_frames == old_frames
 
 
 # -- simulator-level scenarios --------------------------------------------------
