@@ -1,11 +1,13 @@
-"""Interleaved, paired wall timing for the overhead gates.
+"""Interleaved, paired wall timing for the overhead and speedup gates.
 
 A serving session on the paper testbed lasts a few tens of milliseconds,
 so a few-percent overhead gate compares walls whose run-to-run noise is
 of the same size: on a shared machine the same code runs up to ~70%
 slower while another tenant shares the core, and that changes within
-milliseconds. Three defences, used by ``bench_calibration`` and
-``bench_recovery``:
+milliseconds. Three defences, used by ``bench_calibration``,
+``bench_recovery`` and ``bench_obs_overhead`` (an overhead under a
+ceiling, :class:`Gate`) and by ``bench_engine_batch`` (a speedup over a
+floor, :class:`FloorGate`):
 
 * **Interleaving.** Every round runs each arm once, in an order rotated
   by one per round, so a slow stretch of the machine lands on every arm
@@ -19,10 +21,10 @@ milliseconds. Three defences, used by ``bench_calibration`` and
   sample, and their median is an estimate. A distribution-free 95%
   interval for it comes from two order statistics of the sorted ratios
   (the binomial argument of the sign test). A gate is *resolved* only
-  when that interval lies wholly on one side of the ceiling; an
-  estimate whose interval straddles it says nothing either way, and
-  the gate must fail. The interval's half-width is the noise floor: the
-  smallest difference from the ceiling the timing can resolve.
+  when that interval lies wholly on one side of its bound; an estimate
+  whose interval straddles it says nothing either way, and the gate
+  must fail. The interval's half-width is the noise floor: the smallest
+  difference from the bound the timing can resolve.
 
 One arm is the bare session timed twice under two names. Its paired
 overhead is zero but for noise, and its interval must contain zero; it
@@ -71,6 +73,17 @@ def median_rank_bounds(
     return rank, n - 1 - rank
 
 
+def median_interval(values: list[float]) -> tuple[float, float, float]:
+    """The median of ``values`` and a :data:`CONFIDENCE` interval for it
+    from two of their order statistics; unbounded when there are too
+    few values for one."""
+    ordered = sorted(values)
+    bounds = median_rank_bounds(len(ordered))
+    if bounds is None:
+        return statistics.median(ordered), -math.inf, math.inf
+    return statistics.median(ordered), ordered[bounds[0]], ordered[bounds[1]]
+
+
 @dataclass
 class Timings:
     """Per arm, the wall of each round's session in seconds, and the
@@ -91,14 +104,14 @@ class Timings:
         return statistics.median(self._ratios(arm, base))
 
     def interval(self, arm: str, base: str) -> tuple[float, float]:
-        """A :data:`CONFIDENCE` interval for :meth:`overhead`, from two
-        order statistics of the paired ratios; unbounded when there are
-        too few rounds for one."""
-        ratios = sorted(self._ratios(arm, base))
-        bounds = median_rank_bounds(len(ratios))
-        if bounds is None:
-            return -math.inf, math.inf
-        return ratios[bounds[0]], ratios[bounds[1]]
+        """A :data:`CONFIDENCE` interval for :meth:`overhead` (see
+        :func:`median_interval`)."""
+        _, low, high = median_interval(self._ratios(arm, base))
+        return low, high
+
+    def speedups(self, slow: str, fast: str) -> list[float]:
+        """Per round, ``slow``'s wall over ``fast``'s."""
+        return [s / f for s, f in zip(self.walls[slow], self.walls[fast])]
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,38 @@ class Gate:
             "noise_floor": round(self.noise_floor, 4),
             "overhead_resolved": self.resolved,
         }
+
+
+@dataclass(frozen=True)
+class FloorGate:
+    """A paired speedup measured against a floor, with its interval.
+
+    The gate passes only when the whole interval lies at or above the
+    floor: a median above it whose interval reaches below has not shown
+    the speedup.
+    """
+
+    floor: float
+    speedup: float
+    low: float
+    high: float
+
+    @classmethod
+    def measure(
+        cls, timings: Timings, slow: str, fast: str, floor: float
+    ) -> "FloorGate":
+        return cls(floor, *median_interval(timings.speedups(slow, fast)))
+
+    @property
+    def resolved(self) -> bool:
+        """The interval lies wholly at or above the floor, or wholly
+        below it."""
+        return self.low >= self.floor or self.high < self.floor
+
+    @property
+    def ok(self) -> bool:
+        """The interval lies wholly at or above the floor."""
+        return self.low >= self.floor
 
 
 def interleaved_rounds(

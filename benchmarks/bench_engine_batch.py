@@ -3,7 +3,11 @@
 Two scored regimes at **T=64** on the paper's 4-reader lattice, each
 gated at **>=5x** the localizations/sec of the scalar
 ``[est.estimate(r) for r in readings]`` loop while staying bitwise
-identical:
+identical. The speedup is timed with ``benchmarks/_interleave.py``:
+``ROUNDS`` interleaved rounds each run the scalar loop and the batch
+pass once, the speedup is the median of the per-round wall ratios, and
+a regime passes only when that median's 95% order-statistic interval
+lies wholly at or above 5x (:class:`_interleave.FloorGate`):
 
 * *snapshot* — all T tags against one frozen reference lattice (the
   service micro-batch shape; the original ISSUE-3 bar);
@@ -30,6 +34,7 @@ root)::
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import replace
 
@@ -40,8 +45,10 @@ from repro.experiments.measurement import TrialSampler
 from repro.rf import env3
 
 try:
+    from ._interleave import FloorGate, interleaved_rounds
     from .conftest import emit
 except ImportError:  # standalone: python benchmarks/bench_engine_batch.py
+    from _interleave import FloorGate, interleaved_rounds
 
     def emit(title: str, body: str) -> None:
         bar = "=" * 72
@@ -49,7 +56,7 @@ except ImportError:  # standalone: python benchmarks/bench_engine_batch.py
 
 
 T_TAGS = 64
-REPEATS = 7
+ROUNDS = 60
 TARGET_SPEEDUP = 5.0
 SEED = 42
 
@@ -85,30 +92,36 @@ def _identical(scalar, batch) -> int:
     return mismatches
 
 
-def _time_regime(est: VIREEstimator, readings) -> dict:
-    """Best-of-``REPEATS`` walls for the scalar loop and the batch pass.
-
-    Interleaved so machine-load drift biases both paths equally; best-of
-    because timing noise only ever slows a run down.
-    """
+def _time_regime(
+    est: VIREEstimator, readings, rounds: int = ROUNDS
+) -> dict:
+    """Paired, interleaved rounds of the scalar loop and the batch pass;
+    the median walls, the speedup gate and the last round's bitwise
+    check."""
     est.estimate(readings[0])  # warm both code paths
     est.estimate_batch(readings[:4])
-    best_scalar = best_batch = float("inf")
-    scalar = batch = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        scalar = [est.estimate(r) for r in readings]
-        best_scalar = min(best_scalar, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        batch = est.estimate_batch(readings)
-        best_batch = min(best_batch, time.perf_counter() - t0)
+    timings = interleaved_rounds(
+        {
+            "scalar": lambda: [est.estimate(r) for r in readings],
+            "batch": lambda: est.estimate_batch(readings),
+        },
+        rounds,
+    )
+    gate = FloorGate.measure(timings, "scalar", "batch", TARGET_SPEEDUP)
+    scalar_s = statistics.median(timings.walls["scalar"])
+    batch_s = statistics.median(timings.walls["batch"])
     return {
-        "scalar_wall_s": best_scalar,
-        "batch_wall_s": best_batch,
-        "scalar_localizations_per_s": len(readings) / best_scalar,
-        "batch_localizations_per_s": len(readings) / best_batch,
-        "speedup": best_scalar / best_batch,
-        "position_mismatches": _identical(scalar, batch),
+        "scalar_wall_s": scalar_s,
+        "batch_wall_s": batch_s,
+        "scalar_localizations_per_s": len(readings) / scalar_s,
+        "batch_localizations_per_s": len(readings) / batch_s,
+        "speedup": gate.speedup,
+        "speedup_interval": [gate.low, gate.high],
+        "speedup_ok": gate.ok,
+        "speedup_resolved": gate.resolved,
+        "position_mismatches": _identical(
+            timings.last["scalar"], timings.last["batch"]
+        ),
     }
 
 
@@ -154,7 +167,7 @@ def run_benchmark() -> dict:
         "grid": f"{grid.rows}x{grid.cols} paper testbed",
         "config": {"target_total_tags": 900},
         "seed": SEED,
-        "repeats": REPEATS,
+        "rounds": ROUNDS,
         # Scored: T tags against one snapshot (the original ISSUE-3 bar).
         "snapshot": _time_regime(est, snapshot),
         # Scored since ISSUE-10: per-reading reference draws through the
@@ -163,21 +176,28 @@ def run_benchmark() -> dict:
         # Report-only: the fixed cost of a small serving batch.
         "snapshot_fixed_cost": _time_fixed_cost(est, snapshot),
     }
-    report["acceptance"] = {
+    acc = report["acceptance"] = {
         "target_speedup": TARGET_SPEEDUP,
-        "snapshot_speedup": round(report["snapshot"]["speedup"], 2),
-        "independent_speedup": round(report["independent"]["speedup"], 2),
-        "snapshot_ok": report["snapshot"]["speedup"] >= TARGET_SPEEDUP,
-        "independent_ok": report["independent"]["speedup"] >= TARGET_SPEEDUP,
-        "bitwise_identical": (
-            report["snapshot"]["position_mismatches"] == 0
-            and report["independent"]["position_mismatches"] == 0
+        "speedup_method": (
+            "median of paired per-round scalar/batch wall ratios; passes "
+            "when its 95% order-statistic interval lies wholly at or "
+            "above the target"
         ),
     }
-    report["acceptance"]["passed"] = (
-        report["acceptance"]["snapshot_ok"]
-        and report["acceptance"]["independent_ok"]
-        and report["acceptance"]["bitwise_identical"]
+    for regime in ("snapshot", "independent"):
+        row = report[regime]
+        acc[f"{regime}_speedup"] = round(row["speedup"], 2)
+        acc[f"{regime}_speedup_interval"] = [
+            round(x, 2) for x in row["speedup_interval"]
+        ]
+        acc[f"{regime}_resolved"] = row["speedup_resolved"]
+        acc[f"{regime}_ok"] = row["speedup_ok"]
+    acc["bitwise_identical"] = (
+        report["snapshot"]["position_mismatches"] == 0
+        and report["independent"]["position_mismatches"] == 0
+    )
+    acc["passed"] = (
+        acc["snapshot_ok"] and acc["independent_ok"] and acc["bitwise_identical"]
     )
     return report
 
@@ -187,14 +207,12 @@ def bench_engine_batch_speedup():
     emit("Batch engine: estimate_batch vs scalar loop", json.dumps(report, indent=2))
     acc = report["acceptance"]
     assert acc["bitwise_identical"], report
-    assert acc["snapshot_ok"], (
-        f"snapshot speedup {acc['snapshot_speedup']}x below the "
-        f"{TARGET_SPEEDUP}x acceptance bar"
-    )
-    assert acc["independent_ok"], (
-        f"independent-path speedup {acc['independent_speedup']}x below the "
-        f"{TARGET_SPEEDUP}x acceptance bar"
-    )
+    for regime in ("snapshot", "independent"):
+        assert acc[f"{regime}_ok"], (
+            f"{regime} speedup {acc[f'{regime}_speedup']}x, 95% interval "
+            f"{acc[f'{regime}_speedup_interval']}, not wholly at or above "
+            f"the {TARGET_SPEEDUP}x acceptance bar"
+        )
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..types import TrackingReading
-from ..utils.logging import get_structured_logger, log_event
 from .residuals import ResidualWindow, decompose_residuals
 
 __all__ = [
@@ -55,9 +54,6 @@ __all__ = [
     "TagTrust",
     "DriftCorrector",
 ]
-
-_LOGGER_NAME = "repro.calibration"
-
 
 class TrustState:
     """String constants for a reference tag's trust state."""
@@ -292,7 +288,6 @@ class DriftCorrector:
         self._events: list[dict[str, Any]] = []
         #: Readings :meth:`correct_reading` modified.
         self.corrected_readings = 0
-        self._logger = get_structured_logger(_LOGGER_NAME)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -315,11 +310,6 @@ class DriftCorrector:
             )
         self._baseline = baseline.copy()
         self._armed_at_s = float(now_s)
-        log_event(
-            self._logger, "calibration_armed",
-            t=float(now_s),
-            readers=len(self.reader_ids), references=len(self.reference_ids),
-        )
 
     # -- per-tick observation ------------------------------------------------
 
@@ -413,7 +403,6 @@ class DriftCorrector:
             "score_db": float(score) if math.isfinite(score) else None,
         }
         self._events.append(event)
-        log_event(self._logger, f"calibration_{kind}", tag=tag_id, t=float(now_s))
 
     # -- the feedback path ---------------------------------------------------
 

@@ -29,14 +29,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..hardware.readers import ReadingRecord
-from ..utils.logging import get_structured_logger, log_event
 from .models import is_zone_fault
 from .plan import FaultPlan
 
 __all__ = ["FaultEvent", "FaultInjector"]
-
-_LOGGER_NAME = "repro.faults"
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -72,7 +68,6 @@ class FaultInjector:
         self._faults = plan.compile()
         #: ``(reader_id, tag_id)`` -> ``apply`` of each fault that can touch it.
         self._routes: dict[tuple[str, str], tuple[Callable, ...]] = {}
-        self._logger = get_structured_logger(_LOGGER_NAME)
         self._delayed: list[tuple[float, int, ReadingRecord]] = []
         self._seq = 0
         self._now = 0.0
@@ -86,7 +81,6 @@ class FaultInjector:
 
     def _emit(self, kind: str, **fields) -> None:
         self.events.append(FaultEvent(time_s=self._now, kind=kind, fields=fields))
-        log_event(self._logger, kind, t=self._now, **fields)
 
     # -- the record path -----------------------------------------------------
 

@@ -12,7 +12,7 @@ one :class:`~repro.hardware.readers.ReadingRecord` at a time:
 * ``(now + d, record)`` — delayed delivery (the injector buffers it).
 
 ``emit(kind, **fields)`` reports state transitions (outage start/end,
-burst-state changes, tag deaths) so the injector can log and count them.
+burst-state changes, tag deaths) so the injector can record and count them.
 
 Scope: every record model here has ``touches(reader_id, tag_id)``. A
 record it does not touch (its ``reader_id``/``tag_id`` names another

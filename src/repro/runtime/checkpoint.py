@@ -55,7 +55,6 @@ from typing import Any, IO
 import numpy as np
 
 from ..exceptions import CheckpointError
-from ..utils.logging import get_structured_logger, log_event
 
 __all__ = [
     "FORMAT_VERSION",
@@ -71,9 +70,6 @@ FORMAT_VERSION = 2
 
 #: Header versions :func:`load_checkpoint` accepts.
 READABLE_VERSIONS = (1, FORMAT_VERSION)
-
-_LOGGER_NAME = "repro.runtime"
-
 
 def jsonable(value: Any) -> Any:
     """Best-effort conversion of ``value`` into plain JSON types.
@@ -142,7 +138,6 @@ class CheckpointWriter:
         mode = "a" if append else "w"
         self._fh: IO[str] | None = open(self.path, mode, encoding="utf-8")
         self._pending: list[str] = []  # encoded result lines, unwritten
-        self._logger = get_structured_logger(_LOGGER_NAME)
         self.results_logged = 0
         self.snapshots_written = 0
 
@@ -214,10 +209,6 @@ class CheckpointWriter:
                 sync=True,
             )
         self.snapshots_written += 1
-        log_event(
-            self._logger, "checkpoint_snapshot",
-            path=self.path, t=t, results=results_count,
-        )
 
     def write_marker(self, kind: str, **fields: Any) -> None:
         if kind in ("header", "result", "snapshot"):
@@ -315,7 +306,6 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
     header: Mapping[str, Any] | None = None
     snapshot: Mapping[str, Any] | None = None
     results_by_index: dict[int, Mapping[str, Any]] = {}
-    truncated = False
     sealed = False
     try:
         fh = open(path, "rb")
@@ -327,8 +317,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                 continue
             doc = _parse_line(raw)
             if doc is None:
-                truncated = True  # crash landed mid-write; stop here
-                break
+                break  # crash landed mid-write; stop here
             kind = doc.get("type")
             if kind == "header":
                 if header is None:
@@ -361,11 +350,6 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
             f"indices {missing[:5]}{'...' if len(missing) > 5 else ''} "
             f"were never logged"
         )
-    log_event(
-        get_structured_logger(_LOGGER_NAME), "checkpoint_loaded",
-        path=path, t=snapshot.get("t"), results=count,
-        truncated_tail=truncated, sealed=sealed,
-    )
     return CheckpointState(
         header=header,
         snapshot=snapshot,

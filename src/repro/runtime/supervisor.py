@@ -4,8 +4,7 @@
 that call raises, re-runs it item by item so one poisoned input degrades
 one answer instead of the whole micro-batch. Salvage is counted through
 an optional (duck-typed) :class:`~repro.service.metrics.MetricsRegistry`
-and logged as a structured ``event=shard_salvage`` line under the
-``repro.runtime`` logger.
+and recorded as a ``runtime.salvage`` trace span.
 """
 
 from __future__ import annotations
@@ -13,15 +12,11 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence, TypeVar
 
 from ..obs import current_tracer
-from ..utils.logging import get_structured_logger, log_event
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["run_shard_with_salvage"]
-
-_LOGGER_NAME = "repro.runtime"
-
 
 def run_shard_with_salvage(
     fn: Callable[[Sequence[T]], Sequence[R]],
@@ -39,9 +34,9 @@ def run_shard_with_salvage(
     answer, never the whole batch. Used by the service's engine passes,
     where outcomes are values and exceptions are engine bugs.
 
-    A clean pass leaves no trace: the ``runtime.salvage`` span, the
-    ``runtime_shard_salvages_total`` counter and the ``shard_salvage``
-    log line appear only once a pass has failed.
+    A clean pass leaves no trace: the ``runtime.salvage`` span and the
+    ``runtime_shard_salvages_total`` counter appear only once a pass has
+    failed.
     """
     try:
         return list(fn(items))
@@ -51,10 +46,6 @@ def run_shard_with_salvage(
                 "runtime_shard_salvages_total",
                 "Serving-path shard passes recovered item by item",
             ).inc()
-        log_event(
-            get_structured_logger(_LOGGER_NAME), "shard_salvage",
-            size=len(items), error=type(exc).__name__,
-        )
         with current_tracer().span(
             "runtime.salvage", size=len(items), error=type(exc).__name__
         ) as salvage_span:

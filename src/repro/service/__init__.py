@@ -25,12 +25,9 @@ True
 
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     DEFAULT_LATENCY_BUCKETS_S,
-    get_service_logger,
-    log_event,
 )
 from .health import (
     BreakerPolicy,
@@ -50,12 +47,9 @@ from .session import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
-    "get_service_logger",
-    "log_event",
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",

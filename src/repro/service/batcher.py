@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..exceptions import ConfigurationError
-from .metrics import get_service_logger, log_event
 
 __all__ = ["LocalizationRequest", "Batch", "MicroBatcher"]
 
@@ -102,7 +101,6 @@ class MicroBatcher:
         self._pending: list[LocalizationRequest] = []
         self._submitted = 0
         self._flushed_by_reason = {"size": 0, "deadline": 0, "drain": 0}
-        self._logger = get_service_logger()
 
     # -- submission ----------------------------------------------------------
 
@@ -123,11 +121,6 @@ class MicroBatcher:
         requests, self._pending[:count] = tuple(self._pending[:count]), []
         batch = Batch(requests=requests, reason=reason, formed_at_s=now_s)
         self._flushed_by_reason[reason] += 1
-        log_event(
-            self._logger, "batch_flush",
-            reason=reason, size=len(batch), pending=len(self._pending),
-            t=now_s,
-        )
         return batch
 
     def poll(

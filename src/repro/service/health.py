@@ -15,9 +15,9 @@ data wastes the tick deadline. Standard circuit-breaker mechanics:
 
 Time is the simulation clock passed in by the caller, never wall-clock,
 so breaker transitions are exactly as deterministic as the fault plan
-that causes them. Transitions are logged as structured events
-(``breaker_open`` / ``breaker_half_open`` / ``breaker_close``) and
-counted on each breaker (:meth:`ReaderHealthTracker.transitions_total`).
+that causes them. Transitions are counted on each breaker
+(:meth:`ReaderHealthTracker.transitions_total`); the readers an open
+breaker excludes show on each batch's trace span.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..exceptions import ConfigurationError
-from ..utils.logging import get_structured_logger, log_event
+from ..utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
     "BreakerPolicy",
@@ -34,9 +34,6 @@ __all__ = [
     "CircuitBreaker",
     "ReaderHealthTracker",
 ]
-
-_LOGGER_NAME = "repro.service.health"
-
 
 class BreakerState:
     """String constants for the breaker's three states."""
@@ -63,14 +60,10 @@ class BreakerPolicy:
     recovery_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.recovery_timeout_s <= 0:
-            raise ConfigurationError(
-                f"recovery_timeout_s must be positive, got {self.recovery_timeout_s}"
-            )
+        ensure_positive_int(self.failure_threshold, "failure_threshold")
+        # A non-finite timeout would keep an open breaker from ever
+        # probing its reader again.
+        ensure_positive(self.recovery_timeout_s, "recovery_timeout_s")
 
 
 class CircuitBreaker:
@@ -166,7 +159,6 @@ class ReaderHealthTracker:
         self.breakers: dict[str, CircuitBreaker] = {
             rid: CircuitBreaker(self.policy) for rid in reader_ids
         }
-        self._logger = get_structured_logger(_LOGGER_NAME)
 
     # -- observation ---------------------------------------------------------
 
@@ -178,23 +170,10 @@ class ReaderHealthTracker:
         failure.
         """
         for rid, breaker in self.breakers.items():
-            value = float(freshness.get(rid, 0.0))
-            before = breaker.state
-            if value >= self.freshness_floor:
-                transitioned = breaker.record_success()
-                event = "breaker_close"
+            if float(freshness.get(rid, 0.0)) >= self.freshness_floor:
+                breaker.record_success()
             else:
-                transitioned = breaker.record_failure(now_s)
-                event = "breaker_open"
-            if transitioned:
-                log_event(
-                    self._logger,
-                    event,
-                    reader=rid,
-                    t=now_s,
-                    freshness=round(value, 4),
-                    previous=before,
-                )
+                breaker.record_failure(now_s)
 
     # -- queries -------------------------------------------------------------
 
@@ -202,21 +181,12 @@ class ReaderHealthTracker:
         """Readers whose breaker currently admits traffic (incl. probes).
 
         Calling this may flip open breakers to half-open (timeout
-        elapsed), which is logged.
+        elapsed), which counts as a transition.
         """
-        allowed = []
-        for rid, breaker in self.breakers.items():
-            before = breaker.state
-            if breaker.allows(now_s):
-                if before == BreakerState.OPEN:  # became half-open probe
-                    log_event(
-                        self._logger,
-                        "breaker_half_open",
-                        reader=rid,
-                        t=now_s,
-                    )
-                allowed.append(rid)
-        return allowed
+        return [
+            rid for rid, breaker in self.breakers.items()
+            if breaker.allows(now_s)
+        ]
 
     def state(self) -> dict[str, str]:
         """Current breaker state per reader."""

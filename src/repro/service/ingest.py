@@ -30,7 +30,6 @@ from typing import Iterable
 from ..exceptions import ConfigurationError
 from ..hardware.middleware import MiddlewareServer
 from ..hardware.readers import ReadingRecord
-from .metrics import get_service_logger, log_event
 
 __all__ = ["OVERFLOW_POLICIES", "BoundedRecordQueue", "IngestionLoop"]
 
@@ -174,23 +173,12 @@ class IngestionLoop:
     ):
         self.queue = queue
         self.middleware = middleware
-        self._logger = get_service_logger()
 
     # -- producer ------------------------------------------------------------
 
     def submit(self, records: Iterable[ReadingRecord]) -> int:
         """Offer a chunk of records; returns overflow drops/sheds caused."""
-        dropped_before = self.queue.dropped
-        shed_before = self.queue.shed
-        overflows = self.queue.offer_many(records)
-        if overflows:
-            log_event(
-                self._logger, "ingest_overflow",
-                dropped=self.queue.dropped - dropped_before,
-                shed=self.queue.shed - shed_before,
-                depth=len(self.queue), capacity=self.queue.capacity,
-            )
-        return overflows
+        return self.queue.offer_many(records)
 
     # -- consumer ------------------------------------------------------------
 

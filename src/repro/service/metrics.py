@@ -1,13 +1,13 @@
-"""Service metrics: counters, gauges, fixed-bucket latency histograms.
+"""Service metrics: counters, read gauges, fixed-bucket latency histograms.
 
 The streaming service is the first part of the codebase that runs as an
 *online* system, so it is the first part that needs observability. This
-module provides the three Prometheus primitive types the pipeline needs —
-:class:`Counter`, :class:`Gauge` and :class:`Histogram` — collected in a
-:class:`MetricsRegistry` that renders the standard text exposition format
-(``# HELP`` / ``# TYPE`` / samples), plus a structured-logging hook so
-every pipeline event can be traced as ``event=... key=value`` lines
-through the stdlib :mod:`logging` machinery.
+module provides the Prometheus primitive types the pipeline needs —
+pushed :class:`Counter` and :class:`Histogram`, and :class:`ReadMetric`
+counters and gauges read from the component that owns the fact —
+collected in a :class:`MetricsRegistry` that renders the standard text
+exposition format (``# HELP`` / ``# TYPE`` / samples). Events are
+recorded as trace spans and component event trails, not as log lines.
 
 Design notes
 ------------
@@ -29,24 +29,19 @@ Design notes
 from __future__ import annotations
 
 import bisect
-import logging
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs.profile import quantile_linear
-from ..utils.logging import get_structured_logger, log_event
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ReadMetric",
     "metric_safe",
     "DEFAULT_LATENCY_BUCKETS_S",
-    "get_service_logger",
-    "log_event",
 ]
 
 #: Default latency buckets (seconds). Spans 0.1 ms .. 10 s, roughly
@@ -112,21 +107,6 @@ class Counter(_Scalar):
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
         self._value += amount
-
-
-class Gauge(_Scalar):
-    """Point-in-time value (queue depth, cache size, ...)."""
-
-    kind = "gauge"
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
 
 class ReadMetric(_Scalar):
@@ -262,7 +242,7 @@ class Histogram:
         return f"Histogram({self.name}, count={self.count}, sum={self._sum:g})"
 
 
-Metric = Counter | Gauge | Histogram | ReadMetric
+Metric = Counter | Histogram | ReadMetric
 
 
 class MetricsRegistry:
@@ -324,9 +304,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_make(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_make(Gauge, name, help)
 
     def histogram(
         self,
@@ -391,22 +368,3 @@ class MetricsRegistry:
             else:
                 out[metric.name] = metric.value
         return out
-
-
-# -- structured logging hook -------------------------------------------------
-#
-# The helpers themselves moved to :mod:`repro.utils.logging` so layers
-# below the service (the fault-injection subsystem) can share the exact
-# event discipline; this module keeps its historical exports.
-
-_SERVICE_LOGGER_NAME = "repro.service"
-
-
-def get_service_logger() -> logging.Logger:
-    """The service's logger (``repro.service``), NullHandler'd by default.
-
-    Library rule: never configure the root logger. Applications opt in
-    with ``logging.basicConfig(level=logging.INFO)`` (or their own
-    handlers) and immediately see the pipeline's structured events.
-    """
-    return get_structured_logger(_SERVICE_LOGGER_NAME)

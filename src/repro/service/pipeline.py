@@ -47,8 +47,8 @@ observes per-reader middleware freshness every serving instant and
 drives one circuit breaker per reader (open after consecutive staleness,
 half-open probe after the recovery timeout). Open readers are dropped
 from partial snapshots before estimation, so a flapping reader cannot
-poison the subset path. All breaker state changes are structured-logged
-and counted.
+poison the subset path. Breaker transitions are counted, and each
+batch's span names the readers its open breakers exclude.
 
 The pipeline owns its :class:`MetricsRegistry`: it pushes what only it
 counts and reads the counters its components keep. Nothing in this
@@ -84,12 +84,7 @@ from ..utils.validation import ensure_positive, ensure_positive_int
 from .batcher import Batch, LocalizationRequest, MicroBatcher
 from .health import BreakerPolicy, ReaderHealthTracker
 from .ingest import BoundedRecordQueue, IngestionLoop
-from .metrics import (
-    MetricsRegistry,
-    get_service_logger,
-    log_event,
-    metric_safe,
-)
+from .metrics import MetricsRegistry, metric_safe
 
 __all__ = ["ServiceConfig", "ServiceResult", "ServicePipeline"]
 
@@ -180,7 +175,10 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         # Validate only; the fields keep the values the caller passed.
-        for name in ("query_interval_s", "max_latency_s", "stream_step_s"):
+        for name in (
+            "query_interval_s", "max_latency_s", "stream_step_s",
+            "breaker_recovery_timeout_s",
+        ):
             ensure_positive(getattr(self, name), name)
         if self.request_deadline_s is not None:
             ensure_positive(self.request_deadline_s, "request_deadline_s")
@@ -190,6 +188,10 @@ class ServiceConfig:
             ensure_positive_int(
                 self.max_batches_per_tick, "max_batches_per_tick"
             )
+        if not isinstance(self.allow_partial, bool):
+            raise ConfigurationError(
+                f"allow_partial must be a bool, got {self.allow_partial!r}"
+            )
         if self.calibration is not None and not isinstance(
             self.calibration, CalibrationPolicy
         ):
@@ -198,7 +200,7 @@ class ServiceConfig:
                 f"got {type(self.calibration).__name__}"
             )
         # Remaining fields are validated by the components they configure
-        # (BreakerPolicy, the queue's overflow policy, VIREConfig).
+        # (the queue's overflow policy, VIREConfig).
 
     def with_(self, **changes) -> "ServiceConfig":
         """Modified copy (thin wrapper over dataclasses.replace)."""
@@ -293,7 +295,6 @@ class ServicePipeline:
         self.metrics = metrics or MetricsRegistry()
         self.middleware = middleware
         self._perf_clock = perf_clock
-        self._logger = get_service_logger()
 
         self.vire = VIREEstimator(
             grid, self.config.vire.with_(empty_fallback="error")
@@ -730,10 +731,6 @@ class ServicePipeline:
                 if position is None:
                     self._c_failed.inc()
                     span.update(failed=True, reason=reason)
-                    log_event(
-                        self._logger, "request_failed",
-                        tag=request.tag_id, t=now_s, reason=reason,
-                    )
                     return None
                 estimator, diagnostics = "last-known", {}
             degraded = level > 1
@@ -746,10 +743,6 @@ class ServicePipeline:
             if degraded:
                 self._c_degraded.inc()
                 self._c_degraded_reason[reason].inc()
-                log_event(
-                    self._logger, "request_degraded",
-                    tag=request.tag_id, t=now_s, reason=reason,
-                )
             self._last_estimate[request.tag_id] = position
             result = ServiceResult(
                 tag_id=request.tag_id,
@@ -782,12 +775,10 @@ class ServicePipeline:
         recomputed.
         """
         self._replaying = True
-        log_event(self._logger, "replay_begin")
 
     def end_replay(self) -> None:
         """Leave replay mode; subsequent instants estimate and serve."""
         self._replaying = False
-        log_event(self._logger, "replay_end")
 
     def checkpoint_cut(self) -> tuple:
         """The serving state :meth:`checkpoint_state` documents, captured
@@ -871,11 +862,6 @@ class ServicePipeline:
         self._c_failed.inc(float(counters.get("failed", 0)))
         for reason, counter in self._c_degraded_reason.items():
             counter.inc(float(counters.get(f"degraded_{reason}", 0)))
-        log_event(
-            self._logger, "checkpoint_restored",
-            results=len(results),
-            last_estimates=len(self._last_estimate),
-        )
 
     def verify_replay(self, state: Mapping[str, Any]) -> None:
         """Check the replay-reconstructed state against the snapshot.
@@ -914,7 +900,6 @@ class ServicePipeline:
                     f"replay diverged on calibration state: reconstructed "
                     f"{got['calibration']}, checkpoint {state['calibration']}"
                 )
-        log_event(self._logger, "replay_verified")
 
     # -- zone handoff --------------------------------------------------------
 

@@ -38,7 +38,7 @@ from ..runtime.checkpoint import (
 )
 from ..obs import Tracer, current_tracer, use_tracer
 from ..types import estimation_error
-from .metrics import MetricsRegistry, get_service_logger, log_event
+from .metrics import MetricsRegistry
 from .pipeline import ServiceConfig, ServicePipeline, ServiceResult
 
 if TYPE_CHECKING:  # runtime import is lazy (only when a plan is passed)
@@ -210,7 +210,7 @@ class ServiceSession:
 
     ``fault_plan``, ``checkpoint_path`` and ``crash_point`` follow
     :meth:`LocalizationService.run`. ``zone`` (a zoned session's id) is
-    added to every span and log event. ``submit_queries``, called with
+    added to every span. ``submit_queries``, called with
     the tick time, replaces the interval cadence (the load harness's
     open-loop schedule).
     """
@@ -240,7 +240,6 @@ class ServiceSession:
         self._zone = {} if zone is None else {"zone": zone}
         self._name = "session" if zone is None else f"zone {zone!r} session"
         self._submit_queries = submit_queries or self._submit_interval
-        self._logger = get_service_logger()
 
         self._stream: SimulatorRecordStream | None = None
         self._chunks: Iterator[tuple[float, list]] | None = None
@@ -339,13 +338,6 @@ class ServiceSession:
             self.start_s = simulator.now
             self._next_query = {tag: self.start_s for tag in self.active}
             self._wal_index = len(pipeline.results)
-            log_event(
-                self._logger, "session_start", **self._zone,
-                tags=len(self.active), duration=duration_s, t=self.start_s,
-                faults=len(self._fault_plan or ()),
-                resumed=restored is not None,
-                checkpoint=self._writer is not None,
-            )
             if self._writer is not None and restored is None:
                 # Initial snapshot: a crash *before* the first periodic
                 # snapshot must still be resumable (cut at session
@@ -407,11 +399,6 @@ class ServiceSession:
                 f"reconstructed {self._records_dispatched}, checkpoint "
                 f"{expected}"
             )
-        log_event(
-            self._logger, "resume_live", **self._zone,
-            t=now_s, records_replayed=self._records_dispatched,
-            results_restored=self._wal_index,
-        )
 
     def step(self) -> list[ServiceResult] | None:
         """Run the next tick; its served results, or ``None`` at the end.
@@ -495,10 +482,6 @@ class ServiceSession:
         self._interrupted = True
         if self._writer is not None and self._last_cut is not None:
             self._write_cut(self._last_cut)
-        log_event(
-            self._logger, "session_interrupted", **self._zone,
-            t=self.simulator.now, results=len(self.pipeline.results),
-        )
 
     def abort(self) -> None:
         """Hard teardown (simulated crash): close the WAL as-is."""
@@ -566,14 +549,7 @@ class ServiceSession:
         if on_result is not None:
             for result in drained:
                 on_result(result)
-        report = self.report()
-        log_event(
-            self._logger, "session_end", **self._zone,
-            results=len(pipeline.results),
-            wall_s=report.summary["wall_time_s"],
-            interrupted=self._interrupted,
-        )
-        return report
+        return self.report()
 
     def report(self, **extra: float) -> SessionReport:
         """The session's report as it stands, ``extra`` summary keys last.

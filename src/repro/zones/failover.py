@@ -57,7 +57,6 @@ from ..faults.models import (
     is_zone_fault,
 )
 from ..obs import Tracer
-from ..service.metrics import get_service_logger, log_event
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport
 from .spec import ZoneSpec, slice_fault_plan
@@ -238,7 +237,6 @@ class ZoneChannel:
         self._resume = bool(resume)
         self._tracer = tracer
         self._query_schedule = query_schedule
-        self._logger = get_service_logger()
 
         # Record-path slice for the worker; this zone's control-plane
         # faults are read by this channel only. One-shot faults (crash,
@@ -398,14 +396,10 @@ class ZoneChannel:
             return []
         if _fire(self._crashes, tau_s):
             self.crashes += 1
-            log_event(
-                self._logger, "zone_crash_detected",
-                zone=self.zone_id, tau=tau_s, chunks=self._k,
-            )
             if not self._recover(tau_s):
                 return []
         elif _fire(self._hangs, tau_s):
-            self._charge_hang(tau_s)
+            self._charge_hang()
             if not self._recover(tau_s):
                 return []
         if any(f.active_at(tau_s) for f in self._links):
@@ -413,24 +407,15 @@ class ZoneChannel:
             # kill — the worker is alive, the link is not. The zone
             # falls behind and catches up deterministically later.
             self.link_failures += self._burn_retry_budget()
-            log_event(
-                self._logger, "zone_link_down",
-                zone=self.zone_id, tau=tau_s, behind=k_target - self._k,
-            )
             return []
         if self.slow_at(tau_s):
             self.slow_ticks += 1
         return self._catch_up(k_target)
 
-    def _charge_hang(self, tau_s: float) -> None:
+    def _charge_hang(self) -> None:
         """A wedged instance: every attempt times out, then it is killed."""
-        attempts = self._burn_retry_budget()
-        self.timeouts += attempts
+        self.timeouts += self._burn_retry_budget()
         self.crashes += 1
-        log_event(
-            self._logger, "zone_worker_hung",
-            zone=self.zone_id, tau=tau_s, timeouts=attempts,
-        )
 
     def _burn_retry_budget(self) -> int:
         """Fail every attempt of one call: count the retries and return
@@ -451,11 +436,6 @@ class ZoneChannel:
         self._down = True
         self._active_at_crash = self.worker.active_tags()
         self._next_interim = {tag: tau_s for tag in self._active_at_crash}
-        log_event(
-            self._logger, "zone_down",
-            zone=self.zone_id, tau=tau_s, chunks=self._k,
-            respawns=self.respawns,
-        )
 
     def _respawn(self, tau_s: float) -> None:
         """Fresh instance from the checkpoint + full journal replay.
@@ -486,11 +466,6 @@ class ZoneChannel:
                     f"zone {self.zone_id!r} stream exhausted during respawn "
                     f"replay at chunk {self._k}/{recovered_k}"
                 )
-        log_event(
-            self._logger, "zone_respawned",
-            zone=self.zone_id, tau=tau_s, resumed=resume,
-            chunks_replayed=recovered_k, respawns=self.respawns,
-        )
 
     def _step_next(self) -> list[ServiceResult] | None:
         next_k = self._k + 1

@@ -40,7 +40,7 @@ from typing import Any, Mapping, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs import Tracer, current_tracer, use_tracer
-from ..service.metrics import MetricsRegistry, get_service_logger, log_event
+from ..service.metrics import MetricsRegistry
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport, result_witness_entry
 from .failover import AdmissionPolicy, ZoneChannel
@@ -233,7 +233,6 @@ class ZoneGateway:
                     f"query_schedules name unknown zones {unknown}; "
                     f"the plan has {sorted(known)}"
                 )
-        self._logger = get_service_logger()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -301,11 +300,6 @@ class ZoneGateway:
                         if self.query_schedules is not None else None
                     ),
                 )
-            log_event(
-                self._logger, "gateway_start",
-                zones=len(zones), duration=duration_s,
-                roaming=len(self.plan.roaming),
-            )
             try:
                 for channel in channels.values():
                     channel.start(duration_s)
@@ -358,10 +352,6 @@ class ZoneGateway:
                 interrupted = True
                 for channel in channels.values():
                     channel.interrupt()
-                log_event(
-                    self._logger, "gateway_interrupted",
-                    tau=tau, zones=len(zones),
-                )
             reports = {
                 zid: channels[zid].finish() for zid in sorted(channels)
             }
@@ -461,13 +451,6 @@ class ZoneGateway:
                 carried_source=carried_source,
             )
         )
-        log_event(
-            self._logger, "gateway_handoff",
-            tag=tag.label, tau=tau,
-            from_zone=old_id, to_zone=new_id,
-            carried=carried_global is not None,
-            rerouted=rerouted_from is not None,
-        )
 
     # -- aggregation ---------------------------------------------------------------
 
@@ -502,12 +485,6 @@ class ZoneGateway:
             totals["interrupted"] = 1.0
         metrics = self._gateway_metrics(
             channels, handoffs, interim, totals, availability
-        )
-        log_event(
-            self._logger, "gateway_end",
-            zones=len(reports), results=totals["results"],
-            handoffs=len(handoffs), wall_s=wall_s,
-            interrupted=interrupted,
         )
         return MultiZoneReport(
             zones={zid: reports[zid] for zid in sorted(reports)},

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,33 @@ class TestPublicExports:
     def test_version_string(self):
         major, *_ = repro.__version__.split(".")
         assert int(major) >= 1
+
+
+class TestOneEventChannel:
+    """Events are recorded as spans, counters and event trails only."""
+
+    def test_no_module_imports_logging(self):
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "logging" for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    @pytest.mark.parametrize("name", ["log_event", "get_service_logger"])
+    def test_service_exports_no_log_helpers(self, name):
+        import repro.service
+        import repro.service.metrics
+
+        assert name not in repro.service.__all__
+        assert not hasattr(repro.service, name)
+        assert not hasattr(repro.service.metrics, name)
 
 
 class TestMultiTagDeployment:

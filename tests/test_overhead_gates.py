@@ -10,14 +10,17 @@ benchmark's, to keep the suite fast) and requires the gate to trip:
 * 100 µs of busy work per write-ahead log line;
 * 10 ms of busy work per corrected session (at corrector arming);
 * 100 µs of busy work per recorded span, for ``bench_obs_overhead``'s
-  enabled-tracer gate (a workload records ~240 spans in ~50 ms).
+  enabled-tracer gate (a workload records ~240 spans in ~50 ms);
+* 10 ms of busy work per batch pass, for ``bench_engine_batch``'s 5x
+  speedup floor (a T=64 batch pass takes ~7 ms, the scalar loop ~40 ms).
 
 Sessions last a few tens of milliseconds, so each injected cost is
 several times the 5% ceiling (a 10 ms cost on a 40 ms session reads
 ~0.25).
 
 The interval tests pin what "resolved" means on made-up walls: a median
-just inside the ceiling whose rounds spread across it is unresolved. The
+just inside the ceiling (or above the floor) whose rounds spread across
+it is unresolved. The
 coverage tests run the method's null check (one arm timed twice) on
 simulated walls with slow spells: its 95% interval must cover the true 0
 at about that rate, and exclude 0 once the arms really differ.
@@ -31,6 +34,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import VIREConfig, VIREEstimator, paper_testbed_grid
 from repro.calibration.corrector import DriftCorrector
 from repro.obs import Tracer
 from repro.runtime import checkpoint
@@ -73,6 +77,11 @@ def bench_calibration():
 @pytest.fixture(scope="module")
 def bench_obs_overhead():
     return load_benchmark("bench_obs_overhead")
+
+
+@pytest.fixture(scope="module")
+def bench_engine_batch():
+    return load_benchmark("bench_engine_batch")
 
 
 class TestRecoveryGate:
@@ -125,6 +134,21 @@ class TestObsOverheadGate:
         assert gate.high > gate.ceiling
 
 
+class TestEngineBatchGate:
+    def test_10ms_per_batch_pass_trips(self, bench_engine_batch, monkeypatch):
+        _, snapshot, _ = bench_engine_batch._build_readings()
+        est = VIREEstimator(
+            paper_testbed_grid(), VIREConfig(target_total_tags=900)
+        )
+        monkeypatch.setattr(
+            est, "estimate_batch", _slowed(est.estimate_batch, 0.010)
+        )
+        row = bench_engine_batch._time_regime(est, snapshot, rounds=ROUNDS)
+        assert not row["speedup_ok"]
+        assert row["speedup_interval"][0] < bench_engine_batch.TARGET_SPEEDUP
+        assert row["position_mismatches"] == 0
+
+
 def _timings(interleave, ratios):
     base = [0.040] * len(ratios)
     return interleave.Timings(
@@ -166,6 +190,26 @@ class TestInterval:
             assert gate.resolved
             assert gate.ok is ok
             assert gate.noise_floor == pytest.approx(0.002, abs=1e-9)
+
+    def test_floor_gate_needs_the_whole_interval_above(self, interleave):
+        # Speedups from 3x to 7.6x: the median (5.3x) clears 5x, the
+        # interval does not.
+        spread = [3.0 + 4.6 * i / 59 for i in range(60)]
+        gate = interleave.FloorGate.measure(
+            _timings(interleave, [x - 1.0 for x in spread]),
+            "arm", "base", 5.0,
+        )
+        assert gate.speedup > 5.0 and gate.low < 5.0 < gate.high
+        assert not gate.resolved and not gate.ok
+        for centre, ok in ((6.0, True), (4.5, False)):
+            tight = [centre + 0.02 * (i % 5 - 2) for i in range(60)]
+            gate = interleave.FloorGate.measure(
+                _timings(interleave, [x - 1.0 for x in tight]),
+                "arm", "base", 5.0,
+            )
+            assert gate.resolved
+            assert gate.ok is ok
+            assert gate.speedup == pytest.approx(centre)
 
     def test_too_few_rounds_never_resolve(self, interleave):
         gate = interleave.Gate.measure(

@@ -7,6 +7,8 @@ flakiness.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import build_paper_deployment
@@ -43,6 +45,21 @@ class TestBreakerPolicy:
             BreakerPolicy(failure_threshold=0)
         with pytest.raises(ConfigurationError):
             BreakerPolicy(recovery_timeout_s=0.0)
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("recovery_timeout_s", math.nan),
+        ("recovery_timeout_s", math.inf),
+        ("recovery_timeout_s", "10"),
+        ("failure_threshold", 2.5),
+        ("failure_threshold", True),
+    ])
+    def test_non_finite_and_non_integer_values_rejected(
+        self, field_name, value
+    ):
+        # A NaN or infinite timeout used to construct, and an opened
+        # breaker then refused its reader at every later time.
+        with pytest.raises(ConfigurationError, match=field_name):
+            BreakerPolicy(**{field_name: value})
 
 
 class TestCircuitBreaker:

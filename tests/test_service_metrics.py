@@ -1,8 +1,7 @@
-"""Tests for repro.service.metrics: primitives, registry, exposition, logging."""
+"""Tests for repro.service.metrics: primitives, registry, exposition."""
 
 from __future__ import annotations
 
-import logging
 import math
 
 import pytest
@@ -13,11 +12,8 @@ from repro.exceptions import ConfigurationError
 from repro.obs.profile import quantile_linear
 from repro.service.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    get_service_logger,
-    log_event,
 )
 
 
@@ -41,15 +37,6 @@ class TestCounter:
             Counter("9starts_with_digit")
         with pytest.raises(ConfigurationError):
             Counter("")
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("queue_depth")
-        g.set(7)
-        g.inc(3)
-        g.dec(5)
-        assert g.value == 5
 
 
 class TestReadMetric:
@@ -215,7 +202,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("x_total")
         with pytest.raises(ConfigurationError):
-            reg.gauge("x_total")
+            reg.histogram("x_total")
 
     def test_get_unknown_raises(self):
         with pytest.raises(ConfigurationError):
@@ -232,7 +219,7 @@ class TestRegistry:
     def test_prometheus_rendering(self):
         reg = MetricsRegistry("repro")
         reg.counter("requests_total", "Requests served").inc(3)
-        reg.gauge("depth").set(1.5)
+        reg.read("depth", "", lambda: 1.5)
         reg.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
         text = reg.render_prometheus()
         assert "# HELP repro_requests_total Requests served" in text
@@ -252,26 +239,6 @@ class TestRegistry:
         d = reg.to_dict()
         assert d["r_lat"]["count"] == 3
         assert d["r_lat"]["p50"] == 0.2
-
-
-class TestStructuredLogging:
-    def test_log_event_format(self, caplog):
-        logger = get_service_logger()
-        with caplog.at_level(logging.INFO, logger=logger.name):
-            log_event(logger, "batch_flush", size=8, reason="size",
-                      note="two words")
-        assert len(caplog.records) == 1
-        message = caplog.records[0].getMessage()
-        assert message.startswith("event=batch_flush ")
-        assert "size=8" in message
-        assert "reason=size" in message
-        assert 'note="two words"' in message
-
-    def test_disabled_logger_skips_formatting(self, caplog):
-        logger = get_service_logger()
-        with caplog.at_level(logging.ERROR, logger=logger.name):
-            log_event(logger, "noisy", level=logging.DEBUG)
-        assert not caplog.records
 
 
 class TestNamingConventions:
@@ -445,7 +412,7 @@ class TestZoneNamespace:
 
     def test_zone_ids_are_sanitized_for_prometheus(self):
         registry = MetricsRegistry(zone="floor-2/east")
-        gauge = registry.gauge("service_queue_depth")
+        gauge = registry.read("service_queue_depth", "Depth", lambda: 0)
         assert gauge.name == "repro_zone_floor_2_east_service_queue_depth"
 
     def test_unsanitizable_zone_id_is_rejected(self):

@@ -673,13 +673,20 @@ class TestConfigValidation:
         ("max_batch_size", 2.0),
         ("queue_capacity", True),
         ("max_batches_per_tick", math.nan),
+        ("breaker_recovery_timeout_s", math.nan),
+        ("breaker_recovery_timeout_s", math.inf),
+        ("breaker_recovery_timeout_s", 0.0),
+        ("allow_partial", "no"),
+        ("allow_partial", 1),
     ])
     def test_non_finite_and_non_integer_values_rejected(
         self, field_name, value
     ):
         # Each of these used to construct: NaN intervals served too few
-        # answers (or none), and a NaN queue capacity raised a raw
-        # ValueError mid-run.
+        # answers (or none), a NaN queue capacity raised a raw
+        # ValueError mid-run, a NaN or infinite breaker timeout kept an
+        # opened breaker from ever probing its reader again, and
+        # allow_partial="no" served partial snapshots.
         with pytest.raises(ConfigurationError, match=field_name):
             ServiceConfig(**{field_name: value})
 
@@ -687,6 +694,7 @@ class TestConfigValidation:
         field_name=st.sampled_from([
             "query_interval_s", "max_latency_s", "stream_step_s",
             "request_deadline_s", "queue_capacity", "max_batch_size",
+            "breaker_recovery_timeout_s", "allow_partial",
         ]),
         value=st.one_of(
             st.floats(allow_nan=True, allow_infinity=True),
@@ -703,6 +711,9 @@ class TestConfigValidation:
         # Accepted values are stored untouched and are usable.
         stored = getattr(config, field_name)
         assert stored is value
+        if field_name == "allow_partial":
+            assert isinstance(stored, bool)
+            return
         assert not isinstance(stored, bool)
         if field_name in ("queue_capacity", "max_batch_size"):
             assert isinstance(stored, int) and stored >= 1
