@@ -9,6 +9,10 @@ box. Walls carry two RF-relevant coefficients:
   the image-method multipath model; 0 means the wall never contributes a
   reflected path (an open side).
 
+:meth:`Room.crossing_attenuation_db` prices the straight paths from many
+tag positions to one reader in one call: one vectorised crossing test
+per attenuating wall, summed in wall order.
+
 The three experimental environments of the paper differ in exactly these
 terms: Env1 (semi-open) has few reflective surfaces, Env2 (spacious) has
 distant walls, Env3 (small office) has close, highly-reflective walls and
@@ -20,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..exceptions import GeometryError
+from ..utils.arrays import as_points
 from ..utils.validation import ensure_in_range, ensure_non_negative
-from .vector import Segment, segments_intersect
+from .vector import Segment, segments_intersect_many
 
 __all__ = ["Wall", "Room", "rectangular_room"]
 
@@ -93,17 +100,21 @@ class Room:
         )
 
     def crossing_attenuation_db(
-        self, a: Sequence[float], b: Sequence[float]
-    ) -> float:
-        """Total penetration loss (dB) of the straight path from a to b.
+        self, starts: np.ndarray, end: Sequence[float]
+    ) -> np.ndarray:
+        """Penetration loss (dB) of the straight path from each start to ``end``.
 
-        Each wall crossed by the path contributes its ``attenuation_db``.
+        ``starts`` has shape ``(n, 2)``; returns shape ``(n,)``. Each wall
+        a path crosses contributes its ``attenuation_db``, summed in wall
+        order from ``0.0``. Crossings are decided one wall at a time for
+        all paths at once (:func:`~repro.geometry.vector.segments_intersect_many`).
         """
-        path = Segment((float(a[0]), float(a[1])), (float(b[0]), float(b[1])))
-        total = 0.0
+        pts = as_points(starts, "path starts")
+        total = np.zeros(pts.shape[0])
         for wall in self.walls:
-            if wall.attenuation_db > 0.0 and segments_intersect(path, wall.segment):
-                total += wall.attenuation_db
+            if wall.attenuation_db > 0.0:
+                crossed = segments_intersect_many(pts, end, wall.segment)
+                total[crossed] += wall.attenuation_db
         return total
 
     def with_walls(self, extra: Iterable[Wall]) -> "Room":

@@ -3,6 +3,14 @@
 Everything here is pure geometry with no RF semantics: segment-segment
 intersection (used to count wall crossings on a propagation path) and
 point reflection across a line (used by the image-method multipath model).
+
+:func:`segment_intersection` is the one definition of the intersection
+test. :func:`segments_intersect_many` is its array form for many paths
+that share an end point (every tag's path to one reader): the general
+case runs as one vectorised test with the same float64 operations in the
+same order, and the rows whose answer depends on the rare cases
+(point-like or parallel) are handed to the scalar test, so both forms
+give the same boolean on every path.
 """
 
 from __future__ import annotations
@@ -13,11 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import GeometryError
-from ..utils.arrays import as_point
+from ..utils.arrays import as_point, as_points
 
 __all__ = [
     "Segment",
     "segments_intersect",
+    "segments_intersect_many",
     "segment_intersection",
     "reflect_point",
     "point_segment_distance",
@@ -146,6 +155,50 @@ def segment_intersection(s1: Segment, s2: Segment) -> tuple[float, float] | None
         pt = p + t * r
         return (float(pt[0]), float(pt[1]))
     return None
+
+
+def segments_intersect_many(
+    starts: np.ndarray, end: Sequence[float], wall: Segment
+) -> np.ndarray:
+    """Per row ``i``: ``segments_intersect(Segment(starts[i], end), wall)``.
+
+    ``starts`` has shape ``(n, 2)``; returns an ``(n,)`` boolean array.
+    The general case (both segments longer than ``_POINT_LIKE``, not
+    parallel) is decided here with :func:`segment_intersection`'s
+    operations in its order: ``hypot`` lengths, ``rxs``, ``qpxr`` and
+    the ``t``/``u`` window with ``_EPS``. Point-like or parallel rows go
+    through :func:`segment_intersection` itself, which stays the single
+    definition of those cases; a zero-length path raises the
+    :class:`Segment` constructor's ``GeometryError`` there.
+    """
+    p = as_points(starts, "path starts")
+    e = as_point(end, "path end")
+    r = e[np.newaxis, :] - p
+    q = np.asarray(wall.a)
+    s = np.asarray(wall.b) - q
+    len_r = np.hypot(r[:, 0], r[:, 1])
+    len_s = float(np.hypot(s[0], s[1]))
+
+    rxs = r[:, 0] * s[1] - r[:, 1] * s[0]
+    qp = q[np.newaxis, :] - p
+    qpxr = qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (qp[:, 0] * s[1] - qp[:, 1] * s[0]) / rxs
+        u = qpxr / rxs
+    hit = (
+        (-_EPS <= t) & (t <= 1.0 + _EPS) & (-_EPS <= u) & (u <= 1.0 + _EPS)
+    )
+
+    exact = (
+        (len_s <= _POINT_LIKE)
+        | (len_r <= _POINT_LIKE)
+        | (np.abs(rxs) <= _EPS * len_r * len_s)
+    )
+    end_pt = (float(e[0]), float(e[1]))
+    for i in np.flatnonzero(exact):
+        path = Segment((float(p[i, 0]), float(p[i, 1])), end_pt)
+        hit[i] = segments_intersect(path, wall)
+    return hit
 
 
 def reflect_point(point: Sequence[float], line: Segment) -> tuple[float, float]:

@@ -254,14 +254,6 @@ def _tag_labels() -> tuple[str, ...]:
     return tuple(str(label) for label in sorted(tags))
 
 
-def _burst_rate(profile: LoadProfile, t: float) -> float:
-    """Instantaneous arrival rate of the ``burst`` process at ``t``."""
-    phase = t % profile.burst_period_s
-    if phase < profile.burst_duty * profile.burst_period_s:
-        return profile.rate_per_s * profile.burst_factor
-    return profile.rate_per_s
-
-
 def _zone_arrivals(profile: LoadProfile, zone_id: str) -> Iterator[float]:
     """Arrival times of one zone's stream, strictly inside the window."""
     rng = derive_rng(profile.seed, "loadtest", profile.name, zone_id)
@@ -283,14 +275,18 @@ def _zone_arrivals(profile: LoadProfile, zone_id: str) -> Iterator[float]:
     # r(t)/peak, which reproduces the piecewise-constant intensity
     # exactly (Lewis–Shedler thinning) while spending a fixed two RNG
     # draws per candidate — the stream stays replayable no matter how
-    # the duty cycle slices it.
+    # the duty cycle slices it. Inside a burst r(t) is the peak, so the
+    # survival draw (in [0, 1)) always passes there; it is still taken.
     peak = profile.rate_per_s * profile.burst_factor
-    t = float(rng.exponential(1.0 / peak))
+    spacing = 1.0 / peak
+    burst_s = profile.burst_duty * profile.burst_period_s
+    keep_between = profile.rate_per_s / peak
+    t = float(rng.exponential(spacing))
     while t < profile.duration_s:
-        keep = float(rng.random()) < _burst_rate(profile, t) / peak
-        if keep:
+        draw = float(rng.random())
+        if t % profile.burst_period_s < burst_s or draw < keep_between:
             yield t
-        t += float(rng.exponential(1.0 / peak))
+        t += float(rng.exponential(spacing))
 
 
 def generate_schedule(profile: LoadProfile) -> ArrivalSchedule:

@@ -168,15 +168,17 @@ class RFChannel:
         Deterministic: path loss + wall penetration + multipath excess +
         shadowing. Shape ``(n,)`` for input shape ``(n, 2)``.
         """
-        reader = self._reader(reader_index)
-        pts = as_points(positions, "positions")
+        return self._mean_rssi(
+            self._reader(reader_index), as_points(positions, "positions")
+        )
+
+    def _mean_rssi(self, reader: _ReaderState, pts: np.ndarray) -> np.ndarray:
+        """:meth:`mean_rssi` over already-validated ``(n, 2)`` positions."""
         diff = pts - reader.position[np.newaxis, :]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         rssi = np.asarray(self.path_loss.rssi(dist), dtype=np.float64)
 
-        attenuation = np.array(
-            [self.room.crossing_attenuation_db(p, reader.position) for p in pts]
-        )
+        attenuation = self.room.crossing_attenuation_db(pts, reader.position)
         rssi = rssi - attenuation
         if self.multipath_spec.enabled:
             rssi = rssi + reader.images.excess_gain_db(
@@ -290,8 +292,8 @@ class RFChannel:
         """Frozen-field RSSI of every tag at every reader, ``(K, n_tags)``."""
         pts = as_points(positions, "positions")
         out = np.empty((self.n_readers, pts.shape[0]))
-        for k in range(self.n_readers):
-            out[k, :] = self.mean_rssi(k, pts)
+        for k, reader in enumerate(self._readers):
+            out[k, :] = self._mean_rssi(reader, pts)
         return out
 
     def with_fading(self, fading: FadingModel | None) -> "RFChannel":

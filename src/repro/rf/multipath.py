@@ -255,11 +255,8 @@ class _ReaderImages:
         diff = pts - self.reader_pos[np.newaxis, :]
         d0 = np.maximum(np.sqrt(np.einsum("ij,ij->i", diff, diff)), 1e-3)
         if direct_attenuation_db is None:
-            direct_attenuation_db = np.array(
-                [
-                    self.model.room.crossing_attenuation_db(p, self.reader_pos)
-                    for p in pts
-                ]
+            direct_attenuation_db = self.model.room.crossing_attenuation_db(
+                pts, self.reader_pos
             )
         a0 = d0**-half_gamma * 10.0 ** (-np.asarray(direct_attenuation_db) / 20.0)
         a0 = np.maximum(a0, 1e-12)

@@ -192,6 +192,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"allow_partial must be a bool, got {self.allow_partial!r}"
             )
+        if not isinstance(self.vire, VIREConfig):
+            raise ConfigurationError(
+                f"vire must be a VIREConfig, got {type(self.vire).__name__}"
+            )
         if self.calibration is not None and not isinstance(
             self.calibration, CalibrationPolicy
         ):
@@ -200,7 +204,7 @@ class ServiceConfig:
                 f"got {type(self.calibration).__name__}"
             )
         # Remaining fields are validated by the components they configure
-        # (the queue's overflow policy, VIREConfig).
+        # (the queue's overflow policy, VIREConfig's own fields).
 
     def with_(self, **changes) -> "ServiceConfig":
         """Modified copy (thin wrapper over dataclasses.replace)."""

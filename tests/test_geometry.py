@@ -164,10 +164,11 @@ class TestRoom:
 
     def test_crossing_attenuation_counts_walls(self):
         room = rectangular_room(4, 4, attenuation_db=7.0)
-        # Path fully inside: crosses nothing.
-        assert room.crossing_attenuation_db((1, 1), (3, 3)) == 0.0
-        # Path leaving through one wall.
-        assert room.crossing_attenuation_db((1, 1), (6, 1)) == 7.0
+        starts = [(1, 1), (6, 1), (6, 6)]
+        # Fully inside: crosses nothing. Entering through one wall: 7 dB.
+        # Through the (4, 4) corner: both walls that meet there count.
+        loss = room.crossing_attenuation_db(starts, (3, 3))
+        assert loss.tolist() == [0.0, 7.0, 14.0]
 
     def test_with_walls_appends(self):
         room = rectangular_room(4, 4)

@@ -14,6 +14,8 @@ from repro.loadtest import (
     generate_schedule,
     preset_profile,
 )
+from repro.loadtest.profiles import _tag_labels
+from repro.utils.rng import derive_rng
 
 
 class TestLoadProfile:
@@ -135,3 +137,69 @@ class TestGenerateSchedule:
         b = json.dumps(generate_schedule(p).canonical_document(),
                        sort_keys=True)
         assert a == b
+
+
+# -- the arrival loop before its invariants were hoisted, kept as the oracle ---
+
+
+def _oracle_burst_rate(profile, t):
+    phase = t % profile.burst_period_s
+    if phase < profile.burst_duty * profile.burst_period_s:
+        return profile.rate_per_s * profile.burst_factor
+    return profile.rate_per_s
+
+
+def _oracle_zone_arrivals(profile, zone_id):
+    rng = derive_rng(profile.seed, "loadtest", profile.name, zone_id)
+    interval = 1.0 / profile.rate_per_s
+    if profile.process == "uniform":
+        t = interval
+        while t < profile.duration_s:
+            yield t
+            t += interval
+        return
+    if profile.process == "poisson":
+        t = float(rng.exponential(interval))
+        while t < profile.duration_s:
+            yield t
+            t += float(rng.exponential(interval))
+        return
+    peak = profile.rate_per_s * profile.burst_factor
+    t = float(rng.exponential(1.0 / peak))
+    while t < profile.duration_s:
+        keep = float(rng.random()) < _oracle_burst_rate(profile, t) / peak
+        if keep:
+            yield t
+        t += float(rng.exponential(1.0 / peak))
+
+
+def _oracle_events(profile):
+    labels = _tag_labels()
+    events = []
+    for zone_id in profile.zone_ids():
+        rng = derive_rng(
+            profile.seed, "loadtest", profile.name, zone_id, "labels"
+        )
+        for t in _oracle_zone_arrivals(profile, zone_id):
+            label = labels[int(rng.integers(0, len(labels)))]
+            events.append((round(t, 9), zone_id, label))
+    events.sort()
+    return tuple(events)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("profile", [
+    LoadProfile(process="burst", duration_s=30.0, rate_per_s=60.0,
+                burst_factor=4.0, burst_period_s=7.0, burst_duty=0.3,
+                n_zones=2),
+    LoadProfile(process="burst", duration_s=20.0, rate_per_s=3,
+                burst_factor=5, burst_period_s=2.5, burst_duty=1.0),
+    LoadProfile(process="poisson", duration_s=20.0, rate_per_s=9.0,
+                n_zones=2),
+    LoadProfile(process="uniform", duration_s=13.0, rate_per_s=7.0),
+], ids=["burst", "burst-int-rates", "poisson", "uniform"])
+def test_schedule_equals_the_per_candidate_loop(profile, seed):
+    profile = profile.with_(seed=seed)
+    events = generate_schedule(profile).events
+    assert len(events) > 0
+    assert events == _oracle_events(profile)

@@ -678,6 +678,8 @@ class TestConfigValidation:
         ("breaker_recovery_timeout_s", 0.0),
         ("allow_partial", "no"),
         ("allow_partial", 1),
+        ("vire", "x"),
+        ("vire", None),
     ])
     def test_non_finite_and_non_integer_values_rejected(
         self, field_name, value
@@ -686,7 +688,8 @@ class TestConfigValidation:
         # answers (or none), a NaN queue capacity raised a raw
         # ValueError mid-run, a NaN or infinite breaker timeout kept an
         # opened breaker from ever probing its reader again, and
-        # allow_partial="no" served partial snapshots.
+        # allow_partial="no" served partial snapshots, and vire="x" failed
+        # with a raw AttributeError when the pipeline was built.
         with pytest.raises(ConfigurationError, match=field_name):
             ServiceConfig(**{field_name: value})
 

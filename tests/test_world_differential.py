@@ -7,6 +7,12 @@ fresh ``mean_rssi`` at the tag's position, a fading draw, a noise draw.
 Both routes must emit the same ``ReadingRecord`` stream, bit for bit,
 count the same frames at every reader, and leave the per-reading RNG in
 the same state.
+
+The field's wall crossings are decided one wall at a time for all links
+(``segments_intersect_many``). Their oracle is the per-link route it
+replaced, also kept here: one ``Segment`` per link and the scalar
+``segments_intersect`` once per wall. Both must agree on every link,
+and the mean field built on either must be the same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro import build_paper_deployment, environment_by_name, paper_testbed_grid
 from repro.calibration import CalibrationPolicy
-from repro.exceptions import ChannelError
+from repro.exceptions import ChannelError, GeometryError
 from repro.faults import (
     FaultPlan,
     ReaderOutageFault,
@@ -30,6 +36,13 @@ from repro.faults import (
     zone_chaos_preset,
 )
 from repro.geometry.placement import corner_reader_positions
+from repro.geometry.rooms import Room
+from repro.geometry.vector import (
+    _EPS,
+    Segment,
+    segments_intersect,
+    segments_intersect_many,
+)
 from repro.hardware.readers import Reader
 from repro.hardware.simulator import TestbedSimulator
 from repro.hardware.tags import ActiveTag
@@ -446,3 +459,190 @@ def test_field_is_built_once_and_follows_moves(monkeypatch):
     dep.move_tracking_tag("track-2", (2.0, 2.0))
     sim.run_for(10.0)
     assert calls == [1]  # one recompute per move, not per beacon
+
+
+# -- wall crossings: one vectorised test per wall against the per-link loop -----
+
+
+def oracle_crossings(starts, end, wall):
+    """Today's route before the array form: one ``Segment`` per link."""
+    end_pt = (float(end[0]), float(end[1]))
+    return [
+        segments_intersect(Segment((float(p[0]), float(p[1])), end_pt), wall)
+        for p in np.asarray(starts, dtype=np.float64)
+    ]
+
+
+def oracle_crossing_attenuation_db(room, starts, end):
+    """The per-link wall loop ``Room.crossing_attenuation_db`` replaced."""
+    out = []
+    for p in np.asarray(starts, dtype=np.float64):
+        path = Segment((float(p[0]), float(p[1])), (float(end[0]), float(end[1])))
+        total = 0.0
+        for wall in room.walls:
+            if wall.attenuation_db > 0.0 and segments_intersect(path, wall.segment):
+                total += wall.attenuation_db
+        out.append(total)
+    return np.array(out)
+
+
+_coord = st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False)
+_unit = st.floats(-0.5, 1.5, allow_nan=False, allow_subnormal=False)
+_jitter = st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, -1e-12, 1e-12, 3e-10])
+
+
+@st.composite
+def _wall(draw):
+    a = (draw(_coord), draw(_coord))
+    if draw(st.booleans()):
+        # Point-like: constructible, but at or below _POINT_LIKE.
+        length = draw(st.floats(1e-12, 1e-9))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        b = (a[0] + length * math.cos(angle), a[1] + length * math.sin(angle))
+    else:
+        b = (draw(_coord), draw(_coord))
+    try:
+        return Segment(a, b)
+    except GeometryError:
+        return Segment(a, (a[0] + 1.0, a[1]))
+
+
+def _on_line(wall, mu, jitter):
+    """A point at ``mu`` along the wall's line, nudged off it by ``jitter``."""
+    ax, ay = wall.a
+    dx, dy = wall.b[0] - ax, wall.b[1] - ay
+    return (ax + mu * dx - jitter * dy, ay + mu * dy + jitter * dx)
+
+
+@st.composite
+def _link_point(draw, wall, end=None):
+    kind = draw(st.sampled_from(
+        ["free", "wall-a", "wall-b", "interior", "collinear", "parallel"]
+    ))
+    if kind == "free":
+        return (draw(_coord), draw(_coord))
+    if kind == "wall-a":
+        return wall.a
+    if kind == "wall-b":
+        return wall.b
+    if kind == "interior":
+        return _on_line(wall, draw(st.floats(0.0, 1.0)), 0.0)
+    if kind == "collinear":
+        return _on_line(wall, draw(_unit), draw(_jitter))
+    if end is None:
+        return (draw(_coord), draw(_coord))
+    # Parallel: the link runs along the wall's direction from the end.
+    c = draw(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3))
+    j = draw(_jitter)
+    dx, dy = wall.b[0] - wall.a[0], wall.b[1] - wall.a[1]
+    return (end[0] + c * dx - j * dy, end[1] + c * dy + j * dx)
+
+
+@st.composite
+def _crossing_case(draw):
+    wall = draw(_wall())
+    end = draw(_link_point(wall))
+    starts = draw(st.lists(_link_point(wall, end), min_size=1, max_size=24))
+    # A zero-length link raises on both routes (tested below); keep the
+    # links the oracle can build.
+    kept = []
+    for p in starts:
+        try:
+            Segment(p, end)
+        except GeometryError:
+            continue
+        kept.append(p)
+    if not kept:
+        kept = [(end[0] + 1.0, end[1] - 1.0)]
+    return wall, np.array(kept, dtype=np.float64), end
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_crossing_case())
+def test_vectorised_crossings_equal_the_per_link_oracle(case):
+    wall, starts, end = case
+    got = segments_intersect_many(starts, end, wall)
+    assert got.dtype == np.bool_
+    assert got.tolist() == oracle_crossings(starts, end, wall)
+
+
+# Links whose crossing parameter lands exactly on an edge of the closed
+# ``[-_EPS, 1 + _EPS]`` window. Dyadic coordinates keep ``t`` and ``u``
+# exact, so the window's ``<=`` decides them.
+_WINDOW_EDGES = [
+    # t = 1 + _EPS: the wall sits just beyond the link's end.
+    (Segment((1.0 + _EPS, -1.0), (1.0 + _EPS, 1.0)), [(0.0, 0.0)], (1.0, 0.0)),
+    # t = -_EPS: the wall sits just behind the link's start.
+    (Segment((-_EPS, -1.0), (-_EPS, 1.0)), [(0.0, 0.0)], (1.0, 0.0)),
+    # u = -_EPS: the link passes just beyond the wall's first end.
+    (Segment((0.5, _EPS), (0.5, 1.0 + _EPS)), [(0.0, 0.0)], (1.0, 0.0)),
+    # u = 1 + _EPS: the link passes just beyond the wall's second end.
+    (
+        Segment((0.5, -(1.0 + _EPS)), (0.5, -(1.0 + _EPS) + 1.0)),
+        [(0.0, 0.0)],
+        (1.0, 0.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("wall, starts, end", _WINDOW_EDGES)
+def test_tolerance_window_edges_equal_the_oracle(wall, starts, end):
+    expected = oracle_crossings(starts, end, wall)
+    assert expected == [True]
+    assert segments_intersect_many(np.array(starts), end, wall).tolist() == expected
+
+
+def test_zero_length_link_raises_on_both_routes():
+    wall = Segment((0.0, 0.0), (2.0, 0.0))
+    starts = np.array([[1.0, 1.0], [0.5, -1.0], [0.5, -1.0]])
+    end = (0.5, -1.0)
+    with pytest.raises(GeometryError) as scalar:
+        oracle_crossings(starts, end, wall)
+    with pytest.raises(GeometryError) as vector:
+        segments_intersect_many(starts, end, wall)
+    assert str(vector.value) == str(scalar.value)
+    assert "zero-length" in str(vector.value)
+
+
+@pytest.mark.parametrize("multipath", [True, False])
+@pytest.mark.parametrize("env", ENVS)
+def test_mean_field_equals_the_per_link_crossing_oracle(monkeypatch, env, multipath):
+    spec = environment_by_name(env)
+    if not multipath:
+        spec = spec.without_multipath()
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    xmin, ymin, xmax, ymax = spec.room.bounds
+    for seed in range(5):
+        channel = spec.build_channel(readers_xy, seed=seed)
+        rng = np.random.default_rng(seed)
+        inside = np.vstack([
+            paper_testbed_grid().tag_positions(),
+            rng.uniform((xmin, ymin), (xmax, ymax), size=(40, 2)),
+        ])
+        # Beyond the walls: these links cross one or two walls.
+        outside = rng.uniform(
+            (xmin - 3.0, ymin - 3.0), (xmax + 3.0, ymax + 3.0), size=(60, 2)
+        )
+        pts = np.vstack([inside, outside])
+        got = channel.mean_rssi_matrix(pts)
+        fallback = [
+            reader.images.excess_gain_db(pts) for reader in channel._readers
+        ]
+        crossings = [
+            oracle_crossing_attenuation_db(spec.room, pts, xy) for xy in readers_xy
+        ]
+        assert any(c.any() for c in crossings)
+        with monkeypatch.context() as m:
+            m.setattr(
+                Room, "crossing_attenuation_db", oracle_crossing_attenuation_db
+            )
+            expected = channel.mean_rssi_matrix(pts)
+            expected_fallback = [
+                reader.images.excess_gain_db(pts) for reader in channel._readers
+            ]
+        assert got.tobytes() == expected.tobytes()
+        for a, b in zip(fallback, expected_fallback):
+            assert a.tobytes() == b.tobytes()
+        for k, xy in enumerate(readers_xy):
+            att = spec.room.crossing_attenuation_db(pts, xy)
+            assert att.tobytes() == crossings[k].tobytes()
