@@ -9,12 +9,7 @@ readmit state machine. See docs/CALIBRATION.md.
 """
 
 from .corrector import CalibrationPolicy, DriftCorrector, TagTrust, TrustState
-from .residuals import (
-    ResidualWindow,
-    decompose_residuals,
-    nan_mad,
-    nan_median,
-)
+from .residuals import ResidualWindow, decompose_residuals
 
 __all__ = [
     "CalibrationPolicy",
@@ -23,6 +18,4 @@ __all__ = [
     "TrustState",
     "ResidualWindow",
     "decompose_residuals",
-    "nan_mad",
-    "nan_median",
 ]

@@ -28,45 +28,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "nan_median",
-    "nan_mad",
     "ResidualWindow",
     "decompose_residuals",
 ]
 
 #: Consistency constant turning a MAD into a Gaussian-comparable sigma.
 MAD_SIGMA = 1.4826
-
-
-def nan_median(values: np.ndarray | list | tuple) -> float:
-    """Median over the finite entries of ``values``.
-
-    Returns ``nan`` (never warns) when no finite entry exists — an
-    all-NaN window means "no evidence", and the caller decides what that
-    implies (for a reference tag at a known position, silence itself is
-    anomalous).
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        return float("nan")
-    return float(np.median(finite))
-
-
-def nan_mad(values: np.ndarray | list | tuple) -> float:
-    """Median absolute deviation over the finite entries of ``values``.
-
-    The robust scale companion of :func:`nan_median`: outlier rows or
-    columns (one drifting reader among four, one dying tag among
-    sixteen) barely move it. Returns ``nan`` when there is no finite
-    evidence. Multiply by :data:`MAD_SIGMA` for a Gaussian-equivalent
-    sigma.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        return float("nan")
-    return _mad_of_sorted(sorted(finite.tolist()))
 
 
 def _mad_of_sorted(values: list[float]) -> float:

@@ -7,7 +7,7 @@ The proof layer for the ROADMAP's "heavy traffic" claim:
 * :mod:`~repro.loadtest.generator` — the open-loop harness driving
   real zone workers / the zone gateway from a schedule;
 * :mod:`~repro.loadtest.slo` — percentiles, ladder breakdowns and
-  availability from results, metrics registries and obs traces;
+  availability from the served results;
 * :mod:`~repro.loadtest.capacity` — the fitted localizations/s model.
 
 ``python -m repro loadtest`` runs a seeded sweep; ``python -m repro
@@ -27,13 +27,7 @@ from .profiles import (
     generate_schedule,
     preset_profile,
 )
-from .slo import (
-    LEVEL_NAMES,
-    metrics_slo,
-    result_level,
-    slo_summary,
-    trace_slo,
-)
+from .slo import LEVEL_NAMES, result_level, slo_summary
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -48,9 +42,7 @@ __all__ = [
     "CapacityModel",
     "fit_capacity_model",
     "LEVEL_NAMES",
-    "metrics_slo",
     "quantile_linear",
     "result_level",
     "slo_summary",
-    "trace_slo",
 ]

@@ -302,9 +302,11 @@ def generate_schedule(profile: LoadProfile) -> ArrivalSchedule:
         rng = derive_rng(
             profile.seed, "loadtest", profile.name, zone_id, "labels"
         )
-        for t in _zone_arrivals(profile, zone_id):
-            label = labels[int(rng.integers(0, len(labels)))]
-            events.append((round(t, 9), zone_id, label))
+        times = list(_zone_arrivals(profile, zone_id))
+        picks = rng.integers(0, len(labels), size=len(times)).tolist()
+        events.extend(
+            (round(t, 9), zone_id, labels[i]) for t, i in zip(times, picks)
+        )
     events.sort()
     return ArrivalSchedule(profile=profile, events=tuple(events))
 

@@ -1,18 +1,11 @@
 """SLO analysis: latency percentiles, ladder breakdowns, availability.
 
-Three input surfaces, one vocabulary:
-
-* **served results** (:class:`repro.service.pipeline.ServiceResult`) —
-  the primary, fully deterministic surface: queue-wait latency is
-  sim-clock (``completed_at_s - requested_at_s``), so every percentile
-  here is a pure function of the seed;
-* **metrics registries** (:class:`repro.service.metrics.MetricsRegistry`)
-  — Prometheus-style histograms summarized with within-bucket linear
-  interpolation (:meth:`~repro.service.metrics.Histogram.bucket_quantile`),
-  matching what a real scrape-side ``histogram_quantile`` would report;
-* **obs traces** (span-forest JSONL documents) — per-stage wall-clock
-  statistics and the ladder decision accounting, delegated to
-  :mod:`repro.obs.profile`.
+The one input surface is the served results
+(:class:`repro.service.pipeline.ServiceResult`). Queue-wait latency is
+sim-clock (``completed_at_s - requested_at_s``), so every percentile
+here is a pure function of the seed. Per-stage wall-clock statistics of
+a recorded trace come from :mod:`repro.obs.profile` (``repro trace
+summary``).
 
 Ladder levels follow the service's degradation ladder (see
 docs/SERVICE.md), with level 0 for gateway-interim answers served
@@ -22,18 +15,15 @@ docs/SERVICE.md), with level 0 for gateway-interim answers served
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
-from ..obs.profile import ladder_breakdown, quantile_linear, stage_statistics
-from ..service.metrics import Histogram, MetricsRegistry
+from ..obs.profile import quantile_linear
 from ..service.pipeline import ServiceResult
 
 __all__ = [
     "LEVEL_NAMES",
     "result_level",
     "slo_summary",
-    "metrics_slo",
-    "trace_slo",
 ]
 
 #: Human names of the degradation ladder levels (0 = below the ladder:
@@ -46,7 +36,7 @@ LEVEL_NAMES = {
     4: "last_known",
 }
 
-#: Default SLO percentiles.
+#: The SLO percentiles.
 SLO_QUANTILES = (0.50, 0.95, 0.99)
 
 
@@ -64,11 +54,9 @@ def result_level(result: ServiceResult) -> int:
     return 1
 
 
-def _latency_doc(
-    waits: Sequence[float], quantiles: Sequence[float]
-) -> dict[str, float]:
+def _latency_doc(waits: Sequence[float]) -> dict[str, float]:
     doc = {
-        f"p{int(q * 100)}_s": quantile_linear(waits, q) for q in quantiles
+        f"p{int(q * 100)}_s": quantile_linear(waits, q) for q in SLO_QUANTILES
     }
     doc["max_s"] = max(waits) if waits else math.nan
     doc["mean_s"] = (sum(waits) / len(waits)) if waits else math.nan
@@ -80,7 +68,6 @@ def slo_summary(
     *,
     offered: int,
     duration_s: float,
-    quantiles: Sequence[float] = SLO_QUANTILES,
 ) -> dict[str, Any]:
     """The deterministic SLO document of one load-test run.
 
@@ -119,54 +106,5 @@ def slo_summary(
         "levels": {k: levels[k] for k in sorted(levels)},
         "reasons": {k: reasons[k] for k in sorted(reasons)},
         "estimators": {k: estimators[k] for k in sorted(estimators)},
-        "latency": _latency_doc(waits, quantiles),
+        "latency": _latency_doc(waits),
     }
-
-
-def metrics_slo(
-    registry: MetricsRegistry,
-    *,
-    quantiles: Sequence[float] = SLO_QUANTILES,
-) -> dict[str, dict[str, float]]:
-    """Interpolated percentiles of every histogram in ``registry``.
-
-    Uses the bucket counts (not the raw samples), i.e. exactly the
-    information a Prometheus scrape would carry — this is what a
-    dashboard's ``histogram_quantile`` sees, interpolation included.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for name, metric in sorted(registry.metrics().items()):
-        if not isinstance(metric, Histogram):
-            continue
-        doc = {
-            f"p{int(q * 100)}": metric.bucket_quantile(q) for q in quantiles
-        }
-        doc["count"] = float(metric.count)
-        doc["sum"] = metric.sum
-        out[name] = doc
-    return out
-
-
-def trace_slo(
-    docs: Sequence[Mapping[str, Any]],
-    *,
-    quantiles: Sequence[float] = SLO_QUANTILES,  # noqa: ARG001 - fixed set
-) -> dict[str, Any]:
-    """Per-stage latency + ladder accounting from a span forest.
-
-    Thin composition over :mod:`repro.obs.profile` so trace JSONL files
-    recorded by ``repro trace record`` feed the same report pipeline as
-    live runs.
-    """
-    stages = {
-        name: {
-            "count": stats.count,
-            "total_s": stats.total_s,
-            "p50_s": stats.p50_s,
-            "p95_s": stats.p95_s,
-            "p99_s": stats.p99_s,
-            "max_s": stats.max_s,
-        }
-        for name, stats in sorted(stage_statistics(docs).items())
-    }
-    return {"stages": stages, "ladder": ladder_breakdown(docs)}

@@ -2,8 +2,8 @@
 
 The observability layer of the reproduction-turned-serving-system:
 
-* :mod:`repro.obs.tracer` — hierarchical span tracer (context-manager /
-  decorator API) with a **deterministic logical core** (span tree,
+* :mod:`repro.obs.tracer` — hierarchical span tracer (context-manager
+  API) with a **deterministic logical core** (span tree,
   attributes, sim-clock timestamps) and wall-clock annotation kept
   strictly aside. The ambient default is a no-op tracer, so every
   instrumentation point is effectively free until a trace is requested.
@@ -39,14 +39,13 @@ from .tracer import (
     Span,
     Tracer,
     current_tracer,
-    traced,
     use_tracer,
 )
 
 __all__ = [
     # tracer
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
-    "current_tracer", "use_tracer", "traced",
+    "current_tracer", "use_tracer",
     # trace files
     "TRACE_FORMAT", "TRACE_VERSION", "TraceWriter",
     "read_trace", "logical_documents", "canonical_logical_json",

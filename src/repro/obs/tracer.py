@@ -8,8 +8,8 @@ service pipeline, the runtime supervisor):
 
 * a :class:`Span` is one timed stage with structured attributes (tag id,
   ladder level, threshold, shard index, ...) and child spans;
-* a :class:`Tracer` maintains the span stack behind a context-manager /
-  decorator API and hands completed *root* spans to an optional sink
+* a :class:`Tracer` maintains the span stack behind a context-manager
+  API and hands completed *root* spans to an optional sink
   (:class:`~repro.obs.trace_file.TraceWriter` serializes them to JSONL);
 * a :class:`NullTracer` is the ambient default: every instrumentation
   point costs one context-variable read and one no-op context manager —
@@ -41,7 +41,6 @@ Layering: ``obs`` sits *below* ``core`` (it imports only ``utils`` and
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -56,7 +55,6 @@ __all__ = [
     "NULL_TRACER",
     "current_tracer",
     "use_tracer",
-    "traced",
 ]
 
 #: Keys of the wall-clock annotation, stripped from the logical view.
@@ -337,23 +335,3 @@ def use_tracer(tracer: NullTracer | Tracer) -> Iterator[NullTracer | Tracer]:
         yield tracer
     finally:
         _CURRENT.reset(token)
-
-
-def traced(name: str, **attrs: Any) -> Callable:
-    """Decorator form: run the wrapped callable inside a span.
-
-    ``@traced("runtime.snapshot")`` is sugar for wrapping the body in
-    ``current_tracer().span("runtime.snapshot")`` — the ambient tracer
-    is resolved at *call* time, so decorated functions stay no-op cheap
-    until a tracer is installed.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any):
-            with current_tracer().span(name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -14,10 +14,7 @@ Design notes
 * Histograms keep both fixed cumulative buckets (for the exposition
   format) and the raw samples (for exact quantiles in reports and
   tests). At service scale — thousands of localizations per session —
-  the raw samples are cheap; a production fork would drop them and read
-  quantiles off the buckets — exactly what
-  :meth:`Histogram.bucket_quantile` does (with within-bucket linear
-  interpolation, so sparse tails do not snap to bucket upper bounds).
+  the raw samples are cheap.
 * Each fact is counted once: a component keeps its own counter
   (``queue.dropped``, ...) and the registry's owner registers a
   :class:`ReadMetric` over it. Only events no component counts (served
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs.profile import quantile_linear
@@ -195,37 +192,6 @@ class Histogram:
             raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
         return quantile_linear(self._samples, q)
 
-    def bucket_quantile(self, q: float) -> float:
-        """Quantile estimated from the bucket counts alone.
-
-        This is what a scrape-side ``histogram_quantile`` computes:
-        find the bucket holding the ``q``-th observation and
-        **linearly interpolate within it** (observations are assumed
-        uniform inside a bucket). The interpolation matters for sparse
-        buckets — a single sample in the (10 ms, 25 ms] bucket must not
-        report p99 = 25 ms just because that is the bucket's upper
-        bound.
-
-        Returns ``nan`` when empty; observations in the ``+Inf``
-        overflow bucket clamp to the highest finite bound (Prometheus
-        convention — there is no upper edge to interpolate toward).
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        total = self.count
-        if total == 0:
-            return math.nan
-        rank = q * total
-        cumulative = 0
-        for i, n in enumerate(self._counts[:-1]):
-            previous = cumulative
-            cumulative += n
-            if n and cumulative >= rank:
-                upper = self.buckets[i]
-                lower = self.buckets[i - 1] if i > 0 else min(0.0, upper)
-                return lower + (upper - lower) * (rank - previous) / n
-        return self.buckets[-1]
-
     def samples(self) -> list[tuple[str, float]]:
         out: list[tuple[str, float]] = []
         cumulative = 0
@@ -330,10 +296,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return self._full(name) in self._metrics or name in self._metrics
 
-    def metrics(self) -> dict[str, Metric]:
-        """Snapshot of every registered metric, keyed by full name."""
-        return dict(self._metrics)
-
     def get(self, name: str) -> Metric:
         full = self._full(name)
         if full in self._metrics:
@@ -352,19 +314,3 @@ class MetricsRegistry:
             for sample_name, value in metric.samples():
                 lines.append(f"{sample_name} {_format_value(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_dict(self) -> dict[str, float | Mapping[str, float]]:
-        """Flat snapshot for JSON reports: histograms expose count/sum/p50/p99."""
-        out: dict[str, float | Mapping[str, float]] = {}
-        for metric in self._metrics.values():
-            if isinstance(metric, Histogram):
-                out[metric.name] = {
-                    "count": float(metric.count),
-                    "sum": metric.sum,
-                    "p50": metric.quantile(0.50),
-                    "p90": metric.quantile(0.90),
-                    "p99": metric.quantile(0.99),
-                }
-            else:
-                out[metric.name] = metric.value
-        return out

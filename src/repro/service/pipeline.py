@@ -125,8 +125,6 @@ class ServiceConfig:
     query_interval_s:
         How often the session submits a localization query per tracking
         tag.
-    stream_step_s:
-        Simulation-time granularity of the record stream.
     vire:
         Algorithm configuration of the primary estimator. Its
         ``empty_fallback`` is forced to ``"error"`` internally — the
@@ -165,7 +163,6 @@ class ServiceConfig:
     max_batches_per_tick: int | None = None
     request_deadline_s: float | None = 5.0
     query_interval_s: float = 2.0
-    stream_step_s: float = 0.5
     vire: VIREConfig = field(
         default_factory=lambda: VIREConfig(target_total_tags=900)
     )
@@ -176,8 +173,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         # Validate only; the fields keep the values the caller passed.
         for name in (
-            "query_interval_s", "max_latency_s", "stream_step_s",
-            "breaker_recovery_timeout_s",
+            "query_interval_s", "max_latency_s", "breaker_recovery_timeout_s",
         ):
             ensure_positive(getattr(self, name), name)
         if self.request_deadline_s is not None:

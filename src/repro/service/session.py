@@ -54,6 +54,11 @@ __all__ = [
     "result_witness_entry",
 ]
 
+#: Simulated seconds of record stream per tick: the granularity the
+#: session pulls from the simulator and the gateway's τ step. Checkpoint
+#: headers record it, so a file written with another step is refused.
+STREAM_STEP_S = 0.5
+
 #: Simulated seconds between write-ahead consistency snapshots when a
 #: checkpoint is attached (the checkpoint *path* is per run).
 CHECKPOINT_INTERVAL_S = 2.0
@@ -197,7 +202,7 @@ class ServiceSession:
     """One steppable localization session: the only tick loop.
 
     :meth:`start` warms up and arms; each :meth:`step` is one tick — one
-    ``stream_step_s`` chunk pulled from the simulator, ingested, the due
+    :data:`STREAM_STEP_S` chunk pulled from the simulator, ingested, the due
     queries submitted (every tag in :attr:`active` on the
     ``query_interval_s`` cadence, gated by :attr:`admission` when one is
     attached), due batches executed and the results write-ahead-logged;
@@ -303,7 +308,7 @@ class ServiceSession:
         pipeline = self.pipeline
         try:
             self._stream = SimulatorRecordStream(
-                simulator, step_s=self.config.stream_step_s
+                simulator, step_s=STREAM_STEP_S
             ).__enter__()
             with current_tracer().span("session.warmup", **self._zone) as wsp:
                 wsp.set("warmed_until_s", float(self._warm_up()))
@@ -749,7 +754,7 @@ class LocalizationService:
             "tags": tag_ids,
             "duration_s": float(duration_s),
             "query_interval_s": float(self.config.query_interval_s),
-            "stream_step_s": float(self.config.stream_step_s),
+            "stream_step_s": STREAM_STEP_S,
         }
         if self.config.calibration is not None:
             header["calibration"] = True

@@ -42,7 +42,11 @@ from ..exceptions import ConfigurationError
 from ..obs import Tracer, current_tracer, use_tracer
 from ..service.metrics import MetricsRegistry
 from ..service.pipeline import ServiceConfig, ServiceResult
-from ..service.session import SessionReport, result_witness_entry
+from ..service.session import (
+    STREAM_STEP_S,
+    SessionReport,
+    result_witness_entry,
+)
 from .failover import AdmissionPolicy, ZoneChannel
 from .spec import RoamingTag, ZonePlan, ZoneSpec
 
@@ -264,7 +268,6 @@ class ZoneGateway:
         """
         if resume and self.checkpoint_dir is None:
             raise ConfigurationError("resume=True requires a checkpoint_dir")
-        step = self.config.stream_step_s
         zones = sorted(self.plan.zones, key=lambda z: z.zone_id)
         wall_start = time.perf_counter()
 
@@ -324,7 +327,7 @@ class ZoneGateway:
                 exhausted = False
                 while not exhausted:
                     k += 1
-                    tau += step
+                    tau += STREAM_STEP_S
                     for tag in sorted(
                         self.plan.roaming, key=lambda t: t.label
                     ):

@@ -397,28 +397,13 @@ class ZonePlan:
         lexicographically smallest zone id, so routing is a pure
         function of the plan geometry.
         """
-        p = np.asarray(
-            [float(global_pos[0]), float(global_pos[1])], dtype=np.float64
-        )
-        best: tuple[float, str] | None = None
-        best_zone: ZoneSpec | None = None
-        for z in sorted(self.zones, key=lambda z: z.zone_id):
-            d = float(
-                np.mean(
-                    np.linalg.norm(z.global_reader_positions() - p, axis=1)
-                )
-            )
-            key = (d, z.zone_id)
-            if best is None or key < best:
-                best, best_zone = key, z
-        assert best_zone is not None  # plan has >= 1 zone
-        return best_zone
+        return self.rank_zones(global_pos)[0]
 
     def rank_zones(self, global_pos: Sequence[float]) -> tuple[ZoneSpec, ...]:
         """Every zone ordered by :meth:`detect_zone` affinity.
 
-        The first entry is exactly ``detect_zone(global_pos)``; the rest
-        are the fallback order the gateway's cross-zone load shedding
+        The first entry is ``detect_zone(global_pos)``; the rest are the
+        fallback order the gateway's cross-zone load shedding
         uses when the preferred zone is down or slow — nearest
         surviving constellation first, ties on zone id. Pure function of
         the plan geometry, so rerouting is deterministic.
@@ -426,16 +411,12 @@ class ZonePlan:
         p = np.asarray(
             [float(global_pos[0]), float(global_pos[1])], dtype=np.float64
         )
-        keyed = []
-        for z in self.zones:
-            d = float(
-                np.mean(
-                    np.linalg.norm(z.global_reader_positions() - p, axis=1)
-                )
-            )
-            keyed.append(((d, z.zone_id), z))
-        keyed.sort(key=lambda kz: kz[0])
-        return tuple(z for _, z in keyed)
+
+        def affinity(z: ZoneSpec) -> tuple[float, str]:
+            d = np.linalg.norm(z.global_reader_positions() - p, axis=1)
+            return float(np.mean(d)), z.zone_id
+
+        return tuple(sorted(self.zones, key=affinity))
 
 
 def slice_fault_plan(plan: FaultPlan, zone_id: str) -> FaultPlan:

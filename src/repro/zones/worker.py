@@ -36,7 +36,7 @@ from ..obs import Tracer
 from ..runtime.checkpoint import CheckpointState, load_checkpoint
 from ..service.metrics import MetricsRegistry
 from ..service.pipeline import ServiceConfig, ServicePipeline, ServiceResult
-from ..service.session import ServiceSession, SessionReport
+from ..service.session import STREAM_STEP_S, ServiceSession, SessionReport
 from .spec import ZoneSpec
 
 __all__ = ["ZoneWorker"]
@@ -172,7 +172,7 @@ class ZoneWorker:
             ) + sorted(self._roaming_ids),
             "duration_s": float(duration_s),
             "query_interval_s": float(self.config.query_interval_s),
-            "stream_step_s": float(self.config.stream_step_s),
+            "stream_step_s": STREAM_STEP_S,
         }
         if self.config.calibration is not None:
             # Zone identity includes the calibration loop: quarantine

@@ -232,7 +232,6 @@ def run_chaos_session(tracer=None):
 
     config = ServiceConfig(
         query_interval_s=1.0,
-        stream_step_s=0.5,
         request_deadline_s=None,
         breaker_recovery_timeout_s=8.0,
         vire=VIREConfig(subdivisions=5),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,23 @@ class TestPublicExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_every_module_all_resolves(self):
+        # A deleted route must take its re-exports with it: a stale
+        # ``__all__`` entry only fails on ``from repro.x import *``.
+        stale, seen = [], 0
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name == "repro.__main__":  # runs the CLI on import
+                continue
+            module = importlib.import_module(info.name)
+            seen += info.ispkg
+            stale += [
+                f"{info.name}.{name}"
+                for name in getattr(module, "__all__", ())
+                if not hasattr(module, name)
+            ]
+        assert seen >= 17  # every subpackage was walked
+        assert stale == []
 
     def test_version_string(self):
         major, *_ = repro.__version__.split(".")

@@ -31,11 +31,9 @@ from repro.calibration import (
     ResidualWindow,
     TrustState,
     decompose_residuals,
-    nan_mad,
-    nan_median,
 )
 from repro.calibration.corrector import TagTrust
-from repro.calibration.residuals import _nanmedian
+from repro.calibration.residuals import MAD_SIGMA, _mad_of_sorted, _nanmedian
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.faults import CalibrationDriftFault, FaultPlan
 from repro.types import TrackingReading
@@ -55,25 +53,68 @@ from .test_service_recovery import StubScenario as RecoveryScenario
 
 
 class TestNanStats:
+    """The robust statistics of :func:`decompose_residuals`: NaN-safe
+    medians over the window and the MAD of the finite tag scores."""
+
     def test_median_and_mad_of_finite_values(self):
-        assert nan_median([1.0, 2.0, 9.0]) == 2.0
-        assert nan_mad([1.0, 2.0, 9.0]) == 1.0
+        assert _mad_of_sorted([1.0, 2.0, 9.0]) == 1.0
+        assert _mad_of_sorted([1.0, 2.0, 4.0, 9.0]) == 1.5
+        # One reader, one tag: the reader bias is the median over ticks.
+        bias, scores, _ = decompose_residuals(
+            np.array([1.0, 2.0, 9.0]).reshape(3, 1, 1)
+        )
+        assert bias.tolist() == [2.0] and scores.tolist() == [0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_mad_of_sorted_equals_two_numpy_medians(self, values):
+        values = sorted(values)
+        arr = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            expected = np.median(np.abs(arr - np.median(arr)))
+        assert _same_bits(np.float64(_mad_of_sorted(values)), expected)
 
     def test_nan_entries_are_ignored(self):
-        assert nan_median([np.nan, 4.0, np.nan, 6.0]) == 5.0
-        assert nan_mad([np.nan, 4.0, 6.0]) == 1.0
+        # Reader bias: the median of 4 and 6 over a NaN-holed row.
+        window = np.array([np.nan, 4.0, np.nan, 6.0]).reshape(4, 1, 1)
+        bias, _, _ = decompose_residuals(window)
+        assert bias.tolist() == [5.0]
+        # The dead middle tag scores NaN and stays out of the scale.
+        bias, scores, scale = decompose_residuals(
+            np.array([4.0, np.nan, 6.0]).reshape(1, 1, 3)
+        )
+        assert bias.tolist() == [5.0]
+        assert scores[0] == -1.0 and math.isnan(scores[1]) and scores[2] == 1.0
+        assert scale == MAD_SIGMA * 1.0
 
     def test_all_nan_returns_nan_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(nan_median([np.nan, np.nan]))
-            assert math.isnan(nan_mad(np.full((3, 3), np.nan)))
+            bias, scores, scale = decompose_residuals(np.full((3, 2, 3), np.nan))
+            # One finite tag score is too little evidence for a scale.
+            window = np.full((2, 2, 3), np.nan)
+            window[:, :, 0] = 1.0
+            _, lone, lone_scale = decompose_residuals(window)
+        assert np.isnan(bias).all() and np.isnan(scores).all()
+        assert math.isnan(scale)
+        assert lone[0] == 0.0 and math.isnan(lone_scale)
 
     def test_empty_returns_nan_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(nan_median([]))
-            assert math.isnan(nan_mad([]))
+            no_ticks = decompose_residuals(np.empty((0, 2, 3)))
+            no_tags = decompose_residuals(np.empty((4, 2, 0)))
+        for (bias, scores, scale), n_refs in ((no_ticks, 3), (no_tags, 0)):
+            assert bias.shape == (2,) and np.isnan(bias).all()
+            assert scores.shape == (n_refs,) and np.isnan(scores).all()
+            assert math.isnan(scale)
 
 
 class TestResidualWindow:

@@ -74,7 +74,7 @@ def oracle_nanmedian(a: np.ndarray, axis: tuple[int, int]) -> np.ndarray:
         return pair.sum(axis=1) / 2.0
 
 
-def oracle_nan_mad(values) -> float:
+def oracle_mad(values) -> float:
     arr = np.asarray(values, dtype=np.float64)
     finite = arr[np.isfinite(arr)]
     if finite.size == 0:
@@ -101,7 +101,7 @@ def oracle_decompose(stacked, *, trusted_columns=None):
     finite_scores = tag_scores[np.isfinite(tag_scores)]
     scale = float("nan")
     if finite_scores.size >= 2:
-        scale = MAD_SIGMA * oracle_nan_mad(finite_scores)
+        scale = MAD_SIGMA * oracle_mad(finite_scores)
     return reader_bias, tag_scores, scale
 
 

@@ -20,13 +20,10 @@ from repro.loadtest import (
     LEVEL_NAMES,
     CapacityModel,
     fit_capacity_model,
-    metrics_slo,
     quantile_linear,
     result_level,
     slo_summary,
-    trace_slo,
 )
-from repro.service.metrics import MetricsRegistry
 from repro.service.pipeline import ServiceResult
 
 
@@ -108,32 +105,6 @@ class TestSloSummary:
             offered=1, duration_s=1.0,
         )
         assert doc["latency"]["p50_s"] == 3.0
-
-
-class TestMetricsSlo:
-    def test_histograms_summarized_with_interpolation(self):
-        reg = MetricsRegistry("svc")
-        h = reg.histogram("lat_seconds", buckets=(0.01, 0.025))
-        h.observe(0.02)
-        reg.counter("hits_total").inc()  # non-histograms are skipped
-        doc = metrics_slo(reg)
-        assert list(doc) == ["svc_lat_seconds"]
-        assert doc["svc_lat_seconds"]["count"] == 1.0
-        assert doc["svc_lat_seconds"]["p99"] < 0.025
-
-
-class TestTraceSlo:
-    def test_composes_stage_and_ladder_views(self):
-        from repro.obs import Tracer
-
-        docs = []
-        tracer = Tracer(sink=lambda span: docs.append(span.document()))
-        with tracer.span("service.serve", tag_id="tag-1"):
-            with tracer.span("vire.estimate"):
-                pass
-        doc = trace_slo(docs)
-        assert "vire.estimate" in doc["stages"]
-        assert doc["ladder"]["serves"] == 1
 
 
 class TestCapacityModel:

@@ -139,7 +139,8 @@ class TestGenerateSchedule:
         assert a == b
 
 
-# -- the arrival loop before its invariants were hoisted, kept as the oracle ---
+# -- the arrival loop before its invariants were hoisted, and the label
+# -- draws before they were one call per zone, kept as the oracle ---------
 
 
 def _oracle_burst_rate(profile, t):
@@ -197,7 +198,8 @@ def _oracle_events(profile):
     LoadProfile(process="poisson", duration_s=20.0, rate_per_s=9.0,
                 n_zones=2),
     LoadProfile(process="uniform", duration_s=13.0, rate_per_s=7.0),
-], ids=["burst", "burst-int-rates", "poisson", "uniform"])
+    LoadProfile(process="uniform", duration_s=26.0, rate_per_s=40.0),
+], ids=["burst", "burst-int-rates", "poisson", "uniform", "uniform-long"])
 def test_schedule_equals_the_per_candidate_loop(profile, seed):
     profile = profile.with_(seed=seed)
     events = generate_schedule(profile).events

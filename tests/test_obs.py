@@ -30,7 +30,6 @@ from repro.obs import (
     logical_documents,
     read_trace,
     stage_statistics,
-    traced,
     use_tracer,
 )
 from repro.obs.tracer import to_jsonable
@@ -187,18 +186,6 @@ class TestAmbientTracer:
                 assert current_tracer() is inner
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
-
-    def test_traced_decorator_resolves_at_call_time(self):
-        @traced("stage.work", kind="unit-test")
-        def work(x):
-            return x * 2
-
-        assert work(3) == 6  # under the null tracer: pure pass-through
-        tracer = Tracer()
-        with use_tracer(tracer):
-            assert work(5) == 10
-        assert tracer.roots[0].name == "stage.work"
-        assert tracer.roots[0].attrs == {"kind": "unit-test"}
 
 
 def _record_sample(path):

@@ -315,7 +315,7 @@ class TestInstantResume:
         # two batches. reader-0 is dark from 4 s to 12 s.
         config = ServiceConfig(
             max_batch_size=1, max_latency_s=0.5, request_deadline_s=None,
-            query_interval_s=1.0, stream_step_s=0.5,
+            query_interval_s=1.0,
             breaker_recovery_timeout_s=4.0,
             vire=VIREConfig(subdivisions=5),
         )
@@ -654,8 +654,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ServiceConfig(query_interval_s=-1.0)
         with pytest.raises(ConfigurationError):
-            ServiceConfig(stream_step_s=0.0)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(max_batches_per_tick=0)
         assert ServiceConfig(max_batches_per_tick=None).max_batches_per_tick \
             is None
@@ -663,7 +661,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field_name, value", [
         ("query_interval_s", math.nan),
-        ("stream_step_s", math.nan),
         ("max_latency_s", math.nan),
         ("request_deadline_s", math.nan),
         ("queue_capacity", math.nan),
@@ -695,8 +692,8 @@ class TestConfigValidation:
 
     @given(
         field_name=st.sampled_from([
-            "query_interval_s", "max_latency_s", "stream_step_s",
-            "request_deadline_s", "queue_capacity", "max_batch_size",
+            "query_interval_s", "max_latency_s", "request_deadline_s",
+            "queue_capacity", "max_batch_size",
             "breaker_recovery_timeout_s", "allow_partial",
         ]),
         value=st.one_of(
@@ -725,11 +722,12 @@ class TestConfigValidation:
 
     def test_fields_are_the_knobs_a_caller_sets(self):
         # Quorum, breaker threshold and freshness floor run at their
-        # components' defaults; salvage and checkpoint cadence are not
-        # knobs. A new field needs a caller that sets it.
+        # components' defaults; salvage, checkpoint cadence and the
+        # stream step are not knobs. A new field needs a caller that
+        # sets it.
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "queue_capacity", "queue_overflow", "max_batch_size",
             "max_latency_s", "max_batches_per_tick", "request_deadline_s",
-            "query_interval_s", "stream_step_s", "vire", "allow_partial",
+            "query_interval_s", "vire", "allow_partial",
             "breaker_recovery_timeout_s", "calibration",
         ]

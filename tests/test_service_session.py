@@ -42,7 +42,6 @@ def service_config(**changes) -> ServiceConfig:
         max_latency_s=0.5,
         request_deadline_s=None,
         query_interval_s=1.0,
-        stream_step_s=0.5,
         vire=VIREConfig(subdivisions=5),
     )
     return base.with_(**changes) if changes else base

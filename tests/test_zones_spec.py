@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,82 @@ class TestZonePlan:
         # Exact midpoint between the two reader constellations.
         mid = (1.5 + ZONE_PITCH_M / 2.0, 1.5)
         assert plan.detect_zone(mid).zone_id == "z0"
+
+
+def _oracle_rank(plan, pos):
+    """The former ``detect_zone`` loop, rerun on the zones left until
+    every zone is picked: brute-force selection on (mean reader
+    distance, zone id)."""
+    p = np.asarray([float(pos[0]), float(pos[1])], dtype=np.float64)
+    left = sorted(plan.zones, key=lambda z: z.zone_id)
+    order = []
+    while left:
+        best = best_zone = None
+        for z in left:
+            d = float(
+                np.mean(np.linalg.norm(z.global_reader_positions() - p, axis=1))
+            )
+            if best is None or (d, z.zone_id) < best:
+                best, best_zone = (d, z.zone_id), z
+        order.append(best_zone)
+        left.remove(best_zone)
+    return tuple(order)
+
+
+_SITES = {n: scaled_site_plan("Env1", n, seed=0) for n in (1, 2, 3, 4, 6)}
+
+#: Room centres and the midpoints between neighbouring constellations:
+#: on a symmetry line two zones' mean distances are often exactly equal.
+_lattice = st.integers(-2, 7).map(lambda i: 1.5 + i * ZONE_PITCH_M / 2.0)
+
+
+@st.composite
+def _relabelled_plans(draw):
+    """A scaled site with its zones shuffled and renamed, so neither the
+    plan order nor the id order follows the geometry."""
+    site = _SITES[draw(st.sampled_from(sorted(_SITES)))]
+    zones = draw(st.permutations(site.zones))
+    ids = draw(st.permutations(["a", "b", "c", "z0", "z1", "z9"]))
+    return ZonePlan(
+        [dataclasses.replace(z, zone_id=i) for z, i in zip(zones, ids)]
+    )
+
+
+class TestRankZones:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        plan=_relabelled_plans(),
+        pos=st.one_of(
+            st.tuples(_lattice, _lattice),
+            st.tuples(st.floats(-5.0, 20.0), st.floats(-5.0, 20.0)),
+        ),
+    )
+    def test_order_equals_brute_force_selection(self, plan, pos):
+        ranked = plan.rank_zones(pos)
+        assert ranked == _oracle_rank(plan, pos)
+        assert plan.detect_zone(pos) is ranked[0]
+
+    def test_exact_tie_breaks_on_zone_id(self):
+        plan = _SITES[4]
+        pos = (1.5 + ZONE_PITCH_M / 2.0,) * 2  # where the four rooms meet
+        d = [
+            float(np.mean(np.linalg.norm(
+                z.global_reader_positions() - np.array(pos), axis=1
+            )))
+            for z in plan
+        ]
+        assert d[0] == d[1] and d[2] == d[3]  # the ties this pins
+        assert [z.zone_id for z in plan.rank_zones(pos)] == [
+            "z0", "z1", "z2", "z3",
+        ]
+        swapped = ZonePlan([
+            dataclasses.replace(z, zone_id=i)
+            for z, i in zip(plan, ["z1", "z0", "z3", "z2"])
+        ])
+        assert [z.zone_id for z in swapped.rank_zones(pos)] == [
+            "z0", "z1", "z2", "z3",
+        ]
+        assert swapped.detect_zone(pos).origin == plan.zone("z1").origin
 
 
 class TestFaultSlicing:
