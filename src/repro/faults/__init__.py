@@ -16,7 +16,7 @@ provides:
 * :class:`~repro.faults.injector.FaultInjector` — applies a compiled
   plan on the simulator's record path
   (:meth:`~repro.hardware.simulator.TestbedSimulator.set_fault_injector`),
-  i.e. *between* ``Reader.receive`` and middleware/sink delivery. The RF
+  i.e. *between* reader detection and middleware/sink delivery. The RF
   channel's bit-exact behaviour is untouched: with an empty plan (or no
   injector) every downstream output is bit-identical to a fault-free
   run.

@@ -1,6 +1,6 @@
 """The fault injector: applies a compiled plan on the record path.
 
-:class:`FaultInjector` sits between ``Reader.receive`` and record
+:class:`FaultInjector` sits between reader detection and record
 delivery (middleware or record sink) via
 :meth:`~repro.hardware.simulator.TestbedSimulator.set_fault_injector`.
 The simulator hands it one beacon's records per :meth:`process` call.

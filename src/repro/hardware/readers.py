@@ -5,7 +5,12 @@ reader in range draws an RSSI sample from the channel and forwards a
 :class:`ReadingRecord` to the middleware. Detection is probabilistic near
 the sensitivity floor — frames whose instantaneous RSSI lands below the
 detection threshold are lost, which is how real readers behave and what
-creates missing readings for the failure-handling paths.
+creates missing readings for the failure-handling paths. The simulator
+applies that rule to a whole window of beacons at once
+(:meth:`~repro.hardware.simulator.TestbedSimulator.run_for`): a frame is
+heard when its RSSI is finite and at or above the threshold, and each
+reader counts heard frames in ``frames_received`` and the rest in
+``frames_dropped``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ class Reader:
     detection_threshold_dbm:
         Frames weaker than this are dropped (never reach the middleware).
         The default sits above the channel's sensitivity floor so the
-        drop path actually occurs for distant/obstructed tags.
+        drop path actually occurs for distant/obstructed tags. NaN is
+        rejected: no frame could be compared against it.
     """
 
     def __init__(
@@ -66,25 +72,12 @@ class Reader:
             raise ConfigurationError(f"non-finite reader position {position}")
         self.reader_id = str(reader_id)
         self.position = (x, y)
-        self.detection_threshold_dbm = float(detection_threshold_dbm)
+        threshold = float(detection_threshold_dbm)
+        if math.isnan(threshold):
+            raise ConfigurationError("detection_threshold_dbm must not be NaN")
+        self.detection_threshold_dbm = threshold
         self.frames_received = 0
         self.frames_dropped = 0
-
-    def receive(
-        self, tag_id: str, time_s: float, rssi_dbm: float
-    ) -> ReadingRecord | None:
-        """Process one beacon; return a record, or None if undetectable."""
-        rssi_dbm = float(rssi_dbm)
-        if not math.isfinite(rssi_dbm) or rssi_dbm < self.detection_threshold_dbm:
-            self.frames_dropped += 1
-            return None
-        self.frames_received += 1
-        return ReadingRecord(
-            reader_id=self.reader_id,
-            tag_id=tag_id,
-            time_s=float(time_s),
-            rssi_dbm=rssi_dbm,
-        )
 
     def __repr__(self) -> str:
         return f"Reader({self.reader_id!r}, {self.position})"

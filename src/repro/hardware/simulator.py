@@ -7,11 +7,15 @@ by tag-density interference offsets, and forwards detections to the
 middleware. The simulation is deterministic for a given seed.
 
 The frozen world (the channel's mean field) is computed once per tag
-when the simulator is built and again only when a tag moves; each
-beacon then costs one block draw of per-reading randomness for all
-readers (docs/CHANNEL.md, "Field and draw order"). The beacon's detected
-records then travel as one block too: one fault-injector call, then
-delivery in reader order.
+when the simulator is built and again only when a tag moves. The world
+between two :meth:`TestbedSimulator.run_for` calls is then one block
+(docs/CHANNEL.md, "Field and draw order"): the window's beacons are
+popped and rescheduled first, then one normal draw and one RSSI mapping
+cover all of them, one comparison decides detection for every reader and
+beacon, and each beacon's records take one fault-injector call before
+delivery in reader order. Nothing inside a window reads what another
+beacon of the window produced, so the block equals emitting beacon by
+beacon.
 """
 
 from __future__ import annotations
@@ -125,11 +129,13 @@ class TestbedSimulator:
                 t.tag_id: float(o) for t, o in zip(self.tags, offsets)
             }
 
-        # The frozen (K, n_tags) mean field, and the position each tag's
-        # column was computed at; a moved tag's column is recomputed on
-        # its next beacon.
+        # The frozen mean field, one (K,) row per tag, and the position
+        # each row was computed at; a moved tag's row is recomputed in
+        # the first window it beacons in after the move.
         self._field_at = [t.position for t in self.tags]
-        self._field = channel.mean_rssi_matrix(self._field_at)
+        self._field = channel.mean_rssi_matrix(self._field_at).T.copy()
+        # (time, tag index) of the beacons popped but not yet emitted.
+        self._due: list[tuple[float, int]] = []
 
         # Stagger initial beacons uniformly over one interval so the
         # middleware fills evenly instead of in bursts.
@@ -145,7 +151,7 @@ class TestbedSimulator:
         def fire() -> None:
             if not tag.alive:
                 return  # battery dead: no beacon, no rescheduling
-            self._emit_beacon(index)
+            self._due.append((self.queue.clock.now, index))
             tag.record_beacon()
             if tag.alive:
                 self.queue.schedule_in(
@@ -154,57 +160,93 @@ class TestbedSimulator:
 
         return fire
 
-    def _field_column(self, index: int) -> np.ndarray:
-        """The ``(K, 1)`` mean field of tag ``index`` at its position now."""
-        position = self.tags[index].position
-        if position != self._field_at[index]:
-            self._field[:, index] = self.channel.mean_rssi_matrix([position])[:, 0]
-            self._field_at[index] = position
-        return self._field[:, index : index + 1]
+    def _interference_jitter(
+        self, index: list[int], normals: np.ndarray
+    ) -> np.ndarray:
+        """Each beacon's interference jitter (dB) from its lead normal.
 
-    def _emit_beacon(self, index: int) -> None:
-        tag = self.tags[index]
-        now = self.queue.clock.now
+        A beacon's jitter is the model's reading jitter of its tag alone,
+        so a tag's beacons in the window are that tag's reads.
+        """
+        rows = np.asarray(index)
+        jitter = np.empty(len(index))
+        for i in set(index):
+            beacons = rows == i
+            jitter[beacons] = self.interference.jitter_db_from_normals(
+                np.array([self.tags[i].position]), normals[np.newaxis, beacons]
+            )[0]
+        return jitter
+
+    def _emit_window(self, beacons: list[tuple[float, int]]) -> None:
+        """Sample, detect and deliver one window's ``(time, tag)`` beacons."""
+        tags = self.tags
+        n, k = len(beacons), len(self.readers)
+        index = [i for _, i in beacons]
+        for i in set(index):  # a moved tag's field row follows it
+            position = tags[i].position
+            if position != self._field_at[i]:
+                self._field[i] = self.channel.mean_rssi_matrix([position])[:, 0]
+                self._field_at[i] = position
         # extra_* terms are attenuations; a positive tag offset boosts RSSI.
-        extra = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
-        if self.interference is not None:
-            # Per-reading interference jitter (collisions are per frame).
-            positions = np.array([tag.position])
-            extra += float(
-                self.interference.reading_jitter_db(
-                    positions, self._sample_rng, n_reads=1
-                )[0, 0]
-            )
+        offsets = self._interference_offsets
+        extra = np.array(
+            [offsets.get(tags[i].tag_id, 0.0) - tags[i].offset_db for i in index]
+        )
+        # Each beacon's stream: its interference jitter normal (when a
+        # model is set), then its (K, normals_per_read) reading block.
+        lead = int(self.interference is not None)
+        z = self._sample_rng.standard_normal(
+            (n, lead + k * self.channel.normals_per_read)
+        )
+        if lead:
+            extra = extra + self._interference_jitter(index, z[:, 0])
+        extra = np.repeat(extra, k).reshape(n, k)
         for disturbance in self.disturbances:
-            extra = extra + disturbance.attenuation_at_readers(
-                now, tag.position, self._reader_positions
+            extra = extra + np.array(
+                [
+                    np.broadcast_to(
+                        disturbance.attenuation_at_readers(
+                            t, tags[i].position, self._reader_positions
+                        ),
+                        (k,),
+                    )
+                    for t, i in beacons
+                ]
             )
-        if isinstance(extra, np.ndarray):
-            extra = extra[:, np.newaxis]  # one attenuation per reader
         rssi = self.channel.sample_rssi_matrix(
             None,
-            self._sample_rng,
-            mean=self._field_column(index),
-            extra_attenuation_db=extra,
-        )[:, 0]
-        tag_id = tag.tag_id
-        records = []
-        for reader, value in zip(self.readers, rssi.tolist()):
-            record = reader.receive(tag_id, now, value)
-            if record is not None:
-                records.append(record)
-        # The beacon is one block: one injector call for all its records
-        # (none when no reader heard it), then delivery in order.
-        if records and self._fault_injector is not None:
-            records = self._fault_injector.process(records, now)
-        for record in records:
-            self._dispatch(record)
+            None,
+            mean=self._field[index].reshape(n * k, 1),
+            extra_attenuation_db=extra.reshape(n * k, 1),
+            normals=z[:, lead:].reshape(n * k, -1),
+        ).reshape(n, k)
+        thresholds = np.array([r.detection_threshold_dbm for r in self.readers])
+        heard = np.isfinite(rssi) & (rssi >= thresholds)
+        for reader, got in zip(self.readers, heard.sum(axis=0).tolist()):
+            reader.frames_received += got
+            reader.frames_dropped += n - got
+        reader_ids = [r.reader_id for r in self.readers]
+        injector = self._fault_injector
+        for (now, i), values, hits in zip(beacons, rssi.tolist(), heard.tolist()):
+            tag_id = tags[i].tag_id
+            records = [
+                ReadingRecord(reader_id, tag_id, now, value)
+                for reader_id, value, hit in zip(reader_ids, values, hits)
+                if hit
+            ]
+            # The beacon is one block: one injector call for all its
+            # records (none when no reader heard it), then delivery.
+            if records and injector is not None:
+                records = injector.process(records, now)
+            self._deliver(records)
 
-    def _dispatch(self, record: ReadingRecord) -> None:
-        if self._record_sink is not None:
-            self._record_sink(record)
-        else:
-            self.middleware.ingest(record)
+    def _deliver(self, records: list[ReadingRecord]) -> None:
+        """Hand ``records`` in order to the record sink or the middleware."""
+        deliver = self._record_sink
+        if deliver is None:
+            deliver = self.middleware.ingest
+        for record in records:
+            deliver(record)
 
     # -- public API ---------------------------------------------------------
 
@@ -231,10 +273,12 @@ class TestbedSimulator:
         """Interpose a :class:`~repro.faults.injector.FaultInjector`.
 
         The injector wraps the record path *between* reader detection
-        and delivery (middleware or record sink): every detected beacon
-        record passes through the injector's fault plan, and only
-        survivors are delivered — possibly modified (calibration drift)
-        or late (delay faults, released as simulated time advances).
+        and delivery (middleware or record sink). After a window's block
+        draw and detection, each beacon's detected records go through
+        one ``process(records, time)`` call at the beacon's own time, in
+        beacon order, and only survivors are delivered — possibly
+        modified (calibration drift) or late (delay faults, released by
+        a later beacon's call or at the end of :meth:`run_for`).
         The RF channel and reader randomness are untouched, so with no
         injector — or an injector over an *empty* plan — downstream
         output is bit-identical to a fault-free run. Pass ``None`` to
@@ -248,15 +292,24 @@ class TestbedSimulator:
         return self.queue.clock.now
 
     def run_for(self, duration_s: float) -> int:
-        """Advance the simulation by ``duration_s``; returns events fired."""
+        """Advance the simulation by ``duration_s``; returns events fired.
+
+        Two phases. First the window's due beacons fire in queue order:
+        liveness check, battery bookkeeping and rescheduling from the
+        beacon stream, each beacon noted as ``(time, tag)``. Then all of
+        them are emitted as one block (:meth:`_emit_window`), and delayed
+        fault records due by the new time are released.
+        """
         if duration_s < 0:
             raise SimulationError(f"duration must be >= 0, got {duration_s}")
         fired = self.queue.run_until(self.now + duration_s)
+        due, self._due = self._due, []
+        if due:
+            self._emit_window(due)
         if self._fault_injector is not None:
             # Delay faults buffer records past the last beacon of the
             # window; release everything due by the new simulation time.
-            for rec in self._fault_injector.release_due(self.now):
-                self._dispatch(rec)
+            self._deliver(self._fault_injector.release_due(self.now))
         return fired
 
     def warm_up(self, *, min_coverage: float = 1.0, max_time_s: float = 120.0) -> float:

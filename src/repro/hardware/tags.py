@@ -121,7 +121,11 @@ class ActiveTag:
         jitter = self.spec.beacon_jitter_s
         if jitter == 0:
             return self.spec.beacon_interval_s
-        return self.spec.beacon_interval_s + rng.uniform(-jitter, jitter)
+        # ``rng.uniform(-jitter, jitter)`` as numpy computes it (low +
+        # range * next_double) without its per-call argument handling:
+        # the same doubles and the same generator state, at a third of
+        # the cost (tests/test_hardware_events.py pins both).
+        return self.spec.beacon_interval_s + (-jitter + 2.0 * jitter * rng.random())
 
     def record_beacon(self) -> None:
         """Bookkeeping hook called by the simulator on each emission."""

@@ -198,12 +198,19 @@ class RFChannel:
 
     # -- per-reading sampling ---------------------------------------------
 
+    @property
+    def normals_per_read(self) -> int:
+        """Standard normals one reading draws: the fading model's, then
+        one more for receiver noise when ``noise_sigma_db > 0``."""
+        return self.fading.normals_per_read + (self.noise_sigma_db > 0)
+
     def _draw_reads(
         self,
         mean: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         n_reads: int,
         extra_attenuation_db: np.ndarray | float,
+        normals: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(K, n, n_reads)`` noisy readings around a ``(K, n)`` mean field.
 
@@ -211,7 +218,8 @@ class RFChannel:
         ``k``'s fading normals in ``(n, n_reads, normals_per_read)``
         order, then its receiver-noise normals in ``(n, n_reads)`` order:
         exactly the stream K per-reader draws would consume, one reader
-        after another.
+        after another. ``normals``, when given, is that block drawn by
+        the caller, and ``rng`` is not touched.
         """
         if n_reads < 1:
             raise ChannelError(f"n_reads must be >= 1, got {n_reads}")
@@ -225,7 +233,15 @@ class RFChannel:
         f = self.fading.normals_per_read
         n_fading = per_reader * f
         noisy = self.noise_sigma_db > 0
-        z = rng.standard_normal((n_rows, n_fading + per_reader * noisy))
+        shape = (n_rows, per_reader * self.normals_per_read)
+        if normals is None:
+            z = rng.standard_normal(shape)
+        elif normals.shape != shape:
+            raise ChannelError(
+                f"normals must have shape {shape}, got {normals.shape}"
+            )
+        else:
+            z = normals
         out = self.fading.db_from_normals(
             z[:, :n_fading].reshape(n_rows, n, n_reads, f)
         )
@@ -255,11 +271,12 @@ class RFChannel:
     def sample_rssi_matrix(
         self,
         positions: Sequence[Sequence[float]] | None,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         *,
         n_reads: int = 1,
         mean: np.ndarray | None = None,
         extra_attenuation_db: np.ndarray | float = 0.0,
+        normals: np.ndarray | None = None,
     ) -> np.ndarray:
         """Readings of every tag at every reader, averaged over ``n_reads``.
 
@@ -271,19 +288,37 @@ class RFChannel:
         :meth:`mean_rssi_matrix` at the tags' positions); passing it
         skips the field computation, and ``positions`` must then be
         ``None`` — a field and positions together could disagree.
-        ``extra_attenuation_db`` must broadcast to ``(K, n_tags)``.
+        ``m`` fields stacked row-wise, ``(m·K, n_tags)``, draw in stack
+        order exactly what ``m`` calls would, and return ``(m·K,
+        n_tags)``. ``extra_attenuation_db`` must broadcast to the
+        field's shape.
+
+        ``normals`` replaces the draw: the ``(rows, n_tags · n_reads ·
+        normals_per_read)`` block this call would take from ``rng``
+        (docs/CHANNEL.md, "Field and draw order"), drawn by a caller
+        whose stream interleaves other normals. Pass ``rng=None`` then.
         """
+        if (rng is None) == (normals is None):
+            raise ChannelError(
+                "pass an rng or pre-drawn normals to sample_rssi_matrix, "
+                "exactly one"
+            )
         if mean is None:
             mean = self.mean_rssi_matrix(positions)
         elif positions is not None:
             raise ChannelError(
                 "pass positions or a mean field to sample_rssi_matrix, not both"
             )
-        elif mean.ndim != 2 or mean.shape[0] != self.n_readers:
+        elif (
+            mean.ndim != 2
+            or mean.shape[0] == 0
+            or mean.shape[0] % self.n_readers
+        ):
             raise ChannelError(
-                f"mean field must have shape ({self.n_readers}, n), got {mean.shape}"
+                f"mean field must have shape (m*{self.n_readers}, n), "
+                f"got {mean.shape}"
             )
-        reads = self._draw_reads(mean, rng, n_reads, extra_attenuation_db)
+        reads = self._draw_reads(mean, rng, n_reads, extra_attenuation_db, normals)
         if n_reads == 1:
             return reads[:, :, 0]  # the mean of one read is that read
         return reads.mean(axis=2)

@@ -29,8 +29,9 @@ class FadingModel(Protocol):
 
     A model declares how many standard normals one reading consumes
     (``normals_per_read``) and maps a ``(..., normals_per_read)`` block
-    of them to dB offsets. The channel draws those normals itself, in
-    one block per call (docs/CHANNEL.md, "Field and draw order").
+    of them to dB offsets. The channel draws those normals in one block
+    per call, or maps a block its caller drew (docs/CHANNEL.md, "Field
+    and draw order").
     """
 
     normals_per_read: int

@@ -8,12 +8,15 @@ import pytest
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.hardware.events import EventQueue, SimClock
 from repro.hardware.readers import Reader
+from repro.hardware.simulator import TestbedSimulator as Simulator
 from repro.hardware.tags import (
     NEW_EQUIPMENT,
     ORIGINAL_EQUIPMENT,
     ActiveTag,
     TagSpec,
 )
+
+from .conftest import make_clean_environment
 
 
 class TestSimClock:
@@ -163,6 +166,17 @@ class TestActiveTag:
         delays = [tag.next_beacon_delay(rng) for _ in range(200)]
         assert all(1.8 <= d <= 2.2 for d in delays)
 
+    @pytest.mark.parametrize("spec", [NEW_EQUIPMENT, ORIGINAL_EQUIPMENT])
+    def test_jitter_equals_numpy_uniform_bit_for_bit(self, spec):
+        tag = ActiveTag("t1", (0.0, 0.0), spec)
+        j = spec.beacon_jitter_s
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(100_000):
+            got = tag.next_beacon_delay(rng)
+            expected = spec.beacon_interval_s + oracle.uniform(-j, j)
+            assert got.hex() == expected.hex()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
     def test_zero_jitter_deterministic(self):
         spec = TagSpec(beacon_interval_s=2.0, beacon_jitter_s=0.0)
         tag = ActiveTag("t1", (0.0, 0.0), spec)
@@ -176,22 +190,60 @@ class TestActiveTag:
         assert clone.spec.beacon_interval_s == 7.5
 
 
+def _one_reader_world(threshold_dbm: float, *, offset_db: float = 0.0):
+    """One tag 2 m from one reader in a noiseless, fading-free world."""
+    channel = make_clean_environment().build_channel([(0.0, 0.0)], seed=0)
+    channel = channel.with_fading(None)
+    tag = ActiveTag("t1", (2.0, 0.0), is_reference=True)
+    tag.offset_db = offset_db
+    reader = Reader("r0", (0.0, 0.0), detection_threshold_dbm=threshold_dbm)
+    sim = Simulator(channel, [tag], [reader], seed=0)
+    records = []
+    sim.set_record_sink(records.append)
+    sim.run_for(9.0)
+    return reader, records, tag.beacons_sent, channel.mean_rssi_single(0, (2.0, 0.0))
+
+
 class TestReader:
     def test_receives_strong_frame(self):
-        reader = Reader("r0", (0.0, 0.0))
-        record = reader.receive("t1", 1.0, -70.0)
-        assert record is not None
-        assert record.rssi_dbm == -70.0
-        assert reader.frames_received == 1
+        reader, records, beacons, mean = _one_reader_world(-200.0)
+        assert beacons >= 4
+        assert [r.rssi_dbm for r in records] == [mean] * beacons
+        assert {r.reader_id for r in records} == {"r0"}
+        assert reader.frames_received == beacons
+        assert reader.frames_dropped == 0
+
+    def test_threshold_is_inclusive(self):
+        mean = _one_reader_world(-200.0)[3]
+        reader, records, beacons, _ = _one_reader_world(mean)
+        assert len(records) == reader.frames_received == beacons
 
     def test_drops_weak_frame(self):
-        reader = Reader("r0", (0.0, 0.0), detection_threshold_dbm=-90.0)
-        assert reader.receive("t1", 1.0, -95.0) is None
-        assert reader.frames_dropped == 1
+        reader, records, beacons, _ = _one_reader_world(0.0)
+        assert records == []
+        assert reader.frames_received == 0
+        assert reader.frames_dropped == beacons >= 4
 
     def test_drops_nan(self):
-        reader = Reader("r0", (0.0, 0.0))
-        assert reader.receive("t1", 1.0, float("nan")) is None
+        # A NaN attenuation makes every reading NaN: dropped even by a
+        # reader that hears everything else.
+        reader, records, beacons, _ = _one_reader_world(
+            -np.inf, offset_db=float("nan")
+        )
+        assert records == []
+        assert reader.frames_dropped == beacons >= 4
+
+    def test_drops_infinite(self):
+        # A boost of +inf dB reads +inf: not a frame any reader reports.
+        reader, records, beacons, _ = _one_reader_world(
+            -np.inf, offset_db=float("inf")
+        )
+        assert records == []
+        assert reader.frames_dropped == beacons >= 4
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            Reader("r0", (0.0, 0.0), detection_threshold_dbm=float("nan"))
 
     def test_empty_id_rejected(self):
         with pytest.raises(ConfigurationError):

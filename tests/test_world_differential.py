@@ -1,12 +1,18 @@
-"""Differential tests: the frozen-field world equals the per-reader world.
+"""Differential tests: the window-block world equals the per-beacon world.
 
-The simulator builds each tag's mean field once and draws one normal
-block per beacon for all readers. The oracle below is the per-reader
-route it replaced, kept here and only here: per beacon and reader, a
-fresh ``mean_rssi`` at the tag's position, a fading draw, a noise draw.
-Both routes must emit the same ``ReadingRecord`` stream, bit for bit,
-count the same frames at every reader, and leave the per-reading RNG in
-the same state.
+The simulator builds each tag's mean field once, and emits the beacons
+of one ``run_for`` window as one block: one normal draw, one RSSI
+mapping and one detection test for every reader and beacon, then one
+fault-injector call per beacon and delivery. The oracle below is the
+per-beacon, per-reader route it replaced, kept here and only here: per
+beacon and reader, a fresh ``mean_rssi`` at the tag's position, a
+fading draw, a noise draw, and the scalar detection rule. It is patched
+in for the window emission, so both routes pop, reschedule and deliver
+through the same simulator. They must hand the fault injector the same
+record blocks at the same times, deliver the same ``ReadingRecord``
+stream, bit for bit, count the same frames at every reader, leave the
+same ``FaultEvent`` trail, and leave both the per-reading and the beacon
+RNG in the same state.
 
 The field's wall crossings are decided one wall at a time for all links
 (``segments_intersect_many``). Their oracle is the per-link route it
@@ -18,6 +24,7 @@ and the mean field built on either must be the same bytes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from contextlib import contextmanager
 
@@ -30,6 +37,9 @@ from repro import build_paper_deployment, environment_by_name, paper_testbed_gri
 from repro.calibration import CalibrationPolicy
 from repro.exceptions import ChannelError, GeometryError
 from repro.faults import (
+    BurstLossFault,
+    DelayFault,
+    FaultInjector,
     FaultPlan,
     ReaderOutageFault,
     chaos_preset,
@@ -43,9 +53,9 @@ from repro.geometry.vector import (
     segments_intersect,
     segments_intersect_many,
 )
-from repro.hardware.readers import Reader
+from repro.hardware.readers import Reader, ReadingRecord
 from repro.hardware.simulator import TestbedSimulator
-from repro.hardware.tags import ActiveTag
+from repro.hardware.tags import ActiveTag, TagSpec
 from repro.rf.disturbance import HumanMovementDisturbance
 from repro.rf.fading import NoFading, RicianFading
 from repro.rf.interference import TagInterferenceModel
@@ -56,7 +66,7 @@ ENVS = ("Env1", "Env2", "Env3")
 TRACKING = {"track-1": (1.3, 1.7), "track-2": (0.4, 2.6), "track-3": (2.5, 0.5)}
 
 
-# -- the oracle: today's per-reader route, before the frozen field -------------
+# -- the oracle: the per-beacon, per-reader route --------------------------------
 
 
 def legacy_fading_db(fading, rng, shape):
@@ -83,9 +93,17 @@ def legacy_sample_rssi(channel, k, positions, rng, *, n_reads=1, extra=0.0):
     return np.maximum(out, channel.sensitivity_dbm)
 
 
-def legacy_emit_beacon(self, index):
+def oracle_detect(reader, tag_id, time_s, rssi_dbm):
+    """The scalar detection rule: one reader, one frame, one counter."""
+    if not math.isfinite(rssi_dbm) or rssi_dbm < reader.detection_threshold_dbm:
+        reader.frames_dropped += 1
+        return None
+    reader.frames_received += 1
+    return ReadingRecord(reader.reader_id, tag_id, float(time_s), rssi_dbm)
+
+
+def oracle_emit_beacon(self, index, now):
     tag = self.tags[index]
-    now = self.queue.clock.now
     pos = np.asarray(tag.position)[np.newaxis, :]
     extra_base = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
     if self.interference is not None:
@@ -102,15 +120,20 @@ def legacy_emit_beacon(self, index):
         rssi = float(
             legacy_sample_rssi(self.channel, k, pos, self._sample_rng, extra=extra)[0, 0]
         )
-        record = reader.receive(tag.tag_id, now, rssi)
+        record = oracle_detect(reader, tag.tag_id, now, rssi)
         if record is not None:
             records.append(record)
     # Delivery is not what this oracle replaces: one injector call for
     # the beacon's records, then delivery in order, as the simulator does.
     if records and self._fault_injector is not None:
         records = self._fault_injector.process(records, now)
-    for record in records:
-        self._dispatch(record)
+    self._deliver(records)
+
+
+def oracle_emit_window(self, beacons):
+    """The window emitted one beacon at a time, in pop order."""
+    for now, index in beacons:
+        oracle_emit_beacon(self, index, now)
 
 
 # -- recording harness ----------------------------------------------------------
@@ -120,70 +143,86 @@ def _bits(record) -> tuple:
     return (record.reader_id, record.tag_id, record.time_s.hex(), record.rssi_dbm.hex())
 
 
-@contextmanager
-def recorded_world(monkeypatch, *, legacy: bool):
-    """Record every reader output and every delivered record, per simulator.
+def _event_bits(event) -> tuple:
+    return (event.time_s.hex(), event.kind, repr(sorted(event.fields.items())))
 
-    Yields ``(stream, simulators)``: the stream interleaves
-    ``("read", ...)`` entries (a record a reader detected, which is what
-    enters the fault injector when one is installed) and ``("out", ...)``
-    entries (what the fault layer let through to delivery), in the order
-    they happened across every simulator built in the block.
+
+@contextmanager
+def recorded_world(*, legacy: bool):
+    """Record the record path of every simulator built in the block.
+
+    Yields ``(stream, simulators, injectors)``. The stream interleaves
+    ``("read", time, records)`` entries (one beacon's detected records
+    as they enter a fault injector) and ``("out", record)`` entries
+    (what reaches delivery), in the order they happened across every
+    simulator built in the block.
     """
     stream: list[tuple] = []
     sims: list[TestbedSimulator] = []
+    injectors: list[FaultInjector] = []
     init = TestbedSimulator.__init__
-    receive = Reader.receive
-    dispatch = TestbedSimulator._dispatch
+    injector_init = FaultInjector.__init__
+    process = FaultInjector.process
+    deliver = TestbedSimulator._deliver
 
     def tracked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         sims.append(self)
 
-    def tracked_receive(self, tag_id, time_s, rssi_dbm):
-        record = receive(self, tag_id, time_s, rssi_dbm)
-        if record is not None:
-            stream.append(("read", _bits(record)))
-        return record
+    def tracked_injector_init(self, *args, **kwargs):
+        injector_init(self, *args, **kwargs)
+        injectors.append(self)
 
-    def tracked_dispatch(self, record):
-        stream.append(("out", _bits(record)))
-        dispatch(self, record)
+    def tracked_process(self, records, now_s):
+        stream.append(("read", now_s.hex(), [_bits(r) for r in records]))
+        return process(self, records, now_s)
 
-    with monkeypatch.context() as m:
+    def tracked_deliver(self, records):
+        stream.extend(("out", _bits(record)) for record in records)
+        deliver(self, records)
+
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(TestbedSimulator, "__init__", tracked_init)
-        m.setattr(Reader, "receive", tracked_receive)
-        m.setattr(TestbedSimulator, "_dispatch", tracked_dispatch)
+        m.setattr(FaultInjector, "__init__", tracked_injector_init)
+        m.setattr(FaultInjector, "process", tracked_process)
+        m.setattr(TestbedSimulator, "_deliver", tracked_deliver)
         if legacy:
-            m.setattr(TestbedSimulator, "_emit_beacon", legacy_emit_beacon)
-        yield stream, sims
+            m.setattr(TestbedSimulator, "_emit_window", oracle_emit_window)
+        yield stream, sims, injectors
 
 
-def run_both(monkeypatch, scenario):
+def run_both(scenario):
     """Run ``scenario()`` on both worlds; return (new, legacy) observations."""
     out = []
     for legacy in (False, True):
-        with recorded_world(monkeypatch, legacy=legacy) as (stream, sims):
-            scenario()
-        states = [s._sample_rng.bit_generator.state for s in sims]
+        with recorded_world(legacy=legacy) as (stream, sims, injectors):
+            result = scenario()
+        states = [
+            (s._sample_rng.bit_generator.state, s._beacon_rng.bit_generator.state)
+            for s in sims
+        ]
         frames = [
             (r.reader_id, r.frames_received, r.frames_dropped)
             for s in sims
             for r in s.readers
         ]
-        out.append((stream, states, frames))
+        events = [[_event_bits(e) for e in i.events] for i in injectors]
+        out.append((stream, states, frames, events, result))
     return out
 
 
-def assert_same_world(monkeypatch, scenario, *, min_reads=1):
-    (new_stream, new_states, new_frames), (old_stream, old_states, old_frames) = (
-        run_both(monkeypatch, scenario)
-    )
-    assert sum(kind == "read" for kind, _ in old_stream) >= min_reads
+def assert_same_world(scenario, *, min_reads=1):
+    """Both routes observe the same world; returns the scenario's result."""
+    new, old = run_both(scenario)
+    (new_stream, new_states, new_frames, new_events, result) = new
+    (old_stream, old_states, old_frames, old_events, _) = old
+    assert sum(kind == "out" for kind, *_ in old_stream) >= min_reads
     assert len(new_stream) == len(old_stream)
     assert new_stream == old_stream
     assert new_states == old_states
     assert new_frames == old_frames
+    assert new_events == old_events
+    return result
 
 
 # -- simulator-level scenarios --------------------------------------------------
@@ -191,17 +230,17 @@ def assert_same_world(monkeypatch, scenario, *, min_reads=1):
 
 class TestSimulatorDifferential:
     @pytest.mark.parametrize("env", ENVS)
-    def test_every_env_preset(self, monkeypatch, env):
+    def test_every_env_preset(self, env):
         def scenario():
             dep = build_paper_deployment(
                 environment_by_name(env), tracking_tags=TRACKING, seed=3
             )
             dep.simulator.run_for(12.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=300)
+        assert_same_world(scenario, min_reads=300)
 
     @pytest.mark.parametrize("env", ENVS)
-    def test_moved_tracking_tags(self, monkeypatch, env):
+    def test_moved_tracking_tags(self, env):
         def scenario():
             dep = build_paper_deployment(
                 environment_by_name(env), tracking_tags=TRACKING, seed=1
@@ -216,10 +255,10 @@ class TestSimulatorDifferential:
             dep.move_tracking_tag("track-1", TRACKING["track-1"])
             dep.simulator.run_for(4.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=300)
+        assert_same_world(scenario, min_reads=300)
 
     @pytest.mark.parametrize("interference", [False, True])
-    def test_interference_on_and_off(self, monkeypatch, interference):
+    def test_interference_on_and_off(self, interference):
         # Eleven tags packed inside 0.5 m so the density model bites.
         packed = {
             f"pack-{i}": (1.5 + 0.04 * math.cos(i), 1.5 + 0.04 * math.sin(i))
@@ -235,10 +274,10 @@ class TestSimulatorDifferential:
             )
             dep.simulator.run_for(10.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=300)
+        assert_same_world(scenario, min_reads=300)
 
     @pytest.mark.parametrize("env", ENVS)
-    def test_human_movement_disturbance(self, monkeypatch, env):
+    def test_human_movement_disturbance(self, env):
         walkers = (
             HumanMovementDisturbance(
                 ((-0.5, 1.4), (3.5, 1.6)), speed_mps=1.0, start_time_s=1.0
@@ -260,10 +299,10 @@ class TestSimulatorDifferential:
             )
             dep.simulator.run_for(10.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=300)
+        assert_same_world(scenario, min_reads=300)
 
     @pytest.mark.parametrize("noise_sigma_db", [0.0, 0.7])
-    def test_no_fading_channel(self, monkeypatch, noise_sigma_db):
+    def test_no_fading_channel(self, noise_sigma_db):
         env = dataclasses.replace(
             environment_by_name("Env3"), noise_sigma_db=noise_sigma_db
         )
@@ -284,7 +323,7 @@ class TestSimulatorDifferential:
             sim.tag("track-1").move_to((2.8, 0.1))
             sim.run_for(6.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=300)
+        assert_same_world(scenario, min_reads=300)
 
 
 # -- the served worlds: zones with a roaming tag and the chaos script -----------
@@ -321,23 +360,23 @@ def _chaos_gateway_run(tmp_path, tag: str, duration: float = 12.0):
 
 
 class TestServedWorldDifferential:
-    def test_roaming_tag_zone_run(self, monkeypatch):
+    def test_roaming_tag_zone_run(self):
         roam = RoamingTag("roam", ((0.0, (1.5, 1.5)), (6.0, (6.0, 1.5))))
 
         def scenario():
             plan = scaled_site_plan("Env2", 2, seed=7, roaming=(roam,))
             ZoneGateway(plan, ServiceConfig()).run(8.0)
 
-        assert_same_world(monkeypatch, scenario, min_reads=500)
+        assert_same_world(scenario, min_reads=500)
 
-    def test_zones_chaos_fault_script(self, monkeypatch, tmp_path):
+    def test_zones_chaos_fault_script(self, tmp_path):
         runs = iter(("new", "legacy"))
         reports = []
 
         def scenario():
             reports.append(_chaos_gateway_run(tmp_path, next(runs)))
 
-        assert_same_world(monkeypatch, scenario, min_reads=500)
+        assert_same_world(scenario, min_reads=500)
         new, legacy = reports
         assert int(new.summary["zone_respawns"]) >= 1
         assert [
@@ -347,6 +386,170 @@ class TestServedWorldDifferential:
             for zid, z in legacy.zones.items()
             for r in z.results
         ]
+
+
+# -- windows: the block against the per-beacon oracle over schedules -------------
+
+
+@functools.lru_cache(maxsize=None)
+def _window_channel(seed: int, fading: bool):
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    channel = environment_by_name("Env3").build_channel(readers_xy, seed=seed)
+    return channel if fading else channel.with_fading(None)
+
+
+_POINT = st.tuples(st.floats(-0.5, 3.5), st.floats(-0.5, 3.5))
+# A window of 0 s, one shorter than a beacon interval, or one spanning
+# several intervals (a tag then beacons twice or more in it); after it,
+# maybe move a tracking tag.
+_WINDOW = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.01, 1.9), st.floats(2.5, 7.0)),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["mover", "dier"]), _POINT)),
+)
+
+
+@st.composite
+def _window_case(draw):
+    return dict(
+        seed=draw(st.integers(0, 3)),
+        fading=draw(st.booleans()),
+        jitter=draw(st.sampled_from([0.0, 0.2])),
+        battery=draw(st.sampled_from([None, 1, 2, 4])),
+        interference=draw(st.booleans()),
+        walker=draw(st.booleans()),
+        faults=draw(st.sampled_from(["none", "delay", "drop", "delay+drop"])),
+        deaf_threshold=draw(st.sampled_from([None, -72.0])),
+        sink=draw(st.booleans()),
+        windows=draw(st.lists(_WINDOW, min_size=1, max_size=6)),
+    )
+
+
+def _window_scenario(case):
+    spec = TagSpec(beacon_interval_s=2.0, beacon_jitter_s=case["jitter"])
+    tags = [
+        ActiveTag(f"ref-{i}", p, spec, is_reference=True)
+        for i, p in enumerate(((0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (3.0, 3.0)))
+    ]
+    tags.append(ActiveTag("mover", (1.3, 1.7), spec))
+    tags.append(
+        ActiveTag(
+            "dier",
+            (1.4, 1.6),
+            dataclasses.replace(spec, battery_life_beacons=case["battery"]),
+        )
+    )
+    tags[-1].offset_db = -2.5
+    readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
+    readers = [Reader(f"reader-{k}", tuple(p)) for k, p in enumerate(readers_xy)]
+    if case["deaf_threshold"] is not None:
+        readers[1].detection_threshold_dbm = case["deaf_threshold"]
+    walkers = ()
+    if case["walker"]:
+        walkers = (
+            HumanMovementDisturbance(
+                ((-0.5, 1.5), (3.5, 1.6), (1.5, -0.5)),
+                speed_mps=0.8,
+                body_radius_m=1.0,
+                attenuation_db=10.0,
+                start_time_s=0.5,
+            ),
+        )
+    faults = {
+        "none": (),
+        "delay": (DelayFault(delay_s=0.7, jitter_s=1.3),),
+        "drop": (BurstLossFault(p_enter_bad=0.4, p_exit_bad=0.3, loss_good=0.1),),
+        "delay+drop": (
+            BurstLossFault(reader_id="reader-2", p_enter_bad=0.5),
+            DelayFault(reader_id="reader-0", delay_s=0.3, jitter_s=2.5),
+        ),
+    }[case["faults"]]
+
+    start = [tag.position for tag in tags]
+
+    def scenario():
+        for tag, position in zip(tags, start):  # each run starts afresh
+            tag.beacons_sent = 0
+            tag.move_to(position)
+        for reader in readers:
+            reader.frames_received = reader.frames_dropped = 0
+        sim = TestbedSimulator(
+            _window_channel(case["seed"], case["fading"]),
+            tags,
+            readers,
+            seed=case["seed"],
+            disturbances=walkers,
+            # Every tag is somebody's neighbour, so the offsets are live.
+            interference=TagInterferenceModel(
+                radius_m=2.0, free_neighbour_count=0, saturation_neighbour_count=3
+            )
+            if case["interference"]
+            else None,
+        )
+        if faults:
+            sim.set_fault_injector(FaultInjector(FaultPlan(faults, seed=case["seed"])))
+        delivered = []
+        if case["sink"]:
+            sim.set_record_sink(delivered.append)
+        fired = []
+        for duration, move in case["windows"]:
+            fired.append((sim.run_for(duration), sim.now.hex()))
+            if move is not None:
+                sim.tag(move[0]).move_to(move[1])
+        return fired, [t.beacons_sent for t in tags], len(delivered)
+
+    return scenario
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_window_case())
+def test_window_block_equals_the_per_beacon_oracle(case):
+    scenario = _window_scenario(case)
+    new, old = run_both(scenario)
+    assert new[1:] == old[1:]
+    assert new[0] == old[0]  # the record path, entry by entry
+
+
+def test_window_cases_reach_every_branch():
+    """The property's generator reaches what the window block must get right."""
+    case = dict(
+        seed=1, fading=True, jitter=0.0, battery=2, interference=True,
+        walker=True, faults="delay+drop", deaf_threshold=-72.0, sink=False,
+        windows=[(0.0, None), (1.0, ("mover", (2.5, 0.5))), (6.0, None),
+                 (6.5, ("dier", (0.5, 2.5))), (3.0, None)],
+    )
+    result = assert_same_world(_window_scenario(case), min_reads=20)
+    fired, beacons_sent, _ = result
+    assert fired[0][0] == 0  # the empty window pops nothing
+    assert max(n for n, _ in fired) > 6  # more beacons than tags: some tag twice
+    assert beacons_sent[-1] == 2  # the battery died mid-run
+    with recorded_world(legacy=False) as (stream, sims, injectors):
+        _window_scenario(case)()
+    (sim,) = sims
+    assert sim.readers[1].frames_dropped > 0 < sim.readers[1].frames_received
+    assert injectors[0].records_delayed > 0 and injectors[0].records_dropped > 0
+    assert any(sim._interference_offsets.values())
+
+
+def test_one_channel_call_per_window(monkeypatch):
+    dep = build_paper_deployment(
+        environment_by_name("Env1"), tracking_tags=TRACKING, seed=0
+    )
+    sim = dep.simulator
+    calls = []
+    sample = type(sim.channel).sample_rssi_matrix
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs["mean"].shape)
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(sim.channel), "sample_rssi_matrix", counting)
+    sent = sum(t.beacons_sent for t in sim.tags)
+    for _ in range(8):
+        sim.run_for(0.5)
+    sim.run_for(0.0)
+    beacons = sum(t.beacons_sent for t in sim.tags) - sent
+    assert len(calls) == 8  # one per non-empty window, none for 0 s
+    assert sum(rows for rows, _ in calls) == beacons * sim.channel.n_readers
 
 
 # -- the block draw against K sequential per-reader draws ----------------------
@@ -412,6 +615,19 @@ def test_block_draw_equals_sequential_reader_draws(
         pts, rng_again, n_reads=n_reads, extra_attenuation_db=att
     )
     assert again.tobytes() == expected.tobytes()
+    # The same block drawn by the caller maps to the same readings.
+    normals = np.random.default_rng(seed).standard_normal(
+        (channel.n_readers, n * n_reads * channel.normals_per_read)
+    )
+    drawn = channel.sample_rssi_matrix(
+        None,
+        None,
+        n_reads=n_reads,
+        mean=channel.mean_rssi_matrix(pts),
+        extra_attenuation_db=att,
+        normals=normals,
+    )
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_mean_field_and_positions_are_exclusive():
@@ -421,6 +637,17 @@ def test_mean_field_and_positions_are_exclusive():
     field = channel.mean_rssi_matrix(pts)
     with pytest.raises(ChannelError, match="not both"):
         channel.sample_rssi_matrix(pts, np.random.default_rng(0), mean=field)
+    normals = np.zeros((4, 2 * channel.normals_per_read))
+    with pytest.raises(ChannelError, match="exactly one"):
+        channel.sample_rssi_matrix(
+            None, np.random.default_rng(0), mean=field, normals=normals
+        )
+    with pytest.raises(ChannelError, match="exactly one"):
+        channel.sample_rssi_matrix(None, None, mean=field)
+    with pytest.raises(ChannelError, match="normals must have shape"):
+        channel.sample_rssi_matrix(None, None, mean=field, normals=normals[:, 1:])
+    with pytest.raises(ChannelError, match="mean field must have shape"):
+        channel.sample_rssi_matrix(None, None, mean=field[:3], normals=normals)
 
 
 @settings(max_examples=40, deadline=None)
