@@ -56,6 +56,17 @@ def _witness(report) -> str:
     return json.dumps(report.witness_document(), sort_keys=True)
 
 
+def acceptance(clean, killed) -> dict:
+    """The two acceptance checks of a killed run against the clean one."""
+    availability = killed.summary["availability"]
+    return {
+        "availability_floor": AVAILABILITY_FLOOR,
+        "availability": round(availability, 6),
+        "availability_ok": availability >= AVAILABILITY_FLOOR,
+        "recovery_identical": _witness(killed) == _witness(clean),
+    }
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -80,8 +91,6 @@ def run_benchmark() -> dict:
         killed = ZoneGateway(
             plan, CONFIG, fault_plan=crash, checkpoint_dir=crash_dir
         ).run(DURATION_S)
-    recovery_identical = _witness(killed) == _witness(clean)
-    availability = killed.summary["availability"]
 
     return {
         "env": ENV,
@@ -100,12 +109,7 @@ def run_benchmark() -> dict:
         "timing_s": {
             "supervised_wall": round(clean_s, 4),
         },
-        "acceptance": {
-            "availability_floor": AVAILABILITY_FLOOR,
-            "availability": round(availability, 6),
-            "availability_ok": availability >= AVAILABILITY_FLOOR,
-            "recovery_identical": recovery_identical,
-        },
+        "acceptance": acceptance(clean, killed),
     }
 
 

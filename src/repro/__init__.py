@@ -73,10 +73,8 @@ from .hardware import (
 from .baselines import (
     FingerprintEstimator,
     LandmarcEstimator,
-    WeightedKnnEstimator,
     NearestReferenceEstimator,
     WeightedCentroidEstimator,
-    TriangulationLandmarcEstimator,
 )
 from .core import (
     VIREEstimator,
@@ -84,8 +82,6 @@ from .core import (
     VIREConfig,
     VirtualGrid,
     BoundaryAwareEstimator,
-    IrregularVirtualGrid,
-    IrregularVIREEstimator,
     QuorumPolicy,
 )
 from .faults import (
@@ -166,13 +162,11 @@ __all__ = [
     "Reader", "MiddlewareServer", "SmoothingSpec", "TagSpec",
     "NEW_EQUIPMENT", "ORIGINAL_EQUIPMENT",
     # baselines
-    "LandmarcEstimator", "WeightedKnnEstimator", "NearestReferenceEstimator",
-    "WeightedCentroidEstimator", "TriangulationLandmarcEstimator",
-    "FingerprintEstimator",
+    "LandmarcEstimator", "NearestReferenceEstimator",
+    "WeightedCentroidEstimator", "FingerprintEstimator",
     # core (VIRE)
     "VIREEstimator", "SoftVIREEstimator", "VIREConfig", "VirtualGrid",
-    "BoundaryAwareEstimator",
-    "IrregularVirtualGrid", "IrregularVIREEstimator", "QuorumPolicy",
+    "BoundaryAwareEstimator", "QuorumPolicy",
     # faults (chaos engineering)
     "FaultPlan", "FaultInjector", "FaultEvent", "chaos_preset",
     "ReaderOutageFault", "BurstLossFault", "TagDeathFault",

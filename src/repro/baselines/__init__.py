@@ -2,29 +2,20 @@
 
 * :class:`LandmarcEstimator` — the paper's baseline (Ni et al. 2003):
   k-nearest reference tags in RSSI space, weighted by 1/E².
-* :class:`WeightedKnnEstimator` — generalized kNN with configurable
-  metric and weighting exponent.
 * :class:`NearestReferenceEstimator` — snap to the single closest
   reference tag (k=1 degenerate case).
 * :class:`WeightedCentroidEstimator` — softmax-weighted centroid over all
   reference tags (no hard k cut-off).
-* :class:`TriangulationLandmarcEstimator` — LANDMARC refined with a
-  range-based least-squares coordinate, in the spirit of the paper's
-  reference [12] (Jin et al. 2006).
 """
 
 from .landmarc import LandmarcEstimator
-from .knn import WeightedKnnEstimator
 from .nearest import NearestReferenceEstimator
 from .centroid import WeightedCentroidEstimator
-from .triangulation import TriangulationLandmarcEstimator
 from .fingerprint import FingerprintEstimator
 
 __all__ = [
     "LandmarcEstimator",
-    "WeightedKnnEstimator",
     "NearestReferenceEstimator",
     "WeightedCentroidEstimator",
-    "TriangulationLandmarcEstimator",
     "FingerprintEstimator",
 ]

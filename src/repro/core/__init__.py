@@ -17,9 +17,8 @@ Pipeline (paper §4):
    discrepancy (w1) and cluster density (w2);
 7. :class:`~repro.core.estimator.VIREEstimator` — the weighted centroid.
 
-Extensions: :mod:`~repro.core.boundary` (boundary-tag detection and
-compensation) and :mod:`~repro.core.irregular` (per-cell virtual
-granularity), both sketched as future work in the paper's §6.
+Extension: :mod:`~repro.core.boundary` (boundary-tag detection and
+compensation), sketched as future work in the paper's §6.
 """
 
 from .config import VIREConfig
@@ -39,7 +38,6 @@ from .weighting import combine_weights, compute_w1, compute_w2
 from .estimator import VIREEstimator
 from .soft import SoftVIREEstimator
 from .boundary import BoundaryAwareEstimator, is_boundary_estimate
-from .irregular import IrregularVirtualGrid, IrregularVIREEstimator
 
 __all__ = [
     "VIREConfig",
@@ -64,6 +62,4 @@ __all__ = [
     "SoftVIREEstimator",
     "BoundaryAwareEstimator",
     "is_boundary_estimate",
-    "IrregularVirtualGrid",
-    "IrregularVIREEstimator",
 ]

@@ -7,9 +7,12 @@ Collects every design parameter the paper discusses (subdivision density
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 from ..exceptions import ConfigurationError
+from ..utils.validation import ensure_positive_int
 
 __all__ = ["VIREConfig"]
 
@@ -89,14 +92,10 @@ class VIREConfig:
     boundary_extension_cells: int = 0
 
     def __post_init__(self) -> None:
-        if self.subdivisions < 1:
-            raise ConfigurationError(
-                f"subdivisions must be >= 1, got {self.subdivisions}"
-            )
-        if self.target_total_tags is not None and self.target_total_tags < 4:
-            raise ConfigurationError(
-                f"target_total_tags must be >= 4, got {self.target_total_tags}"
-            )
+        # Validate only; the fields keep the values the caller passed.
+        ensure_positive_int(self.subdivisions, "subdivisions")
+        if self.target_total_tags is not None:
+            ensure_positive_int(self.target_total_tags, "target_total_tags", minimum=4)
         if self.interpolation not in _INTERPOLATIONS:
             raise ConfigurationError(
                 f"interpolation must be one of {_INTERPOLATIONS}, "
@@ -107,25 +106,36 @@ class VIREConfig:
                 f"threshold_mode must be one of {_THRESHOLD_MODES}, "
                 f"got {self.threshold_mode!r}"
             )
+        # Both thresholds may be +inf (elimination off); NaN compares
+        # false everywhere and would silently select the wrong cells.
+        for name in ("fixed_threshold_db", "threshold_margin_db"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, Real)
+                or isinstance(value, bool)
+                or math.isnan(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a number, not NaN, got {value!r}"
+                )
         if self.fixed_threshold_db <= 0:
             raise ConfigurationError(
                 f"fixed_threshold_db must be positive, got {self.fixed_threshold_db}"
             )
-        if self.min_cells < 1:
-            raise ConfigurationError(f"min_cells must be >= 1, got {self.min_cells}")
+        ensure_positive_int(self.min_cells, "min_cells")
         if self.threshold_margin_db < 0:
             raise ConfigurationError(
                 f"threshold_margin_db must be >= 0, got {self.threshold_margin_db}"
             )
-        if self.min_votes is not None and self.min_votes < 1:
-            raise ConfigurationError(
-                f"min_votes must be >= 1 or None, got {self.min_votes}"
-            )
+        if self.min_votes is not None:
+            ensure_positive_int(self.min_votes, "min_votes")
         if self.w1_mode not in _W1_MODES:
             raise ConfigurationError(
                 f"w1_mode must be one of {_W1_MODES}, got {self.w1_mode!r}"
             )
-        if self.connectivity not in (4, 8):
+        if not isinstance(self.use_w2, bool):
+            raise ConfigurationError(f"use_w2 must be a bool, got {self.use_w2!r}")
+        if ensure_positive_int(self.connectivity, "connectivity") not in (4, 8):
             raise ConfigurationError(
                 f"connectivity must be 4 or 8, got {self.connectivity}"
             )
@@ -134,11 +144,9 @@ class VIREConfig:
                 f"empty_fallback must be one of {_FALLBACKS}, "
                 f"got {self.empty_fallback!r}"
             )
-        if self.boundary_extension_cells < 0:
-            raise ConfigurationError(
-                "boundary_extension_cells must be >= 0, got "
-                f"{self.boundary_extension_cells}"
-            )
+        ensure_positive_int(
+            self.boundary_extension_cells, "boundary_extension_cells", minimum=0
+        )
 
     def with_(self, **changes) -> "VIREConfig":
         """Return a modified copy (thin wrapper over dataclasses.replace)."""

@@ -473,8 +473,8 @@ def estimate_all(
 
     Uses the estimator's own ``estimate_batch`` when it provides one
     (:class:`VIREEstimator`, :class:`LandmarcEstimator`), otherwise falls
-    back to a scalar loop — wrappers like the boundary-aware or gated
-    estimators keep their exact semantics.
+    back to a scalar loop — wrappers like the boundary-aware estimator
+    keep their exact semantics.
     """
     batch = getattr(estimator, "estimate_batch", None)
     if callable(batch):

@@ -18,7 +18,6 @@ from ..geometry.grid import ReferenceGrid
 from ..geometry.placement import corner_reader_positions, paper_testbed_grid
 from ..rf.disturbance import HumanMovementDisturbance
 from ..rf.environments import EnvironmentSpec
-from ..rf.interference import TagInterferenceModel
 from ..utils.rng import derive_rng
 from .middleware import SmoothingSpec
 from .readers import Reader
@@ -72,7 +71,6 @@ def build_paper_deployment(
     tracking_smoothing: SmoothingSpec | None = None,
     seed: int = 0,
     disturbances: Iterable[HumanMovementDisturbance] = (),
-    interference: TagInterferenceModel | None = None,
 ) -> Deployment:
     """Build the paper's testbed inside ``environment``.
 
@@ -148,7 +146,6 @@ def build_paper_deployment(
         tracking_smoothing=tracking_smoothing,
         seed=seed,
         disturbances=disturbances,
-        interference=interference,
     )
     return Deployment(
         simulator=simulator,

@@ -2,9 +2,9 @@
 
 Each tag gets a recurring beacon event. On each beacon, every reader
 draws one RSSI sample from the channel (each with its own randomness),
-optionally degraded by active disturbances (a person walking through) and
-by tag-density interference offsets, and forwards detections to the
-middleware. The simulation is deterministic for a given seed.
+optionally degraded by active disturbances (a person walking through),
+and forwards detections to the middleware. The simulation is
+deterministic for a given seed.
 
 The frozen world (the channel's mean field) is computed once per tag
 when the simulator is built and again only when a tag moves. The world
@@ -27,7 +27,6 @@ import numpy as np
 from ..exceptions import ConfigurationError, SimulationError
 from ..rf.channel import RFChannel
 from ..rf.disturbance import HumanMovementDisturbance
-from ..rf.interference import TagInterferenceModel
 from ..types import TrackingReading
 from ..utils.rng import derive_rng
 from .events import EventQueue
@@ -59,9 +58,6 @@ class TestbedSimulator:
         Seed for all per-reading randomness (fading draws, beacon jitter).
     disturbances:
         Optional human-movement disturbances active during the run.
-    interference:
-        Optional tag-density interference model; systematic offsets are
-        drawn once at start from the deployment geometry.
     """
 
     def __init__(
@@ -74,7 +70,6 @@ class TestbedSimulator:
         tracking_smoothing: SmoothingSpec | None = None,
         seed: int = 0,
         disturbances: Iterable[HumanMovementDisturbance] = (),
-        interference: TagInterferenceModel | None = None,
     ):
         if len(readers) != channel.n_readers:
             raise ConfigurationError(
@@ -95,7 +90,6 @@ class TestbedSimulator:
         self.readers = list(readers)
         self._reader_positions = [r.position for r in self.readers]
         self.disturbances = tuple(disturbances)
-        self.interference = interference
         self.seed = int(seed)
 
         reference = {
@@ -118,16 +112,6 @@ class TestbedSimulator:
         self._sample_rng = derive_rng(self.seed, "samples")
         self._record_sink: Callable[[ReadingRecord], None] | None = None
         self._fault_injector: "FaultInjector | None" = None
-
-        self._interference_offsets: dict[str, float] = {}
-        if self.interference is not None:
-            positions = np.array([t.position for t in self.tags])
-            offsets = self.interference.systematic_offsets_db(
-                positions, derive_rng(self.seed, "interference")
-            )
-            self._interference_offsets = {
-                t.tag_id: float(o) for t, o in zip(self.tags, offsets)
-            }
 
         # The frozen mean field, one (K,) row per tag, and the position
         # each row was computed at; a moved tag's row is recomputed in
@@ -160,23 +144,6 @@ class TestbedSimulator:
 
         return fire
 
-    def _interference_jitter(
-        self, index: list[int], normals: np.ndarray
-    ) -> np.ndarray:
-        """Each beacon's interference jitter (dB) from its lead normal.
-
-        A beacon's jitter is the model's reading jitter of its tag alone,
-        so a tag's beacons in the window are that tag's reads.
-        """
-        rows = np.asarray(index)
-        jitter = np.empty(len(index))
-        for i in set(index):
-            beacons = rows == i
-            jitter[beacons] = self.interference.jitter_db_from_normals(
-                np.array([self.tags[i].position]), normals[np.newaxis, beacons]
-            )[0]
-        return jitter
-
     def _emit_window(self, beacons: list[tuple[float, int]]) -> None:
         """Sample, detect and deliver one window's ``(time, tag)`` beacons."""
         tags = self.tags
@@ -187,19 +154,9 @@ class TestbedSimulator:
             if position != self._field_at[i]:
                 self._field[i] = self.channel.mean_rssi_matrix([position])[:, 0]
                 self._field_at[i] = position
-        # extra_* terms are attenuations; a positive tag offset boosts RSSI.
-        offsets = self._interference_offsets
-        extra = np.array(
-            [offsets.get(tags[i].tag_id, 0.0) - tags[i].offset_db for i in index]
-        )
-        # Each beacon's stream: its interference jitter normal (when a
-        # model is set), then its (K, normals_per_read) reading block.
-        lead = int(self.interference is not None)
-        z = self._sample_rng.standard_normal(
-            (n, lead + k * self.channel.normals_per_read)
-        )
-        if lead:
-            extra = extra + self._interference_jitter(index, z[:, 0])
+        # extra_* terms are attenuations; a positive tag offset boosts
+        # RSSI. ``0.0 - x`` keeps a zero offset's attenuation at +0.0.
+        extra = np.array([0.0 - tags[i].offset_db for i in index])
         extra = np.repeat(extra, k).reshape(n, k)
         for disturbance in self.disturbances:
             extra = extra + np.array(
@@ -213,12 +170,13 @@ class TestbedSimulator:
                     for t, i in beacons
                 ]
             )
+        # The B stacked (K, 1) fields draw, in beacon order, each beacon's
+        # (K, normals_per_read) block: the per-beacon stream.
         rssi = self.channel.sample_rssi_matrix(
             None,
-            None,
+            self._sample_rng,
             mean=self._field[index].reshape(n * k, 1),
             extra_attenuation_db=extra.reshape(n * k, 1),
-            normals=z[:, lead:].reshape(n * k, -1),
         ).reshape(n, k)
         thresholds = np.array([r.detection_threshold_dbm for r in self.readers])
         heard = np.isfinite(rssi) & (rssi >= thresholds)

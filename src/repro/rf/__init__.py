@@ -4,7 +4,7 @@ This subpackage replaces the paper's physical RF Code testbed with a
 physically-motivated synthetic channel:
 
 * :mod:`~repro.rf.propagation` — deterministic distance-dependent path
-  loss (log-distance / multi-slope / free-space models),
+  loss (the log-distance model),
 * :mod:`~repro.rf.shadowing` — spatially-correlated log-normal shadowing
   fields (Gudmundson model) per reader,
 * :mod:`~repro.rf.multipath` — image-method wall reflections that create
@@ -21,12 +21,7 @@ physically-motivated synthetic channel:
 * :mod:`~repro.rf.environments` — presets reproducing Env1/Env2/Env3.
 """
 
-from .propagation import (
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    MultiSlopePathLoss,
-    PathLossModel,
-)
+from .propagation import LogDistancePathLoss
 from .shadowing import ShadowingField, ShadowingSpec
 from .multipath import MultipathSpec, MultipathModel
 from .fading import RicianFading, NoFading, FadingModel
@@ -37,10 +32,7 @@ from .channel import RFChannel
 from .environments import EnvironmentSpec, env1, env2, env3, environment_by_name
 
 __all__ = [
-    "PathLossModel",
-    "FreeSpacePathLoss",
     "LogDistancePathLoss",
-    "MultiSlopePathLoss",
     "ShadowingField",
     "ShadowingSpec",
     "MultipathSpec",

@@ -31,7 +31,7 @@ from ..utils.arrays import as_point, as_points
 from ..utils.rng import derive_rng
 from .fading import FadingModel, NoFading, RicianFading
 from .multipath import MultipathModel, MultipathSpec, _ReaderImages
-from .propagation import LogDistancePathLoss, PathLossModel
+from .propagation import LogDistancePathLoss
 from .shadowing import ShadowingField, ShadowingSpec
 
 __all__ = ["RFChannel"]
@@ -54,7 +54,8 @@ class RFChannel:
     reader_positions:
         ``(K, 2)`` coordinates of the readers. Fixed at construction.
     path_loss:
-        Deterministic distance model.
+        Deterministic distance model (the default log-distance model
+        when ``None``).
     shadowing:
         Spec of the per-reader correlated shadowing fields.
     multipath:
@@ -77,7 +78,7 @@ class RFChannel:
         room: Room,
         reader_positions: Sequence[Sequence[float]],
         *,
-        path_loss: PathLossModel | None = None,
+        path_loss: LogDistancePathLoss | None = None,
         shadowing: ShadowingSpec | None = None,
         multipath: MultipathSpec | None = None,
         fading: FadingModel | None = None,
@@ -207,10 +208,9 @@ class RFChannel:
     def _draw_reads(
         self,
         mean: np.ndarray,
-        rng: np.random.Generator | None,
+        rng: np.random.Generator,
         n_reads: int,
         extra_attenuation_db: np.ndarray | float,
-        normals: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(K, n, n_reads)`` noisy readings around a ``(K, n)`` mean field.
 
@@ -218,8 +218,7 @@ class RFChannel:
         ``k``'s fading normals in ``(n, n_reads, normals_per_read)``
         order, then its receiver-noise normals in ``(n, n_reads)`` order:
         exactly the stream K per-reader draws would consume, one reader
-        after another. ``normals``, when given, is that block drawn by
-        the caller, and ``rng`` is not touched.
+        after another.
         """
         if n_reads < 1:
             raise ChannelError(f"n_reads must be >= 1, got {n_reads}")
@@ -233,15 +232,7 @@ class RFChannel:
         f = self.fading.normals_per_read
         n_fading = per_reader * f
         noisy = self.noise_sigma_db > 0
-        shape = (n_rows, per_reader * self.normals_per_read)
-        if normals is None:
-            z = rng.standard_normal(shape)
-        elif normals.shape != shape:
-            raise ChannelError(
-                f"normals must have shape {shape}, got {normals.shape}"
-            )
-        else:
-            z = normals
+        z = rng.standard_normal((n_rows, per_reader * self.normals_per_read))
         out = self.fading.db_from_normals(
             z[:, :n_fading].reshape(n_rows, n, n_reads, f)
         )
@@ -271,12 +262,11 @@ class RFChannel:
     def sample_rssi_matrix(
         self,
         positions: Sequence[Sequence[float]] | None,
-        rng: np.random.Generator | None,
+        rng: np.random.Generator,
         *,
         n_reads: int = 1,
         mean: np.ndarray | None = None,
         extra_attenuation_db: np.ndarray | float = 0.0,
-        normals: np.ndarray | None = None,
     ) -> np.ndarray:
         """Readings of every tag at every reader, averaged over ``n_reads``.
 
@@ -292,17 +282,7 @@ class RFChannel:
         order exactly what ``m`` calls would, and return ``(m·K,
         n_tags)``. ``extra_attenuation_db`` must broadcast to the
         field's shape.
-
-        ``normals`` replaces the draw: the ``(rows, n_tags · n_reads ·
-        normals_per_read)`` block this call would take from ``rng``
-        (docs/CHANNEL.md, "Field and draw order"), drawn by a caller
-        whose stream interleaves other normals. Pass ``rng=None`` then.
         """
-        if (rng is None) == (normals is None):
-            raise ChannelError(
-                "pass an rng or pre-drawn normals to sample_rssi_matrix, "
-                "exactly one"
-            )
         if mean is None:
             mean = self.mean_rssi_matrix(positions)
         elif positions is not None:
@@ -318,7 +298,7 @@ class RFChannel:
                 f"mean field must have shape (m*{self.n_readers}, n), "
                 f"got {mean.shape}"
             )
-        reads = self._draw_reads(mean, rng, n_reads, extra_attenuation_db, normals)
+        reads = self._draw_reads(mean, rng, n_reads, extra_attenuation_db)
         if n_reads == 1:
             return reads[:, :, 0]  # the mean of one read is that read
         return reads.mean(axis=2)

@@ -96,18 +96,9 @@ class TagInterferenceModel:
         """Extra per-reading noise, shape ``(n_tags, n_reads)``."""
         if n_reads < 1:
             raise ConfigurationError(f"n_reads must be >= 1, got {n_reads}")
-        n = as_points(positions, "positions").shape[0]
-        return self.jitter_db_from_normals(
-            positions, rng.standard_normal((n, n_reads))
-        )
-
-    def jitter_db_from_normals(
-        self, positions: np.ndarray, normals: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`reading_jitter_db` over caller-drawn ``(n_tags, n_reads)``
-        standard normals."""
         sev = self.severity(positions)
-        return sev[:, np.newaxis] * self.max_jitter_db * normals
+        noise = rng.standard_normal((sev.shape[0], n_reads))
+        return sev[:, np.newaxis] * self.max_jitter_db * noise
 
     def corrupt(
         self,

@@ -1,44 +1,27 @@
-"""Deterministic distance-dependent path loss models.
+"""Deterministic distance-dependent path loss.
 
-All models map distance (metres) to mean received power (dBm) for the
-active-RFID link budget. The paper (§2) notes the inverse-square law of
-open space becomes a third- or fourth-power law indoors; the
-:class:`LogDistancePathLoss` exponent ``gamma`` is exactly that knob, and
-:class:`MultiSlopePathLoss` models the common near/far break-point
-behaviour.
+:class:`LogDistancePathLoss` maps distance (metres) to mean received
+power (dBm) for the active-RFID link budget. The paper (§2) notes the
+inverse-square law of open space becomes a third- or fourth-power law
+indoors; the exponent ``gamma`` is exactly that knob.
 
-Every model is vectorized: ``rssi(d)`` accepts scalars or arrays.
+``rssi(d)`` is vectorized: it accepts scalars or arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..utils.validation import ensure_positive
 
-__all__ = [
-    "PathLossModel",
-    "FreeSpacePathLoss",
-    "LogDistancePathLoss",
-    "MultiSlopePathLoss",
-]
+__all__ = ["LogDistancePathLoss"]
 
 #: Distances below this are clamped; RSSI at sub-centimetre range is
 #: physically meaningless and would otherwise diverge.
 MIN_DISTANCE_M = 0.01
-
-
-@runtime_checkable
-class PathLossModel(Protocol):
-    """Maps link distance to mean RSSI (dBm)."""
-
-    def rssi(self, distance_m: np.ndarray | float) -> np.ndarray:
-        """Mean RSSI (dBm) at the given distance(s)."""
-        ...
 
 
 def _clamped(distance_m: np.ndarray | float) -> np.ndarray:
@@ -80,79 +63,3 @@ class LogDistancePathLoss:
         return self.rssi_at_reference - 10.0 * self.gamma * np.log10(
             d / self.reference_distance_m
         )
-
-
-@dataclass(frozen=True)
-class FreeSpacePathLoss:
-    """Friis free-space model (``gamma = 2``), parameterized by EIRP.
-
-    ``RSSI(d) = eirp_dbm - 20 log10(4 pi d / lambda)``
-    """
-
-    eirp_dbm: float = 0.0
-    wavelength_m: float = 0.99  # 303.8 MHz active RFID
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.wavelength_m, "wavelength_m")
-        if not np.isfinite(self.eirp_dbm):
-            raise ConfigurationError("eirp_dbm must be finite")
-
-    def rssi(self, distance_m: np.ndarray | float) -> np.ndarray:
-        d = _clamped(distance_m)
-        return self.eirp_dbm - 20.0 * np.log10(4.0 * np.pi * d / self.wavelength_m)
-
-
-@dataclass(frozen=True)
-class MultiSlopePathLoss:
-    """Piecewise log-distance model with break points.
-
-    ``breakpoints_m`` and ``gammas`` define consecutive regimes:
-    ``gammas[i]`` applies between ``breakpoints_m[i-1]`` and
-    ``breakpoints_m[i]`` (with implicit 0 and infinity at the ends), and
-    the segments are stitched continuously.
-
-    A two-slope instance (gentle near the reader, steep beyond a few
-    metres) reproduces the "not as smooth as expected" knee visible in the
-    paper's Fig. 3.
-    """
-
-    rssi_at_reference: float = -45.0
-    reference_distance_m: float = 1.0
-    breakpoints_m: Sequence[float] = (8.0,)
-    gammas: Sequence[float] = (2.0, 3.2)
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.reference_distance_m, "reference_distance_m")
-        bps = tuple(float(b) for b in self.breakpoints_m)
-        gs = tuple(float(g) for g in self.gammas)
-        if len(gs) != len(bps) + 1:
-            raise ConfigurationError(
-                f"need len(gammas) == len(breakpoints)+1, got {len(gs)} and {len(bps)}"
-            )
-        if any(g <= 0 for g in gs):
-            raise ConfigurationError("all gammas must be positive")
-        if any(b <= 0 for b in bps) or list(bps) != sorted(bps):
-            raise ConfigurationError("breakpoints must be positive and increasing")
-        object.__setattr__(self, "breakpoints_m", bps)
-        object.__setattr__(self, "gammas", gs)
-
-    def rssi(self, distance_m: np.ndarray | float) -> np.ndarray:
-        d = _clamped(distance_m)
-        edges = (self.reference_distance_m, *self.breakpoints_m)
-        # RSSI at each regime edge, accumulated so segments join up.
-        edge_rssi = [self.rssi_at_reference]
-        for i, bp in enumerate(self.breakpoints_m):
-            prev_edge = edges[i]
-            edge_rssi.append(
-                edge_rssi[-1] - 10.0 * self.gammas[i] * np.log10(bp / prev_edge)
-            )
-        out = np.empty_like(d)
-        # Regime 0 also covers d < reference_distance (extrapolated).
-        lower = 0.0
-        for i, g in enumerate(self.gammas):
-            upper = self.breakpoints_m[i] if i < len(self.breakpoints_m) else np.inf
-            mask = (d >= lower) & (d < upper) if np.isfinite(upper) else (d >= lower)
-            if np.any(mask):
-                out[mask] = edge_rssi[i] - 10.0 * g * np.log10(d[mask] / edges[i])
-            lower = upper
-        return out

@@ -22,7 +22,6 @@ from .filters import (
     KalmanFilter2D,
 )
 from .tracker import TagTracker, TrackPoint
-from .gated import GatedVIREEstimator
 
 __all__ = [
     "Trajectory",
@@ -35,5 +34,4 @@ __all__ = [
     "KalmanFilter2D",
     "TagTracker",
     "TrackPoint",
-    "GatedVIREEstimator",
 ]

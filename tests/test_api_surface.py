@@ -26,11 +26,9 @@ from repro import (
     VIREConfig,
     VIREEstimator,
     WeightedCentroidEstimator,
-    WeightedKnnEstimator,
     build_paper_deployment,
     paper_testbed_grid,
 )
-from repro.tracking.gated import GatedVIREEstimator
 
 from .conftest import make_clean_environment
 
@@ -57,12 +55,10 @@ class TestReprs:
     def test_estimator_reprs_informative(self, grid):
         cases = [
             (LandmarcEstimator(k=4), "k=4"),
-            (WeightedKnnEstimator(metric="manhattan"), "manhattan"),
             (NearestReferenceEstimator(), "Nearest"),
             (WeightedCentroidEstimator(tau_db=3.0), "3"),
             (VIREEstimator(grid, VIREConfig(subdivisions=5)), "n=5"),
             (BoundaryAwareEstimator(grid), "extension"),
-            (GatedVIREEstimator(grid), "v_max"),
         ]
         for obj, fragment in cases:
             assert fragment in repr(obj), (obj, fragment)

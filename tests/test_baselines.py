@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import corner_reader_positions, paper_testbed_grid
+from repro import paper_testbed_grid
 from repro.baselines import (
     LandmarcEstimator,
     NearestReferenceEstimator,
-    TriangulationLandmarcEstimator,
     WeightedCentroidEstimator,
-    WeightedKnnEstimator,
 )
 from repro.baselines.landmarc import rssi_space_distances
 from repro.exceptions import ConfigurationError
@@ -112,36 +110,6 @@ class TestLandmarc:
             LandmarcEstimator(epsilon=0.0)
 
 
-class TestWeightedKnn:
-    def test_landmarc_equivalence(self):
-        reading = clean_reading_at((1.8, 2.1))
-        lm = LandmarcEstimator(k=4).estimate(reading)
-        knn = WeightedKnnEstimator(k=4, metric="euclidean", weight_exponent=2.0)
-        knn_res = knn.estimate(reading)
-        np.testing.assert_allclose(knn_res.position, lm.position, atol=1e-9)
-
-    def test_zero_exponent_unweighted_mean(self):
-        reading = clean_reading_at((1.5, 1.5))
-        result = WeightedKnnEstimator(k=4, weight_exponent=0.0).estimate(reading)
-        neighbours = result.diagnostics["neighbours"]
-        expected = reading.reference_positions[neighbours].mean(axis=0)
-        np.testing.assert_allclose(result.position, expected)
-
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
-    def test_metrics_all_work(self, metric):
-        reading = clean_reading_at((1.2, 2.3))
-        err = WeightedKnnEstimator(metric=metric).estimate(reading).error_to((1.2, 2.3))
-        assert err < 0.4
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WeightedKnnEstimator(metric="cosine")
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WeightedKnnEstimator(weight_exponent=-1.0)
-
-
 class TestNearestReference:
     def test_snaps_to_closest_tag(self):
         reading = clean_reading_at((1.1, 1.9))
@@ -182,53 +150,3 @@ class TestWeightedCentroid:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ConfigurationError):
             WeightedCentroidEstimator(tau_db=0.0)
-
-
-class TestTriangulation:
-    def test_without_reader_positions_degrades_to_landmarc(self):
-        reading = clean_reading_at((1.4, 2.2))
-        tri = TriangulationLandmarcEstimator(blend=0.5)
-        lm = LandmarcEstimator()
-        np.testing.assert_allclose(
-            tri.estimate(reading).position, lm.estimate(reading).position
-        )
-
-    def test_with_readers_improves_clean_channel(self):
-        pos = (1.4, 2.2)
-        reading = clean_reading_at(pos)
-        tri = TriangulationLandmarcEstimator(blend=1.0)
-        tri.set_reader_positions(corner_reader_positions(paper_testbed_grid()))
-        err_tri = tri.estimate(reading).error_to(pos)
-        err_lm = LandmarcEstimator().estimate(reading).error_to(pos)
-        # Pure multilateration in a clean log-distance world is accurate
-        # up to the residual Rician jitter of the readings.
-        assert err_tri < err_lm
-        assert err_tri < 0.2
-
-    def test_blend_zero_is_pure_landmarc(self):
-        reading = clean_reading_at((2.1, 0.8))
-        tri = TriangulationLandmarcEstimator(blend=0.0)
-        tri.set_reader_positions(corner_reader_positions(paper_testbed_grid()))
-        np.testing.assert_allclose(
-            tri.estimate(reading).position,
-            LandmarcEstimator().estimate(reading).position,
-        )
-
-    def test_reader_count_mismatch_rejected(self):
-        reading = clean_reading_at((1.0, 1.0))
-        tri = TriangulationLandmarcEstimator()
-        tri.set_reader_positions(np.zeros((2, 2)))
-        with pytest.raises(ConfigurationError, match="reader"):
-            tri.estimate(reading)
-
-    def test_invalid_blend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TriangulationLandmarcEstimator(blend=1.5)
-
-    def test_diagnostics_expose_ranges(self):
-        reading = clean_reading_at((1.4, 2.2))
-        tri = TriangulationLandmarcEstimator(blend=0.5)
-        tri.set_reader_positions(corner_reader_positions(paper_testbed_grid()))
-        diag = tri.estimate(reading).diagnostics
-        assert diag["triangulated"] is True
-        assert len(diag["ranges_m"]) == 4

@@ -1,22 +1,21 @@
-"""Tests for the VIREEstimator pipeline, config, boundary and irregular
-variants."""
+"""Tests for the VIREEstimator pipeline, config and boundary variant."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from repro import (
     BoundaryAwareEstimator,
-    IrregularVIREEstimator,
-    IrregularVirtualGrid,
     ReferenceGrid,
     VIREConfig,
     VIREEstimator,
+    environment_by_name,
     paper_testbed_grid,
 )
 from repro.core.boundary import is_boundary_estimate
-from repro.core.irregular import bilinear_at_points
 from repro.exceptions import ConfigurationError, EstimationError, ReadingError
 from repro.experiments.measurement import MeasurementSpec, TrialSampler
 
@@ -65,6 +64,52 @@ class TestVIREConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             VIREConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        # NaN thresholds compare false everywhere: on the Env1 reading
+        # below either one answered (1.5, 2.9) instead of (1.77, 1.91).
+        dict(fixed_threshold_db=math.nan, threshold_mode="fixed"),
+        dict(threshold_margin_db=math.nan),
+        dict(fixed_threshold_db="1.0"),
+        dict(threshold_margin_db=True),
+        # Fractional counts failed at estimate time with a TypeError.
+        dict(min_cells=1.5),
+        dict(min_cells=True),
+        dict(boundary_extension_cells=0.5),
+        dict(boundary_extension_cells=False),
+        dict(target_total_tags=900.0),
+        dict(target_total_tags=True),
+        dict(subdivisions=10.0),
+        dict(min_votes=2.0),
+        dict(min_votes=True),
+        dict(connectivity=4.0),
+        dict(connectivity=True),
+        dict(use_w2=0),
+        dict(use_w2="yes"),
+    ])
+    def test_non_numbers_and_non_integers_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            VIREConfig(**kwargs)
+
+    def test_infinite_thresholds_turn_elimination_off(self):
+        # +inf stays legal: every cell survives every reader's map.
+        VIREConfig(threshold_mode="fixed", fixed_threshold_db=math.inf)
+        VIREConfig(threshold_margin_db=math.inf)
+
+    def test_fractional_quorum_cannot_split_scalar_and_batch(self, grid):
+        # min_votes=1.5 once constructed, and on this reading the scalar
+        # route answered (1.6576, 1.7562) and the batch route (1.6063,
+        # 1.6694). Integral quorums keep the two bit for bit.
+        with pytest.raises(ConfigurationError):
+            VIREConfig(min_votes=1.5)
+        reading = TrialSampler(environment_by_name("Env1"), grid, seed=0).reading_for(
+            (1.3, 1.7)
+        )
+        for votes in (1, 2, 3, 4):
+            vire = VIREEstimator(grid, VIREConfig(min_votes=votes))
+            scalar = vire.estimate(reading).position
+            (batch,) = vire.estimate_batch([reading])
+            assert [v.hex() for v in scalar] == [v.hex() for v in batch.position]
 
 
 class TestVIREEstimator:
@@ -235,64 +280,3 @@ class TestBoundaryAwareEstimator:
 
     def test_name(self, grid):
         assert BoundaryAwareEstimator(grid).name == "VIRE+boundary"
-
-
-class TestBilinearAtPoints:
-    def test_matches_lattice_interpolator(self, grid):
-        from repro.core.interpolation import BilinearInterpolator
-        from repro.core.virtual_grid import VirtualGrid
-
-        rng = np.random.default_rng(0)
-        lattice = rng.uniform(-90, -50, (4, 4))
-        vg = VirtualGrid(grid, subdivisions=3)
-        expected = BilinearInterpolator().interpolate(lattice, vg)
-        out = bilinear_at_points(lattice, grid, vg.positions())
-        np.testing.assert_allclose(out, expected.ravel(), atol=1e-9)
-
-    def test_shape_validation(self, grid):
-        with pytest.raises(ConfigurationError):
-            bilinear_at_points(np.zeros((3, 3)), grid, np.zeros((1, 2)))
-
-
-class TestIrregular:
-    def test_point_count_with_uniform_subdivision(self, grid):
-        ivg = IrregularVirtualGrid(grid, default_subdivisions=4)
-        # Uniform n=4 deduplicates to the regular (3*4+1)^2 lattice.
-        assert ivg.total_tags == 13 * 13
-
-    def test_per_cell_override_adds_points(self, grid):
-        base = IrregularVirtualGrid(grid, default_subdivisions=2)
-        finer = IrregularVirtualGrid(
-            grid, default_subdivisions=2, cell_subdivisions={(1, 1): 8}
-        )
-        assert finer.total_tags > base.total_tags
-
-    def test_invalid_cell_index_rejected(self, grid):
-        with pytest.raises(ConfigurationError):
-            IrregularVirtualGrid(grid, cell_subdivisions={(5, 0): 2})
-
-    def test_estimator_clean_channel(self, grid):
-        ivg = IrregularVirtualGrid(
-            grid, default_subdivisions=4, cell_subdivisions={(1, 1): 10}
-        )
-        est = IrregularVIREEstimator(ivg)
-        pos = (1.5, 1.5)
-        assert est.estimate(clean_reading_at(pos)).error_to(pos) < 0.3
-
-    def test_estimator_agrees_with_regular_when_uniform(self, grid):
-        ivg = IrregularVirtualGrid(grid, default_subdivisions=10)
-        irregular = IrregularVIREEstimator(ivg, min_cells=1)
-        regular = VIREEstimator(
-            grid, VIREConfig(subdivisions=10, threshold_margin_db=0.0)
-        )
-        pos = (2.2, 1.7)
-        reading = clean_reading_at(pos)
-        e_irr = irregular.estimate(reading).error_to(pos)
-        e_reg = regular.estimate(reading).error_to(pos)
-        assert abs(e_irr - e_reg) < 0.25
-
-    def test_layout_mismatch_rejected(self, grid):
-        other = ReferenceGrid(rows=4, cols=4, spacing_x=2.0)
-        est = IrregularVIREEstimator(IrregularVirtualGrid(other))
-        with pytest.raises(ReadingError):
-            est.estimate(clean_reading_at((1.0, 1.0)))

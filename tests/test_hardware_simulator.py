@@ -11,7 +11,6 @@ from repro.hardware.readers import Reader
 from repro.hardware.simulator import TestbedSimulator as Simulator
 from repro.hardware.tags import ActiveTag, TagSpec
 from repro.rf.disturbance import HumanMovementDisturbance
-from repro.rf.interference import TagInterferenceModel
 
 from .conftest import make_clean_environment
 
@@ -247,21 +246,3 @@ class TestDisturbanceIntegration:
         # Reader 0 (SW) is obstructed; the others see the same RSSI.
         assert disturbed[0] < free[0] - 3.0
         np.testing.assert_allclose(disturbed[1:], free[1:], atol=1e-9)
-
-
-class TestInterferenceIntegration:
-    def test_dense_deployment_corrupts_offsets(self, readers):
-        env = make_clean_environment()
-        channel = env.build_channel(readers, seed=0)
-        rng_pts = np.random.default_rng(0)
-        tags = [
-            ActiveTag(f"ref-{i}", tuple(rng_pts.uniform(1.45, 1.55, 2)),
-                      is_reference=True)
-            for i in range(15)
-        ]
-        rs = [Reader(f"reader-{k}", tuple(p)) for k, p in enumerate(readers)]
-        sim = Simulator(
-            channel, tags, rs, seed=0, interference=TagInterferenceModel()
-        )
-        offsets = list(sim._interference_offsets.values())
-        assert np.ptp(offsets) > 1.0

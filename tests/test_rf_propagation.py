@@ -1,4 +1,4 @@
-"""Tests for path loss models."""
+"""Tests for the log-distance path loss model."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.rf.propagation import (
-    MIN_DISTANCE_M,
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    MultiSlopePathLoss,
-    PathLossModel,
-)
+from repro.rf.propagation import MIN_DISTANCE_M, LogDistancePathLoss
 
 
 class TestLogDistance:
@@ -53,55 +47,5 @@ class TestLogDistance:
     @given(st.floats(0.1, 100), st.floats(0.1, 100))
     def test_monotone_decreasing(self, d1, d2):
         m = LogDistancePathLoss()
-        lo, hi = sorted((d1, d2))
-        assert m.rssi(hi) <= m.rssi(lo) + 1e-9
-
-    def test_satisfies_protocol(self):
-        assert isinstance(LogDistancePathLoss(), PathLossModel)
-
-
-class TestFreeSpace:
-    def test_matches_friis_form(self):
-        m = FreeSpacePathLoss(eirp_dbm=0.0, wavelength_m=1.0)
-        expected = -20.0 * np.log10(4.0 * np.pi * 5.0)
-        assert m.rssi(5.0) == pytest.approx(expected)
-
-    def test_gamma_two_slope(self):
-        m = FreeSpacePathLoss()
-        assert m.rssi(1.0) - m.rssi(10.0) == pytest.approx(20.0)
-
-
-class TestMultiSlope:
-    def test_continuous_at_breakpoint(self):
-        m = MultiSlopePathLoss(breakpoints_m=(8.0,), gammas=(2.0, 3.5))
-        eps = 1e-6
-        assert m.rssi(8.0 - eps) == pytest.approx(m.rssi(8.0 + eps), abs=1e-3)
-
-    def test_slopes_per_regime(self):
-        m = MultiSlopePathLoss(
-            rssi_at_reference=-40.0, breakpoints_m=(10.0,), gammas=(2.0, 4.0)
-        )
-        # Near regime: 20 dB/decade.
-        assert m.rssi(1.0) - m.rssi(10.0) == pytest.approx(20.0)
-        # Far regime: 40 dB/decade.
-        assert m.rssi(10.0) - m.rssi(100.0) == pytest.approx(40.0)
-
-    def test_three_slopes(self):
-        m = MultiSlopePathLoss(breakpoints_m=(5.0, 15.0), gammas=(2.0, 3.0, 4.0))
-        d = np.array([1.0, 4.9, 5.1, 14.9, 15.1, 30.0])
-        out = m.rssi(d)
-        assert np.all(np.diff(out) < 0)
-
-    def test_rejects_mismatched_counts(self):
-        with pytest.raises(ConfigurationError, match="gammas"):
-            MultiSlopePathLoss(breakpoints_m=(5.0,), gammas=(2.0,))
-
-    def test_rejects_unordered_breakpoints(self):
-        with pytest.raises(ConfigurationError):
-            MultiSlopePathLoss(breakpoints_m=(10.0, 5.0), gammas=(2.0, 3.0, 4.0))
-
-    @given(st.floats(0.1, 90), st.floats(0.1, 90))
-    def test_monotone_decreasing(self, d1, d2):
-        m = MultiSlopePathLoss()
         lo, hi = sorted((d1, d2))
         assert m.rssi(hi) <= m.rssi(lo) + 1e-9

@@ -58,7 +58,6 @@ from repro.hardware.simulator import TestbedSimulator
 from repro.hardware.tags import ActiveTag, TagSpec
 from repro.rf.disturbance import HumanMovementDisturbance
 from repro.rf.fading import NoFading, RicianFading
-from repro.rf.interference import TagInterferenceModel
 from repro.service.pipeline import ServiceConfig
 from repro.zones import RoamingTag, ZoneGateway, scaled_site_plan
 
@@ -105,13 +104,7 @@ def oracle_detect(reader, tag_id, time_s, rssi_dbm):
 def oracle_emit_beacon(self, index, now):
     tag = self.tags[index]
     pos = np.asarray(tag.position)[np.newaxis, :]
-    extra_base = self._interference_offsets.get(tag.tag_id, 0.0) - tag.offset_db
-    if self.interference is not None:
-        extra_base += float(
-            self.interference.reading_jitter_db(
-                np.array([tag.position]), self._sample_rng, n_reads=1
-            )[0, 0]
-        )
+    extra_base = 0.0 - tag.offset_db
     records = []
     for k, reader in enumerate(self.readers):
         extra = extra_base
@@ -257,9 +250,9 @@ class TestSimulatorDifferential:
 
         assert_same_world(scenario, min_reads=300)
 
-    @pytest.mark.parametrize("interference", [False, True])
-    def test_interference_on_and_off(self, interference):
-        # Eleven tags packed inside 0.5 m so the density model bites.
+    def test_packed_tags(self):
+        # Eleven tracking tags packed inside 0.5 m: crowded windows of
+        # near-identical field rows.
         packed = {
             f"pack-{i}": (1.5 + 0.04 * math.cos(i), 1.5 + 0.04 * math.sin(i))
             for i in range(11)
@@ -270,7 +263,6 @@ class TestSimulatorDifferential:
                 environment_by_name("Env2"),
                 tracking_tags=packed,
                 seed=2,
-                interference=TagInterferenceModel() if interference else None,
             )
             dep.simulator.run_for(10.0)
 
@@ -415,7 +407,6 @@ def _window_case(draw):
         fading=draw(st.booleans()),
         jitter=draw(st.sampled_from([0.0, 0.2])),
         battery=draw(st.sampled_from([None, 1, 2, 4])),
-        interference=draw(st.booleans()),
         walker=draw(st.booleans()),
         faults=draw(st.sampled_from(["none", "delay", "drop", "delay+drop"])),
         deaf_threshold=draw(st.sampled_from([None, -72.0])),
@@ -478,12 +469,6 @@ def _window_scenario(case):
             readers,
             seed=case["seed"],
             disturbances=walkers,
-            # Every tag is somebody's neighbour, so the offsets are live.
-            interference=TagInterferenceModel(
-                radius_m=2.0, free_neighbour_count=0, saturation_neighbour_count=3
-            )
-            if case["interference"]
-            else None,
         )
         if faults:
             sim.set_fault_injector(FaultInjector(FaultPlan(faults, seed=case["seed"])))
@@ -512,8 +497,8 @@ def test_window_block_equals_the_per_beacon_oracle(case):
 def test_window_cases_reach_every_branch():
     """The property's generator reaches what the window block must get right."""
     case = dict(
-        seed=1, fading=True, jitter=0.0, battery=2, interference=True,
-        walker=True, faults="delay+drop", deaf_threshold=-72.0, sink=False,
+        seed=1, fading=True, jitter=0.0, battery=2, walker=True,
+        faults="delay+drop", deaf_threshold=-72.0, sink=False,
         windows=[(0.0, None), (1.0, ("mover", (2.5, 0.5))), (6.0, None),
                  (6.5, ("dier", (0.5, 2.5))), (3.0, None)],
     )
@@ -527,7 +512,6 @@ def test_window_cases_reach_every_branch():
     (sim,) = sims
     assert sim.readers[1].frames_dropped > 0 < sim.readers[1].frames_received
     assert injectors[0].records_delayed > 0 and injectors[0].records_dropped > 0
-    assert any(sim._interference_offsets.values())
 
 
 def test_one_channel_call_per_window(monkeypatch):
@@ -615,19 +599,6 @@ def test_block_draw_equals_sequential_reader_draws(
         pts, rng_again, n_reads=n_reads, extra_attenuation_db=att
     )
     assert again.tobytes() == expected.tobytes()
-    # The same block drawn by the caller maps to the same readings.
-    normals = np.random.default_rng(seed).standard_normal(
-        (channel.n_readers, n * n_reads * channel.normals_per_read)
-    )
-    drawn = channel.sample_rssi_matrix(
-        None,
-        None,
-        n_reads=n_reads,
-        mean=channel.mean_rssi_matrix(pts),
-        extra_attenuation_db=att,
-        normals=normals,
-    )
-    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_mean_field_and_positions_are_exclusive():
@@ -635,19 +606,11 @@ def test_mean_field_and_positions_are_exclusive():
     channel = environment_by_name("Env1").build_channel(readers_xy, seed=0)
     pts = np.array([[1.0, 1.0], [2.0, 2.5]])
     field = channel.mean_rssi_matrix(pts)
+    rng = np.random.default_rng(0)
     with pytest.raises(ChannelError, match="not both"):
-        channel.sample_rssi_matrix(pts, np.random.default_rng(0), mean=field)
-    normals = np.zeros((4, 2 * channel.normals_per_read))
-    with pytest.raises(ChannelError, match="exactly one"):
-        channel.sample_rssi_matrix(
-            None, np.random.default_rng(0), mean=field, normals=normals
-        )
-    with pytest.raises(ChannelError, match="exactly one"):
-        channel.sample_rssi_matrix(None, None, mean=field)
-    with pytest.raises(ChannelError, match="normals must have shape"):
-        channel.sample_rssi_matrix(None, None, mean=field, normals=normals[:, 1:])
+        channel.sample_rssi_matrix(pts, rng, mean=field)
     with pytest.raises(ChannelError, match="mean field must have shape"):
-        channel.sample_rssi_matrix(None, None, mean=field[:3], normals=normals)
+        channel.sample_rssi_matrix(None, rng, mean=field[:3])
 
 
 @settings(max_examples=40, deadline=None)

@@ -46,6 +46,8 @@ from repro.zones import (
 )
 from repro.zones import failover
 
+from .conftest import load_benchmark
+
 
 def _config(**kw) -> ServiceConfig:
     kw.setdefault("query_interval_s", 1.0)
@@ -76,11 +78,16 @@ CRASH_LOOP_Z0 = FaultPlan(faults=tuple(
 
 
 @pytest.fixture(scope="module")
-def baseline_witness() -> str:
+def baseline_report():
     """Uninterrupted 2-zone roaming run (default supervised gateway)."""
     report = ZoneGateway(_roaming_plan(), _config()).run(6.0)
     assert report.handoffs, "route must cross the zone boundary"
-    return _witness(report)
+    return report
+
+
+@pytest.fixture(scope="module")
+def baseline_witness(baseline_report) -> str:
+    return _witness(baseline_report)
 
 
 class TestRetryPolicyConsolidation:
@@ -276,6 +283,24 @@ class TestZoneDownDegradation:
         doc = json.loads(baseline_witness)
         assert "interim" not in doc
         assert "n_interim" not in doc
+
+    def test_failover_benchmark_gate_fails_on_a_dead_zone(
+        self, baseline_report, down_report
+    ):
+        # bench_zone_failover's acceptance over a zone crashed past its
+        # respawn budget: availability drops below the floor and the
+        # interim answers change the witness.
+        gate = load_benchmark("bench_zone_failover").acceptance
+        assert gate(baseline_report, baseline_report) == {
+            "availability_floor": 0.99,
+            "availability": 1.0,
+            "availability_ok": True,
+            "recovery_identical": True,
+        }
+        failed = gate(baseline_report, down_report)
+        assert failed["availability"] < 0.99
+        assert failed["availability_ok"] is False
+        assert failed["recovery_identical"] is False
 
     def test_roaming_tag_is_rerouted_not_dropped(self, down_report):
         # The tag was activated in z0, which died at t=3 and never came
