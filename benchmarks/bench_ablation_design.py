@@ -5,8 +5,6 @@ boundary compensation.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import VIREConfig, VIREEstimator
 from repro.experiments.sweeps import (
     boundary_compensation_study,

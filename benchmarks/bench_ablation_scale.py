@@ -12,13 +12,7 @@ import numpy as np
 
 from repro import LandmarcEstimator, VIREConfig, VIREEstimator, run_scenario
 from repro.experiments.measurement import TrialSampler
-from repro.experiments.scale import (
-    large_scale_scenario,
-    perimeter_reader_positions,
-    scaled_environment,
-)
-from repro.rf import env3
-from repro.types import TrackingReading
+from repro.experiments.scale import large_scale_scenario, perimeter_reader_positions
 from repro.utils.ascii import format_table
 
 from .conftest import emit

@@ -13,8 +13,6 @@ Run:  python examples/boundary_compensation.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import (
     BOUNDARY_TAGS,
     NON_BOUNDARY_TAGS,

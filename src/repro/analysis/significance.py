@@ -32,11 +32,6 @@ class PairedComparison:
     p_value: float
     n_pairs: int
 
-    @property
-    def significant(self) -> bool:
-        """Improvement significant at the 5% level."""
-        return self.p_value < 0.05 and self.ci_low_m > 0.0
-
     def __str__(self) -> str:
         return (
             f"{self.improved_name} improves on {self.baseline_name} by "

@@ -279,8 +279,6 @@ class DriftCorrector:
         self._window = ResidualWindow(self.policy.window_s)
         self._bias_raw = {rid: 0.0 for rid in self.reader_ids}
         self._corrections = {rid: 0.0 for rid in self.reader_ids}
-        self._tag_scores = {tid: 0.0 for tid in self.reference_ids}
-        self._scale = float("nan")
         self.trust = {tid: TagTrust(self.policy) for tid in self.reference_ids}
         # The excised columns, ascending; refreshed by observe, the only
         # place trust states change.
@@ -349,8 +347,6 @@ class DriftCorrector:
         threshold = self.policy.anomaly_threshold_db
         if math.isfinite(scale):
             threshold = max(threshold, self.policy.anomaly_scale_gate * scale)
-        self._scale = scale
-        self._tag_scores = dict(zip(self.reference_ids, tag_scores))
         trusted = TrustState.TRUSTED
         for (tid, trust), score in zip(self.trust.items(), tag_scores):
             # No finite evidence for a reference tag that should always
@@ -406,25 +402,9 @@ class DriftCorrector:
 
     # -- the feedback path ---------------------------------------------------
 
-    def correction(self, reader_id: str) -> float:
-        """The bias subtracted from ``reader_id``'s readings (0.0 = none)."""
-        return self._corrections.get(str(reader_id), 0.0)
-
-    def bias_estimates(self) -> dict[str, float]:
-        """Applied per-reader corrections, keyed by reader id."""
-        return dict(self._corrections)
-
     def raw_bias_estimates(self) -> dict[str, float]:
         """Pre-deadband per-reader bias estimates, keyed by reader id."""
         return dict(self._bias_raw)
-
-    def anomaly_scores(self) -> dict[str, float]:
-        """Latest per-tag bias-removed median residuals."""
-        return dict(self._tag_scores)
-
-    def anomaly_scale_db(self) -> float:
-        """MAD-derived robust sigma of the tag scores (NaN = no evidence)."""
-        return self._scale
 
     def excised_tags(self) -> tuple[str, ...]:
         """Reference tags currently excluded from the lattice, sorted."""

@@ -151,9 +151,3 @@ class VIREConfig:
     def with_(self, **changes) -> "VIREConfig":
         """Return a modified copy (thin wrapper over dataclasses.replace)."""
         return replace(self, **changes)
-
-    @staticmethod
-    def paper_operating_point() -> "VIREConfig":
-        """The configuration the paper settles on: N² ≈ 900, adaptive
-        threshold, linear interpolation."""
-        return VIREConfig(target_total_tags=900)

@@ -40,17 +40,16 @@ class VIREEstimator:
     config:
         Algorithm parameters; defaults to the paper's operating point
         with n=10 subdivisions.
-    quorum:
-        :class:`~repro.core.quorum.QuorumPolicy` applied to *masked*
-        readings (degraded deployments): readers with too little
-        reference coverage are excluded, and the estimate is refused
-        (:class:`~repro.exceptions.EstimationError`) when too few
-        readers survive. Defaults to ``QuorumPolicy()``. Strict
-        (unmasked) readings never touch this path, so healthy behaviour
-        is bit-identical to earlier versions.
 
     Notes
     -----
+    *Masked* readings (degraded deployments) go through ``quorum``, a
+    default :class:`~repro.core.quorum.QuorumPolicy`: readers with too
+    little reference coverage are excluded, and the estimate is refused
+    (:class:`~repro.exceptions.EstimationError`) when too few readers
+    survive. Strict (unmasked) readings never touch this path, so
+    healthy behaviour is bit-identical to earlier versions.
+
     The per-estimate cost is O(K · N²) vectorized numpy work for N² total
     virtual tags (interpolation, deviation tensor, threshold, masks) plus
     one connected-component labelling — the paper's claimed O(N²)
@@ -64,12 +63,10 @@ class VIREEstimator:
         self,
         grid: ReferenceGrid,
         config: VIREConfig | None = None,
-        *,
-        quorum: QuorumPolicy | None = None,
     ):
         self.grid = grid
         self.config = config or VIREConfig()
-        self.quorum = quorum or QuorumPolicy()
+        self.quorum = QuorumPolicy()
         if self.config.target_total_tags is not None:
             self.virtual_grid = VirtualGrid.for_target_count(
                 grid,

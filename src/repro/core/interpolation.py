@@ -45,11 +45,12 @@ __all__ = [
 ]
 
 
-def fill_masked_lattice(
-    lattice: np.ndarray,
-    *,
-    min_coverage: float = 0.25,
-) -> np.ndarray:
+#: Fewest present values (a fraction of the lattice) a masked lattice
+#: may be filled from; below it the surface is guesswork.
+MIN_FILL_COVERAGE = 0.25
+
+
+def fill_masked_lattice(lattice: np.ndarray) -> np.ndarray:
     """Impute NaN holes in an RSSI lattice from surviving real tags.
 
     Degraded deployments (dead reference tags, lossy reader links)
@@ -65,10 +66,8 @@ def fill_masked_lattice(
     ----------
     lattice:
         ``(rows, cols)`` RSSI lattice, NaN where the value is missing.
-    min_coverage:
-        Minimum fraction of present values required; below this the
-        surface is guesswork and a
-        :class:`~repro.exceptions.ConfigurationError` is raised.
+        When fewer than :data:`MIN_FILL_COVERAGE` of its values are
+        present, a :class:`~repro.exceptions.ConfigurationError` is raised.
 
     Returns
     -------
@@ -84,10 +83,10 @@ def fill_masked_lattice(
     if finite.all():
         return arr
     coverage = float(finite.mean())
-    if coverage < min_coverage:
+    if coverage < MIN_FILL_COVERAGE:
         raise ConfigurationError(
             f"masked lattice coverage {coverage:.2f} below the "
-            f"{min_coverage:.2f} floor — too few surviving reference tags"
+            f"{MIN_FILL_COVERAGE:.2f} floor — too few surviving reference tags"
         )
     filled = np.where(finite, arr, 0.0)
     known = finite.copy()
@@ -282,25 +281,6 @@ class SparseBilinearOperator:
         out += g[:, 2]
         out += g[:, 3]
         return out
-
-    def to_scipy_csr(self):
-        """The operator as an explicit ``(V, rows*cols)`` CSR matrix.
-
-        For inspection and cross-validation only — ``apply`` keeps the
-        gather form because a generic sparse matvec does not guarantee
-        the scalar path's summation order.
-        """
-        from scipy import sparse
-
-        v_rows, v_cols = self.virtual_grid.shape
-        n_out = v_rows * v_cols
-        rows = np.repeat(np.arange(n_out), 4)
-        cols = self._indices.reshape(4, -1).T.ravel()
-        data = self._weights.reshape(4, -1).T.ravel()
-        grid = self.virtual_grid.grid
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n_out, grid.rows * grid.cols)
-        )
 
 
 class PolynomialInterpolator:

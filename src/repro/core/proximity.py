@@ -59,11 +59,6 @@ class ProximityMap:
         """Number of candidate regions (the paper's map 'area')."""
         return int(self.mask.sum())
 
-    @property
-    def fraction(self) -> float:
-        """Candidate fraction of the whole sensing area."""
-        return float(self.mask.mean())
-
 
 def rssi_deviations(
     virtual_rssi: np.ndarray, tracking_rssi: Sequence[float]

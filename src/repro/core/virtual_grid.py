@@ -120,13 +120,6 @@ class VirtualGrid:
         fj = (np.arange(self.v_cols) - ext) / self.n
         return fi, fj
 
-    def real_tag_mask(self) -> np.ndarray:
-        """Boolean lattice mask marking positions shared with real tags."""
-        fi, fj = self.fractional_indices()
-        on_row = np.isclose(fi % 1.0, 0.0) & (fi >= -1e-9) & (fi <= self.grid.rows - 1 + 1e-9)
-        on_col = np.isclose(fj % 1.0, 0.0) & (fj >= -1e-9) & (fj <= self.grid.cols - 1 + 1e-9)
-        return on_row[:, np.newaxis] & on_col[np.newaxis, :]
-
     # -- construction helpers --------------------------------------------
 
     @staticmethod

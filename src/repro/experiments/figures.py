@@ -177,14 +177,14 @@ class Fig4Result:
 def fig4(
     *,
     n_tags: int = 20,
-    distance_m: float = 2.0,
     environment=None,
     seed: int = 0,
 ) -> Fig4Result:
     """20 co-located tags: independent vs interfering readings.
 
-    Independent: each tag placed at the test position alone (no
-    neighbours, so the interference model contributes nothing).
+    The test position is 2 m from reader 0. Independent: each tag
+    placed there alone (no neighbours, so the interference model
+    contributes nothing).
     Interference: all tags packed within a few centimetres, activating
     the density-dependent corruption (paper §4.1).
     """
@@ -194,7 +194,7 @@ def fig4(
     sampler = TrialSampler(env, paper_testbed_grid(), seed=seed)
     reader_index = 0
     origin = sampler.reader_positions[reader_index]
-    test_point = origin + np.array([distance_m, 0.0])
+    test_point = origin + np.array([2.0, 0.0])
     rng = derive_rng(seed, "fig4")
     model = TagInterferenceModel()
 
@@ -268,7 +268,6 @@ def fig6(
     *,
     n_trials: int = 20,
     base_seed: int = 0,
-    vire_config: VIREConfig | None = None,
 ) -> Fig6Result:
     """The headline comparison across all three environments."""
     grid = paper_testbed_grid()
@@ -280,7 +279,7 @@ def fig6(
             scenario,
             [
                 LandmarcEstimator(),
-                VIREEstimator(grid, vire_config or default_vire_config()),
+                VIREEstimator(grid, default_vire_config()),
             ],
         )
         landmarc_out[env.name] = result.by_name("LANDMARC").tag_means()

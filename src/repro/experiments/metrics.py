@@ -9,7 +9,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["ErrorSummary", "summarize_errors", "reduction_percent", "error_cdf"]
+__all__ = ["ErrorSummary", "summarize_errors", "reduction_percent"]
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,3 @@ def reduction_percent(baseline: float, improved: float) -> float:
     if improved < 0:
         raise ConfigurationError(f"improved error must be >= 0, got {improved}")
     return 100.0 * (1.0 - improved / baseline)
-
-
-def error_cdf(
-    errors: Sequence[float], levels: Sequence[float] | None = None
-) -> list[tuple[float, float]]:
-    """Empirical CDF of errors at the given levels (metres).
-
-    Returns ``[(level, fraction_below_or_equal), ...]``. Default levels
-    span 0.1 m to the sample maximum in ten steps.
-    """
-    arr = np.asarray(list(errors), dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigurationError("cannot compute a CDF of an empty sample")
-    if levels is None:
-        top = max(float(arr.max()), 0.1)
-        levels = np.linspace(0.1, top, 10)
-    return [
-        (float(level), float(np.mean(arr <= level))) for level in levels
-    ]

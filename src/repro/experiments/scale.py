@@ -94,14 +94,13 @@ def large_scale_scenario(
     *,
     rows: int = 8,
     cols: int = 8,
-    spacing_m: float = 1.0,
     base_environment: EnvironmentSpec | None = None,
     n_tracking_tags: int = 12,
     n_trials: int = 10,
     base_seed: int = 0,
     tag_seed: int = 123,
 ) -> TestbedScenario:
-    """A §6-style large testbed: ``rows x cols`` grid, scattered tags.
+    """A §6-style large testbed: ``rows x cols`` grid at 1 m, scattered tags.
 
     Tracking tags are placed uniformly at random strictly inside the
     grid (0.2 m margin), labelled 1..n. The environment is the chosen
@@ -109,8 +108,7 @@ def large_scale_scenario(
     """
     if n_tracking_tags < 1:
         raise ConfigurationError("need at least one tracking tag")
-    grid = ReferenceGrid(rows=rows, cols=cols, spacing_x=spacing_m,
-                         spacing_y=spacing_m)
+    grid = ReferenceGrid(rows=rows, cols=cols)
     environment = scaled_environment(base_environment or env3(), grid)
     rng = derive_rng(tag_seed, "large-scale-tags")
     xmin, ymin, xmax, ymax = grid.bounds

@@ -42,10 +42,6 @@ class FaultEvent:
     kind: str
     fields: Mapping[str, Any]
 
-    def as_tuple(self) -> tuple:
-        """Hashable summary used by the determinism tests."""
-        return (round(self.time_s, 9), self.kind, tuple(sorted(self.fields.items())))
-
 
 class FaultInjector:
     """Applies a :class:`~repro.faults.plan.FaultPlan` to reading records.

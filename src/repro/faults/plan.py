@@ -85,10 +85,6 @@ class FaultPlan:
         """A new plan with ``fault`` appended."""
         return FaultPlan(self.faults + (fault,), seed=self.seed)
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same faults under a different seed."""
-        return FaultPlan(self.faults, seed=seed)
-
     def compile(self) -> list[CompiledFault]:
         """Bind every fault to its derived RNG stream.
 

@@ -67,11 +67,6 @@ class ReferenceGrid:
         return self.rows * self.cols
 
     @property
-    def n_cells(self) -> int:
-        """Number of physical grid cells (each bounded by 4 real tags)."""
-        return (self.rows - 1) * (self.cols - 1)
-
-    @property
     def width(self) -> float:
         """Extent of the grid along x (metres)."""
         return (self.cols - 1) * self.spacing_x
@@ -89,15 +84,6 @@ class ReferenceGrid:
 
     # -- coordinates -----------------------------------------------------
 
-    def tag_position(self, row: int, col: int) -> tuple[float, float]:
-        """Coordinate of the real tag at lattice index ``(row, col)``."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise GeometryError(
-                f"tag index ({row}, {col}) outside grid {self.rows}x{self.cols}"
-            )
-        ox, oy = self.origin
-        return (ox + col * self.spacing_x, oy + row * self.spacing_y)
-
     def tag_positions(self) -> np.ndarray:
         """All tag coordinates, shape ``(rows*cols, 2)``, row-major order."""
         ox, oy = self.origin
@@ -105,14 +91,6 @@ class ReferenceGrid:
         ys = oy + np.arange(self.rows) * self.spacing_y
         xx, yy = np.meshgrid(xs, ys)  # yy varies along rows
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def flat_index(self, row: int, col: int) -> int:
-        """Row-major flat index of the tag at ``(row, col)``."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise GeometryError(
-                f"tag index ({row}, {col}) outside grid {self.rows}x{self.cols}"
-            )
-        return row * self.cols + col
 
     def lattice_from_flat(self, values: Sequence[float]) -> np.ndarray:
         """Reshape a flat per-tag vector into the ``(rows, cols)`` lattice."""
@@ -128,19 +106,6 @@ class ReferenceGrid:
         x, y = float(point[0]), float(point[1])
         xmin, ymin, xmax, ymax = self.bounds
         return xmin - pad <= x <= xmax + pad and ymin - pad <= y <= ymax + pad
-
-    def cell_of(self, point: Sequence[float]) -> tuple[int, int]:
-        """Return ``(cell_row, cell_col)`` of the physical cell containing
-        the point; points on the far edges map to the last cell.
-
-        Raises :class:`GeometryError` if the point is outside the grid.
-        """
-        if not self.contains(point):
-            raise GeometryError(f"point {tuple(point)} outside grid bounds {self.bounds}")
-        ox, oy = self.origin
-        col = int((float(point[0]) - ox) / self.spacing_x)
-        row = int((float(point[1]) - oy) / self.spacing_y)
-        return (min(row, self.rows - 2), min(col, self.cols - 2))
 
     def scaled(self, factor: float) -> "ReferenceGrid":
         """Return a grid with spacings multiplied by ``factor`` (same counts).

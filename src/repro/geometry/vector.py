@@ -62,10 +62,6 @@ class Segment:
         return float(np.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1]))
 
     @property
-    def midpoint(self) -> tuple[float, float]:
-        return ((self.a[0] + self.b[0]) / 2.0, (self.a[1] + self.b[1]) / 2.0)
-
-    @property
     def direction(self) -> np.ndarray:
         """Unit direction vector from ``a`` to ``b``."""
         d = np.array([self.b[0] - self.a[0], self.b[1] - self.a[1]])

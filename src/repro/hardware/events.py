@@ -44,15 +44,9 @@ class EventQueue:
         self.clock = clock or SimClock()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._n_dispatched = 0
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def n_dispatched(self) -> int:
-        """Total number of events dispatched so far."""
-        return self._n_dispatched
 
     def schedule(self, time_s: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire at absolute time ``time_s``."""
@@ -84,19 +78,5 @@ class EventQueue:
             self.clock.advance_to(time_s)
             callback()
             dispatched += 1
-            self._n_dispatched += 1
         self.clock.advance_to(t_end)
-        return dispatched
-
-    def run_all(self, *, max_events: int = 1_000_000) -> int:
-        """Dispatch every pending event (careful with self-rescheduling)."""
-        dispatched = 0
-        while self._heap:
-            if dispatched >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            time_s, _, callback = heapq.heappop(self._heap)
-            self.clock.advance_to(time_s)
-            callback()
-            dispatched += 1
-            self._n_dispatched += 1
         return dispatched

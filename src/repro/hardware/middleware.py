@@ -139,17 +139,11 @@ class MiddlewareServer:
         self._pending: list[float] = []  # (series, rssi, time) triples
         self._block_key: tuple[int, float] | None = None
         self._records_ingested = 0
-        self._records_rejected = 0
         self._frame_sources: dict[str, object] = {}
 
     @property
     def records_ingested(self) -> int:
         return self._records_ingested
-
-    @property
-    def records_rejected(self) -> int:
-        """Records dropped at ingest for a non-finite RSSI or time."""
-        return self._records_rejected
 
     # -- frame accounting ----------------------------------------------------
 
@@ -188,8 +182,8 @@ class MiddlewareServer:
     def ingest(self, record: ReadingRecord) -> None:
         """Accept one reading record from a reader.
 
-        Records with a non-finite RSSI or time are dropped and counted
-        in :attr:`records_rejected`; an unknown reader, or an RSSI or
+        Records with a non-finite RSSI or time are dropped (they do not
+        count in :attr:`records_ingested`); an unknown reader, or an RSSI or
         time that is not a real number (``str``, ``None``, ``bool``, ...),
         raises :class:`ReadingError`.
         """
@@ -201,7 +195,6 @@ class MiddlewareServer:
             rssi = _real(rssi, "rssi_dbm")
             time_s = _real(time_s, "time_s")
         if not (math.isfinite(rssi) and math.isfinite(time_s)):
-            self._records_rejected += 1
             return
         column = self._columns.setdefault(record.tag_id, len(self._columns))
         self._pending += (column * len(self.reader_ids) + row, rssi, time_s)

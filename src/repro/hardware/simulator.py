@@ -270,22 +270,22 @@ class TestbedSimulator:
             self._deliver(self._fault_injector.release_due(self.now))
         return fired
 
-    def warm_up(self, *, min_coverage: float = 1.0, max_time_s: float = 120.0) -> float:
-        """Run until every reader has fresh readings of the reference grid.
+    def warm_up(self) -> float:
+        """Run until every reader has fresh readings of every reference tag.
 
         Returns the simulation time reached. Raises
-        :class:`SimulationError` if coverage is still insufficient at
-        ``max_time_s`` (e.g. a reference tag is out of range of a reader).
+        :class:`SimulationError` if coverage is still incomplete after
+        120 s (e.g. a reference tag is out of range of a reader).
         """
         step = 2.0
-        deadline = self.now + max_time_s
+        deadline = self.now + 120.0
         while self.now < deadline:
             self.run_for(step)
             coverage = self.middleware.coverage(self.now)
-            if all(c >= min_coverage for c in coverage.values()):
+            if all(c >= 1.0 for c in coverage.values()):
                 return self.now
         raise SimulationError(
-            f"reference coverage below {min_coverage} after {max_time_s}s: "
+            "reference coverage below 1.0 after 120.0s: "
             f"{self.middleware.coverage(self.now)}"
         )
 

@@ -131,12 +131,6 @@ class ActiveTag:
         """Bookkeeping hook called by the simulator on each emission."""
         self.beacons_sent += 1
 
-    def with_spec(self, spec: TagSpec) -> "ActiveTag":
-        """A fresh tag with the same identity but different behaviour."""
-        return ActiveTag(
-            self.tag_id, self._position, spec, is_reference=self.is_reference
-        )
-
     def __repr__(self) -> str:
         kind = "ref" if self.is_reference else "track"
         return f"ActiveTag({self.tag_id!r}, {self._position}, {kind})"

@@ -110,9 +110,8 @@ def fit_capacity_model(
     points: Sequence[Mapping[str, float]],
     *,
     features: Sequence[str] = CAPACITY_FEATURES,
-    target: str = CAPACITY_TARGET,
 ) -> CapacityModel:
-    """Least-squares fit of ``target`` over ``features``.
+    """Least-squares fit of :data:`CAPACITY_TARGET` over ``features``.
 
     Each point is a flat mapping (a sweep-point capacity record, see
     :meth:`repro.loadtest.generator.LoadTestReport.capacity_point`).
@@ -133,7 +132,7 @@ def fit_capacity_model(
             rows.append(
                 [1.0] + [float(point[f]) for f in features]
             )
-            ys.append(float(point[target]))
+            ys.append(float(point[CAPACITY_TARGET]))
         except KeyError as exc:
             raise ConfigurationError(
                 f"sweep point is missing key {exc}"

@@ -12,9 +12,9 @@ past their deadline and descends the degradation ladder, all of it
 deterministic and therefore assertable.
 
 Every number in :meth:`LoadTestReport.witness_document` is sim-clock or
-a counter — wall-clock throughput lives in the separate
-:attr:`LoadTestReport.wall_s` / :meth:`LoadTestReport.wall_document`
-surface so the witness stays byte-identical across same-seed runs.
+a counter — wall-clock time lives in the separate
+:attr:`LoadTestReport.wall_s` field so the witness stays
+byte-identical across same-seed runs.
 """
 
 from __future__ import annotations
@@ -160,15 +160,6 @@ class LoadTestReport:
             "capacity_point": self.capacity_point(),
         }
         return _round9(doc)
-
-    def wall_document(self) -> dict[str, float]:
-        """Wall-clock companion facts (NOT part of the witness)."""
-        return {
-            "wall_s": self.wall_s,
-            "localizations_per_s_wall": (
-                self.served / self.wall_s if self.wall_s > 0 else math.inf
-            ),
-        }
 
 
 def _service_config(

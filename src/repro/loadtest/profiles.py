@@ -38,6 +38,7 @@ from typing import Iterator, Mapping
 from ..exceptions import ConfigurationError
 from ..geometry.placement import figure2a_tracking_tags, paper_testbed_grid
 from ..utils.rng import derive_rng
+from ..utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -124,46 +125,25 @@ class LoadProfile:
                 f"unknown environment {self.environment!r}; "
                 f"expected Env1, Env2 or Env3"
             )
-        if self.n_zones < 1:
-            raise ConfigurationError(
-                f"n_zones must be >= 1, got {self.n_zones}"
-            )
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration_s must be > 0, got {self.duration_s}"
-            )
-        if self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"rate_per_s must be > 0, got {self.rate_per_s}"
-            )
-        if self.burst_factor < 1.0:
+        # Validate only; the fields keep the values the caller passed.
+        ensure_positive_int(self.n_zones, "n_zones")
+        for name in ("duration_s", "rate_per_s", "burst_period_s"):
+            ensure_positive(getattr(self, name), name)
+        if ensure_positive(self.burst_factor, "burst_factor") < 1.0:
             raise ConfigurationError(
                 f"burst_factor must be >= 1, got {self.burst_factor}"
             )
-        if self.burst_period_s <= 0:
-            raise ConfigurationError(
-                f"burst_period_s must be > 0, got {self.burst_period_s}"
-            )
-        if not 0.0 < self.burst_duty <= 1.0:
+        if not 0.0 < ensure_positive(self.burst_duty, "burst_duty") <= 1.0:
             raise ConfigurationError(
                 f"burst_duty must be in (0, 1], got {self.burst_duty}"
             )
-        if (
-            self.max_batches_per_tick is not None
-            and self.max_batches_per_tick < 1
-        ):
-            raise ConfigurationError(
-                f"max_batches_per_tick must be >= 1 or None, "
-                f"got {self.max_batches_per_tick}"
+        if self.max_batches_per_tick is not None:
+            ensure_positive_int(
+                self.max_batches_per_tick, "max_batches_per_tick"
             )
-        if (
-            self.admission_rate_per_s is not None
-            and self.admission_rate_per_s <= 0
-        ):
-            raise ConfigurationError(
-                f"admission_rate_per_s must be > 0 or None, "
-                f"got {self.admission_rate_per_s}"
-            )
+        if self.admission_rate_per_s is not None:
+            ensure_positive(self.admission_rate_per_s, "admission_rate_per_s")
+        ensure_positive_int(self.admission_burst, "admission_burst")
 
     def with_(self, **changes) -> "LoadProfile":
         """Modified copy (thin wrapper over dataclasses.replace)."""
@@ -222,13 +202,6 @@ class ArrivalSchedule:
         return tuple(
             (t, label) for t, zid, label in self.events if zid == zone_id
         )
-
-    def offered_by_zone(self) -> dict[str, int]:
-        """Arrival count per zone (zones with zero arrivals included)."""
-        counts = {zid: 0 for zid in self.profile.zone_ids()}
-        for _, zid, _ in self.events:
-            counts[zid] += 1
-        return counts
 
     def canonical_document(self) -> dict:
         """Byte-stable JSON document of the whole schedule."""

@@ -31,7 +31,7 @@ import os
 from typing import IO, Any, Iterable, Mapping
 
 from ..exceptions import ConfigurationError
-from .tracer import Span, WALL_KEYS
+from .tracer import Span, _strip_wall
 
 __all__ = [
     "TRACE_FORMAT",
@@ -160,16 +160,9 @@ def read_trace(path: str | os.PathLike) -> tuple[dict, list[dict]]:
     return header, docs
 
 
-def _strip(doc: Mapping[str, Any]) -> dict[str, Any]:
-    out = {k: v for k, v in doc.items() if k not in WALL_KEYS}
-    if "children" in out:
-        out["children"] = [_strip(c) for c in out["children"]]
-    return out
-
-
 def logical_documents(docs: Iterable[Mapping[str, Any]]) -> list[dict]:
     """Strip the wall-clock annotation from every span document."""
-    return [_strip(doc) for doc in docs]
+    return [_strip_wall(doc) for doc in docs]
 
 
 def canonical_logical_json(docs: Iterable[Mapping[str, Any]]) -> str:

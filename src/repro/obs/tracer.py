@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from ..exceptions import ConfigurationError
 
@@ -160,7 +160,7 @@ class Span:
         )
 
 
-def _strip_wall(doc: dict[str, Any]) -> dict[str, Any]:
+def _strip_wall(doc: Mapping[str, Any]) -> dict[str, Any]:
     out = {k: v for k, v in doc.items() if k not in WALL_KEYS}
     if "children" in out:
         out["children"] = [_strip_wall(c) for c in out["children"]]
@@ -289,15 +289,6 @@ class Tracer:
                 self.sink(span)
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        """How many spans are currently open."""
-        return len(self._stack)
-
-    def documents(self) -> list[dict[str, Any]]:
-        """Every completed root span as a full JSON document."""
-        return [root.document() for root in self.roots]
 
     def logical_documents(self) -> list[dict[str, Any]]:
         """Every completed root span, wall clock stripped (deterministic)."""

@@ -27,9 +27,9 @@ import numpy as np
 
 from ..exceptions import ChannelError
 from ..geometry.rooms import Room
-from ..utils.arrays import as_point, as_points
+from ..utils.arrays import as_points
 from ..utils.rng import derive_rng
-from .fading import FadingModel, NoFading, RicianFading
+from .fading import FadingModel, RicianFading
 from .multipath import MultipathModel, MultipathSpec, _ReaderImages
 from .propagation import LogDistancePathLoss
 from .shadowing import ShadowingField, ShadowingSpec
@@ -190,13 +190,6 @@ class RFChannel:
             rssi = rssi + self._common_shadowing.value_at(pts)
         return rssi
 
-    def mean_rssi_single(
-        self, reader_index: int, position: Sequence[float]
-    ) -> float:
-        """Scalar convenience wrapper over :meth:`mean_rssi`."""
-        p = as_point(position, "position")
-        return float(self.mean_rssi(reader_index, p[np.newaxis, :])[0])
-
     # -- per-reading sampling ---------------------------------------------
 
     @property
@@ -310,17 +303,3 @@ class RFChannel:
         for k, reader in enumerate(self._readers):
             out[k, :] = self._mean_rssi(reader, pts)
         return out
-
-    def with_fading(self, fading: FadingModel | None) -> "RFChannel":
-        """A copy of this channel with a different fading model (same world)."""
-        return RFChannel(
-            self.room,
-            self.reader_positions,
-            path_loss=self.path_loss,
-            shadowing=self.shadowing_spec,
-            multipath=self.multipath_spec,
-            fading=fading if fading is not None else NoFading(),
-            noise_sigma_db=self.noise_sigma_db,
-            sensitivity_dbm=self.sensitivity_dbm,
-            seed=self.seed,
-        )

@@ -88,25 +88,14 @@ class HumanMovementDisturbance:
             walked -= seg_len
         return None  # pragma: no cover - loop always returns
 
-    def attenuation_at(
-        self,
-        time_s: float,
-        tag_pos: Sequence[float],
-        reader_pos: Sequence[float],
-    ) -> float:
-        """Extra attenuation (dB) on the tag-reader link at ``time_s``."""
-        person = self.position_at(time_s)
-        if person is None:
-            return 0.0
-        return self._link_attenuation(person, tag_pos, reader_pos)
-
     def attenuation_at_readers(
         self,
         time_s: float,
         tag_pos: Sequence[float],
         reader_positions: Sequence[Sequence[float]],
     ) -> np.ndarray | float:
-        """:meth:`attenuation_at` for every reader, shape ``(K,)``.
+        """Extra attenuation (dB) on each tag-reader link at ``time_s``,
+        shape ``(K,)``.
 
         Returns the scalar ``0.0`` while the person is not walking.
         """

@@ -25,7 +25,7 @@ that footprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import ConfigurationError
@@ -104,14 +104,6 @@ class EnvironmentSpec:
             fading=RicianFading(k_factor=self.rician_k),
             noise_sigma_db=self.noise_sigma_db,
             seed=seed,
-        )
-
-    def without_multipath(self) -> "EnvironmentSpec":
-        """Ablation variant: same environment with reflections disabled."""
-        return replace(
-            self,
-            name=f"{self.name}-nomp",
-            multipath=replace(self.multipath, max_reflections=0),
         )
 
 

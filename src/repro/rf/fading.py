@@ -30,8 +30,7 @@ class FadingModel(Protocol):
     A model declares how many standard normals one reading consumes
     (``normals_per_read``) and maps a ``(..., normals_per_read)`` block
     of them to dB offsets. The channel draws those normals in one block
-    per call, or maps a block its caller drew (docs/CHANNEL.md, "Field
-    and draw order").
+    per call (docs/CHANNEL.md, "Field and draw order").
     """
 
     normals_per_read: int
@@ -39,20 +38,6 @@ class FadingModel(Protocol):
     def db_from_normals(self, z: np.ndarray) -> np.ndarray:
         """Fading offsets (dB), shape ``z.shape[:-1]``."""
         ...
-
-    def sample_db(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """Draw fading offsets (dB) of the given shape."""
-        ...
-
-
-def _sample_db(
-    model: FadingModel, rng: np.random.Generator, shape: tuple[int, ...]
-) -> np.ndarray:
-    return model.db_from_normals(
-        rng.standard_normal((*shape, model.normals_per_read))
-    )
 
 
 @dataclass(frozen=True)
@@ -63,11 +48,6 @@ class NoFading:
 
     def db_from_normals(self, z: np.ndarray) -> np.ndarray:
         return np.zeros(z.shape[:-1])
-
-    def sample_db(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        return _sample_db(self, rng, shape)
 
 
 @dataclass(frozen=True)
@@ -104,13 +84,3 @@ class RicianFading:
         power = h_re**2 + h_im**2
         db = 10.0 * np.log10(np.maximum(power, 1e-12))
         return np.maximum(db, self.floor_db)
-
-    def sample_db(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        return _sample_db(self, rng, shape)
-
-    def mean_offset_db(self, n_samples: int = 200_000, seed: int = 0) -> float:
-        """Monte-Carlo mean of the dB offset (diagnostic; ~0 for large K)."""
-        rng = np.random.default_rng(seed)
-        return float(self.sample_db(rng, (n_samples,)).mean())

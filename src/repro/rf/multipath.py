@@ -190,7 +190,7 @@ class _ReaderImages:
         self,
         model: MultipathModel,
         reader_pos: np.ndarray,
-        wall_phases: Sequence[float] | None = None,
+        wall_phases: Sequence[float] | None,
     ):
         self.model = model
         self.reader_pos = reader_pos

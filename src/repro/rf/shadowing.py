@@ -122,7 +122,6 @@ class ShadowingField:
             if std <= 0:
                 raise ChannelError("shadowing field collapsed to a constant")
             field = field * (spec.sigma_db / std)
-        self._field = field
         self._interp = RegularGridInterpolator(
             (self._ys, self._xs),
             field,
@@ -145,7 +144,3 @@ class ShadowingField:
             raise ChannelError(f"positions must have shape (n, 2), got {pts.shape}")
         vals = self._interp(pts[:, ::-1])  # interpolator wants (y, x)
         return vals[0] if single else vals
-
-    def empirical_sigma(self) -> float:
-        """Standard deviation actually realized on the lattice (≈ sigma_db)."""
-        return float(self._field.std())

@@ -155,13 +155,6 @@ class KalmanFilter2D:
         self._cov = np.eye(4)
         self._time: float | None = None
 
-    @property
-    def velocity(self) -> tuple[float, float] | None:
-        """Current velocity estimate (m/s), if initialized."""
-        if self._state is None:
-            return None
-        return (float(self._state[2]), float(self._state[3]))
-
     def _predict(self, dt: float) -> None:
         assert self._state is not None
         f = np.eye(4)

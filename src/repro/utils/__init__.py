@@ -1,6 +1,6 @@
 """Small shared utilities: RNG management, validation, arrays, ASCII plots."""
 
-from .rng import derive_rng, derive_seed, spawn_rngs
+from .rng import derive_rng, derive_seed
 from .validation import (
     ensure_finite,
     ensure_in_range,
@@ -12,7 +12,6 @@ from .arrays import as_point, as_points, pairwise_distances
 __all__ = [
     "derive_rng",
     "derive_seed",
-    "spawn_rngs",
     "ensure_finite",
     "ensure_in_range",
     "ensure_positive",

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..exceptions import GeometryError
 
-__all__ = ["as_point", "as_points", "pairwise_distances", "distances_to"]
+__all__ = ["as_point", "as_points", "pairwise_distances"]
 
 
 def as_point(value: Sequence[float], name: str = "point") -> np.ndarray:
@@ -56,11 +56,3 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_points(b, "b")
     diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def distances_to(points: np.ndarray, origin: Sequence[float]) -> np.ndarray:
-    """Euclidean distance from each row of ``points`` to a single origin."""
-    pts = as_points(points, "points")
-    o = as_point(origin, "origin")
-    d = pts - o[np.newaxis, :]
-    return np.sqrt(np.einsum("ij,ij->i", d, d))

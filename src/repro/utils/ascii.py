@@ -9,7 +9,7 @@ terminal without matplotlib (which is not installed in this environment).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["format_table", "bar_chart", "line_chart", "proximity_map_art"]
 
@@ -60,9 +60,8 @@ def bar_chart(
     *,
     width: int = 50,
     title: str | None = None,
-    value_fmt: str = "{:.3f}",
 ) -> str:
-    """Render a horizontal bar chart (one row per label)."""
+    """Render a horizontal bar chart (one row per label, values to 3 decimals)."""
     if len(labels) != len(values):
         raise ValueError("labels and values must have equal length")
     vmax = max((v for v in values if math.isfinite(v)), default=0.0)
@@ -74,7 +73,7 @@ def bar_chart(
     for lab, val in zip(labels, values):
         n = int(round(val * scale)) if math.isfinite(val) else 0
         out.append(
-            f"{str(lab).rjust(label_w)} | {'#' * n:<{width}} {value_fmt.format(val)}"
+            f"{str(lab).rjust(label_w)} | {'#' * n:<{width}} {val:.3f}"
         )
     return "\n".join(out)
 
@@ -130,11 +129,3 @@ def proximity_map_art(mask, *, on: str = "#", off: str = ".") -> str:
         for row in reversed(list(mask))
     ]
     return "\n".join(rows)
-
-
-def format_mapping(mapping: Mapping[str, object], *, indent: str = "  ") -> str:
-    """Render a flat mapping as aligned ``key: value`` lines."""
-    if not mapping:
-        return ""
-    key_w = max(len(str(k)) for k in mapping)
-    return "\n".join(f"{indent}{str(k).ljust(key_w)} : {v}" for k, v in mapping.items())

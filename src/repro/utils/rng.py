@@ -7,17 +7,15 @@ are derived with :func:`numpy.random.SeedSequence` and string keys, so
 
 * the same ``(seed, key)`` pair always yields the same stream,
 * adding a new consumer never perturbs existing streams, and
-* parallel sweeps can derive disjoint streams per trial.
+* each trial of a sweep derives its own disjoint stream.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
-
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng", "spawn_rngs"]
+__all__ = ["derive_seed", "derive_rng"]
 
 
 def _key_to_int(key: str | int) -> int:
@@ -48,21 +46,3 @@ def derive_seed(seed: int, *keys: str | int) -> np.random.SeedSequence:
 def derive_rng(seed: int, *keys: str | int) -> np.random.Generator:
     """Return a :class:`~numpy.random.Generator` for a named sub-stream."""
     return np.random.default_rng(derive_seed(seed, *keys))
-
-
-def spawn_rngs(seed: int, n: int, *keys: str | int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators under a common named stream.
-
-    Used for per-trial streams in Monte-Carlo sweeps: trial ``i`` gets
-    ``spawn_rngs(seed, n, "trials")[i]`` and remains the same regardless of
-    how many other trials run.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    base = derive_seed(seed, *keys)
-    return [np.random.default_rng(s) for s in base.spawn(n)]
-
-
-def rngs_for(seed: int, labels: Iterable[str]) -> dict[str, np.random.Generator]:
-    """Return a dict of named generators, one per label."""
-    return {label: derive_rng(seed, label) for label in labels}

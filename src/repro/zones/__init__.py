@@ -32,7 +32,6 @@ from .spec import (
     ZoneSpec,
     monolithic_site_plan,
     scaled_site_plan,
-    single_zone_plan,
     slice_fault_plan,
     zone_seed,
 )
@@ -41,7 +40,7 @@ from .worker import ZoneWorker
 __all__ = [
     # spec
     "ZONE_PITCH_M", "ZoneSpec", "RoamingTag", "ZonePlan", "zone_seed",
-    "slice_fault_plan", "single_zone_plan", "scaled_site_plan",
+    "slice_fault_plan", "scaled_site_plan",
     "monolithic_site_plan",
     # worker
     "ZoneWorker",

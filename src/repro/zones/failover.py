@@ -59,6 +59,7 @@ from ..faults.models import (
 from ..obs import Tracer
 from ..service.pipeline import ServiceConfig, ServiceResult
 from ..service.session import SessionReport
+from ..utils.validation import ensure_positive, ensure_positive_int
 from .spec import ZoneSpec, slice_fault_plan
 from .worker import ZoneWorker, _tag_id
 
@@ -96,19 +97,14 @@ class TokenBucket:
 
     Refill is computed lazily from elapsed clock time, so the bucket is
     a pure function of the admission request sequence — no wall clock,
-    no background thread.
+    no background thread. Its rate and depth come from an
+    :class:`AdmissionPolicy`, which validates them.
     """
 
-    def __init__(self, rate_per_s: float, burst: float):
-        if rate_per_s <= 0:
-            raise ConfigurationError(
-                f"rate_per_s must be positive, got {rate_per_s}"
-            )
-        if burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {burst}")
-        self.rate_per_s = float(rate_per_s)
-        self.burst = float(burst)
-        self._tokens = float(burst)
+    def __init__(self, policy: AdmissionPolicy):
+        self.rate_per_s = float(policy.rate_per_s)
+        self.burst = float(policy.burst)
+        self._tokens = self.burst
         self._last_s: float | None = None
 
     def try_acquire(self, now_s: float) -> bool:
@@ -143,12 +139,9 @@ class AdmissionPolicy:
     burst: int = 16
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"rate_per_s must be positive, got {self.rate_per_s}"
-            )
-        if self.burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {self.burst}")
+        # Validate only; the fields keep the values the caller passed.
+        ensure_positive(self.rate_per_s, "rate_per_s")
+        ensure_positive_int(self.burst, "burst")
 
     def with_(self, **changes) -> "AdmissionPolicy":
         """Modified copy (thin wrapper over dataclasses.replace)."""
@@ -165,7 +158,7 @@ class ZoneAdmission:
 
     def __init__(self, policy: AdmissionPolicy):
         self.policy = policy
-        self.bucket = TokenBucket(policy.rate_per_s, policy.burst)
+        self.bucket = TokenBucket(policy)
         self.admitted = 0
         self.shed = 0
 

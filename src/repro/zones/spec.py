@@ -16,10 +16,6 @@ zone extents.
 
 Builders:
 
-* :func:`single_zone_plan` — wrap an existing
-  :class:`~repro.experiments.scenarios.TestbedScenario` as a one-zone
-  plan. This is the refactor's safety rail: running it through the
-  gateway is bitwise identical to :class:`LocalizationService`.
 * :func:`scaled_site_plan` — N copies of the paper testbed tiled at
   :data:`ZONE_PITCH_M`, one seeded world per zone.
 * :func:`monolithic_site_plan` — the *same* site (same rooms' readers,
@@ -37,7 +33,6 @@ import numpy as np
 
 from ..core.config import VIREConfig
 from ..exceptions import ConfigurationError
-from ..experiments.scenarios import TestbedScenario
 from ..faults.models import is_zone_fault
 from ..faults.plan import FaultPlan
 from ..geometry.grid import ReferenceGrid
@@ -62,7 +57,6 @@ __all__ = [
     "ZonePlan",
     "zone_seed",
     "slice_fault_plan",
-    "single_zone_plan",
     "scaled_site_plan",
     "monolithic_site_plan",
 ]
@@ -223,22 +217,6 @@ class ZoneSpec:
         physically fine (each zone only listens to its own readers).
         """
         xmin, ymin, xmax, ymax = self.grid.bounds
-        return (
-            xmin + self.origin[0],
-            ymin + self.origin[1],
-            xmax + self.origin[0],
-            ymax + self.origin[1],
-        )
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        """Site-frame bounding box of the zone's lattice *and* readers."""
-        xmin, ymin, xmax, ymax = self.grid.bounds
-        readers = self.local_reader_positions()
-        xmin = min(xmin, float(readers[:, 0].min()))
-        ymin = min(ymin, float(readers[:, 1].min()))
-        xmax = max(xmax, float(readers[:, 0].max()))
-        ymax = max(ymax, float(readers[:, 1].max()))
         return (
             xmin + self.origin[0],
             ymin + self.origin[1],
@@ -462,30 +440,11 @@ def slice_fault_plan(plan: FaultPlan, zone_id: str) -> FaultPlan:
 # ---------------------------------------------------------------------------
 
 
-def single_zone_plan(
-    scenario: TestbedScenario, zone_id: str = "z0"
-) -> ZonePlan:
-    """Wrap a scenario as a one-zone plan — the refactor's safety rail.
-
-    The zone keeps the scenario's environment, grid, tags and seed
-    verbatim, so a gateway run of this plan is bitwise identical to
-    ``LocalizationService().run(scenario, ...)``.
-    """
-    spec = ZoneSpec(
-        zone_id=zone_id,
-        environment=scenario.environment,
-        grid=scenario.grid,
-        origin=(0.0, 0.0),
-        tracking_tags=scenario.tracking_tags,
-        seed=scenario.base_seed,
-    )
-    return ZonePlan((spec,), seed=scenario.base_seed)
-
-
-def _square_layout(n_zones: int, pitch_m: float) -> list[tuple[float, float]]:
+def _square_layout(n_zones: int) -> list[tuple[float, float]]:
     cols = math.ceil(math.sqrt(n_zones))
     return [
-        (pitch_m * (i % cols), pitch_m * (i // cols)) for i in range(n_zones)
+        (ZONE_PITCH_M * (i % cols), ZONE_PITCH_M * (i // cols))
+        for i in range(n_zones)
     ]
 
 
@@ -494,10 +453,10 @@ def scaled_site_plan(
     n_zones: int = 4,
     *,
     seed: int = 0,
-    pitch_m: float = ZONE_PITCH_M,
     roaming: Sequence[RoamingTag] = (),
 ) -> ZonePlan:
-    """N paper testbeds tiled row-major at ``pitch_m``, one world per zone.
+    """N paper testbeds tiled row-major at :data:`ZONE_PITCH_M`, one
+    world per zone.
 
     Each zone is the full §5 testbed (4x4 lattice, 4 corner readers,
     9 Fig. 2(a) tracking tags) in its own local frame with its own
@@ -513,7 +472,7 @@ def scaled_site_plan(
     grid = paper_testbed_grid()
     tags = figure2a_tracking_tags(grid)
     zones = []
-    for i, origin in enumerate(_square_layout(n_zones, pitch_m)):
+    for i, origin in enumerate(_square_layout(n_zones)):
         zid = f"z{i}"
         zones.append(
             ZoneSpec(
@@ -546,7 +505,6 @@ def monolithic_site_plan(
     n_zones: int = 4,
     *,
     seed: int = 0,
-    pitch_m: float = ZONE_PITCH_M,
 ) -> ZonePlan:
     """The same site as :func:`scaled_site_plan`, as ONE zone.
 
@@ -577,8 +535,8 @@ def monolithic_site_plan(
         )
     zone_grid = paper_testbed_grid()
     zxmin, zymin, zxmax, zymax = zone_grid.bounds
-    span = (zxmax - zxmin) + pitch_m * (side - 1)
-    offsets = _square_layout(n_zones, pitch_m)
+    span = (zxmax - zxmin) + ZONE_PITCH_M * (side - 1)
+    offsets = _square_layout(n_zones)
 
     # One uniform lattice across the whole site. rows = 4*side keeps the
     # spacing within ~7% of the per-zone 1 m pitch; the virtual budget

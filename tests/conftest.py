@@ -14,6 +14,7 @@ from repro import (
     LogDistancePathLoss,
     MultipathSpec,
     ReferenceGrid,
+    RFChannel,
     ShadowingSpec,
     TrackingReading,
     corner_reader_positions,
@@ -21,7 +22,8 @@ from repro import (
 )
 from repro.experiments.measurement import MeasurementSpec, TrialSampler
 from repro.geometry.rooms import rectangular_room
-from repro.rf.fading import RicianFading
+from repro.rf.fading import NoFading, RicianFading
+from repro.zones import ZonePlan, ZoneSpec
 
 
 @pytest.fixture
@@ -59,6 +61,48 @@ def make_clean_environment(**overrides) -> EnvironmentSpec:
     )
     defaults.update(overrides)
     return EnvironmentSpec(**defaults)
+
+
+def fading_free_channel(
+    env: EnvironmentSpec, reader_positions, seed: int = 0
+) -> RFChannel:
+    """``env.build_channel`` without fast fading: the same frozen world,
+    whose readings differ from the mean field by receiver noise only."""
+    return RFChannel(
+        env.room,
+        reader_positions,
+        path_loss=env.path_loss,
+        shadowing=env.shadowing,
+        multipath=env.multipath,
+        fading=NoFading(),
+        noise_sigma_db=env.noise_sigma_db,
+        seed=seed,
+    )
+
+
+def real_tag_mask(vgrid) -> np.ndarray:
+    """Lattice mask of a ``VirtualGrid``'s points that sit on real tags:
+    whole fractional indices inside the real grid."""
+    fi, fj = vgrid.fractional_indices()
+    rows, cols = vgrid.grid.rows, vgrid.grid.cols
+    on_row = np.isclose(fi % 1.0, 0.0) & (fi >= -1e-9) & (fi <= rows - 1 + 1e-9)
+    on_col = np.isclose(fj % 1.0, 0.0) & (fj >= -1e-9) & (fj <= cols - 1 + 1e-9)
+    return on_row[:, np.newaxis] & on_col[np.newaxis, :]
+
+
+def single_zone_plan(scenario) -> ZonePlan:
+    """A scenario as a one-zone plan: environment, grid, tags and seed
+    verbatim at origin (0, 0), so a gateway run of it is bitwise
+    identical to ``LocalizationService().run(scenario, ...)``."""
+    spec = ZoneSpec(
+        zone_id="z0",
+        environment=scenario.environment,
+        grid=scenario.grid,
+        origin=(0.0, 0.0),
+        tracking_tags=scenario.tracking_tags,
+        seed=scenario.base_seed,
+    )
+    return ZonePlan((spec,), seed=scenario.base_seed)
 
 
 @pytest.fixture

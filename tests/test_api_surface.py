@@ -44,7 +44,7 @@ class TestExceptionHierarchy:
 
     def test_one_except_clause_catches_everything(self):
         with pytest.raises(ReproError):
-            paper_testbed_grid().tag_position(99, 0)
+            paper_testbed_grid().lattice_from_flat([0.0])
         with pytest.raises(ReproError):
             VIREConfig(subdivisions=0)
 

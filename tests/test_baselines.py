@@ -83,11 +83,9 @@ class TestLandmarc:
     def test_k4_selects_cell_corners_in_clean_channel(self):
         reading = clean_reading_at((1.5, 1.5))
         result = LandmarcEstimator(k=4).estimate(reading)
-        grid = paper_testbed_grid()
-        expected = {
-            grid.flat_index(1, 1), grid.flat_index(1, 2),
-            grid.flat_index(2, 1), grid.flat_index(2, 2),
-        }
+        cols = paper_testbed_grid().cols
+        # Row-major flat indices of the tags at (row, col) = (1..2, 1..2).
+        expected = {1 * cols + 1, 1 * cols + 2, 2 * cols + 1, 2 * cols + 2}
         assert set(result.diagnostics["neighbours"]) == expected
 
     def test_weights_sum_to_one(self):

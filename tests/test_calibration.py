@@ -440,14 +440,14 @@ class TestDriftCorrector:
         drifted = baseline()
         drifted[0, :] += 6.0  # r0 reads 6 dB hot
         feed(corrector, [(1.0, drifted), (2.0, drifted), (3.0, drifted)])
-        assert corrector.bias_estimates() == {"r0": 6.0, "r1": 0.0}
+        assert corrector.checkpoint_state()["corrections"] == {"r0": 6.0, "r1": 0.0}
 
     def test_deadband_snaps_to_exact_zero_and_reading_is_same_object(self):
         corrector = make_corrector()
         corrector.arm(baseline(), 0.0)
         noisy = baseline() + 0.4  # below the default deadband
         feed(corrector, [(1.0, noisy), (2.0, noisy), (3.0, noisy)])
-        assert corrector.bias_estimates() == {"r0": 0.0, "r1": 0.0}
+        assert corrector.checkpoint_state()["corrections"] == {"r0": 0.0, "r1": 0.0}
         assert corrector.raw_bias_estimates()["r0"] == pytest.approx(0.4)
         reading = make_reading()
         assert corrector.correct_reading(reading) is reading
@@ -458,7 +458,7 @@ class TestDriftCorrector:
         runaway = baseline()
         runaway[1, :] -= 40.0
         feed(corrector, [(1.0, runaway), (2.0, runaway)])
-        assert corrector.bias_estimates()["r1"] == -5.0
+        assert corrector.checkpoint_state()["corrections"]["r1"] == -5.0
 
     def test_correct_reading_subtracts_bias_from_whole_row(self):
         corrector = make_corrector()

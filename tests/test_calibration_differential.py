@@ -141,10 +141,8 @@ class OracleCorrector(DriftCorrector):
         threshold = self.policy.anomaly_threshold_db
         if math.isfinite(scale):
             threshold = max(threshold, self.policy.anomaly_scale_gate * scale)
-        self._scale = scale
         for j, tid in enumerate(self.reference_ids):
             score = tag_scores[j] if n_refs else 0.0
-            self._tag_scores[tid] = score
             anomalous = (not math.isfinite(score)) or abs(score) >= threshold
             self._step_trust(tid, anomalous, now_s, score)
 
@@ -234,9 +232,6 @@ def observables(corrector: DriftCorrector) -> dict:
     _register_calibration_reads(registry, corrector)
     return {
         "raw_bias": corrector.raw_bias_estimates(),
-        "corrections": corrector.bias_estimates(),
-        "scores": corrector.anomaly_scores(),
-        "scale": corrector.anomaly_scale_db(),
         "events": [dict(e) for e in corrector.events],
         "state": corrector.checkpoint_state(),
         "excised": corrector.excised_tags(),

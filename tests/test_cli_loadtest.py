@@ -50,6 +50,15 @@ class TestLoadtestCommand:
         capsys.readouterr()
         assert main(["loadtest", "--zones", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag", ["--rate", "--duration", "--admission-rate", "--points"]
+    )
+    def test_nan_input_exits_2(self, flag, capsys):
+        args = ["loadtest", "--subdivisions", "3", "--duration", "4", "--json"]
+        assert main(args + [flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
     @pytest.mark.slow
     def test_multi_zone_burst_profile(self, capsys):
         args = ["loadtest", "--profile", "burst", "--zones", "2",

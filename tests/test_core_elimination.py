@@ -46,7 +46,6 @@ class TestProximityMap:
             maps[0].mask, [[True, False], [True, False]]
         )
         assert maps[0].area == 2
-        assert maps[0].fraction == 0.5
 
     def test_per_reader_thresholds(self):
         dev = np.ones((2, 2, 2))

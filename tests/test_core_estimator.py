@@ -19,7 +19,7 @@ from repro.core.boundary import is_boundary_estimate
 from repro.exceptions import ConfigurationError, EstimationError, ReadingError
 from repro.experiments.measurement import MeasurementSpec, TrialSampler
 
-from .conftest import make_clean_environment, make_reading
+from .conftest import make_clean_environment
 
 
 def clean_reading_at(position, seed=0):
@@ -37,10 +37,6 @@ class TestVIREConfig:
         cfg = VIREConfig()
         assert cfg.subdivisions == 10
         assert cfg.threshold_mode == "adaptive"
-
-    def test_paper_operating_point(self):
-        cfg = VIREConfig.paper_operating_point()
-        assert cfg.target_total_tags == 900
 
     def test_with_changes(self):
         cfg = VIREConfig().with_(min_cells=7)

@@ -5,16 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ReferenceGrid, VirtualGrid, paper_testbed_grid
+from repro import ReferenceGrid, VirtualGrid
 from repro.core.interpolation import BilinearInterpolator
 
-from .conftest import make_clean_environment
+from .conftest import make_clean_environment, real_tag_mask
 
 
 class TestVirtualGridExtension:
     def test_real_tag_mask_excludes_extension_ring(self, grid):
         vg = VirtualGrid(grid, subdivisions=2, extension_cells=1)
-        mask = vg.real_tag_mask()
+        mask = real_tag_mask(vg)
         # Only the 16 real tags are marked even though the lattice extends
         # beyond the grid.
         assert mask.sum() == grid.n_tags

@@ -75,26 +75,6 @@ class TestSparseOperatorBitwise:
                 batch[i].view(np.uint64) == expected.view(np.uint64)
             ).all(), "operator diverged from the scalar interpolator"
 
-    @given(virtual_grid_strategy(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_csr_form_agrees(self, vgrid, seed):
-        rng = np.random.default_rng(seed)
-        lattice = rng.uniform(-120.0, 0.0, size=(GRID.rows, GRID.cols))
-        op = SparseBilinearOperator(vgrid)
-        matrix = op.to_scipy_csr()
-        assert matrix.shape == (
-            vgrid.shape[0] * vgrid.shape[1],
-            GRID.rows * GRID.cols,
-        )
-        via_matrix = (matrix @ lattice.ravel()).reshape(vgrid.shape)
-        np.testing.assert_allclose(
-            via_matrix, op.apply(lattice[np.newaxis])[0], rtol=1e-12
-        )
-        # Convexity: each row's four corner weights sum to one.
-        np.testing.assert_allclose(
-            np.asarray(matrix.sum(axis=1)).ravel(), 1.0, rtol=1e-12
-        )
-
     def test_operator_for_only_linear(self):
         linear = VIREEstimator(GRID, VIREConfig())
         assert isinstance(operator_for(linear), SparseBilinearOperator)

@@ -11,16 +11,11 @@ from repro import (
     VIREConfig,
     VIREEstimator,
     paper_scenario,
-    paper_testbed_grid,
     run_scenario,
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.measurement import MeasurementSpec, TrialSampler
-from repro.experiments.metrics import (
-    error_cdf,
-    reduction_percent,
-    summarize_errors,
-)
+from repro.experiments.metrics import reduction_percent, summarize_errors
 from repro.experiments.scenarios import TestbedScenario
 from repro.rf import PowerLevelQuantizer, env1
 
@@ -50,17 +45,6 @@ class TestMetrics:
     def test_reduction_rejects_zero_baseline(self):
         with pytest.raises(ConfigurationError):
             reduction_percent(0.0, 1.0)
-
-    def test_cdf_monotone(self):
-        cdf = error_cdf([0.1, 0.5, 1.0, 2.0])
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
-
-    def test_cdf_custom_levels(self):
-        cdf = error_cdf([0.5, 1.5], levels=[1.0])
-        assert cdf == [(1.0, 0.5)]
-
 
 class TestMeasurementSpec:
     def test_n_reads_validated(self):

@@ -9,7 +9,6 @@ from repro import (
     FingerprintEstimator,
     VIREConfig,
     VIREEstimator,
-    corner_reader_positions,
     paper_testbed_grid,
 )
 from repro.exceptions import EstimationError, ReadingError

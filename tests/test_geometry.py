@@ -32,9 +32,6 @@ class TestSegment:
     def test_length(self):
         assert Segment((0, 0), (3, 4)).length == pytest.approx(5.0)
 
-    def test_midpoint(self):
-        assert Segment((0, 0), (2, 2)).midpoint == (1.0, 1.0)
-
     def test_rejects_degenerate(self):
         with pytest.raises(GeometryError, match="degenerate"):
             Segment((1, 1), (1, 1))
@@ -193,7 +190,6 @@ class TestRoom:
 class TestReferenceGrid:
     def test_paper_grid_dimensions(self, grid):
         assert grid.n_tags == 16
-        assert grid.n_cells == 9
         assert grid.bounds == (0.0, 0.0, 3.0, 3.0)
 
     def test_tag_positions_row_major(self, grid):
@@ -203,46 +199,21 @@ class TestReferenceGrid:
         np.testing.assert_array_equal(pos[1], [1.0, 0.0])  # col varies first
         np.testing.assert_array_equal(pos[4], [0.0, 1.0])
 
-    def test_tag_position_matches_flat_index(self, grid):
-        for row in range(grid.rows):
-            for col in range(grid.cols):
-                flat = grid.flat_index(row, col)
-                np.testing.assert_array_equal(
-                    grid.tag_positions()[flat], grid.tag_position(row, col)
-                )
-
-    def test_out_of_range_indices_rejected(self, grid):
-        with pytest.raises(GeometryError):
-            grid.tag_position(4, 0)
-        with pytest.raises(GeometryError):
-            grid.flat_index(0, -1)
-
     def test_lattice_from_flat_roundtrip(self, grid):
         flat = np.arange(16.0)
         lattice = grid.lattice_from_flat(flat)
         assert lattice.shape == (4, 4)
-        assert lattice[1, 2] == flat[grid.flat_index(1, 2)]
+        assert lattice[1, 2] == flat[1 * grid.cols + 2]
 
     def test_lattice_from_flat_rejects_wrong_size(self, grid):
         with pytest.raises(GeometryError):
             grid.lattice_from_flat(np.zeros(15))
 
-    def test_cell_of_interior_point(self, grid):
-        assert grid.cell_of((0.5, 0.5)) == (0, 0)
-        assert grid.cell_of((2.5, 1.5)) == (1, 2)
-
-    def test_cell_of_far_edge_maps_to_last_cell(self, grid):
-        assert grid.cell_of((3.0, 3.0)) == (2, 2)
-
-    def test_cell_of_outside_rejected(self, grid):
-        with pytest.raises(GeometryError):
-            grid.cell_of((3.5, 0.0))
-
     def test_rectangular_grid_supported(self):
         g = ReferenceGrid(rows=3, cols=5, spacing_x=0.5, spacing_y=2.0)
         assert g.width == 2.0
         assert g.height == 4.0
-        assert g.n_cells == 8
+        assert g.n_tags == 15
 
     def test_minimum_grid_size_enforced(self):
         with pytest.raises(Exception):

@@ -16,7 +16,7 @@ from repro.hardware.tags import (
     TagSpec,
 )
 
-from .conftest import make_clean_environment
+from .conftest import fading_free_channel, make_clean_environment
 
 
 class TestSimClock:
@@ -100,13 +100,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError, match="max_events"):
             q.run_until(10.0, max_events=50)
 
-    def test_run_all_guard(self):
-        q = EventQueue()
-        for i in range(10):
-            q.schedule(float(i), lambda: None)
-        assert q.run_all() == 10
-        assert q.n_dispatched == 10
-
     def test_events_at_exact_boundary_included(self):
         q = EventQueue()
         fired = []
@@ -182,18 +175,9 @@ class TestActiveTag:
         tag = ActiveTag("t1", (0.0, 0.0), spec)
         assert tag.next_beacon_delay(np.random.default_rng(0)) == 2.0
 
-    def test_with_spec_preserves_identity(self):
-        tag = ActiveTag("t1", (1.0, 1.0), is_reference=True)
-        clone = tag.with_spec(ORIGINAL_EQUIPMENT)
-        assert clone.tag_id == "t1"
-        assert clone.is_reference
-        assert clone.spec.beacon_interval_s == 7.5
-
-
 def _one_reader_world(threshold_dbm: float, *, offset_db: float = 0.0):
     """One tag 2 m from one reader in a noiseless, fading-free world."""
-    channel = make_clean_environment().build_channel([(0.0, 0.0)], seed=0)
-    channel = channel.with_fading(None)
+    channel = fading_free_channel(make_clean_environment(), [(0.0, 0.0)], seed=0)
     tag = ActiveTag("t1", (2.0, 0.0), is_reference=True)
     tag.offset_db = offset_db
     reader = Reader("r0", (0.0, 0.0), detection_threshold_dbm=threshold_dbm)
@@ -201,7 +185,7 @@ def _one_reader_world(threshold_dbm: float, *, offset_db: float = 0.0):
     records = []
     sim.set_record_sink(records.append)
     sim.run_for(9.0)
-    return reader, records, tag.beacons_sent, channel.mean_rssi_single(0, (2.0, 0.0))
+    return reader, records, tag.beacons_sent, float(channel.mean_rssi(0, [(2.0, 0.0)])[0])
 
 
 class TestReader:

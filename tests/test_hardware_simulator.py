@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import build_paper_deployment, figure2a_tracking_tags
+from repro import build_paper_deployment
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.hardware.readers import Reader
 from repro.hardware.simulator import TestbedSimulator as Simulator

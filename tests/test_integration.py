@@ -14,7 +14,6 @@ from repro import (
     VIREConfig,
     VIREEstimator,
     build_paper_deployment,
-    figure2a_tracking_tags,
     paper_scenario,
     paper_testbed_grid,
     run_scenario,

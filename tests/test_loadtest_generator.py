@@ -47,7 +47,6 @@ class TestSingleZone:
         p = LoadProfile(name="clock", duration_s=4.0, rate_per_s=3.0)
         r = run_load_test(p, config=cheap_config())
         assert "wall" not in witness_bytes(r)
-        assert r.wall_document()["wall_s"] == r.wall_s
 
     def test_witness_is_strict_json(self):
         p = LoadProfile(name="strict", duration_s=4.0, rate_per_s=3.0)

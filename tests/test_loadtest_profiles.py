@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,35 @@ class TestLoadProfile:
     def test_invalid_profiles_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             LoadProfile(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_per_s", math.nan),
+            ("rate_per_s", math.inf),
+            ("rate_per_s", True),
+            ("duration_s", math.nan),
+            ("duration_s", math.inf),
+            ("burst_period_s", math.nan),
+            ("burst_factor", math.nan),
+            ("admission_rate_per_s", math.nan),
+            ("admission_rate_per_s", math.inf),
+            ("admission_rate_per_s", True),
+            ("n_zones", 1.5),
+            ("n_zones", True),
+            ("admission_burst", math.nan),
+            ("admission_burst", 1.5),
+            ("max_batches_per_tick", 1.5),
+        ],
+    )
+    def test_non_finite_bool_and_fractional_inputs_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            LoadProfile(**{field: value})
+
+    def test_validation_keeps_the_values_passed(self):
+        p = LoadProfile(rate_per_s=60, duration_s=5, admission_rate_per_s=2)
+        assert (p.rate_per_s, p.duration_s, p.admission_rate_per_s) == (60, 5, 2)
+        assert type(p.rate_per_s) is int
 
     def test_with_returns_updated_copy(self):
         p = LoadProfile()
@@ -121,9 +151,10 @@ class TestGenerateSchedule:
             schedule.for_zone("z9")
 
     def test_offered_by_zone_sums_to_total(self):
-        schedule = generate_schedule(LoadProfile(n_zones=3, seed=3))
-        offered = schedule.offered_by_zone()
-        assert sum(offered.values()) == len(schedule)
+        profile = LoadProfile(n_zones=3, seed=3)
+        schedule = generate_schedule(profile)
+        offered = [len(schedule.for_zone(zid)) for zid in profile.zone_ids()]
+        assert sum(offered) == len(schedule)
 
     def test_labels_come_from_the_paper_testbed(self):
         schedule = generate_schedule(LoadProfile(seed=5))

@@ -127,16 +127,6 @@ class TestTracer:
                 pass
         assert [s.name for s in seen] == ["root"]
 
-    def test_depth_tracks_open_spans(self):
-        tracer = Tracer()
-        assert tracer.depth == 0
-        with tracer.span("a"):
-            assert tracer.depth == 1
-            with tracer.span("b"):
-                assert tracer.depth == 2
-        assert tracer.depth == 0
-
-
 class TestToJsonable:
     def test_scalars_pass_through(self):
         for v in ("x", 3, 2.5, True, None):

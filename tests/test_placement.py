@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import corner_reader_positions, paper_testbed_grid
+from repro import corner_reader_positions
 from repro.exceptions import ConfigurationError
 from repro.experiments.placement import (
     candidate_reader_positions,

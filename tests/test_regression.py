@@ -12,7 +12,6 @@ figure benches to refresh EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -34,12 +33,12 @@ def grid():
 class TestFrozenWorldGolden:
     def test_env3_mean_rssi_golden(self, grid):
         channel = env3().build_channel(corner_reader_positions(grid), seed=0)
-        value = channel.mean_rssi_single(0, (1.5, 1.5))
+        value = channel.mean_rssi(0, [(1.5, 1.5)])[0]
         assert value == pytest.approx(-63.629, abs=0.01)
 
     def test_env1_mean_rssi_golden(self, grid):
         channel = env1().build_channel(corner_reader_positions(grid), seed=0)
-        value = channel.mean_rssi_single(2, (2.0, 1.0))
+        value = channel.mean_rssi(2, [(2.0, 1.0)])[0]
         assert value == pytest.approx(-60.568, abs=0.01)
 
     def test_reading_matrix_golden(self, grid):
@@ -67,9 +66,9 @@ def _refresh_golden() -> None:  # pragma: no cover - developer utility
     """Print the current values for updating the constants above."""
     grid = paper_testbed_grid()
     channel3 = env3().build_channel(corner_reader_positions(grid), seed=0)
-    print("env3 mean:", channel3.mean_rssi_single(0, (1.5, 1.5)))
+    print("env3 mean:", channel3.mean_rssi(0, [(1.5, 1.5)])[0])
     channel1 = env1().build_channel(corner_reader_positions(grid), seed=0)
-    print("env1 mean:", channel1.mean_rssi_single(2, (2.0, 1.0)))
+    print("env1 mean:", channel1.mean_rssi(2, [(2.0, 1.0)])[0])
     sampler = TrialSampler(
         env3(), grid, seed=7, measurement=MeasurementSpec(n_reads=5)
     )

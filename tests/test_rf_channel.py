@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from repro import corner_reader_positions, paper_testbed_grid
 from repro.exceptions import ChannelError, ConfigurationError
 from repro.rf import (
-    EnvironmentSpec,
-    MultipathSpec,
     RFChannel,
     ShadowingSpec,
     env1,
@@ -54,11 +51,6 @@ class TestRFChannel:
             d = np.linalg.norm(pts - readers[k], axis=1)
             expected = channel.path_loss.rssi(d)
             np.testing.assert_allclose(channel.mean_rssi(k, pts), expected)
-
-    def test_mean_rssi_single_matches_batch(self, channel):
-        batch = channel.mean_rssi(0, np.array([[1.5, 2.0]]))[0]
-        single = channel.mean_rssi_single(0, (1.5, 2.0))
-        assert single == pytest.approx(batch)
 
     def test_sample_shape(self, channel):
         rng = np.random.default_rng(0)
@@ -113,15 +105,6 @@ class TestRFChannel:
         env = make_clean_environment()
         with pytest.raises(ChannelError, match="at least one reader"):
             RFChannel(env.room, np.zeros((0, 2)))
-
-    def test_with_fading_keeps_world(self, grid, readers):
-        env = env3()
-        base = env.build_channel(readers, seed=9)
-        swapped = base.with_fading(NoFading())
-        pts = grid.tag_positions()
-        np.testing.assert_array_equal(
-            base.mean_rssi_matrix(pts), swapped.mean_rssi_matrix(pts)
-        )
 
     def test_common_shadowing_preserves_total_variance(self, readers):
         # Ensemble std across frozen worlds at a fixed point must stay
@@ -192,11 +175,6 @@ class TestEnvironments:
         assert e3.reference_tag_offset_sigma_db > e1.reference_tag_offset_sigma_db
         assert e3.rician_k < e1.rician_k
         assert e3.path_loss.gamma > e1.path_loss.gamma
-
-    def test_without_multipath_variant(self):
-        env = env3().without_multipath()
-        assert not env.multipath.enabled
-        assert env.name.endswith("-nomp")
 
     def test_negative_offsets_rejected(self):
         with pytest.raises(ConfigurationError):

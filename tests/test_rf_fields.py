@@ -43,7 +43,9 @@ class TestShadowingField:
     def test_sigma_realized_on_lattice(self, room):
         spec = ShadowingSpec(sigma_db=3.0, correlation_length_m=1.5)
         field = ShadowingField(room, spec, np.random.default_rng(0))
-        assert field.empirical_sigma() == pytest.approx(3.0, rel=1e-6)
+        xx, yy = np.meshgrid(field._xs, field._ys)
+        lattice = field.value_at(np.column_stack([xx.ravel(), yy.ravel()]))
+        assert lattice.std() == pytest.approx(3.0, rel=1e-6)
 
     def test_zero_sigma_gives_zero_field(self, room):
         spec = ShadowingSpec(sigma_db=0.0)
@@ -172,28 +174,38 @@ class TestMultipath:
         assert g_off[0] == pytest.approx(0.0)
 
 
+def draw_fading(model, rng, shape):
+    """Fading offsets (dB) of ``shape``, mapped from a fresh normal block."""
+    return model.db_from_normals(
+        rng.standard_normal((*shape, model.normals_per_read))
+    )
+
+
 class TestFading:
     def test_no_fading_returns_zeros(self):
-        out = NoFading().sample_db(np.random.default_rng(0), (3, 4))
+        out = draw_fading(NoFading(), np.random.default_rng(0), (3, 4))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_rician_shape(self, rician):
-        out = rician.sample_db(np.random.default_rng(0), (5, 7))
+        out = draw_fading(rician, np.random.default_rng(0), (5, 7))
         assert out.shape == (5, 7)
 
     def test_high_k_low_variance(self):
         rng = np.random.default_rng(0)
-        calm = RicianFading(k_factor=100.0).sample_db(rng, (5000,))
-        rough = RicianFading(k_factor=0.5).sample_db(rng, (5000,))
+        calm = draw_fading(RicianFading(k_factor=100.0), rng, (5000,))
+        rough = draw_fading(RicianFading(k_factor=0.5), rng, (5000,))
         assert calm.std() < rough.std() / 3
 
     def test_floor_truncates_deep_fades(self):
         fading = RicianFading(k_factor=0.0, floor_db=-10.0)
-        out = fading.sample_db(np.random.default_rng(0), (20000,))
+        out = draw_fading(fading, np.random.default_rng(0), (20000,))
         assert out.min() >= -10.0
 
     def test_mean_offset_near_zero_for_large_k(self):
-        assert abs(RicianFading(k_factor=50.0).mean_offset_db()) < 0.2
+        offsets = draw_fading(
+            RicianFading(k_factor=50.0), np.random.default_rng(0), (200_000,)
+        )
+        assert abs(offsets.mean()) < 0.2
 
     def test_invalid_parameters(self):
         with pytest.raises(Exception):

@@ -105,17 +105,17 @@ class TestDisturbance:
 
     def test_blocking_link_attenuates_fully(self):
         # Person at (2, 1), link from (2, 0) to (2, 3) passes through them.
-        att = self.walk.attenuation_at(7.0, (2.0, 0.0), (2.0, 3.0))
+        att = self.walk.attenuation_at_readers(7.0, (2.0, 0.0), [(2.0, 3.0)])[0]
         assert att == pytest.approx(10.0)
 
     def test_distant_link_unaffected(self):
-        att = self.walk.attenuation_at(7.0, (0.0, 3.0), (4.0, 3.0))
+        att = self.walk.attenuation_at_readers(7.0, (0.0, 3.0), [(4.0, 3.0)])[0]
         assert att == 0.0
 
     def test_taper_decreases_with_distance(self):
         # Link parallel to the walk, at increasing lateral offsets.
-        a_close = self.walk.attenuation_at(7.0, (2.0, 1.2), (2.0, 3.0))
-        a_far = self.walk.attenuation_at(7.0, (2.0, 1.4), (2.0, 3.0))
+        a_close = self.walk.attenuation_at_readers(7.0, (2.0, 1.2), [(2.0, 3.0)])[0]
+        a_far = self.walk.attenuation_at_readers(7.0, (2.0, 1.4), [(2.0, 3.0)])[0]
         assert a_close > a_far > 0.0
 
     def test_multi_segment_path(self):

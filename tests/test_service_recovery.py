@@ -19,11 +19,7 @@ import pytest
 
 from repro import VIREConfig, build_paper_deployment
 from repro.cli import _graceful_sigterm, main
-from repro.exceptions import (
-    CheckpointError,
-    ConfigurationError,
-    EstimationError,
-)
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.faults import CrashPoint, SimulatedCrash
 from repro.obs import Tracer, stage_statistics
 from repro.runtime.checkpoint import load_checkpoint
@@ -397,7 +393,7 @@ class TestSupervisedServing:
         assert report.results
         prometheus = report.render_prometheus()
         assert "runtime_" not in prometheus
-        names = set(stage_statistics(tracer.documents()))
+        names = set(stage_statistics([root.document() for root in tracer.roots]))
         assert "service.vire_pass" in names
         assert not [n for n in names if n.startswith("runtime.")]
 

@@ -8,15 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, GeometryError
-from repro.utils.arrays import as_point, as_points, distances_to, pairwise_distances
+from repro.utils.arrays import as_point, as_points, pairwise_distances
 from repro.utils.ascii import (
     bar_chart,
-    format_mapping,
     format_table,
     line_chart,
     proximity_map_art,
 )
-from repro.utils.rng import derive_rng, derive_seed, rngs_for, spawn_rngs
+from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.validation import (
     ensure_finite,
     ensure_in_range,
@@ -47,31 +46,6 @@ class TestRng:
         s1 = derive_seed(7, "fading").entropy
         s2 = derive_seed(7, "fading").entropy
         assert s1 == s2
-
-    def test_spawn_rngs_count_and_independence(self):
-        rngs = spawn_rngs(3, 4, "trials")
-        assert len(rngs) == 4
-        draws = [r.standard_normal(3) for r in rngs]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.allclose(draws[i], draws[j])
-
-    def test_spawn_rngs_prefix_stable(self):
-        # Trial i's stream must not depend on how many trials are spawned.
-        few = spawn_rngs(3, 2, "trials")
-        many = spawn_rngs(3, 5, "trials")
-        np.testing.assert_array_equal(
-            few[1].standard_normal(4), many[1].standard_normal(4)
-        )
-
-    def test_spawn_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_rngs_for_labels(self):
-        d = rngs_for(5, ["a", "b"])
-        assert set(d) == {"a", "b"}
-
 
 class TestValidation:
     def test_ensure_positive_accepts(self):
@@ -153,12 +127,6 @@ class TestArrays:
         d = pairwise_distances(arr, arr)
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
 
-    def test_distances_to_matches_pairwise(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = distances_to(pts, (1.0, 0.0))
-        np.testing.assert_allclose(out, [1.0, 1.0])
-
-
 class TestAscii:
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 2.5], [30, 4.25]])
@@ -197,6 +165,3 @@ class TestAscii:
         rows = art.splitlines()
         assert rows[-1][0] == "#"  # rendered at the bottom
 
-    def test_format_mapping_alignment(self):
-        out = format_mapping({"a": 1, "long": 2})
-        assert "a    :" in out

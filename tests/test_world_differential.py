@@ -61,6 +61,8 @@ from repro.rf.fading import NoFading, RicianFading
 from repro.service.pipeline import ServiceConfig
 from repro.zones import RoamingTag, ZoneGateway, scaled_site_plan
 
+from .conftest import fading_free_channel
+
 ENVS = ("Env1", "Env2", "Env3")
 TRACKING = {"track-1": (1.3, 1.7), "track-2": (0.4, 2.6), "track-3": (2.5, 0.5)}
 
@@ -109,7 +111,12 @@ def oracle_emit_beacon(self, index, now):
     for k, reader in enumerate(self.readers):
         extra = extra_base
         for disturbance in self.disturbances:
-            extra += disturbance.attenuation_at(now, tag.position, reader.position)
+            person = disturbance.position_at(now)
+            extra += (
+                0.0
+                if person is None
+                else disturbance._link_attenuation(person, tag.position, reader.position)
+            )
         rssi = float(
             legacy_sample_rssi(self.channel, k, pos, self._sample_rng, extra=extra)[0, 0]
         )
@@ -301,7 +308,7 @@ class TestSimulatorDifferential:
         readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
 
         def scenario():
-            channel = env.build_channel(readers_xy, seed=5).with_fading(None)
+            channel = fading_free_channel(env, readers_xy, seed=5)
             tags = [
                 ActiveTag(f"ref-{i}", tuple(p), is_reference=True)
                 for i, p in enumerate(paper_testbed_grid().tag_positions())
@@ -386,8 +393,10 @@ class TestServedWorldDifferential:
 @functools.lru_cache(maxsize=None)
 def _window_channel(seed: int, fading: bool):
     readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
-    channel = environment_by_name("Env3").build_channel(readers_xy, seed=seed)
-    return channel if fading else channel.with_fading(None)
+    env = environment_by_name("Env3")
+    if fading:
+        return env.build_channel(readers_xy, seed=seed)
+    return fading_free_channel(env, readers_xy, seed=seed)
 
 
 _POINT = st.tuples(st.floats(-0.5, 3.5), st.floats(-0.5, 3.5))
@@ -558,9 +567,10 @@ def test_block_draw_equals_sequential_reader_draws(
     if not noisy:
         spec = dataclasses.replace(spec, noise_sigma_db=0.0)
     readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
-    channel = spec.build_channel(readers_xy, seed=seed % 97)
     if fading == "none":
-        channel = channel.with_fading(None)
+        channel = fading_free_channel(spec, readers_xy, seed=seed % 97)
+    else:
+        channel = spec.build_channel(readers_xy, seed=seed % 97)
     pts = np.random.default_rng(seed).uniform(-0.5, 3.5, size=(n, 2))
     # Per-(reader, tag) attenuation, or none at all.
     att = (
@@ -799,7 +809,9 @@ def test_zero_length_link_raises_on_both_routes():
 def test_mean_field_equals_the_per_link_crossing_oracle(monkeypatch, env, multipath):
     spec = environment_by_name(env)
     if not multipath:
-        spec = spec.without_multipath()
+        spec = dataclasses.replace(
+            spec, multipath=dataclasses.replace(spec.multipath, max_reflections=0)
+        )
     readers_xy = corner_reader_positions(paper_testbed_grid(), margin=1.0)
     xmin, ymin, xmax, ymax = spec.room.bounds
     for seed in range(5):

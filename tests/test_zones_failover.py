@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -353,7 +354,7 @@ class TestSaturationShedding:
 
 class TestAdmissionControl:
     def test_token_bucket_refills_on_the_sim_clock(self):
-        bucket = TokenBucket(rate_per_s=1.0, burst=2)
+        bucket = TokenBucket(AdmissionPolicy(rate_per_s=1.0, burst=2))
         assert bucket.try_acquire(0.0)
         assert bucket.try_acquire(0.0)
         assert not bucket.try_acquire(0.0)
@@ -369,6 +370,24 @@ class TestAdmissionControl:
             AdmissionPolicy(rate_per_s=0.0)
         with pytest.raises(ConfigurationError):
             AdmissionPolicy(burst=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_per_s", math.nan),
+            ("rate_per_s", math.inf),
+            ("rate_per_s", True),
+            ("burst", math.nan),
+            ("burst", math.inf),
+            ("burst", True),
+            ("burst", 1.5),
+        ],
+    )
+    def test_admission_policy_rejects_non_finite_bool_and_fractional(
+        self, field, value
+    ):
+        with pytest.raises(ConfigurationError, match=field):
+            AdmissionPolicy(**{field: value})
 
     def test_rate_limit_sheds_and_advances_schedule(self):
         policy = AdmissionPolicy(rate_per_s=0.5, burst=1)

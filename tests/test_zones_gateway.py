@@ -13,13 +13,9 @@ from repro.faults.models import ReaderOutageFault
 from repro.faults.plan import FaultPlan
 from repro.obs import Tracer
 from repro.service.pipeline import ServiceConfig
-from repro.zones import (
-    RoamingTag,
-    ZoneGateway,
-    ZoneWorker,
-    scaled_site_plan,
-    single_zone_plan,
-)
+from repro.zones import RoamingTag, ZoneGateway, scaled_site_plan
+
+from .conftest import single_zone_plan
 
 
 def _config(**kw) -> ServiceConfig:

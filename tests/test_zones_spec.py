@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.scenarios import paper_scenario
 from repro.faults.models import (
     BurstLossFault,
     ReaderOutageFault,
@@ -25,7 +24,6 @@ from repro.zones import (
     ZoneSpec,
     monolithic_site_plan,
     scaled_site_plan,
-    single_zone_plan,
     slice_fault_plan,
     zone_seed,
 )
@@ -76,7 +74,8 @@ class TestZoneSpec:
     def test_footprint_excludes_readers_extent_includes_them(self):
         spec = _spec(origin=(4.5, 0.0))
         assert spec.footprint == (4.5, 0.0, 7.5, 3.0)
-        assert spec.extent == (3.5, -1.0, 8.5, 4.0)
+        readers = spec.local_reader_positions() + np.asarray(spec.origin)
+        assert (*readers.min(axis=0), *readers.max(axis=0)) == (3.5, -1.0, 8.5, 4.0)
 
 
 class TestZoneSpecValidation:
@@ -314,18 +313,6 @@ class TestFaultSlicing:
 
 
 class TestBuilders:
-    def test_single_zone_plan_keeps_the_scenario_verbatim(self):
-        scenario = paper_scenario("Env2", n_trials=1, base_seed=11)
-        plan = single_zone_plan(scenario)
-        (spec,) = plan.zones
-        assert spec.environment is scenario.environment
-        assert spec.grid is scenario.grid
-        assert spec.seed == scenario.base_seed
-        assert spec.origin == (0.0, 0.0)
-        assert list(spec.tracking_tags.items()) == list(
-            scenario.tracking_tags.items()
-        )
-
     def test_scaled_site_tiles_row_major(self):
         plan = scaled_site_plan("Env1", 4, seed=0)
         origins = [spec.origin for spec in plan]

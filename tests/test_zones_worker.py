@@ -16,12 +16,9 @@ from repro.faults.crash import CrashPoint, SimulatedCrash
 from repro.faults.plan import chaos_preset
 from repro.service.pipeline import ServiceConfig
 from repro.service.session import LocalizationService
-from repro.zones import (
-    ZoneWorker,
-    scaled_site_plan,
-    single_zone_plan,
-    slice_fault_plan,
-)
+from repro.zones import ZoneWorker, scaled_site_plan, slice_fault_plan
+
+from .conftest import single_zone_plan
 
 
 def _witness(report) -> str:
