@@ -42,20 +42,28 @@ __all__ = ["BatchEngine", "BatchLandmarc", "estimate_all"]
 Outcome = EstimateResult | ReproError
 
 
-def _copy_outcome(outcome: Outcome) -> Outcome:
+#: The list values a result's diagnostics can hold (``map_areas`` and
+#: the quorum lists of a masked reading): the mutable ones a repeat
+#: must not share.
+_LIST_DIAGNOSTICS = (
+    "map_areas",
+    "quorum_surviving_readers",
+    "quorum_excluded_readers",
+    "quorum_coverage",
+)
+
+
+def _repeat(outcome: Outcome) -> Outcome:
     """A repeated reading's own copy of its first outcome: a fresh error
-    of the same type and message, or a result whose diagnostics dict and
-    list values (``map_areas``, the quorum lists) are fresh objects."""
+    of the same type and message, or a result with a fresh diagnostics
+    dict whose list values are fresh lists."""
     if isinstance(outcome, ReproError):
         return copy.copy(outcome)
-    return EstimateResult(
-        position=outcome.position,
-        estimator=outcome.estimator,
-        diagnostics={
-            key: list(value) if isinstance(value, list) else value
-            for key, value in outcome.diagnostics.items()
-        },
-    )
+    diagnostics = outcome.diagnostics.copy()
+    for key in _LIST_DIAGNOSTICS:
+        if key in diagnostics:
+            diagnostics[key] = diagnostics[key].copy()
+    return EstimateResult(outcome.position, outcome.estimator, diagnostics)
 
 
 def _raise_first(outcomes: list[Outcome]) -> list[EstimateResult]:
@@ -175,7 +183,7 @@ class BatchEngine:
         if len(first) < len(readings):
             for i, j in enumerate(source):
                 if i != j:
-                    outcomes[i] = _copy_outcome(outcomes[j])
+                    outcomes[i] = _repeat(outcomes[j])
         return outcomes
 
     # -- pipeline stages -----------------------------------------------------

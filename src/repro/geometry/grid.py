@@ -101,12 +101,6 @@ class ReferenceGrid:
             )
         return arr.reshape(self.rows, self.cols)
 
-    def contains(self, point: Sequence[float], *, pad: float = 0.0) -> bool:
-        """True if the point lies within the grid's bounding box (+pad)."""
-        x, y = float(point[0]), float(point[1])
-        xmin, ymin, xmax, ymax = self.bounds
-        return xmin - pad <= x <= xmax + pad and ymin - pad <= y <= ymax + pad
-
     def scaled(self, factor: float) -> "ReferenceGrid":
         """Return a grid with spacings multiplied by ``factor`` (same counts).
 

@@ -142,44 +142,20 @@ class MultipathModel:
     def prepare_reader(
         self,
         reader_pos: Sequence[float],
-        wall_phases: Sequence[float] | None = None,
+        wall_phases: Sequence[float],
     ) -> "_ReaderImages":
         """Precompute the image set for one reader position.
 
-        ``wall_phases`` optionally supplies one reflection phase offset
-        (radians) per reflective wall — the electrical phase shift of the
-        reflection, which depends on wall material and surface detail that
-        the geometric model cannot know. The channel draws these once per
+        ``wall_phases`` supplies one reflection phase offset (radians) per
+        reflective wall — the electrical phase shift of the reflection,
+        which depends on wall material and surface detail that the
+        geometric model cannot know. The channel draws these once per
         seed, so different seeds realize different (but frozen) fringe
         patterns, exactly like re-running the testbed in a rearranged
-        room. ``None`` means the ideal geometric phase (all zeros).
+        room. All zeros is the ideal geometric phase.
         """
         return _ReaderImages(
             self, np.asarray(reader_pos, dtype=np.float64), wall_phases
-        )
-
-    def excess_gain_db(
-        self,
-        reader_pos: Sequence[float],
-        positions: np.ndarray,
-        *,
-        direct_attenuation_db: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Excess gain (dB) over the direct path at each tag position.
-
-        Parameters
-        ----------
-        reader_pos:
-            The reader coordinate.
-        positions:
-            Tag coordinates, shape ``(n, 2)``.
-        direct_attenuation_db:
-            Optional per-position penetration loss already computed for the
-            direct ray (used to weight reflections correctly). If omitted
-            it is computed from the room walls.
-        """
-        return self.prepare_reader(reader_pos).excess_gain_db(
-            positions, direct_attenuation_db=direct_attenuation_db
         )
 
 
@@ -190,21 +166,18 @@ class _ReaderImages:
         self,
         model: MultipathModel,
         reader_pos: np.ndarray,
-        wall_phases: Sequence[float] | None,
+        wall_phases: Sequence[float],
     ):
         self.model = model
         self.reader_pos = reader_pos
         spec = model.spec
         walls = model.room.reflective_walls
-        if wall_phases is None:
-            phases = [0.0] * len(walls)
-        else:
-            phases = [float(p) for p in wall_phases]
-            if len(phases) != len(walls):
-                raise ChannelError(
-                    f"{len(phases)} wall phases supplied for "
-                    f"{len(walls)} reflective walls"
-                )
+        phases = [float(p) for p in wall_phases]
+        if len(phases) != len(walls):
+            raise ChannelError(
+                f"{len(phases)} wall phases supplied for "
+                f"{len(walls)} reflective walls"
+            )
         # Each image: (position, amplitude factor, validity wall, phase).
         self.images: list[tuple[np.ndarray, float, Segment, float]] = []
         if spec.max_reflections >= 1:

@@ -172,13 +172,20 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def observe(self, value: float) -> None:
-        v = float(value)
-        if not math.isfinite(v):
-            raise ConfigurationError(f"cannot observe non-finite value {value}")
-        self._counts[bisect.bisect_left(self.buckets, v)] += 1
-        self._sum += v
-        self._samples.append(v)
+    def observe(self, *values: float) -> None:
+        """Record every value in order, or none of them: a non-finite
+        value raises before anything is recorded."""
+        floats = [float(v) for v in values]
+        for v, value in zip(floats, values):
+            if not math.isfinite(v):
+                raise ConfigurationError(
+                    f"cannot observe non-finite value {value}"
+                )
+        counts, buckets = self._counts, self.buckets
+        for v in floats:
+            counts[bisect.bisect_left(buckets, v)] += 1
+            self._sum += v
+        self._samples.extend(floats)
 
     def quantile(self, q: float) -> float:
         """Exact quantile of the observed samples.

@@ -38,9 +38,10 @@ delivery, one health observation, one calibration tick, one snapshot
 per tag, one VIRE pass and one LANDMARC pass — because every request
 served at ``now_s`` sees the same middleware state. The ladder is
 decided in one place, :meth:`ServicePipeline._execute_instant`, as the
-two passes return; :meth:`ServicePipeline._answer` then builds each
-answer and its one ``service.serve`` span. A real fault (any error but
-a refusal) raises before any answer of the instant is recorded.
+two passes return; :meth:`ServicePipeline._record_answers` then builds
+every answer of the instant and only then records them, with one
+``service.serve`` span each. A fault (any error but a refusal, in a
+pass or while recording) leaves no answer of the instant recorded.
 
 Reader health: a :class:`~repro.service.health.ReaderHealthTracker`
 observes per-reader middleware freshness every serving instant and
@@ -506,9 +507,8 @@ class ServicePipeline:
         """
         if not batches:
             return []
-        for batch in batches:
-            self._h_batch.observe(len(batch))
-        requests = [request for batch in batches for request in batch]
+        self._h_batch.observe(*map(len, batches))
+        requests = [request for batch in batches for request in batch.requests]
         tracer = current_tracer()
         with tracer.span(
             "service.batch",
@@ -549,32 +549,30 @@ class ServicePipeline:
             if blocked:
                 bsp.set("blocked_readers", sorted(str(r) for r in blocked))
 
-            snapshots: dict[str, Any] = {}
             allow_partial = self.config.allow_partial
             corrected_tags: set[str] = set()
 
             def fetch(tag_id: str):
-                if tag_id not in snapshots:
-                    try:
-                        reading = self.middleware.snapshot(
-                            tag_id, now_s, allow_partial=allow_partial
-                        )
-                        if allow_partial and blocked:
-                            reading = self._exclude_readers(reading, blocked)
-                        if reading is not None and self.calibration is not None:
-                            corrected = self.calibration.correct_reading(
-                                reading
-                            )
-                            if corrected is not reading:
-                                corrected_tags.add(tag_id)
-                            reading = corrected
-                        snapshots[tag_id] = reading
-                    except ReadingError:
-                        snapshots[tag_id] = None
-                return snapshots[tag_id]
+                try:
+                    reading = self.middleware.snapshot(
+                        tag_id, now_s, allow_partial=allow_partial
+                    )
+                    if allow_partial and blocked:
+                        reading = self._exclude_readers(reading, blocked)
+                    if reading is not None and self.calibration is not None:
+                        corrected = self.calibration.correct_reading(reading)
+                        if corrected is not reading:
+                            corrected_tags.add(tag_id)
+                        reading = corrected
+                    return reading
+                except ReadingError:
+                    return None
 
+            tags = [request.tag_id for request in requests]
             with tracer.span("service.snapshot") as ssp:
-                readings = [fetch(r.tag_id) for r in requests]
+                # One snapshot per tag, in first-request order.
+                snapshots = {tag: fetch(tag) for tag in dict.fromkeys(tags)}
+                readings = [snapshots[tag] for tag in tags]
                 ssp.set("unique_tags", len(snapshots))
                 ssp.set(
                     "missing", sum(1 for r in readings if r is None)
@@ -624,17 +622,14 @@ class ServicePipeline:
                 if est is not None:
                     ladder[i] = (3, fallback[i], est)
 
-            answers = [
-                self._answer(request, now_s, *decided, share)
-                for request, decided, share in zip(requests, ladder, shares)
-            ]
+            answers = self._record_answers(requests, ladder, shares, now_s)
             if corrected_tags:
                 # Ladder annotation: which answers of this instant were
                 # served from calibration-corrected (or quarantine-
                 # excised) snapshots. The ladder levels themselves are
                 # untouched — correction happens *before* the ladder.
                 bsp.set("calibration_corrected_tags", sorted(corrected_tags))
-            return [answer for answer in answers if answer is not None]
+            return answers
 
     def _pass(
         self,
@@ -669,10 +664,10 @@ class ServicePipeline:
             share = (self._perf_clock() - t0) / len(indices)
         answered = []
         for i, outcome in zip(indices, outcomes):
-            if isinstance(outcome, EstimationError):
+            if isinstance(outcome, ReproError):
+                if not isinstance(outcome, EstimationError):
+                    raise outcome
                 outcome = None
-            elif isinstance(outcome, ReproError):
-                raise outcome
             shares[i] += share
             answered.append((i, outcome))
         return answered
@@ -699,64 +694,99 @@ class ServicePipeline:
             return None
         return replace(reading.subset_readers(keep), masked=True)
 
-    def _answer(
+    def _record_answers(
         self,
-        request: LocalizationRequest,
+        requests: list[LocalizationRequest],
+        ladder: list[tuple],
+        shares: list[float],
         now_s: float,
-        level: int,
-        reason: str | None,
-        est: Any,
-        share_s: float,
-    ) -> ServiceResult | None:
-        """Record one request's answer at its decided ladder level.
+    ) -> list[ServiceResult]:
+        """Build the instant's answers at their decided ladder levels, then
+        record them together.
 
-        ``est`` is the pass's estimate (levels 1–3) or ``None`` (level 4:
-        the tag's last known position — or, for a tag never localized, a
-        counted failure). ``share_s`` is the request's share of the
-        passes' wall-clock, folded into its latency.
+        ``ladder[i]`` is request ``i``'s ``(level, reason, estimate)``: the
+        pass's estimate at levels 1–3, ``None`` at level 4 (the tag's last
+        known position, which an earlier answer of the same instant may
+        have set — or, for a tag never localized, a counted failure).
+        ``shares[i]`` is the request's share of the passes' wall-clock,
+        folded into its latency.
 
-        Every answer is traced as one ``service.serve`` span with the
-        ladder outcome as attributes (``level``/``reason``/``estimator``/
-        ``degraded`` — or ``failed`` when even level 4 has nothing).
-        ``repro trace summary`` aggregates exactly these.
+        Every answer is built before anything is recorded. The latency
+        histogram then takes the instant's latencies in one call, which
+        records none of them if one is non-finite; only after it do the
+        counters, the results and the last-known memory move, once per
+        instant. A fault while recording thus leaves no answer of the
+        instant behind, as a fault in an engine pass does.
+
+        Each request then gets its one ``service.serve`` span, in request
+        order, with the ladder outcome as attributes (``level``/
+        ``reason``/``estimator``/``degraded`` — or ``failed`` when even
+        level 4 has nothing). ``repro trace summary`` aggregates exactly
+        these.
         """
         tracer = current_tracer()
-        with tracer.span("service.serve", tag=request.tag_id) as span:
-            t0 = self._perf_clock()
+        traced = tracer.enabled
+        clock = self._perf_clock
+        names = (None, self.vire.name, self.vire.name, self.fallback.name)
+        known = self._last_estimate
+        served: dict[str, tuple[float, float]] = {}
+        answers: list[ServiceResult] = []
+        latencies: list[float] = []
+        degraded: dict[str, int] = {}
+        n_failed = 0
+        spans: list[dict[str, Any]] = []
+        for request, (level, reason, est), share in zip(
+            requests, ladder, shares
+        ):
+            t0 = clock()
+            tag = request.tag_id
             if est is not None:
                 position, diagnostics = est.position, est.diagnostics
-                estimator = (self.vire if level < 3 else self.fallback).name
+                estimator = names[level]
             else:
-                position = self._last_estimate.get(request.tag_id)
+                position = served.get(tag, known.get(tag))
                 if position is None:
-                    self._c_failed.inc()
-                    span.update(failed=True, reason=reason)
-                    return None
+                    n_failed += 1
+                    if traced:
+                        spans.append(
+                            {"tag": tag, "failed": True, "reason": reason}
+                        )
+                    continue
                 estimator, diagnostics = "last-known", {}
-            degraded = level > 1
-            span.update(level=level, estimator=estimator, degraded=degraded)
-            if reason is not None:
-                span.set("reason", reason)
-            latency = self._perf_clock() - t0 + share_s
-            self._h_latency.observe(latency)
-            self._c_results.inc()
-            if degraded:
-                self._c_degraded.inc()
-                self._c_degraded_reason[reason].inc()
-            self._last_estimate[request.tag_id] = position
-            result = ServiceResult(
-                tag_id=request.tag_id,
+            if level > 1:
+                degraded[reason] = degraded.get(reason, 0) + 1
+            latency = clock() - t0 + share
+            latencies.append(latency)
+            served[tag] = position
+            answers.append(ServiceResult(
+                tag_id=tag,
                 position=position,
                 estimator=estimator,
-                degraded=degraded,
+                degraded=level > 1,
                 reason=reason,
                 requested_at_s=request.enqueued_at_s,
                 completed_at_s=now_s,
                 processing_latency_s=latency,
                 diagnostics=diagnostics,
-            )
-            self._results.append(result)
-            return result
+            ))
+            if traced:
+                attrs = {"tag": tag, "level": level, "estimator": estimator,
+                         "degraded": level > 1}
+                if reason is not None:
+                    attrs["reason"] = reason
+                spans.append(attrs)
+
+        self._h_latency.observe(*latencies)
+        self._c_results.inc(len(answers))
+        self._c_degraded.inc(sum(degraded.values()))
+        for reason, n in degraded.items():
+            self._c_degraded_reason[reason].inc(n)
+        self._c_failed.inc(n_failed)
+        self._results.extend(answers)
+        known.update(served)
+        for attrs in spans:
+            tracer.event("service.serve", **attrs)
+        return answers
 
     # -- checkpoint / replay -------------------------------------------------
 
@@ -846,10 +876,10 @@ class ServicePipeline:
         """Restore the serving-side state from a checkpoint.
 
         ``results`` is the committed result log (decoded from the WAL);
-        the counters restored here are exactly the ones ``_answer``
-        increments. Counters owned by replayed components (requests,
-        frames, batcher, queue, faults) are **not** touched — replay
-        reconstructs them.
+        the counters restored here are exactly the ones
+        ``_record_answers`` increments. Counters owned by replayed
+        components (requests, frames, batcher, queue, faults) are **not**
+        touched — replay reconstructs them.
         """
         self._results = list(results)
         self._last_estimate = {

@@ -26,6 +26,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from ..exceptions import CheckpointError, ConfigurationError, SimulationError
 from ..experiments.scenarios import TestbedScenario, paper_scenario
 from ..hardware.deployment import Deployment, build_paper_deployment
@@ -37,7 +39,6 @@ from ..runtime.checkpoint import (
     validate_header,
 )
 from ..obs import Tracer, current_tracer, use_tracer
-from ..types import estimation_error
 from .metrics import MetricsRegistry
 from .pipeline import ServiceConfig, ServicePipeline, ServiceResult
 
@@ -585,16 +586,26 @@ class ServiceSession:
             summary["checkpoint_results_logged"] = float(self._writer.results_logged)
             summary["checkpoint_snapshots"] = float(self._writer.snapshots_written)
         summary.update(extra)
+        results = pipeline.results
         truth = self.deployment.tracking_truth
+        known = [r for r in results if r.tag_id in truth]
+        # The paper's error e = sqrt((x-x0)^2 + (y-y0)^2) over every
+        # result with ground truth at once; each entry has the bits of
+        # types.estimation_error for that result.
+        estimated = np.array(
+            [r.position for r in known], dtype=np.float64
+        ).reshape(-1, 2)
+        true = np.array(
+            [truth[r.tag_id] for r in known], dtype=np.float64
+        ).reshape(-1, 2)
+        errors = np.hypot(
+            estimated[:, 0] - true[:, 0], estimated[:, 1] - true[:, 1]
+        )
         return SessionReport(
-            results=pipeline.results,
+            results=results,
             summary=summary,
             metrics=pipeline.metrics,
-            errors_m=tuple(
-                estimation_error(r.position, truth[r.tag_id])
-                for r in pipeline.results
-                if r.tag_id in truth
-            ),
+            errors_m=tuple(errors.tolist()),
             calibration_events=pipeline.calibration_events(),
         )
 

@@ -247,13 +247,15 @@ class TestPlacement:
 
     def test_interior_tags_inside_grid(self, grid):
         tags = figure2a_tracking_tags(grid)
+        area = Room(grid.bounds)
         for label in NON_BOUNDARY_TAGS:
-            assert grid.contains(tags[label]), label
+            assert area.contains(tags[label]), label
 
     def test_tag9_outside_grid(self, grid):
         tags = figure2a_tracking_tags(grid)
-        assert not grid.contains(tags[9])
-        assert grid.contains(tags[9], pad=0.5)
+        area = Room(grid.bounds)
+        assert not area.contains(tags[9])
+        assert area.contains(tags[9], pad=0.5)
 
     def test_boundary_partition_complete(self):
         assert set(NON_BOUNDARY_TAGS) | set(BOUNDARY_TAGS) == set(range(1, 10))

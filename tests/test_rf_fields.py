@@ -83,12 +83,24 @@ class TestShadowingField:
             field.value_at(np.zeros((2, 3)))
 
 
+def zero_phases(model) -> list[float]:
+    """One zero reflection phase per reflective wall (ideal geometry)."""
+    return [0.0] * len(model.room.reflective_walls)
+
+
+def excess_gain(model, reader_pos, pts):
+    """The channel's route: the reader's image set, zero wall phases."""
+    return model.prepare_reader(reader_pos, zero_phases(model)).excess_gain_db(
+        pts
+    )
+
+
 class TestMultipath:
     def test_disabled_returns_zero(self, room):
         model = MultipathModel(room, MultipathSpec(max_reflections=0))
         pts = np.random.default_rng(0).uniform(0, 4, (10, 2))
         np.testing.assert_array_equal(
-            model.excess_gain_db((0.0, 0.0), pts), 0.0
+            excess_gain(model, (0.0, 0.0), pts), 0.0
         )
 
     def test_no_reflective_walls_returns_zero(self):
@@ -98,14 +110,14 @@ class TestMultipath:
         model = MultipathModel(open_room, MultipathSpec(max_reflections=1))
         pts = np.array([[2.0, 2.0]])
         np.testing.assert_array_equal(
-            model.excess_gain_db((5.0, 5.0), pts), 0.0
+            excess_gain(model, (5.0, 5.0), pts), 0.0
         )
 
     def test_excess_bounded_by_clamp(self, room):
         spec = MultipathSpec(max_reflections=2, coherence=1.0)
         model = MultipathModel(room, spec)
         pts = np.random.default_rng(0).uniform(-1.5, 7.5, (300, 2))
-        gain = model.excess_gain_db((0.0, 0.0), pts)
+        gain = excess_gain(model, (0.0, 0.0), pts)
         assert gain.min() >= spec.min_excess_db
         assert gain.max() <= spec.max_excess_db
 
@@ -113,25 +125,25 @@ class TestMultipath:
         # coherence=0: powers add, so the gain over direct-only is >= 0.
         model = MultipathModel(room, MultipathSpec(max_reflections=1, coherence=0.0))
         pts = np.random.default_rng(1).uniform(-1, 7, (100, 2))
-        gain = model.excess_gain_db((1.0, 1.0), pts)
+        gain = excess_gain(model, (1.0, 1.0), pts)
         assert np.all(gain >= -1e-9)
 
     def test_coherent_creates_spatial_structure(self, room):
         model = MultipathModel(room, MultipathSpec(max_reflections=1, coherence=1.0))
         xs = np.linspace(0.0, 4.0, 200)
         pts = np.column_stack([xs, np.full_like(xs, 1.0)])
-        gain = model.excess_gain_db((-1.0, 1.0), pts)
+        gain = excess_gain(model, (-1.0, 1.0), pts)
         assert gain.std() > 0.5  # fringes visible
 
     def test_first_order_image_count(self, room):
         model = MultipathModel(room, MultipathSpec(max_reflections=1))
-        images = model.prepare_reader((0.0, 0.0))
+        images = model.prepare_reader((0.0, 0.0), zero_phases(model))
         assert len(images.images) == len(room.reflective_walls)
 
     def test_second_order_image_count(self, room):
         model = MultipathModel(room, MultipathSpec(max_reflections=2))
         n = len(room.reflective_walls)
-        images = model.prepare_reader((0.0, 0.0))
+        images = model.prepare_reader((0.0, 0.0), zero_phases(model))
         assert len(images.images) == n + n * (n - 1)
 
     def test_wall_phases_change_pattern(self, room):
@@ -168,8 +180,8 @@ class TestMultipath:
         # Point whose mirror path reflects inside the tiny wall: near the axis.
         on_axis = np.array([[4.5, 5.0]])
         off_axis = np.array([[4.0, 9.0]])
-        g_on = model.excess_gain_db(reader, on_axis)
-        g_off = model.excess_gain_db(reader, off_axis)
+        g_on = excess_gain(model, reader, on_axis)
+        g_off = excess_gain(model, reader, off_axis)
         assert g_on[0] > 0.0
         assert g_off[0] == pytest.approx(0.0)
 

@@ -17,6 +17,7 @@ from repro.experiments.scale import (
     perimeter_reader_positions,
     scaled_environment,
 )
+from repro.geometry import Room
 from repro.rf import env3
 
 from .conftest import make_clean_environment
@@ -75,8 +76,9 @@ class TestLargeScaleScenario:
         )
         assert scenario.grid.n_tags == 36
         assert len(scenario.tracking_tags) == 5
+        area = Room(scenario.grid.bounds)
         for pos in scenario.tracking_tags.values():
-            assert scenario.grid.contains(pos)
+            assert area.contains(pos)
 
     def test_tags_deterministic_per_seed(self):
         a = large_scale_scenario(n_tracking_tags=4, tag_seed=9)

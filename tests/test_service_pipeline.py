@@ -30,8 +30,13 @@ from repro.exceptions import (
 from repro.faults import CrashPoint, ReaderOutageFault, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.hardware.middleware import MiddlewareServer, SmoothingSpec
-from repro.obs import Tracer, use_tracer
-from repro.service import LocalizationService, ServiceConfig, ServicePipeline
+from repro.obs import Tracer, current_tracer, use_tracer
+from repro.service import (
+    LocalizationService,
+    ServiceConfig,
+    ServicePipeline,
+    ServiceResult,
+)
 from repro.service.ingest import IngestionLoop
 from repro.service.metrics import metric_safe
 
@@ -267,6 +272,33 @@ class TestServingInstant:
             "service_localization_latency_seconds"
         ).count == 0
 
+    def test_a_fault_while_recording_records_no_answer_of_the_instant(
+        self, two_tag_deployment
+    ):
+        # The latency histogram rejects a non-finite latency. The perf
+        # clock's 6th read (the VIRE pass takes two, each answer two) ends
+        # the second answer, so its latency is NaN: recording fails after
+        # the first answer was built, and no answer of the instant may be
+        # recorded.
+        pipeline = self._instant_pipeline(two_tag_deployment)
+        clock = pipeline._perf_clock
+        reads = itertools.count(1)
+        pipeline._perf_clock = lambda: (
+            math.nan if next(reads) == 6 else clock()
+        )
+        now = two_tag_deployment.simulator.now
+        pipeline.submit_request("asset", now)
+        pipeline.submit_request("cart", now)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            pipeline.process_due(now)
+        assert pipeline.results == ()
+        assert pipeline.last_estimate("asset") is None
+        summary = pipeline.metrics_summary()
+        assert (summary["results"], summary["degraded"]) == (0, 0)
+        assert pipeline.metrics.get(
+            "service_localization_latency_seconds"
+        ).count == 0
+
     def test_multi_batch_instant_is_one_batch_span(self, two_tag_deployment):
         pipeline = self._instant_pipeline(two_tag_deployment)
         now = two_tag_deployment.simulator.now
@@ -288,6 +320,182 @@ class TestServingInstant:
             c for c in root["children"] if c["name"] == "service.vire_pass"
         ]
         assert vire_pass["attrs"]["n_requests"] == 4
+
+
+class PerRequestPipeline(ServicePipeline):
+    """The oracle: each request's answer built and recorded on its own,
+    one ``service.serve`` span around each, as the pipeline served
+    before it built an instant's answers in one pass."""
+
+    def _record_answers(self, requests, ladder, shares, now_s):
+        answers = [
+            self._answer(request, now_s, *decided, share)
+            for request, decided, share in zip(requests, ladder, shares)
+        ]
+        return [answer for answer in answers if answer is not None]
+
+    def _answer(self, request, now_s, level, reason, est, share_s):
+        tracer = current_tracer()
+        with tracer.span("service.serve", tag=request.tag_id) as span:
+            t0 = self._perf_clock()
+            if est is not None:
+                position, diagnostics = est.position, est.diagnostics
+                estimator = (self.vire if level < 3 else self.fallback).name
+            else:
+                position = self._last_estimate.get(request.tag_id)
+                if position is None:
+                    self._c_failed.inc()
+                    span.update(failed=True, reason=reason)
+                    return None
+                estimator, diagnostics = "last-known", {}
+            degraded = level > 1
+            span.update(level=level, estimator=estimator, degraded=degraded)
+            if reason is not None:
+                span.set("reason", reason)
+            latency = self._perf_clock() - t0 + share_s
+            self._h_latency.observe(latency)
+            self._c_results.inc()
+            if degraded:
+                self._c_degraded.inc()
+                self._c_degraded_reason[reason].inc()
+            self._last_estimate[request.tag_id] = position
+            result = ServiceResult(
+                tag_id=request.tag_id,
+                position=position,
+                estimator=estimator,
+                degraded=degraded,
+                reason=reason,
+                requested_at_s=request.enqueued_at_s,
+                completed_at_s=now_s,
+                processing_latency_s=latency,
+                diagnostics=diagnostics,
+            )
+            self._results.append(result)
+            return result
+
+
+#: Instants of one serving script, each drained at ``now``: requests as
+#: ``(tag, submitted this long before now)`` in submission order (a
+#: request 5 s old is past its 1 s deadline), plus how the instant is
+#: served. ``allow`` keeps that many readers admitted (masked snapshots,
+#: ``partial_readers``); ``refuse_landmarc`` makes the LANDMARC pass
+#: refuse, so a late request falls to last known; ``history`` seeds
+#: last-known positions first.
+ANSWER_SCRIPT = (
+    # Repeated tags, a deadline LANDMARC answer, a never-localized tag.
+    dict(requests=(("asset", 0.0), ("cart", 0.0), ("asset", 0.0),
+                   ("cart", 5.0), ("ghost", 0.0), ("asset", 0.0))),
+    # Masked partial-reader answers and a last-known visitor.
+    dict(requests=(("visitor", 0.0), ("asset", 0.0), ("cart", 0.0),
+                   ("asset", 0.0)),
+         allow=3, history={"visitor": (1.0, 2.0)}),
+    # A late request whose LANDMARC answer is refused: last known, from
+    # the answer an earlier request of the same instant just gave.
+    dict(requests=(("cart", 0.0), ("asset", 0.0), ("asset", 5.0),
+                   ("ghost", 0.0)),
+         refuse_landmarc=True),
+)
+
+
+def serve_script(pipeline, now, script) -> tuple[list, list, dict]:
+    """Drive ``script`` through ``pipeline``: its results, its
+    ``service.serve`` span documents and its serving counters."""
+    results, spans = [], []
+    for instant in script:
+        for tag, position in instant.get("history", {}).items():
+            pipeline.transfer_last_estimate(tag, position)
+        if "allow" in instant:
+            kept = list(pipeline.middleware.reader_ids)[: instant["allow"]]
+            pipeline.health.allowed_readers = lambda now_s: kept
+        if instant.get("refuse_landmarc"):
+            pipeline._batch_fallback.estimate_outcomes = lambda readings: [
+                EstimationError("nothing to rank") for _ in readings
+            ]
+        for tag, age in instant["requests"]:
+            pipeline.submit_request(tag, now - age)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            results += pipeline.drain(now)
+        vars(pipeline.health).pop("allowed_readers", None)
+        vars(pipeline._batch_fallback).pop("estimate_outcomes", None)
+        (root,) = tracer.logical_documents()
+        spans += [c for c in root["children"] if c["name"] == "service.serve"]
+    metrics = pipeline.metrics
+    counters = {
+        name: metrics.get(name).value
+        for name in (
+            "service_results_total", "service_degraded_total",
+            "service_requests_failed_total",
+            *(f"service_degraded_{r}_total" for r in DEGRADED_REASONS),
+        )
+    }
+    counters["latency_count"] = metrics.get(
+        "service_localization_latency_seconds"
+    ).count
+    return results, spans, counters
+
+
+class TestAnswerPass:
+    """One answer pass per instant serves as the per-request route did."""
+
+    def _pipeline(self, deployment, cls=ServicePipeline) -> ServicePipeline:
+        config = ServiceConfig(
+            max_batch_size=3, max_latency_s=1.0, request_deadline_s=1.0,
+            vire=VIREConfig(subdivisions=5),
+        )
+        return cls(
+            deployment.grid, deployment.simulator.middleware, config,
+            perf_clock=FakeClock(),
+        )
+
+    def test_matches_the_per_request_oracle(self, two_tag_deployment):
+        now = two_tag_deployment.simulator.now
+        got = serve_script(
+            self._pipeline(two_tag_deployment), now, ANSWER_SCRIPT
+        )
+        want = serve_script(
+            self._pipeline(two_tag_deployment, PerRequestPipeline),
+            now, ANSWER_SCRIPT,
+        )
+        results, spans, counters = got
+        assert [answer(r) for r in results] == [answer(r) for r in want[0]]
+        assert spans == want[1]
+        assert counters == want[2]
+        # The script reaches every rung it names.
+        assert [(r.estimator, r.reason) for r in results] == [
+            ("VIRE", None), ("VIRE", None), ("VIRE", None),
+            ("LANDMARC", "deadline"), ("VIRE", None),
+            ("last-known", "no_reading"), ("VIRE", "partial_readers"),
+            ("VIRE", "partial_readers"), ("VIRE", "partial_readers"),
+            ("VIRE", None), ("VIRE", None), ("last-known", "no_reading"),
+        ]
+        assert counters["service_requests_failed_total"] == 2
+        assert len(spans) == sum(len(i["requests"]) for i in ANSWER_SCRIPT)
+        # The late asset request's last known position is the answer its
+        # own instant just gave, not the one remembered before it.
+        assert results[11].position == results[10].position
+        assert results[11].position != results[8].position
+
+    def test_each_repeated_answer_owns_its_diagnostics(
+        self, two_tag_deployment
+    ):
+        now = two_tag_deployment.simulator.now
+        results, _, _ = serve_script(
+            self._pipeline(two_tag_deployment), now, ANSWER_SCRIPT[:2]
+        )
+        clean = [r for r in results if r.tag_id == "asset" and
+                 r.reason is None]
+        masked = [r for r in results if r.reason == "partial_readers"
+                  and r.tag_id == "asset"]
+        assert len(clean) == 3 and len(masked) == 2
+        for first, *others in (clean, masked):
+            expected = [answer(r) for r in others]
+            first.diagnostics["threshold_db"] = -1.0
+            first.diagnostics["map_areas"].append(99)
+            assert [answer(r) for r in others] == expected
+        survivors = list(masked[1].diagnostics["quorum_surviving_readers"])
+        masked[0].diagnostics["quorum_surviving_readers"].clear()
+        assert masked[1].diagnostics["quorum_surviving_readers"] == survivors
 
 
 class _OutageService(LocalizationService):

@@ -12,6 +12,8 @@ The claims under test:
    raises.
 4. A tick is served at its own time: the simulator never runs ahead of
    the tick being served, so a tick's spans carry the tick's time.
+5. A report's ``errors_m``, computed over all results at once, has the
+   bits of the per-result ``estimation_error``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ import pytest
 from repro import VIREConfig, VIREEstimator, build_paper_deployment
 from repro.cli import main
 from repro.exceptions import SimulationError
-from repro.service import LocalizationService, ServiceConfig, SessionReport
+from repro.service import (
+    LocalizationService,
+    ServiceConfig,
+    ServicePipeline,
+    SessionReport,
+)
+from repro.service.session import ServiceSession
+from repro.types import estimation_error
 
 from .conftest import make_clean_environment
 
@@ -155,6 +164,76 @@ class TestTickCausality:
         for tick in ticks:
             assert tick["t"] == tick["attrs"]["tick_s"]
             assert latest(tick) <= tick["attrs"]["tick_s"]
+
+
+def per_result_errors(results, truth) -> list[str]:
+    """``estimation_error`` of each result with ground truth, as hex."""
+    return [
+        estimation_error(r.position, truth[r.tag_id]).hex()
+        for r in results
+        if r.tag_id in truth
+    ]
+
+
+class TestReportErrors:
+    """``errors_m`` has the bits of the per-result ``estimation_error``."""
+
+    def _session(self, seed: int) -> ServiceSession:
+        deployment = make_scenario_deployment(seed)
+        pipeline = ServicePipeline(
+            deployment.grid, deployment.simulator.middleware,
+            service_config(),
+        )
+        session = ServiceSession(
+            deployment, pipeline, sorted(deployment.tracking_truth)
+        )
+        session.start(4.0, header={})
+        return session
+
+    def test_bit_for_bit_with_last_known_and_truthless_answers(self):
+        session = self._session(seed=21)
+        while session.step() is not None:
+            pass
+        # Every series stale: last-known answers for the tracked tags and
+        # for a visitor the deployment holds no ground truth for.
+        pipeline = session.pipeline
+        truth = session.deployment.tracking_truth
+        pipeline.transfer_last_estimate("visitor", (0.7, 2.9))
+        later = session.simulator.now + 1e6
+        for tag in (*sorted(truth), "visitor"):
+            pipeline.submit_request(tag, later)
+        stale = pipeline.drain(later)
+        assert [r.estimator for r in stale] == ["last-known"] * 3
+        report = session.finish()
+
+        assert "visitor" not in truth
+        assert len(report.errors_m) == len(report.results) - 1
+        assert [e.hex() for e in report.errors_m] == per_result_errors(
+            report.results, truth
+        )
+        assert all(type(e) is float for e in report.errors_m)
+
+    def test_no_results_no_errors(self):
+        session = self._session(seed=3)
+        report = session.report()
+        session.abort()
+        assert report.results == ()
+        assert report.errors_m == ()
+
+    def test_load_test_errors_bit_for_bit(self):
+        from repro.loadtest import LoadProfile, run_load_test
+        from repro.zones import ZoneWorker, scaled_site_plan
+
+        profile = LoadProfile(name="errors", process="burst", duration_s=4.0,
+                              rate_per_s=8.0, seed=5)
+        config = service_config(request_deadline_s=1.0)
+        report = run_load_test(profile, config=config)
+        spec = scaled_site_plan(profile.environment, 1, seed=profile.seed)
+        truth = ZoneWorker(spec.zones[0], config).deployment.tracking_truth
+        assert report.errors_m
+        assert [e.hex() for e in report.errors_m] == per_result_errors(
+            report.results, truth
+        )
 
 
 class TestWarmupFailure:

@@ -19,6 +19,7 @@ from repro import (
 from repro.analysis import format_heatmap, spatial_error_map
 from repro.exceptions import ConfigurationError, ReadingError
 from repro.experiments.measurement import MeasurementSpec, TrialSampler
+from repro.geometry import Room
 
 from .conftest import make_clean_environment
 
@@ -114,7 +115,7 @@ class TestSpatialErrorMap:
         )
         worst_err, worst_pos = emap.worst
         assert worst_err == pytest.approx(emap.mean_error.max())
-        assert grid.contains(worst_pos, pad=0.01)
+        assert Room(grid.bounds).contains(worst_pos, pad=0.01)
 
     def test_formatting(self, grid):
         env = make_clean_environment()
